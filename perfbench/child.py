@@ -47,9 +47,9 @@ import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 #: Warm repetitions per pass.
-WARM_REPS = {"figures": 15, "paper-scale": 1, "serve": 10}
-#: Batch-8 queue drains per serve pass (its points are cheap).
-QUEUE_REPS_SERVE = 2
+WARM_REPS = {"figures": 100, "paper-scale": 1, "serve": 15}
+#: Batch-8 queue drains per serve pass.
+QUEUE_REPS_SERVE = 1
 QUEUE_TIMEOUT_S = 120.0
 
 
@@ -70,18 +70,23 @@ class Checks:
             self.failed += points
 
 
+def span(interval) -> float:
+    return interval[1] - interval[0]
+
+
 def timed_sweep(make_session, specs):
-    start = time.perf_counter()
+    """Sweep ``specs``; returns the ``time.monotonic`` interval and the results."""
+    start = time.monotonic()
     with make_session() as session:
         rs = session.sweep(specs)
-    return time.perf_counter() - start, rs
+    return (start, time.monotonic()), rs
 
 
 def digests_of(rs) -> dict:
     return workloads.point_digests(*zip(*rs)) if len(rs) else {}
 
 
-def queue_phase(specs, tmp: Path, checks: Checks, expected: dict, traces: list) -> float:
+def queue_phase(specs, tmp: Path, checks: Checks, expected: dict, traces: list) -> tuple:
     """Drain ``specs`` through a fresh one-worker queue at batch 8."""
     work = tmp / "queue-work"
     trace_out = tmp / "worker-trace.json" if traces is not None else None
@@ -125,18 +130,18 @@ def inprocess_pass(workload: str, specs, tmp: Path, traces) -> dict:
 
     warm = []
     for _ in range(WARM_REPS[workload]):
-        seconds, warm_rs = timed_sweep(make_session, workloads.warm_specs(workload, specs))
-        warm.append(seconds)
+        interval, warm_rs = timed_sweep(make_session, workloads.warm_specs(workload, specs))
+        warm.append(interval)
         checks.points(reference, digests_of(warm_rs))
 
-    queue_s = queue_phase(
+    queue = queue_phase(
         workloads.queue_specs(workload, specs), tmp, checks, reference, traces
     )
     return {
-        "wall_s": wall,
+        "wall_s": [wall],
         "warm_s": warm,
-        "queue_b8_s": [queue_s],
-        "timed_s": wall + sum(warm) + queue_s,
+        "queue_b8_s": [queue],
+        "timed_s": span(wall) + sum(map(span, warm)) + span(queue),
         "digest": workloads.plan_digest(reference),
         "counters": counters,
         "attempted": checks.attempted,
@@ -146,8 +151,8 @@ def inprocess_pass(workload: str, specs, tmp: Path, traces) -> dict:
 
 
 def start_serve(tmp: Path, daemon_trace=None, worker_trace=None):
-    """Start daemon and worker; returns (daemon, worker, url, setup seconds)."""
-    start = time.perf_counter()
+    """Start daemon and worker; returns (daemon, worker, url, set-up interval)."""
+    start = time.monotonic()
     daemon = procs.Daemon(tmp / "serve-work", tmp / "serve-cache", tmp, daemon_trace)
     worker = None
     try:
@@ -157,7 +162,7 @@ def start_serve(tmp: Path, daemon_trace=None, worker_trace=None):
     except BaseException:
         stop_serve(daemon, worker)
         raise
-    return daemon, worker, url, time.perf_counter() - start
+    return daemon, worker, url, (start, time.monotonic())
 
 
 def stop_serve(daemon, worker) -> None:
@@ -173,24 +178,24 @@ def serve_pass(specs, tmp: Path, traces, reference_text: str, reference: dict) -
     points = len(reference)
     daemon_trace = tmp / "daemon-trace.json" if traces is not None else None
     worker_trace = tmp / "worker-trace.json" if traces is not None else None
-    daemon, worker, url, setup_s = start_serve(tmp, daemon_trace, worker_trace)
+    daemon, worker, url, setup = start_serve(tmp, daemon_trace, worker_trace)
     try:
         client = SweepClient(url, timeout=QUEUE_TIMEOUT_S)
 
         # Cold: submit, follow SSE to the terminal event, read back.
-        start = time.perf_counter()
+        start = time.monotonic()
         accepted = client.submit(specs)
-        submit_s = time.perf_counter() - start
+        submit_s = time.monotonic() - start
         first_point_s = None
         for event in client.events(accepted["id"], timeout=QUEUE_TIMEOUT_S):
             if first_point_s is None and event["event"] == "point":
-                first_point_s = time.perf_counter() - start
+                first_point_s = time.monotonic() - start
             if event["event"] == "failed":
                 raise RuntimeError(f"sweep failed: {event.get('error')}")
-        before_results = time.perf_counter()
+        before_results = time.monotonic()
         text = client.results(accepted["id"])
-        end = time.perf_counter()
-        wall_s = end - start
+        end = time.monotonic()
+        wall = (start, end)
         results_s = end - before_results
         checks.text(reference_text, text, points)
 
@@ -198,10 +203,10 @@ def serve_pass(specs, tmp: Path, traces, reference_text: str, reference: dict) -
         warm = []
         cached_at_submit = 0
         for _ in range(WARM_REPS["serve"]):
-            start = time.perf_counter()
+            start = time.monotonic()
             again = client.submit(specs)
             warm_text = client.results(again["id"])
-            warm.append(time.perf_counter() - start)
+            warm.append((start, time.monotonic()))
             cached_at_submit = again["points"]["cached_at_submit"]
             checks.text(reference_text, warm_text, points)
 
@@ -209,7 +214,7 @@ def serve_pass(specs, tmp: Path, traces, reference_text: str, reference: dict) -
         # an empty cache.
         queue = []
         for rep in range(QUEUE_REPS_SERVE):
-            seconds, rs = timed_sweep(
+            interval, rs = timed_sweep(
                 lambda: Session.remote(
                     tmp / "serve-work",
                     batch=workloads.QUEUE_BATCH,
@@ -219,7 +224,7 @@ def serve_pass(specs, tmp: Path, traces, reference_text: str, reference: dict) -
                 ),
                 specs,
             )
-            queue.append(seconds)
+            queue.append(interval)
             checks.points(reference, digests_of(rs))
         rss = procs.peak_rss_mb(daemon.proc.pid) + procs.peak_rss_mb(worker.proc.pid)
     finally:
@@ -228,11 +233,11 @@ def serve_pass(specs, tmp: Path, traces, reference_text: str, reference: dict) -
         traces.append(("worker", json.loads(worker_trace.read_text())))
         traces.append(("daemon", json.loads(daemon_trace.read_text())))
     return {
-        "setup_s": setup_s,
-        "wall_s": wall_s,
+        "setup_s": setup,
+        "wall_s": [wall],
         "warm_s": warm,
         "queue_b8_s": queue,
-        "timed_s": setup_s + wall_s + sum(warm) + sum(queue),
+        "timed_s": span(setup) + span(wall) + sum(map(span, warm)) + sum(map(span, queue)),
         "submit_s": submit_s,
         "first_point_s": first_point_s,
         "results_s": results_s,
@@ -278,9 +283,9 @@ def main() -> int:
     print("ready", flush=True)
     if args.setup_only:
         if args.workload == "serve":
-            daemon, worker, _, setup_s = start_serve(args.tmp)
+            daemon, worker, _, setup = start_serve(args.tmp)
             stop_serve(daemon, worker)
-            print(json.dumps({"setup_s": setup_s}))
+            print(json.dumps({"setup_s": setup}))
         return 0
 
     if args.workload == "serve":

@@ -2,8 +2,8 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload figures --seed 1 --seconds 20 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload figures --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 40 --trace 0
 
 Workloads: ``figures`` (the cold scale-0.1 paper figures plan, then warm
 passes over the filled cache), ``paper-scale`` (a 24-point uncached
@@ -11,14 +11,16 @@ scale-1.0 grid) and ``serve`` (``repro serve`` plus one queue worker,
 driven by one closed-loop client). See ``perfbench/README.md``.
 
 Each pass runs in a fresh interpreter (``child.py``); passes repeat
-until their timed phases add up to ``--seconds``. Timings are the
-minimum over the run's passes and repetitions, the repository's min-of-N
-convention: on a shared machine noise only ever slows a pass down.
-``setup_s`` and ``peak_rss_mb`` are medians. With ``--trace 0`` the last
-stdout line carries the end-to-end metrics; with ``--trace 1`` untraced
-and traced passes alternate, a per-layer self-time table is printed, and
-the last line carries the per-layer metrics. Any output mismatch counts
-as a failed operation and makes ``correct`` false.
+while another one fits in ``--seconds``. Every process of a run is
+pinned to one CPU beside a host-speed sampler (``hostspeed.py``), and
+timings are reported in reference seconds: the interval's idle time as
+it was, its busy time scaled by the CPU's measured speed. Each timing is
+a trimmed mean over the run's passes and repetitions; ``setup_s`` and
+``peak_rss_mb`` are medians. With ``--trace 0`` the last stdout line
+carries the end-to-end metrics; with ``--trace 1`` untraced and traced
+passes alternate, a per-layer self-time table is printed, and the last
+line carries the per-layer metrics. Any output mismatch counts as a
+failed operation and makes ``correct`` false.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import hostspeed
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
@@ -45,6 +49,8 @@ WORKLOADS = ("figures", "paper-scale", "serve")
 #: Set-up samples per run: each untraced pass gives one, and set-up-only
 #: children make up the rest.
 SETUP_SAMPLES = 5
+#: Passes every run makes, however short its --seconds.
+MIN_PASSES = 2
 CHILD_TIMEOUT_S = 150.0
 
 E2E_UNITS = {
@@ -116,7 +122,7 @@ def fail(message: str) -> int:
 
 
 def run_child(workload: str, seed: int, tmp: Path, trace: bool, setup_only: bool):
-    """Start one child pass; returns (seconds to ``ready``, result doc)."""
+    """Start one child pass; returns (interval up to ``ready``, result doc)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
     env["REPRO_CACHE_DIR"] = str(tmp / "default-cache")
@@ -126,7 +132,7 @@ def run_child(workload: str, seed: int, tmp: Path, trace: bool, setup_only: bool
         cmd.append("--trace")
     if setup_only:
         cmd.append("--setup-only")
-    start = time.perf_counter()
+    start = time.monotonic()
     # Its own process group, so the child's daemon and worker can be
     # found (and, on any failure, killed) together with it.
     proc = subprocess.Popen(
@@ -135,7 +141,7 @@ def run_child(workload: str, seed: int, tmp: Path, trace: bool, setup_only: bool
     stragglers = False
     try:
         first = proc.stdout.readline()
-        ready_s = time.perf_counter() - start
+        ready = (start, time.monotonic())
         rest, _ = proc.communicate(timeout=CHILD_TIMEOUT_S)
     finally:
         try:
@@ -150,8 +156,8 @@ def run_child(workload: str, seed: int, tmp: Path, trace: bool, setup_only: bool
     if stragglers:
         raise RuntimeError(f"{workload} pass left processes running")
     if setup_only and workload != "serve":
-        return ready_s, None
-    return ready_s, json.loads(rest.decode().strip().splitlines()[-1])
+        return ready, None
+    return ready, json.loads(rest.decode().strip().splitlines()[-1])
 
 
 def layer_metrics(doc: dict) -> dict:
@@ -230,13 +236,20 @@ def layer_metrics(doc: dict) -> dict:
     }
 
 
-def best(docs, key: str) -> float:
-    """Min-of-N of a timing over passes (and repetitions within a pass)."""
-    return min(
-        value
-        for doc in docs
-        for value in (doc[key] if isinstance(doc[key], list) else [doc[key]])
-    )
+def central(values) -> float:
+    """Trimmed mean: the mean without the highest and lowest tenth.
+
+    A run has only a few cold passes, so every one of them counts; of
+    the many warm repetitions, a stall or two is dropped.
+    """
+    values = sorted(values)
+    cut = len(values) // 10
+    return statistics.fmean(values[cut : len(values) - cut])
+
+
+def intervals(docs, key: str) -> list:
+    """Every timed interval of ``key`` over passes and their repetitions."""
+    return [interval for doc in docs for interval in doc[key]]
 
 
 def layer_table(doc: dict) -> str:
@@ -270,24 +283,33 @@ def measure(args, base: Path) -> dict:
         n += 1
         tmp.mkdir()
         try:
-            ready_s, doc = run_child(args.workload, args.seed, tmp, trace, setup_only)
+            ready, doc = run_child(args.workload, args.seed, tmp, trace, setup_only)
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
         if not trace:
-            setup.append(doc["setup_s"] if args.workload == "serve" else ready_s)
+            setup.append(doc["setup_s"] if args.workload == "serve" else ready)
         return doc
 
-    # Passes repeat until their timed phases add up to --seconds.
-    measured = 0.0
-    while measured < args.seconds:
-        untraced.append(one_pass(False))
-        measured += untraced[-1]["timed_s"]
-        if args.trace:
-            traced.append(one_pass(True))
-            measured += traced[-1]["timed_s"]
-    if not args.trace:
-        while len(setup) < SETUP_SAMPLES:
-            one_pass(False, setup_only=True)
+    sampler = hostspeed.Sampler(base / "hostspeed.json")
+    try:
+        # Passes repeat while another one still fits in --seconds of wall
+        # clock, so a run takes about as long on a slow host as on a fast one.
+        start = time.monotonic()
+        last = 0.0
+        while len(untraced) < MIN_PASSES or time.monotonic() - start + last <= args.seconds:
+            pass_start = time.monotonic()
+            untraced.append(one_pass(False))
+            if args.trace:
+                traced.append(one_pass(True))
+            last = time.monotonic() - pass_start
+        if not args.trace:
+            while len(setup) < SETUP_SAMPLES:
+                one_pass(False, setup_only=True)
+    finally:
+        samples = sampler.stop()
+
+    def reference_s(spans) -> list:
+        return [hostspeed.normalise(interval, samples) for interval in spans]
 
     docs = untraced + traced
     attempted = sum(doc["attempted"] for doc in docs)
@@ -304,10 +326,13 @@ def measure(args, base: Path) -> dict:
     if not repeat:
         print("perfbench: deterministic counters differ between passes", file=sys.stderr)
 
+    raw: dict = {}
     if args.trace:
         layers = [layer_metrics(doc) for doc in traced]
         values = {key: statistics.median(m[key] for m in layers) for key in LAYER_UNITS if key != "trace.overhead_s"}
-        values["trace.overhead_s"] = best(traced, "wall_s") - best(untraced, "wall_s")
+        values["trace.overhead_s"] = central(
+            reference_s(intervals(traced, "wall_s"))
+        ) - central(reference_s(intervals(untraced, "wall_s")))
         for key in ("workloads.builds", "sim.npu.runs", "sim.memory.demand_lines"):
             if len({m[key] for m in layers}) > 1:
                 repeat = False
@@ -315,15 +340,18 @@ def measure(args, base: Path) -> dict:
         print(layer_table(traced[-1]))
         units = LAYER_UNITS
     else:
-        values = {"setup_s": statistics.median(setup)}
+        values = {"setup_s": statistics.median(reference_s(setup))}
+        raw = {"setup_s": statistics.median(end - start for start, end in setup)}
         for key in ("wall_s", "warm_s", "queue_b8_s"):
-            values[key] = best(untraced, key)
+            values[key] = central(reference_s(intervals(untraced, key)))
+            raw[key] = central(end - start for start, end in intervals(untraced, key))
         values["peak_rss_mb"] = statistics.median(doc["peak_rss_mb"] for doc in untraced)
         units = E2E_UNITS
     for key, unit in units.items():
         value = values[key]
         shown = f"{value:.6g}" if isinstance(value, float) else str(value)
-        print(f"{args.workload} {key} = {shown} {unit}")
+        note = f" (wall clock {raw[key]:.6g} s)" if key in raw else ""
+        print(f"{args.workload} {key} = {shown} {unit}{note}")
     print(f"{args.workload} passes = {len(untraced)} untraced, {len(traced)} traced")
     return {
         "correct": failed == 0 and repeat,
@@ -359,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     if not (SRC / "repro" / "__init__.py").is_file():
         return fail(f"no repro package under {SRC}; run from a full checkout")
+    # One CPU for every process of the run, the host-speed sampler
+    # included, so the sampler sees the speed the measured code gets.
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     scratch = ROOT / ".perfbench-tmp"
     scratch.mkdir(exist_ok=True)
     base = Path(tempfile.mkdtemp(prefix=f"{args.workload}-", dir=scratch))
