@@ -178,14 +178,8 @@ class RunaheadController:
         ):
             start = base + p0 * esize
             end = base + p1 * esize
-            ats: list[int] = []
-            lines: list[int] = []
-            for batch_i, batch in enumerate(
-                self.vmig.bundle([start], max(1, end - start))
-            ):
-                ats.extend([now + batch_i] * len(batch))
-                lines.extend(batch)
-            issued = self.port.prefetch_many(ats, lines, irregular=False)
+            batches = self.vmig.bundle([start], max(1, end - start))
+            issued = self._prefetch_batches(now, batches, irregular=False)
             if issued:
                 ready = max(ready, max(issued))
         self._pending.append(_PendingWindow(p0=p0, p1=p1, ready=ready))
@@ -219,24 +213,14 @@ class RunaheadController:
             if grant > now:
                 self.runahead_delayed += 1
             for stream_id in self.sparse_unit.gather_stream_ids():
+                # The whole window at once: one sparse_func evaluation
+                # pass, one SCD update, one VMIG bundle.
                 stream = self.program.gather_streams[stream_id]
-                resolve = self.sparse_unit.resolve
-                record = self.scd.record_resolution
-                segment_bytes = stream.segment_bytes
-                addrs = []
-                segs = []
-                for idx in indices:
-                    addr = resolve(stream_id, idx)
-                    record(stream_id, idx, addr)
-                    addrs.append(addr)
-                    segs.append(segment_bytes(idx))
-                ats: list[int] = []
-                lines: list[int] = []
-                for batch_i, batch in enumerate(self.vmig.bundle(addrs, segs)):
-                    ats.extend([grant + batch_i] * len(batch))
-                    lines.extend(batch)
+                addrs = self.sparse_unit.resolve_window(stream_id, indices)
+                self.scd.record_window(stream_id, indices, addrs)
+                batches = self.vmig.bundle(addrs, stream.segment_sizes(indices))
                 self.exact_prefetches += len(
-                    self.port.prefetch_many(ats, lines, irregular=True)
+                    self._prefetch_batches(grant, batches, irregular=True)
                 )
         self._pending = still_pending
 
@@ -255,13 +239,20 @@ class RunaheadController:
                 addr = self.scd.formula_address(stream_id, idx)
                 if addr is not None:
                     addrs.append(addr)
-            ats: list[int] = []
-            lines: list[int] = []
-            for batch_i, batch in enumerate(
-                self.vmig.bundle(addrs, stream.row_bytes)
-            ):
-                ats.extend([now + batch_i] * len(batch))
-                lines.extend(batch)
+            batches = self.vmig.bundle(addrs, stream.row_bytes)
             self.approx_prefetches += len(
-                self.port.prefetch_many(ats, lines, irregular=True)
+                self._prefetch_batches(now, batches, irregular=True)
             )
+
+    # -- issue ------------------------------------------------------------------
+    def _prefetch_batches(
+        self, at: int, batches: list[list[int]], irregular: bool
+    ) -> list[int]:
+        """Issue VMIG batch ``i`` at cycle ``at + i`` (fully pipelined,
+        Fig. 4); returns the issued fill times."""
+        ats: list[int] = []
+        lines: list[int] = []
+        for batch_i, batch in enumerate(batches):
+            ats.extend([at + batch_i] * len(batch))
+            lines.extend(batch)
+        return self.port.prefetch_many(ats, lines, irregular=irregular)

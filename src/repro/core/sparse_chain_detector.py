@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError
 
-_SHIFT_CANDIDATES = tuple(range(0, 14))
+#: Largest address shift (log2 of the row stride) the IPT fits.
+_MAX_SHIFT = 13
 
 
 @dataclass
@@ -75,62 +76,68 @@ class SparseChainDetector:
 
     # -- learning ---------------------------------------------------------------
     def record_resolution(self, stream_id: int, idx: int, addr: int) -> None:
-        """Record one runahead-resolved (index, address) pair.
+        """Record one runahead-resolved (index, address) pair."""
+        self.record_window(stream_id, (idx,), (addr,))
 
-        Learns both the affine (ss_start, shift) fit and the index-delta
-        statistics that drive approximate prediction.
+    def record_window(self, stream_id: int, indices, addrs) -> None:
+        """Record a window of runahead-resolved (index, address) pairs.
+
+        Pairs are learned in order, each exactly as if recorded alone:
+        the index-delta statistics that drive approximate prediction and
+        the affine (ss_start, shift) fit from consecutive pairs. The
+        entry's fields run in locals and are written back once.
         """
-        self._clock += 1
+        n = len(indices)
+        if n == 0:
+            return
+        self._clock += n
         entry = self._entry(stream_id)
         entry.last_use = self._clock
-
-        # Index-delta statistics (for approximate chain extrapolation).
-        delta = idx - entry.lpi
-        if entry.delta_conf > 0 or entry.delta_ewma != 0.0:
-            predicted = int(round(entry.delta_ewma))
-            if delta == predicted and delta != 0:
-                entry.delta_conf = min(entry.delta_conf + 1, 15)
-            else:
-                entry.delta_conf = max(0, entry.delta_conf - 2)
-            entry.delta_ewma += self.ewma_alpha * (delta - entry.delta_ewma)
-        else:
-            entry.delta_ewma = float(delta)
-        entry.lpi = idx
-
-        # Affine fit from consecutive pairs.
+        alpha = self.ewma_alpha
+        lock = self.lock_confidence
+        lpi, ewma, dconf = entry.lpi, entry.delta_ewma, entry.delta_conf
+        ss_start, shift, fit_conf = entry.ss_start, entry.shift, entry.fit_conf
+        valid = entry.valid
         prev = self._last_pair.get(stream_id)
-        self._last_pair[stream_id] = (idx, addr)
-        if prev is None:
-            return
-        idx0, addr0 = prev
-        if idx == idx0:
-            return
-        # Fast path: a pair determines the shift uniquely (2^shift =
-        # delta_addr / delta_idx), so when the current hypothesis fits
-        # both points the candidate scan below could only rediscover it.
-        s = entry.shift
-        if (
-            s
-            and entry.ss_start >= 0
-            and addr - (idx << s) == entry.ss_start
-            and addr0 - (idx0 << s) == entry.ss_start
-        ):
-            entry.fit_conf = min(entry.fit_conf + 1, 15)
-            entry.valid = entry.fit_conf >= self.lock_confidence
-            return
-        for shift in _SHIFT_CANDIDATES:
-            base0 = addr0 - (idx0 << shift)
-            base1 = addr - (idx << shift)
-            if base0 == base1 and base0 >= 0:
-                if entry.ss_start == base0 and entry.shift == shift:
-                    entry.fit_conf = min(entry.fit_conf + 1, 15)
+        idx0, addr0 = prev if prev is not None else (None, None)
+        for idx, addr in zip(indices, addrs):
+            # Index-delta statistics (for approximate chain extrapolation).
+            delta = idx - lpi
+            if dconf > 0 or ewma != 0.0:
+                if delta == round(ewma) and delta != 0:
+                    if dconf < 15:
+                        dconf += 1
                 else:
-                    entry.ss_start, entry.shift = base0, shift
-                    entry.fit_conf = 1
-                entry.valid = entry.fit_conf >= self.lock_confidence
-                return
-        entry.fit_conf = max(0, entry.fit_conf - 1)
-        entry.valid = entry.fit_conf >= self.lock_confidence
+                    dconf = dconf - 2 if dconf > 2 else 0
+                ewma += alpha * (delta - ewma)
+            else:
+                ewma = float(delta)
+            lpi = idx
+
+            # Affine fit from consecutive pairs.
+            prev_idx, prev_addr = idx0, addr0
+            idx0, addr0 = idx, addr
+            if prev_idx is None or idx == prev_idx:
+                continue
+            # Both points lie on ss_start + (idx << s) exactly when
+            # delta_addr = delta_idx * 2^s, so a pair determines the shift
+            # uniquely: no candidate scan needed.
+            q, r = divmod(addr - prev_addr, idx - prev_idx)
+            s = q.bit_length() - 1  # the fit needs q == 2^s
+            base0 = prev_addr - (prev_idx << s) if r == 0 and q > 0 else -1
+            if base0 >= 0 and q == 1 << s and s <= _MAX_SHIFT:
+                if ss_start != base0 or shift != s:
+                    ss_start, shift = base0, s
+                    fit_conf = 1
+                elif fit_conf < 15:
+                    fit_conf += 1
+            elif fit_conf:
+                fit_conf -= 1
+            valid = fit_conf >= lock
+        entry.lpi, entry.delta_ewma, entry.delta_conf = lpi, ewma, dconf
+        entry.ss_start, entry.shift, entry.fit_conf = ss_start, shift, fit_conf
+        entry.valid = valid
+        self._last_pair[stream_id] = (idx0, addr0)
 
     # -- prediction ---------------------------------------------------------------
     def formula_address(self, stream_id: int, idx: int) -> int | None:

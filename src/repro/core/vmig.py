@@ -19,6 +19,9 @@ observable the paper's bandwidth-utilisation argument rests on.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from itertools import repeat
+
 import numpy as np
 
 from ..errors import ConfigError
@@ -65,34 +68,27 @@ class VMIG:
             seg = int(seg_bytes)
             if seg < 1:
                 raise ConfigError("seg_bytes must be >= 1")
-            segs = None
+            segs: Iterable[int] = repeat(seg, n)
         else:
             if len(seg_bytes) != n:
                 raise ConfigError("per-element seg_bytes length mismatch")
             segs = [int(s) for s in seg_bytes]
             if min(segs) < 1:
                 raise ConfigError("seg_bytes must be >= 1")
+        if isinstance(byte_addrs, np.ndarray):
+            byte_addrs = byte_addrs.tolist()
         self.elements_in += n
         lb = self.line_bytes
         # Flattened line stream (element order, then offset within
-        # segment), deduplicated preserving first touch. Plain loops: a
+        # segment), deduplicated preserving first touch. Plain Python: a
         # bundle covers one runahead window (tens of elements), far
         # below numpy's array-dispatch break-even.
-        lines: list[int] = []
-        seen: set[int] = set()
-        add = seen.add
-        append = lines.append
-        for i in range(n):
-            a = int(byte_addrs[i])
-            if segs is not None:
-                seg = segs[i]
-            la = a // lb * lb
-            last = (a + seg - 1) // lb * lb
-            while la <= last:
-                if la not in seen:
-                    add(la)
-                    append(la)
-                la += lb
+        touched = [
+            la
+            for a, seg in zip(byte_addrs, segs)
+            for la in range(a - a % lb, a + seg, lb)
+        ]
+        lines = list(dict.fromkeys(touched))
         self.lines_deduped += len(lines)
         batches = [
             lines[i : i + self.vector_width]

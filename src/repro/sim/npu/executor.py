@@ -85,7 +85,17 @@ ENGINES = Registry("executor mode")
 
 
 class _EngineBase:
-    """Shared issue logic for both engines."""
+    """Shared issue logic for both engines.
+
+    Each vector instruction reaches the hierarchy on one of two walks,
+    chosen once per run. Without a per-line demand hook (``inorder``,
+    ``ooo``, ``preload`` and NVR), a load or gather is one request vector:
+    a single :meth:`~repro.sim.memory.hierarchy.MemorySystem.demand_lines`
+    call walks all its lines. A prefetcher that snoops every demand line
+    (stream, IMP, DVR override ``on_demand_access``) needs a result object
+    per line anyway, so those runs keep the per-line ``demand_line`` walk.
+    Both walks are bit-identical.
+    """
 
     def __init__(
         self,
@@ -142,6 +152,12 @@ class _EngineBase:
             if p_cls.on_data_return is not Prefetcher.on_data_return
             else None
         )
+        # The request-vector walk (see the class docstring); None selects
+        # the per-line walk. Perfect memory has no vector kernel and takes
+        # the closed form above instead.
+        self._demand_batch = (
+            getattr(mem, "demand_lines", None) if self._pf_hook is None else None
+        )
 
     # -- issue helpers -------------------------------------------------------
     def _issue_load(self, now: int, load: VectorLoad) -> int:
@@ -155,6 +171,12 @@ class _EngineBase:
             # Line i issues at now + i // width and hits; the last line
             # issued completes last.
             return now + (n - 1) // width + self._reg_hit
+        batch = self._demand_batch
+        if batch is not None:
+            done, _ = batch(
+                now, width, lines, False, sid=load.stream_id, hook=self._pf_hook
+            )
+            return done
         demand_line = self._demand_line
         hook = self._pf_hook
         sid = load.stream_id
@@ -194,6 +216,10 @@ class _EngineBase:
             if total_lines == 0:
                 return now
             return now + (total_lines - 1) // self._issue_width + self._irr_hit
+        if self._demand_batch is not None:
+            return self._gather_vector(
+                now, gather, firsts_l, counts_l, idx_l, total_lines
+            )
         lb = self._line_bytes
         issue_width = self._issue_width
         demand_line = self._demand_line
@@ -242,6 +268,80 @@ class _EngineBase:
         batch_stats.batches += (n_elems + width - 1) // width
         batch_stats.element_misses += elem_misses
         batch_stats.batch_misses += batch_misses
+        return done
+
+    def _gather_vector(
+        self,
+        now: int,
+        gather: VectorGather,
+        firsts_l: list[int],
+        counts_l: list[int],
+        idx_l: list[int],
+        total_lines: int,
+    ) -> int:
+        """:meth:`_issue_gather` as one request vector through the hierarchy."""
+        width = self._vec_width
+        n_elems = len(counts_l)
+        batch_stats = self.stats.batch
+        batch_stats.elements += n_elems
+        batch_stats.batches += (n_elems + width - 1) // width
+        if total_lines == 0:
+            return now
+        hook = self._pf_hook
+        if total_lines == n_elems:
+            # One line per element: the span starts are the line vector.
+            lines = firsts_l
+            idxs = idx_l
+        else:
+            # Element order, then line offset within each segment. Built
+            # per call: a cached copy would live as long as the memoised
+            # program that owns the gather.
+            lb = self._line_bytes
+            lines = [
+                first + k * lb
+                for first, count in zip(firsts_l, counts_l)
+                for k in range(count)
+            ]
+            # The index is architecturally visible only on the first line
+            # of its segment (the computed address).
+            idxs = (
+                [
+                    idx if k == 0 else None
+                    for idx, count in zip(idx_l, counts_l)
+                    for k in range(count)
+                ]
+                if hook is not None
+                else None
+            )
+        done, flags = self._demand_batch(
+            now,
+            self._issue_width,
+            lines,
+            True,
+            sid=gather.stream_id,
+            hook=hook,
+            idxs=idxs,
+        )
+        if 1 in flags:
+            # Fold per-line DRAM flags into element/batch miss counts: an
+            # element misses when any line of its segment went off-chip,
+            # a vector batch when any of its elements did.
+            find = flags.find
+            elem_misses = 0
+            batch_misses = 0
+            pos = 0
+            for b0 in range(0, n_elems, width):
+                missed = False
+                for e in range(b0, min(b0 + width, n_elems)):
+                    count = counts_l[e]
+                    if find(1, pos, pos + count) >= 0:
+                        elem_misses += 1
+                        missed = True
+                    pos += count
+                if missed:
+                    batch_misses += 1
+            batch_stats.element_misses += elem_misses
+            batch_stats.batch_misses += batch_misses
         return done
 
     def _dispatch(self, now: int, tile: Tile) -> None:

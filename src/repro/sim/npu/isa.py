@@ -172,57 +172,6 @@ class VectorGather:
         self.__dict__["_ls_cache"][key] = lists
         return lists
 
-    def flat_line_list(self, line_bytes: int) -> list[int]:
-        """Cached flattened per-line address stream, in issue order.
-
-        Element order, then line offset within each element's segment —
-        exactly the sequence the reference issue loop demands. The
-        batched engine hands this whole vector to
-        ``MemorySystem.demand_lines`` in one call.
-        """
-        cache = self.__dict__.get("_ls_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_ls_cache", cache)
-        key = ("flat", line_bytes)
-        lines = cache.get(key)
-        if lines is None:
-            firsts_l, counts_l, _idx, _total = self.line_span_lists(line_bytes)
-            lines = []
-            append = lines.append
-            # Plain loops beat numpy here: a gather covers one vector
-            # tile (tens of lines), far below array-dispatch break-even.
-            for first, count in zip(firsts_l, counts_l):
-                la = first
-                for _ in range(count):
-                    append(la)
-                    la += line_bytes
-            cache[key] = lines
-        return lines
-
-    def flat_first_idx_list(self, line_bytes: int) -> list:
-        """Cached per-line index values aligned with :meth:`flat_line_list`.
-
-        The element's index on the first line of its segment, ``None`` on
-        continuation lines — the architecturally-visible (idx, addr)
-        pairing the demand hooks receive.
-        """
-        cache = self.__dict__.get("_ls_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_ls_cache", cache)
-        key = ("flatidx", line_bytes)
-        idxs = cache.get(key)
-        if idxs is None:
-            _firsts, counts_l, idx_l, _total = self.line_span_lists(line_bytes)
-            idxs = []
-            for e, count in enumerate(counts_l):
-                idxs.append(idx_l[e])
-                if count > 1:
-                    idxs.extend([None] * (count - 1))
-            cache[key] = idxs
-        return idxs
-
     def granule_blocks(self, granule: int) -> set[int]:
         """Distinct ``granule``-sized block indices the segments touch.
 

@@ -83,6 +83,19 @@ class GatherStream:
             return self.base + int(self.table_rowptr[slot]) * self.elem_bytes
         return self.base + slot * self.row_bytes
 
+    def addresses(self, indices: list[int]) -> list[int]:
+        """:meth:`address` of every index in a window, in order."""
+        if self.affine:
+            base, row_bytes = self.base, self.row_bytes
+            return [base + idx * row_bytes for idx in indices]
+        slots = np.asarray(indices, dtype=np.int64)
+        if self.index_map is not None:
+            slots = self.index_map[slots].astype(np.int64)
+        if self.table_rowptr is not None:
+            starts = self.table_rowptr[slots].astype(np.int64)
+            return (self.base + starts * self.elem_bytes).tolist()
+        return (self.base + slots * self.row_bytes).tolist()
+
     def segment_bytes(self, idx: int) -> int:
         """Bytes gathered for one index (dynamic for compressed targets)."""
         if self.table_rowptr is not None:
@@ -90,6 +103,12 @@ class GatherStream:
             length = int(self.table_rowptr[slot + 1] - self.table_rowptr[slot])
             return max(1, length * self.elem_bytes)
         return self.row_bytes
+
+    def segment_sizes(self, indices: list[int]) -> int | list[int]:
+        """:meth:`segment_bytes` over a window: one int for fixed sizes."""
+        if self.table_rowptr is None:
+            return self.row_bytes
+        return [self.segment_bytes(idx) for idx in indices]
 
     def footprint_bytes(self) -> int:
         if self.table_rowptr is not None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...errors import SimulationError
-from .program import SparseProgram
+from .program import GatherStream, SparseProgram
 
 
 @dataclass
@@ -87,10 +87,17 @@ class SparseUnit:
         the hash tables / rulebooks. NVR calls it during runahead; no
         baseline prefetcher may.
         """
+        return self._stream(stream_id).address(idx)
+
+    def resolve_window(self, stream_id: int, indices: list[int]) -> list[int]:
+        """:meth:`resolve` for every index of a runahead window, in order."""
+        return self._stream(stream_id).addresses(indices)
+
+    def _stream(self, stream_id: int) -> GatherStream:
         stream = self._program.gather_streams.get(stream_id)
         if stream is None:
             raise SimulationError(f"unknown gather stream {stream_id}")
-        return stream.address(idx)
+        return stream
 
     def rowptr_window(self, row: int) -> tuple[int, int]:
         """Snooped ``(rowptr[row], rowptr[row+1])`` — the LBD's sparse bound."""

@@ -1,25 +1,29 @@
-"""Vectorised simulation kernels ("engine" axis of the ENGINES registry).
+"""Alternative simulation kernels ("engine" axis of the ENGINES registry).
 
-The per-mode classes in :mod:`~repro.sim.npu.executor` are the *reference*
-kernels: straight-line Python that mirrors the micro-architecture one line
-request at a time. The classes here simulate the **same modes with the
-same observable behaviour** — bit-identical :class:`~repro.sim.stats.
-RunStats` and cycle counts — but precompute every per-line quantity
-(addresses, issue cycles, segment membership) as flat numpy arrays, so the
-Python interpreter only runs the inherently sequential part: the stateful
-walk through the cache hierarchy.
+The per-mode classes in :mod:`~repro.sim.npu.executor` are the default
+kernels. Each reaches the memory hierarchy on one of two walks, picked
+once per run: one request vector per instruction when no prefetcher
+snoops demand lines, one ``demand_line`` call per line when one does.
+The classes here simulate the **same modes with the same observable
+behaviour** (bit-identical :class:`~repro.sim.stats.RunStats` and cycle
+counts) but fix the walk, so each cross-checks one of the default's two.
 
-Two registry entries are added here, both *kernel dispatchers* rather than
-modes (marked with ``needs_mode = True`` so
+Three registry entries are added here, all *kernel dispatchers* rather
+than modes (marked with ``needs_mode = True`` so
 :func:`~repro.sim.npu.executor.build_engine` passes the real mode through):
 
 * ``"reference"`` — resolves to the per-mode class itself. Selecting it is
   exactly the same as selecting no engine; it exists so a sweep can name
   both sides of an equivalence comparison.
-* ``"vectorized"`` — resolves to the numpy-batched subclass for the mode.
+* ``"vectorized"`` — the per-line walk for every run, with per-line
+  addresses and issue cycles precomputed as numpy arrays. On hook-free
+  runs it checks the per-line walk against the default's vectors.
+* ``"batched"`` — request vectors for every run, the demand hook
+  forwarded into the batch loop. On demand-hooked runs it checks the
+  vector walk against the default's per-line walk.
 
 Equivalence is enforced, not assumed: the engine-equivalence test grid
-runs every mechanism on both kernels and asserts identical result
+runs every mechanism on every kernel and asserts identical result
 payloads, and the spec-key goldens pin that selecting ``"reference"``
 (or no engine) leaves cache keys untouched.
 """
@@ -183,93 +187,20 @@ vectorized_kernel.needs_mode = True
 
 
 class _BatchedIssueMixin:
-    """Whole-instruction request vectors through ``demand_lines``.
+    """Request vectors for every run, demand-hooked ones included.
 
-    Where the vectorized kernels precompute per-line arrays and still
-    make one ``demand_line`` call per line, the batched kernels hand the
-    entire instruction's line vector to the memory system's
-    :meth:`~repro.sim.memory.hierarchy.MemorySystem.demand_lines` batch
-    kernel: one Python call per *instruction*, with the per-line state
-    walk running inside the hierarchy against inlined cache state. The
-    prefetcher demand hook (stream/IMP/DVR) is forwarded into the batch
-    loop, so mid-batch prefetches mutate the caches exactly as the
-    reference interleaving does.
-
-    The perfect-memory base runs have no ``demand_lines`` (and a
-    closed-form schedule anyway), so those fall back to the reference
-    issue helpers unchanged.
+    The default kernels already issue hook-free runs as request vectors
+    through :meth:`~repro.sim.memory.hierarchy.MemorySystem.demand_lines`
+    and keep the per-line walk for prefetchers with a demand hook
+    (stream/IMP/DVR). The batched kernels take the vector path for those
+    too, forwarding the hook into the batch loop, so mid-batch prefetches
+    mutate the caches exactly as the per-line interleaving does. That
+    makes them the cross-check of the vector walk on hooked runs.
     """
 
     def __init__(self, program, mem, prefetcher, sparse_unit, stats, config):
         super().__init__(program, mem, prefetcher, sparse_unit, stats, config)
         self._demand_batch = getattr(mem, "demand_lines", None)
-
-    def _issue_load(self, now: int, load: VectorLoad) -> int:
-        batch = self._demand_batch
-        if batch is None:
-            return super()._issue_load(now, load)
-        lines = load.line_addr_list(self._line_bytes)
-        if not lines:
-            return now
-        done, _ = batch(
-            now,
-            self._issue_width,
-            lines,
-            False,
-            sid=load.stream_id,
-            hook=self._pf_hook,
-        )
-        return done
-
-    def _issue_gather(self, now: int, gather: VectorGather) -> int:
-        batch = self._demand_batch
-        if batch is None:
-            return super()._issue_gather(now, gather)
-        width = self._vec_width
-        batch_stats = self.stats.batch
-        _firsts, counts_l, _idx, total = gather.line_span_lists(self._line_bytes)
-        n_elems = len(counts_l)
-        batch_stats.elements += n_elems
-        batch_stats.batches += (n_elems + width - 1) // width
-        if total == 0:
-            return now
-        hook = self._pf_hook
-        lines = gather.flat_line_list(self._line_bytes)
-        idxs = (
-            gather.flat_first_idx_list(self._line_bytes)
-            if hook is not None
-            else None
-        )
-        done, flags = batch(
-            now,
-            self._issue_width,
-            lines,
-            True,
-            sid=gather.stream_id,
-            hook=hook,
-            idxs=idxs,
-        )
-        if 1 in flags:
-            # Fold per-line DRAM flags into element/batch miss counts:
-            # an element misses when any of its segment's lines went
-            # off-chip, a vector batch when any of its elements did.
-            find = flags.find
-            elem_misses = 0
-            batch_misses = 0
-            pos = 0
-            for b0 in range(0, n_elems, width):
-                missed = False
-                for e in range(b0, min(b0 + width, n_elems)):
-                    count = counts_l[e]
-                    if find(1, pos, pos + count) >= 0:
-                        elem_misses += 1
-                        missed = True
-                    pos += count
-                if missed:
-                    batch_misses += 1
-            batch_stats.element_misses += elem_misses
-            batch_stats.batch_misses += batch_misses
-        return done
 
 
 class BatchedInOrderEngine(_BatchedIssueMixin, InOrderEngine):

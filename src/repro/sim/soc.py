@@ -118,10 +118,13 @@ class System:
             state must never leak across runs).
         mode: 'inorder' or 'ooo'.
         executor: issue widths and OoO window.
-        engine: simulation-kernel implementation (``"reference"`` /
-            ``"vectorized"``); None picks the engine registered under
-            ``mode`` directly. Purely a speed knob — every engine must
-            produce bit-identical statistics for a given mode.
+        engine: simulation-kernel implementation; None (or
+            ``"reference"``) picks the engine registered under ``mode``
+            directly, which issues request vectors unless the prefetcher
+            snoops every demand line. ``"vectorized"`` (always per line)
+            and ``"batched"`` (always vectors) cross-check those two
+            walks; every engine must produce bit-identical statistics
+            for a given mode.
     """
 
     program: SparseProgram

@@ -73,12 +73,15 @@ class SystemSpec:
             defaults (256 KiB L2, no NSB).
         nvr: NVR tuning override; only for ``uses_nvr_config`` mechanisms.
         executor: issue-width / OoO-window / preload-granule override.
-        engine: simulation-kernel implementation (``"vectorized"``,
-            ``"batched"``, or ``None``/``"reference"`` for the per-event
-            reference kernels).
-            Purely a speed knob — every engine must produce bit-identical
-            statistics, so ``"reference"`` canonicalises to ``None`` and
-            the choice never changes a result, only how fast it arrives.
+        engine: simulation-kernel implementation. ``None``/
+            ``"reference"`` is the default kernel: request vectors for
+            runs without a per-line demand hook, the per-line walk for
+            demand-snooping prefetchers (stream/IMP/DVR).
+            ``"vectorized"`` always walks per line and ``"batched"``
+            always issues request vectors, so each cross-checks one of
+            the default's two walks. Every engine must produce
+            bit-identical statistics, so ``"reference"`` canonicalises
+            to ``None`` and the choice never changes a result.
     """
 
     mechanism: str = "nvr"

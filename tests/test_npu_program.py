@@ -35,6 +35,30 @@ class TestGatherStream:
         gs = GatherStream(3, 0, 128, n_slots=100)
         assert gs.footprint_bytes() == 12800
 
+    @pytest.mark.parametrize("kind", ["affine", "mapped", "compressed"])
+    def test_window_matches_per_index(self, kind):
+        # int32 tables and addresses past 2**31: the window form must not
+        # wrap where the per-index Python arithmetic grows.
+        rng = np.random.default_rng(5)
+        n_slots = 200_000
+        kwargs = {}
+        if kind == "mapped":
+            kwargs["index_map"] = rng.permutation(n_slots).astype(np.int32)
+        elif kind == "compressed":
+            lengths = rng.integers(0, 3, size=n_slots)
+            rowptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
+            kwargs.update(table_rowptr=rowptr, elem_bytes=4096)
+        gs = GatherStream(3, 0x7000_0000, 4096, n_slots=n_slots, **kwargs)
+        indices = rng.integers(0, n_slots, size=64).tolist()
+        assert gs.addresses(indices) == [gs.address(i) for i in indices]
+        assert max(gs.addresses(indices)) > 2**31
+        sizes = gs.segment_sizes(indices)
+        if kind == "compressed":
+            assert sizes == [gs.segment_bytes(i) for i in indices]
+        else:
+            assert sizes == gs.row_bytes
+        assert gs.addresses([]) == []
+
 
 class TestLowering:
     def test_tiles_never_cross_rows(self):

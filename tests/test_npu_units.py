@@ -57,6 +57,16 @@ class TestSparseUnit:
         unit = SparseUnit(make_program())
         with pytest.raises(SimulationError):
             unit.resolve(99, 0)
+        with pytest.raises(SimulationError):
+            unit.resolve_window(99, [0])
+
+    def test_resolve_window_matches_resolve(self):
+        prog = make_program()
+        unit = SparseUnit(prog)
+        indices = prog.col_stream[:40].tolist()
+        assert unit.resolve_window(STREAM_IA_GATHER, indices) == [
+            unit.resolve(STREAM_IA_GATHER, i) for i in indices
+        ]
 
     def test_rowptr_window(self):
         prog = make_program()

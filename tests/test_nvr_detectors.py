@@ -1,12 +1,14 @@
 """Unit tests for NVR's detector components (SD, LBD, SCD, VMIG)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.loop_bound_detector import LoopBoundDetector
-from repro.core.sparse_chain_detector import SparseChainDetector
+from repro.core.sparse_chain_detector import IPTEntry, SparseChainDetector
 from repro.core.stride_detector import StrideDetector
 from repro.core.vmig import VMIG
 from repro.errors import ConfigError
@@ -126,6 +128,45 @@ class TestLoopBoundDetector:
             LoopBoundDetector(fuzz_vectors=-1)
 
 
+def scan_reference(pairs, lock=2, alpha=0.3):
+    """One stream's SCD learning, pair by pair, fitting the affine formula
+    by scanning every candidate shift (0..13) explicitly."""
+    e = IPTEntry()
+    last = None
+    for idx, addr in pairs:
+        delta = idx - e.lpi
+        if e.delta_conf > 0 or e.delta_ewma != 0.0:
+            if delta == int(round(e.delta_ewma)) and delta != 0:
+                e.delta_conf = min(e.delta_conf + 1, 15)
+            else:
+                e.delta_conf = max(0, e.delta_conf - 2)
+            e.delta_ewma += alpha * (delta - e.delta_ewma)
+        else:
+            e.delta_ewma = float(delta)
+        e.lpi = idx
+        prev, last = last, (idx, addr)
+        if prev is None or idx == prev[0]:
+            continue
+        idx0, addr0 = prev
+        for shift in range(14):
+            base0 = addr0 - (idx0 << shift)
+            if base0 == addr - (idx << shift) and base0 >= 0:
+                if (e.ss_start, e.shift) == (base0, shift):
+                    e.fit_conf = min(e.fit_conf + 1, 15)
+                else:
+                    e.ss_start, e.shift, e.fit_conf = base0, shift, 1
+                break
+        else:
+            e.fit_conf = max(0, e.fit_conf - 1)
+        e.valid = e.fit_conf >= lock
+    return e, last
+
+
+#: (idx, on the affine formula?, off-formula address): mixes locking
+#: runs, broken fits, repeated indices and colliding addresses.
+scd_pair = st.tuples(st.integers(0, 64), st.booleans(), st.integers(0, 1 << 12))
+
+
 class TestSparseChainDetector:
     def test_affine_fit_locks(self):
         scd = SparseChainDetector()
@@ -170,6 +211,34 @@ class TestSparseChainDetector:
         entry = scd.entry_state(3)
         assert entry is not None
         assert entry.lpi == 5
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(0, 15),
+        st.sampled_from((0, 0x1000)),
+        st.lists(scd_pair, max_size=40),
+        st.lists(st.integers(1, 8), min_size=1, max_size=40),
+    )
+    def test_windows_learn_like_pairwise_shift_scan(self, shift, ss_start, raw, chunks):
+        pairs = [
+            (idx, ss_start + (idx << shift) if affine else noise)
+            for idx, affine, noise in raw
+        ]
+        scd = SparseChainDetector()
+        pos = 0
+        for size in chunks * len(pairs):
+            if pos >= len(pairs):
+                break
+            window = pairs[pos : pos + size]
+            scd.record_window(3, [i for i, _ in window], [a for _, a in window])
+            pos += size
+        want, want_last = scan_reference(pairs)
+        got = scd.entry_state(3)
+        if not pairs:
+            assert got is None
+            return
+        assert dataclasses.replace(got, last_use=0) == want
+        assert scd._last_pair[3] == want_last
 
 
 class TestVMIG:
