@@ -71,7 +71,9 @@ class StreamPrefetcher(Prefetcher):
         self._prefetch_many = port.prefetch_many
 
     def on_demand_access(self, now, stream_id, line_addr, idx_value, result):
-        entry = self._table.setdefault(stream_id, _StreamEntry())
+        entry = self._table.get(stream_id)
+        if entry is None:
+            entry = self._table[stream_id] = _StreamEntry()
         line_bytes = self._line_bytes
         irregular = stream_id in IRREGULAR_STREAMS
         if entry.last_line is not None:
