@@ -22,6 +22,7 @@ import pytest
 from repro.client import SweepClient
 from repro.errors import ConfigError, ServerError, SimulationError
 from repro.runner import RunSpec, expand, run_queue_worker
+from repro.runner.queue import WorkQueue
 from repro.server import (
     SweepEngine,
     SweepLedger,
@@ -51,6 +52,20 @@ def start_worker(work_dir, **kwargs) -> threading.Thread:
     )
     thread.start()
     return thread
+
+
+def stop_worker(thread: threading.Thread, work_dir) -> None:
+    """Stop a queue worker through the work dir's stop sentinel.
+
+    Fails when the worker is still running well before its idle timeout,
+    so a hung worker cannot pass silently. The sentinel is removed again
+    so a later worker can serve the same work dir.
+    """
+    stop = WorkQueue(work_dir).stop_path
+    stop.touch()
+    thread.join(10)
+    assert not thread.is_alive(), "queue worker did not stop"
+    stop.unlink()
 
 
 @pytest.fixture
@@ -212,7 +227,7 @@ class TestSweepEngine:
         assert engine.status(sid)["points"]["done"] == 2
         records = json.loads(engine.results(sid))
         assert {r["mechanism"] for r in records} == {"inorder", "nvr"}
-        worker.join(30)
+        stop_worker(worker, engine.work_dir)
 
     def test_unknown_sweep_is_config_error(self, engine):
         with pytest.raises(ConfigError, match="unknown sweep"):
@@ -246,7 +261,7 @@ class TestSweepEngine:
         assert "synthetic failure" in status["error"]
         # The error is durable: a reloaded engine reports it too.
         assert engine.ledger.load(sid).error is not None
-        worker.join(30)
+        stop_worker(worker, engine.work_dir)
 
         # Resubmitting clears the error and retries (second run succeeds).
         worker = start_worker(engine.work_dir, max_units=1)
@@ -254,7 +269,7 @@ class TestSweepEngine:
         assert sid2 == sid and not created
         poll_until(engine, sid, "done")
         assert engine.status(sid)["error"] is None
-        worker.join(30)
+        stop_worker(worker, engine.work_dir)
 
     def test_restart_mid_sweep_resumes_from_ledger(self, tmp_path):
         work, cache = tmp_path / "work", tmp_path / "cache"
@@ -270,7 +285,7 @@ class TestSweepEngine:
         poll_until(second, sid, "done")
         records = json.loads(second.results(sid))
         assert len(records) == 2
-        worker.join(30)
+        stop_worker(worker, work)
         second.shutdown()
 
         # A third restart finds everything already cached: nothing resumes.
@@ -294,7 +309,7 @@ class TestSweepEngine:
         replay2, unsub2 = engine.subscribe(sid, live.append)
         assert [e["event"] for e in replay2] == ["point", "point", "done"]
         unsub2()
-        worker.join(30)
+        stop_worker(worker, engine.work_dir)
 
     def test_stats_counts_sweeps_and_hit_rate(self, tmp_path, engine):
         specs = small_specs()
@@ -325,7 +340,7 @@ class TestHTTPServer:
         assert accepted["created"] is True
         final = client.wait(accepted["id"], timeout=120)
         assert final["state"] == "done"
-        worker.join(30)
+        stop_worker(worker, server.engine.work_dir)
 
         # Byte-identical to the same sweep run through a local Session.
         with Session(cache_dir=tmp_path / "cache2") as session:
@@ -373,7 +388,7 @@ class TestHTTPServer:
         # ... and nothing leaked into the default namespace.
         assert len(default_cache.entries()) == 0
         assert default_cache.tenants() == ["alice", "bob"]
-        worker.join(30)
+        stop_worker(worker, server.engine.work_dir)
 
     def test_sse_stream_ends_with_done(self, server):
         client = SweepClient(server.base_url)
@@ -384,7 +399,7 @@ class TestHTTPServer:
         assert events[-1]["total"] == 2
         labels = {e["label"] for e in events[:2]}
         assert labels == {s.label() for s in small_grid().specs()}
-        worker.join(30)
+        stop_worker(worker, server.engine.work_dir)
 
     def test_http_error_surface(self, server):
         client = SweepClient(server.base_url)
