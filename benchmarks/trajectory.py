@@ -8,7 +8,9 @@ the same way every time — so the file reads as the repo's speed history
 and a regression shows up as the first non-monotone step.
 
 Timing discipline: the plan is run ``--repeat`` times, each against its
-own fresh temporary cache directory, and the **minimum** is recorded.
+own fresh temporary cache directory and with the process's program memo
+cleared, so every run builds its workloads cold; the **minimum** is
+recorded.
 On shared machines (CI runners, build VMs) the minimum estimates the
 noise-free cost; means and medians drift with scheduler interference.
 Single runs on such machines vary by tens of percent — never trust one.
@@ -50,8 +52,12 @@ DEFAULT_REPEAT = 2
 def run_figures_plan_once(scale: float, engine: str | None = None) -> tuple[float, int]:
     """One cold serial run of the figures plan; (wall seconds, points)."""
     from repro.analysis.paperfigs import figures_plan
+    from repro.runner import pool
     from repro.session import Session
 
+    # Cold means every program build too: an earlier run in this process
+    # would otherwise serve them all from the workload memo.
+    pool._workload_for.cache_clear()
     plan = figures_plan(scale=scale)
     with tempfile.TemporaryDirectory(prefix="repro-trajectory-") as cache_dir:
         with Session(
