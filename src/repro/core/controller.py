@@ -213,8 +213,6 @@ class RunaheadController:
             if grant > now:
                 self.runahead_delayed += 1
             for stream_id in self.sparse_unit.gather_stream_ids():
-                # The whole window at once: one sparse_func evaluation
-                # pass, one SCD update, one VMIG bundle.
                 stream = self.program.gather_streams[stream_id]
                 addrs = self.sparse_unit.resolve_window(stream_id, indices)
                 self.scd.record_window(stream_id, indices, addrs)
