@@ -6,14 +6,13 @@ set-associative mapping strategy", Sec. IV-G) — they differ only in
 geometry and hit latency, configured via :class:`CacheConfig`.
 
 Timing model: the simulator's clock is monotonic, so a line inserted with a
-future ``ready_at`` models an in-progress fill. A later access to that line
-before ``ready_at`` is an *in-flight hit* (MSHR coalesce); after it, a
+future ready cycle models an in-progress fill. A later access to that line
+before its ready cycle is an *in-flight hit* (MSHR coalesce); after it, a
 normal hit. Victims are chosen LRU at allocate time (fill-on-allocate).
 
-Prefetch bookkeeping lives on the line: ``filled_by_prefetch`` plus
-``demand_touched`` give exact per-line accuracy accounting (first demand
-touch of a prefetched line = one useful prefetch; eviction of an untouched
-prefetched line = one wasted prefetch).
+Each resident line also carries one bit of prefetch bookkeeping, whether
+it is a prefetch fill that no demand has touched yet: evicting such a line
+counts one wasted prefetch (see :class:`Cache` for the encoding).
 """
 
 from __future__ import annotations
@@ -58,17 +57,6 @@ class CacheConfig:
         return self.size_bytes // self.line_bytes // self.assoc
 
 
-@dataclass(slots=True)
-class CacheLine:
-    """Resident (or in-flight) line state."""
-
-    tag: int
-    ready_at: int
-    filled_by_prefetch: bool
-    demand_touched: bool
-    last_use: int
-
-
 class LookupKind:
     """String constants for :meth:`Cache.lookup` outcomes."""
 
@@ -82,23 +70,27 @@ class Cache:
 
     The cache does not know about the next level; the hierarchy composes
     levels and decides what a miss costs. ``lookup``/``allocate`` are the
-    whole interface, plus ``probe`` for read-only inspection (used by
-    prefetchers that drop requests already resident).
+    whole interface, plus ``touch`` for demand accesses and ``probe`` for
+    read-only inspection (used by prefetchers that drop requests already
+    resident). All four answer with the line's ready cycle.
 
-    LRU is kept in dict insertion order: a recency touch re-inserts the
-    line at the back of its set dict, so the front entry is always the
-    least-recently-used victim. ``last_use`` stays authoritative (every
-    reorder assigns a fresh, strictly increasing counter), the dict order
-    is just its O(1) index — allocate-over-existing deliberately touches
-    neither, matching the original min-by-``last_use`` policy.
+    Each set is a dict from tag to one int per resident line: the line's
+    ready cycle, stored as ``~ready`` (negative) while the line is a
+    prefetch fill that no demand has touched. LRU is the dict's insertion
+    order: a recency touch re-inserts the line at the back of its set
+    dict, so the front entry is always the least-recently-used victim.
+    A demand :meth:`touch` re-inserts the decoded ready cycle, which both
+    refreshes recency and clears the untouched mark; :meth:`lookup` (CPU
+    traffic) refreshes recency but keeps the mark; a refill over a
+    resident line (:meth:`allocate`) touches neither. Evicting a negative
+    entry counts one ``prefetch_evicted_unused``.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         n_sets = config.n_sets
-        self._sets: list[dict[int, CacheLine]] = [{} for _ in range(n_sets)]
+        self._sets: list[dict[int, int]] = [{} for _ in range(n_sets)]
         self.mshr = MSHRFile(config.mshr_entries)
-        self._use_counter = 0
         self.evictions = 0
         self.prefetch_evicted_unused = 0
         # Address math precomputed: line_bytes and n_sets are powers of
@@ -118,50 +110,54 @@ class Cache:
     def _set_index(self, line_addr: int) -> int:
         return (line_addr >> self._line_shift) & self._set_mask
 
-    def _tag(self, line_addr: int) -> int:
-        return line_addr >> self._tag_shift
-
     # -- core operations ---------------------------------------------------
-    def probe(self, line_addr: int) -> CacheLine | None:
-        """Read-only residency check (no LRU update, no stats)."""
-        return self._sets[(line_addr >> self._line_shift) & self._set_mask].get(
+    def probe(self, line_addr: int) -> int | None:
+        """Read-only residency check (no LRU update, no stats).
+
+        Returns the line's ready cycle, or None when it is not resident.
+        """
+        value = self._sets[(line_addr >> self._line_shift) & self._set_mask].get(
             line_addr >> self._tag_shift
         )
+        if value is None or value >= 0:
+            return value
+        return ~value
 
-    def touch(self, line_addr: int) -> CacheLine | None:
-        """Look up a line, updating recency; returns it or None on a miss.
+    def touch(self, line_addr: int) -> int | None:
+        """Demand-touch a line: refresh recency and clear its untouched mark.
 
-        The hierarchy's demand path uses this directly (one call per
-        demand line): the hit/in-flight distinction is just
-        ``line.ready_at <= now``, so returning the bare line avoids a
-        tuple and a kind-string comparison per access. :meth:`lookup`
-        wraps it with the classified three-way answer.
+        Returns the line's ready cycle, or None on a miss. The hierarchy's
+        demand path uses this directly (one call per demand line): the
+        hit/in-flight distinction is just ``ready <= now``, so the bare
+        cycle avoids a tuple and a kind-string comparison per access.
         """
         cache_set = self._sets[(line_addr >> self._line_shift) & self._set_mask]
         tag = line_addr >> self._tag_shift
-        line = cache_set.get(tag)
-        if line is None:
+        ready = cache_set.pop(tag, None)
+        if ready is None:
             return None
-        self._use_counter += 1
-        line.last_use = self._use_counter
-        # Move-to-back keeps dict order == recency order.
-        del cache_set[tag]
-        cache_set[tag] = line
-        return line
+        if ready < 0:
+            ready = ~ready
+        cache_set[tag] = ready
+        return ready
 
-    def lookup(self, now: int, line_addr: int) -> tuple[str, CacheLine | None]:
-        """Look up a line, updating recency.
+    def lookup(self, now: int, line_addr: int) -> tuple[str, int | None]:
+        """Look up a line, refreshing recency but not its untouched mark.
 
-        Returns ``(LookupKind.HIT, line)`` for a ready line,
-        ``(LookupKind.INFLIGHT, line)`` for a line still being filled, or
+        Returns ``(LookupKind.HIT, ready)`` for a ready line,
+        ``(LookupKind.INFLIGHT, ready)`` for a line still being filled, or
         ``(LookupKind.MISS, None)``.
         """
-        line = self.touch(line_addr)
-        if line is None:
+        cache_set = self._sets[(line_addr >> self._line_shift) & self._set_mask]
+        tag = line_addr >> self._tag_shift
+        value = cache_set.pop(tag, None)
+        if value is None:
             return LookupKind.MISS, None
-        if line.ready_at > now:
-            return LookupKind.INFLIGHT, line
-        return LookupKind.HIT, line
+        cache_set[tag] = value
+        ready = value if value >= 0 else ~value
+        if ready > now:
+            return LookupKind.INFLIGHT, ready
+        return LookupKind.HIT, ready
 
     def allocate(
         self,
@@ -169,54 +165,51 @@ class Cache:
         line_addr: int,
         ready_at: int,
         by_prefetch: bool,
-    ) -> CacheLine:
+    ) -> int:
         """Insert a line (fill-on-allocate), evicting the LRU victim.
 
-        The MSHR entry for the fill must be allocated by the caller — the
-        cache only tracks residency and recency.
+        Returns the line's ready cycle. The MSHR entry for the fill must
+        be allocated by the caller — the cache only tracks residency and
+        recency.
         """
         cache_set = self._sets[(line_addr >> self._line_shift) & self._set_mask]
         tag = line_addr >> self._tag_shift
         existing = cache_set.get(tag)
         if existing is not None:
             # Refill over a resident line (e.g. prefetch into a stale copy):
-            # keep the earlier ready time if the line was already usable.
-            # No recency touch — a refill is not a use.
-            if ready_at < existing.ready_at:
-                existing.ready_at = ready_at
-            return existing
+            # keep the earlier ready time and the untouched mark. No
+            # recency touch — a refill is not a use.
+            ready = existing if existing >= 0 else ~existing
+            if ready_at < ready:
+                cache_set[tag] = ready_at if existing >= 0 else ~ready_at
+                return ready_at
+            return ready
         if len(cache_set) >= self._assoc:
             # Front of the dict = least recently used (see class docstring).
-            victim_tag = next(iter(cache_set))
-            victim = cache_set.pop(victim_tag)
             self.evictions += 1
-            if victim.filled_by_prefetch and not victim.demand_touched:
+            if cache_set.pop(next(iter(cache_set))) < 0:
                 self.prefetch_evicted_unused += 1
-        self._use_counter += 1
-        line = CacheLine(
-            tag, ready_at, by_prefetch, not by_prefetch, self._use_counter
-        )
-        cache_set[tag] = line
-        return line
+        cache_set[tag] = ~ready_at if by_prefetch else ready_at
+        return ready_at
 
     # -- batch-kernel access -----------------------------------------------
     def hot_state(
         self,
-    ) -> tuple[list[dict[int, CacheLine]], int, int, int, int]:
+    ) -> tuple[list[dict[int, int]], int, int, int, int]:
         """The lookup state the batched hierarchy kernels inline against.
 
         Returns ``(sets, line_shift, set_mask, tag_shift, assoc)``: the
         per-set tag dicts plus the precomputed address math, so a batch
         loop can run ``sets[(line >> line_shift) & set_mask].get(line >>
-        tag_shift)`` without a method call per line. The contract for
-        writers is the one :meth:`touch` and :meth:`allocate` implement —
-        recency touches and fills must bump ``_use_counter`` (through the
-        attribute, never a cached local, so interleaved :meth:`allocate`
-        calls stay ordered), touched lines are reinserted at the back of
-        their set dict, and a fill into a full set evicts the dict's
-        front entry, counting ``evictions`` / ``prefetch_evicted_unused``.
-        The sets list itself is never reassigned, so the tuple stays
-        valid for the cache's lifetime.
+        tag_shift)`` without a method call per line. Values are the
+        ready-cycle ints described in the class docstring. The contract
+        for writers is the one :meth:`touch` and :meth:`allocate`
+        implement: a demand touch re-inserts the decoded ready cycle at
+        the back of its set dict, a fill stores ``~ready`` for a prefetch
+        and ``ready`` for a demand, and a fill into a full set evicts the
+        dict's front entry, counting ``evictions`` and, for a negative
+        entry, ``prefetch_evicted_unused``. The sets list itself is never
+        reassigned, so the tuple stays valid for the cache's lifetime.
         """
         return (
             self._sets,

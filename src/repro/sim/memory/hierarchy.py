@@ -22,7 +22,7 @@ from heapq import heappop, heappush
 from ...errors import ConfigError
 from ..request import Access, AccessResult, AccessType, HitLevel
 from ..stats import RunStats
-from .cache import Cache, CacheConfig, CacheLine, LookupKind
+from .cache import Cache, CacheConfig, LookupKind
 from .dram import DRAM, DRAMConfig
 
 
@@ -252,17 +252,6 @@ class MemorySystem:
             return True
         return self.nsb is not None and self.nsb.probe(line_addr) is not None
 
-    def _credit_prefetch(self, line_addr: int, in_flight: bool) -> bool:
-        """Consume a pending-prefetch marker on first demand touch."""
-        if line_addr not in self._pf_pending:
-            return False
-        self._pf_pending.discard(line_addr)
-        if in_flight:
-            self.stats.prefetch.late += 1
-        else:
-            self.stats.prefetch.useful += 1
-        return True
-
     # -- demand path ---------------------------------------------------------
     def demand_access(self, now: int, access: Access, irregular: bool) -> AccessResult:
         """Send one demand line request through NSB (optional) then L2/DRAM."""
@@ -286,9 +275,9 @@ class MemorySystem:
         if use_nsb:
             nsb_stats = self._stats_nsb
             nsb_stats.demand_accesses += 1
-            nsb_line = self._nsb_touch(line)
-            if nsb_line is not None:
-                if nsb_line.ready_at <= now:
+            ready = self._nsb_touch(line)
+            if ready is not None:
+                if ready <= now:
                     nsb_stats.demand_hits += 1
                     self._traffic.nsb_to_npu_bytes += line_bytes
                     if line in pending:
@@ -297,7 +286,6 @@ class MemorySystem:
                         was_pf = True
                     else:
                         was_pf = False
-                    nsb_line.demand_touched = True
                     return AccessResult(now + self._nsb_lat, HitLevel.NSB, was_pf)
                 nsb_stats.demand_inflight_hits += 1
                 if line in pending:
@@ -306,16 +294,15 @@ class MemorySystem:
                     was_pf = True
                 else:
                     was_pf = False
-                nsb_line.demand_touched = True
-                complete = max(nsb_line.ready_at, now + self._nsb_lat)
+                complete = max(ready, now + self._nsb_lat)
                 return AccessResult(complete, HitLevel.INFLIGHT, was_pf)
             nsb_stats.demand_misses += 1
 
         l2_stats = self._stats_l2
         l2_stats.demand_accesses += 1
-        l2_line = self._l2_touch(line)
-        if l2_line is not None:
-            if l2_line.ready_at <= now:
+        ready = self._l2_touch(line)
+        if ready is not None:
+            if ready <= now:
                 l2_stats.demand_hits += 1
                 self._traffic.l2_to_npu_bytes += line_bytes
                 complete = now + self._l2_lat
@@ -325,7 +312,6 @@ class MemorySystem:
                     was_pf = True
                 else:
                     was_pf = False
-                l2_line.demand_touched = True
                 if use_nsb:
                     self._nsb_alloc(now, line, complete, by_prefetch=False)
                 return AccessResult(complete, HitLevel.L2, was_pf)
@@ -336,8 +322,7 @@ class MemorySystem:
                 was_pf = True
             else:
                 was_pf = False
-            l2_line.demand_touched = True
-            complete = max(l2_line.ready_at, now + self._l2_lat)
+            complete = max(ready, now + self._l2_lat)
             self._traffic.l2_to_npu_bytes += line_bytes
             if use_nsb:
                 self._nsb_alloc(now, line, complete, by_prefetch=False)
@@ -406,7 +391,6 @@ class MemorySystem:
         dram = self.dram
         dram_lat = self._dram_lat
         service = self._line_service
-        new_line = CacheLine
         if use_nsb:
             nsb = self.nsb
             nsb_sets, nsb_shift, nsb_smask, nsb_tshift, nsb_assoc = self._nsb_hot
@@ -433,19 +417,18 @@ class MemorySystem:
                 nsb_acc += 1
                 nset = nsb_sets[(line >> nsb_shift) & nsb_smask]
                 ntag = line >> nsb_tshift
-                cline = nset.get(ntag)
-                if cline is not None:
-                    nsb._use_counter += 1
-                    cline.last_use = nsb._use_counter
-                    del nset[ntag]
-                    nset[ntag] = cline
-                    cline.demand_touched = True
+                ready = nset.pop(ntag, None)
+                if ready is not None:
+                    # Demand touch: back of the LRU order, mark cleared.
+                    if ready < 0:
+                        ready = ~ready
+                    nset[ntag] = ready
                     if line in pending:
                         pending.discard(line)
                         was_pf = True
                     else:
                         was_pf = False
-                    if cline.ready_at <= at:
+                    if ready <= at:
                         nsb_hit += 1
                         nsb_npu_bytes += line_bytes
                         if was_pf:
@@ -456,7 +439,7 @@ class MemorySystem:
                         nsb_infl += 1
                         if was_pf:
                             pf_late += 1
-                        complete = cline.ready_at
+                        complete = ready
                         t = at + nsb_lat
                         if t > complete:
                             complete = t
@@ -480,20 +463,18 @@ class MemorySystem:
             l2_acc += 1
             lset = l2_sets[(line >> l2_shift) & l2_smask]
             ltag = line >> l2_tshift
-            cline = lset.get(ltag)
-            if cline is not None:
-                l2._use_counter += 1
-                cline.last_use = l2._use_counter
-                del lset[ltag]
-                lset[ltag] = cline
-                cline.demand_touched = True
+            ready = lset.pop(ltag, None)
+            if ready is not None:
+                if ready < 0:
+                    ready = ~ready
+                lset[ltag] = ready
                 l2_npu_bytes += line_bytes
                 if line in pending:
                     pending.discard(line)
                     was_pf = True
                 else:
                     was_pf = False
-                if cline.ready_at <= at:
+                if ready <= at:
                     l2_hit += 1
                     if was_pf:
                         pf_useful += 1
@@ -503,7 +484,7 @@ class MemorySystem:
                     l2_infl += 1
                     if was_pf:
                         pf_late += 1
-                    complete = cline.ready_at
+                    complete = ready
                     t = at + l2_lat
                     if t > complete:
                         complete = t
@@ -541,24 +522,20 @@ class MemorySystem:
                     mshr.peak_occupancy = len(mshr_infl)
                 # Fill into L2 (the touch above proved the line absent).
                 if len(lset) >= l2_assoc:
-                    victim = lset.pop(next(iter(lset)))
                     l2_evt += 1
-                    if victim.filled_by_prefetch and not victim.demand_touched:
+                    if lset.pop(next(iter(lset))) < 0:
                         l2_pfevt += 1
-                l2._use_counter += 1
-                lset[ltag] = new_line(ltag, complete, False, True, l2._use_counter)
+                lset[ltag] = complete
                 l2_npu_bytes += line_bytes
                 level = lvl_dram
                 off_chip = True
             if use_nsb:
                 # Promote into the NSB (it missed there, so a plain fill).
                 if len(nset) >= nsb_assoc:
-                    victim = nset.pop(next(iter(nset)))
                     nsb_evt += 1
-                    if victim.filled_by_prefetch and not victim.demand_touched:
+                    if nset.pop(next(iter(nset))) < 0:
                         nsb_pfevt += 1
-                nsb._use_counter += 1
-                nset[ntag] = new_line(ntag, complete, False, True, nsb._use_counter)
+                nset[ntag] = complete
             if complete > done:
                 done = complete
             if hook is not None:
@@ -625,12 +602,11 @@ class MemorySystem:
         if target_nsb and nsb_probe(line_addr) is not None:
             return None
 
-        l2_line = self._l2_probe(line_addr)
-        if l2_line is not None:
+        ready = self._l2_probe(line_addr)
+        if ready is not None:
             if not target_nsb:
                 return None
             # Pull from L2 into the NSB: on-chip transfer, no DRAM.
-            ready = l2_line.ready_at
             t = now + self._l2_lat
             if t > ready:
                 ready = t
@@ -689,7 +665,6 @@ class MemorySystem:
         issue = now + self._pf_penalty
         dram_lat = self._dram_lat
         service = self._line_service
-        new_line = CacheLine
         issued = off_chip = 0
         l2_evt = l2_pfevt = nsb_evt = nsb_pfevt = 0
         consumed = n
@@ -701,16 +676,17 @@ class MemorySystem:
             if target_nsb:
                 nset = nsb_sets[(line >> nsb_shift) & nsb_smask]
                 ntag = line >> nsb_tshift
-                if nset.get(ntag) is not None:
+                if ntag in nset:
                     continue
             lset = l2_sets[(line >> l2_shift) & l2_smask]
             ltag = line >> l2_tshift
-            l2_line = lset.get(ltag)
-            if l2_line is not None:
+            ready = lset.get(ltag)
+            if ready is not None:
                 if not target_nsb:
                     continue
                 # Pull from L2 into the NSB: on-chip transfer, no DRAM.
-                ready = l2_line.ready_at
+                if ready < 0:
+                    ready = ~ready
                 t = now + l2_lat
                 if t > ready:
                     ready = t
@@ -741,22 +717,18 @@ class MemorySystem:
                 if len(mshr_infl) > mshr.peak_occupancy:
                     mshr.peak_occupancy = len(mshr_infl)
                 if len(lset) >= l2_assoc:
-                    victim = lset.pop(next(iter(lset)))
                     l2_evt += 1
-                    if victim.filled_by_prefetch and not victim.demand_touched:
+                    if lset.pop(next(iter(lset))) < 0:
                         l2_pfevt += 1
-                l2._use_counter += 1
-                lset[ltag] = new_line(ltag, ready, True, False, l2._use_counter)
+                lset[ltag] = ~ready
                 off_chip += 1
             if target_nsb:
                 # The NSB probe above proved the line absent: plain fill.
                 if len(nset) >= nsb_assoc:
-                    victim = nset.pop(next(iter(nset)))
                     nsb_evt += 1
-                    if victim.filled_by_prefetch and not victim.demand_touched:
+                    if nset.pop(next(iter(nset))) < 0:
                         nsb_pfevt += 1
-                nsb._use_counter += 1
-                nset[ntag] = new_line(ntag, ready, True, False, nsb._use_counter)
+                nset[ntag] = ~ready
             issued += 1
             pending.add(line)
             readys.append(ready)

@@ -55,30 +55,45 @@ class TestAddressMath:
 class TestLookupAllocate:
     def test_miss_on_empty(self):
         cache = small_cache()
-        kind, line = cache.lookup(0, 0x1000)
+        kind, ready = cache.lookup(0, 0x1000)
         assert kind == LookupKind.MISS
-        assert line is None
+        assert ready is None
 
     def test_hit_after_ready(self):
         cache = small_cache()
-        cache.allocate(0, 0x1000, ready_at=50, by_prefetch=False)
-        kind, line = cache.lookup(60, 0x1000)
+        assert cache.allocate(0, 0x1000, ready_at=50, by_prefetch=False) == 50
+        kind, ready = cache.lookup(60, 0x1000)
         assert kind == LookupKind.HIT
-        assert line is not None
+        assert ready == 50
 
     def test_inflight_before_ready(self):
         cache = small_cache()
-        cache.allocate(0, 0x1000, ready_at=50, by_prefetch=False)
-        kind, line = cache.lookup(10, 0x1000)
+        cache.allocate(0, 0x1000, ready_at=50, by_prefetch=True)
+        kind, ready = cache.lookup(10, 0x1000)
         assert kind == LookupKind.INFLIGHT
-        assert line.ready_at == 50
+        assert ready == 50
+        assert cache.probe(0x1000) == cache.touch(0x1000) == 50
+
+    def test_ready_cycle_zero_is_resident(self):
+        cache = small_cache()
+        cache.allocate(0, 0x000, ready_at=0, by_prefetch=False)
+        cache.allocate(0, 0x040, ready_at=0, by_prefetch=True)
+        assert cache.probe(0x000) == 0
+        assert cache.probe(0x040) == 0
 
     def test_refill_keeps_earlier_ready(self):
         cache = small_cache()
         cache.allocate(0, 0x1000, ready_at=50, by_prefetch=False)
-        cache.allocate(60, 0x1000, ready_at=200, by_prefetch=True)
-        kind, _ = cache.lookup(70, 0x1000)
+        assert cache.allocate(60, 0x1000, ready_at=200, by_prefetch=True) == 50
+        kind, ready = cache.lookup(70, 0x1000)
         assert kind == LookupKind.HIT
+        assert ready == 50
+
+    def test_refill_takes_an_earlier_ready(self):
+        cache = small_cache()
+        cache.allocate(0, 0x1000, ready_at=200, by_prefetch=True)
+        assert cache.allocate(10, 0x1000, ready_at=50, by_prefetch=False) == 50
+        assert cache.probe(0x1000) == 50
 
     def test_probe_does_not_touch_lru(self):
         cache = small_cache(assoc=2, sets=1)
@@ -109,9 +124,56 @@ class TestLRUEviction:
 
     def test_touched_prefetch_eviction_not_counted(self):
         cache = small_cache(assoc=1, sets=1)
-        line = cache.allocate(0, 0x000, ready_at=0, by_prefetch=True)
-        line.demand_touched = True
+        cache.allocate(0, 0x000, ready_at=0, by_prefetch=True)
+        assert cache.touch(0x000) == 0
         cache.allocate(1, 0x040, ready_at=1, by_prefetch=False)
+        assert cache.prefetch_evicted_unused == 0
+
+
+class TestUntouchedMark:
+    """The per-line "prefetch fill no demand has touched" mark."""
+
+    def test_demand_touch_clears_it(self):
+        cache = small_cache(assoc=1, sets=1)
+        cache.allocate(0, 0x000, ready_at=30, by_prefetch=True)
+        assert cache.touch(0x000) == 30
+        assert cache.touch(0x000) == 30
+        cache.allocate(1, 0x040, ready_at=1, by_prefetch=False)
+        assert cache.evictions == 1
+        assert cache.prefetch_evicted_unused == 0
+
+    def test_lookup_keeps_it(self):
+        cache = small_cache(assoc=1, sets=1)
+        cache.allocate(0, 0x000, ready_at=30, by_prefetch=True)
+        assert cache.lookup(40, 0x000) == (LookupKind.HIT, 30)
+        cache.allocate(41, 0x040, ready_at=41, by_prefetch=False)
+        assert cache.prefetch_evicted_unused == 1
+
+    def test_lookup_refreshes_recency(self):
+        cache = small_cache(assoc=2, sets=1)
+        cache.allocate(0, 0x000, ready_at=0, by_prefetch=True)
+        cache.allocate(0, 0x040, ready_at=0, by_prefetch=True)
+        cache.lookup(1, 0x000)  # LRU is now 0x040, and both stay untouched
+        cache.allocate(2, 0x080, ready_at=2, by_prefetch=False)
+        assert cache.probe(0x040) is None
+        cache.allocate(3, 0x0C0, ready_at=3, by_prefetch=False)
+        assert cache.probe(0x000) is None
+        assert cache.prefetch_evicted_unused == 2
+
+    def test_refill_keeps_mark_and_earlier_ready(self):
+        cache = small_cache(assoc=1, sets=1)
+        cache.allocate(0, 0x000, ready_at=30, by_prefetch=True)
+        assert cache.allocate(5, 0x000, ready_at=90, by_prefetch=False) == 30
+        assert cache.probe(0x000) == 30
+        cache.allocate(6, 0x040, ready_at=6, by_prefetch=False)
+        assert cache.prefetch_evicted_unused == 1
+
+    def test_demand_fill_is_never_counted(self):
+        cache = small_cache(assoc=1, sets=1)
+        cache.allocate(0, 0x000, ready_at=30, by_prefetch=False)
+        assert cache.allocate(5, 0x000, ready_at=10, by_prefetch=True) == 10
+        cache.allocate(6, 0x040, ready_at=6, by_prefetch=False)
+        assert cache.evictions == 1
         assert cache.prefetch_evicted_unused == 0
 
 
