@@ -94,17 +94,18 @@ class StreamPrefetcher(Prefetcher):
                 irregular,
             )
         if entry.confidence >= self.confirm and entry.stride != 0:
+            degree = self.degree
             step = entry.stride * line_bytes
-            ats = []
-            targets = []
-            for k in range(1, self.degree + 1):
-                target = line_addr + k * step
-                if target <= entry.frontier and entry.stride > 0:
-                    continue  # already requested on this stream
-                if target < 0:
-                    break
-                ats.append(now + k // 4)
-                targets.append(target)
-            if targets:
-                self._prefetch_many(ats, targets, irregular)
-            entry.frontier = max(entry.frontier, line_addr + self.degree * step)
+            if step > 0:
+                # Skip the multiples already requested on this stream.
+                ks = range(max(1, (entry.frontier - line_addr) // step + 1), degree + 1)
+            else:
+                # Stop before the first negative address.
+                ks = range(1, min(degree, line_addr // -step) + 1)
+            if ks:
+                self._prefetch_many(
+                    [now + k // 4 for k in ks],
+                    [line_addr + k * step for k in ks],
+                    irregular,
+                )
+            entry.frontier = max(entry.frontier, line_addr + degree * step)

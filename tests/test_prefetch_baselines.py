@@ -1,6 +1,8 @@
 """Tests for the baseline prefetchers: mechanism-level behaviour."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.prefetch import (
     DecoupledVectorRunahead,
@@ -8,8 +10,10 @@ from repro.prefetch import (
     NullPrefetcher,
     StreamPrefetcher,
 )
+from repro.prefetch.stream import _StreamEntry
 from repro.sim.memory.hierarchy import MemoryConfig
 from repro.sim.npu.program import ProgramConfig, build_one_side_program
+from repro.sim.request import AccessResult, HitLevel
 from repro.sim.soc import System
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.generate import uniform_csr
@@ -71,6 +75,60 @@ class TestStream:
         base = run(sequential_program(), NullPrefetcher).total_cycles
         with_pf = run(sequential_program(), StreamPrefetcher).total_cycles
         assert with_pf < base
+
+
+class _RecordingPort:
+    line_bytes = 64
+
+    def __init__(self):
+        self.calls = []
+
+    def prefetch_many(self, ats, lines, irregular):
+        self.calls.append((list(ats), list(lines)))
+        return []
+
+
+def _candidate_loop(now, line_addr, step, frontier, degree):
+    """Reference: check every multiple ``k = 1..degree`` of the stride."""
+    ats, targets = [], []
+    for k in range(1, degree + 1):
+        target = line_addr + k * step
+        if target <= frontier and step > 0:
+            continue  # already requested on this stream
+        if target < 0:
+            break
+        ats.append(now + k // 4)
+        targets.append(target)
+    return ats, targets
+
+
+class TestStreamTraining:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=1 << 14),
+        st.integers(min_value=-40, max_value=40).filter(bool),
+        st.integers(min_value=-64 * 64, max_value=40 * 40 * 64),
+        st.integers(min_value=1, max_value=32),
+        st.integers(min_value=0, max_value=1000),
+    )
+    def test_confirmed_stride_targets_match_candidate_loop(
+        self, line, stride, frontier_offset, degree, now
+    ):
+        pf = StreamPrefetcher(degree=degree)
+        port = _RecordingPort()
+        pf.attach(None, port)
+        line_addr = line * 64
+        frontier = line_addr + frontier_offset
+        pf._table[0] = _StreamEntry(
+            last_line=line_addr - stride * 64,
+            stride=stride,
+            confidence=pf.confirm,
+            frontier=frontier,
+        )
+        pf.on_demand_access(now, 0, line_addr, None, AccessResult(now, HitLevel.L2))
+        ats, targets = _candidate_loop(now, line_addr, stride * 64, frontier, degree)
+        assert port.calls == ([(ats, targets)] if targets else [])
+        assert pf._table[0].frontier == max(frontier, line_addr + degree * stride * 64)
 
 
 class TestIMP:
