@@ -45,6 +45,8 @@ class PrefetchPort:
         if burst_budget < 1:
             raise ConfigError("burst_budget must be >= 1")
         self._mem = mem
+        # The memory system's batched prefetch kernel, if it has one.
+        self._prefetch_lines = getattr(mem, "prefetch_lines", None)
         self.burst_budget = burst_budget
         self._burst_now = -1
         self._burst_used = 0
@@ -108,7 +110,7 @@ class PrefetchPort:
                     runs.append((ats[start], lines[start:i]))
                     start = i
             runs.append((ats[start], lines[start:]))
-        batch = getattr(self._mem, "prefetch_lines", None)
+        batch = self._prefetch_lines
         out: list[int] = []
         for at, seg in runs:
             if at != self._burst_now:

@@ -73,7 +73,9 @@ class IndirectMemoryPrefetcher(Prefetcher):
 
     # -- pattern learning ------------------------------------------------------
     def _learn(self, stream_id: int, idx: int, addr: int) -> None:
-        entry = self._ipt.setdefault(stream_id, _PatternEntry())
+        entry = self._ipt.get(stream_id)
+        if entry is None:
+            entry = self._ipt[stream_id] = _PatternEntry()
         if entry.locked or entry.failures > self.max_failures:
             return
         if entry.last_pair is None:
