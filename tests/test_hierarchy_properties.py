@@ -109,14 +109,11 @@ class TestHierarchyInvariants:
 
 def make_small_system(nsb: bool, cpu: bool) -> MemorySystem:
     """64-line L2 and 16-line NSB, optionally with CPU traffic on the L2."""
+    nsb_config = CacheConfig(size_bytes=1024, assoc=4, hit_latency=2, name="nsb")
     cfg = MemoryConfig(
         l2=CacheConfig(size_bytes=4 * 1024, assoc=4, mshr_entries=8, name="l2"),
         dram=DRAMConfig(latency=80, bytes_per_cycle=16),
-        nsb=(
-            CacheConfig(size_bytes=1024, assoc=4, hit_latency=2, name="nsb")
-            if nsb
-            else None
-        ),
+        nsb=nsb_config if nsb else None,
         cpu_traffic=CPUTrafficConfig(footprint_bytes=8 * 1024) if cpu else None,
     )
     return MemorySystem(cfg, RunStats())
