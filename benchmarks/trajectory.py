@@ -26,13 +26,8 @@ Usage::
 that changed performance). ``check`` is the CI gate: measure, compare
 against the file's last committed entry, and fail only on a *gross*
 regression (default 2x and +5s — generous because CI machines are not
-the machines the entries were recorded on).
-
-``--engine`` reruns the plan's sim points on a non-default simulation
-kernel (``vectorized``/``batched``) and stamps the entry with it;
-``check`` follows the last committed entry's engine automatically so
-the gate always compares like with like. Records resting on a single
-cold run draw a warning — min-of-1 is not a minimum.
+the machines the entries were recorded on). Records resting on a
+single cold run draw a warning — min-of-1 is not a minimum.
 """
 
 from __future__ import annotations
@@ -49,7 +44,7 @@ DEFAULT_SCALE = 0.1
 DEFAULT_REPEAT = 2
 
 
-def run_figures_plan_once(scale: float, engine: str | None = None) -> tuple[float, int]:
+def run_figures_plan_once(scale: float) -> tuple[float, int]:
     """One cold serial run of the figures plan; (wall seconds, points)."""
     from repro.analysis.paperfigs import figures_plan
     from repro.runner import pool
@@ -60,35 +55,26 @@ def run_figures_plan_once(scale: float, engine: str | None = None) -> tuple[floa
     pool._workload_for.cache_clear()
     plan = figures_plan(scale=scale)
     with tempfile.TemporaryDirectory(prefix="repro-trajectory-") as cache_dir:
-        with Session(
-            jobs=1, cache_dir=cache_dir, progress=False, engine=engine
-        ) as session:
+        with Session(jobs=1, cache_dir=cache_dir, progress=False) as session:
             start = time.perf_counter()
             session.sweep(plan)
             wall = time.perf_counter() - start
     return wall, len(plan.specs)
 
 
-def measure(
-    scale: float = DEFAULT_SCALE,
-    repeat: int = DEFAULT_REPEAT,
-    engine: str | None = None,
-) -> dict:
+def measure(scale: float = DEFAULT_SCALE, repeat: int = DEFAULT_REPEAT) -> dict:
     """Min-of-``repeat`` cold figures-plan wall time as a record dict."""
     runs = []
     points = 0
     for _ in range(max(1, repeat)):
-        wall, points = run_figures_plan_once(scale, engine=engine)
+        wall, points = run_figures_plan_once(scale)
         runs.append(round(wall, 3))
-    record = {
+    return {
         "figures_wall_s": min(runs),
         "runs": runs,
         "points": points,
         "scale": scale,
     }
-    if engine is not None:
-        record["engine"] = engine
-    return record
 
 
 def warn_single_run(record: dict, origin: str) -> None:
@@ -130,14 +116,6 @@ def main(argv: list[str] | None = None) -> int:
         help="entry label for 'append' (e.g. pr7-batched-dram)",
     )
     parser.add_argument(
-        "--engine",
-        default=None,
-        help="run the plan's sim points on this simulation kernel "
-        "('vectorized'/'batched'; default: the plan as committed — "
-        "'check' follows the last entry's engine so the gate compares "
-        "like with like)",
-    )
-    parser.add_argument(
         "--note", default="", help="one-line what-changed note for 'append'"
     )
     parser.add_argument(
@@ -155,14 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    engine = args.engine
-    last = load_trajectory()["entries"][-1]
-    if args.command == "check" and engine is None:
-        # Gate like with like: a trajectory whose last entry was
-        # recorded on a faster kernel must be re-run on that kernel.
-        engine = last.get("engine")
-
-    record = measure(scale=args.scale, repeat=args.repeat, engine=engine)
+    record = measure(scale=args.scale, repeat=args.repeat)
     print(json.dumps(record, indent=1))
     warn_single_run(record, "this measurement")
 
@@ -182,6 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     # check: gate against the last committed entry, generously.
+    last = load_trajectory()["entries"][-1]
     warn_single_run(last, f"last committed entry '{last['label']}'")
     bound = max(
         last["figures_wall_s"] * args.threshold,

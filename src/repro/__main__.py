@@ -7,7 +7,7 @@ Usage::
     python -m repro sweep --workloads ds,gcn --mechanisms inorder,nvr
     python -m repro sweep --spec plan.json --backend shards --jobs 4
     python -m repro ablate nvr-depth --workloads ds,gcn --jobs 4
-    python -m repro profile --workloads gcn,mk --engines reference,vectorized
+    python -m repro profile --workloads gcn,mk --mechanisms inorder,nvr
     python -m repro workloads
     python -m repro overhead
     python -m repro figures --scale 0.6 --jobs 4 -o EXPERIMENTS.md
@@ -82,7 +82,7 @@ from pathlib import Path
 from .analysis import format_table, table1_overhead, table2_workloads
 from .analysis.experiments import ABLATION_WORKLOADS, ABLATIONS
 from .analysis.paperfigs import figures_plan, generate_report
-from .analysis.profile import PROFILE_ENGINES, profile_grid, profile_json
+from .analysis.profile import profile_grid, profile_json
 from .api import DTYPE_BYTES, MECHANISM_ORDER, compare_mechanisms
 from .check import cli as check_cli
 from .errors import ConfigError, ReproError
@@ -214,7 +214,6 @@ def _sweep_grid(args: argparse.Namespace) -> Grid:
         nsb=(False, True) if args.nsb == "both" else (args.nsb == "on",),
         scale=_numbers(args.scales, float, "scale"),
         seed=_numbers(args.seeds, int, "seed"),
-        engine=_csv(args.engines, PROFILE_ENGINES, "engine"),
         with_base=args.with_base,
     )
 
@@ -464,7 +463,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.work_dir,
         cache_dir=getattr(args, "cache_dir", None),
         lease_timeout=args.lease_timeout,
-        engine=args.engine,
     )
 
     async def _serve() -> None:
@@ -600,7 +598,6 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
             cache=False if getattr(args, "no_cache", False) else None,
             cache_dir=getattr(args, "cache_dir", None),
             progress=True,
-            engine=getattr(args, "engine", None),
         )
         with session:
             fleet = session._fleet
@@ -653,7 +650,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             tuple(MECHANISM_ORDER) + ("preload",),
             "mechanism",
         ),
-        engines=_csv(args.engines, PROFILE_ENGINES, "engine"),
         nsb=args.nsb,
         dtype=args.dtype,
         scale=args.scale,
@@ -664,7 +660,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         [
             r.workload,
             r.mechanism,
-            r.engine,
             round(r.build_s, 3),
             round(r.simulate_s, 3),
             r.total_cycles,
@@ -674,7 +669,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     ]
     print(
         format_table(
-            ["workload", "mech", "engine", "build_s", "sim_s", "cycles", "kcyc/s"],
+            ["workload", "mech", "build_s", "sim_s", "cycles", "kcyc/s"],
             rows,
             title=(
                 f"profile (scale={args.scale}, min of {args.repeat} "
@@ -683,14 +678,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
     )
     # Per-level memory breakdown: where demand lines were served (NSB /
-    # L2 / DRAM fill) and prefetch effectiveness. Identical points must
-    # agree on every one of these counters regardless of engine — a
-    # visible equivalence spot-check next to the timing comparison.
+    # L2 / DRAM fill) and prefetch effectiveness.
     mem_rows = [
         [
             r.workload,
             r.mechanism,
-            r.engine,
             r.nsb_hits,
             r.l2_hits,
             r.dram_fills,
@@ -705,7 +697,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             [
                 "workload",
                 "mech",
-                "engine",
                 "nsb_hits",
                 "l2_hits",
                 "dram_fills",
@@ -713,7 +704,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 "pf_late",
             ],
             mem_rows,
-            title="memory breakdown (engine-invariant counters)",
+            title="memory breakdown",
         )
     )
     if args.json is not None:
@@ -842,13 +833,6 @@ def _add_sweep_axis_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--scales", default="0.5", help="comma-separated trace scales")
     parser.add_argument("--seeds", default="0", help="comma-separated RNG seeds")
-    parser.add_argument(
-        "--engines",
-        default="reference",
-        help="comma-separated simulation kernels "
-        "(reference,vectorized,batched); a speed knob — results are "
-        "bit-identical",
-    )
     parser.add_argument(
         "--with-base",
         action="store_true",
@@ -1144,14 +1128,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="age that counts a claimed unit's lease as expired "
         f"(default ${LEASE_TIMEOUT_ENV} or {DEFAULT_LEASE_TIMEOUT:g})",
     )
-    serve_p.add_argument(
-        "--engine",
-        default=None,
-        metavar="KERNEL",
-        help="default simulation kernel for submitted points "
-        "('vectorized'/'batched'); a speed knob — results are "
-        "bit-identical, but it changes cache keys",
-    )
     serve_p.set_defaults(fn=_cmd_serve)
 
     fleet_p = sub.add_parser(
@@ -1286,12 +1262,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     frun_p.add_argument("--no-cache", action="store_true", help=argparse.SUPPRESS)
     frun_p.add_argument(
-        "--engine",
-        default=None,
-        metavar="KERNEL",
-        help="default simulation kernel ('vectorized'/'batched')",
-    )
-    frun_p.add_argument(
         "--scale", type=float, default=0.6, help="figures scale (default 0.6)"
     )
     frun_p.add_argument("--seed", type=int, default=0)
@@ -1404,12 +1374,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prof_p.add_argument(
         "--mechanisms", default="nvr", help="comma-separated mechanisms, or 'all'"
-    )
-    prof_p.add_argument(
-        "--engines",
-        default=",".join(PROFILE_ENGINES),
-        help="comma-separated simulation kernels to compare "
-        f"(default {','.join(PROFILE_ENGINES)})",
     )
     prof_p.add_argument("--nsb", action="store_true")
     prof_p.add_argument("--dtype", default="fp16", choices=list(DTYPE_BYTES))

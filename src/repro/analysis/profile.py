@@ -2,20 +2,19 @@
 
 The committed performance trajectory (``benchmarks/BENCH_trajectory.json``)
 tracks end-to-end plan wall time; this module answers the next question —
-*where* the time goes for one point and how the simulation kernels
-compare. Each profiled point is split into its two wall-time phases:
+*where* the time goes for one point. Each profiled point is split into
+its two wall-time phases:
 
 * **build** — lowering the workload to a :class:`SparseProgram` (trace
   generation; shared across mechanisms by the runner's workload memo,
   but charged per point here so the split is visible);
-* **simulate** — executing the program on the platform, the phase the
-  vectorized kernels accelerate.
+* **simulate** — executing the program on the platform.
 
 Cycle counters come from the run itself, so the derived rates
 (``kcycles_per_s``, ``events_per_s``) relate simulated work to wall
 time — the simulator's figure of merit. Runs are deliberately uncached
-and in-process: profiling must execute, and the paired engines must
-execute in the same interpreter to be comparable.
+and in-process: profiling must execute, and every point must execute in
+the same interpreter to be comparable.
 
 Timing discipline: each phase is repeated ``repeat`` times and the
 minimum is reported. On shared machines the minimum estimates the
@@ -34,23 +33,17 @@ from ..spec import SystemSpec
 from ..workloads import build_workload
 from ..workloads.registry import elem_bytes
 
-#: Engine spellings accepted by ``--engines`` (None means "reference").
-PROFILE_ENGINES = ("reference", "vectorized", "batched")
-
-
 @dataclass(frozen=True)
 class ProfileRecord:
     """Wall-time and cycle accounting for one profiled point.
 
     The per-level memory breakdown (where demand lines were served and
-    how the prefetcher did) is carried alongside the timing so an engine
-    comparison doubles as an equivalence spot-check: identical points
-    must agree on every memory counter, whatever their wall time.
+    how the prefetcher did) is carried alongside the timing, so a
+    point's wall time can be read against the memory work behind it.
     """
 
     workload: str
     mechanism: str
-    engine: str
     nsb: bool
     dtype: str
     scale: float
@@ -105,14 +98,13 @@ def _min_wall(fn, repeat: int):
 def profile_point(
     workload: str,
     mechanism: str = "nvr",
-    engine: str | None = None,
     nsb: bool = False,
     dtype: str = "fp16",
     scale: float = 0.1,
     seed: int = 0,
     repeat: int = 3,
 ) -> ProfileRecord:
-    """Profile one (workload, mechanism, engine) point.
+    """Profile one (workload, mechanism) point.
 
     The build phase is timed on a fresh lowering each repeat; the
     simulate phase rebuilds the platform each repeat (cold caches, cold
@@ -120,7 +112,7 @@ def profile_point(
     """
     if repeat < 1:
         raise ConfigError(f"profile repeat must be >= 1, got {repeat}")
-    spec = SystemSpec(mechanism=mechanism, nsb=nsb, engine=engine)
+    spec = SystemSpec(mechanism=mechanism, nsb=nsb)
     eb = elem_bytes(dtype)
 
     build_s, program = _min_wall(
@@ -132,7 +124,6 @@ def profile_point(
     return ProfileRecord(
         workload=workload,
         mechanism=mechanism,
-        engine=engine if engine is not None else "reference",
         nsb=nsb,
         dtype=dtype,
         scale=scale,
@@ -154,7 +145,6 @@ def profile_point(
 def profile_grid(
     workloads,
     mechanisms,
-    engines=("reference",),
     nsb: bool = False,
     dtype: str = "fp16",
     scale: float = 0.1,
@@ -166,7 +156,6 @@ def profile_grid(
         profile_point(
             w,
             mechanism=m,
-            engine=None if e in (None, "reference") else e,
             nsb=nsb,
             dtype=dtype,
             scale=scale,
@@ -175,7 +164,6 @@ def profile_grid(
         )
         for w in workloads
         for m in mechanisms
-        for e in engines
     ]
 
 
@@ -183,7 +171,7 @@ def profile_json(records: list[ProfileRecord]) -> str:
     """The ``repro profile --json`` document."""
     return json.dumps(
         {
-            "format": 1,
+            "format": 2,
             "records": [record.to_dict() for record in records],
         },
         indent=1,

@@ -91,7 +91,6 @@ def run_workload(
     memory: MemoryConfig | None = None,
     nvr_config: NVRConfig | None = None,
     executor: ExecutorConfig | None = None,
-    engine: str | None = None,
     **workload_kwargs,
 ) -> RunResult:
     """Build one Table II workload and run it under one mechanism.
@@ -105,8 +104,6 @@ def run_workload(
         scale: trace size multiplier (1.0 = evaluation default).
         with_base: also run a perfect-memory pass to fill
             ``result.base_cycles`` (the Fig. 5 base/stall split).
-        engine: simulation-kernel implementation ("reference" or
-            "vectorized"); a speed knob only — results are bit-identical.
 
     Executes through :func:`~repro.session.default_session`, so the point
     is content-addressed and memoised in the on-disk result cache —
@@ -129,7 +126,6 @@ def run_workload(
             memory=memory,
             nvr=nvr_config,
             executor=executor,
-            engine=engine,
             workload_args=tuple(workload_kwargs.items()),
         )
         return default_session().run(spec)
@@ -141,7 +137,6 @@ def run_workload(
         **workload_kwargs,
     )
     system = make_system(program, mechanism, nsb, memory, nvr_config, executor)
-    system.engine = engine
     return system.run_with_base() if with_base else system.run()
 
 

@@ -6,8 +6,8 @@ Three axes of the system are open for extension without touching
 * **mechanisms** (this module's :data:`MECHANISMS`) — a named pairing of
   a prefetcher factory with an execution-engine mode, the unit the
   paper's Fig. 5 bars compare;
-* **engines** (:data:`repro.sim.npu.executor.ENGINES`) — the execution
-  models themselves (in-order, ideal OoO, explicit preload);
+* **executor modes** (:data:`repro.sim.npu.executor.ENGINES`) — the
+  execution models themselves (in-order, ideal OoO, explicit preload);
 * **workloads** (:data:`repro.workloads.registry.WORKLOAD_BUILDERS`) —
   the Table II trace builders.
 
@@ -51,7 +51,7 @@ class Registry:
     """A named ``str -> definition`` mapping with decorator registration.
 
     Lookup failures raise the registry's error class with the known names
-    listed, so a typo in a mechanism/engine/workload name is always a
+    listed, so a typo in a mechanism/mode/workload name is always a
     one-line diagnosis. Iteration order is registration order.
     """
 

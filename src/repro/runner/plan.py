@@ -123,11 +123,9 @@ class RunSpec:
 
     The platform side lives in ``system``; pass either a ready
     :class:`~repro.spec.SystemSpec` or the convenience arguments
-    (``mechanism``, ``nsb``, ``memory``, ``nvr``, ``executor``,
-    ``engine``) — never both. ``memory``/``nvr`` accept the shorthand
-    :class:`MemorySpec`/:class:`NVRSpec` or full config objects;
-    ``engine`` picks the simulation kernel (``"vectorized"`` or the
-    default reference kernels — a speed knob, never a results knob).
+    (``mechanism``, ``nsb``, ``memory``, ``nvr``, ``executor``) — never
+    both. ``memory``/``nvr`` accept the shorthand
+    :class:`MemorySpec`/:class:`NVRSpec` or full config objects.
     """
 
     workload: str
@@ -140,7 +138,6 @@ class RunSpec:
     memory: MemorySpec | MemoryConfig | None = None
     nvr: NVRSpec | NVRConfig | None = None
     executor: ExecutorConfig | None = None
-    engine: str | None = None  # simulation kernel; None = reference
     workload_args: tuple[tuple[str, Scalar], ...] = ()
     kind: str = "sim"
     system: SystemSpec | None = None
@@ -194,13 +191,6 @@ class RunSpec:
                     f"system.nsb={self.system.nsb} (set nsb on the "
                     "SystemSpec instead)"
                 )
-            engine = None if self.engine == "reference" else self.engine
-            if engine is not None and engine != self.system.engine:
-                raise ConfigError(
-                    f"engine='{self.engine}' conflicts with "
-                    f"system.engine={self.system.engine!r} (set engine on "
-                    "the SystemSpec instead)"
-                )
         else:
             memory = (
                 self.memory.build()
@@ -217,12 +207,10 @@ class RunSpec:
                     memory=memory,
                     nvr=nvr,
                     executor=self.executor,
-                    engine=self.engine,
                 ),
             )
         object.__setattr__(self, "mechanism", self.system.mechanism)
         object.__setattr__(self, "nsb", self.system.nsb)
-        object.__setattr__(self, "engine", self.system.engine)
         object.__setattr__(self, "memory", None)
         object.__setattr__(self, "nvr", None)
         object.__setattr__(self, "executor", None)
@@ -260,29 +248,6 @@ class RunSpec:
         if d.get("nvr") is not None:
             d["nvr"] = NVRSpec(**d["nvr"])
         return cls(**d)
-
-    def with_engine(self, engine: str | None) -> "RunSpec":
-        """A copy of this point on another simulation kernel.
-
-        The engine axis is a pure speed knob, so the copy describes the
-        same experiment — only the kernel dispatch (and therefore the
-        cache key) changes. Trace points and no-op changes return
-        ``self``.
-        """
-        if self.kind != "sim":
-            return self
-        if engine == "reference":
-            engine = None
-        if engine == self.engine:
-            return self
-        d = self.to_dict()
-        system = dict(d["system"])
-        if engine is None:
-            system.pop("engine", None)
-        else:
-            system["engine"] = engine
-        d["system"] = system
-        return RunSpec.from_dict(d)
 
     def key(self) -> str:
         """Canonical serialisation — the cache's content address."""
@@ -325,18 +290,14 @@ def expand(
     memory: MemorySpec | MemoryConfig | None = None,
     nvr: NVRSpec | NVRConfig | None = None,
     executor: ExecutorConfig | None = None,
-    engines=None,
     workload_args: tuple[tuple[str, Scalar], ...] = (),
     kind: str = "sim",
 ) -> list[RunSpec]:
     """Cartesian-product plan expansion, in deterministic order.
 
     Every axis accepts a scalar or a sequence; the expansion order is
-    workload-major (workload, mechanism, dtype, nsb, scale, seed, engine),
-    matching the paper figures' bar order. ``engines`` is the
-    simulation-kernel axis (``None``/``"reference"``/``"vectorized"``) —
-    sweeping it reruns identical platforms through different kernels,
-    which is exactly what the engine-equivalence tests do.
+    workload-major (workload, mechanism, dtype, nsb, scale, seed),
+    matching the paper figures' bar order.
     """
     return [
         RunSpec(
@@ -350,18 +311,16 @@ def expand(
             memory=memory,
             nvr=nvr,
             executor=executor,
-            engine=e,
             workload_args=workload_args,
             kind=kind,
         )
-        for w, m, d, n, sc, sd, e in itertools.product(
+        for w, m, d, n, sc, sd in itertools.product(
             _tuple(workloads),
             _tuple(mechanisms),
             _tuple(dtypes),
             _tuple(nsb),
             _tuple(scales),
             _tuple(seeds),
-            _tuple(engines),
         )
     ]
 

@@ -51,7 +51,6 @@ from ..runner.queue import (
     units_per_minute,
 )
 from ..session import Grid, Session, resolve_cache_dir
-from ..spec import SystemSpec
 from .ledger import SweepLedger, SweepRecord
 
 __all__ = ["SweepEngine", "SweepState", "fleet_summary", "parse_submission"]
@@ -152,7 +151,6 @@ class SweepEngine:
         lease_timeout: float | None = None,
         queue_timeout: float | None = None,
         poll_interval: float = DEFAULT_POLL,
-        engine: str | None = None,
     ) -> None:
         self.work_dir = Path(work_dir)
         self.queue = WorkQueue(self.work_dir).ensure()
@@ -161,8 +159,6 @@ class SweepEngine:
         self.lease_timeout = lease_timeout
         self.queue_timeout = queue_timeout
         self.poll_interval = float(poll_interval)
-        # Validate eagerly; fold "reference" to None like Session does.
-        self.engine = SystemSpec(engine=engine).engine if engine else None
         self.started_at = time.time()
         self._lock = threading.Lock()
         self._states: dict[str, SweepState] = {}
@@ -179,11 +175,6 @@ class SweepEngine:
         if tenant not in self._caches:
             self._caches[tenant] = ResultCache(self.cache_dir, tenant=tenant)
         return self._caches[tenant]
-
-    def _apply_engine(self, spec: RunSpec) -> RunSpec:
-        if self.engine is None or spec.engine is not None:
-            return spec
-        return spec.with_engine(self.engine)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -239,7 +230,6 @@ class SweepEngine:
         again). ``meta`` is recorded on first submission only.
         """
         tenant = validate_tenant(tenant) if tenant else None
-        specs = [self._apply_engine(spec) for spec in specs]
         record = SweepRecord.create(tenant, specs, meta)
         with self._lock:
             state = self._states.get(record.id)

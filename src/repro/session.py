@@ -72,7 +72,6 @@ from .runner import (
 from .runner.plan import _tuple
 from .runner.progress import NullProgress, Progress
 from .sim.npu.executor import ExecutorConfig
-from .spec import SystemSpec
 
 __all__ = [
     "Grid",
@@ -113,7 +112,6 @@ _SPEC_AXES: tuple[str, ...] = (
     "memory",
     "nvr",
     "executor",
-    "engine",
 )
 
 #: Derived axes: grid name -> (RunSpec argument, shorthand field).
@@ -239,16 +237,10 @@ class Session:
             (default 1; ignored by the other backends).
         progress: ``True`` for live progress lines, ``False``/``None``
             for silence, or a progress object.
-        engine: default simulation kernel for every sim point this
-            session executes (``"vectorized"``/``"batched"``). A pure
-            speed knob — engines are bit-identical — applied only to
-            points that do not already pin a non-reference kernel, so
-            equivalence sweeps keep their explicit engine axis.
         runner: wrap an existing :class:`~repro.runner.SweepRunner`
             instead of building one — the session then shares (and does
             not own or close) its cache/pool. Mutually exclusive with
-            the other knobs (``engine`` excepted — it rewrites specs
-            before they reach the runner).
+            the other knobs.
 
     The underlying :class:`~repro.runner.SweepRunner` is built lazily on
     first use, so constructing a Session is free. Use the session as a
@@ -264,7 +256,6 @@ class Session:
         work_dir: str | os.PathLike | None = None,
         queue_batch: int = 1,
         progress=None,
-        engine: str | None = None,
         runner: SweepRunner | None = None,
     ) -> None:
         if runner is not None:
@@ -293,11 +284,6 @@ class Session:
         self._work_dir = work_dir
         self._queue_batch = max(1, int(queue_batch))
         self._progress = progress
-        # Validate eagerly (ConfigError on unknown/mode names) and fold
-        # "reference" to None so the default engine means "leave alone".
-        self._engine = (
-            SystemSpec(engine=engine).engine if engine is not None else None
-        )
 
     # -- plumbing ------------------------------------------------------------
 
@@ -407,7 +393,6 @@ class Session:
         cache: ResultCache | bool | None = None,
         cache_dir: str | os.PathLike | None = None,
         progress=None,
-        engine: str | None = None,
     ) -> "Session":
         """A session whose sweeps are executed by pull workers.
 
@@ -445,7 +430,6 @@ class Session:
             cache_dir=cache_dir,
             backend=QueueBackend(work_dir, **backend_kwargs),
             progress=progress,
-            engine=engine,
         )
 
     @classmethod
@@ -466,7 +450,6 @@ class Session:
         cache: ResultCache | bool | None = None,
         cache_dir: str | os.PathLike | None = None,
         progress=None,
-        engine: str | None = None,
     ) -> "Session":
         """A :meth:`remote` session that raises its *own* worker fleet.
 
@@ -506,7 +489,6 @@ class Session:
             cache=cache,
             cache_dir=cache_dir,
             progress=progress,
-            engine=engine,
         )
         assert isinstance(session, _FleetSession)
         session._fleet = fleet
@@ -535,15 +517,13 @@ class Session:
         nvr=None,
         nvr_config=None,
         executor=None,
-        engine: str | None = None,
         kind: str = "sim",
         **workload_args,
     ) -> RunSpec:
         """Build the :class:`~repro.runner.RunSpec` for one point.
 
         ``nvr_config`` is accepted as an alias of ``nvr`` (the
-        :func:`repro.api.run_workload` spelling). ``engine`` selects the
-        simulation kernel (a speed knob — results are bit-identical).
+        :func:`repro.api.run_workload` spelling).
         """
         if nvr is not None and nvr_config is not None:
             raise ConfigError("pass nvr= or nvr_config=, not both")
@@ -558,7 +538,6 @@ class Session:
             memory=memory,
             nvr=nvr if nvr is not None else nvr_config,
             executor=executor,
-            engine=engine,
             workload_args=tuple(workload_args.items()),
             kind=kind,
         )
@@ -584,7 +563,7 @@ class Session:
                 f"run() takes a RunSpec or a workload name, got "
                 f"{type(point).__name__}"
             )
-        return self.runner.run(self._apply_engine(spec))
+        return self.runner.run(spec)
 
     def sweep(self, plan) -> ResultSet:
         """Execute a :class:`Grid`, :class:`~repro.runner.Plan` or spec list.
@@ -601,20 +580,8 @@ class Session:
             specs = [plan]
         else:
             specs = list(plan)
-        specs = [self._apply_engine(spec) for spec in specs]
         results = self.runner.run_plan(specs)
         return ResultSet(list(zip(specs, results)))
-
-    def _apply_engine(self, spec: RunSpec) -> RunSpec:
-        """Move a point onto the session's default kernel.
-
-        Points that already pin a non-reference engine keep it — the
-        session engine is a default, not an override, so an explicit
-        engine axis (the equivalence sweeps) survives intact.
-        """
-        if self._engine is None or spec.engine is not None:
-            return spec
-        return spec.with_engine(self._engine)
 
 
 class _FleetSession(Session):
@@ -725,14 +692,6 @@ def add_session_arguments(parser: argparse.ArgumentParser) -> None:
         "when points are cheap)",
     )
     parser.add_argument(
-        "--engine",
-        default=argparse.SUPPRESS,
-        metavar="KERNEL",
-        help="default simulation kernel for every sim point "
-        "('vectorized'/'batched'); a speed knob — results are "
-        "bit-identical — that points pinning their own engine ignore",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         default=argparse.SUPPRESS,
@@ -756,7 +715,6 @@ def session_from_args(args: argparse.Namespace, quiet: bool = False) -> Session:
         work_dir=getattr(args, "work_dir", None),
         queue_batch=getattr(args, "queue_batch", 1),
         progress=not quiet,
-        engine=getattr(args, "engine", None),
     )
 
 

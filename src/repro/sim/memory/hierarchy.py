@@ -347,29 +347,19 @@ class MemorySystem:
 
     # -- batched demand path -------------------------------------------------
     def demand_lines(
-        self,
-        now: int,
-        issue_width: int,
-        lines: list[int],
-        irregular: bool,
-        sid: int = 0,
-        hook=None,
-        idxs: list | None = None,
+        self, now: int, issue_width: int, lines: list[int], irregular: bool
     ) -> tuple[int, bytearray]:
         """Issue a whole request vector through the demand path at once.
 
         Bit-exact with calling ``demand_line(now + k // issue_width,
-        lines[k], irregular)`` for each line in order (plus the per-line
-        prefetcher ``hook`` when one is attached): the same live-state
+        lines[k], irregular)`` for each line in order: the same live-state
         walk over the same caches, so every same-batch interaction —
-        same-set evictions, MSHR coalesces, mid-batch prefetches issued
-        by a hook — is resolved by construction rather than by a
-        conflict analysis. What the batch form removes is the per-line
-        interpreter overhead: one call per *instruction* instead of per
-        line, set/tag math inlined against :meth:`Cache.hot_state`,
-        statistics accumulated in locals and folded once, and
-        :class:`AccessResult` objects built only when a prefetcher
-        actually observes them.
+        same-set evictions, MSHR coalesces — is resolved by construction
+        rather than by a conflict analysis. What the batch form removes is
+        the per-line interpreter overhead: one call per *instruction*
+        instead of per line, set/tag math inlined against
+        :meth:`Cache.hot_state`, statistics accumulated in locals and
+        folded once, and no :class:`AccessResult` objects.
 
         Returns ``(last_complete_cycle, dram_flags)``; ``dram_flags[k]``
         is 1 when line ``k`` went off-chip (the executors fold these
@@ -395,11 +385,6 @@ class MemorySystem:
             nsb = self.nsb
             nsb_sets, nsb_shift, nsb_smask, nsb_tshift, nsb_assoc = self._nsb_hot
             nsb_lat = self._nsb_lat
-        lvl_nsb = HitLevel.NSB
-        lvl_l2 = HitLevel.L2
-        lvl_inflight = HitLevel.INFLIGHT
-        lvl_dram = HitLevel.DRAM
-        result = AccessResult
         # Local counter accumulators, folded into the stats records once.
         nsb_acc = nsb_hit = nsb_infl = nsb_miss = 0
         l2_acc = l2_hit = l2_infl = l2_miss = 0
@@ -423,37 +408,24 @@ class MemorySystem:
                     if ready < 0:
                         ready = ~ready
                     nset[ntag] = ready
-                    if line in pending:
-                        pending.discard(line)
-                        was_pf = True
-                    else:
-                        was_pf = False
                     if ready <= at:
                         nsb_hit += 1
                         nsb_npu_bytes += line_bytes
-                        if was_pf:
+                        if line in pending:
+                            pending.discard(line)
                             pf_useful += 1
                         complete = at + nsb_lat
-                        level = lvl_nsb
                     else:
                         nsb_infl += 1
-                        if was_pf:
+                        if line in pending:
+                            pending.discard(line)
                             pf_late += 1
                         complete = ready
                         t = at + nsb_lat
                         if t > complete:
                             complete = t
-                        level = lvl_inflight
                     if complete > done:
                         done = complete
-                    if hook is not None:
-                        hook(
-                            at,
-                            sid,
-                            line,
-                            idxs[k] if idxs is not None else None,
-                            result(complete, level, was_pf),
-                        )
                     slot += 1
                     if slot == issue_width:
                         slot = 0
@@ -469,27 +441,21 @@ class MemorySystem:
                     ready = ~ready
                 lset[ltag] = ready
                 l2_npu_bytes += line_bytes
-                if line in pending:
-                    pending.discard(line)
-                    was_pf = True
-                else:
-                    was_pf = False
                 if ready <= at:
                     l2_hit += 1
-                    if was_pf:
+                    if line in pending:
+                        pending.discard(line)
                         pf_useful += 1
                     complete = at + l2_lat
-                    level = lvl_l2
                 else:
                     l2_infl += 1
-                    if was_pf:
+                    if line in pending:
+                        pending.discard(line)
                         pf_late += 1
                     complete = ready
                     t = at + l2_lat
                     if t > complete:
                         complete = t
-                    level = lvl_inflight
-                off_chip = False
             else:
                 # True L2 miss: fetch from DRAM through an MSHR slot.
                 # Inlined MSHRFile.earliest_free_slot / allocate (lazy
@@ -498,7 +464,6 @@ class MemorySystem:
                 l2_miss += 1
                 flags[k] = 1
                 pending.discard(line)
-                was_pf = False
                 while mshr_heap and mshr_heap[0][0] <= at:
                     rt, ln = heappop(mshr_heap)
                     if mshr_infl.get(ln) == rt:
@@ -527,8 +492,6 @@ class MemorySystem:
                         l2_pfevt += 1
                 lset[ltag] = complete
                 l2_npu_bytes += line_bytes
-                level = lvl_dram
-                off_chip = True
             if use_nsb:
                 # Promote into the NSB (it missed there, so a plain fill).
                 if len(nset) >= nsb_assoc:
@@ -538,14 +501,6 @@ class MemorySystem:
                 nset[ntag] = complete
             if complete > done:
                 done = complete
-            if hook is not None:
-                hook(
-                    at,
-                    sid,
-                    line,
-                    idxs[k] if idxs is not None else None,
-                    result(complete, level, was_pf, off_chip),
-                )
             slot += 1
             if slot == issue_width:
                 slot = 0

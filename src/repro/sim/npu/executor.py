@@ -173,9 +173,7 @@ class _EngineBase:
             return now + (n - 1) // width + self._reg_hit
         batch = self._demand_batch
         if batch is not None:
-            done, _ = batch(
-                now, width, lines, False, sid=load.stream_id, hook=self._pf_hook
-            )
+            done, _ = batch(now, width, lines, False)
             return done
         demand_line = self._demand_line
         hook = self._pf_hook
@@ -217,9 +215,7 @@ class _EngineBase:
                 return now
             return now + (total_lines - 1) // self._issue_width + self._irr_hit
         if self._demand_batch is not None:
-            return self._gather_vector(
-                now, gather, firsts_l, counts_l, idx_l, total_lines
-            )
+            return self._gather_vector(now, firsts_l, counts_l, total_lines)
         lb = self._line_bytes
         issue_width = self._issue_width
         demand_line = self._demand_line
@@ -273,10 +269,8 @@ class _EngineBase:
     def _gather_vector(
         self,
         now: int,
-        gather: VectorGather,
         firsts_l: list[int],
         counts_l: list[int],
-        idx_l: list[int],
         total_lines: int,
     ) -> int:
         """:meth:`_issue_gather` as one request vector through the hierarchy."""
@@ -287,11 +281,9 @@ class _EngineBase:
         batch_stats.batches += (n_elems + width - 1) // width
         if total_lines == 0:
             return now
-        hook = self._pf_hook
         if total_lines == n_elems:
             # One line per element: the span starts are the line vector.
             lines = firsts_l
-            idxs = idx_l
         else:
             # Element order, then line offset within each segment. Built
             # per call: a cached copy would live as long as the memoised
@@ -302,26 +294,7 @@ class _EngineBase:
                 for first, count in zip(firsts_l, counts_l)
                 for k in range(count)
             ]
-            # The index is architecturally visible only on the first line
-            # of its segment (the computed address).
-            idxs = (
-                [
-                    idx if k == 0 else None
-                    for idx, count in zip(idx_l, counts_l)
-                    for k in range(count)
-                ]
-                if hook is not None
-                else None
-            )
-        done, flags = self._demand_batch(
-            now,
-            self._issue_width,
-            lines,
-            True,
-            sid=gather.stream_id,
-            hook=hook,
-            idxs=idxs,
-        )
+        done, flags = self._demand_batch(now, self._issue_width, lines, True)
         if 1 in flags:
             # Fold per-line DRAM flags into element/batch miss counts: an
             # element misses when any line of its segment went off-chip,
@@ -487,32 +460,6 @@ def build_engine(
     sparse_unit: SparseUnit,
     stats: RunStats,
     config: ExecutorConfig,
-    engine: str | None = None,
 ):
-    """Factory: resolve ``mode`` through the :data:`ENGINES` registry.
-
-    ``engine`` optionally selects an alternative simulation-kernel
-    implementation of the same ``mode`` (a registry entry carrying
-    ``needs_mode = True``, e.g. ``"vectorized"``). None runs the entry
-    registered under ``mode`` itself — the reference kernels.
-    """
-    if engine is not None:
-        entry = ENGINES.get(engine)
-        if not getattr(entry, "needs_mode", False):
-            raise ConfigError(
-                f"engine {engine!r} is an executor mode, not a kernel "
-                "implementation - pass it as the mode instead"
-            )
-        return entry(mode, program, mem, prefetcher, sparse_unit, stats, config)
-    entry = ENGINES.get(mode)
-    if getattr(entry, "needs_mode", False):
-        raise ConfigError(
-            f"{mode!r} is a kernel implementation, not an executor mode - "
-            "pass it as engine= instead"
-        )
-    return entry(program, mem, prefetcher, sparse_unit, stats, config)
-
-
-# Self-registers the "reference"/"vectorized" kernel dispatchers; must run
-# after the mode classes above exist.
-from . import vectorized as _vectorized  # noqa: E402,F401
+    """Factory: resolve ``mode`` through the :data:`ENGINES` registry."""
+    return ENGINES.get(mode)(program, mem, prefetcher, sparse_unit, stats, config)

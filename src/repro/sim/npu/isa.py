@@ -46,8 +46,8 @@ class VectorLoad:
         """Unique cache lines this load touches, in first-touch order.
 
         Cached per line size: instructions are immutable and walked
-        several times per program (real + base run, prefetch snoops,
-        both simulation kernels), so the address math runs once.
+        several times per program (real + base run, prefetch snoops),
+        so the address math runs once.
         """
         cache = self.__dict__.get("_la_cache")
         if cache is None:
@@ -76,7 +76,7 @@ class VectorLoad:
         return _as_line_array(np.concatenate([starts, ends]), line_bytes)
 
     def line_addr_list(self, line_bytes: int) -> list[int]:
-        """Cached Python-int form of :meth:`line_addrs` (engine hot path)."""
+        """Cached Python-int form of :meth:`line_addrs` (executor hot path)."""
         cache = self.__dict__.get("_la_cache")
         key = ("list", line_bytes)
         if cache is None or key not in cache:

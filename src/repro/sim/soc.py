@@ -118,13 +118,6 @@ class System:
             state must never leak across runs).
         mode: 'inorder' or 'ooo'.
         executor: issue widths and OoO window.
-        engine: simulation-kernel implementation; None (or
-            ``"reference"``) picks the engine registered under ``mode``
-            directly, which issues request vectors unless the prefetcher
-            snoops every demand line. ``"vectorized"`` (always per line)
-            and ``"batched"`` (always vectors) cross-check those two
-            walks; every engine must produce bit-identical statistics
-            for a given mode.
     """
 
     program: SparseProgram
@@ -132,7 +125,6 @@ class System:
     prefetcher_factory: Callable[[], Prefetcher] = NullPrefetcher
     mode: str = "inorder"
     executor: ExecutorConfig = field(default_factory=ExecutorConfig)
-    engine: str | None = None
 
     @classmethod
     def from_spec(cls, program: SparseProgram, spec) -> "System":
@@ -171,7 +163,6 @@ class System:
             sparse_unit,
             stats,
             self.executor,
-            engine=self.engine,
         )
         total = engine.run()
         stats.runahead_invocations = sparse_unit.runahead_grants

@@ -1,12 +1,12 @@
 """The declarative system description: :class:`SystemSpec`.
 
 A :class:`SystemSpec` is *everything about the simulated platform except
-the workload*: which mechanism runs, on which engine, over which memory
-hierarchy, with which NVR and executor tuning. It is pure data — frozen,
-comparable, JSON round-trippable via :meth:`to_dict`/:meth:`from_dict`,
-and stably hashable — so a full sensitivity-study point can flow through
-the sweep runner's plan → dedupe → cache → pool pipeline exactly like a
-scalar knob.
+the workload*: which mechanism runs over which memory hierarchy, with
+which NVR and executor tuning. It is pure data — frozen, comparable,
+JSON round-trippable via :meth:`to_dict`/:meth:`from_dict`, and stably
+hashable — so a full sensitivity-study point can flow through the sweep
+runner's plan → dedupe → cache → pool pipeline exactly like a scalar
+knob.
 
 Construction validates the combination, not just the parts
 (the checks :func:`repro.api.make_system` used to skip):
@@ -19,8 +19,8 @@ Construction validates the combination, not just the parts
   that already configures an NSB — one of them must own the buffer.
 
 ``build(program)`` turns the description into a live
-:class:`~repro.sim.soc.System`, resolving the mechanism and engine
-through the registries.
+:class:`~repro.sim.soc.System`, resolving the mechanism (and through it
+the executor mode) through the registries.
 """
 
 from __future__ import annotations
@@ -32,33 +32,12 @@ from ..core.controller import NVRConfig
 from ..errors import ConfigError
 from ..registry import MECHANISMS, MechanismDef
 from ..sim.memory.hierarchy import MemoryConfig
-from ..sim.npu.executor import ENGINES, ExecutorConfig
+from ..sim.npu.executor import ExecutorConfig
 from . import serde
 
 if TYPE_CHECKING:
     from ..sim.npu.program import SparseProgram
     from ..sim.soc import System
-
-
-def _canonical_engine(engine: str | None) -> str | None:
-    """Validate and canonicalise a simulation-kernel choice.
-
-    ``None`` and ``"reference"`` describe the same computation (the
-    registry's reference dispatcher instantiates the same per-mode
-    classes the default path uses), so they fold to one spelling and
-    equal platforms stay equal specs — same equality, hash, cache key.
-    """
-    if engine is None or engine == "reference":
-        return None
-    entry = ENGINES.get(engine)  # raises ConfigError on unknown names
-    if not getattr(entry, "needs_mode", False):
-        raise ConfigError(
-            f"'{engine}' is an execution mode, not a simulation kernel — "
-            "SystemSpec.engine selects a kernel implementation "
-            "('reference', 'vectorized' or 'batched'); the mode comes "
-            "from the mechanism"
-        )
-    return engine
 
 
 @dataclass(frozen=True)
@@ -73,15 +52,6 @@ class SystemSpec:
             defaults (256 KiB L2, no NSB).
         nvr: NVR tuning override; only for ``uses_nvr_config`` mechanisms.
         executor: issue-width / OoO-window / preload-granule override.
-        engine: simulation-kernel implementation. ``None``/
-            ``"reference"`` is the default kernel: request vectors for
-            runs without a per-line demand hook, the per-line walk for
-            demand-snooping prefetchers (stream/IMP/DVR).
-            ``"vectorized"`` always walks per line and ``"batched"``
-            always issues request vectors, so each cross-checks one of
-            the default's two walks. Every engine must produce
-            bit-identical statistics, so ``"reference"`` canonicalises
-            to ``None`` and the choice never changes a result.
     """
 
     mechanism: str = "nvr"
@@ -89,7 +59,6 @@ class SystemSpec:
     memory: MemoryConfig | None = None
     nvr: NVRConfig | None = None
     executor: ExecutorConfig | None = None
-    engine: str | None = None
     # Derived canonical identity, computed once in __post_init__; not
     # part of the public constructor, repr, or equality.
     _key: str = field(init=False, repr=False, compare=False)
@@ -135,7 +104,6 @@ class SystemSpec:
             object.__setattr__(self, "nvr", None)
         if self.executor == ExecutorConfig():
             object.__setattr__(self, "executor", None)
-        object.__setattr__(self, "engine", _canonical_engine(self.engine))
         # Frozen content — compute the canonical key once.
         object.__setattr__(self, "_key", serde.canonical_json(self.to_dict()))
 
@@ -159,7 +127,6 @@ class SystemSpec:
             prefetcher_factory=mdef.factory(self.nvr),
             mode=mdef.mode,
             executor=(self.executor if self.executor is not None else ExecutorConfig()),
-            engine=self.engine,
         )
 
     # -- identity ------------------------------------------------------------
@@ -170,11 +137,9 @@ class SystemSpec:
         The ``nsb`` toggle does not appear: construction folds it into
         the memory config, so the flag is derived state. (Hand-written
         dicts may still say ``"nsb": true`` with no memory override —
-        :meth:`from_dict` accepts it.) ``engine`` appears only when a
-        non-reference kernel is selected, so every pre-engine content
-        key — and the result cache it addresses — is unchanged.
+        :meth:`from_dict` accepts it.)
         """
-        d = {
+        return {
             "mechanism": self.mechanism,
             "memory": (
                 serde.memory_config_to_dict(self.memory)
@@ -192,23 +157,17 @@ class SystemSpec:
                 else None
             ),
         }
-        if self.engine is not None:
-            d["engine"] = self.engine
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemSpec":
         if not isinstance(d, dict):
             raise ConfigError(f"system spec must be a dict, got {d!r}")
-        unknown = sorted(
-            set(d) - {"mechanism", "nsb", "memory", "nvr", "executor", "engine"}
-        )
+        unknown = sorted(set(d) - {"mechanism", "nsb", "memory", "nvr", "executor"})
         if unknown:
             raise ConfigError(f"unknown SystemSpec field(s): {', '.join(unknown)}")
         return cls(
             mechanism=d.get("mechanism", "nvr"),
             nsb=d.get("nsb", False),
-            engine=d.get("engine"),
             memory=(
                 serde.memory_config_from_dict(d["memory"])
                 if d.get("memory") is not None
@@ -256,6 +215,4 @@ class SystemSpec:
             text += f" nvr(d{self.nvr.depth_tiles},w{self.nvr.vector_width})"
         if self.executor is not None:
             text += f" iw{self.executor.issue_width}"
-        if self.engine is not None:
-            text += f" [{self.engine}]"
         return text

@@ -10,6 +10,7 @@ from repro.analysis.export import export_json, run_result_dict
 from repro.analysis.experiments import fig1b_sparsity_gap, table1_overhead
 from repro.api import run_workload
 from repro.errors import ConfigError
+from repro.runner import RunSpec, execute_spec
 
 
 class TestCLI:
@@ -45,6 +46,35 @@ class TestCLI:
         assert main(["figures", "--scale", "0.1", "-o", str(target)]) == 0
         assert target.exists()
         assert "Fig. 5" in target.read_text()
+
+    def test_profile_command(self, tmp_path, capsys):
+        target = tmp_path / "profile.json"
+        argv = "profile --workloads gcn --mechanisms inorder,stream --scale 0.02"
+        assert main(argv.split() + ["--repeat", "1", "--json", str(target)]) == 0
+        out = capsys.readouterr().out
+        assert "profile (scale=0.02, min of 1 repeat)" in out
+        assert "memory breakdown" in out
+        document = json.loads(target.read_text())
+        assert document["format"] == 2
+        records = document["records"]
+        assert [r["mechanism"] for r in records] == ["inorder", "stream"]
+        for record in records:
+            stats = execute_spec(
+                RunSpec("gcn", mechanism=record["mechanism"], scale=0.02)
+            )["stats"]
+            assert (
+                record["nsb_hits"],
+                record["l2_hits"],
+                record["dram_fills"],
+                record["pf_useful"],
+                record["pf_late"],
+            ) == (
+                stats["nsb"]["demand_hits"],
+                stats["l2"]["demand_hits"],
+                stats["l2"]["demand_misses"],
+                stats["prefetch"]["useful"],
+                stats["prefetch"]["late"],
+            )
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):

@@ -96,15 +96,9 @@ class TestPlanWireFormat:
     def test_every_engine_reachable_from_some_mechanism(self):
         # The per-mechanism round trips above cover every engine iff the
         # registries stay in sync; pin that so a new engine grows a
-        # mechanism (and thereby a wire-format test) with it. Kernel
-        # dispatchers (needs_mode) are mode-agnostic and exempt.
+        # mechanism (and thereby a wire-format test) with it.
         modes = {MECHANISMS.get(m).mode for m in MECHANISMS.names()}
-        engine_modes = {
-            name
-            for name in ENGINES.names()
-            if not getattr(ENGINES.get(name), "needs_mode", False)
-        }
-        assert modes == engine_modes
+        assert modes == set(ENGINES.names())
 
     @pytest.mark.parametrize("workload", WORKLOAD_ORDER)
     def test_round_trip_every_workload(self, workload):

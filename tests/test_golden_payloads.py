@@ -2,13 +2,12 @@
 
 Every registered mechanism (all of ``MECHANISMS``, ``preload`` included)
 runs on four workloads with the NSB off and on, at scale 0.05 with the
-perfect-memory base pass, on the default kernel. Each point's
+perfect-memory base pass. Each point's
 :func:`~repro.runner.pool.execute_spec` payload, in canonical JSON, must
 equal the one committed in ``golden_payloads.json``.
 
-The engine-equivalence tests compare one kernel against another, so a
-change that moves every kernel the same way passes them. This file
-compares against fixed expected outputs instead. A failure names every
+These are the simulator's oracle: a change that moves any result fails
+here, whichever hierarchy walk it touched. A failure names every
 differing point and, within it, every differing field.
 
 An intentional model change regenerates the file with

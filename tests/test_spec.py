@@ -2,7 +2,7 @@
 
 Three acceptance properties:
 
-* every config object and every registered mechanism/engine/workload
+* every config object and every registered mechanism/mode/workload
   round-trips ``from_dict(to_dict(x)) == x`` through pure JSON;
 * incompatible combinations (nvr_config on a non-NVR mechanism, nsb
   toggle against a memory override that already has an NSB) raise
@@ -67,12 +67,6 @@ def golden_specs() -> dict[str, RunSpec]:
         "executor-tuned": RunSpec(
             "scn", executor=ExecutorConfig(issue_width=4, ooo_window=16)
         ),
-        # The engine axis: "vectorized" must serialise (a distinct cache
-        # key — the equivalence suite relies on both engines actually
-        # running), while "reference" folds to the default and leaves
-        # every pre-engine key untouched.
-        "engine-vectorized": RunSpec("ds", engine="vectorized"),
-        "engine-batched": RunSpec("ds", engine="batched"),
         "kitchen-sink": RunSpec(
             "h2o",
             mechanism="nvr",
@@ -123,20 +117,6 @@ def golden_grids() -> dict[str, Grid]:
             drift=1.0,
         ),
         "grid:trace": Grid(workload=list(WORKLOAD_ORDER), kind="trace", scale=0.1),
-        "grid:engines": Grid(
-            workload="ds",
-            mechanism=["inorder", "nvr"],
-            scale=0.2,
-            engine=["reference", "vectorized"],
-        ),
-        # Additive: the batched kernels get their own pinned grid so the
-        # pre-batched hashes above never move.
-        "grid:engines-batched": Grid(
-            workload="ds",
-            mechanism=["inorder", "nvr"],
-            scale=0.2,
-            engine=["reference", "vectorized", "batched"],
-        ),
     }
 
 
@@ -184,6 +164,8 @@ class TestConfigRoundTrips:
             NVRConfig.from_dict({"depht_tiles": 4})
         with pytest.raises(ConfigError, match="l3"):
             MemoryConfig.from_dict({"l3": {}})
+        with pytest.raises(ConfigError, match="engine"):
+            SystemSpec.from_dict({"mechanism": "nvr", "engine": "batched"})
 
     def test_from_dict_revalidates(self):
         d = ExecutorConfig().to_dict()
@@ -206,14 +188,7 @@ class TestSystemSpec:
         assert clone == spec
         assert clone.stable_hash() == spec.stable_hash()
 
-    @pytest.mark.parametrize(
-        "mode",
-        sorted(
-            name
-            for name in ENGINES
-            if not getattr(ENGINES.get(name), "needs_mode", False)
-        ),
-    )
+    @pytest.mark.parametrize("mode", sorted(ENGINES))
     def test_every_engine_reachable_and_spec_able(self, mode):
         mechanism = next(name for name, d in MECHANISMS.items() if d.mode == mode)
         spec = SystemSpec(mechanism=mechanism)
@@ -372,15 +347,7 @@ class TestRegistry:
 
     def test_mechanism_order_is_registered(self):
         assert set(MECHANISM_ORDER) <= set(MECHANISMS)
-        # Modes plus the kernel-implementation dispatchers (needs_mode).
-        assert set(ENGINES) == {
-            "inorder",
-            "ooo",
-            "preload",
-            "reference",
-            "vectorized",
-            "batched",
-        }
+        assert set(ENGINES) == {"inorder", "ooo", "preload"}
 
 
 class TestGoldenKeys:
