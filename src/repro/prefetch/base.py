@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from ..errors import ConfigError
 from ..sim.npu.program import SparseProgram
-from ..sim.request import AccessResult
 
 
 class PrefetchPort:
@@ -165,9 +164,16 @@ class Prefetcher:
         stream_id: int,
         line_addr: int,
         idx_value: int | None,
-        result: AccessResult,
+        off_chip: bool,
     ) -> None:
-        """One demand line access completed lookup (hit or miss)."""
+        """One demand line access completed lookup (hit or miss).
+
+        Called once per demand line, before the next line issues.
+        ``idx_value`` is the gather index when the line is the first of
+        its element's segment, else None; ``off_chip`` is True when the
+        line missed every cache level and went to DRAM. Overriding this
+        hook moves the run onto the executor's per-line walk.
+        """
 
     def on_branch(self, now: int, event) -> None:
         """A CPU branch executed (loop iteration); NVR/LBD only."""

@@ -23,6 +23,8 @@ registers, no ``sparse_func``, no ROB dispatch events.
 
 from __future__ import annotations
 
+import math
+
 from ..sim.npu.isa import (
     STREAM_IA_GATHER,
     STREAM_IA_GATHER_2,
@@ -45,8 +47,10 @@ class DecoupledVectorRunahead(Prefetcher):
         self.depth_tiles = depth_tiles
         self._position = 0  # latest tile whose data the core has seen
         self._chased: set[int] = set()
-        # tile_id -> W-data ready time for chains awaiting index data.
+        # tile_id -> W-data ready time for chains awaiting index data,
+        # and the earliest of those times (inf when none awaits).
         self._awaiting: dict[int, int] = {}
+        self._next_ready = math.inf
         self.invocations = 0
 
     def attach(self, program, port) -> None:
@@ -61,10 +65,10 @@ class DecoupledVectorRunahead(Prefetcher):
         self._resolve_ready(now)
 
     # -- trigger: the core stalls on a miss --------------------------------------
-    def on_demand_access(self, now, stream_id, line_addr, idx_value, result):
+    def on_demand_access(self, now, stream_id, line_addr, idx_value, off_chip):
         # Any long-latency demand miss fills the instruction window and
         # triggers runahead - streaming or gather alike.
-        if result.off_chip:
+        if off_chip:
             self._enter_runahead(now)
         self._resolve_ready(now)
 
@@ -93,11 +97,13 @@ class DecoupledVectorRunahead(Prefetcher):
             if issued:
                 ready = max(ready, max(issued))
             self._awaiting[t] = ready
+            if ready < self._next_ready:
+                self._next_ready = ready
 
     # -- second chain hop: index data arrived, compute gather addresses ----------
     def _resolve_ready(self, now: int) -> None:
-        if not self._awaiting:
-            return  # hot path: fires per demand line, usually nothing queued
+        if now < self._next_ready:
+            return  # hot path: fires per demand line, usually nothing due
         line_bytes = self._line_bytes
         for tile_id, ready in list(self._awaiting.items()):
             if ready > now:
@@ -126,3 +132,4 @@ class DecoupledVectorRunahead(Prefetcher):
                         burst += 1
             if lines:
                 self._prefetch_many(ats, lines, irregular=True)
+        self._next_ready = min(self._awaiting.values(), default=math.inf)

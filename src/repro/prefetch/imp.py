@@ -23,6 +23,7 @@ branch events, no sparse-unit registers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..sim.npu.isa import STREAM_IA_GATHER, STREAM_IA_GATHER_2
@@ -61,8 +62,10 @@ class IndirectMemoryPrefetcher(Prefetcher):
         self.lock_confidence = lock_confidence
         self.max_failures = max_failures
         self._ipt: dict[int, _PatternEntry] = {}
-        # Tiles whose W-index lines we prefetched: tile_id -> data-ready time.
+        # Tiles whose W-index lines we prefetched: tile_id -> data-ready
+        # time, and the earliest of those times (inf when none pends).
         self._pending_w: dict[int, int] = {}
+        self._next_ready = math.inf
         self._indirect_done: set[int] = set()
 
     def attach(self, program, port) -> None:
@@ -107,7 +110,7 @@ class IndirectMemoryPrefetcher(Prefetcher):
         return entry.base + (idx << entry.shift)
 
     # -- event handlers ---------------------------------------------------------
-    def on_demand_access(self, now, stream_id, line_addr, idx_value, result):
+    def on_demand_access(self, now, stream_id, line_addr, idx_value, off_chip):
         if stream_id in (STREAM_IA_GATHER, STREAM_IA_GATHER_2):
             if idx_value is not None:
                 self._learn(stream_id, idx_value, line_addr)
@@ -129,13 +132,15 @@ class IndirectMemoryPrefetcher(Prefetcher):
             if issued:
                 ready = max(ready, max(issued))
             self._pending_w[target] = ready
+            if ready < self._next_ready:
+                self._next_ready = ready
         self._drain_ready(now)
 
     # -- indirect issue ----------------------------------------------------------
     def _drain_ready(self, now: int) -> None:
         """Issue indirect prefetches for tiles whose index data arrived."""
-        if not self._pending_w:
-            return  # hot path: fires per demand line, usually nothing queued
+        if now < self._next_ready:
+            return  # hot path: fires per demand line, usually nothing due
         for tile_id, ready in list(self._pending_w.items()):
             if ready > now:
                 continue
@@ -165,3 +170,4 @@ class IndirectMemoryPrefetcher(Prefetcher):
                         burst += 1
                 if lines:
                     self._prefetch_many(ats, lines, irregular=True)
+        self._next_ready = min(self._pending_w.values(), default=math.inf)

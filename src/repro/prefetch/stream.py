@@ -70,7 +70,7 @@ class StreamPrefetcher(Prefetcher):
         self._line_bytes = port.line_bytes
         self._prefetch_many = port.prefetch_many
 
-    def on_demand_access(self, now, stream_id, line_addr, idx_value, result):
+    def on_demand_access(self, now, stream_id, line_addr, idx_value, off_chip):
         entry = self._table.get(stream_id)
         if entry is None:
             entry = self._table[stream_id] = _StreamEntry()
@@ -86,7 +86,7 @@ class StreamPrefetcher(Prefetcher):
                 entry.stride = delta
                 entry.confidence = 0
         entry.last_line = line_addr
-        if result.off_chip and entry.confidence < self.confirm:
+        if off_chip and entry.confidence < self.confirm:
             # Next-line ramp: assume a new ascending stream at every miss.
             self._prefetch_many(
                 now,

@@ -123,6 +123,13 @@ def _pid_alive(pid) -> bool:
     if not isinstance(pid, int) or pid <= 0:
         return False
     try:
+        # An exited child of this process is a zombie until reaped, and
+        # a zombie still answers kill 0: reap it first.
+        if os.waitpid(pid, os.WNOHANG)[0] == pid:
+            return False
+    except ChildProcessError:
+        pass  # not our child
+    try:
         os.kill(pid, 0)
     except ProcessLookupError:
         return False

@@ -662,11 +662,11 @@ class QueueBackend:
             uid = queue.enqueue_batch(tuple(spec for _, spec in group))
             waiting[uid] = group
         deadline = None if self.timeout is None else time.monotonic() + self.timeout
-        # Lease recovery and the vanished-unit scan stat every
-        # outstanding unit, which is pure overhead at poll frequency —
-        # lease expiry has lease_timeout granularity, so a quarter of it
-        # is plenty (the first pass runs immediately: a stale claim from
-        # a crashed previous run must not wait).
+        # Lease recovery stats every outstanding unit, which is pure
+        # overhead at poll frequency — lease expiry has lease_timeout
+        # granularity, so a quarter of it is plenty (the first pass runs
+        # immediately: a stale claim from a crashed previous run must
+        # not wait).
         maintenance_every = max(self.poll, self.lease_timeout / 4)
         next_maintenance = time.monotonic()
         discards: dict[str, int] = {}
@@ -685,9 +685,9 @@ class QueueBackend:
                     self._raise_failure(uid, waiting[uid])
                 if time.monotonic() >= next_maintenance:
                     queue.recover_expired(self.lease_timeout, uids=list(waiting))
-                    self._requeue_vanished(waiting)
                     next_maintenance = time.monotonic() + maintenance_every
                 if waiting and not progressed:
+                    self._requeue_vanished(waiting)
                     if deadline is not None and time.monotonic() > deadline:
                         status = queue.status(self.lease_timeout)
                         raise SimulationError(
@@ -790,16 +790,25 @@ class QueueBackend:
         result file *and* the unit with it (``forget``); whoever is
         still waiting simply enqueues again. Benign races re-execute a
         point at worst — results are bit-identical by construction.
+
+        Each directory is listed once, in the order a unit moves through
+        them (``queue/``, ``claimed/``, then ``results/`` and
+        ``failed/``): a unit that moves on between two listings shows up
+        in the later one, so only a unit missing from all four has
+        vanished.
         """
+        queue = self.queue
+        present: set[str] = set()
+        for directory in (
+            queue.queue_dir,
+            queue.claimed_dir,
+            queue.results_dir,
+            queue.failed_dir,
+        ):
+            present |= queue.unit_ids(directory)
         for uid, group in waiting.items():
-            if (
-                self.queue.result_path(uid).exists()
-                or self.queue.failed_path(uid).exists()
-                or self.queue.queued_path(uid).exists()
-                or self.queue.claimed_path(uid).exists()
-            ):
-                continue
-            self.queue.enqueue_batch(tuple(spec for _, spec in group))
+            if uid not in present:
+                queue.enqueue_batch(tuple(spec for _, spec in group))
 
     def close(self) -> None:
         """Nothing to release: workers are independent processes."""

@@ -165,20 +165,8 @@ class MemorySystem:
         self._stats_l2 = stats.l2
         self._stats_pf = stats.prefetch
         self._traffic = stats.traffic
-        self._l2_touch = self.l2.touch
-        self._l2_probe = self.l2.probe
-        self._l2_alloc = self.l2.allocate
-        self._l2_mshr_free = self.l2.mshr.earliest_free_slot
-        self._l2_mshr_alloc = self.l2.mshr.allocate
-        self._dram_access = self.dram.access
-        if self.nsb is not None:
-            self._nsb_touch = self.nsb.touch
-            self._nsb_probe = self.nsb.probe
-            self._nsb_alloc = self.nsb.allocate
-        else:
-            self._nsb_touch = self._nsb_probe = self._nsb_alloc = None
-        # Batch-kernel context: everything per-call-stable the batched
-        # demand/prefetch kernels unpack, resolved once. The hot-state
+        # Inlined-walk context: everything per-call-stable the fast
+        # demand/prefetch walks unpack, resolved once. The hot-state
         # tuples hold containers that are mutated in place and never
         # reassigned (see Cache.hot_state / MSHRFile.hot_state), and all
         # line fills transfer exactly one line, so the DRAM bus service
@@ -254,28 +242,26 @@ class MemorySystem:
 
     # -- demand path ---------------------------------------------------------
     def demand_access(self, now: int, access: Access, irregular: bool) -> AccessResult:
-        """Send one demand line request through NSB (optional) then L2/DRAM."""
-        assert access.access_type is AccessType.DEMAND
-        return self.demand_line(now, access.line_addr, irregular)
+        """Send one demand line request through NSB (optional) then L2/DRAM.
 
-    def demand_line(self, now: int, line: int, irregular: bool) -> AccessResult:
-        """The demand path proper, addressed by line (executor fast path).
-
-        Identical semantics to :meth:`demand_access` without the
-        :class:`~repro.sim.request.Access` wrapper — the executors issue
-        millions of line-granular demands per sweep, so they skip the
-        per-line request object.
+        The readable reference for the demand path: it composes the
+        :class:`Cache`, :class:`MSHRFile` and :class:`DRAM` methods and
+        reports the outcome as an :class:`AccessResult`. The simulator's
+        two fast walks, :meth:`demand_line` and :meth:`demand_lines`,
+        inline the same steps; the property tests hold both to this one.
         """
+        assert access.access_type is AccessType.DEMAND
         if self._cpu_cfg is not None:
             self._inject_cpu_traffic(now)
+        line = access.line_addr
         line_bytes = self._line_bytes
         pending = self._pf_pending
-        use_nsb = irregular and self._nsb_touch is not None
+        use_nsb = irregular and self.nsb is not None
 
         if use_nsb:
             nsb_stats = self._stats_nsb
             nsb_stats.demand_accesses += 1
-            ready = self._nsb_touch(line)
+            ready = self.nsb.touch(line)
             if ready is not None:
                 if ready <= now:
                     nsb_stats.demand_hits += 1
@@ -300,7 +286,7 @@ class MemorySystem:
 
         l2_stats = self._stats_l2
         l2_stats.demand_accesses += 1
-        ready = self._l2_touch(line)
+        ready = self.l2.touch(line)
         if ready is not None:
             if ready <= now:
                 l2_stats.demand_hits += 1
@@ -313,7 +299,7 @@ class MemorySystem:
                 else:
                     was_pf = False
                 if use_nsb:
-                    self._nsb_alloc(now, line, complete, by_prefetch=False)
+                    self.nsb.allocate(now, line, complete, by_prefetch=False)
                 return AccessResult(complete, HitLevel.L2, was_pf)
             l2_stats.demand_inflight_hits += 1
             if line in pending:
@@ -325,25 +311,153 @@ class MemorySystem:
             complete = max(ready, now + self._l2_lat)
             self._traffic.l2_to_npu_bytes += line_bytes
             if use_nsb:
-                self._nsb_alloc(now, line, complete, by_prefetch=False)
+                self.nsb.allocate(now, line, complete, by_prefetch=False)
             return AccessResult(complete, HitLevel.INFLIGHT, was_pf)
 
         # True L2 miss: fetch from DRAM through an MSHR slot.
         l2_stats.demand_misses += 1
         pending.discard(line)
-        start = self._l2_mshr_free(now)
+        mshr = self.l2.mshr
+        start = mshr.earliest_free_slot(now)
         if now > start:
             start = now
-        dram_done = self._dram_access(start, line_bytes, is_prefetch=False)
+        dram_done = self.dram.access(start, line_bytes, is_prefetch=False)
         ready = dram_done + self._l2_lat
-        self._l2_mshr_alloc(start, line, ready)
-        self._l2_alloc(now, line, ready, by_prefetch=False)
+        mshr.allocate(start, line, ready)
+        self.l2.allocate(now, line, ready, by_prefetch=False)
         traffic = self._traffic
         traffic.off_chip_demand_bytes += line_bytes
         traffic.l2_to_npu_bytes += line_bytes
         if use_nsb:
-            self._nsb_alloc(now, line, ready, by_prefetch=False)
+            self.nsb.allocate(now, line, ready, by_prefetch=False)
         return AccessResult(ready, HitLevel.DRAM, False, True)
+
+    def demand_line(self, now: int, line: int, irregular: bool) -> int:
+        """The per-line demand walk: one line, addressed by line.
+
+        Bit-exact with :meth:`demand_access`, but inlined the way
+        :meth:`demand_lines` is (set/tag math, MSHR slot search, DRAM bus
+        step and fills against :meth:`Cache.hot_state` and
+        :meth:`MSHRFile.hot_state`) and without a result object: it runs
+        once per demand line of every stream/IMP/DVR run.
+
+        Returns the line's completion cycle, stored as ``~cycle``
+        (negative) when the line went off-chip — the sign idiom
+        :class:`Cache` uses for untouched prefetch fills.
+
+        One case differs, as it does for :meth:`demand_lines`: when the
+        L2 evicted a line whose fill is still in flight and the line is
+        demanded again, the reference's :meth:`MSHRFile.allocate` raises
+        a double-allocate error, while the inlined walks replace the
+        line's MSHR entry with the new fill.
+        """
+        if self._cpu_cfg is not None:
+            self._inject_cpu_traffic(now)
+        pending = self._pf_pending
+        nsb_hot = self._nsb_hot if irregular else None
+        if nsb_hot is not None:
+            nsb_sets, nsb_shift, nsb_smask, nsb_tshift, nsb_assoc = nsb_hot
+            nset = nsb_sets[(line >> nsb_shift) & nsb_smask]
+            ntag = line >> nsb_tshift
+            ns = self._stats_nsb
+            ns.demand_accesses += 1
+            ready = nset.pop(ntag, None)
+            if ready is not None:
+                # Demand touch: back of the LRU order, mark cleared.
+                if ready < 0:
+                    ready = ~ready
+                nset[ntag] = ready
+                complete = now + self._nsb_lat
+                if ready <= now:
+                    ns.demand_hits += 1
+                    self._traffic.nsb_to_npu_bytes += self._line_bytes
+                    if line in pending:
+                        pending.discard(line)
+                        self._stats_pf.useful += 1
+                    return complete
+                ns.demand_inflight_hits += 1
+                if line in pending:
+                    pending.discard(line)
+                    self._stats_pf.late += 1
+                return ready if ready > complete else complete
+            ns.demand_misses += 1
+
+        l2_sets, l2_shift, l2_smask, l2_tshift, l2_assoc = self._l2_hot
+        lset = l2_sets[(line >> l2_shift) & l2_smask]
+        ltag = line >> l2_tshift
+        ls = self._stats_l2
+        ls.demand_accesses += 1
+        traffic = self._traffic
+        traffic.l2_to_npu_bytes += self._line_bytes
+        ready = lset.pop(ltag, None)
+        if ready is not None:
+            if ready < 0:
+                ready = ~ready
+            lset[ltag] = ready
+            complete = now + self._l2_lat
+            if ready <= now:
+                ls.demand_hits += 1
+                if line in pending:
+                    pending.discard(line)
+                    self._stats_pf.useful += 1
+            else:
+                ls.demand_inflight_hits += 1
+                if line in pending:
+                    pending.discard(line)
+                    self._stats_pf.late += 1
+                if ready > complete:
+                    complete = ready
+            result = complete
+        else:
+            # True L2 miss: inlined MSHR slot search and allocation, DRAM
+            # bus step and L2 fill — see demand_lines for the contract.
+            ls.demand_misses += 1
+            pending.discard(line)
+            l2 = self.l2
+            mshr = l2.mshr
+            heap, inflight, capacity = self._l2_mshr_hot
+            while heap and heap[0][0] <= now:
+                rt, ln = heappop(heap)
+                if inflight.get(ln) == rt:
+                    del inflight[ln]
+            if len(inflight) < capacity:
+                start = now
+            else:
+                mshr.structural_stalls += 1
+                start = heap[0][0]
+                while heap and heap[0][0] <= start:
+                    rt, ln = heappop(heap)
+                    if inflight.get(ln) == rt:
+                        del inflight[ln]
+            dram = self.dram
+            service = self._line_service
+            busy = dram._bus_free_at
+            st = start if start > busy else busy
+            dram._bus_free_at = st + service
+            dram.busy_cycles += service
+            dram.transfers += 1
+            dram.bytes_transferred += self._line_bytes
+            complete = st + self._dram_lat + service + self._l2_lat
+            inflight[line] = complete
+            heappush(heap, (complete, line))
+            if len(inflight) > mshr.peak_occupancy:
+                mshr.peak_occupancy = len(inflight)
+            if len(lset) >= l2_assoc:
+                l2.evictions += 1
+                if lset.pop(next(iter(lset))) < 0:
+                    l2.prefetch_evicted_unused += 1
+            lset[ltag] = complete
+            traffic.off_chip_demand_bytes += self._line_bytes
+            result = ~complete
+        if nsb_hot is not None:
+            # Promote into the NSB (it missed there, so a plain fill).
+            if len(nset) >= nsb_assoc:
+                nsb = self.nsb
+                nsb.evictions += 1
+                if nset.pop(next(iter(nset))) < 0:
+                    nsb.prefetch_evicted_unused += 1
+            nset[ntag] = complete
+        return result
 
     # -- batched demand path -------------------------------------------------
     def demand_lines(
@@ -356,10 +470,8 @@ class MemorySystem:
         walk over the same caches, so every same-batch interaction —
         same-set evictions, MSHR coalesces — is resolved by construction
         rather than by a conflict analysis. What the batch form removes is
-        the per-line interpreter overhead: one call per *instruction*
-        instead of per line, set/tag math inlined against
-        :meth:`Cache.hot_state`, statistics accumulated in locals and
-        folded once, and no :class:`AccessResult` objects.
+        the per-line call overhead: one call per *instruction* instead of
+        per line, and statistics accumulated in locals and folded once.
 
         Returns ``(last_complete_cycle, dram_flags)``; ``dram_flags[k]``
         is 1 when line ``k`` went off-chip (the executors fold these
@@ -552,12 +664,11 @@ class MemorySystem:
         Returns the fill-ready cycle when any fill was started (the request
         counts toward issued-prefetch statistics), else None.
         """
-        nsb_probe = self._nsb_probe
-        target_nsb = irregular and nsb_probe is not None
-        if target_nsb and nsb_probe(line_addr) is not None:
+        target_nsb = irregular and self.nsb is not None
+        if target_nsb and self.nsb.probe(line_addr) is not None:
             return None
 
-        ready = self._l2_probe(line_addr)
+        ready = self.l2.probe(line_addr)
         if ready is not None:
             if not target_nsb:
                 return None
@@ -565,21 +676,22 @@ class MemorySystem:
             t = now + self._l2_lat
             if t > ready:
                 ready = t
-            self._nsb_alloc(now, line_addr, ready, by_prefetch=True)
+            self.nsb.allocate(now, line_addr, ready, by_prefetch=True)
             self._stats_pf.issued += 1
             self._pf_pending.add(line_addr)
             return ready
 
         line_bytes = self._line_bytes
-        start = self._l2_mshr_free(now)
+        mshr = self.l2.mshr
+        start = mshr.earliest_free_slot(now)
         if now > start:
             start = now
-        dram_done = self._dram_access(start, line_bytes, is_prefetch=True)
+        dram_done = self.dram.access(start, line_bytes, is_prefetch=True)
         ready = dram_done + self._l2_lat
-        self._l2_mshr_alloc(start, line_addr, ready)
-        self._l2_alloc(now, line_addr, ready, by_prefetch=True)
+        mshr.allocate(start, line_addr, ready)
+        self.l2.allocate(now, line_addr, ready, by_prefetch=True)
         if target_nsb:
-            self._nsb_alloc(now, line_addr, ready, by_prefetch=True)
+            self.nsb.allocate(now, line_addr, ready, by_prefetch=True)
         pf_stats = self._stats_pf
         pf_stats.issued += 1
         pf_stats.issued_lines_off_chip += 1

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from ...errors import ConfigError
 from ...registry import Registry
 from ..cpu import ControlCPU
-from ..request import HitLevel
 from ..stats import RunStats
 from ...prefetch.base import Prefetcher
 from .isa import VectorGather, VectorLoad
@@ -92,9 +91,11 @@ class _EngineBase:
     ``ooo``, ``preload`` and NVR), a load or gather is one request vector:
     a single :meth:`~repro.sim.memory.hierarchy.MemorySystem.demand_lines`
     call walks all its lines. A prefetcher that snoops every demand line
-    (stream, IMP, DVR override ``on_demand_access``) needs a result object
-    per line anyway, so those runs keep the per-line ``demand_line`` walk.
-    Both walks are bit-identical.
+    (stream, IMP, DVR override ``on_demand_access``) must see each line's
+    off-chip bit before the next line issues, so those runs keep the
+    per-line :meth:`~repro.sim.memory.hierarchy.MemorySystem.demand_line`
+    walk, which returns one int per line (the completion cycle, negated
+    with ``~`` when the line went off-chip). Both walks are bit-identical.
     """
 
     def __init__(
@@ -182,11 +183,14 @@ class _EngineBase:
         at = now
         slot = 0
         for la in lines:
-            res = demand_line(at, la, False)
+            complete = demand_line(at, la, False)
+            off_chip = complete < 0
+            if off_chip:
+                complete = ~complete
             if hook is not None:
-                hook(at, sid, la, None, res)
-            if res.complete_at > done:
-                done = res.complete_at
+                hook(at, sid, la, None, off_chip)
+            if complete > done:
+                done = complete
             slot += 1
             if slot == width:
                 slot = 0
@@ -221,7 +225,6 @@ class _EngineBase:
         demand_line = self._demand_line
         hook = self._pf_hook
         sid = gather.stream_id
-        dram = HitLevel.DRAM
         done = now
         at = now
         slot = 0
@@ -233,7 +236,11 @@ class _EngineBase:
                 elem_missed = False
                 la = firsts_l[e]
                 for line_i in range(counts_l[e]):
-                    res = demand_line(at, la, True)
+                    complete = demand_line(at, la, True)
+                    off_chip = complete < 0
+                    if off_chip:
+                        complete = ~complete
+                        elem_missed = True
                     if hook is not None:
                         # Index/address pairs are only architecturally
                         # visible for the first line of a segment (the
@@ -243,12 +250,10 @@ class _EngineBase:
                             sid,
                             la,
                             idx_l[e] if line_i == 0 else None,
-                            res,
+                            off_chip,
                         )
-                    if res.hit_level is dram:
-                        elem_missed = True
-                    if res.complete_at > done:
-                        done = res.complete_at
+                    if complete > done:
+                        done = complete
                     la += lb
                     slot += 1
                     if slot == issue_width:

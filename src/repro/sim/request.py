@@ -57,10 +57,12 @@ class Access:
 class AccessResult:
     """Outcome of sending one :class:`Access` through the hierarchy.
 
-    Treat instances as immutable: one is created per demand line access
-    (millions per sweep), and the plain ``__init__`` of a non-frozen
-    dataclass is measurably cheaper than frozen's per-field
-    ``object.__setattr__``. Nothing may mutate or hash a result.
+    Returned by ``demand_access``, the method-based reference walk that
+    the tests hold the simulator's fast walks to. The fast walks build no
+    result per line: the per-line ``demand_line`` returns the completion
+    cycle as an int (``~cycle`` when the line went off-chip) and the
+    request-vector ``demand_lines`` one flag per line. Treat instances
+    as immutable; nothing may mutate or hash a result.
 
     Attributes:
         complete_at: cycle at which the requested line is usable.

@@ -61,14 +61,14 @@ class PerfectMemory:
         return True
 
     def demand_access(self, now: int, access: Access, irregular: bool) -> AccessResult:
-        return self.demand_line(now, access.line_addr, irregular)
-
-    def demand_line(self, now: int, line: int, irregular: bool) -> AccessResult:
         if self._nsb_lat is not None and irregular:
             return AccessResult(
                 complete_at=now + self._nsb_lat, hit_level=HitLevel.NSB
             )
         return AccessResult(complete_at=now + self._l2_lat, hit_level=HitLevel.L2)
+
+    def demand_line(self, now: int, line: int, irregular: bool) -> int:
+        return now + self.hit_latency(irregular)
 
     def prefetch_line(self, now: int, line_addr: int, irregular: bool) -> None:
         return None

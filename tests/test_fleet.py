@@ -15,6 +15,8 @@ The acceptance properties of the fleet layer:
 """
 
 import json
+import os
+import subprocess
 import sys
 import time
 
@@ -176,6 +178,20 @@ class TestLocalDriver:
         driver = LocalDriver(tmp_path)
         dead = WorkerHandle("gone", {"pid": 2**22 + 12345})
         assert driver.poll([dead]) == {"gone": EXITED}
+
+    @pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+    def test_restored_handle_of_an_exited_unreaped_child_reads_exited(self, tmp_path):
+        # `fleet down` run in the process that ran `fleet up` polls its
+        # own exited workers by pid. Until reaped, such a child is a
+        # zombie, which still answers kill 0.
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        try:
+            # Wait for the exit but leave the child unreaped.
+            os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)
+            handle = WorkerHandle("zombie", {"pid": proc.pid})
+            assert LocalDriver(tmp_path).poll([handle]) == {"zombie": EXITED}
+        finally:
+            proc.wait(timeout=5)
 
     def test_worker_argv_targets_the_queue_cli(self, tmp_path):
         driver = LocalDriver(tmp_path, worker_args=["--heartbeat", "0.5"])

@@ -136,12 +136,27 @@ kernel_calls_strategy = st.lists(
 
 
 def _per_line_demand(mem, now, issue_width, lines, irregular):
+    """``demand_lines`` as ``demand_access`` calls, the reference walk."""
     done = now
     flags = bytearray(len(lines))
     for k, line in enumerate(lines):
-        res = mem.demand_line(now + k // issue_width, line, irregular)
+        access = Access(line, AccessType.DEMAND)
+        res = mem.demand_access(now + k // issue_width, access, irregular)
         done = max(done, res.complete_at)
         flags[k] = res.off_chip
+    return done, flags
+
+
+def _lean_per_line_demand(mem, now, issue_width, lines, irregular):
+    """``demand_lines`` as ``demand_line`` calls, decoding each int."""
+    done = now
+    flags = bytearray(len(lines))
+    for k, line in enumerate(lines):
+        complete = mem.demand_line(now + k // issue_width, line, irregular)
+        if complete < 0:
+            complete = ~complete
+            flags[k] = 1
+        done = max(done, complete)
     return done, flags
 
 
@@ -157,35 +172,50 @@ def _per_line_prefetch(mem, now, lines, irregular, max_issue):
 
 
 def _cache_state(cache):
+    mshr = cache.mshr
     return (
         [list(cache_set.items()) for cache_set in cache.hot_state()[0]],
         cache.evictions,
         cache.prefetch_evicted_unused,
+        dict(mshr.hot_state()[1]),
+        mshr.structural_stalls,
+        mshr.peak_occupancy,
     )
 
 
 class TestBatchKernelsMatchPerLineWalk:
-    """``demand_lines``/``prefetch_lines`` against the per-line walk."""
+    """Both fast walks against the method-based reference.
+
+    The reference issues demands through ``demand_access`` and
+    prefetches through ``prefetch_line``; the lean per-line walk issues
+    demands through ``demand_line``, and the request-vector kernel
+    through ``demand_lines``/``prefetch_lines``.
+    """
 
     @settings(max_examples=80, deadline=None)
     @given(kernel_calls_strategy, st.booleans(), st.booleans())
     def test_same_stats_and_cache_contents(self, calls, nsb, cpu):
-        walk = make_small_system(nsb, cpu)
+        ref = make_small_system(nsb, cpu)
+        lean = make_small_system(nsb, cpu)
         kernel = make_small_system(nsb, cpu)
         now = 0
         for delta, is_prefetch, irregular, width, idxs in calls:
             now += delta
             lines = [idx * 64 for idx in idxs]
             if is_prefetch:
-                want = _per_line_prefetch(walk, now, lines, irregular, width)
+                want = _per_line_prefetch(ref, now, lines, irregular, width)
+                lean_got = _per_line_prefetch(lean, now, lines, irregular, width)
                 got = kernel.prefetch_lines(now, lines, irregular, width)
             else:
-                want = _per_line_demand(walk, now, width, lines, irregular)
+                want = _per_line_demand(ref, now, width, lines, irregular)
+                lean_got = _lean_per_line_demand(lean, now, width, lines, irregular)
                 got = kernel.demand_lines(now, width, lines, irregular)
+            assert lean_got == want
             assert got == want
-        walk.finalize(now)
-        kernel.finalize(now)
-        assert kernel.stats == walk.stats
-        assert _cache_state(kernel.l2) == _cache_state(walk.l2)
-        if nsb:
-            assert _cache_state(kernel.nsb) == _cache_state(walk.nsb)
+        for mem in (ref, lean, kernel):
+            mem.finalize(now)
+        for mem in (lean, kernel):
+            assert mem.stats == ref.stats
+            assert _cache_state(mem.l2) == _cache_state(ref.l2)
+            if nsb:
+                assert _cache_state(mem.nsb) == _cache_state(ref.nsb)

@@ -13,7 +13,6 @@ from repro.prefetch import (
 from repro.prefetch.stream import _StreamEntry
 from repro.sim.memory.hierarchy import MemoryConfig
 from repro.sim.npu.program import ProgramConfig, build_one_side_program
-from repro.sim.request import AccessResult, HitLevel
 from repro.sim.soc import System
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.generate import uniform_csr
@@ -125,7 +124,7 @@ class TestStreamTraining:
             confidence=pf.confirm,
             frontier=frontier,
         )
-        pf.on_demand_access(now, 0, line_addr, None, AccessResult(now, HitLevel.L2))
+        pf.on_demand_access(now, 0, line_addr, None, off_chip=False)
         ats, targets = _candidate_loop(now, line_addr, stride * 64, frontier, degree)
         assert port.calls == ([(ats, targets)] if targets else [])
         assert pf._table[0].frontier == max(frontier, line_addr + degree * stride * 64)

@@ -491,6 +491,32 @@ class TestQueueBackend:
         assert result.total_cycles > 0
         assert not report_path.exists()
 
+    def test_unit_consumed_by_another_orchestrator_is_requeued_next_poll(
+        self, tmp_path
+    ):
+        # Two orchestrators wait on one content-addressed unit. While this
+        # one sleeps, the other consumes the result and the unit with it;
+        # the next idle poll must re-enqueue the unit, long before the
+        # lease-timeout-scaled recovery cadence (15 s here) comes round.
+        work = tmp_path / "work"
+        spec = RunSpec("st", scale=SCALE)
+        sleeps = []
+
+        def sleep_while_others_work(seconds):
+            if not sleeps:
+                run_queue_worker(work, max_units=1, poll=0.02)
+                other = QueueBackend(work, lease_timeout=60, poll=0.02, timeout=5)
+                assert len(list(other.run([(spec.key(), spec)]))) == 1
+            else:
+                run_queue_worker(work, max_units=1, poll=0.02, idle_timeout=0.05)
+            sleeps.append(seconds)
+
+        backend = QueueBackend(work, lease_timeout=60, poll=0.02, timeout=2)
+        backend._sleep = sleep_while_others_work
+        (result,) = SweepRunner(backend=backend).run_plan([spec])
+        assert result.total_cycles > 0
+        assert len(sleeps) == 2
+
     def test_work_dir_is_required(self):
         with pytest.raises(ConfigError, match="work"):
             make_backend("queue")

@@ -47,7 +47,7 @@ HOOK_FREE = tuple(m for m in MECHANISMS.names() if not _snoops_demand_lines(m))
 NVR_TUNED = tuple(m for m in HOOK_FREE if MECHANISMS.get(m).uses_nvr_config)
 
 
-def _noop_demand_hook(self, now, stream_id, line_addr, idx_value, result):
+def _noop_demand_hook(self, now, stream_id, line_addr, idx_value, off_chip):
     """Observes nothing; its presence selects the per-line walk."""
 
 
