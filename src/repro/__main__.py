@@ -5,16 +5,13 @@ Usage::
     python -m repro run ds --mechanism nvr --dtype fp16 --scale 0.5
     python -m repro compare gcn --nsb --jobs 4
     python -m repro sweep --workloads ds,gcn --mechanisms inorder,nvr
-    python -m repro sweep --spec plan.json --backend shards --jobs 4
+    python -m repro sweep --spec plan.json --jobs 4
     python -m repro ablate nvr-depth --workloads ds,gcn --jobs 4
     python -m repro profile --workloads gcn,mk --mechanisms inorder,nvr
     python -m repro workloads
     python -m repro overhead
     python -m repro figures --scale 0.6 --jobs 4 -o EXPERIMENTS.md
     python -m repro plan export --figures --scale 0.1 --out plan.json
-    python -m repro plan shard plan.json --shards 4 --out-dir shards/
-    python -m repro worker run shards/plan-shard-0-of-4.json --out r0.json
-    python -m repro plan merge r0.json r1.json ...
     python -m repro queue worker --work-dir work/ &
     python -m repro sweep --backend queue --work-dir work/ --workloads ds
     python -m repro queue status --work-dir work/ [--json]
@@ -37,16 +34,12 @@ Every executing subcommand (``run``, ``compare``, ``sweep``, ``ablate``,
 over N worker processes and every result (single ``run`` points
 included) is memoised in the on-disk cache (``.repro-cache/`` or
 ``$REPRO_CACHE_DIR``; disable with ``--no-cache``), so repeated and
-overlapping invocations only simulate new points. ``--backend shards``
-runs the missing points as share-nothing ``repro worker`` subprocesses
-over serialized shards instead — the same wire format the
-``plan``/``worker`` commands expose for multi-machine sweeps: *export* a
-plan, *shard* it, run each shard with ``worker run`` wherever, and
-*merge* the result files back into the cache; figure runs then consume
-them as ordinary warm hits. ``--backend queue`` inverts the deal:
-missing points become claimable unit files under ``--work-dir`` and any
-number of ``repro queue worker`` processes *pull* them, heartbeating a
-lease so crashed workers' units are re-enqueued automatically; ``queue
+overlapping invocations only simulate new points. ``plan export`` writes
+a sweep's points as a wire-format plan file that ``sweep --spec``
+executes anywhere. ``--backend queue`` runs the missing points
+off-process: they become claimable unit files under ``--work-dir`` and
+any number of ``repro queue worker`` processes *pull* them, heartbeating
+a lease so crashed workers' units are re-enqueued automatically; ``queue
 status`` inspects a work directory and ``touch <work-dir>/stop`` drains
 the workers. ``fleet`` owns the workers' *lifecycle*: ``fleet up``
 submits N ``queue worker`` processes through a pluggable driver
@@ -58,7 +51,10 @@ autoscaled) fleet, drain a figures or plan sweep through it, tear it
 down. ``cache gc`` bounds the cache's size with least-recently-accessed
 eviction, and ``cache push``/``pull --remote`` sync entries with a
 shared directory or rsync tier so fleets on different filesystems share
-warmth (pulls are salt/spec-verified, exactly like cache reads).
+warmth (pulls are salt/spec-verified, exactly like cache reads) —
+machines that share nothing export their slice of a plan, ``sweep
+--spec`` it, and ``cache push`` the results for the submitter to ``cache
+pull``.
 ``serve`` turns the same machinery into a long-lived daemon: sweeps
 arrive over HTTP (``POST /v1/sweeps``), dedupe point-by-point against
 the cache, and only the misses hit the queue — see
@@ -92,18 +88,14 @@ from .runner import (
     Plan,
     ResultCache,
     WorkQueue,
-    merge_results,
     pull_cache,
     push_cache,
     result_to_payload,
     run_queue_worker,
-    run_shard,
     trace_to_payload,
     units_per_minute,
-    write_results,
 )
 from .runner.fleet import make_driver
-from .runner.progress import Progress
 from .runner.queue import (
     DEFAULT_HEARTBEAT,
     DEFAULT_LEASE_TIMEOUT,
@@ -221,10 +213,9 @@ def _sweep_grid(args: argparse.Namespace) -> Grid:
 def _payload_records(specs, results) -> list[dict]:
     """Content-addressed records, re-serialised exactly as a worker would.
 
-    ``repro sweep --spec --json`` and ``repro worker run`` outputs are
-    directly comparable: payloads are a pure function of the spec, so a
-    local run and a shard-merged run of the same plan dump identical
-    records — the byte-for-byte check ``distributed-smoke`` performs.
+    Payloads are a pure function of the spec, so ``repro sweep --spec
+    --json`` dumps identical records whichever backend (or pulled cache)
+    served the plan — the byte-for-byte check ``queue-smoke`` performs.
     """
     return [
         {
@@ -370,38 +361,6 @@ def _cmd_plan_export(args: argparse.Namespace) -> int:
         plan = _sweep_grid(args).plan(source="sweep")
     path = plan.save(args.out)
     print(f"wrote {path}: {len(plan)} points " f"({len(plan.unique_specs())} unique)")
-    return 0
-
-
-def _cmd_plan_shard(args: argparse.Namespace) -> int:
-    plan = Plan.load(args.plan)
-    shards = plan.shard(args.shards)
-    out_dir = Path(args.out_dir) if args.out_dir else Path(args.plan).parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.plan).stem
-    for shard in shards:
-        index = shard.meta["shard"]["index"]
-        path = shard.save(out_dir / f"{stem}-shard-{index}-of-{args.shards}.json")
-        print(f"{path}: {len(shard)} points")
-    return 0
-
-
-def _cmd_plan_merge(args: argparse.Namespace) -> int:
-    cache = ResultCache(resolve_cache_dir(getattr(args, "cache_dir", None)))
-    report = merge_results(args.results, cache)
-    print(
-        f"merged {report.records} results from {report.files} file(s) "
-        f"into {cache.root} ({report.merged} new, "
-        f"{report.refreshed} refreshed)"
-    )
-    return 0
-
-
-def _cmd_worker_run(args: argparse.Namespace) -> int:
-    plan = Plan.load(args.shard)
-    records = run_shard(plan, jobs=args.jobs, progress=Progress())
-    path = write_results(args.out, records)
-    print(f"wrote {path} ({len(records)} results)")
     return 0
 
 
@@ -933,8 +892,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan_p = sub.add_parser(
         "plan",
-        help="export, shard and merge wire-format sweep plans "
-        "(the multi-machine workflow)",
+        help="export wire-format sweep plans "
+        "(for 'sweep --spec' and 'fleet run --spec')",
     )
     plan_sub = plan_p.add_subparsers(dest="plan_cmd", required=True)
     exp_p = plan_sub.add_parser(
@@ -966,47 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_sweep_axis_arguments(exp_p)
     exp_p.set_defaults(fn=_cmd_plan_export)
-    shard_p = plan_sub.add_parser(
-        "shard", help="partition a plan into deterministic shard files"
-    )
-    shard_p.add_argument("plan", help="plan file from 'plan export'")
-    shard_p.add_argument(
-        "--shards",
-        type=int,
-        required=True,
-        help="how many shard files to write",
-    )
-    shard_p.add_argument(
-        "--out-dir",
-        default=None,
-        help="directory for the shard files (default: next to the plan)",
-    )
-    shard_p.set_defaults(fn=_cmd_plan_shard)
-    merge_p = plan_sub.add_parser(
-        "merge",
-        parents=[cache_parent],
-        help="fold 'worker run' result files into the result cache",
-    )
-    merge_p.add_argument("results", nargs="+", help="result files from 'worker run'")
-    merge_p.set_defaults(fn=_cmd_plan_merge)
-
-    worker_p = sub.add_parser(
-        "worker",
-        help="execute plan shards (the distributed worker side)",
-    )
-    worker_sub = worker_p.add_subparsers(dest="worker_cmd", required=True)
-    wrun_p = worker_sub.add_parser(
-        "run", help="execute one shard file and write its result file"
-    )
-    wrun_p.add_argument("shard", help="shard (or whole plan) file")
-    wrun_p.add_argument("--out", required=True, help="result file to write")
-    wrun_p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="local worker processes for this shard (default 1)",
-    )
-    wrun_p.set_defaults(fn=_cmd_worker_run)
 
     queue_p = sub.add_parser(
         "queue",
@@ -1416,7 +1334,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except ReproError as exc:
-        # Config mistakes (a corrupt plan/shard file, an inconsistent
+        # Config mistakes (a corrupt plan or result file, an inconsistent
         # override) are user input errors: report them as one clean line,
         # not a traceback.
         print(f"error: {exc}", file=sys.stderr)

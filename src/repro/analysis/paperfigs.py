@@ -401,9 +401,9 @@ def figures_plan(scale: float = 0.6, seed: int = 0) -> Plan:
 
     Built from the same per-figure plan builders the figure runners use
     (same scale caps included), so executing this plan — locally, or
-    sharded across worker machines and merged — warms a cache from which
-    a subsequent ``repro figures`` run is served without simulating
-    anything. The ``distributed-smoke`` CI job pins exactly that.
+    through queue workers — warms a cache from which a subsequent
+    ``repro figures`` run is served without simulating anything. The
+    ``queue-smoke`` CI job pins exactly that.
     """
     fig8_scale = min(scale, FIG8_SCALE_CAP)
     specs = [

@@ -5,20 +5,19 @@ parallel — and distributable — plan:
 
 * :mod:`repro.runner.plan` — :class:`RunSpec` points, cartesian
   :func:`expand`-sion, and the wire-format :class:`Plan`
-  (JSON round-trip + deterministic sharding);
+  (JSON round-trip);
 * :mod:`repro.runner.pool` — :class:`SweepRunner`, the dedupe + cache +
   backend execution engine;
 * :mod:`repro.runner.backend` — pluggable :class:`Backend` protocol:
-  :class:`LocalPoolBackend` (in-process ``ProcessPoolExecutor``),
-  :class:`FileShardBackend` (share-nothing ``repro worker`` processes
-  over serialized shards) and :class:`QueueBackend` (workers *pull*
-  claimable units from a shared directory);
+  :class:`LocalPoolBackend` (in-process ``ProcessPoolExecutor``) and
+  :class:`QueueBackend` (workers *pull* claimable units from a shared
+  directory);
 * :mod:`repro.runner.queue` — the pull-based work queue:
-  :class:`WorkQueue` unit/lease/result protocol and the
+  :class:`WorkQueue` unit/lease/result protocol, the result-file format
+  (:func:`write_results`/:func:`load_results`) and the
   :class:`QueueBackend` orchestrator with crash recovery;
-* :mod:`repro.runner.worker` — shard and queue-unit execution plus
-  result merging, the machinery behind ``repro worker run``,
-  ``repro queue worker`` and ``repro plan merge``;
+* :mod:`repro.runner.worker` — queue-unit execution, the machinery
+  behind ``repro queue worker``;
 * :mod:`repro.runner.fleet` — worker *acquisition* for the queue:
   :class:`Fleet` herding (restart-on-death, autoscaling) over pluggable
   :data:`FLEET_DRIVERS` (local subprocesses, SSH fan-out, SLURM arrays);
@@ -34,7 +33,6 @@ from ..spec import SystemSpec
 from .backend import (
     BACKEND_NAMES,
     Backend,
-    FileShardBackend,
     LocalPoolBackend,
     make_backend,
 )
@@ -78,18 +76,13 @@ from .queue import (
     QueueStatus,
     WorkQueue,
     batch_unit_id,
+    load_results,
     unit_id,
     units_per_minute,
-)
-from .sync import SyncReport, pull_cache, push_cache
-from .worker import (
-    MergeReport,
-    load_results,
-    merge_results,
-    run_queue_worker,
-    run_shard,
     write_results,
 )
+from .sync import SyncReport, pull_cache, push_cache
+from .worker import run_queue_worker
 
 __all__ = [
     "AutoscalerPolicy",
@@ -98,14 +91,12 @@ __all__ = [
     "CACHE_SALT",
     "DEFAULT_CACHE_DIR",
     "FLEET_DRIVERS",
-    "FileShardBackend",
     "Fleet",
     "FleetStatus",
     "GCReport",
     "LocalDriver",
     "LocalPoolBackend",
     "MemorySpec",
-    "MergeReport",
     "NVRSpec",
     "NullProgress",
     "PLAN_FORMAT",
@@ -130,14 +121,12 @@ __all__ = [
     "make_backend",
     "make_driver",
     "materialise",
-    "merge_results",
     "parse_hosts_file",
     "payload_to_result",
     "pull_cache",
     "push_cache",
     "result_to_payload",
     "run_queue_worker",
-    "run_shard",
     "shape_l2",
     "tenant_salt",
     "trace_to_payload",

@@ -7,40 +7,28 @@ executing the pending points to a :class:`Backend`:
 * :class:`LocalPoolBackend` — the default: inline for one point or one
   job, a persistent ``ProcessPoolExecutor`` otherwise. Everything stays
   in this process tree.
-* :class:`FileShardBackend` — the push-model distributed execution: the
-  pending points are compiled into a wire-format
-  :class:`~repro.runner.plan.Plan`, sharded deterministically, and each
-  shard is executed by an independent ``repro worker run`` process that
-  shares nothing with the submitter but a work directory. The worker
-  result files are read back (and folded into the submitter's cache by
-  the runner, exactly like locally-computed payloads).
-* :class:`~repro.runner.queue.QueueBackend` — the pull model: pending
-  points become claimable unit files in a work directory and any number
-  of ``repro queue worker`` processes pull them; leases detect crashed
-  workers and their units are re-enqueued (see
+* :class:`~repro.runner.queue.QueueBackend` — the off-process path:
+  pending points become claimable unit files in a work directory and any
+  number of ``repro queue worker`` processes pull them; leases detect
+  crashed workers and their units are re-enqueued (see
   :mod:`repro.runner.queue`).
 
 All backends yield ``(key, spec, payload)`` triples as points complete;
 results are a pure function of the spec, so every backend produces
-bit-identical payloads — the invariant the ``distributed-smoke`` and
-``queue-smoke`` CI jobs pin.
+bit-identical payloads — the invariant the ``queue-smoke`` CI job pins.
 """
 
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from pathlib import Path
 from typing import Iterator, Protocol
 
-from ..errors import ConfigError, SimulationError
-from .plan import Plan, RunSpec
+from ..errors import ConfigError
+from .plan import RunSpec
 
 #: Backend names accepted by ``--backend`` (see :func:`make_backend`).
-BACKEND_NAMES = ("local", "shards", "queue")
+BACKEND_NAMES = ("local", "queue")
 
 
 class Backend(Protocol):
@@ -102,156 +90,22 @@ class LocalPoolBackend:
             self._executor = None
 
 
-class FileShardBackend:
-    """Share-nothing execution through ``repro worker run`` processes.
-
-    Each plan becomes ``shards`` wire-format shard files in a work
-    directory; one worker subprocess per shard executes it and writes a
-    result file; the backend reads the results back. The subprocesses
-    are real ``python -m repro worker run`` invocations — the exact
-    command a remote machine would run against a shared filesystem — so
-    local ``--backend shards`` sweeps exercise the full distributed
-    path, serialisation included.
-
-    Attributes:
-        shards: how many worker processes (= shard files) per plan.
-        worker_jobs: ``--jobs`` forwarded to each worker (default 1:
-            one process per shard is already the parallelism).
-        work_dir: where shard/result files live; a temporary directory
-            (cleaned up on :meth:`close`) when not given. Pass an
-            explicit directory to keep the files for inspection.
-    """
-
-    def __init__(
-        self,
-        shards: int = 2,
-        worker_jobs: int = 1,
-        work_dir: str | os.PathLike | None = None,
-    ) -> None:
-        if shards < 1:
-            raise ConfigError(f"shard count must be >= 1, got {shards}")
-        self.shards = int(shards)
-        self.worker_jobs = max(1, int(worker_jobs))
-        self._keep_work = work_dir is not None
-        self._work_dir = Path(work_dir) if work_dir is not None else None
-        self._tmp: tempfile.TemporaryDirectory | None = None
-        self._plan_seq = 0
-
-    # Compatibility with call sites that size progress output off the
-    # runner's job count.
-    @property
-    def jobs(self) -> int:
-        return self.shards
-
-    def _root(self) -> Path:
-        if self._work_dir is None:
-            self._tmp = tempfile.TemporaryDirectory(prefix="repro-shards-")
-            self._work_dir = Path(self._tmp.name)
-        self._work_dir.mkdir(parents=True, exist_ok=True)
-        return self._work_dir
-
-    def run(
-        self, pending: list[tuple[str, RunSpec]]
-    ) -> Iterator[tuple[str, RunSpec, dict]]:
-        from .worker import load_results  # circular at import time only
-
-        self._plan_seq += 1
-        plan_dir = self._root() / f"plan-{self._plan_seq:03d}"
-        plan_dir.mkdir(parents=True, exist_ok=True)
-        plan = Plan(specs=[spec for _, spec in pending])
-        shards = [s for s in plan.shard(self.shards) if s.specs]
-        procs: list[tuple[subprocess.Popen, Path, Path]] = []
-        by_key = dict(pending)
-        seen: set[str] = set()
-        try:
-            for shard in shards:
-                index = shard.meta["shard"]["index"]
-                shard_path = shard.save(
-                    plan_dir / f"shard-{index}-of-{self.shards}.json"
-                )
-                out_path = plan_dir / f"results-{index}-of-{self.shards}.json"
-                command = [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "worker",
-                    "run",
-                    str(shard_path),
-                    "--out",
-                    str(out_path),
-                    "--jobs",
-                    str(self.worker_jobs),
-                ]
-                proc = subprocess.Popen(
-                    command,
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
-                    text=True,
-                )
-                procs.append((proc, shard_path, out_path))
-
-            for proc, shard_path, out_path in procs:
-                _, stderr = proc.communicate()
-                if proc.returncode != 0:
-                    raise SimulationError(
-                        f"worker for {shard_path.name} exited with "
-                        f"{proc.returncode}:\n{stderr.strip()}"
-                    )
-                for record in load_results(out_path):
-                    key = record["key"]
-                    spec = by_key.get(key)
-                    if spec is None:
-                        raise SimulationError(
-                            f"{out_path.name} returned result for unknown "
-                            f"spec key {key[:32]}..."
-                        )
-                    seen.add(key)
-                    yield key, spec, record["payload"]
-        except BaseException:
-            # One failed (or abandoned) shard must not leave the others
-            # running as orphans — they would burn CPU and write into a
-            # work dir close() is about to delete. Kill and reap before
-            # propagating.
-            for proc, _, _ in procs:
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.wait()
-            raise
-        missing = len(by_key) - len(seen)
-        if missing:
-            raise SimulationError(
-                f"workers returned {len(seen)}/{len(by_key)} results "
-                f"({missing} missing) — incomplete result files under "
-                f"{plan_dir}"
-            )
-
-    def close(self) -> None:
-        if self._tmp is not None:
-            self._tmp.cleanup()
-            self._tmp = None
-            self._work_dir = None
-
-
 def make_backend(
     name: str,
     jobs: int = 1,
     work_dir: str | os.PathLike | None = None,
     queue_batch: int = 1,
 ) -> Backend:
-    """Build the ``--backend`` CLI choice: 'local', 'shards' or 'queue'.
+    """Build the ``--backend`` CLI choice: 'local' or 'queue'.
 
-    ``jobs`` means worker processes where this process owns them: the
-    pool width locally, the shard count (one worker process per shard)
-    for 'shards'. The 'queue' backend ignores it — its parallelism is
-    however many ``repro queue worker`` processes attach to the shared
-    ``work_dir`` (which is therefore required). ``queue_batch`` groups
-    that many points per claimable queue unit (ignored by the other
-    backends).
+    ``jobs`` is the local pool width. The 'queue' backend ignores it —
+    its parallelism is however many ``repro queue worker`` processes
+    attach to the shared ``work_dir`` (which is therefore required).
+    ``queue_batch`` groups that many points per claimable queue unit
+    (ignored by the local backend).
     """
     if name == "local":
         return LocalPoolBackend(jobs=jobs)
-    if name == "shards":
-        return FileShardBackend(shards=max(1, int(jobs)), work_dir=work_dir)
     if name == "queue":
         from .queue import QueueBackend  # circular at import time only
 

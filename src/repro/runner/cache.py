@@ -301,11 +301,12 @@ class ResultCache:
 
         ``put``/``get`` stay lock-free (atomic rename makes them safe),
         but operations that *scan then delete or bulk-insert* — ``gc``,
-        ``clear``, and ``repro plan merge`` folding worker results in —
-        must not interleave: a gc pass racing a merge could collect the
-        freshly merged entries it never saw get touched. The lock is an
-        advisory ``flock`` on ``<root>/.lock`` (waits, never fails);
-        holders may call ``put`` freely but must not nest ``lock()``.
+        ``clear``, and :func:`~repro.runner.sync.pull_cache` folding a
+        remote tier in — must not interleave: a gc pass racing a pull
+        could collect the freshly pulled entries it never saw get
+        touched. The lock is an advisory ``flock`` on ``<root>/.lock``
+        (waits, never fails); holders may call ``put`` freely but must
+        not nest ``lock()``.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         with open(self.root / ".lock", "a", encoding="utf-8") as handle:
@@ -324,7 +325,7 @@ class ResultCache:
 
         The stored ``salt`` and ``spec`` must match the requesting spec:
         the path already hashes both, but a cache directory copied
-        between code versions — or a worker file hand-merged at the
+        between code versions — or an entry hand-copied to the
         wrong path — would otherwise be served silently. A mismatched
         entry degrades to a miss, exactly like a corrupt one.
         """
@@ -402,9 +403,9 @@ class ResultCache:
         of a real (non-dry) collection.
 
         The scan-and-delete pass holds the cache :meth:`lock`, so a
-        concurrent ``repro plan merge`` (which locks for its bulk
-        insert) can never land fresh worker results between the scan
-        and the unlink — one of the two fully precedes the other.
+        concurrent ``repro cache pull`` (which locks for its bulk
+        insert) can never land fresh entries between the scan and the
+        unlink — one of the two fully precedes the other.
         """
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")

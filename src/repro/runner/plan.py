@@ -22,9 +22,10 @@ canonical ``system`` field, so two specs describing the same platform
 compare (and hash) equal however they were written.
 
 :class:`Plan` wraps a spec list in a versioned wire format
-(``to_json``/``from_json``) and shards it deterministically, so compiled
-plans can leave the process and run on machines that share nothing but a
-filesystem (see :mod:`repro.runner.worker`).
+(``to_json``/``from_json``), so compiled plans can leave the process:
+``repro plan export`` writes one, ``repro sweep --spec`` and ``repro
+fleet run --spec`` execute one, and ``repro serve`` accepts one as a
+sweep body.
 """
 
 from __future__ import annotations
@@ -325,8 +326,9 @@ def expand(
     ]
 
 
-#: Wire-format version of plan/shard files. Bump on incompatible layout
-#: changes; readers reject other versions instead of mis-parsing them.
+#: Wire-format version of plan and result files. Bump on incompatible
+#: layout changes; readers reject other versions instead of mis-parsing
+#: them.
 PLAN_FORMAT = 1
 
 
@@ -336,10 +338,10 @@ class Plan:
 
     The unit that leaves the process: ``to_json``/``from_json`` round-trip
     every spec (via its canonical :class:`~repro.spec.SystemSpec` dict),
-    so a plan compiled on one machine can be sharded, shipped to workers
-    that share nothing but a filesystem, and executed bit-identically.
-    ``meta`` carries free-form provenance (source command, scale, shard
-    coordinates); it never contributes to any content address.
+    so a plan compiled on one machine can be shipped to another and
+    executed bit-identically. ``meta`` carries free-form provenance
+    (source command, scale); it never contributes to any content
+    address.
     """
 
     specs: list[RunSpec] = field(default_factory=list)
@@ -352,8 +354,8 @@ class Plan:
         """The deduplicated points, sorted by content key.
 
         Sorting by key makes the order a function of plan *content* —
-        two plans listing the same points in different orders dedupe,
-        shard and merge identically.
+        two plans listing the same points in different orders dedupe
+        identically.
         """
         unique = {spec.key(): spec for spec in self.specs}
         return [unique[key] for key in sorted(unique)]
@@ -423,28 +425,3 @@ class Plan:
             return cls.from_json(text)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-
-    # -- sharding ------------------------------------------------------------
-
-    def shard(self, shards: int) -> list["Plan"]:
-        """Partition into ``shards`` deterministic sub-plans.
-
-        The unique points, sorted by content key, are dealt round-robin —
-        so the partition depends only on (plan content, shard count), the
-        shards are balanced to within one spec, and every point appears in
-        exactly one shard. Shards may be empty when ``shards`` exceeds the
-        number of unique points.
-        """
-        if shards < 1:
-            raise ConfigError(f"shard count must be >= 1, got {shards}")
-        unique = self.unique_specs()
-        return [
-            Plan(
-                specs=unique[index::shards],
-                meta={
-                    **self.meta,
-                    "shard": {"index": index, "of": shards},
-                },
-            )
-            for index in range(shards)
-        ]

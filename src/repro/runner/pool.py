@@ -13,16 +13,16 @@
    :class:`~repro.runner.backend.Backend` —
    :class:`~repro.runner.backend.LocalPoolBackend` executes
    :func:`execute_spec` inline or across a ``ProcessPoolExecutor``,
-   :class:`~repro.runner.backend.FileShardBackend` ships serialized
-   shards to independent ``repro worker`` processes. Workers rebuild
-   everything from the spec, so results are a pure function of the spec
-   and bit-identical for every ``jobs`` setting and every backend;
+   :class:`~repro.runner.queue.QueueBackend` enqueues them for
+   ``repro queue worker`` processes. Workers rebuild everything from
+   the spec, so results are a pure function of the spec and
+   bit-identical for every ``jobs`` setting and every backend;
 4. results are reassembled in plan order.
 
 Determinism: the workload builders seed their RNGs from ``spec.seed``
 alone and the simulator is single-threaded per run, so scheduling order
 can never leak into results — the property the result cache, the
-serial-vs-parallel equality tests and the local-vs-sharded CI gate rely
+serial-vs-parallel equality tests and the local-vs-queue CI gate rely
 on.
 """
 
@@ -113,9 +113,9 @@ class SweepRunner:
         jobs: worker processes; 1 executes inline in this process
             (shorthand for the default :class:`LocalPoolBackend`).
         backend: the execution backend for cache-missed points; pass a
-            :class:`~repro.runner.backend.FileShardBackend` (or the CLI's
-            ``--backend shards``) to run them as share-nothing worker
-            processes over serialized shards.
+            :class:`~repro.runner.queue.QueueBackend` (or the CLI's
+            ``--backend queue``) to run them in ``repro queue worker``
+            processes.
         cache: optional on-disk result cache shared across plans/runs.
         submitted / cache_hits: cumulative counters over the runner's
             lifetime (the warm-run tests assert ``submitted == 0``).

@@ -1,12 +1,11 @@
 """Pull-based filesystem work queue: units, leases, streamed results.
 
-The third execution model, after the in-process pool and the statically
-sharded workers: the submitter *enqueues* cache-missed points as
-claimable unit files, and any number of ``repro queue worker`` processes
-— started before, during or after the sweep, on any machine sharing the
-work directory — *pull* units at their own pace. Static shards deal the
-plan once and a dead worker strands its shard; the queue re-deals
-automatically, because ownership is a lease that must be heartbeaten.
+The off-process execution model, beside the in-process pool: the
+submitter *enqueues* cache-missed points as claimable unit files, and
+any number of ``repro queue worker`` processes — started before, during
+or after the sweep, on any machine sharing the work directory — *pull*
+units at their own pace. A dead worker strands nothing: ownership is a
+lease that must be heartbeaten, and an expired lease re-deals the unit.
 
 Layout of a work directory (every transition is an atomic write or
 rename, so any number of workers and submitters can share it)::
@@ -29,11 +28,11 @@ The protocol:
 * **claim** — a worker renames ``queue/u`` to ``claimed/u``; the rename
   is atomic, so exactly one claimant wins. It then writes a lease file
   and touches it every ``heartbeat`` seconds while executing.
-* **report** — the worker writes ``results/u`` (a standard one-record
-  worker result file, validated by
-  :func:`~repro.runner.worker.load_results` on the way back and stamped
-  with the worker's code-fingerprint salt, so a stale result in a
-  reused work directory is discarded and re-run instead of served),
+* **report** — the worker writes ``results/u`` (a result file with one
+  record per spec, written by :func:`write_results`, validated by
+  :func:`load_results` on the way back and stamped with the worker's
+  code-fingerprint salt, so a stale result in a reused work directory
+  is discarded and re-run instead of served),
   then removes its claim and lease. A spec that *fails* — a
   :class:`~repro.errors.ReproError` out of the simulator — is reported
   through ``failed/u`` instead: the worker stays alive for other units
@@ -135,6 +134,55 @@ def units_per_minute(stats: dict) -> float:
     if span <= 0:
         return 0.0
     return 60.0 * (len(timestamps) - 1) / span
+
+
+def write_results(path: str | os.PathLike, records: list[dict]) -> Path:
+    """Atomically write a worker result file (temp file + rename)."""
+    return atomic_write_json(path, {"format": PLAN_FORMAT, "results": records})
+
+
+def load_results(path: str | os.PathLike) -> list[dict]:
+    """Read and validate one worker result file.
+
+    Any malformation — unreadable file, bad JSON, wrong format version,
+    a record whose ``key`` does not match its ``spec`` — raises
+    :class:`~repro.errors.ConfigError`: merging a corrupt record would
+    poison the cache under a wrong content address.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read result file {path}: {exc}") from None
+    document = parse_json(text, f"result file {path}")
+    version = document.get("format")
+    if version != PLAN_FORMAT:
+        raise ConfigError(
+            f"{path}: unsupported result format {version!r} "
+            f"(this reader understands format {PLAN_FORMAT})"
+        )
+    records = document.get("results")
+    if not isinstance(records, list):
+        raise ConfigError(f"{path}: 'results' must be a list")
+    for i, record in enumerate(records):
+        if not isinstance(record, dict) or not {
+            "key", "spec", "payload"
+        } <= set(record):
+            raise ConfigError(
+                f"{path}: result #{i} must be an object with "
+                "'key', 'spec' and 'payload'"
+            )
+        try:
+            spec = RunSpec.from_dict(record["spec"])
+        except (ConfigError, TypeError) as exc:
+            raise ConfigError(f"{path}: result #{i} spec: {exc}") from None
+        if spec.key() != record["key"]:
+            raise ConfigError(
+                f"{path}: result #{i} key does not match its spec — "
+                "corrupt or mismatched result file"
+            )
+        if not isinstance(record["payload"], dict):
+            raise ConfigError(f"{path}: result #{i} payload must be an object")
+    return records
 
 
 @dataclass(frozen=True)
@@ -650,8 +698,6 @@ class QueueBackend:
         return 1
 
     def run(self, pending):
-        from .worker import load_results  # circular at import time only
-
         queue = self.queue.ensure()
         pending = list(pending)
         # Each unit holds up to `batch` points; waiting maps the unit
@@ -675,7 +721,7 @@ class QueueBackend:
                 progressed = False
                 landed = queue.unit_ids(queue.results_dir)
                 for uid in [u for u in waiting if u in landed]:
-                    triples = self._consume(uid, waiting[uid], load_results, discards)
+                    triples = self._consume(uid, waiting[uid], discards)
                     if triples is None:
                         continue
                     del waiting[uid]
@@ -712,7 +758,7 @@ class QueueBackend:
     #: worker fleet.
     MAX_SALT_DISCARDS = 3
 
-    def _consume(self, uid, group, load_results, discards):
+    def _consume(self, uid, group, discards):
         """Read, validate and clean up one unit's result file, if landed.
 
         Returns the unit's ``(key, spec, payload)`` triples in unit

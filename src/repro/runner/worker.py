@@ -1,25 +1,19 @@
-"""Shard and queue-unit execution, result files, and merging.
+"""Queue-unit execution: the worker side of the pull queue.
 
-A worker is any process that can import ``repro`` and see the work: a
-*shard* worker (``python -m repro worker run``) executes a pre-dealt
-wire-format plan file, a *queue* worker (``python -m repro queue
-worker``, :func:`run_queue_worker` here) pulls claimable unit files from
-a shared :class:`~repro.runner.queue.WorkQueue` directory until told to
-stop. Both owe the submitter nothing but result files::
+A worker is any process that can import ``repro`` and see the shared
+work directory. ``python -m repro queue worker`` (:func:`run_queue_worker`
+here) pulls claimable unit files from a
+:class:`~repro.runner.queue.WorkQueue` until told to stop, executes each
+unit's spec(s) with :func:`~repro.runner.pool.execute_spec`, and reports
+one result file per unit (:func:`~repro.runner.queue.write_results`)::
 
-    shard.json      a wire-format Plan (usually one Plan.shard() output)
-    results.json    {"format": 1, "results": [{"key", "spec", "payload"}]}
+    results/unit-<id>.json   {"format": 1, "results": [{"key", "spec",
+                              "payload", "salt"}]}
 
 Every record is content-addressed: ``key`` is the executed
 ``RunSpec.key()`` and ``payload`` the pure-JSON result — exactly the
 bytes :func:`~repro.runner.pool.execute_spec` would produce anywhere,
-so merged results are bit-identical to local execution.
-
-:func:`merge_results` folds result files back into a
-:class:`~repro.runner.cache.ResultCache`, after which figure runners
-and sweeps consume them as ordinary warm cache hits. The merge runs
-under the cache's inter-process lock so a concurrent ``repro cache gc``
-cannot collect entries out from under it.
+so queue results are bit-identical to local execution.
 """
 
 from __future__ import annotations
@@ -28,51 +22,16 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
 
-from ..errors import ConfigError, ReproError
-from ..spec import parse_json
-from .cache import ResultCache, atomic_write_json, default_salt
-from .plan import PLAN_FORMAT, Plan, RunSpec
-from .progress import NullProgress
+from ..errors import ReproError
+from .cache import default_salt
 from .queue import (
     DEFAULT_HEARTBEAT,
     DEFAULT_POLL,
     ClaimedUnit,
     WorkQueue,
+    write_results,
 )
-
-
-def run_shard(plan: Plan, jobs: int = 1, progress=None) -> list[dict]:
-    """Execute a shard and return its content-addressed result records.
-
-    Points are deduplicated and executed in key order (one record per
-    unique spec), inline by default or across a local process pool with
-    ``jobs > 1``. Workers are cache-less on purpose: their results are
-    merged into the *submitter's* cache, so a worker machine needs no
-    state beyond the shard file.
-    """
-    from .backend import LocalPoolBackend  # circular at import time only
-
-    progress = progress if progress is not None else NullProgress()
-    pending = [(spec.key(), spec) for spec in plan.unique_specs()]
-    progress.plan_started(len(plan.specs), len(pending), 0)
-    backend = LocalPoolBackend(jobs=jobs)
-    payloads: dict[str, tuple[RunSpec, dict]] = {}
-    try:
-        done = 0
-        for key, spec, payload in backend.run(pending):
-            payloads[key] = (spec, payload)
-            done += 1
-            progress.point_done(spec.label(), "run", done, len(pending))
-    finally:
-        backend.close()
-    progress.plan_finished(len(pending), 0, 0.0)
-    return [
-        {"key": key, "spec": spec.to_dict(), "payload": payload}
-        for key, (spec, payload) in sorted(payloads.items())
-    ]
 
 
 def _default_worker_id() -> str:
@@ -211,89 +170,3 @@ def run_queue_worker(
             emit(f"worker {worker_id}: done {unit.id[:12]} ({done} total)")
         idle_since = time.monotonic()
     return done
-
-
-def write_results(path: str | os.PathLike, records: list[dict]) -> Path:
-    """Atomically write a worker result file (temp file + rename)."""
-    return atomic_write_json(path, {"format": PLAN_FORMAT, "results": records})
-
-
-def load_results(path: str | os.PathLike) -> list[dict]:
-    """Read and validate one worker result file.
-
-    Any malformation — unreadable file, bad JSON, wrong format version,
-    a record whose ``key`` does not match its ``spec`` — raises
-    :class:`~repro.errors.ConfigError`: merging a corrupt record would
-    poison the cache under a wrong content address.
-    """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read result file {path}: {exc}") from None
-    document = parse_json(text, f"result file {path}")
-    version = document.get("format")
-    if version != PLAN_FORMAT:
-        raise ConfigError(
-            f"{path}: unsupported result format {version!r} "
-            f"(this reader understands format {PLAN_FORMAT})"
-        )
-    records = document.get("results")
-    if not isinstance(records, list):
-        raise ConfigError(f"{path}: 'results' must be a list")
-    for i, record in enumerate(records):
-        if not isinstance(record, dict) or not {
-            "key", "spec", "payload"
-        } <= set(record):
-            raise ConfigError(
-                f"{path}: result #{i} must be an object with "
-                "'key', 'spec' and 'payload'"
-            )
-        try:
-            spec = RunSpec.from_dict(record["spec"])
-        except (ConfigError, TypeError) as exc:
-            raise ConfigError(f"{path}: result #{i} spec: {exc}") from None
-        if spec.key() != record["key"]:
-            raise ConfigError(
-                f"{path}: result #{i} key does not match its spec — "
-                "corrupt or mismatched result file"
-            )
-        if not isinstance(record["payload"], dict):
-            raise ConfigError(f"{path}: result #{i} payload must be an object")
-    return records
-
-
-@dataclass
-class MergeReport:
-    """What one :func:`merge_results` call folded into the cache."""
-
-    files: int = 0
-    records: int = 0
-    merged: int = 0
-    refreshed: int = 0  # records whose entry already existed
-    paths: list[str] = field(default_factory=list)
-
-
-def merge_results(paths: list[str | os.PathLike], cache: ResultCache) -> MergeReport:
-    """Fold worker result files into ``cache`` as ordinary entries.
-
-    Validates every file before writing anything (a corrupt shard result
-    aborts the whole merge rather than half-applying), then holds the
-    cache lock across the writes so a concurrent ``cache gc`` pass can
-    never interleave its scan-and-delete with fresh entries landing.
-    """
-    loaded = [(Path(p), load_results(p)) for p in paths]
-    report = MergeReport(files=len(loaded))
-    with cache.lock():
-        for path, records in loaded:
-            report.paths.append(str(path))
-            for record in records:
-                # Cheap re-parse: load_results already validated the
-                # dict (and its key) — records stay pure wire data.
-                spec = RunSpec.from_dict(record["spec"])
-                report.records += 1
-                if cache.path_for(spec).exists():
-                    report.refreshed += 1
-                else:
-                    report.merged += 1
-                cache.put(spec, record["payload"])
-    return report

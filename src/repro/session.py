@@ -227,14 +227,14 @@ class Session:
             a ready :class:`~repro.runner.ResultCache`.
         cache_dir: directory for the default cache (ignored when
             ``cache`` is an object or ``False``).
-        backend: a backend name (``"local"``/``"shards"``/``"queue"``),
-            a ready :class:`~repro.runner.Backend`, or ``None`` for the
-            local pool.
-        work_dir: shard/result file directory for the shards backend;
-            the shared unit directory (required) for the queue backend —
-            see also the :meth:`remote` shorthand.
+        backend: a backend name (``"local"``/``"queue"``), a ready
+            :class:`~repro.runner.Backend`, or ``None`` for the local
+            pool.
+        work_dir: the shared unit directory of the queue backend
+            (required there, ignored by the local pool) — see also the
+            :meth:`remote` shorthand.
         queue_batch: points per claimable unit for the queue backend
-            (default 1; ignored by the other backends).
+            (default 1; ignored by the local pool).
         progress: ``True`` for live progress lines, ``False``/``None``
             for silence, or a progress object.
         runner: wrap an existing :class:`~repro.runner.SweepRunner`
@@ -669,18 +669,15 @@ def add_session_arguments(parser: argparse.ArgumentParser) -> None:
         choices=BACKEND_NAMES,
         default=argparse.SUPPRESS,
         help="how cache-missed points execute: 'local' in-process "
-        "workers, 'shards' via share-nothing 'repro worker run' "
-        "subprocesses over serialized plan shards, 'queue' by "
-        "enqueueing claimable units that 'repro queue worker' "
-        "processes pull from --work-dir (default local)",
+        "workers, 'queue' by enqueueing claimable units that 'repro "
+        "queue worker' processes pull from --work-dir (default local)",
     )
     parser.add_argument(
         "--work-dir",
         default=argparse.SUPPRESS,
         metavar="DIR",
-        help="keep the shards backend's shard/result files in DIR "
-        "(default: a temporary directory); for --backend queue, the "
-        "shared work directory the workers watch (required)",
+        help="for --backend queue, the shared work directory the "
+        "workers watch (required)",
     )
     parser.add_argument(
         "--queue-batch",

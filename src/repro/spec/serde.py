@@ -134,10 +134,10 @@ def memory_config_from_dict(d: dict) -> MemoryConfig:
 def parse_json(text: str, what: str = "spec") -> dict:
     """Parse a wire-format JSON object, mapping failures to ConfigError.
 
-    Plan files, shard files and worker result files all travel between
-    machines as JSON; a truncated upload or a hand-edit must surface as
-    the same :class:`~repro.errors.ConfigError` a bad config value would,
-    not as a raw ``JSONDecodeError`` traceback.
+    Plan files and worker result files travel between machines as JSON;
+    a truncated upload or a hand-edit must surface as the same
+    :class:`~repro.errors.ConfigError` a bad config value would, not as
+    a raw ``JSONDecodeError`` traceback.
     """
     try:
         value = json.loads(text)

@@ -6,8 +6,8 @@ by `default_session()` and therefore by bare `run_workload` /
 a per-run scratch directory. Tests still exercise real caching — points
 memoise across a pytest run — but never read a stale `.repro-cache/`
 from a previous run or litter the repository root. The env var is
-inherited by `repro worker` subprocesses, so the distributed paths stay
-isolated too.
+inherited by `repro` subprocesses (queue workers, fleets), so the
+off-process paths stay isolated too.
 """
 
 import os

@@ -9,7 +9,9 @@ spec verified on read) must hold up under deliberate races:
 * two Sessions sweeping the same plan concurrently both finish with
   the right results and exactly one entry per point;
 * two separate *processes* executing the same point concurrently leave
-  one valid entry and no temp-file litter.
+  one valid entry and no temp-file litter;
+* the scan-then-mutate operations — ``gc`` and the bulk insert of a
+  ``cache pull`` — serialise on the cache lock.
 """
 
 import json
@@ -17,9 +19,10 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
-from repro.runner import ResultCache, RunSpec, expand
+from repro.runner import ResultCache, RunSpec, expand, pull_cache, push_cache
 from repro.session import Session
 
 SCALE = 0.05
@@ -139,3 +142,61 @@ class TestProcessRaces:
         assert entry["spec"] == spec.to_dict()
         assert cache.get(spec) is not None
         assert tmp_litter(cache_dir) == []
+
+
+def trace_payload(spec: RunSpec) -> dict:
+    return {"kind": "trace", "trace": {"key": spec.key()}}
+
+
+class TestCacheLock:
+    def test_gc_waits_for_held_lock(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        specs = expand("st", ["inorder", "nvr"], scales=SCALE)
+        events: list[str] = []
+
+        def gc_thread():
+            events.append("gc-start")
+            ResultCache(tmp_path).gc(max_bytes=0)
+            events.append("gc-done")
+
+        thread = threading.Thread(target=gc_thread)
+        with cache.lock():
+            thread.start()
+            # The gc pass must block on the lock we hold...
+            time.sleep(0.3)
+            assert events == ["gc-start"]
+            # ...so entries written under the same lock cannot have a
+            # gc scan interleave with them.
+            for spec in specs:
+                cache.put(spec, trace_payload(spec))
+            assert len(cache) == len(specs)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert events == ["gc-start", "gc-done"]
+        # The gc (max_bytes=0) ran strictly after the writes and evicted
+        # every entry, not some of them.
+        assert len(ResultCache(tmp_path)) == 0
+
+    def test_pull_waits_for_held_lock(self, tmp_path):
+        spec = RunSpec("st", scale=SCALE)
+        source = ResultCache(tmp_path / "source")
+        source.put(spec, trace_payload(spec))
+        remote = str(tmp_path / "remote")
+        push_cache(source, remote)
+        cache = ResultCache(tmp_path / "cache")
+        done = threading.Event()
+
+        def pull_thread():
+            pull_cache(ResultCache(tmp_path / "cache"), remote)
+            done.set()
+
+        thread = threading.Thread(target=pull_thread)
+        with cache.lock():
+            thread.start()
+            time.sleep(0.3)
+            assert not done.is_set()
+            assert len(cache) == 0
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert done.is_set()
+        assert ResultCache(tmp_path / "cache").get(spec) == trace_payload(spec)

@@ -1,0 +1,229 @@
+"""Wire-format plans: the unit of work that leaves the process.
+
+The acceptance properties of the plan format and its commands:
+
+* plans round-trip through JSON for every registered mechanism, engine
+  and workload, and corrupt wire files fail with ``ConfigError``;
+* the figures plan covers exactly what the figure runners submit, so
+  executing it warms a cache that ``repro figures`` reads 100% warm;
+* machines that share nothing run a plan with ``plan export`` →
+  ``sweep --spec`` → ``cache push``, and after ``cache pull`` the
+  submitter's payloads are bit-identical to a local run.
+"""
+
+import pytest
+
+from repro.__main__ import main as cli_main
+from repro.analysis.experiments import (
+    fig1b_plan,
+    fig6c_data_movement,
+    fig6c_plan,
+    fig7_bandwidth_allocation,
+    fig7_plan,
+    table2_plan,
+    table2_workloads,
+)
+from repro.analysis.paperfigs import figures_plan
+from repro.errors import ConfigError
+from repro.llm import calibration_plan, layer_miss_plan
+from repro.registry import MECHANISMS
+from repro.runner import (
+    MemorySpec,
+    NVRSpec,
+    Plan,
+    ResultCache,
+    RunSpec,
+    SweepRunner,
+    expand,
+)
+from repro.sim.npu.executor import ENGINES, ExecutorConfig
+from repro.workloads import WORKLOAD_ORDER
+
+SCALE = 0.05
+
+
+def small_plan() -> Plan:
+    return Plan(specs=expand(["st", "ds"], ["inorder", "nvr"], scales=SCALE))
+
+
+def spec_for_mechanism(mechanism: str) -> RunSpec:
+    """A spec exercising every override the mechanism accepts."""
+    return RunSpec(
+        "gcn",
+        mechanism=mechanism,
+        dtype="int8",
+        scale=0.2,
+        seed=3,
+        memory=MemorySpec(l2_kib=128, nsb_kib=8),
+        nvr=(
+            NVRSpec(depth_tiles=4)
+            if MECHANISMS.get(mechanism).uses_nvr_config
+            else None
+        ),
+        executor=ExecutorConfig(issue_width=4),
+        workload_args=(("feature_dim", 32),),
+    )
+
+
+class TestPlanWireFormat:
+    def test_round_trip_preserves_specs_and_meta(self):
+        plan = Plan(specs=small_plan().specs, meta={"source": "test", "n": 1})
+        clone = Plan.from_json(plan.to_json())
+        assert [s.key() for s in clone.specs] == [s.key() for s in plan.specs]
+        assert clone.meta == plan.meta
+
+    @pytest.mark.parametrize("mechanism", sorted(MECHANISMS.names()))
+    def test_round_trip_every_mechanism(self, mechanism):
+        plan = Plan(specs=[spec_for_mechanism(mechanism)])
+        clone = Plan.from_json(plan.to_json())
+        assert clone.specs[0] == plan.specs[0]
+        assert clone.specs[0].key() == plan.specs[0].key()
+
+    def test_every_engine_reachable_from_some_mechanism(self):
+        # The per-mechanism round trips above cover every engine iff the
+        # registries stay in sync; pin that so a new engine grows a
+        # mechanism (and thereby a wire-format test) with it.
+        modes = {MECHANISMS.get(m).mode for m in MECHANISMS.names()}
+        assert modes == set(ENGINES.names())
+
+    @pytest.mark.parametrize("workload", WORKLOAD_ORDER)
+    def test_round_trip_every_workload(self, workload):
+        specs = [
+            RunSpec(workload, scale=0.3, seed=1),
+            RunSpec(workload, kind="trace", scale=0.3),
+        ]
+        clone = Plan.from_json(Plan(specs=specs).to_json())
+        assert [s.key() for s in clone.specs] == [s.key() for s in specs]
+
+    def test_rejects_bad_json(self):
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            Plan.from_json("{truncated")
+
+    def test_rejects_non_object(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            Plan.from_json("[1, 2]")
+
+    def test_rejects_wrong_format_version(self):
+        with pytest.raises(ConfigError, match="unsupported plan format"):
+            Plan.from_dict({"format": 99, "specs": []})
+
+    def test_rejects_unknown_fields(self):
+        with pytest.raises(ConfigError, match="unknown plan field"):
+            Plan.from_dict({"format": 1, "specs": [], "shards": 2})
+
+    def test_rejects_malformed_spec_with_index(self):
+        document = {
+            "format": 1,
+            "specs": [RunSpec("st").to_dict(), {"workload": "st", "bogus": 1}],
+        }
+        with pytest.raises(ConfigError, match="spec #1"):
+            Plan.from_dict(document)
+
+    def test_load_missing_file_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read plan file"):
+            Plan.load(tmp_path / "nope.json")
+
+    def test_save_load_round_trip(self, tmp_path):
+        plan = small_plan()
+        path = plan.save(tmp_path / "deep" / "plan.json")
+        loaded = Plan.load(path)
+        assert [s.key() for s in loaded.specs] == [s.key() for s in plan.specs]
+
+
+class TestPlanCLI:
+    def test_share_nothing_recipe_matches_local(self, tmp_path, capsys):
+        # Two machines sharing no filesystem: the worker exports and runs
+        # the plan into its own cache and pushes it to a cache tier; the
+        # submitter pulls the tier into a cache of its own.
+        plan_path = tmp_path / "plan.json"
+        argv = [
+            "plan",
+            "export",
+            "--workloads",
+            "st",
+            "--mechanisms",
+            "inorder,nvr",
+            "--scales",
+            str(SCALE),
+            "--out",
+            str(plan_path),
+        ]
+        assert cli_main(argv) == 0
+        sweep_argv = ["sweep", "--spec", str(plan_path)]
+        worker_cache = ["--cache-dir", str(tmp_path / "a")]
+        assert cli_main(sweep_argv + worker_cache) == 0
+        remote = ["--remote", str(tmp_path / "remote")]
+        assert cli_main(["cache", "push", *remote, *worker_cache]) == 0
+        submitter_cache = ["--cache-dir", str(tmp_path / "b")]
+        assert cli_main(["cache", "pull", *remote, *submitter_cache]) == 0
+        capsys.readouterr()
+        # Warm sweep over the pulled cache: zero simulations, and the
+        # payload records equal a from-scratch local run bit for bit.
+        pulled_json = tmp_path / "pulled.json"
+        warm_argv = sweep_argv + submitter_cache + ["--json", str(pulled_json)]
+        assert cli_main(warm_argv) == 0
+        assert "0 simulated" in capsys.readouterr().out
+        local_json = tmp_path / "local.json"
+        local_argv = sweep_argv + ["--backend", "local"]
+        local_argv += ["--cache-dir", str(tmp_path / "c")]
+        assert cli_main(local_argv + ["--json", str(local_json)]) == 0
+        assert pulled_json.read_bytes() == local_json.read_bytes()
+
+    def test_sweep_corrupt_spec_is_clean_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"format": 1, "specs": "nope"}')
+        out = tmp_path / "out.json"
+        argv = ["sweep", "--spec", str(bad), "--json", str(out)]
+        rc = cli_main(argv + ["--cache-dir", str(tmp_path / "c")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+
+class TestFiguresPlan:
+    def test_deterministic_and_wire_clean(self):
+        a = figures_plan(scale=0.1)
+        b = figures_plan(scale=0.1)
+        assert a.to_json() == b.to_json()
+        assert a.meta["source"] == "figures"
+        assert len(a.unique_specs()) > 100
+
+    def test_covers_cheap_figure_runners(self, tmp_path):
+        # Contract per figure: the plan builder emits exactly what the
+        # runner submits. Checked on the cheap figures here; the full
+        # generate_report coverage (every figure, zero warm submissions)
+        # is pinned by the queue-smoke CI job.
+        scale = SCALE
+        keys = {s.key() for s in figures_plan(scale=scale).specs}
+        for plan_specs in (
+            fig1b_plan(scale=scale),
+            fig6c_plan(scale=scale),
+            fig7_plan(scale=scale),
+            table2_plan(scale=scale),
+            layer_miss_plan(("inorder", "nvr"), scale=scale),
+            calibration_plan("nvr", scale=scale),
+        ):
+            assert {s.key() for s in plan_specs} <= keys
+
+    def test_figure_runner_submits_only_plan_specs(self, tmp_path):
+        class RecordingRunner(SweepRunner):
+            def __init__(self):
+                super().__init__(cache=ResultCache(tmp_path))
+                self.seen = []
+
+            def run_plan(self, specs):
+                self.seen.extend(specs)
+                return super().run_plan(specs)
+
+        for runner_fn, plan_fn in (
+            (fig6c_data_movement, fig6c_plan),
+            (fig7_bandwidth_allocation, fig7_plan),
+            (table2_workloads, table2_plan),
+        ):
+            recorder = RecordingRunner()
+            runner_fn(scale=SCALE, runner=recorder)
+            assert [s.key() for s in recorder.seen] == [
+                s.key() for s in plan_fn(scale=SCALE)
+            ]

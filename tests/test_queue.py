@@ -9,7 +9,9 @@ The acceptance properties of the queue backend:
 * the merged sweep payload is byte-identical to ``--backend local``
   (the ``queue-smoke`` CI job pins the CLI flavour of this);
 * an interrupted run (worker or orchestrator) leaves no orphaned
-  ``.tmp``, lease or claimable unit files behind.
+  ``.tmp``, lease or claimable unit files behind;
+* result files round-trip byte for byte, and a corrupt one fails with
+  ``ConfigError`` instead of poisoning the cache.
 """
 
 import dataclasses
@@ -32,6 +34,7 @@ from repro.runner import (
     SweepRunner,
     WorkQueue,
     batch_unit_id,
+    execute_spec,
     expand,
     load_results,
     make_backend,
@@ -60,6 +63,57 @@ def start_worker(work_dir, **kwargs) -> threading.Thread:
 
 def tree_files(root, pattern: str) -> list:
     return sorted(root.rglob(pattern))
+
+
+def result_records(specs) -> list[dict]:
+    """Result-file records for ``specs``, as a queue worker writes them."""
+    return [
+        {"key": spec.key(), "spec": spec.to_dict(), "payload": execute_spec(spec)}
+        for spec in specs
+    ]
+
+
+class TestResultFiles:
+    def test_write_load_round_trip(self, tmp_path):
+        records = result_records([RunSpec("st", scale=SCALE)])
+        path = write_results(tmp_path / "r.json", records)
+        loaded = load_results(path)
+        assert loaded == records
+        # Loaded records stay pure wire data: rewriting them (e.g. to
+        # combine result files) must reproduce the file byte for byte.
+        rewritten = write_results(tmp_path / "r2.json", loaded)
+        assert rewritten.read_bytes() == path.read_bytes()
+
+    def test_write_results_maps_nonfinite_to_null(self, tmp_path):
+        # Worker result files follow the same rule as `sweep --json`:
+        # non-finite metrics become null, never bare NaN/Infinity
+        # literals that a strict JSON parser rejects.
+        records = [
+            {"key": "k", "spec": {}, "payload": {"cv": float("nan")}},
+        ]
+        path = write_results(tmp_path / "r.json", records)
+        text = path.read_text(encoding="utf-8")
+        assert "NaN" not in text
+        assert json.loads(text)["results"][0]["payload"]["cv"] is None
+
+    def test_load_rejects_corrupt_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text("{oops")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_results(path)
+
+    def test_load_rejects_wrong_format(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"format": 9, "results": []}))
+        with pytest.raises(ConfigError, match="unsupported result format"):
+            load_results(path)
+
+    def test_load_rejects_key_spec_mismatch(self, tmp_path):
+        records = result_records([RunSpec("st", scale=SCALE)])
+        records[0] = dict(records[0], key="0" * 64)
+        path = write_results(tmp_path / "r.json", records)
+        with pytest.raises(ConfigError, match="does not match its spec"):
+            load_results(path)
 
 
 class TestWorkQueue:
@@ -463,12 +517,12 @@ class TestQueueBackend:
         group = [(spec.key(), spec)]
         for _ in range(QueueBackend.MAX_SALT_DISCARDS - 1):
             write_results(queue.result_path(uid), [stale])
-            consumed = backend._consume(uid, group, load_results, discards)
+            consumed = backend._consume(uid, group, discards)
             assert consumed is None  # discarded and re-enqueued
             assert queue.queued_path(uid).exists()
         write_results(queue.result_path(uid), [stale])
         with pytest.raises(SimulationError, match="different simulator version"):
-            backend._consume(uid, group, load_results, discards)
+            backend._consume(uid, group, discards)
 
     def test_stale_failure_report_is_dropped(self, tmp_path):
         # A failed/ report left by a previous simulator version must not

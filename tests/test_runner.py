@@ -18,7 +18,7 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.api import compare_mechanisms, run_workload
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.runner import (
     MemorySpec,
     NVRSpec,
@@ -28,6 +28,7 @@ from repro.runner import (
     SweepRunner,
     execute_spec,
     expand,
+    make_backend,
     payload_to_result,
     result_to_payload,
     shape_l2,
@@ -673,6 +674,19 @@ class TestCLI:
     def test_sweep_rejects_unknown_axis_value(self, tmp_path):
         with pytest.raises(SystemExit):
             cli_main(["sweep", "--workloads", "nope", "--no-cache"])
+
+    def test_backends_are_local_and_queue(self, capsys):
+        with pytest.raises(ConfigError, match="known: local, queue"):
+            make_backend("shards")
+        for argv in (
+            ["sweep", "--backend", "shards", "--no-cache"],
+            ["worker", "run", "plan.json", "--out", "r.json"],
+            ["plan", "shard", "plan.json", "--shards", "2"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                cli_main(argv)
+            assert exit_info.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_compare_command_with_cache(self, tmp_path, capsys):
         args = ["compare", "st", "--scale", str(SCALE)]
