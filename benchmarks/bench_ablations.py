@@ -1,4 +1,4 @@
-"""Design-choice ablations called out in DESIGN.md.
+"""Design-choice ablations beyond ``repro ablate`` (README.md).
 
 Not a paper figure — these benches probe the knobs behind NVR's results:
 runahead depth, fuzzy boundaries, the approximate (SCD-extrapolation)

@@ -10,16 +10,17 @@ import dataclasses
 
 from conftest import BENCH_SCALE, run_once
 
-from repro.runner import ResultCache, SweepRunner, expand
+from repro.runner import ResultCache, SweepRunner
+from repro.session import Grid
 
 
 def _plan():
-    return expand(
-        ["ds", "st"],
-        ["inorder", "ooo", "stream", "imp", "dvr", "nvr"],
-        scales=BENCH_SCALE,
+    return Grid(
+        workload=["ds", "st"],
+        mechanism=["inorder", "ooo", "stream", "imp", "dvr", "nvr"],
+        scale=BENCH_SCALE,
         with_base=True,
-    )
+    ).specs()
 
 
 def test_bench_runner_cold(benchmark, tmp_path):

@@ -11,8 +11,14 @@ Quickstart::
     result = run_workload("gcn", mechanism="nvr")
     print(result.total_cycles, result.stats.coverage())
 
-See README.md for the architecture overview and DESIGN.md for the
-paper-to-module map.
+Every run goes through a :class:`Session` (``run_workload`` uses the
+process-wide default one), and every sweep is a :class:`Grid`::
+
+    with Session(jobs=4) as session:
+        rs = session.sweep(Grid(workload=["gcn", "ds"], mechanism=["inorder", "nvr"]))
+
+See README.md for the overview and its module layout, and
+docs/architecture.md for how a call becomes a cached result.
 """
 
 __version__ = "1.0.0"
@@ -28,7 +34,7 @@ from .api import (
 )
 from .client import SweepClient
 from .resultset import ResultSet
-from .runner import ResultCache, RunSpec, SweepRunner, expand
+from .runner import ResultCache, RunSpec, SweepRunner
 from .session import Grid, Session, default_session
 from .spec import SystemSpec
 
@@ -47,7 +53,6 @@ __all__ = [
     "WORKLOADS",
     "compare_mechanisms",
     "default_session",
-    "expand",
     "make_system",
     "run_workload",
     "__version__",

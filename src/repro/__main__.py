@@ -140,7 +140,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     with session_from_args(args) as session:
         results = compare_mechanisms(
             args.workload,
-            runner=session,
+            session=session,
             dtype=args.dtype,
             nsb=args.nsb,
             scale=args.scale,

@@ -4,7 +4,7 @@
   latency, miss reduction, coverage summaries, bandwidth shares) in one
   place so definitions cannot drift between figures.
 * :mod:`repro.analysis.experiments` — one runner per paper table/figure
-  (the experiment index of DESIGN.md).
+  (:mod:`repro.analysis.paperfigs` renders them all into the report).
 * :mod:`repro.analysis.report` — ascii rendering for examples/benches.
 """
 

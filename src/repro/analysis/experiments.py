@@ -1,4 +1,4 @@
-"""One runner per paper table/figure (the DESIGN.md experiment index).
+"""One runner per paper table/figure; ``paperfigs`` renders them all.
 
 Every runner is a pure function of (scale, seed): it expresses its
 simulation matrix as a plan of :class:`~repro.runner.RunSpec` points —
@@ -8,11 +8,10 @@ built declaratively by the per-figure ``*_plan()`` builders on top of
 the returned :class:`~repro.resultset.ResultSet` by axis (no positional
 spec/result zipping). Pass a shared ``session`` to reuse one worker pool
 and one on-disk result cache across figures — identical points then
-simulate exactly once per cache lifetime; a bare
-:class:`~repro.runner.SweepRunner` is still accepted via the deprecated
-``runner`` keyword. ``scale`` trades run time for statistical weight;
-the shapes (who wins, by what factor, where crossovers fall) are stable
-from ``scale≈0.3`` upward.
+simulate exactly once per cache lifetime; without one, runners use
+:func:`~repro.session.default_session`. ``scale`` trades run time for
+statistical weight; the shapes (who wins, by what factor, where
+crossovers fall) are stable from ``scale≈0.3`` upward.
 """
 
 from __future__ import annotations
@@ -29,20 +28,14 @@ from ..llm import (
     layer_miss_rates,
     prefill_throughput,
 )
-from ..runner import RunSpec, SweepRunner, shape_l2
-from ..session import Grid, Session, coerce_session
-from ..sim.memory.cache import CacheConfig
+from ..runner import RunSpec
+from ..session import Grid, Session, default_session
 from ..sim.soc import RunResult
 from ..utils import KIB, geometric_mean
 from ..workloads import WORKLOAD_INFO, WORKLOAD_ORDER
 from .metrics import bandwidth_shares
 
 PREFETCHER_MECHS: tuple[str, ...] = ("stream", "imp", "dvr", "nvr")
-
-
-def l2_config(size_kib: int) -> CacheConfig:
-    """Shape an L2 of ``size_kib`` (back-compat alias of ``shape_l2``)."""
-    return shape_l2(size_kib)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +82,6 @@ def fig1b_sparsity_gap(
     ratios: tuple[int, ...] = (1, 2, 4, 8, 16),
     scale: float = 0.4,
     seed: int = 0,
-    runner: SweepRunner | None = None,
     session: Session | None = None,
 ) -> Fig1bResult:
     """Fig. 1b: 16x fewer parameters yields well under 16x speedup.
@@ -100,7 +92,7 @@ def fig1b_sparsity_gap(
     defeats exactly that engine, so the measured speedup falls short of
     the parameter reduction — the motivation gap.
     """
-    session = coerce_session(session, runner)
+    session = session or default_session()
     rs = session.sweep(fig1b_plan(ratios, scale=scale, seed=seed))
     cycles, offchip = [], []
     for ratio in ratios:
@@ -196,7 +188,6 @@ def fig5_latency_breakdown(
     panels: tuple[str, ...] = ("int8", "fp16", "int32", "int32+nsb"),
     scale: float = 0.5,
     seed: int = 0,
-    runner: SweepRunner | None = None,
     session: Session | None = None,
 ) -> Fig5Result:
     """Fig. 5: all four panels of the latency breakdown.
@@ -205,7 +196,7 @@ def fig5_latency_breakdown(
     base+stall points — the hottest sweep of the reproduction, and the
     reason the runner exists.
     """
-    session = coerce_session(session, runner)
+    session = session or default_session()
     rs = session.sweep(fig5_plan(workloads, mechanisms, panels, scale=scale, seed=seed))
     out: dict[str, dict[str, dict[str, Fig5Cell]]] = {}
     for panel_name, dtype, nsb in [p for p in _FIG5_PANELS if p[0] in panels]:
@@ -262,11 +253,10 @@ def fig6_accuracy_coverage(
     mechanisms: tuple[str, ...] = PREFETCHER_MECHS,
     scale: float = 0.5,
     seed: int = 0,
-    runner: SweepRunner | None = None,
     session: Session | None = None,
 ) -> Fig6Result:
     """Fig. 6a/6b: prefetcher accuracy and coverage per workload."""
-    session = coerce_session(session, runner)
+    session = session or default_session()
     rs = session.sweep(fig6_plan(workloads, mechanisms, scale=scale, seed=seed))
     data: dict[str, dict[str, tuple[float, float]]] = {}
     for workload in workloads:
@@ -327,7 +317,6 @@ def fig6c_data_movement(
     workload: str = "ds",
     scale: float = 0.5,
     seed: int = 0,
-    runner: SweepRunner | None = None,
     session: Session | None = None,
 ) -> Fig6cResult:
     """Fig. 6c: InO vs NVR vs NVR+NSB demand off-chip traffic.
@@ -336,7 +325,7 @@ def fig6c_data_movement(
     removed): NVR turns demand misses into overlappable prefetches
     (~30x), and the NSB removes re-fetches on top (~5x more).
     """
-    session = coerce_session(session, runner)
+    session = session or default_session()
     rs = session.sweep(fig6c_plan(workload, scale=scale, seed=seed))
     offchip, in_chip = {}, {}
     for name, (mech, nsb) in _FIG6C_CONFIGS.items():
@@ -412,7 +401,6 @@ def fig7_bandwidth_allocation(
     workload: str = "ds",
     scale: float = 0.5,
     seed: int = 0,
-    runner: SweepRunner | None = None,
     session: Session | None = None,
 ) -> Fig7Result:
     """Fig. 7: who uses the memory system, with and without the NSB.
@@ -422,7 +410,7 @@ def fig7_bandwidth_allocation(
     line-granular speculative fetches plus residual demand misses
     replace its over-fetched bursts.
     """
-    session = coerce_session(session, runner)
+    session = session or default_session()
     rs = session.sweep(fig7_plan(workload, scale=scale, seed=seed))
     baseline = rs.one(mechanism="preload")
     no_nsb = rs.one(mechanism="nvr", nsb=False)
@@ -453,7 +441,6 @@ def fig7_bandwidth_allocation(
 def fig8a_layer_miss(
     scale: float = 0.3,
     seed: int = 0,
-    runner: SweepRunner | None = None,
     session: Session | None = None,
 ) -> dict[str, dict[str, tuple[float, float]]]:
     """Fig. 8a: per-layer batch/element miss rates, InO vs NVR."""
@@ -461,7 +448,7 @@ def fig8a_layer_miss(
         mechanisms=("inorder", "nvr"),
         scale=scale,
         seed=seed,
-        session=coerce_session(session, runner),
+        session=session,
     )
 
 
@@ -484,11 +471,10 @@ def fig8bc_llm_throughput(
     bandwidths: tuple[float, ...] = (100, 200, 400, 800, 1600, 2400, 3200, 4000),
     calib_scale: float = 0.3,
     seed: int = 0,
-    runner: SweepRunner | None = None,
     session: Session | None = None,
 ) -> Fig8bcResult:
     """Fig. 8b/8c: prefill and decode throughput vs bandwidth."""
-    session = coerce_session(session, runner)
+    session = session or default_session()
     spec, hw = TransformerSpec(), NPUHardware()
     calibs = {
         "inorder": calibrate_memory_efficiency(
@@ -562,11 +548,10 @@ def fig9_nsb_sensitivity(
     workload: str = "ds",
     scale: float = 0.4,
     seed: int = 0,
-    runner: SweepRunner | None = None,
     session: Session | None = None,
 ) -> Fig9Result:
     """Fig. 9: NSB and L2 cache impact, perf = 1/(latency x area)."""
-    session = coerce_session(session, runner)
+    session = session or default_session()
     rs = session.sweep(fig9_plan(nsb_sizes, l2_sizes, workload, scale=scale, seed=seed))
     perf: list[list[float]] = []
     cycles: list[list[int]] = []
@@ -633,10 +618,9 @@ def _run_ablation(
     workloads: tuple[str, ...],
     scale: float,
     seed: int,
-    runner: SweepRunner | None,
     session: Session | None,
 ) -> AblationResult:
-    session = coerce_session(session, runner)
+    session = session or default_session()
     rs = session.sweep(
         Grid(
             workload=workloads,
@@ -664,13 +648,12 @@ def ablate_nvr_depth(
     workloads: tuple[str, ...] = ABLATION_WORKLOADS,
     scale: float = 0.4,
     seed: int = 0,
-    runner: SweepRunner | None = None,
     session: Session | None = None,
 ) -> AblationResult:
     """Runahead depth sweep: how far ahead NVR chases the W stream."""
     return _run_ablation(
         "nvr-depth", "depth_tiles", "nvr_depth",
-        values, workloads, scale, seed, runner, session,
+        values, workloads, scale, seed, session,
     )
 
 
@@ -679,13 +662,12 @@ def ablate_nvr_width(
     workloads: tuple[str, ...] = ABLATION_WORKLOADS,
     scale: float = 0.4,
     seed: int = 0,
-    runner: SweepRunner | None = None,
     session: Session | None = None,
 ) -> AblationResult:
     """Vector width sweep: NVR's parallel-entry count N (Table I: 16)."""
     return _run_ablation(
         "nvr-width", "vector_width", "nvr_width",
-        values, workloads, scale, seed, runner, session,
+        values, workloads, scale, seed, session,
     )
 
 
@@ -694,13 +676,12 @@ def ablate_nsb_size(
     workloads: tuple[str, ...] = ABLATION_WORKLOADS,
     scale: float = 0.4,
     seed: int = 0,
-    runner: SweepRunner | None = None,
     session: Session | None = None,
 ) -> AblationResult:
     """NSB capacity sweep at the default 256 KiB L2 (Fig. 9's row axis)."""
     return _run_ablation(
         "nsb-size", "nsb_kib", "nsb_kib",
-        values, workloads, scale, seed, runner, session,
+        values, workloads, scale, seed, session,
     )
 
 
@@ -709,13 +690,12 @@ def ablate_issue_width(
     workloads: tuple[str, ...] = ABLATION_WORKLOADS,
     scale: float = 0.4,
     seed: int = 0,
-    runner: SweepRunner | None = None,
     session: Session | None = None,
 ) -> AblationResult:
     """Load-pipeline issue width sweep (line requests per cycle)."""
     return _run_ablation(
         "issue-width", "issue_width", "issue_width",
-        values, workloads, scale, seed, runner, session,
+        values, workloads, scale, seed, session,
     )
 
 
@@ -758,11 +738,10 @@ def table2_plan(scale: float = 0.3, seed: int = 0) -> list[RunSpec]:
 def table2_workloads(
     scale: float = 0.3,
     seed: int = 0,
-    runner: SweepRunner | None = None,
     session: Session | None = None,
 ) -> list[Table2Row]:
     """Table II: the workload suite, with measured trace statistics."""
-    session = coerce_session(session, runner)
+    session = session or default_session()
     rs = session.sweep(table2_plan(scale=scale, seed=seed))
     rows = []
     for short in WORKLOAD_ORDER:

@@ -1,8 +1,8 @@
 """Generate EXPERIMENTS.md: every paper table/figure, paper vs measured.
 
-Run as a module to regenerate the full comparison::
+Regenerate the full comparison with the ``figures`` command::
 
-    python -m repro.analysis.paperfigs --scale 0.6 -o EXPERIMENTS.md
+    python -m repro figures --scale 0.6 -o EXPERIMENTS.md
 
 Scale trades run time for statistical weight; shapes are stable from
 ~0.3. The full-paper run (scale 1.0) takes tens of minutes on a laptop.
@@ -10,18 +10,11 @@ Scale trades run time for statistical weight; shapes are stable from
 
 from __future__ import annotations
 
-import argparse
-import sys
 import time
 
 from ..llm import calibration_plan, layer_miss_plan
-from ..runner import Plan, SweepRunner
-from ..session import (
-    Session,
-    add_session_arguments,
-    coerce_session,
-    session_from_args,
-)
+from ..runner import Plan
+from ..session import Session, default_session
 from ..utils import geometric_mean
 from ..workloads import WORKLOAD_ORDER
 from .experiments import (
@@ -368,19 +361,17 @@ def _table2(scale: float, seed: int, session=None) -> str:
 def generate_report(
     scale: float = 0.6,
     seed: int = 0,
-    runner: SweepRunner | None = None,
     session: Session | None = None,
 ) -> str:
     """Produce the full EXPERIMENTS.md text.
 
     All figures share ``session`` (defaulting to the process-wide
-    :func:`~repro.session.default_session`; a bare runner is accepted
-    via the deprecated ``runner`` keyword). The session's cache means
+    :func:`~repro.session.default_session`). The session's cache means
     points duplicated across figures simulate once and a warm cache
     regenerates the whole report without simulating at all.
     """
     start = time.time()
-    session = coerce_session(session, runner)
+    session = session or default_session()
     sections = [
         _fig1b(scale, seed, session),
         _fig5(scale, seed, session),
@@ -419,37 +410,3 @@ def figures_plan(scale: float = 0.6, seed: int = 0) -> Plan:
         *table2_plan(scale=scale, seed=seed),
     ]
     return Plan(specs=specs, meta={"source": "figures", "scale": scale, "seed": seed})
-
-
-def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
-    """Deprecated alias of :func:`repro.session.add_session_arguments`."""
-    add_session_arguments(parser)
-
-
-def runner_from_args(args: argparse.Namespace, quiet: bool = False) -> SweepRunner:
-    """Deprecated: build a session's runner from the shared flags.
-
-    Use :func:`repro.session.session_from_args` (or
-    ``Session.from_args``) — the Session owns the cache/backend/jobs
-    policy in one object.
-    """
-    return session_from_args(args, quiet=quiet).runner
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=0.6)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("-o", "--output", default="EXPERIMENTS.md")
-    add_session_arguments(parser)
-    args = parser.parse_args(argv)
-    with session_from_args(args) as session:
-        text = generate_report(scale=args.scale, seed=args.seed, session=session)
-    with open(args.output, "w") as handle:
-        handle.write(text)
-    print(f"wrote {args.output} ({len(text)} chars)")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,18 +15,19 @@ argument, and every knob is spec-able: mechanism names resolve through
 (``memory=``, ``nvr_config=``, ``executor=``) are folded into a
 serialisable :class:`~repro.spec.SystemSpec`.
 
-Both calls are thin shims over the process-wide
-:class:`~repro.session.Session` (:func:`repro.session.default_session`),
-so single points and sweeps alike deduplicate and memoise in the on-disk
-result cache — a repeated ``run_workload`` call is a warm hit, exactly
-like a sweep point. For anything beyond one-off calls (shared worker
-pools, scratch caches, grids), use a :class:`~repro.session.Session`
-directly; the ``runner=``/``jobs=``/``cache=``/``backend=`` keywords of
-:func:`compare_mechanisms` remain for back-compat but are deprecated in
-favour of passing a ``Session``.
+Both calls build :class:`~repro.runner.RunSpec` points and run them
+through a :class:`~repro.session.Session` — the process-wide
+:func:`repro.session.default_session` unless ``compare_mechanisms`` is
+handed one as ``session=`` — so single points and sweeps alike
+deduplicate and memoise in the on-disk result cache: a repeated
+``run_workload`` call is a warm hit, exactly like a sweep point. For
+anything beyond one-off calls (shared worker pools, scratch caches,
+grids), use a ``Session`` directly.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from .core import NVRConfig
 from .registry import MECHANISM_ORDER, MECHANISMS
@@ -35,8 +36,11 @@ from .sim.npu.executor import ExecutorConfig
 from .sim.npu.program import SparseProgram
 from .sim.soc import RunResult, System
 from .spec import SystemSpec
-from .workloads import WORKLOAD_ORDER, build_workload
-from .workloads.registry import DTYPE_BYTES, elem_bytes as _elem_bytes
+from .workloads import WORKLOAD_ORDER
+from .workloads.registry import DTYPE_BYTES
+
+if TYPE_CHECKING:
+    from .session import Session
 
 WORKLOADS: tuple[str, ...] = WORKLOAD_ORDER
 
@@ -49,10 +53,6 @@ __all__ = [
     "make_system",
     "run_workload",
 ]
-
-#: Workload arguments must be scalars to be plan content (cacheable);
-#: anything else falls back to the direct in-process path.
-_SCALARS = (bool, int, float, str)
 
 
 def make_system(
@@ -107,37 +107,27 @@ def run_workload(
 
     Executes through :func:`~repro.session.default_session`, so the point
     is content-addressed and memoised in the on-disk result cache —
-    repeating the call (examples, notebooks) is a warm hit. Non-scalar
-    ``workload_kwargs`` cannot be plan content and fall back to a direct,
-    uncached in-process run.
+    repeating the call (examples, notebooks) is a warm hit. The
+    ``workload_kwargs`` are part of that content address and must be
+    scalars (a :class:`~repro.errors.ConfigError` otherwise).
     """
-    if all(isinstance(v, _SCALARS) for v in workload_kwargs.values()):
-        from .runner import RunSpec
-        from .session import default_session
+    from .runner import RunSpec
+    from .session import default_session
 
-        spec = RunSpec(
-            workload,
-            mechanism=mechanism,
-            dtype=dtype,
-            nsb=nsb,
-            scale=scale,
-            seed=seed,
-            with_base=with_base,
-            memory=memory,
-            nvr=nvr_config,
-            executor=executor,
-            workload_args=tuple(workload_kwargs.items()),
-        )
-        return default_session().run(spec)
-    program = build_workload(
+    spec = RunSpec(
         workload,
+        mechanism=mechanism,
+        dtype=dtype,
+        nsb=nsb,
         scale=scale,
-        elem_bytes=_elem_bytes(dtype),
         seed=seed,
-        **workload_kwargs,
+        with_base=with_base,
+        memory=memory,
+        nvr=nvr_config,
+        executor=executor,
+        workload_args=tuple(workload_kwargs.items()),
     )
-    system = make_system(program, mechanism, nsb, memory, nvr_config, executor)
-    return system.run_with_base() if with_base else system.run()
+    return default_session().run(spec)
 
 
 _SPEC_FIELDS = ("dtype", "nsb", "scale", "seed", "with_base")
@@ -146,10 +136,7 @@ _SPEC_FIELDS = ("dtype", "nsb", "scale", "seed", "with_base")
 def compare_mechanisms(
     workload: str,
     mechanisms: tuple[str, ...] = MECHANISM_ORDER,
-    runner=None,
-    jobs: int = 1,
-    cache=None,
-    backend=None,
+    session: Session | None = None,
     memory: MemoryConfig | None = None,
     nvr_config: NVRConfig | None = None,
     executor: ExecutorConfig | None = None,
@@ -157,15 +144,10 @@ def compare_mechanisms(
 ) -> dict[str, RunResult]:
     """Run one workload under several mechanisms; returns name -> result.
 
-    Submits the mechanism sweep through a
-    :class:`~repro.session.Session`, so points deduplicate, execute
-    across worker processes and memoise in the on-disk cache. Pass a
-    ``Session`` (or, for back-compat, a bare
-    :class:`~repro.runner.SweepRunner`) as ``runner`` to share its
-    cache/pool with a larger sweep; with no arguments the process-wide
-    :func:`~repro.session.default_session` is used. The ``jobs``/
-    ``cache``/``backend`` keywords are deprecated spellings of the same
-    ``Session`` knobs and build a one-shot session when given.
+    Submits the mechanism sweep through ``session`` (default: the
+    process-wide :func:`~repro.session.default_session`), so points
+    deduplicate, execute across its worker processes and memoise in its
+    cache — pass a ``Session`` to share those with a larger sweep.
 
     Object-valued overrides are first-class plan content: ``memory=``
     and ``executor=`` apply to every mechanism, while ``nvr_config=``
@@ -177,7 +159,7 @@ def compare_mechanisms(
     """
     from .errors import ConfigError
     from .runner import RunSpec
-    from .session import Session, coerce_session, default_session
+    from .session import default_session
 
     if nvr_config is not None and not any(
         MECHANISMS.get(m).uses_nvr_config for m in mechanisms
@@ -201,11 +183,6 @@ def compare_mechanisms(
         )
         for m in mechanisms
     ]
-    if runner is not None:
-        results = coerce_session(runner=runner).sweep(specs).results
-    elif jobs == 1 and cache is None and backend is None:
-        results = default_session().sweep(specs).results
-    else:
-        with Session(jobs=jobs, cache=cache, backend=backend) as session:
-            results = session.sweep(specs).results
+    session = session or default_session()
+    results = session.sweep(specs).results
     return dict(zip(mechanisms, results))

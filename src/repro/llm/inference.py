@@ -32,8 +32,8 @@ import numpy as np
 
 from ..api import make_system
 from ..errors import ConfigError
-from ..runner import RunSpec, SweepRunner
-from ..session import Grid, Session, coerce_session
+from ..runner import RunSpec
+from ..session import Grid, Session, default_session
 from ..sim.memory.hierarchy import MemoryConfig
 from ..sim.npu.program import ProgramConfig, SparseProgram, build_one_side_program
 from ..sparse.csr import CSRMatrix
@@ -83,8 +83,7 @@ def calibrate_memory_efficiency(
     nsb: bool = False,
     scale: float = 0.3,
     seed: int = 0,
-    runner: "SweepRunner | None" = None,
-    session: "Session | None" = None,
+    session: Session | None = None,
 ) -> MemoryCalibration:
     """Measure gather efficiency and traffic ratio on the DS trace.
 
@@ -96,7 +95,7 @@ def calibrate_memory_efficiency(
     calibrations share one reference simulation whenever ``session``
     carries a cache (the specs are identical across both calls).
     """
-    session = coerce_session(session, runner)
+    session = session or default_session()
     ref, res = session.sweep(
         calibration_plan(mechanism, nsb=nsb, scale=scale, seed=seed)
     ).results
@@ -214,8 +213,7 @@ def layer_miss_rates(
     scale: float = 0.3,
     seed: int = 0,
     elem_bytes: int = 2,
-    runner: "SweepRunner | None" = None,
-    session: "Session | None" = None,
+    session: Session | None = None,
 ) -> dict[str, dict[str, tuple[float, float]]]:
     """Batch and element miss rates per attention layer (Fig. 8a).
 
@@ -225,7 +223,7 @@ def layer_miss_rates(
     the gather layers are plain plan specs; exotic widths — and the
     custom dense QKV program always — execute in-process.
     """
-    session = coerce_session(session, runner)
+    session = session or default_session()
     dtype = _ELEM_DTYPE.get(elem_bytes)
     qkv_program = _qkv_program(scale, elem_bytes)
     gather_seeds = {"qkt": seed, "av": seed + 101}

@@ -3,9 +3,9 @@
 The subsystem that turns every paper sweep into an explicit, cacheable,
 parallel — and distributable — plan:
 
-* :mod:`repro.runner.plan` — :class:`RunSpec` points, cartesian
-  :func:`expand`-sion, and the wire-format :class:`Plan`
-  (JSON round-trip);
+* :mod:`repro.runner.plan` — :class:`RunSpec` points and the
+  wire-format :class:`Plan` (JSON round-trip); cartesian sweeps are
+  built with :class:`repro.session.Grid`;
 * :mod:`repro.runner.pool` — :class:`SweepRunner`, the dedupe + cache +
   backend execution engine;
 * :mod:`repro.runner.backend` — pluggable :class:`Backend` protocol:
@@ -50,11 +50,8 @@ from .cache import (
 )
 from .plan import (
     PLAN_FORMAT,
-    MemorySpec,
-    NVRSpec,
     Plan,
     RunSpec,
-    expand,
     shape_l2,
 )
 from .fleet import (
@@ -96,8 +93,6 @@ __all__ = [
     "GCReport",
     "LocalDriver",
     "LocalPoolBackend",
-    "MemorySpec",
-    "NVRSpec",
     "NullProgress",
     "PLAN_FORMAT",
     "Plan",
@@ -116,7 +111,6 @@ __all__ = [
     "WorkerHandle",
     "batch_unit_id",
     "execute_spec",
-    "expand",
     "load_results",
     "make_backend",
     "make_driver",

@@ -30,17 +30,15 @@ sweep body.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.controller import NVRConfig
-from ..core.nsb import nsb_config
 from ..errors import ConfigError
 from ..sim.memory.cache import CacheConfig
-from ..sim.memory.hierarchy import MemoryConfig, default_l2_config
+from ..sim.memory.hierarchy import MemoryConfig
 from ..sim.npu.executor import ExecutorConfig
 from ..spec import SystemSpec, canonical_json, parse_json
 from ..utils import KIB
@@ -69,51 +67,6 @@ def shape_l2(size_kib: int) -> CacheConfig:
 
 
 @dataclass(frozen=True)
-class MemorySpec:
-    """Shorthand memory override: sizes in KiB, defaults elsewhere.
-
-    A convenience for the Fig. 9-style grids; ``build()`` expands it to
-    the full :class:`~repro.sim.memory.hierarchy.MemoryConfig` that the
-    canonical :class:`~repro.spec.SystemSpec` carries. An NSB belongs in
-    exactly one place: size it here via ``nsb_kib``, *or* request the
-    default 16 KiB buffer with ``RunSpec.nsb=True`` — combining the two
-    is a :class:`~repro.errors.ConfigError`.
-    """
-
-    l2_kib: int | None = None
-    nsb_kib: int | None = None
-    cpu_traffic: bool = False
-
-    def build(self) -> MemoryConfig:
-        l2 = shape_l2(self.l2_kib) if self.l2_kib is not None else default_l2_config()
-        nsb = nsb_config(size_kib=self.nsb_kib) if self.nsb_kib is not None else None
-        memory = MemoryConfig(l2=l2, nsb=nsb)
-        if self.cpu_traffic:
-            memory = memory.with_cpu_traffic()
-        return memory
-
-
-@dataclass(frozen=True)
-class NVRSpec:
-    """Shorthand NVR tuning override; ``None`` fields keep the defaults."""
-
-    vector_width: int | None = None
-    depth_tiles: int | None = None
-    fuzz_vectors: int | None = None
-    approximate: bool | None = None
-    approximate_confidence: int | None = None
-    confirm_stride: int | None = None
-
-    def build(self) -> NVRConfig:
-        overrides = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if getattr(self, f.name) is not None
-        }
-        return NVRConfig(**overrides)
-
-
-@dataclass(frozen=True)
 class RunSpec:
     """One point of a sweep plan.
 
@@ -125,8 +78,7 @@ class RunSpec:
     The platform side lives in ``system``; pass either a ready
     :class:`~repro.spec.SystemSpec` or the convenience arguments
     (``mechanism``, ``nsb``, ``memory``, ``nvr``, ``executor``) — never
-    both. ``memory``/``nvr`` accept the shorthand
-    :class:`MemorySpec`/:class:`NVRSpec` or full config objects.
+    both.
     """
 
     workload: str
@@ -136,8 +88,8 @@ class RunSpec:
     scale: float = 1.0
     seed: int = 0
     with_base: bool = False
-    memory: MemorySpec | MemoryConfig | None = None
-    nvr: NVRSpec | NVRConfig | None = None
+    memory: MemoryConfig | None = None
+    nvr: NVRConfig | None = None
     executor: ExecutorConfig | None = None
     workload_args: tuple[tuple[str, Scalar], ...] = ()
     kind: str = "sim"
@@ -193,20 +145,14 @@ class RunSpec:
                     "SystemSpec instead)"
                 )
         else:
-            memory = (
-                self.memory.build()
-                if isinstance(self.memory, MemorySpec)
-                else self.memory
-            )
-            nvr = self.nvr.build() if isinstance(self.nvr, NVRSpec) else self.nvr
             object.__setattr__(
                 self,
                 "system",
                 SystemSpec(
                     mechanism=(self.mechanism if self.mechanism is not None else "nvr"),
                     nsb=bool(self.nsb) if self.nsb is not None else False,
-                    memory=memory,
-                    nvr=nvr,
+                    memory=self.memory,
+                    nvr=self.nvr,
                     executor=self.executor,
                 ),
             )
@@ -241,13 +187,6 @@ class RunSpec:
         d["workload_args"] = tuple((k, v) for k, v in d.get("workload_args", ()))
         if "system" in d:
             d["system"] = SystemSpec.from_dict(d["system"])
-            return cls(**d)
-        # Legacy (PR-1) layout: mechanism/nsb at top level, shorthand
-        # memory/nvr override dicts.
-        if d.get("memory") is not None:
-            d["memory"] = MemorySpec(**d["memory"])
-        if d.get("nvr") is not None:
-            d["nvr"] = NVRSpec(**d["nvr"])
         return cls(**d)
 
     def key(self) -> str:
@@ -273,57 +212,25 @@ class RunSpec:
         return text
 
 
-def _tuple(value) -> tuple:
-    """Normalise an expansion axis: scalars become one-element tuples."""
-    if isinstance(value, (list, tuple)):
-        return tuple(value)
-    return (value,)
+def parse_specs(specs_d: list, what: str = "plan spec") -> list[RunSpec]:
+    """Parse spec dicts that come from outside the program.
 
-
-def expand(
-    workloads,
-    mechanisms="nvr",
-    dtypes="fp16",
-    nsb=False,
-    scales=1.0,
-    seeds=0,
-    with_base: bool = False,
-    memory: MemorySpec | MemoryConfig | None = None,
-    nvr: NVRSpec | NVRConfig | None = None,
-    executor: ExecutorConfig | None = None,
-    workload_args: tuple[tuple[str, Scalar], ...] = (),
-    kind: str = "sim",
-) -> list[RunSpec]:
-    """Cartesian-product plan expansion, in deterministic order.
-
-    Every axis accepts a scalar or a sequence; the expansion order is
-    workload-major (workload, mechanism, dtype, nsb, scale, seed),
-    matching the paper figures' bar order.
+    The one place plan files and server submissions turn into specs:
+    anything malformed — a non-object entry, an unknown or missing
+    field, a value of the wrong type — is a :class:`ConfigError` naming
+    the entry by index, never a bare ``TypeError``/``ValueError``.
     """
-    return [
-        RunSpec(
-            workload=w,
-            mechanism=m,
-            dtype=d,
-            nsb=n,
-            scale=sc,
-            seed=sd,
-            with_base=with_base,
-            memory=memory,
-            nvr=nvr,
-            executor=executor,
-            workload_args=workload_args,
-            kind=kind,
-        )
-        for w, m, d, n, sc, sd in itertools.product(
-            _tuple(workloads),
-            _tuple(mechanisms),
-            _tuple(dtypes),
-            _tuple(nsb),
-            _tuple(scales),
-            _tuple(seeds),
-        )
-    ]
+    specs = []
+    for i, spec_d in enumerate(specs_d):
+        if not isinstance(spec_d, dict):
+            raise ConfigError(f"{what} #{i} must be an object")
+        try:
+            specs.append(RunSpec.from_dict(spec_d))
+        except ConfigError as exc:
+            raise ConfigError(f"{what} #{i}: {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{what} #{i} is malformed: {exc}") from None
+    return specs
 
 
 #: Wire-format version of plan and result files. Bump on incompatible
@@ -388,19 +295,7 @@ class Plan:
         meta = d.get("meta", {})
         if not isinstance(meta, dict):
             raise ConfigError("plan 'meta' must be an object")
-        specs = []
-        for i, spec_d in enumerate(specs_d):
-            if not isinstance(spec_d, dict):
-                raise ConfigError(f"plan spec #{i} must be an object")
-            try:
-                specs.append(RunSpec.from_dict(spec_d))
-            except ConfigError as exc:
-                raise ConfigError(f"plan spec #{i}: {exc}") from None
-            except TypeError as exc:
-                raise ConfigError(
-                    f"plan spec #{i} has unknown or missing fields: {exc}"
-                ) from None
-        return cls(specs=specs, meta=meta)
+        return cls(specs=parse_specs(specs_d), meta=meta)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True, allow_nan=False)

@@ -42,7 +42,7 @@ from pathlib import Path
 from ..errors import ConfigError, ReproError
 from ..resultset import RESULT_FORMATS, ResultSet
 from ..runner.cache import ResultCache, materialise, validate_tenant
-from ..runner.plan import Plan, RunSpec
+from ..runner.plan import Plan, RunSpec, parse_specs
 from ..runner.queue import (
     DEFAULT_POLL,
     QueueBackend,
@@ -92,10 +92,7 @@ def parse_submission(document) -> tuple[list[RunSpec], dict]:
         raw = document["specs"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError("submission 'specs' must be a non-empty list")
-        try:
-            specs = [RunSpec.from_dict(d) for d in raw]
-        except (ConfigError, KeyError, TypeError) as exc:
-            raise ConfigError(f"submission spec: {exc}") from None
+        specs = parse_specs(raw, what="submission spec")
     if not specs:
         raise ConfigError("submission expands to zero points")
     return specs, dict(meta)

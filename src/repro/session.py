@@ -1,12 +1,12 @@
 """Session + Grid: the one experiment object behind every entry point.
 
 A :class:`Session` owns the execution policy of a set of experiments —
-result cache, backend, worker count, progress — exactly once, and every
-front door routes through one: :func:`repro.api.run_workload` and
-:func:`repro.api.compare_mechanisms` are shims over the process-wide
-:func:`default_session`, the CLI builds one per invocation from the
-shared flags, and the figure runners accept one so a whole report shares
-a single cache and worker pool::
+result cache, backend, worker count, progress — exactly once, and it is
+the only execution handle: :func:`repro.api.run_workload` and
+:func:`repro.api.compare_mechanisms` run on the process-wide
+:func:`default_session` unless handed one, the CLI builds one per
+invocation from the shared flags, and every figure runner takes one as
+``session=`` so a whole report shares a single cache and worker pool::
 
     from repro import Grid, Session
 
@@ -22,7 +22,7 @@ a single cache and worker pool::
         )
         print(rs.pivot("workload", "mechanism").to_markdown())
 
-:class:`Grid` is the declarative sweep builder: every keyword is an axis
+:class:`Grid` is the only sweep builder: every keyword is an axis
 (scalar or sequence), and the cartesian product expands deterministically
 — in axis declaration order, workload-major for the canonical axes — to
 :class:`~repro.runner.RunSpec` points. Besides the spec axes
@@ -51,16 +51,16 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
-from typing import Iterator, Sequence
+from typing import Iterator
 
+from .core.controller import NVRConfig
+from .core.nsb import nsb_config
 from .errors import ConfigError
 from .resultset import ResultSet
 from .runner import (
     BACKEND_NAMES,
     Backend,
     DEFAULT_CACHE_DIR,
-    MemorySpec,
-    NVRSpec,
     Plan,
     PlanReport,
     QueueBackend,
@@ -68,16 +68,16 @@ from .runner import (
     RunSpec,
     SweepRunner,
     make_backend,
+    shape_l2,
 )
-from .runner.plan import _tuple
 from .runner.progress import NullProgress, Progress
+from .sim.memory.hierarchy import MemoryConfig, default_l2_config
 from .sim.npu.executor import ExecutorConfig
 
 __all__ = [
     "Grid",
     "Session",
     "add_session_arguments",
-    "coerce_session",
     "default_session",
     "resolve_cache_dir",
     "session_from_args",
@@ -114,8 +114,9 @@ _SPEC_AXES: tuple[str, ...] = (
     "executor",
 )
 
-#: Derived axes: grid name -> (RunSpec argument, shorthand field).
-_MEMORY_AXES = {"l2_kib": "l2_kib", "nsb_kib": "nsb_kib", "cpu_traffic": "cpu_traffic"}
+#: Derived axes: grid name -> config field (the memory axes shape a
+#: whole MemoryConfig, so they are listed by name only).
+_MEMORY_AXES = ("l2_kib", "nsb_kib", "cpu_traffic")
 _NVR_AXES = {
     "nvr_depth": "depth_tiles",
     "nvr_width": "vector_width",
@@ -124,17 +125,25 @@ _NVR_AXES = {
 _EXECUTOR_AXES = {"issue_width": "issue_width", "ooo_window": "ooo_window"}
 
 
+def _tuple(value) -> tuple:
+    """Normalise an axis: scalars become one-element tuples."""
+    if isinstance(value, (list, tuple)):
+        return tuple(value)
+    return (value,)
+
+
 class Grid:
     """A declarative cartesian sweep: every keyword is an axis.
 
     Expansion is deterministic: axes expand in declaration order (later
     axes vary fastest), so ``Grid(workload=ws, mechanism=ms)`` is
     workload-major like the paper figures' bar order. Derived platform
-    axes combine into one shorthand override per point (``l2_kib`` +
+    axes combine into one config override per point (``l2_kib`` +
     ``nsb_kib`` become a single
-    :class:`~repro.runner.MemorySpec`); combining a derived axis with its
-    object-valued override (``memory=`` with ``l2_kib=``) is a
-    :class:`~repro.errors.ConfigError`.
+    :class:`~repro.sim.memory.hierarchy.MemoryConfig`); combining a
+    derived axis with its object-valued override (``memory=`` with
+    ``l2_kib=``) is a :class:`~repro.errors.ConfigError`, and so is an
+    axis value no spec can hold (``scale="x"``), named by its point.
     """
 
     def __init__(self, **axes) -> None:
@@ -178,18 +187,21 @@ class Grid:
 
     def _spec_for(self, point: dict) -> RunSpec:
         kwargs = {name: point.pop(name) for name in _SPEC_AXES if name in point}
-        memory = {
-            field: point.pop(name)
-            for name, field in _MEMORY_AXES.items()
-            if name in point
-        }
-        if memory:
-            kwargs["memory"] = MemorySpec(**memory)
+        if any(name in point for name in _MEMORY_AXES):
+            l2_kib = point.pop("l2_kib", None)
+            nsb_kib = point.pop("nsb_kib", None)
+            memory = MemoryConfig(
+                l2=default_l2_config() if l2_kib is None else shape_l2(l2_kib),
+                nsb=None if nsb_kib is None else nsb_config(size_kib=nsb_kib),
+            )
+            if point.pop("cpu_traffic", False):
+                memory = memory.with_cpu_traffic()
+            kwargs["memory"] = memory
         nvr = {
             field: point.pop(name) for name, field in _NVR_AXES.items() if name in point
         }
         if nvr:
-            kwargs["nvr"] = NVRSpec(**nvr)
+            kwargs["nvr"] = NVRConfig(**nvr)
         executor = {
             field: point.pop(name)
             for name, field in _EXECUTOR_AXES.items()
@@ -202,10 +214,14 @@ class Grid:
     def specs(self) -> list[RunSpec]:
         """Expand to :class:`~repro.runner.RunSpec` points, deterministically."""
         names = list(self._axes)
-        return [
-            self._spec_for(dict(zip(names, combo)))
-            for combo in itertools.product(*self._axes.values())
-        ]
+        specs = []
+        for combo in itertools.product(*self._axes.values()):
+            point = dict(zip(names, combo))
+            try:
+                specs.append(self._spec_for(dict(point)))
+            except (ConfigError, TypeError, ValueError) as exc:
+                raise ConfigError(f"grid point {point}: {exc}") from None
+        return specs
 
     def plan(self, **meta) -> Plan:
         """The expansion as a wire-format :class:`~repro.runner.Plan`."""
@@ -237,10 +253,6 @@ class Session:
             (default 1; ignored by the local pool).
         progress: ``True`` for live progress lines, ``False``/``None``
             for silence, or a progress object.
-        runner: wrap an existing :class:`~repro.runner.SweepRunner`
-            instead of building one — the session then shares (and does
-            not own or close) its cache/pool. Mutually exclusive with
-            the other knobs.
 
     The underlying :class:`~repro.runner.SweepRunner` is built lazily on
     first use, so constructing a Session is free. Use the session as a
@@ -256,27 +268,8 @@ class Session:
         work_dir: str | os.PathLike | None = None,
         queue_batch: int = 1,
         progress=None,
-        runner: SweepRunner | None = None,
     ) -> None:
-        if runner is not None:
-            if (
-                jobs != 1
-                or cache is not None
-                or cache_dir is not None
-                or backend is not None
-                or work_dir is not None
-                or queue_batch != 1
-                or progress is not None
-            ):
-                raise ConfigError(
-                    "pass either runner= or the cache/backend/jobs knobs, "
-                    "not both — a wrapped runner already owns its policy"
-                )
-            self._runner: SweepRunner | None = runner
-            self._owns_runner = False
-        else:
-            self._runner = None
-            self._owns_runner = True
+        self._runner: SweepRunner | None = None
         self._jobs = max(1, int(jobs))
         self._cache = cache
         self._cache_dir = cache_dir
@@ -354,10 +347,10 @@ class Session:
         than raised, because close-on-teardown has no caller that can
         act on the error.
         """
-        # getattr: a Session whose __init__ raised (mutually-exclusive
-        # knobs) is still finalised by __del__, before these exist.
+        # getattr: a Session whose __init__ raised (an unknown keyword)
+        # is still finalised by __del__, before _runner exists.
         runner = getattr(self, "_runner", None)
-        if runner is None or not getattr(self, "_owns_runner", False):
+        if runner is None:
             return
         try:
             runner.close()
@@ -515,18 +508,11 @@ class Session:
         with_base: bool = False,
         memory=None,
         nvr=None,
-        nvr_config=None,
         executor=None,
         kind: str = "sim",
         **workload_args,
     ) -> RunSpec:
-        """Build the :class:`~repro.runner.RunSpec` for one point.
-
-        ``nvr_config`` is accepted as an alias of ``nvr`` (the
-        :func:`repro.api.run_workload` spelling).
-        """
-        if nvr is not None and nvr_config is not None:
-            raise ConfigError("pass nvr= or nvr_config=, not both")
+        """Build the :class:`~repro.runner.RunSpec` for one point."""
         return RunSpec(
             workload,
             mechanism=mechanism,
@@ -536,7 +522,7 @@ class Session:
             seed=seed,
             with_base=with_base,
             memory=memory,
-            nvr=nvr if nvr is not None else nvr_config,
+            nvr=nvr,
             executor=executor,
             workload_args=tuple(workload_args.items()),
             kind=kind,
@@ -598,7 +584,7 @@ class _FleetSession(Session):
 
 
 # ---------------------------------------------------------------------------
-# Default session + coercion
+# Default session
 # ---------------------------------------------------------------------------
 
 _DEFAULT_SESSION: Session | None = None
@@ -623,25 +609,6 @@ def set_default_session(session: Session | None) -> Session | None:
     previous = _DEFAULT_SESSION
     _DEFAULT_SESSION = session
     return previous
-
-
-def coerce_session(session=None, runner: SweepRunner | None = None) -> Session:
-    """Normalise the figure runners' ``session``/``runner`` arguments.
-
-    Accepts a :class:`Session`, a bare :class:`~repro.runner.SweepRunner`
-    (the pre-Session calling convention, wrapped without taking
-    ownership), or nothing — which yields :func:`default_session`.
-    """
-    chosen = session if session is not None else runner
-    if chosen is None:
-        return default_session()
-    if isinstance(chosen, Session):
-        return chosen
-    if isinstance(chosen, SweepRunner):
-        return Session(runner=chosen)
-    raise ConfigError(
-        f"expected a Session or SweepRunner, got {type(chosen).__name__}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +680,3 @@ def session_from_args(args: argparse.Namespace, quiet: bool = False) -> Session:
         queue_batch=getattr(args, "queue_batch", 1),
         progress=not quiet,
     )
-
-
-# Session.from_args reads naturally at call sites that already hold the
-# class; it is the same factory.
-Session.from_args = staticmethod(session_from_args)  # type: ignore[attr-defined]

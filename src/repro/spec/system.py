@@ -74,8 +74,7 @@ class SystemSpec:
             if value is not None and not isinstance(value, cls):
                 raise ConfigError(
                     f"SystemSpec.{name} must be a {cls.__name__}, got "
-                    f"{type(value).__name__} (call .build() on shorthand "
-                    "specs first)"
+                    f"{type(value).__name__}"
                 )
         if self.nvr is not None and not mdef.uses_nvr_config:
             raise ConfigError(

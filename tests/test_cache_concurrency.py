@@ -22,8 +22,8 @@ import threading
 import time
 from pathlib import Path
 
-from repro.runner import ResultCache, RunSpec, expand, pull_cache, push_cache
-from repro.session import Session
+from repro.runner import ResultCache, RunSpec, pull_cache, push_cache
+from repro.session import Grid, Session
 
 SCALE = 0.05
 
@@ -74,7 +74,7 @@ class TestThreadRaces:
         assert tmp_litter(tmp_path) == []
 
     def test_two_sessions_sweep_the_same_plan_concurrently(self, tmp_path):
-        specs = expand("st", ["inorder", "nvr"], scales=SCALE)
+        specs = Grid(workload="st", mechanism=["inorder", "nvr"], scale=SCALE).specs()
         outcomes = {}
 
         def sweep(name):
@@ -151,7 +151,7 @@ def trace_payload(spec: RunSpec) -> dict:
 class TestCacheLock:
     def test_gc_waits_for_held_lock(self, tmp_path):
         cache = ResultCache(tmp_path)
-        specs = expand("st", ["inorder", "nvr"], scales=SCALE)
+        specs = Grid(workload="st", mechanism=["inorder", "nvr"], scale=SCALE).specs()
         events: list[str] = []
 
         def gc_thread():

@@ -18,10 +18,11 @@ from repro.analysis.experiments import (
     fig8a_layer_miss,
     fig8bc_llm_throughput,
     fig9_nsb_sensitivity,
-    l2_config,
     table1_overhead,
     table2_workloads,
 )
+from repro.runner import shape_l2
+from repro.session import Session
 from repro.workloads import build_workload
 
 SCALE = 0.2
@@ -30,7 +31,7 @@ SCALE = 0.2
 class TestL2Config:
     @pytest.mark.parametrize("kib", [64, 128, 192, 256, 384, 512, 1024])
     def test_all_sweep_sizes_shapeable(self, kib):
-        cfg = l2_config(kib)
+        cfg = shape_l2(kib)
         assert cfg.size_bytes == kib * 1024
 
 
@@ -169,16 +170,14 @@ class TestAblations:
         assert res.speedups("ds")[0] == 1.0
 
     def test_nsb_size_sweep_runs_cached(self, tmp_path):
-        from repro.runner import ResultCache, SweepRunner
-
-        cold = SweepRunner(cache=ResultCache(tmp_path))
+        cold = Session(cache_dir=tmp_path)
         res = ablate_nsb_size(
-            values=(4, 16), workloads=("st",), scale=SCALE, runner=cold
+            values=(4, 16), workloads=("st",), scale=SCALE, session=cold
         )
         assert cold.submitted == 2
-        warm = SweepRunner(cache=ResultCache(tmp_path))
+        warm = Session(cache_dir=tmp_path)
         rerun = ablate_nsb_size(
-            values=(4, 16), workloads=("st",), scale=SCALE, runner=warm
+            values=(4, 16), workloads=("st",), scale=SCALE, session=warm
         )
         assert warm.submitted == 0
         assert rerun == res

@@ -36,7 +36,6 @@ from repro.runner import (
     SSHDriver,
     WorkerHandle,
     WorkQueue,
-    expand,
     make_driver,
     parse_hosts_file,
     pull_cache,
@@ -47,7 +46,7 @@ from repro.runner.fleet import EXITED, RUNNING, UNKNOWN
 from repro.runner.pool import execute_spec
 from repro.runner.queue import QueueStatus
 from repro.runner.sync import is_rsync_remote
-from repro.session import Session
+from repro.session import Grid, Session
 
 SCALE = 0.05
 
@@ -57,7 +56,7 @@ SLEEPER = [sys.executable, "-c", "import time; time.sleep(60)"]
 
 
 def small_specs() -> list[RunSpec]:
-    return expand("st", ["inorder", "nvr"], scales=SCALE)
+    return Grid(workload="st", mechanism=["inorder", "nvr"], scale=SCALE).specs()
 
 
 def wait_for(predicate, timeout: float = 10.0, interval: float = 0.05):

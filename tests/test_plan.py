@@ -11,6 +11,8 @@ The acceptance properties of the plan format and its commands:
   submitter's payloads are bit-identical to a local run.
 """
 
+import json
+
 import pytest
 
 from repro.__main__ import main as cli_main
@@ -24,18 +26,14 @@ from repro.analysis.experiments import (
     table2_workloads,
 )
 from repro.analysis.paperfigs import figures_plan
+from repro.core import NVRConfig
+from repro.core.nsb import nsb_config
 from repro.errors import ConfigError
 from repro.llm import calibration_plan, layer_miss_plan
 from repro.registry import MECHANISMS
-from repro.runner import (
-    MemorySpec,
-    NVRSpec,
-    Plan,
-    ResultCache,
-    RunSpec,
-    SweepRunner,
-    expand,
-)
+from repro.runner import Plan, RunSpec, shape_l2
+from repro.session import Grid, Session
+from repro.sim.memory.hierarchy import MemoryConfig
 from repro.sim.npu.executor import ENGINES, ExecutorConfig
 from repro.workloads import WORKLOAD_ORDER
 
@@ -43,7 +41,8 @@ SCALE = 0.05
 
 
 def small_plan() -> Plan:
-    return Plan(specs=expand(["st", "ds"], ["inorder", "nvr"], scales=SCALE))
+    grid = Grid(workload=["st", "ds"], mechanism=["inorder", "nvr"], scale=SCALE)
+    return Plan(specs=grid.specs())
 
 
 def spec_for_mechanism(mechanism: str) -> RunSpec:
@@ -54,9 +53,9 @@ def spec_for_mechanism(mechanism: str) -> RunSpec:
         dtype="int8",
         scale=0.2,
         seed=3,
-        memory=MemorySpec(l2_kib=128, nsb_kib=8),
+        memory=MemoryConfig(l2=shape_l2(128), nsb=nsb_config(size_kib=8)),
         nvr=(
-            NVRSpec(depth_tiles=4)
+            NVRConfig(depth_tiles=4)
             if MECHANISMS.get(mechanism).uses_nvr_config
             else None
         ),
@@ -181,6 +180,28 @@ class TestPlanCLI:
         assert "Traceback" not in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "spec_d",
+        [
+            pytest.param({"workload": "ds", "scale": "x"}, id="scale"),
+            # The retired shorthand layout: memory overrides travel as a
+            # full MemoryConfig under "system", never as KiB fields.
+            pytest.param(
+                {"workload": "ds", "memory": {"l2_kib": 128}}, id="shorthand-memory"
+            ),
+        ],
+    )
+    def test_sweep_malformed_spec_value_is_clean_error(self, tmp_path, capsys, spec_d):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"format": 1, "specs": [spec_d]}))
+        argv = ["sweep", "--spec", str(bad), "--cache-dir", str(tmp_path / "c")]
+        rc = cli_main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:")
+        assert "plan spec #0" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestFiguresPlan:
     def test_deterministic_and_wire_clean(self):
@@ -208,22 +229,22 @@ class TestFiguresPlan:
             assert {s.key() for s in plan_specs} <= keys
 
     def test_figure_runner_submits_only_plan_specs(self, tmp_path):
-        class RecordingRunner(SweepRunner):
+        class RecordingSession(Session):
             def __init__(self):
-                super().__init__(cache=ResultCache(tmp_path))
+                super().__init__(cache_dir=tmp_path)
                 self.seen = []
 
-            def run_plan(self, specs):
-                self.seen.extend(specs)
-                return super().run_plan(specs)
+            def sweep(self, plan):
+                self.seen.extend(plan)
+                return super().sweep(plan)
 
         for runner_fn, plan_fn in (
             (fig6c_data_movement, fig6c_plan),
             (fig7_bandwidth_allocation, fig7_plan),
             (table2_workloads, table2_plan),
         ):
-            recorder = RecordingRunner()
-            runner_fn(scale=SCALE, runner=recorder)
+            recorder = RecordingSession()
+            runner_fn(scale=SCALE, session=recorder)
             assert [s.key() for s in recorder.seen] == [
                 s.key() for s in plan_fn(scale=SCALE)
             ]

@@ -35,20 +35,19 @@ from repro.runner import (
     WorkQueue,
     batch_unit_id,
     execute_spec,
-    expand,
     load_results,
     make_backend,
     run_queue_worker,
     unit_id,
     write_results,
 )
-from repro.session import Session
+from repro.session import Grid, Session
 
 SCALE = 0.05
 
 
 def small_specs() -> list[RunSpec]:
-    return expand("st", ["inorder", "nvr"], scales=SCALE)
+    return Grid(workload="st", mechanism=["inorder", "nvr"], scale=SCALE).specs()
 
 
 def start_worker(work_dir, **kwargs) -> threading.Thread:
@@ -700,7 +699,9 @@ class TestQueueBatching:
         assert not list(queue.lease_dir.iterdir())
 
     def test_batched_backend_matches_local_bit_for_bit(self, tmp_path):
-        specs = expand("st", ["inorder", "stream", "nvr"], scales=SCALE)
+        specs = Grid(
+            workload="st", mechanism=["inorder", "stream", "nvr"], scale=SCALE
+        ).specs()
         local = SweepRunner(cache=ResultCache(tmp_path / "a"))
         backend = QueueBackend(tmp_path / "work", poll=0.02, timeout=30, batch=2)
         queued = SweepRunner(cache=ResultCache(tmp_path / "b"), backend=backend)
@@ -732,7 +733,7 @@ class TestQueueBatching:
 
         monkeypatch.setattr(pool, "execute_spec", failing)
         queue = WorkQueue(tmp_path).ensure()
-        specs = expand("st", ["inorder", "nvr"], scales=SCALE)
+        specs = Grid(workload="st", mechanism=["inorder", "nvr"], scale=SCALE).specs()
         uid = queue.enqueue_batch(tuple(specs))
         run_queue_worker(tmp_path, max_units=1, poll=0.02)
         report = json.loads(queue.failed_path(uid).read_text())

@@ -2,7 +2,7 @@
 
 The acceptance properties of the subsystem:
 
-* plans expand deterministically and specs content-address stably;
+* grids expand deterministically and specs content-address stably;
 * the cache turns repeated runs into zero executor submissions;
 * changing the code-version salt invalidates every entry;
 * results are bit-identical for every ``--jobs`` setting.
@@ -18,29 +18,31 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.api import compare_mechanisms, run_workload
+from repro.core import NVRConfig
+from repro.core.nsb import nsb_config
 from repro.errors import ConfigError, SimulationError
 from repro.runner import (
-    MemorySpec,
-    NVRSpec,
     Progress,
     ResultCache,
     RunSpec,
     SweepRunner,
     execute_spec,
-    expand,
     make_backend,
     payload_to_result,
     result_to_payload,
     shape_l2,
     trace_to_payload,
 )
+from repro.session import Grid, Session
+from repro.sim.memory.hierarchy import MemoryConfig
 from repro.workloads.base import TraceStats
 
 SCALE = 0.05
 
 
 def small_plan():
-    return expand(["ds", "st"], ["inorder", "nvr"], scales=SCALE)
+    grid = Grid(workload=["ds", "st"], mechanism=["inorder", "nvr"], scale=SCALE)
+    return grid.specs()
 
 
 def as_dicts(results):
@@ -49,13 +51,13 @@ def as_dicts(results):
 
 class TestPlan:
     def test_expand_cartesian_order(self):
-        specs = expand(
-            ["ds", "st"],
-            ["inorder", "nvr"],
-            dtypes=["int8", "fp16"],
-            scales=[0.1, 0.2],
-            seeds=[0, 1],
-        )
+        specs = Grid(
+            workload=["ds", "st"],
+            mechanism=["inorder", "nvr"],
+            dtype=["int8", "fp16"],
+            scale=[0.1, 0.2],
+            seed=[0, 1],
+        ).specs()
         assert len(specs) == 2 * 2 * 2 * 2 * 2
         # Workload-major order, matching the figures' bar order.
         assert [s.workload for s in specs[:16]] == ["ds"] * 16
@@ -64,7 +66,7 @@ class TestPlan:
         assert [s.seed for s in specs[:2]] == [0, 1]
 
     def test_expand_scalar_axes(self):
-        specs = expand("gcn", "nvr", scales=0.3)
+        specs = Grid(workload="gcn", mechanism="nvr", scale=0.3).specs()
         assert len(specs) == 1
         assert specs[0] == RunSpec("gcn", "nvr", scale=0.3)
 
@@ -75,8 +77,6 @@ class TestPlan:
         assert a.key() == b.key()
 
     def test_key_distinguishes_every_axis(self):
-        from repro.core import NVRConfig
-        from repro.sim.memory.hierarchy import MemoryConfig
         from repro.sim.npu.executor import ExecutorConfig
 
         base = RunSpec("ds")
@@ -88,9 +88,9 @@ class TestPlan:
             RunSpec("ds", scale=0.5),
             RunSpec("ds", seed=1),
             RunSpec("ds", with_base=True),
-            RunSpec("ds", memory=MemorySpec(l2_kib=128)),
+            RunSpec("ds", memory=MemoryConfig(l2=shape_l2(128))),
             RunSpec("ds", memory=MemoryConfig().with_cpu_traffic()),
-            RunSpec("ds", nvr=NVRSpec(depth_tiles=4)),
+            RunSpec("ds", nvr=NVRConfig(depth_tiles=4)),
             RunSpec("ds", nvr=NVRConfig(depth_tiles=2)),
             RunSpec("ds", executor=ExecutorConfig(issue_width=4)),
             RunSpec("ds", workload_args=(("topk_ratio", 4),)),
@@ -105,8 +105,8 @@ class TestPlan:
             mechanism="nvr",
             scale=0.2,
             seed=3,
-            memory=MemorySpec(l2_kib=128, nsb_kib=8),
-            nvr=NVRSpec(depth_tiles=4),
+            memory=MemoryConfig(l2=shape_l2(128), nsb=nsb_config(size_kib=8)),
+            nvr=NVRConfig(depth_tiles=4),
             workload_args=(("topk_ratio", 4),),
         )
         clone = RunSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
@@ -133,7 +133,7 @@ class TestPlan:
         from repro.spec import SystemSpec
 
         with pytest.raises(ConfigError, match="not both"):
-            RunSpec("ds", system=SystemSpec(), memory=MemorySpec(l2_kib=128))
+            RunSpec("ds", system=SystemSpec(), memory=MemoryConfig(l2=shape_l2(128)))
 
     def test_system_plus_conflicting_scalars_rejected(self):
         from repro.errors import ConfigError
@@ -192,16 +192,10 @@ class TestPlan:
         assert cache.get(spec) is None
 
     def test_memory_spec_builds_shaped_hierarchy(self):
-        memory = MemorySpec(l2_kib=128, nsb_kib=8).build()
+        memory = MemoryConfig(l2=shape_l2(128), nsb=nsb_config(size_kib=8))
         assert memory.l2.size_bytes == 128 * 1024
         assert memory.nsb is not None
         assert memory.nsb.size_bytes == 8 * 1024
-
-    def test_shape_l2_matches_legacy_alias(self):
-        from repro.analysis.experiments import l2_config
-
-        for kib in (64, 192, 256, 1024):
-            assert shape_l2(kib) == l2_config(kib)
 
 
 class TestPayloads:
@@ -534,14 +528,13 @@ class TestSweepRunner:
 
 class TestCompareMechanisms:
     def test_routes_through_runner(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        runner = SweepRunner(cache=cache)
+        session = Session(cache_dir=tmp_path)
         table = compare_mechanisms(
-            "st", mechanisms=("inorder", "nvr"), runner=runner, scale=SCALE
+            "st", mechanisms=("inorder", "nvr"), session=session, scale=SCALE
         )
         assert set(table) == {"inorder", "nvr"}
-        assert runner.submitted == 2
-        # Direct (runner-less) call gives identical results.
+        assert session.submitted == 2
+        # Default-session call gives identical results.
         direct = compare_mechanisms("st", mechanisms=("inorder", "nvr"), scale=SCALE)
         assert as_dicts(table.values()) == as_dicts(direct.values())
 
@@ -549,22 +542,19 @@ class TestCompareMechanisms:
         # The acceptance property of the SystemSpec layer: memory= and
         # nvr_config= overrides are plan content, not a serial fallback —
         # a warm rerun is served entirely from the cache.
-        from repro.core import NVRConfig
-        from repro.sim.memory.hierarchy import MemoryConfig
-
         kwargs = dict(
             mechanisms=("inorder", "nvr"),
             scale=SCALE,
             memory=MemoryConfig().with_nsb(True),
             nvr_config=NVRConfig(depth_tiles=2),
         )
-        cold = SweepRunner(cache=ResultCache(tmp_path))
-        table = compare_mechanisms("gcn", runner=cold, **kwargs)
+        cold = Session(cache_dir=tmp_path)
+        table = compare_mechanisms("gcn", session=cold, **kwargs)
         assert cold.submitted == 2
         assert table["inorder"].stats.nsb.demand_accesses > 0
 
-        warm = SweepRunner(cache=ResultCache(tmp_path))
-        rerun = compare_mechanisms("gcn", runner=warm, **kwargs)
+        warm = Session(cache_dir=tmp_path)
+        rerun = compare_mechanisms("gcn", session=warm, **kwargs)
         assert warm.submitted == 0
         assert warm.cache_hits == 2
         assert as_dicts(rerun.values()) == as_dicts(table.values())
@@ -572,9 +562,6 @@ class TestCompareMechanisms:
     def test_nvr_config_with_no_nvr_mechanism_rejected(self):
         # If *no* compared mechanism uses the config, the sweep would
         # silently ignore it — that is an error, mirroring run_workload.
-        from repro.core import NVRConfig
-        from repro.errors import ConfigError
-
         with pytest.raises(ConfigError, match="none of the compared"):
             compare_mechanisms(
                 "st",
@@ -587,36 +574,33 @@ class TestCompareMechanisms:
         # nvr_config= alongside baseline mechanisms tunes only the
         # mechanisms that declare uses_nvr_config; the baselines' points
         # stay identical to an untuned run (same cache identity).
-        from repro.core import NVRConfig
-
-        runner = SweepRunner()
+        session = Session(cache=False)
         tuned = compare_mechanisms(
             "st",
             mechanisms=("inorder", "nvr"),
-            runner=runner,
+            session=session,
             scale=SCALE,
             nvr_config=NVRConfig(depth_tiles=2),
         )
         plain = compare_mechanisms(
-            "st", mechanisms=("inorder",), runner=runner, scale=SCALE
+            "st", mechanisms=("inorder",), session=session, scale=SCALE
         )
         assert tuned["inorder"].total_cycles == plain["inorder"].total_cycles
         assert tuned["nvr"].total_cycles > 0
 
     def test_workload_kwargs_stay_cacheable(self, tmp_path):
-        runner = SweepRunner(cache=ResultCache(tmp_path))
         compare_mechanisms(
             "ds",
             mechanisms=("stream",),
-            runner=runner,
+            session=Session(cache_dir=tmp_path),
             scale=SCALE,
             topk_ratio=4,
         )
-        warm = SweepRunner(cache=ResultCache(tmp_path))
+        warm = Session(cache_dir=tmp_path)
         compare_mechanisms(
             "ds",
             mechanisms=("stream",),
-            runner=warm,
+            session=warm,
             scale=SCALE,
             topk_ratio=4,
         )
@@ -627,14 +611,14 @@ class TestFigureRunners:
     def test_fig5_shares_plan_and_caches(self, tmp_path):
         from repro.analysis.experiments import fig5_latency_breakdown
 
-        cold = SweepRunner(cache=ResultCache(tmp_path))
+        cold = Session(cache_dir=tmp_path)
         res = fig5_latency_breakdown(
-            workloads=("st",), panels=("fp16",), scale=SCALE, runner=cold
+            workloads=("st",), panels=("fp16",), scale=SCALE, session=cold
         )
         assert cold.submitted == 6
-        warm = SweepRunner(cache=ResultCache(tmp_path))
+        warm = Session(cache_dir=tmp_path)
         res2 = fig5_latency_breakdown(
-            workloads=("st",), panels=("fp16",), scale=SCALE, runner=warm
+            workloads=("st",), panels=("fp16",), scale=SCALE, session=warm
         )
         assert warm.submitted == 0
         assert res2.panels == res.panels
@@ -642,11 +626,11 @@ class TestFigureRunners:
     def test_fig9_memory_override_grid(self, tmp_path):
         from repro.analysis.experiments import fig9_nsb_sensitivity
 
-        runner = SweepRunner(cache=ResultCache(tmp_path))
+        session = Session(cache_dir=tmp_path)
         res = fig9_nsb_sensitivity(
-            nsb_sizes=(4, 16), l2_sizes=(64, 256), scale=0.1, runner=runner
+            nsb_sizes=(4, 16), l2_sizes=(64, 256), scale=0.1, session=session
         )
-        assert runner.submitted == 4
+        assert session.submitted == 4
         assert res.cell(16, 256) > 0
 
 

@@ -21,7 +21,7 @@ import pytest
 
 from repro.client import SweepClient
 from repro.errors import ConfigError, ServerError, SimulationError
-from repro.runner import RunSpec, expand, run_queue_worker
+from repro.runner import RunSpec, run_queue_worker
 from repro.runner.queue import WorkQueue
 from repro.server import (
     SweepEngine,
@@ -37,7 +37,7 @@ SCALE = 0.05
 
 
 def small_specs() -> list[RunSpec]:
-    return expand("st", ["inorder", "nvr"], scales=SCALE)
+    return small_grid().specs()
 
 
 def small_grid() -> Grid:
@@ -177,6 +177,28 @@ class TestParseSubmission:
             ({"specs": []}, "non-empty list"),
             ({"specs": [42]}, "submission spec"),
             ({"specs": [RunSpec("st").to_dict()], "meta": 3}, "'meta'"),
+            # A value no spec can hold is a ConfigError (a 400) that
+            # names its spec.
+            ({"grid": {"workload": "ds", "scale": "x"}}, "grid point .*'scale'"),
+            ({"grid": {"workload": "ds", "nsb_kib": "x"}}, "grid point .*'nsb_kib'"),
+            (
+                {"grid": {"workload": "ds", "nvr_depth": "x"}},
+                "grid point .*'nvr_depth'",
+            ),
+            (
+                {"plan": {"format": 1, "specs": [{"workload": "ds", "scale": "x"}]}},
+                "plan spec #0",
+            ),
+            ({"specs": [{"workload": "ds", "scale": "x"}]}, "submission spec #0"),
+            (
+                {"specs": [{"workload": "ds", "workload_args": [["a"]]}]},
+                "submission spec #0",
+            ),
+            # The retired shorthand layout (memory sizes in KiB).
+            (
+                {"specs": [{"workload": "ds", "memory": {"l2_kib": 128}}]},
+                "submission spec #0",
+            ),
         ],
     )
     def test_malformed_submissions_are_config_errors(self, document, match):

@@ -2,13 +2,13 @@
 
 Acceptance properties:
 
-* ``Grid`` expands deterministically, matches the imperative ``expand``
-  and the explicit shorthand-override spellings, and rejects ambiguous
-  axis combinations;
+* ``Grid`` expands deterministically, matches an explicit workload-major
+  expansion and the explicit config-override spellings, and rejects
+  ambiguous axis combinations;
 * ``Session`` memoises single points and sweeps through one cache, and
   figure runners sharing a session's cache re-simulate nothing;
-* ``run_workload``/``compare_mechanisms`` are true shims: identical
-  signatures/returns, now warm-hitting the default session's cache;
+* ``run_workload``/``compare_mechanisms`` run through a session (the
+  default one unless given), warm-hitting its cache;
 * ``ResultSet`` selection (filter/one/pivot/speedup) and its exports
   (records/csv/markdown/json) round-trip.
 """
@@ -24,19 +24,18 @@ from repro import (
     ResultSet,
     Session,
     compare_mechanisms,
-    expand,
     run_workload,
 )
 from repro.core import NVRConfig
+from repro.core.nsb import nsb_config
 from repro.errors import ConfigError
-from repro.runner import MemorySpec, Plan, RunSpec
+from repro.runner import Plan, RunSpec, shape_l2
 from repro.session import (
-    coerce_session,
-    default_session,
     resolve_cache_dir,
     session_from_args,
     set_default_session,
 )
+from repro.sim.memory.hierarchy import MemoryConfig
 from repro.sim.npu.executor import ExecutorConfig
 
 SCALE = 0.05
@@ -70,14 +69,13 @@ class TestGrid:
             scale=[0.2, 0.4],
             seed=0,
         )
-        specs = expand(
-            ["ds", "st"],
-            ["inorder", "nvr"],
-            dtypes="int8",
-            nsb=[False, True],
-            scales=[0.2, 0.4],
-            seeds=0,
-        )
+        specs = [
+            RunSpec(w, mechanism=m, dtype="int8", nsb=n, scale=sc, seed=0)
+            for w in ("ds", "st")
+            for m in ("inorder", "nvr")
+            for n in (False, True)
+            for sc in (0.2, 0.4)
+        ]
         assert [s.key() for s in grid.specs()] == [s.key() for s in specs]
         assert len(grid) == len(specs) == 16
 
@@ -111,7 +109,7 @@ class TestGrid:
                 "ds",
                 mechanism="nvr",
                 nvr=NVRConfig(depth_tiles=4),
-                memory=MemorySpec(l2_kib=128, nsb_kib=8),
+                memory=MemoryConfig(l2=shape_l2(128), nsb=nsb_config(size_kib=8)),
                 executor=ExecutorConfig(issue_width=4),
             )
         ]
@@ -130,7 +128,7 @@ class TestGrid:
 
     def test_rejects_override_plus_derived_axis(self):
         with pytest.raises(ConfigError, match="l2_kib"):
-            Grid(workload="ds", memory=MemorySpec(l2_kib=64), l2_kib=[64, 128])
+            Grid(workload="ds", memory=MemoryConfig(l2=shape_l2(64)), l2_kib=[64, 128])
         with pytest.raises(ConfigError, match="nvr_depth"):
             Grid(workload="ds", nvr=NVRConfig(), nvr_depth=2)
         with pytest.raises(ConfigError, match="issue_width"):
@@ -201,23 +199,6 @@ class TestSession:
             fig7_bandwidth_allocation(scale=SCALE, session=second)
             assert second.submitted == 0  # fully warm
 
-    def test_wrapped_runner_is_not_owned(self, tmp_path):
-        from repro.runner import ResultCache, SweepRunner
-
-        runner = SweepRunner(cache=ResultCache(tmp_path))
-        session = coerce_session(runner=runner)
-        session.run("st", mechanism="inorder", scale=SCALE)
-        assert runner.submitted == 1
-        with pytest.raises(ConfigError, match="not both"):
-            Session(runner=runner, jobs=4)
-
-    def test_coerce_session_passthrough(self, scratch_session):
-        assert coerce_session(scratch_session) is scratch_session
-        assert coerce_session(None, scratch_session) is scratch_session
-        assert coerce_session() is default_session()
-        with pytest.raises(ConfigError):
-            coerce_session("not a session")
-
     def test_no_cache_session(self, tmp_path):
         with Session(cache=False) as session:
             session.run("st", mechanism="inorder", scale=SCALE)
@@ -249,9 +230,16 @@ class TestConvenienceShims:
         assert scratch_default.submitted == 2
         assert scratch_default.cache_hits == 1
 
+    def test_run_workload_rejects_non_scalar_workload_args(self, scratch_default):
+        # Workload arguments are part of the point's content address, so
+        # a value that cannot be plan content is rejected before any run.
+        with pytest.raises(ConfigError, match="must be a scalar"):
+            run_workload("ds", mechanism="inorder", scale=SCALE, topk_ratio=[2, 4])
+        assert scratch_default.submitted == 0
+
     def test_compare_accepts_session(self, scratch_session):
         results = compare_mechanisms(
-            "st", mechanisms=("inorder", "nvr"), scale=SCALE, runner=scratch_session
+            "st", mechanisms=("inorder", "nvr"), scale=SCALE, session=scratch_session
         )
         assert set(results) == {"inorder", "nvr"}
         assert scratch_session.submitted == 2
@@ -499,10 +487,10 @@ class TestSessionClose:
     def test_close_survives_a_failed_constructor(self):
         # __del__ fires even when __init__ raised before any attribute
         # was set; close() must not turn that into an AttributeError.
-        with pytest.raises(ConfigError):
-            Session(runner=object(), jobs=4)
+        with pytest.raises(TypeError):
+            Session(runner=object())
         broken = Session.__new__(Session)
-        broken.close()  # no _runner/_owns_runner attributes at all
+        broken.close()  # no _runner attribute at all
         del broken
 
     def test_del_closes_silently(self, tmp_path):
@@ -517,13 +505,3 @@ class TestSessionClose:
         session._runner.close = explode
         session.__del__()  # swallowed
         session._runner = None  # let the real del find nothing to do
-
-    def test_wrapped_runner_is_not_closed(self, tmp_path):
-        from repro.runner import ResultCache, SweepRunner
-
-        runner = SweepRunner(cache=ResultCache(tmp_path))
-        closed = []
-        runner.close = lambda: closed.append(True)
-        session = Session(runner=runner)
-        session.close()
-        assert closed == []  # the session never owned it

@@ -21,10 +21,11 @@ from pathlib import Path
 import pytest
 
 from repro.core import NVRConfig
+from repro.core.nsb import nsb_config
 from repro.errors import ConfigError, WorkloadError
 from repro.prefetch import NullPrefetcher
 from repro.registry import MECHANISM_ORDER, MECHANISMS, MechanismDef, Registry
-from repro.runner import MemorySpec, RunSpec
+from repro.runner import RunSpec, shape_l2
 from repro.sim.memory.hierarchy import CPUTrafficConfig, MemoryConfig
 from repro.sim.npu.executor import ENGINES, ExecutorConfig
 from repro.session import Grid
@@ -53,7 +54,9 @@ def golden_specs() -> dict[str, RunSpec]:
             workload_args=(("topk_ratio", 4), ("drift", 1.0)),
         ),
         "trace": RunSpec("st", kind="trace", scale=0.1),
-        "memory-shorthand": RunSpec("ds", memory=MemorySpec(l2_kib=128, nsb_kib=8)),
+        "memory-shorthand": RunSpec(
+            "ds", memory=MemoryConfig(l2=shape_l2(128), nsb=nsb_config(size_kib=8))
+        ),
         "memory-full": RunSpec(
             "ds", memory=MemoryConfig().with_cpu_traffic(
                 CPUTrafficConfig(lines_per_kcycle=10)
@@ -74,7 +77,9 @@ def golden_specs() -> dict[str, RunSpec]:
             scale=0.5,
             seed=3,
             with_base=True,
-            memory=MemorySpec(l2_kib=512, nsb_kib=32, cpu_traffic=True),
+            memory=MemoryConfig(
+                l2=shape_l2(512), nsb=nsb_config(size_kib=32)
+            ).with_cpu_traffic(),
             nvr=NVRConfig(depth_tiles=16),
             executor=ExecutorConfig(issue_width=8),
             workload_args=(("heavy_ratio", 0.2),),
@@ -142,7 +147,7 @@ class TestConfigRoundTrips:
             MemoryConfig(),
             MemoryConfig().with_nsb(True),
             MemoryConfig().with_cpu_traffic(),
-            MemorySpec(l2_kib=1024, nsb_kib=4).build(),
+            MemoryConfig(l2=shape_l2(1024), nsb=nsb_config(size_kib=4)),
         ],
     )
     def test_memory_config(self, config):
@@ -218,13 +223,13 @@ class TestSystemSpec:
         assert a.key() == b.key()
 
     def test_nsb_flag_derived_from_memory(self):
-        spec = SystemSpec(memory=MemorySpec(nsb_kib=8).build())
+        spec = SystemSpec(memory=MemoryConfig(nsb=nsb_config(size_kib=8)))
         assert spec.nsb is True
         assert SystemSpec().nsb is False
 
     def test_shorthand_specs_rejected_at_construction(self):
-        with pytest.raises(ConfigError, match="MemorySpec"):
-            SystemSpec(memory=MemorySpec(l2_kib=128))
+        with pytest.raises(ConfigError, match="MemoryConfig, got dict"):
+            SystemSpec(memory={"l2_kib": 128})
 
     def test_build_resolves_defaults_and_nsb(self):
         program = build_workload("st", scale=0.05)
@@ -242,7 +247,7 @@ class TestSystemSpec:
     def test_label_is_compact(self):
         spec = SystemSpec(
             mechanism="nvr",
-            memory=MemorySpec(l2_kib=128, nsb_kib=8).build(),
+            memory=MemoryConfig(l2=shape_l2(128), nsb=nsb_config(size_kib=8)),
             nvr=NVRConfig(depth_tiles=4),
         )
         assert spec.label() == "nvr/nsb l2=128K nsb=8K nvr(d4,w16)"
@@ -281,7 +286,7 @@ class TestIncompatibleCombinations:
         spec = SystemSpec(
             mechanism="nvr",
             nsb=True,
-            memory=MemorySpec(l2_kib=128).build(),
+            memory=MemoryConfig(l2=shape_l2(128)),
         )
         assert spec.resolved_memory().nsb is not None
 
