@@ -16,8 +16,8 @@ Usage::
     python -m repro sweep --backend queue --work-dir work/ --workloads ds
     python -m repro queue status --work-dir work/ [--json]
     python -m repro serve --work work/ --port 8080
-    python -m repro fleet run --driver local -n 4 --scale 0.25 -o EXP.md
-    python -m repro fleet up --work-dir work/ --driver ssh --hosts hosts.txt -n 8
+    python -m repro fleet run -n 4 --scale 0.25 -o EXP.md
+    python -m repro fleet up --work-dir work/ -n 8
     python -m repro fleet status --work-dir work/
     python -m repro fleet down --work-dir work/
     python -m repro cache
@@ -41,20 +41,18 @@ off-process: they become claimable unit files under ``--work-dir`` and
 any number of ``repro queue worker`` processes *pull* them, heartbeating
 a lease so crashed workers' units are re-enqueued automatically; ``queue
 status`` inspects a work directory and ``touch <work-dir>/stop`` drains
-the workers. ``fleet`` owns the workers' *lifecycle*: ``fleet up``
-submits N ``queue worker`` processes through a pluggable driver
-(``local`` subprocesses, ``ssh`` fan-out over a hosts file, ``slurm``
-sbatch arrays), ``fleet status``/``down`` inspect and drain them from
-any process sharing the work directory, and ``fleet run`` is the
-one-command path — raise a herded (restart-on-death, optionally
-autoscaled) fleet, drain a figures or plan sweep through it, tear it
-down. ``cache gc`` bounds the cache's size with least-recently-accessed
-eviction, and ``cache push``/``pull --remote`` sync entries with a
-shared directory or rsync tier so fleets on different filesystems share
-warmth (pulls are salt/spec-verified, exactly like cache reads) —
-machines that share nothing export their slice of a plan, ``sweep
---spec`` it, and ``cache push`` the results for the submitter to ``cache
-pull``.
+the workers. ``fleet`` owns the *lifecycle* of local workers: ``fleet
+up`` starts N ``queue worker`` subprocesses on this machine, ``fleet
+status``/``down`` inspect and drain them from any process sharing the
+work directory, and ``fleet run`` is the one-command path — raise a
+herded (restart-on-death) fleet, drain a figures or plan sweep through
+it, tear it down. ``cache gc`` bounds the cache's size with
+least-recently-accessed eviction, and ``cache push``/``pull --remote``
+sync entries with a shared directory or rsync tier so fleets on
+different filesystems share warmth (pulls are salt/spec-verified,
+exactly like cache reads) — machines that share nothing export their
+slice of a plan, ``sweep --spec`` it, and ``cache push`` the results
+for the submitter to ``cache pull``.
 ``serve`` turns the same machinery into a long-lived daemon: sweeps
 arrive over HTTP (``POST /v1/sweeps``), dedupe point-by-point against
 the cache, and only the misses hit the queue — see
@@ -83,8 +81,8 @@ from .api import DTYPE_BYTES, MECHANISM_ORDER, compare_mechanisms
 from .check import cli as check_cli
 from .errors import ConfigError, ReproError
 from .runner import (
-    FLEET_DRIVERS,
     Fleet,
+    LocalDriver,
     Plan,
     ResultCache,
     WorkQueue,
@@ -95,12 +93,12 @@ from .runner import (
     trace_to_payload,
     units_per_minute,
 )
-from .runner.fleet import make_driver
 from .runner.queue import (
     DEFAULT_HEARTBEAT,
     DEFAULT_LEASE_TIMEOUT,
     DEFAULT_POLL,
     LEASE_TIMEOUT_ENV,
+    QueueStatus,
 )
 from .session import (
     Grid,
@@ -231,30 +229,44 @@ def _payload_records(specs, results) -> list[dict]:
     ]
 
 
+def _sweep_spec(args: argparse.Namespace, session: Session) -> None:
+    """Execute ``--spec PLAN`` (``sweep`` and ``fleet run``).
+
+    Prints the plan's summary line and, with ``--json``, dumps the raw
+    payload records: plans mix kinds (sim/trace/with_base), so there
+    is no per-point metrics table.
+    """
+    rs = session.sweep(Plan.load(args.spec))
+    report = session.last_report
+    print(
+        f"plan {args.spec}: {report.total} points, "
+        f"{report.submitted} simulated, {report.cache_hits} cached"
+    )
+    if args.json is not None:
+        records = _payload_records(rs.specs, rs.results)
+        with open(args.json, "w", encoding="utf-8") as handle:
+            json.dump(
+                sanitize_nonfinite(records),
+                handle,
+                indent=1,
+                sort_keys=True,
+                allow_nan=False,
+            )
+        print(f"wrote {args.json} ({len(records)} records)")
+
+
+def _write_report(args: argparse.Namespace, session: Session) -> None:
+    """Render the figures report to ``-o`` (``figures`` and ``fleet run``)."""
+    text = generate_report(scale=args.scale, seed=args.seed, session=session)
+    with open(args.output, "w") as handle:
+        handle.write(text)
+    print(f"wrote {args.output} ({len(text)} chars)")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.spec is not None:
-        # Spec-file input: execute an exported wire-format plan as-is.
-        # Plans mix kinds (sim/trace/with_base), so the per-point metrics
-        # table is skipped in favour of raw payload records.
-        plan = Plan.load(args.spec)
         with session_from_args(args) as session:
-            rs = session.sweep(plan)
-        report = session.last_report
-        print(
-            f"plan {args.spec}: {report.total} points, "
-            f"{report.submitted} simulated, {report.cache_hits} cached"
-        )
-        if args.json is not None:
-            records = _payload_records(rs.specs, rs.results)
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(
-                    sanitize_nonfinite(records),
-                    handle,
-                    indent=1,
-                    sort_keys=True,
-                    allow_nan=False,
-                )
-            print(f"wrote {args.json} ({len(records)} records)")
+            _sweep_spec(args, session)
         return 0
     with session_from_args(args) as session:
         rs = session.sweep(_sweep_grid(args))
@@ -381,17 +393,8 @@ def _cmd_queue_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_queue_status(args: argparse.Namespace) -> int:
-    queue = WorkQueue(args.work_dir)
-    deep = not args.shallow
-    status = queue.status(args.lease_timeout, deep=deep)
-    if args.json:
-        # The machine contract: the same document 'repro serve' embeds
-        # under "queue" in GET /v1/stats.
-        document = {"work_dir": str(queue.root), **status.to_dict()}
-        print(json.dumps(document, indent=2, sort_keys=True, allow_nan=False))
-        return 0
-    print(f"work dir  : {queue.root}")
+def _print_queue_lines(status: QueueStatus, deep: bool) -> None:
+    """The queue part of ``queue status`` and ``fleet status``."""
     queued = f"{status.queued}"
     if deep:
         queued += f" ({status.queued_points} point(s))"
@@ -403,6 +406,20 @@ def _cmd_queue_status(args: argparse.Namespace) -> int:
     print(f"results   : {status.results}")
     print(f"failed    : {status.failed}")
     print(f"stopping  : {'yes' if status.stopping else 'no'}")
+
+
+def _cmd_queue_status(args: argparse.Namespace) -> int:
+    queue = WorkQueue(args.work_dir)
+    deep = not args.shallow
+    status = queue.status(args.lease_timeout, deep=deep)
+    if args.json:
+        # The machine contract: the same document 'repro serve' embeds
+        # under "queue" in GET /v1/stats.
+        document = {"work_dir": str(queue.root), **status.to_dict()}
+        print(json.dumps(document, indent=2, sort_keys=True, allow_nan=False))
+        return 0
+    print(f"work dir  : {queue.root}")
+    _print_queue_lines(status, deep)
     if status.corrupt:
         print(
             f"# quarantined {status.corrupt} corrupt unit(s) into failed/ "
@@ -444,43 +461,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _driver_options(args: argparse.Namespace) -> dict:
-    """Driver-specific CLI flags as :func:`make_driver` keyword options.
-
-    Each flag is validated against the chosen driver here, so ``--hosts``
-    with ``--driver local`` is a one-line ConfigError instead of an
-    unexpected-keyword traceback out of the driver constructor.
-    """
-    options: dict = {}
-    wants = {
-        "hosts_file": (getattr(args, "hosts", None), ("ssh",)),
-        "sbatch_template": (getattr(args, "sbatch_template", None), ("slurm",)),
-        "remote_cmd": (getattr(args, "remote_cmd", None), ("ssh", "slurm")),
-    }
-    for option, (value, drivers) in wants.items():
-        if value is None:
-            continue
-        if args.driver not in drivers:
-            flag = "--" + option.replace("_", "-").replace("-file", "")
-            raise ConfigError(
-                f"{flag} only applies to --driver "
-                f"{'/'.join(drivers)}, not '{args.driver}'"
-            )
-        options[option] = value
-    if getattr(args, "worker_arg", None):
-        options["worker_args"] = list(args.worker_arg)
-    return options
-
-
 def _cmd_fleet_up(args: argparse.Namespace) -> int:
-    driver = make_driver(args.driver, args.work_dir, **_driver_options(args))
+    driver = LocalDriver(args.work_dir, worker_args=args.worker_arg or ())
     fleet = Fleet(args.work_dir, driver)
     handles = fleet.up(args.size)
     for handle in handles:
         print(f"started {handle.id}")
     print(
-        f"fleet up: {len(handles)} {args.driver} worker(s) on "
-        f"{fleet.queue.root} (state: {fleet.state_path})"
+        f"fleet up: {len(handles)} worker(s) on {fleet.queue.root} "
+        f"(state: {fleet.state_path})"
     )
     return 0
 
@@ -488,23 +477,11 @@ def _cmd_fleet_up(args: argparse.Namespace) -> int:
 def _cmd_fleet_status(args: argparse.Namespace) -> int:
     fleet = Fleet.attach(args.work_dir)
     status = fleet.status()
-    queue_status = fleet.queue.status(deep=True)
     print(f"work dir  : {fleet.queue.root}")
-    print(f"driver    : {fleet.driver.name}")
     print(f"workers   : {status.running}/{len(status.workers)} running")
     for wid, state in sorted(status.workers.items()):
         print(f"  {wid}: {state}")
-    print(
-        f"queued    : {queue_status.queued} "
-        f"({queue_status.queued_points} point(s))"
-    )
-    print(
-        f"claimed   : {queue_status.claimed} "
-        f"({queue_status.expired} lease-expired, recoverable)"
-    )
-    print(f"results   : {queue_status.results}")
-    print(f"failed    : {queue_status.failed}")
-    print(f"stopping  : {'yes' if queue_status.stopping else 'no'}")
+    _print_queue_lines(fleet.queue.status(deep=True), deep=True)
     stats = fleet.queue.worker_stats()
     if stats:
         print("throughput:")
@@ -528,18 +505,11 @@ def _cmd_fleet_down(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
-    if (args.min is None) != (args.max is None):
-        raise ConfigError("autoscaling needs both --min and --max")
     scratch = None
     work_dir = args.work_dir
     if work_dir is None:
         scratch = tempfile.TemporaryDirectory(prefix="repro-fleet-")
         work_dir = scratch.name
-    driver_options = _driver_options(args)
-    if args.driver == "local":
-        # Local fleets are the CI/laptop path: poll fast enough that
-        # worker pickup latency never dominates a small plan.
-        driver_options.setdefault("worker_args", ["--poll", "0.05"])
 
     def log(text: str) -> None:
         print(f"# {text}", file=sys.stderr, flush=True)
@@ -547,11 +517,10 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
     try:
         session = Session.fleet(
             work_dir,
-            driver=args.driver,
             size=args.size,
-            min_workers=args.min,
-            max_workers=args.max,
-            driver_options=driver_options,
+            # Poll fast enough that worker pickup latency never
+            # dominates a small plan.
+            worker_args=args.worker_arg or ["--poll", "0.05"],
             timeout=args.timeout,
             batch=getattr(args, "queue_batch", None),
             cache=False if getattr(args, "no_cache", False) else None,
@@ -564,31 +533,9 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
             if args.test_kill_worker:
                 fleet.arm_chaos()
             if args.spec is not None:
-                plan = Plan.load(args.spec)
-                rs = session.sweep(plan)
-                report = session.last_report
-                print(
-                    f"plan {args.spec}: {report.total} points, "
-                    f"{report.submitted} simulated, {report.cache_hits} cached"
-                )
-                if args.json is not None:
-                    records = _payload_records(rs.specs, rs.results)
-                    with open(args.json, "w", encoding="utf-8") as handle:
-                        json.dump(
-                            sanitize_nonfinite(records),
-                            handle,
-                            indent=1,
-                            sort_keys=True,
-                            allow_nan=False,
-                        )
-                    print(f"wrote {args.json} ({len(records)} records)")
+                _sweep_spec(args, session)
             else:
-                text = generate_report(
-                    scale=args.scale, seed=args.seed, session=session
-                )
-                with open(args.output, "w") as handle:
-                    handle.write(text)
-                print(f"wrote {args.output} ({len(text)} chars)")
+                _write_report(args, session)
             if args.test_kill_worker and fleet.restarts < 1:
                 raise ConfigError(
                     "--test-kill-worker: the chaos hook never fired (the "
@@ -674,10 +621,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     with session_from_args(args) as session:
-        text = generate_report(scale=args.scale, seed=args.seed, session=session)
-    with open(args.output, "w") as handle:
-        handle.write(text)
-    print(f"wrote {args.output} ({len(text)} chars)")
+        _write_report(args, session)
     return 0
 
 
@@ -1050,18 +994,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet_p = sub.add_parser(
         "fleet",
-        help="raise, herd and drain 'repro queue worker' fleets through "
-        "pluggable drivers (local subprocesses, ssh, slurm)",
+        help="raise, herd and drain fleets of local 'repro queue worker' subprocesses",
     )
     fleet_sub = fleet_p.add_subparsers(dest="fleet_cmd", required=True)
 
-    def _add_driver_arguments(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--driver",
-            choices=FLEET_DRIVERS.names(),
-            default="local",
-            help="how workers are acquired (default local)",
-        )
+    def _add_worker_arguments(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "-n",
             "--size",
@@ -1069,29 +1006,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=2,
             metavar="N",
             help="workers to start (default 2)",
-        )
-        p.add_argument(
-            "--hosts",
-            default=None,
-            metavar="FILE",
-            help="--driver ssh: host list, one 'host [slots]' per line "
-            "('#' comments)",
-        )
-        p.add_argument(
-            "--sbatch-template",
-            default=None,
-            metavar="FILE",
-            help="--driver slurm: sbatch script template ($job_name, "
-            "$array_spec, $log_dir, $worker_cmd placeholders; "
-            "default: a minimal built-in array script)",
-        )
-        p.add_argument(
-            "--remote-cmd",
-            default=None,
-            metavar="CMD",
-            help="--driver ssh/slurm: the remote 'repro' invocation "
-            "(default 'repro'; use e.g. 'source venv/bin/activate && "
-            "repro' when the remote needs activation)",
         )
         p.add_argument(
             "--worker-arg",
@@ -1111,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="the shared work directory the workers pull from",
     )
-    _add_driver_arguments(fup_p)
+    _add_worker_arguments(fup_p)
     fup_p.set_defaults(fn=_cmd_fleet_up)
 
     fstatus_p = fleet_sub.add_parser(
@@ -1148,22 +1062,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="work directory for the fleet (default: a temporary one)",
     )
-    _add_driver_arguments(frun_p)
-    frun_p.add_argument(
-        "--min",
-        type=int,
-        default=None,
-        metavar="N",
-        help="autoscale floor (with --max): the herder retargets the "
-        "fleet between the bounds against queue depth",
-    )
-    frun_p.add_argument(
-        "--max",
-        type=int,
-        default=None,
-        metavar="N",
-        help="autoscale ceiling (with --min)",
-    )
+    _add_worker_arguments(frun_p)
     frun_p.add_argument(
         "--timeout",
         type=float,
@@ -1206,7 +1105,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="restart test hook: SIGKILL one worker once real work is "
         "observed in flight and require the herder to replace it "
-        "(local driver only; exercised by CI)",
+        "(exercised by CI)",
     )
     frun_p.set_defaults(fn=_cmd_fleet_run)
 

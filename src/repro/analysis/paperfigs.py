@@ -63,7 +63,7 @@ def _header(scale: float, seed: int, elapsed: float, session=None) -> str:
         "who wins, by roughly what factor, where crossovers fall — is the\n"
         "reproduction target. Regenerate with:\n\n"
         "```\n"
-        f"python -m repro.analysis.paperfigs --scale {scale} -o EXPERIMENTS.md\n"
+        f"python -m repro figures --scale {scale} -o EXPERIMENTS.md\n"
         "```\n\n"
         f"{run_line}\n"
     )
@@ -95,7 +95,7 @@ def _fig1b(scale: float, seed: int, session=None) -> str:
         "widens with sparsity. Our gap is smaller than the paper's because\n"
         "the simulated in-order NPU retains intra-vector MLP through its\n"
         "64-entry MSHR file, which makes the dense baseline bandwidth-bound\n"
-        "(see DESIGN.md §3); the motivating observation — misses, not\n"
+        "(see `repro.sim.memory.mshr`); the motivating observation — misses, not\n"
         "parameter count, limit sparse speedup — is carried by Fig. 5.\n"
     )
 
@@ -225,7 +225,7 @@ def _fig7(scale: float, seed: int, session=None) -> str:
         f"- Off-chip reduction: **{res.offchip_reduction(False) * 100:.0f}%** "
         f"without NSB, **{res.offchip_reduction(True) * 100:.0f}%** with "
         "(paper: ~75%). The baseline is the coarse-granule explicit-preload\n"
-        "traffic model (DESIGN.md substitution table); our line-granular\n"
+        "traffic model (`MemorySystem.bulk_transfer`); our line-granular\n"
         "NVR fetches beat it by more than the paper's RTL measurement.\n"
     )
 
@@ -353,7 +353,7 @@ def _table2(scale: float, seed: int, session=None) -> str:
         "## Table II — sparse computation workloads\n\n"
         "**Paper:** eight workloads spanning LLMs, GNNs, sparse attention,\n"
         "point clouds and MoE.\n\n"
-        f"**Measured (synthetic trace generators, DESIGN.md §1):**\n\n"
+        "**Measured (synthetic trace generators, `repro.workloads`):**\n\n"
         f"```\n{table}\n```\n"
     )
 

@@ -126,7 +126,7 @@ class Rule(Protocol):
     def check(self, ctx: FileContext) -> Iterable[Finding]: ...
 
 
-#: The rule registry, mirroring MECHANISMS/ENGINES/FLEET_DRIVERS: keys
+#: The rule registry, mirroring MECHANISMS/ENGINES: keys
 #: are rule codes, values are Rule instances. Register at import time of
 #: :mod:`repro.check.rules` so every consumer sees the same pack.
 CHECK_RULES = Registry("check rule")

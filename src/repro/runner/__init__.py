@@ -19,8 +19,8 @@ parallel — and distributable — plan:
 * :mod:`repro.runner.worker` — queue-unit execution, the machinery
   behind ``repro queue worker``;
 * :mod:`repro.runner.fleet` — worker *acquisition* for the queue:
-  :class:`Fleet` herding (restart-on-death, autoscaling) over pluggable
-  :data:`FLEET_DRIVERS` (local subprocesses, SSH fan-out, SLURM arrays);
+  :class:`Fleet` herds local ``repro queue worker`` subprocesses
+  (:class:`LocalDriver`) and restarts the ones that die;
 * :mod:`repro.runner.sync` — remote cache sync (:func:`push_cache` /
   :func:`pull_cache`), sharing sweep warmth across filesystems;
 * :mod:`repro.runner.cache` — :class:`ResultCache`, content-addressed
@@ -54,18 +54,7 @@ from .plan import (
     RunSpec,
     shape_l2,
 )
-from .fleet import (
-    FLEET_DRIVERS,
-    AutoscalerPolicy,
-    Fleet,
-    FleetStatus,
-    LocalDriver,
-    SlurmDriver,
-    SSHDriver,
-    WorkerHandle,
-    make_driver,
-    parse_hosts_file,
-)
+from .fleet import Fleet, FleetStatus, LocalDriver, WorkerHandle
 from .pool import PlanReport, SweepRunner, execute_spec
 from .progress import NullProgress, Progress
 from .queue import (
@@ -82,12 +71,10 @@ from .sync import SyncReport, pull_cache, push_cache
 from .worker import run_queue_worker
 
 __all__ = [
-    "AutoscalerPolicy",
     "BACKEND_NAMES",
     "Backend",
     "CACHE_SALT",
     "DEFAULT_CACHE_DIR",
-    "FLEET_DRIVERS",
     "Fleet",
     "FleetStatus",
     "GCReport",
@@ -102,8 +89,6 @@ __all__ = [
     "QueueStatus",
     "ResultCache",
     "RunSpec",
-    "SSHDriver",
-    "SlurmDriver",
     "SweepRunner",
     "SyncReport",
     "SystemSpec",
@@ -113,9 +98,7 @@ __all__ = [
     "execute_spec",
     "load_results",
     "make_backend",
-    "make_driver",
     "materialise",
-    "parse_hosts_file",
     "payload_to_result",
     "pull_cache",
     "push_cache",

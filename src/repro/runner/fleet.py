@@ -1,65 +1,47 @@
-"""Fleets: pluggable worker herders over the queue's work-dir protocol.
+"""Fleets: a herder of local ``repro queue worker`` subprocesses.
 
 The queue backend (:mod:`repro.runner.queue`) is crash-tolerant but says
 nothing about worker *acquisition*: someone must start ``repro queue
-worker`` processes against the shared work directory. This module is
-that someone. A :class:`Fleet` owns a set of workers through a
-:class:`FleetDriver` — the pluggable submission mechanism — and herds
-them: dead workers are restarted (with exponential backoff and a
-max-restart cap, so a worker that dies on arrival cannot fork-bomb a
-cluster), and an optional autoscaler grows and shrinks the fleet
-between ``--min``/``--max`` against the queue's depth.
+worker`` processes against the shared work directory. On one machine,
+this module is that someone. A :class:`Fleet` owns a set of workers
+through a :class:`FleetDriver` — :class:`LocalDriver` in every real
+use, a stand-in in the herder tests and benchmarks — and herds them:
+dead workers are restarted with exponential backoff and a max-restart
+cap, so a worker that dies on arrival cannot fork-bomb the machine.
 
-Drivers speak one tiny protocol — ``submit``/``poll``/``stop`` over
-JSON-serialisable :class:`WorkerHandle` s — and live in the
-:data:`FLEET_DRIVERS` registry (the same plug-in pattern as
-:data:`repro.registry.MECHANISMS`), so a new cluster is one small class:
-
-* :class:`LocalDriver` — subprocess herder on this machine (``-n N``
-  workers, stdout/err captured under ``<work_dir>/fleet/logs/``). Fully
-  testable in-process; the ``fleet-smoke`` CI job drives it.
-* :class:`SSHDriver` — fan-out over a host list file; each worker is a
-  ``nohup``'d ``repro queue worker`` launched through ``ssh``, its
-  output captured per host on the (shared) filesystem.
-* :class:`SlurmDriver` — renders an sbatch array script from a template
-  and submits it via ``sbatch``; liveness is polled through ``squeue``.
-
-All three assume only what the queue already assumes: every worker can
-see the work directory. Fleet state (driver name + config, worker
-handles, restart counts) persists in ``<work_dir>/fleet/state.json``,
-so ``repro fleet up`` / ``status`` / ``down`` compose across processes
-— the process that tears a fleet down need not be the one that raised
-it.
+Workers on other machines need no herder: start ``repro queue worker
+--work-dir <shared dir>`` there by whatever means the site uses, and
+``repro fleet down`` (or ``touch <dir>/stop``) drains them too. Fleet
+state (driver config, worker handles, restart count) persists in
+``<work_dir>/fleet/state.json``, so ``repro fleet up`` / ``status`` /
+``down`` compose across processes — the process that tears a fleet
+down need not be the one that raised it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shlex
 import signal
-import string
 import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
 from ..errors import ConfigError
-from ..registry import Registry
 from .cache import atomic_write_json
 from .queue import QueueStatus, WorkQueue
 
 #: Worker liveness states reported by :meth:`FleetDriver.poll`.
 RUNNING = "running"
 EXITED = "exited"
-UNKNOWN = "unknown"  # the driver could not reach the worker's machine
 
 #: Default ceiling on crash restarts before the herder gives up on
 #: replacing workers (a worker that dies on arrival is a config problem,
-#: not a transient — restarting it forever would melt a cluster).
+#: not a transient — restarting it forever would melt the machine).
 DEFAULT_MAX_RESTARTS = 5
 
 #: Base of the exponential restart backoff, seconds: the k-th restart
@@ -71,11 +53,10 @@ DEFAULT_RESTART_BACKOFF = 1.0
 class WorkerHandle:
     """One submitted worker, as the driver knows it.
 
-    ``id`` is fleet-unique and human-legible (``local-4242-1``,
-    ``nodeA:17``, ``slurm-991_0``); ``data`` is the driver's private,
-    JSON-serialisable bookkeeping (pid, host, job id, log path) — it
-    round-trips through the fleet state file so a *different* process
-    can poll and stop workers it never submitted.
+    ``id`` is fleet-unique and human-legible (``local-4242-1``); ``data``
+    is the driver's private, JSON-serialisable bookkeeping (pid, log
+    path) — it round-trips through the fleet state file so a *different*
+    process can poll and stop workers it never submitted.
     """
 
     id: str
@@ -88,30 +69,33 @@ class WorkerHandle:
     def from_dict(cls, d: dict) -> "WorkerHandle":
         try:
             return cls(id=d["id"], data=dict(d["data"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed worker handle: {exc}") from None
 
 
 class FleetDriver(Protocol):
-    """The pluggable submission mechanism behind a :class:`Fleet`.
+    """What a :class:`Fleet` needs from the thing that runs its workers.
 
-    Implementations are *mechanism only*: they start, observe and stop
-    workers. Restart policy, backoff, autoscaling and state persistence
-    live in :class:`Fleet`, so every driver gets them for free.
+    :class:`LocalDriver` is the implementation; tests and benchmarks
+    substitute stand-ins. Drivers are *mechanism only*: they start,
+    observe and stop workers. Restart policy, backoff and state
+    persistence live in :class:`Fleet`.
     """
-
-    name: str
 
     def submit(self, count: int) -> list[WorkerHandle]:
         """Start ``count`` workers against the work directory."""
         ...
 
     def poll(self, handles: Sequence[WorkerHandle]) -> dict[str, str]:
-        """Map each handle id to :data:`RUNNING`/:data:`EXITED`/:data:`UNKNOWN`."""
+        """Map each handle id to :data:`RUNNING` or :data:`EXITED`."""
         ...
 
     def stop(self, handles: Sequence[WorkerHandle]) -> None:
         """Stop the given workers (interrupt first, escalate if needed)."""
+        ...
+
+    def kill(self, handle: WorkerHandle) -> None:
+        """SIGKILL one worker (the herder's chaos hook)."""
         ...
 
     def config(self) -> dict:
@@ -138,35 +122,6 @@ def _pid_alive(pid) -> bool:
     return True
 
 
-def _run_command(command: Sequence[str]) -> str:
-    """Run one submission-plumbing command, returning its stdout.
-
-    A non-zero exit is a :class:`~repro.errors.ConfigError` carrying the
-    command and its stderr — ssh/sbatch failures are operator input
-    problems (bad host, missing binary), not simulator bugs. A missing
-    binary reads the same way instead of a raw ``FileNotFoundError``.
-    """
-    try:
-        proc = subprocess.run(
-            list(command), capture_output=True, text=True, check=False
-        )
-    except FileNotFoundError:
-        raise ConfigError(
-            f"'{command[0]}' is not available on this machine "
-            f"(needed by: {' '.join(command)})"
-        ) from None
-    if proc.returncode != 0:
-        raise ConfigError(
-            f"command failed ({proc.returncode}): {' '.join(command)}\n"
-            f"{proc.stderr.strip()}"
-        )
-    return proc.stdout
-
-
-def _worker_cli_args(work_dir: Path, worker_args: Sequence[str]) -> list[str]:
-    return ["queue", "worker", "--work-dir", str(work_dir), *worker_args]
-
-
 class LocalDriver:
     """Subprocess herder: ``-n N`` ``repro queue worker`` children.
 
@@ -181,8 +136,6 @@ class LocalDriver:
     ``command`` overrides the worker argv wholesale — the herder tests
     use throwaway sleeper processes instead of real workers.
     """
-
-    name = "local"
 
     def __init__(
         self,
@@ -210,7 +163,11 @@ class LocalDriver:
             sys.executable,
             "-m",
             "repro",
-            *_worker_cli_args(self.work_dir, self.worker_args),
+            "queue",
+            "worker",
+            "--work-dir",
+            str(self.work_dir),
+            *self.worker_args,
         ]
 
     def submit(self, count: int) -> list[WorkerHandle]:
@@ -285,385 +242,6 @@ class LocalDriver:
         self._signal(handle, signal.SIGKILL)
 
 
-def parse_hosts_file(path: str | os.PathLike) -> list[tuple[str, int]]:
-    """Parse an SSH fleet host list: one ``host [slots]`` per line.
-
-    Blank lines and ``#`` comments are ignored; ``slots`` (default 1) is
-    how many workers the host runs. Returns ``(host, slots)`` pairs in
-    file order — submission round-robins across hosts so a small fleet
-    spreads before any host doubles up.
-    """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read hosts file {path}: {exc}") from None
-    hosts = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        slots = 1
-        if len(parts) == 2:
-            try:
-                slots = int(parts[1])
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: slot count must be an integer, "
-                    f"got {parts[1]!r}"
-                ) from None
-        elif len(parts) != 1:
-            raise ConfigError(
-                f"{path}:{lineno}: expected 'host [slots]', got {raw!r}"
-            )
-        if slots < 1:
-            raise ConfigError(f"{path}:{lineno}: slot count must be >= 1")
-        hosts.append((parts[0], slots))
-    if not hosts:
-        raise ConfigError(f"hosts file {path} lists no hosts")
-    return hosts
-
-
-class SSHDriver:
-    """Fan-out over a host list: one ``nohup``'d worker per slot via ssh.
-
-    The work directory must be a *shared* filesystem path valid on every
-    host — the same assumption the queue protocol itself makes. Worker
-    output is captured per host under ``<work_dir>/fleet/logs/`` (on
-    that shared filesystem), and the remote worker command defaults to
-    the installed ``repro`` console script (override with
-    ``remote_cmd`` when the remote environment needs activation, e.g.
-    ``"source venv/bin/activate && repro"``).
-
-    ``run`` injects the command executor (tests capture the exact ssh
-    argv without a network).
-    """
-
-    name = "ssh"
-
-    def __init__(
-        self,
-        work_dir: str | os.PathLike,
-        hosts_file: str | os.PathLike | None = None,
-        hosts: Sequence[tuple[str, int]] | None = None,
-        worker_args: Sequence[str] = (),
-        remote_cmd: str = "repro",
-        ssh_cmd: Sequence[str] = ("ssh", "-o", "BatchMode=yes"),
-        run=None,
-    ) -> None:
-        if hosts is None:
-            if hosts_file is None:
-                raise ConfigError(
-                    "the ssh fleet driver needs a hosts file "
-                    "(repro fleet --hosts FILE; one 'host [slots]' per line)"
-                )
-            hosts = parse_hosts_file(hosts_file)
-        self.work_dir = Path(work_dir)
-        self.hosts = [(str(h), int(s)) for h, s in hosts]
-        self.hosts_file = str(hosts_file) if hosts_file is not None else None
-        self.worker_args = list(worker_args)
-        self.remote_cmd = remote_cmd
-        self.ssh_cmd = list(ssh_cmd)
-        self._run = run if run is not None else _run_command
-        self._used: dict[str, int] = {host: 0 for host, _ in self.hosts}
-
-    def config(self) -> dict:
-        return {
-            "hosts": [list(pair) for pair in self.hosts],
-            "hosts_file": self.hosts_file,
-            "worker_args": list(self.worker_args),
-            "remote_cmd": self.remote_cmd,
-            "ssh_cmd": list(self.ssh_cmd),
-        }
-
-    @property
-    def capacity(self) -> int:
-        return sum(slots for _, slots in self.hosts)
-
-    def _next_host(self) -> str:
-        """Least-loaded host with a free slot, in file order."""
-        best = None
-        for host, slots in self.hosts:
-            used = self._used[host]
-            if used >= slots:
-                continue
-            if best is None or used < self._used[best]:
-                best = host
-        if best is None:
-            raise ConfigError(
-                f"ssh fleet is at capacity ({self.capacity} slot(s) across "
-                f"{len(self.hosts)} host(s)) — grow the hosts file to grow "
-                "the fleet"
-            )
-        return best
-
-    def submit(self, count: int) -> list[WorkerHandle]:
-        log_dir = self.work_dir / "fleet" / "logs"
-        handles = []
-        for _ in range(count):
-            host = self._next_host()
-            self._used[host] += 1
-            slot = self._used[host]
-            log_path = log_dir / f"{host}-{slot}.log"
-            worker = " ".join(
-                [self.remote_cmd]
-                + [shlex.quote(a) for a in _worker_cli_args(
-                    self.work_dir, self.worker_args
-                )]
-            )
-            remote = (
-                f"mkdir -p {shlex.quote(str(log_dir))} && "
-                f"nohup {worker} >> {shlex.quote(str(log_path))} 2>&1 "
-                f"& echo $!"
-            )
-            out = self._run([*self.ssh_cmd, host, remote])
-            try:
-                pid = int(out.strip().splitlines()[-1])
-            except (ValueError, IndexError):
-                raise ConfigError(
-                    f"ssh worker launch on {host} did not echo a pid "
-                    f"(got {out.strip()!r})"
-                ) from None
-            handles.append(
-                WorkerHandle(
-                    f"{host}:{pid}",
-                    {"host": host, "pid": pid, "log": str(log_path)},
-                )
-            )
-        return handles
-
-    def poll(self, handles: Sequence[WorkerHandle]) -> dict[str, str]:
-        states = {}
-        for handle in handles:
-            host, pid = handle.data.get("host"), handle.data.get("pid")
-            # `kill -0` succeeds iff the pid is alive; the trailing echo
-            # keeps ssh's own exit code 0 either way, so only a transport
-            # failure surfaces as an error (-> UNKNOWN, not EXITED: an
-            # unreachable host must not trigger a restart storm).
-            probe = f"kill -0 {int(pid)} 2>/dev/null && echo up || echo down"
-            try:
-                out = self._run([*self.ssh_cmd, str(host), probe])
-            except ConfigError:
-                states[handle.id] = UNKNOWN
-                continue
-            states[handle.id] = RUNNING if out.strip().endswith("up") else EXITED
-        return states
-
-    def stop(self, handles: Sequence[WorkerHandle]) -> None:
-        for handle in handles:
-            host, pid = handle.data.get("host"), handle.data.get("pid")
-            try:
-                self._run([*self.ssh_cmd, str(host), f"kill -INT {int(pid)}"])
-            except ConfigError:
-                continue  # already gone, or host unreachable
-            self._used[str(host)] = max(0, self._used.get(str(host), 1) - 1)
-
-
-#: The built-in sbatch array template. ``$`` placeholders are
-#: :class:`string.Template` substitutions; a custom template
-#: (``--sbatch-template``) must keep ``$worker_cmd`` and ``$array_spec``
-#: and may add partition/account/time directives freely.
-DEFAULT_SBATCH_TEMPLATE = """\
-#!/bin/bash
-#SBATCH --job-name=$job_name
-#SBATCH --array=$array_spec
-#SBATCH --output=$log_dir/slurm-%A_%a.log
-$worker_cmd
-"""
-
-
-class SlurmDriver:
-    """Batch-scheduler submission: one sbatch array task per worker.
-
-    ``submit(n)`` renders the template to
-    ``<work_dir>/fleet/sbatch-<seq>.sh`` and submits it with ``sbatch
-    --parsable``; ``poll`` asks ``squeue`` which array tasks still
-    exist (pending counts as running — the scheduler owns the wait);
-    ``stop`` is ``scancel`` per array task. ``run`` injects the command
-    executor for tests, exactly like :class:`SSHDriver`.
-    """
-
-    name = "slurm"
-
-    def __init__(
-        self,
-        work_dir: str | os.PathLike,
-        sbatch_template: str | os.PathLike | None = None,
-        worker_args: Sequence[str] = (),
-        remote_cmd: str = "repro",
-        run=None,
-    ) -> None:
-        self.work_dir = Path(work_dir)
-        self.sbatch_template = (
-            str(sbatch_template) if sbatch_template is not None else None
-        )
-        self.worker_args = list(worker_args)
-        self.remote_cmd = remote_cmd
-        self._run = run if run is not None else _run_command
-        self._seq = 0
-
-    def config(self) -> dict:
-        return {
-            "sbatch_template": self.sbatch_template,
-            "worker_args": list(self.worker_args),
-            "remote_cmd": self.remote_cmd,
-        }
-
-    def _template_text(self) -> str:
-        if self.sbatch_template is None:
-            return DEFAULT_SBATCH_TEMPLATE
-        try:
-            return Path(self.sbatch_template).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(
-                f"cannot read sbatch template {self.sbatch_template}: {exc}"
-            ) from None
-
-    def render(self, count: int) -> str:
-        """The sbatch script text for ``count`` array tasks."""
-        log_dir = self.work_dir / "fleet" / "logs"
-        worker = " ".join(
-            [self.remote_cmd]
-            + [shlex.quote(a) for a in _worker_cli_args(
-                self.work_dir, self.worker_args
-            )]
-        )
-        try:
-            return string.Template(self._template_text()).substitute(
-                job_name="repro-fleet",
-                array_spec=f"0-{count - 1}",
-                log_dir=str(log_dir),
-                worker_cmd=worker,
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(
-                f"sbatch template {self.sbatch_template}: bad placeholder "
-                f"({exc}) — known: $job_name $array_spec $log_dir $worker_cmd"
-            ) from None
-
-    def submit(self, count: int) -> list[WorkerHandle]:
-        fleet_dir = self.work_dir / "fleet"
-        log_dir = fleet_dir / "logs"
-        log_dir.mkdir(parents=True, exist_ok=True)
-        self._seq += 1
-        script = fleet_dir / f"sbatch-{self._seq:03d}.sh"
-        script.write_text(self.render(count), encoding="utf-8")
-        out = self._run(["sbatch", "--parsable", str(script)])
-        job = out.strip().split(";")[0]
-        if not job:
-            raise ConfigError("sbatch --parsable returned no job id")
-        return [
-            WorkerHandle(f"slurm-{job}_{task}", {"job": job, "task": task})
-            for task in range(count)
-        ]
-
-    @staticmethod
-    def _live_tasks(squeue_out: str) -> set[int]:
-        """Array task indices ``squeue`` still lists (any state).
-
-        Pending arrays print compactly (``991_[2-5]``); running tasks
-        print one row each (``991_3``). Both count as live.
-        """
-        tasks: set[int] = set()
-        for line in squeue_out.splitlines():
-            ident = line.split()[0] if line.split() else ""
-            if "_" not in ident:
-                continue
-            suffix = ident.split("_", 1)[1]
-            if suffix.startswith("[") and suffix.endswith("]"):
-                for part in suffix[1:-1].split(","):
-                    part = part.split("%", 1)[0]  # throttle suffix
-                    if "-" in part:
-                        lo, _, hi = part.partition("-")
-                        try:
-                            tasks.update(range(int(lo), int(hi) + 1))
-                        except ValueError:
-                            continue
-                    else:
-                        try:
-                            tasks.add(int(part))
-                        except ValueError:
-                            continue
-            else:
-                try:
-                    tasks.add(int(suffix))
-                except ValueError:
-                    continue
-        return tasks
-
-    def poll(self, handles: Sequence[WorkerHandle]) -> dict[str, str]:
-        by_job: dict[str, list[WorkerHandle]] = {}
-        for handle in handles:
-            by_job.setdefault(str(handle.data.get("job")), []).append(handle)
-        states: dict[str, str] = {}
-        for job, job_handles in by_job.items():
-            try:
-                out = self._run(["squeue", "-h", "-j", job, "-o", "%i %T"])
-            except ConfigError:
-                for handle in job_handles:
-                    states[handle.id] = UNKNOWN
-                continue
-            live = self._live_tasks(out)
-            for handle in job_handles:
-                task = handle.data.get("task")
-                states[handle.id] = RUNNING if task in live else EXITED
-        return states
-
-    def stop(self, handles: Sequence[WorkerHandle]) -> None:
-        for handle in handles:
-            job, task = handle.data.get("job"), handle.data.get("task")
-            try:
-                self._run(["scancel", f"{job}_{task}"])
-            except ConfigError:
-                continue
-
-
-#: Fleet driver registry: `repro fleet --driver` choices. Register a
-#: new cluster's driver here (same Registry as mechanisms/engines).
-FLEET_DRIVERS = Registry("fleet driver")
-FLEET_DRIVERS.register("local", LocalDriver)
-FLEET_DRIVERS.register("ssh", SSHDriver)
-FLEET_DRIVERS.register("slurm", SlurmDriver)
-
-
-def make_driver(name: str, work_dir: str | os.PathLike, **kwargs) -> FleetDriver:
-    """Build a registered driver (``ConfigError`` lists known names)."""
-    cls = FLEET_DRIVERS.get(name)
-    return cls(work_dir, **kwargs)
-
-
-@dataclass(frozen=True)
-class AutoscalerPolicy:
-    """Pure grow/shrink decision against one queue-status scan.
-
-    Demand is outstanding work — queued units plus claimed ones (every
-    claimed unit is a worker mid-execution; expired leases are already
-    counted inside ``claimed``). The target worker count is demand
-    clamped into ``[min_workers, max_workers]``: an idle queue drains
-    the fleet to the floor, a deep one grows it to the ceiling, and one
-    worker per outstanding unit is the point of diminishing returns in
-    between.
-    """
-
-    min_workers: int
-    max_workers: int
-
-    def __post_init__(self) -> None:
-        if self.min_workers < 0:
-            raise ConfigError(
-                f"min workers must be >= 0, got {self.min_workers}"
-            )
-        if self.max_workers < max(1, self.min_workers):
-            raise ConfigError(
-                f"max workers must be >= max(1, min), got "
-                f"min={self.min_workers} max={self.max_workers}"
-            )
-
-    def target(self, status: QueueStatus, current: int) -> int:
-        demand = status.queued + status.claimed
-        return max(self.min_workers, min(self.max_workers, demand))
-
-
 @dataclass
 class FleetStatus:
     """One observation of a fleet: per-worker states + the queue scan."""
@@ -680,17 +258,14 @@ class FleetStatus:
 
 
 class Fleet:
-    """A herd of queue workers: submit, watch, restart, scale, stop.
+    """A herd of queue workers: submit, watch, restart, stop.
 
-    The fleet's *nominal size* starts at :meth:`up`'s count. Each
-    :meth:`tick` polls the driver, drops exited workers, and refills the
-    deficit — immediately for autoscaler growth, behind an exponential
-    backoff (``restart_backoff * 2**(k-1)``, one worker per window) for
-    crash replacements, giving up entirely after ``max_restarts``
-    replacements so a worker that always dies on arrival cannot spin a
-    cluster. With ``min_workers``/``max_workers`` set, an
-    :class:`AutoscalerPolicy` retargets the nominal size against queue
-    depth each tick, stopping surplus workers when the queue drains.
+    The fleet's *nominal size* is :meth:`up`'s count, so a worker death
+    is the only cause of a deficit. Each :meth:`tick` polls the driver,
+    drops exited workers and refills the deficit behind an exponential
+    backoff (``restart_backoff * 2**(k-1)``, one worker per window),
+    giving up entirely after ``max_restarts`` replacements so a worker
+    that always dies on arrival cannot spin the machine.
 
     ``clock`` injects time for the backoff tests; ``log`` is an optional
     ``callable(str)`` for herder event lines (the CLI passes a stderr
@@ -701,8 +276,6 @@ class Fleet:
         self,
         work_dir: str | os.PathLike,
         driver: FleetDriver,
-        min_workers: int | None = None,
-        max_workers: int | None = None,
         max_restarts: int = DEFAULT_MAX_RESTARTS,
         restart_backoff: float = DEFAULT_RESTART_BACKOFF,
         clock=time.monotonic,
@@ -710,15 +283,6 @@ class Fleet:
     ) -> None:
         self.queue = WorkQueue(work_dir)
         self.driver = driver
-        if (min_workers is None) != (max_workers is None):
-            raise ConfigError(
-                "autoscaling needs both min and max worker bounds"
-            )
-        self.policy = (
-            AutoscalerPolicy(min_workers, max_workers)
-            if min_workers is not None
-            else None
-        )
         self.max_restarts = int(max_restarts)
         self.restart_backoff = float(restart_backoff)
         self.clock = clock
@@ -727,7 +291,6 @@ class Fleet:
         self.size = 0
         self.restarts = 0
         self.gave_up = False
-        self._owed_restarts = 0
         self._next_restart_at = 0.0
         self._chaos_armed = False
         self._herd_stop: threading.Event | None = None
@@ -743,7 +306,6 @@ class Fleet:
         atomic_write_json(
             self.state_path,
             {
-                "driver": self.driver.name,
                 "driver_config": self.driver.config(),
                 "workers": [handle.to_dict() for handle in self.workers],
                 "size": self.size,
@@ -755,9 +317,13 @@ class Fleet:
     def attach(cls, work_dir: str | os.PathLike, **kwargs) -> "Fleet":
         """Rebuild a fleet from ``<work_dir>/fleet/state.json``.
 
-        The driver is reconstructed from its persisted name and config,
-        so ``repro fleet status``/``down`` work from any process that
-        sees the work directory — not just the one that ran ``up``.
+        The one reader of the state file: ``repro fleet status``/``down``
+        use it from any process that sees the work directory, and the
+        server's ``/v1/stats`` reports what it finds. A missing,
+        unparsable or malformed file — any document :meth:`save_state`
+        could not have written, such as the state of a remote-driver
+        fleet from an older version — is a
+        :class:`~repro.errors.ConfigError`.
         """
         path = Path(work_dir) / "fleet" / "state.json"
         try:
@@ -769,18 +335,33 @@ class Fleet:
             ) from None
         except ValueError as exc:
             raise ConfigError(f"corrupt fleet state {path}: {exc}") from None
-        config = {
-            k: v
-            for k, v in dict(state.get("driver_config") or {}).items()
-            if v is not None
-        }
-        driver = make_driver(state.get("driver", "local"), work_dir, **config)
-        fleet = cls(work_dir, driver, **kwargs)
-        fleet.workers = [
-            WorkerHandle.from_dict(d) for d in state.get("workers", [])
-        ]
-        fleet.size = int(state.get("size", len(fleet.workers)))
-        fleet.restarts = int(state.get("restarts", 0))
+
+        def malformed(what: str) -> ConfigError:
+            return ConfigError(f"malformed fleet state {path}: {what}")
+
+        if not isinstance(state, dict):
+            raise malformed("not a JSON object")
+        config = state.get("driver_config") or {}
+        if not (
+            isinstance(config, dict)
+            and set(config) <= {"worker_args", "command"}
+            and all(
+                isinstance(argv, list) and all(isinstance(a, str) for a in argv)
+                for argv in config.values()
+            )
+        ):
+            raise malformed(f"driver config {config!r} is not a local fleet's")
+        workers = state.get("workers", [])
+        if not isinstance(workers, list):
+            raise malformed("'workers' is not a list")
+        size = state.get("size", len(workers))
+        restarts = state.get("restarts", 0)
+        for key, value in (("size", size), ("restarts", restarts)):
+            if type(value) is not int or value < 0:
+                raise malformed(f"'{key}' must be a count, got {value!r}")
+        fleet = cls(work_dir, LocalDriver(work_dir, **config), **kwargs)
+        fleet.workers = [WorkerHandle.from_dict(d) for d in workers]
+        fleet.size, fleet.restarts = size, restarts
         return fleet
 
     # -- lifecycle -----------------------------------------------------------
@@ -800,10 +381,7 @@ class Fleet:
         self.workers.extend(handles)
         self.size = len(self.workers)
         self.save_state()
-        self.log(
-            f"fleet up: {len(handles)} {self.driver.name} worker(s) "
-            f"on {self.queue.root}"
-        )
+        self.log(f"fleet up: {len(handles)} worker(s) on {self.queue.root}")
         return handles
 
     def status(self) -> FleetStatus:
@@ -857,57 +435,32 @@ class Fleet:
         how the ``fleet-smoke`` CI job proves the herder's crash story
         without hand-rolled process juggling in YAML.
         """
-        if getattr(self.driver, "kill", None) is None:
-            raise ConfigError(
-                f"the {self.driver.name} driver has no kill hook — the "
-                "restart test hook needs the local driver"
-            )
         self._chaos_armed = True
 
     def tick(self) -> FleetStatus:
-        """One herding pass: reap, chaos, autoscale, refill.
+        """One herding pass: reap, chaos, refill.
 
         Returns the post-pass :class:`FleetStatus` so callers (the herd
         loop, tests) observe exactly what the pass acted on.
         """
         states = self.driver.poll(self.workers)
-        alive = [h for h in self.workers if states.get(h.id) != EXITED]
-        died = len(self.workers) - len(alive)
-        if died:
-            dead_ids = [h.id for h in self.workers if states.get(h.id) == EXITED]
-            self.workers = alive
-            self._owed_restarts += died
-            self.log(f"herder: {died} worker(s) exited ({', '.join(dead_ids)})")
+        dead_ids = [h.id for h in self.workers if states.get(h.id) == EXITED]
+        if dead_ids:
+            self.workers = [h for h in self.workers if states.get(h.id) != EXITED]
+            self.log(
+                f"herder: {len(dead_ids)} worker(s) exited ({', '.join(dead_ids)})"
+            )
         queue_status = self.queue.status()
-        stopping = queue_status.stopping
-        now = self.clock()
 
         if self._chaos_armed and queue_status.claimed > 0 and self.workers:
             victim = self.workers[0]
-            self.driver.kill(victim)  # type: ignore[attr-defined]
+            self.driver.kill(victim)
             self._chaos_armed = False
             self.log(f"herder: chaos hook SIGKILLed {victim.id}")
 
-        if not stopping:
-            if self.policy is not None:
-                target = self.policy.target(queue_status, self.size)
-                if target != self.size:
-                    self.log(f"autoscaler: {self.size} -> {target} worker(s)")
-                self.size = target
-            if len(self.workers) > self.size:
-                surplus = self.workers[self.size :]
-                self.workers = self.workers[: self.size]
-                self.driver.stop(surplus)
-                self.log(f"herder: stopped {len(surplus)} surplus worker(s)")
-            deficit = self.size - len(self.workers)
-            # Deficit from autoscaler growth refills immediately; the
-            # part owed to worker deaths sits behind the backoff, one
-            # replacement per window, and stops at the restart cap.
-            self._owed_restarts = min(self._owed_restarts, max(0, deficit))
-            growth = deficit - self._owed_restarts
-            if growth > 0:
-                self.workers.extend(self.driver.submit(growth))
-            if self._owed_restarts > 0:
+        if not queue_status.stopping:
+            if len(self.workers) < self.size:
+                now = self.clock()
                 if self.restarts >= self.max_restarts:
                     if not self.gave_up:
                         self.gave_up = True
@@ -917,7 +470,6 @@ class Fleet:
                         )
                 elif now >= self._next_restart_at:
                     self.workers.extend(self.driver.submit(1))
-                    self._owed_restarts -= 1
                     self.restarts += 1
                     backoff = self.restart_backoff * (2 ** (self.restarts - 1))
                     self._next_restart_at = now + backoff

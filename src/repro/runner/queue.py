@@ -210,10 +210,10 @@ class QueueStatus:
     ``queued_points`` and ``corrupt`` are only populated by a *deep*
     scan (``status(deep=True)``), which reads every queued unit file:
     a batched unit counts one toward ``queued`` but each of its specs
-    toward ``queued_points`` (the number the fleet autoscaler actually
-    cares about), and an unreadable unit — e.g. a zero-byte file left
-    by an interrupted enqueue — is quarantined into ``failed/`` and
-    counted in ``corrupt`` instead of ``queued``.
+    toward ``queued_points`` (the outstanding work ``repro fleet
+    status`` reports), and an unreadable unit — e.g. a zero-byte file
+    left by an interrupted enqueue — is quarantined into ``failed/``
+    and counted in ``corrupt`` instead of ``queued``.
     """
 
     queued: int = 0
@@ -230,7 +230,7 @@ class QueueStatus:
 
         The machine-readable contract behind ``repro queue status
         --json`` and the server's ``/v1/stats`` — both consume this
-        method, so scripts (fleet autoscalers, dashboards) never have
+        method, so scripts (dashboards, external schedulers) never have
         to scrape the human-formatted status text.
         """
         return asdict(self)

@@ -32,7 +32,6 @@ callbacks fire outside it.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -42,6 +41,7 @@ from pathlib import Path
 from ..errors import ConfigError, ReproError
 from ..resultset import RESULT_FORMATS, ResultSet
 from ..runner.cache import ResultCache, materialise, validate_tenant
+from ..runner.fleet import Fleet
 from ..runner.plan import Plan, RunSpec, parse_specs
 from ..runner.queue import (
     DEFAULT_POLL,
@@ -101,23 +101,19 @@ def parse_submission(document) -> tuple[list[RunSpec], dict]:
 def fleet_summary(work_dir: str | os.PathLike) -> dict:
     """What ``<work>/fleet/state.json`` says about the attached fleet.
 
-    Read directly (not through :meth:`~repro.runner.Fleet.attach`) so a
-    work directory that never ran ``fleet up`` — workers started by
-    hand, or none at all — reports an empty fleet instead of raising.
+    Read through :meth:`~repro.runner.Fleet.attach`, the file's one
+    reader; a work directory without a readable fleet state — workers
+    started by hand, none at all, or a malformed file — reports an
+    empty fleet instead of failing the stats request.
     """
-    path = Path(work_dir) / "fleet" / "state.json"
     try:
-        state = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {"driver": None, "size": 0, "workers": 0, "restarts": 0}
-    if not isinstance(state, dict):
-        return {"driver": None, "size": 0, "workers": 0, "restarts": 0}
-    workers = state.get("workers") or []
+        fleet = Fleet.attach(work_dir)
+    except ConfigError:
+        return {"size": 0, "workers": 0, "restarts": 0}
     return {
-        "driver": state.get("driver"),
-        "size": int(state.get("size", len(workers))),
-        "workers": len(workers),
-        "restarts": int(state.get("restarts", 0)),
+        "size": fleet.size,
+        "workers": len(fleet.workers),
+        "restarts": fleet.restarts,
     }
 
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core.controller import NVRConfig
 from .core.nsb import nsb_config
@@ -430,12 +430,8 @@ class Session:
         cls,
         work_dir: str | os.PathLike,
         *,
-        driver: str = "local",
         size: int = 2,
-        min_workers: int | None = None,
-        max_workers: int | None = None,
-        driver_options: dict | None = None,
-        herd_interval: float = 0.5,
+        worker_args: Sequence[str] = (),
         lease_timeout: float | None = None,
         poll: float | None = None,
         timeout: float | None = None,
@@ -447,32 +443,23 @@ class Session:
         """A :meth:`remote` session that raises its *own* worker fleet.
 
         Where :meth:`remote` assumes someone else starts the
-        ``repro queue worker`` processes, this builds a
-        :class:`~repro.runner.Fleet` over the named
-        :data:`~repro.runner.FLEET_DRIVERS` entry (``"local"`` spawns
-        ``size`` subprocess workers on this machine), herds it on a
-        background thread — dead workers restart with backoff, and with
-        ``min_workers``/``max_workers`` set the fleet autoscales against
-        queue depth — and tears the whole fleet down when the session
+        ``repro queue worker`` processes, this raises a
+        :class:`~repro.runner.Fleet` of ``size`` local subprocess
+        workers, herds it on a background thread — dead workers restart
+        with backoff — and tears the whole fleet down when the session
         closes::
 
             with Session.fleet("sweep-work", size=4) as session:
                 rs = session.sweep(grid)   # the session's own workers pull
 
-        ``driver_options`` passes driver-specific knobs through
-        :func:`~repro.runner.make_driver` (``hosts_file=`` for ``ssh``,
-        ``sbatch_template=`` for ``slurm``, ``worker_args=`` for all).
-        The queue knobs (``lease_timeout``/``poll``/``timeout``/
-        ``batch``) mean exactly what they mean on :meth:`remote`.
+        ``worker_args`` are extra ``repro queue worker`` arguments (e.g.
+        ``["--poll", "0.05"]``). The queue knobs (``lease_timeout``/
+        ``poll``/``timeout``/``batch``) mean exactly what they mean on
+        :meth:`remote`.
         """
-        from .runner.fleet import Fleet, make_driver
+        from .runner.fleet import Fleet, LocalDriver
 
-        fleet = Fleet(
-            work_dir,
-            make_driver(driver, work_dir, **dict(driver_options or {})),
-            min_workers=min_workers,
-            max_workers=max_workers,
-        )
+        fleet = Fleet(work_dir, LocalDriver(work_dir, worker_args=worker_args))
         session = _FleetSession.remote(
             work_dir,
             lease_timeout=lease_timeout,
@@ -487,10 +474,10 @@ class Session:
         session._fleet = fleet
         try:
             fleet.up(size)
-            fleet.start_herding(herd_interval)
+            fleet.start_herding()
         except BaseException:
-            # A failed raise (driver submit error) must not leak the
-            # workers that *did* start: close() tears the fleet down.
+            # A failed raise (a spawn error) must not leak the workers
+            # that *did* start: close() tears the fleet down.
             session.close()
             raise
         return session

@@ -1,12 +1,12 @@
-"""Fleet herding: drivers, restart policy, autoscaling, cache sync.
+"""Fleet herding: the local driver, restart policy, state, cache sync.
 
 The acceptance properties of the fleet layer:
 
-* drivers are registry entries speaking one ``submit/poll/stop``
-  protocol, reconstructible from their persisted state-file config;
+* the local driver starts, polls and stops ``repro queue worker``
+  subprocesses, and is rebuilt from the persisted state file, whose one
+  reader turns any malformed document into a ``ConfigError``;
 * the herder replaces dead workers — behind an exponential backoff and
-  a max-restart cap, so a worker that dies on arrival cannot spin — and
-  the autoscaler moves the fleet between its bounds with queue depth;
+  a max-restart cap, so a worker that dies on arrival cannot spin;
 * ``Session.fleet`` sweeps are byte-identical to the local backend
   (the ``fleet-smoke`` CI job pins the CLI flavour, chaos kill
   included);
@@ -25,27 +25,21 @@ import pytest
 from repro.__main__ import main as cli_main
 from repro.errors import ConfigError
 from repro.runner import (
-    FLEET_DRIVERS,
-    AutoscalerPolicy,
     Fleet,
     LocalDriver,
     Plan,
     ResultCache,
     RunSpec,
-    SlurmDriver,
-    SSHDriver,
     WorkerHandle,
     WorkQueue,
-    make_driver,
-    parse_hosts_file,
     pull_cache,
     push_cache,
     result_to_payload,
 )
-from repro.runner.fleet import EXITED, RUNNING, UNKNOWN
+from repro.runner.fleet import EXITED, RUNNING
 from repro.runner.pool import execute_spec
-from repro.runner.queue import QueueStatus
 from repro.runner.sync import is_rsync_remote
+from repro.server.engine import fleet_summary
 from repro.session import Grid, Session
 
 SCALE = 0.05
@@ -53,6 +47,37 @@ SCALE = 0.05
 #: A worker stand-in that stays alive until stopped — herder tests care
 #: about process lifecycle, not simulation.
 SLEEPER = [sys.executable, "-c", "import time; time.sleep(60)"]
+
+
+#: State files no :meth:`Fleet.save_state` writes: a non-count size, a
+#: top-level list, and the driver options of an older version's ssh
+#: fleet.
+MALFORMED_STATES = [
+    pytest.param({"size": "x"}, id="size-not-a-count"),
+    pytest.param([], id="top-level-list"),
+    pytest.param({"driver_config": {"hosts_file": "h.txt"}}, id="ssh-config"),
+]
+
+
+#: Remote-driver and autoscaler flags the fleet CLI does not take.
+REMOVED_FLAGS = [
+    ("up", ("--driver", "ssh")),
+    ("up", ("--hosts", "F")),
+    ("up", ("--sbatch-template", "F")),
+    ("up", ("--remote-cmd", "C")),
+    ("run", ("--driver", "ssh")),
+    ("run", ("--hosts", "F")),
+    ("run", ("--sbatch-template", "F")),
+    ("run", ("--remote-cmd", "C")),
+    ("run", ("--min", "1")),
+    ("run", ("--max", "2")),
+]
+
+
+def write_state(work_dir, state) -> None:
+    path = work_dir / "fleet" / "state.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(state))
 
 
 def small_specs() -> list[RunSpec]:
@@ -66,91 +91,6 @@ def wait_for(predicate, timeout: float = 10.0, interval: float = 0.05):
             return
         time.sleep(interval)
     raise AssertionError("condition not reached within timeout")
-
-
-class FakeDriver:
-    """A registry-shaped driver that records calls and kills on command."""
-
-    name = "fake"
-
-    def __init__(self):
-        self._seq = 0
-        self.alive: dict[str, bool] = {}
-        self.submitted = 0
-        self.stopped: list[str] = []
-
-    def config(self) -> dict:
-        return {}
-
-    def submit(self, count):
-        handles = []
-        for _ in range(count):
-            self._seq += 1
-            wid = f"fake-{self._seq}"
-            self.alive[wid] = True
-            handles.append(WorkerHandle(wid, {}))
-        self.submitted += count
-        return handles
-
-    def poll(self, handles):
-        return {
-            h.id: RUNNING if self.alive.get(h.id) else EXITED for h in handles
-        }
-
-    def stop(self, handles):
-        for h in handles:
-            self.alive[h.id] = False
-            self.stopped.append(h.id)
-
-    def die(self, wid: str) -> None:
-        self.alive[wid] = False
-
-
-class TestDriverRegistry:
-    def test_builtin_drivers_are_registered(self):
-        assert set(FLEET_DRIVERS.names()) >= {"local", "ssh", "slurm"}
-
-    def test_unknown_driver_lists_known_names(self, tmp_path):
-        with pytest.raises(ConfigError, match="local.*ssh.*slurm"):
-            make_driver("pbs", tmp_path)
-
-    def test_make_driver_round_trips_config(self, tmp_path):
-        driver = make_driver("local", tmp_path, worker_args=["--poll", "0.1"])
-        assert isinstance(driver, LocalDriver)
-        rebuilt = make_driver("local", tmp_path, **driver.config())
-        assert rebuilt.worker_args == ["--poll", "0.1"]
-
-    def test_handle_round_trips_json(self):
-        handle = WorkerHandle("h1", {"pid": 42, "log": "x.log"})
-        assert WorkerHandle.from_dict(handle.to_dict()) == handle
-        with pytest.raises(ConfigError):
-            WorkerHandle.from_dict({"data": {}})
-
-
-class TestHostsFile:
-    def test_parses_slots_comments_and_blanks(self, tmp_path):
-        path = tmp_path / "hosts"
-        path.write_text("# fleet\nnodeA 2\n\nnodeB   # one slot\n")
-        assert parse_hosts_file(path) == [("nodeA", 2), ("nodeB", 1)]
-
-    @pytest.mark.parametrize(
-        "text,match",
-        [
-            ("nodeA x\n", "integer"),
-            ("nodeA 0\n", ">= 1"),
-            ("nodeA 1 extra\n", "expected"),
-            ("# nothing\n", "no hosts"),
-        ],
-    )
-    def test_rejects_malformed_files(self, tmp_path, text, match):
-        path = tmp_path / "hosts"
-        path.write_text(text)
-        with pytest.raises(ConfigError, match=match):
-            parse_hosts_file(path)
-
-    def test_missing_file_is_config_error(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read"):
-            parse_hosts_file(tmp_path / "absent")
 
 
 class TestLocalDriver:
@@ -299,66 +239,6 @@ class TestHerder:
         assert not fleet.state_path.exists()
         assert fleet.queue.stop_requested()
 
-    def test_chaos_hook_requires_a_kill_capable_driver(self, tmp_path):
-        fleet = Fleet(tmp_path, FakeDriver())
-        with pytest.raises(ConfigError, match="kill hook"):
-            fleet.arm_chaos()
-
-
-class TestAutoscaler:
-    def test_target_is_demand_clamped_to_bounds(self):
-        policy = AutoscalerPolicy(min_workers=1, max_workers=4)
-        assert policy.target(QueueStatus(), current=3) == 1
-        assert policy.target(QueueStatus(queued=2, claimed=1), current=1) == 3
-        assert policy.target(QueueStatus(queued=100), current=1) == 4
-
-    def test_expired_leases_do_not_double_count(self):
-        # expired is a subset of claimed, not extra demand.
-        policy = AutoscalerPolicy(min_workers=0, max_workers=10)
-        status = QueueStatus(queued=1, claimed=2, expired=2)
-        assert policy.target(status, current=0) == 3
-
-    @pytest.mark.parametrize("bounds", [(-1, 4), (2, 1), (0, 0)])
-    def test_invalid_bounds_raise(self, bounds):
-        with pytest.raises(ConfigError):
-            AutoscalerPolicy(*bounds)
-
-    def test_fleet_needs_both_bounds_or_neither(self, tmp_path):
-        with pytest.raises(ConfigError, match="both"):
-            Fleet(tmp_path, FakeDriver(), min_workers=1)
-
-    def test_fleet_grows_and_shrinks_with_queue_depth(self, tmp_path):
-        driver = FakeDriver()
-        fleet = Fleet(tmp_path, driver, min_workers=1, max_workers=4)
-        depth = [QueueStatus(queued=10)]
-        fleet.queue.status = lambda lease_timeout=None, deep=False: depth[0]
-        fleet.up(1)
-        status = fleet.tick()
-        assert fleet.size == 4
-        assert status.running == 4
-        assert driver.submitted == 4
-        depth[0] = QueueStatus()  # drained: shrink to the floor
-        status = fleet.tick()
-        assert fleet.size == 1
-        assert status.running == 1
-        assert len(driver.stopped) == 3
-
-    def test_autoscaler_growth_skips_the_restart_backoff(self, tmp_path):
-        # Growth is immediate; only crash replacements are rate-limited.
-        driver = FakeDriver()
-        fleet = Fleet(
-            tmp_path,
-            driver,
-            min_workers=1,
-            max_workers=3,
-            restart_backoff=1000.0,
-        )
-        depth = [QueueStatus(queued=5)]
-        fleet.queue.status = lambda lease_timeout=None, deep=False: depth[0]
-        fleet.up(1)
-        assert fleet.tick().running == 3
-        assert fleet.restarts == 0
-
 
 class TestFleetState:
     def test_attach_rebuilds_driver_and_workers(self, tmp_path):
@@ -370,8 +250,15 @@ class TestFleetState:
             assert attached.driver._command == SLEEPER
             assert [h.id for h in attached.workers] == [h.id for h in handles]
             assert attached.status().running == 2
+            assert fleet_summary(tmp_path) == {"size": 2, "workers": 2, "restarts": 0}
         finally:
             fleet.down(drain_timeout=0.1)
+
+    def test_handle_round_trips_json(self):
+        handle = WorkerHandle("h1", {"pid": 42, "log": "x.log"})
+        assert WorkerHandle.from_dict(handle.to_dict()) == handle
+        with pytest.raises(ConfigError):
+            WorkerHandle.from_dict({"data": {}})
 
     def test_attach_without_state_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="fleet up"):
@@ -384,144 +271,23 @@ class TestFleetState:
         with pytest.raises(ConfigError, match="corrupt"):
             Fleet.attach(tmp_path)
 
+    @pytest.mark.parametrize("state", MALFORMED_STATES)
+    def test_attach_rejects_malformed_state(self, tmp_path, state):
+        write_state(tmp_path, state)
+        with pytest.raises(ConfigError, match="malformed fleet state"):
+            Fleet.attach(tmp_path)
 
-class TestSSHDriver:
-    def make_driver(self, tmp_path, run, hosts=(("nodeA", 2), ("nodeB", 1))):
-        return SSHDriver(tmp_path, hosts=hosts, run=run, ssh_cmd=["ssh"])
+    @pytest.mark.parametrize("state", MALFORMED_STATES)
+    def test_status_and_down_report_malformed_state(self, tmp_path, capsys, state):
+        write_state(tmp_path, state)
+        for command in ("status", "down"):
+            assert cli_main(["fleet", command, "--work-dir", str(tmp_path)]) == 2
+            assert "error: malformed fleet state" in capsys.readouterr().err
 
-    def test_needs_hosts(self, tmp_path):
-        with pytest.raises(ConfigError, match="hosts file"):
-            SSHDriver(tmp_path)
-
-    def test_submit_launches_workers_round_robin(self, tmp_path):
-        calls = []
-
-        def run(argv):
-            calls.append(argv)
-            return f"{1000 + len(calls)}\n"
-
-        driver = self.make_driver(tmp_path, run)
-        handles = driver.submit(3)
-        assert [h.data["host"] for h in handles] == ["nodeA", "nodeB", "nodeA"]
-        assert handles[0].id == "nodeA:1001"
-        remote = calls[0][-1]
-        assert "nohup" in remote and "queue worker" in remote
-        assert str(tmp_path) in remote and "echo $!" in remote
-        assert calls[0][:2] == ["ssh", "nodeA"]
-
-    def test_submit_beyond_capacity_is_config_error(self, tmp_path):
-        driver = self.make_driver(tmp_path, lambda argv: "1\n")
-        driver.submit(3)
-        with pytest.raises(ConfigError, match="capacity"):
-            driver.submit(1)
-
-    def test_submit_without_pid_echo_is_config_error(self, tmp_path):
-        driver = self.make_driver(tmp_path, lambda argv: "bash: no such\n")
-        with pytest.raises(ConfigError, match="did not echo a pid"):
-            driver.submit(1)
-
-    def test_poll_maps_probe_output_to_states(self, tmp_path):
-        def run(argv):
-            if "kill -0 1 " in argv[-1]:
-                return "up\n"
-            if "kill -0 2 " in argv[-1]:
-                return "down\n"
-            raise ConfigError("unreachable host")
-
-        driver = self.make_driver(tmp_path, run)
-        handles = [
-            WorkerHandle("nodeA:1", {"host": "nodeA", "pid": 1}),
-            WorkerHandle("nodeA:2", {"host": "nodeA", "pid": 2}),
-            WorkerHandle("nodeC:3", {"host": "nodeC", "pid": 3}),
-        ]
-        assert driver.poll(handles) == {
-            "nodeA:1": RUNNING,
-            "nodeA:2": EXITED,
-            "nodeC:3": UNKNOWN,
-        }
-
-    def test_stop_interrupts_remote_pids(self, tmp_path):
-        calls = []
-        driver = self.make_driver(
-            tmp_path, lambda argv: (calls.append(argv), "1\n")[1]
-        )
-        (handle,) = driver.submit(1)
-        calls.clear()
-        driver.stop([handle])
-        assert calls == [["ssh", "nodeA", "kill -INT 1"]]
-
-
-class TestSlurmDriver:
-    def test_render_fills_the_builtin_template(self, tmp_path):
-        driver = SlurmDriver(tmp_path, worker_args=["--poll", "0.1"])
-        script = driver.render(4)
-        assert "#SBATCH --array=0-3" in script
-        assert "repro queue worker --work-dir" in script
-        assert "--poll 0.1" in script
-
-    def test_render_honours_a_template_file(self, tmp_path):
-        template = tmp_path / "job.sh"
-        template.write_text(
-            "#SBATCH -p gpu\n#SBATCH --array=$array_spec\n$worker_cmd\n"
-        )
-        driver = SlurmDriver(tmp_path, sbatch_template=template)
-        script = driver.render(2)
-        assert script.startswith("#SBATCH -p gpu")
-        assert "--array=0-1" in script
-
-    def test_render_rejects_unknown_placeholders(self, tmp_path):
-        template = tmp_path / "job.sh"
-        template.write_text("$worker_cmd $nonsense\n")
-        with pytest.raises(ConfigError, match="placeholder"):
-            SlurmDriver(tmp_path, sbatch_template=template).render(1)
-
-    def test_submit_parses_the_sbatch_job_id(self, tmp_path):
-        calls = []
-
-        def run(argv):
-            calls.append(argv)
-            return "991;cluster\n"
-
-        driver = SlurmDriver(tmp_path, run=run)
-        handles = driver.submit(3)
-        assert [h.id for h in handles] == [
-            "slurm-991_0",
-            "slurm-991_1",
-            "slurm-991_2",
-        ]
-        assert calls[0][:2] == ["sbatch", "--parsable"]
-        script = tmp_path / "fleet" / "sbatch-001.sh"
-        assert script.exists() and "--array=0-2" in script.read_text()
-
-    def test_live_tasks_handles_compact_pending_arrays(self):
-        out = "991_0 RUNNING\n991_[2-4%2] PENDING\n991_7 COMPLETING\n"
-        assert SlurmDriver._live_tasks(out) == {0, 2, 3, 4, 7}
-
-    def test_poll_and_stop_round_trip(self, tmp_path):
-        calls = []
-
-        def run(argv):
-            calls.append(argv)
-            if argv[0] == "squeue":
-                return "991_0 RUNNING\n"
-            return "991\n"
-
-        driver = SlurmDriver(tmp_path, run=run)
-        handles = driver.submit(2)
-        states = driver.poll(handles)
-        assert states == {"slurm-991_0": RUNNING, "slurm-991_1": EXITED}
-        driver.stop([handles[0]])
-        assert calls[-1] == ["scancel", "991_0"]
-
-    def test_poll_reports_unknown_when_squeue_fails(self, tmp_path):
-        def run(argv):
-            if argv[0] == "squeue":
-                raise ConfigError("squeue: command not found")
-            return "991\n"
-
-        driver = SlurmDriver(tmp_path, run=run)
-        handles = driver.submit(1)
-        assert driver.poll(handles) == {"slurm-991_0": UNKNOWN}
+    @pytest.mark.parametrize("state", MALFORMED_STATES)
+    def test_server_summary_reads_malformed_state_as_empty(self, tmp_path, state):
+        write_state(tmp_path, state)
+        assert fleet_summary(tmp_path) == {"size": 0, "workers": 0, "restarts": 0}
 
 
 class TestCacheSync:
@@ -596,7 +362,7 @@ class TestFleetSession:
             poll=0.02,
             timeout=120,
             cache_dir=tmp_path / "fleet-cache",
-            driver_options={"worker_args": ["--poll", "0.05"]},
+            worker_args=["--poll", "0.05"],
         ) as fleet_session:
             fleet_rs = fleet_session.sweep(list(specs))
         with Session(cache_dir=tmp_path / "local-cache") as local_session:
@@ -621,6 +387,12 @@ class TestFleetSession:
         session.close()
         session.close()
 
+    def test_driver_keyword_is_gone(self, tmp_path):
+        with pytest.raises(TypeError):
+            # .close() keeps a version that accepts the keyword from
+            # leaking the workers it raised.
+            Session.fleet(tmp_path / "work", driver="local").close()
+
 
 class TestFleetCLI:
     def test_up_status_down_round_trip(self, tmp_path, capsys):
@@ -640,10 +412,10 @@ class TestFleetCLI:
             )
             == 0
         )
-        assert "fleet up: 1 local worker(s)" in capsys.readouterr().out
+        assert "fleet up: 1 worker(s)" in capsys.readouterr().out
         assert cli_main(["fleet", "status", "--work-dir", work]) == 0
         out = capsys.readouterr().out
-        assert "driver    : local" in out
+        assert "driver    :" not in out
         assert "1/1 running" in out
         assert "throughput:" not in out  # nothing executed yet
         # Completions recorded by workers surface as per-worker rates.
@@ -659,21 +431,15 @@ class TestFleetCLI:
         assert "drained 1 worker(s)" in capsys.readouterr().out
         assert cli_main(["fleet", "status", "--work-dir", work]) == 2
 
-    def test_driver_flags_are_validated(self, tmp_path, capsys):
-        rc = cli_main(
-            [
-                "fleet",
-                "up",
-                "--work-dir",
-                str(tmp_path),
-                "--driver",
-                "local",
-                "--hosts",
-                "hosts.txt",
-            ]
-        )
-        assert rc == 2
-        assert "--hosts only applies" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command,flag",
+        [pytest.param(c, f, id=f"{c}{f[0]}") for c, f in REMOVED_FLAGS],
+    )
+    def test_removed_flags_are_unrecognised(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["fleet", command, "--work-dir", str(tmp_path), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_fleet_run_spec_matches_local_sweep(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"

@@ -344,12 +344,7 @@ class TestSweepEngine:
         assert stats["cache"]["points_submitted"] == 4
         assert stats["cache"]["hit_rate"] == 1.0
         assert stats["queue"]["queued"] == 0
-        assert stats["fleet"] == {
-            "driver": None,
-            "size": 0,
-            "workers": 0,
-            "restarts": 0,
-        }
+        assert stats["fleet"] == {"size": 0, "workers": 0, "restarts": 0}
 
 
 class TestHTTPServer:
