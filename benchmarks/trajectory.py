@@ -22,6 +22,10 @@ Usage::
     python benchmarks/trajectory.py check               # gate vs last entry
 
 ``measure`` prints the measurement as JSON without touching the file.
+A record holds the plan's ``points`` and the ones it ``simulated``
+(the sweep's ``submitted`` count; the rest are derived from their
+``with_base`` twin), so an entry records the work as well as the time.
+``check`` gates on time only.
 ``append`` measures and appends an entry (commit the file with the PR
 that changed performance). ``check`` is the CI gate: measure, compare
 against the file's last committed entry, and fail only on a *gross*
@@ -44,8 +48,13 @@ DEFAULT_SCALE = 0.1
 DEFAULT_REPEAT = 2
 
 
-def run_figures_plan_once(scale: float) -> tuple[float, int]:
-    """One cold serial run of the figures plan; (wall seconds, points)."""
+def run_figures_plan_once(scale: float) -> tuple[float, int, int]:
+    """One cold serial run of the figures plan.
+
+    Returns (wall seconds, points, points simulated): a point whose
+    ``with_base`` twin is in the plan is derived, not simulated, so the
+    last two differ, and a change in that count is a change in work.
+    """
     from repro.analysis.paperfigs import figures_plan
     from repro.runner import pool
     from repro.session import Session
@@ -59,20 +68,22 @@ def run_figures_plan_once(scale: float) -> tuple[float, int]:
             start = time.perf_counter()
             session.sweep(plan)
             wall = time.perf_counter() - start
-    return wall, len(plan.specs)
+            simulated = session.submitted
+    return wall, len(plan.specs), simulated
 
 
 def measure(scale: float = DEFAULT_SCALE, repeat: int = DEFAULT_REPEAT) -> dict:
     """Min-of-``repeat`` cold figures-plan wall time as a record dict."""
     runs = []
-    points = 0
+    points = simulated = 0
     for _ in range(max(1, repeat)):
-        wall, points = run_figures_plan_once(scale)
+        wall, points, simulated = run_figures_plan_once(scale)
         runs.append(round(wall, 3))
     return {
         "figures_wall_s": min(runs),
         "runs": runs,
         "points": points,
+        "simulated": simulated,
         "scale": scale,
     }
 

@@ -240,7 +240,8 @@ def _sweep_spec(args: argparse.Namespace, session: Session) -> None:
     report = session.last_report
     print(
         f"plan {args.spec}: {report.total} points, "
-        f"{report.submitted} simulated, {report.cache_hits} cached"
+        f"{report.submitted} simulated, {report.derived} derived, "
+        f"{report.cache_hits} cached"
     )
     if args.json is not None:
         records = _payload_records(rs.specs, rs.results)
@@ -303,7 +304,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             rows,
             title=(
                 f"sweep: {report.total} points, {report.submitted} simulated,"
-                f" {report.cache_hits} cached"
+                f" {report.derived} derived, {report.cache_hits} cached"
             ),
         )
     )

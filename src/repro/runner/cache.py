@@ -183,6 +183,23 @@ def result_to_payload(result: RunResult) -> dict:
     )
 
 
+def without_base(payload: dict) -> dict:
+    """The payload of a sim point's ``with_base=False`` twin.
+
+    :meth:`~repro.sim.soc.System.run_with_base` is ``run()`` plus an
+    all-hit replay that sets only ``base_cycles`` and
+    ``stats.stall_cycles``, so dropping those two fields from a
+    ``with_base=True`` payload gives, byte for byte, what simulating
+    the point without the base pass returns. The input is not
+    modified; the stats groups are shared with it.
+    """
+    return {
+        **payload,
+        "result": {**payload["result"], "base_cycles": None},
+        "stats": {**payload["stats"], "stall_cycles": 0},
+    }
+
+
 def payload_to_result(payload: dict) -> RunResult:
     """Rebuild the :class:`RunResult` stored by :func:`result_to_payload`."""
     stats_d = dict(payload["stats"])

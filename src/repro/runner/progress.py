@@ -5,9 +5,11 @@ The runner drives a tiny observer protocol — ``plan_started`` /
 raises mid-plan) — so the CLI can show live progress while library
 callers (tests, benchmarks) default to silence. On a TTY the point trail
 collapses to one self-overwriting line; when piped, only the per-plan
-summary lines are printed so logs stay readable. ``plan_failed`` clears
-the live ``\\r`` line before the exception propagates, so a traceback
-never glues onto a half-drawn progress trail.
+summary lines are printed so logs stay readable. A point's ``source``
+is ``"run"`` when it was simulated and ``"derived"`` when it came from
+its ``with_base`` twin. ``plan_failed`` clears the live ``\\r`` line
+before the exception propagates, so a traceback never glues onto a
+half-drawn progress trail.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ class Progress(NullProgress):
         self.live = live if live is not None else isatty()
         self._start = 0.0
         self._width = 0
+        self._derived = 0
 
     def _emit(self, text: str, end: str = "\n") -> None:
         pad = max(0, self._width - len(text))
@@ -50,6 +53,7 @@ class Progress(NullProgress):
 
     def plan_started(self, total: int, unique: int, cached: int) -> None:
         self._start = time.time()
+        self._derived = 0
         if total != unique:
             shape = f"{total} points ({unique} unique, {cached} cached)"
         else:
@@ -57,6 +61,8 @@ class Progress(NullProgress):
         self._emit(f"plan: {shape}")
 
     def point_done(self, label: str, source: str, done: int, total: int) -> None:
+        if source == "derived":
+            self._derived += 1
         if not self.live:
             return
         self._emit(f"  [{done}/{total}] {label} ({source})", end="\r")
@@ -65,8 +71,8 @@ class Progress(NullProgress):
         if self.live:
             self._emit("", end="\r")
         self._emit(
-            f"plan done: {submitted} simulated, {hits} cache hits, "
-            f"{elapsed:.1f}s"
+            f"plan done: {submitted} simulated, {self._derived} derived, "
+            f"{hits} cache hits, {elapsed:.1f}s"
         )
 
     def plan_failed(self, done: int, total: int, elapsed: float) -> None:

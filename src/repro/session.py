@@ -329,6 +329,11 @@ class Session:
         return self.runner.submitted
 
     @property
+    def derived(self) -> int:
+        """Points derived from their ``with_base`` twin, not simulated."""
+        return self.runner.derived
+
+    @property
     def cache_hits(self) -> int:
         """Points served from the cache over the session's lifetime."""
         return self.runner.cache_hits

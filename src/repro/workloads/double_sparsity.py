@@ -37,6 +37,13 @@ def build_selection_rows(
     """Per-step selected token ids with persistent-set drift."""
     if k > kv_len:
         raise WorkloadError(f"cannot select {k} of {kv_len} tokens")
+    if not 0.0 <= drift <= 1.0:
+        raise WorkloadError(f"drift must be in [0, 1], got {drift}")
+    if k == kv_len:
+        # Every token is selected at every step: the refill loop below
+        # would only redraw the full set, and nothing reads the
+        # generator after this call.
+        return [np.arange(kv_len, dtype=np.int64) for _ in range(steps)]
     active = set(rng.choice(kv_len, size=k, replace=False).tolist())
     rows: list[np.ndarray] = []
     for step in range(steps):
@@ -86,7 +93,7 @@ def build(
             ``k = kv_len / topk_ratio`` tokens are selected per step.
         kv_len: context length (index space).
         head_dim: KV vector elements gathered per selected token.
-        drift: fraction of the selection replaced each step.
+        drift: fraction of the selection replaced each step, in [0, 1].
     """
     if topk_ratio < 1:
         raise WorkloadError("topk_ratio must be >= 1")

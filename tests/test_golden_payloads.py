@@ -10,6 +10,11 @@ These are the simulator's oracle: a change that moves any result fails
 here, whichever hierarchy walk it touched. A failure names every
 differing point and, within it, every differing field.
 
+The same grid without the base pass must equal each golden with its
+two base fields cleared (:func:`~repro.runner.cache.without_base`):
+the sweep runner derives such points from their ``with_base`` twin
+instead of simulating them.
+
 An intentional model change regenerates the file with
 ``PYTHONPATH=src python tests/test_golden_payloads.py regen`` and says
 so in its PR description.
@@ -22,6 +27,7 @@ from pathlib import Path
 
 from repro.registry import MECHANISMS
 from repro.runner import RunSpec, execute_spec
+from repro.runner.cache import without_base
 
 GOLDEN_PATH = Path(__file__).parent / "golden_payloads.json"
 
@@ -29,11 +35,11 @@ WORKLOADS = ("gcn", "mk", "ds", "st")
 SCALE = 0.05
 
 
-def _points() -> dict[str, RunSpec]:
+def _points(with_base: bool = True) -> dict[str, RunSpec]:
     """Golden grid: point name -> spec, in a fixed order."""
     return {
         f"{mechanism}/{workload}/nsb={'T' if nsb else 'F'}": RunSpec(
-            workload, mechanism=mechanism, nsb=nsb, scale=SCALE, with_base=True
+            workload, mechanism=mechanism, nsb=nsb, scale=SCALE, with_base=with_base
         )
         for mechanism in MECHANISMS.names()
         for workload in WORKLOADS
@@ -94,6 +100,24 @@ class TestGoldenPayloads:
             + "\nIf the model change is intentional, regenerate with "
             "`PYTHONPATH=src python tests/test_golden_payloads.py regen` "
             "and call it out in the PR description."
+        )
+
+    def test_no_base_points_are_projections_of_the_goldens(self):
+        # The sweep runner derives every with_base=False sim point from
+        # its with_base=True twin instead of simulating it. That holds
+        # only while the base pass sets nothing but base_cycles and
+        # stall_cycles; this fails the day another field depends on it.
+        goldens = json.loads(GOLDEN_PATH.read_text())
+        problems = []
+        for name, spec in _points(with_base=False).items():
+            want = without_base(goldens[name])
+            got = json.loads(_canonical(execute_spec(spec)))
+            if _canonical(want) != _canonical(got):
+                fields = differing_fields(want, got)
+                problems.append(f"{name}: {', '.join(fields)}")
+        assert not problems, (
+            f"{len(problems)} point(s) without base cycles differ from "
+            "their projected with_base golden:\n  " + "\n  ".join(sorted(problems))
         )
 
 

@@ -156,6 +156,53 @@ class TestDSBuildingBlocks:
         with pytest.raises(WorkloadError):
             build_workload("ds", topk_ratio=0)
 
+    @pytest.mark.parametrize("drift", [1.5, -0.5])
+    @pytest.mark.parametrize("topk_ratio", [1, 16])
+    def test_drift_outside_unit_interval_rejected(self, drift, topk_ratio):
+        with pytest.raises(WorkloadError, match="drift"):
+            build_workload("ds", scale=0.05, topk_ratio=topk_ratio, drift=drift)
+
+
+def refill_selection_rows(rng, steps, kv_len, k, drift, recent_window):
+    """The drift-and-refill loop, kept as the reference for ``k == kv_len``."""
+    active = set(rng.choice(kv_len, size=k, replace=False).tolist())
+    rows = []
+    for _ in range(steps):
+        n_replace = int(round(drift * k))
+        if n_replace:
+            active_list = list(active)
+            drop = rng.choice(len(active_list), size=n_replace, replace=False)
+            for d in drop:
+                active.discard(active_list[int(d)])
+            while len(active) < k:
+                active.add(int(rng.integers(0, kv_len)))
+        selection = set(active)
+        hot_end = min(kv_len, recent_window)
+        selection.update(range(kv_len - hot_end, kv_len))
+        rows.append(np.sort(np.fromiter(selection, dtype=np.int64)))
+    return rows
+
+
+class TestDSFullSelection:
+    """With every token selected, the shortcut equals the refill loop."""
+
+    @pytest.mark.parametrize("kv_len", [1, 64, 300])
+    @pytest.mark.parametrize("steps", [2, 5])
+    @pytest.mark.parametrize("drift", [0.0, 0.15, 1.0])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_refill_loop(self, kv_len, steps, drift, seed):
+        got = build_selection_rows(make_rng(seed), steps, kv_len, kv_len, drift, 32)
+        want = refill_selection_rows(make_rng(seed), steps, kv_len, kv_len, drift, 32)
+        assert len(got) == len(want) == steps
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
+
+    def test_topk_ratio_one_selects_every_token(self):
+        program = build_workload("ds", scale=0.1, topk_ratio=1, drift=1.0)
+        rows = np.diff(program.rowptr)
+        assert rows.min() == rows.max() == 8192
+
 
 class TestScaledHelper:
     def test_scaled_rounds(self):
