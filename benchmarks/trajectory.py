@@ -1,191 +1,165 @@
-"""The committed performance trajectory: measure, append, gate.
+"""The committed performance record: perfbench runs, appended and gated.
 
-``BENCH_trajectory.json`` records one end-to-end wall time per landed
-PR that touched simulator performance: the **cold scale-0.1 paper
-figures plan** (every figure's sweep, 279 points) executed serially
-against a fresh result cache. One number, one workload mix, measured
-the same way every time — so the file reads as the repo's speed history
-and a regression shows up as the first non-monotone step.
+``BENCH_trajectory.json`` is the repository's speed history. An entry
+with a ``perfbench`` key is one perfbench record: the final JSON line of
+``perfbench/run.py --workload all --seed 1`` run once with ``--trace 0``
+(the end-to-end metrics) and once with ``--trace 1`` (the per-layer
+metrics, work counters included), plus the label, note, commit, seed and
+seconds that produced them. The entries before the first such record,
+single figures-plan wall times, are kept as history; nothing reads them.
 
-Timing discipline: the plan is run ``--repeat`` times, each against its
-own fresh temporary cache directory and with the process's program memo
-cleared, so every run builds its workloads cold; the **minimum** is
-recorded.
-On shared machines (CI runners, build VMs) the minimum estimates the
-noise-free cost; means and medians drift with scheduler interference.
-Single runs on such machines vary by tens of percent — never trust one.
+Usage (from the repository root)::
 
-Usage::
+    python3 benchmarks/trajectory.py append --label faster-cache --note "..."
+    python3 benchmarks/trajectory.py check
 
-    python benchmarks/trajectory.py measure             # print one record
-    python benchmarks/trajectory.py append --label pr7-foo
-    python benchmarks/trajectory.py check               # gate vs last entry
-
-``measure`` prints the measurement as JSON without touching the file.
-A record holds the plan's ``points`` and the ones it ``simulated``
-(the sweep's ``submitted`` count; the rest are derived from their
-``with_base`` twin), so an entry records the work as well as the time.
-``check`` gates on time only.
-``append`` measures and appends an entry (commit the file with the PR
-that changed performance). ``check`` is the CI gate: measure, compare
-against the file's last committed entry, and fail only on a *gross*
-regression (default 2x and +5s — generous because CI machines are not
-the machines the entries were recorded on). Records resting on a
-single cold run draw a warning — min-of-1 is not a minimum.
+``append`` runs both passes at ``BENCHMARK.json``'s ``run_seconds`` and
+appends the record; commit the file with the change it measures.
+``check`` runs both passes at one second each and gates them against the
+last entry. It fails when either run is not ``correct`` or has failed
+operations, when a per-layer metric whose unit is ``count`` differs from
+the record (the work changed: append a new record and say why in its
+note), or when a workload's ``wall_s`` exceeds max(2x the record, the
+record + 5 s). The timing bound is generous because reference seconds
+compare only on like hardware; the counts compare anywhere.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import subprocess
 import sys
-import tempfile
-import time
 from pathlib import Path
 
-TRAJECTORY_PATH = Path(__file__).parent / "BENCH_trajectory.json"
-DEFAULT_SCALE = 0.1
-DEFAULT_REPEAT = 2
+ROOT = Path(__file__).resolve().parent.parent
+TRAJECTORY_PATH = ROOT / "benchmarks" / "BENCH_trajectory.json"
+SEED = 1
+CHECK_SECONDS = 1
+WALL_FACTOR = 2.0
+WALL_SLACK_S = 5.0
 
 
-def run_figures_plan_once(scale: float) -> tuple[float, int, int]:
-    """One cold serial run of the figures plan.
-
-    Returns (wall seconds, points, points simulated): a point whose
-    ``with_base`` twin is in the plan is derived, not simulated, so the
-    last two differ, and a change in that count is a change in work.
-    """
-    from repro.analysis.paperfigs import figures_plan
-    from repro.runner import pool
-    from repro.session import Session
-
-    # Cold means every program build too: an earlier run in this process
-    # would otherwise serve them all from the workload memo.
-    pool._workload_for.cache_clear()
-    plan = figures_plan(scale=scale)
-    with tempfile.TemporaryDirectory(prefix="repro-trajectory-") as cache_dir:
-        with Session(jobs=1, cache_dir=cache_dir, progress=False) as session:
-            start = time.perf_counter()
-            session.sweep(plan)
-            wall = time.perf_counter() - start
-            simulated = session.submitted
-    return wall, len(plan.specs), simulated
+class TrajectoryError(Exception):
+    """A record or run that cannot be gated at all."""
 
 
-def measure(scale: float = DEFAULT_SCALE, repeat: int = DEFAULT_REPEAT) -> dict:
-    """Min-of-``repeat`` cold figures-plan wall time as a record dict."""
-    runs = []
-    points = simulated = 0
-    for _ in range(max(1, repeat)):
-        wall, points, simulated = run_figures_plan_once(scale)
-        runs.append(round(wall, 3))
-    return {
-        "figures_wall_s": min(runs),
-        "runs": runs,
-        "points": points,
-        "simulated": simulated,
-        "scale": scale,
-    }
+def perfbench(trace: int, seconds: float) -> dict:
+    """One perfbench run over every workload; its final JSON line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "all"]
+    cmd += ["--seed", str(SEED), "--seconds", f"{seconds:g}", "--trace", str(trace)]
+    lines = []
+    with subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True) as proc:
+        for line in proc.stdout:
+            print(line, end="", flush=True)
+            lines.append(line)
+    if proc.returncode != 0 or not lines:
+        raise TrajectoryError(f"perfbench --trace {trace} exited {proc.returncode}")
+    return json.loads(lines[-1])
 
 
-def warn_single_run(record: dict, origin: str) -> None:
-    """Nag when a record rests on one cold run — min-of-1 is not a min."""
-    if len(record.get("runs", ())) == 1:
-        print(
-            f"::warning::{origin} has a single cold run; one run on a "
-            "shared machine varies by tens of percent — re-measure with "
-            "--repeat >= 2 before trusting or committing it"
+def measure(seconds: float) -> dict:
+    """Both passes: end-to-end metrics, then per-layer metrics."""
+    return {"end_to_end": perfbench(0, seconds), "per_layer": perfbench(1, seconds)}
+
+
+def gate(record: dict, runs: dict) -> list[str]:
+    """Why ``runs`` fails against ``record``; empty when it passes."""
+    failures = [
+        f"{name} run: correct={run['correct']}, failed={run['failed']}"
+        for name, run in runs.items()
+        if run["correct"] is not True or run["failed"] > 0
+    ]
+    recorded = record["per_layer"]["metrics"]
+    measured = runs["per_layer"]["metrics"]
+    for key in sorted(recorded.keys() | measured.keys()):
+        metric = recorded.get(key) or measured[key]
+        was = recorded.get(key, {}).get("value")
+        now = measured.get(key, {}).get("value")
+        if metric["unit"] == "count" and now != was:
+            failures.append(f"{key} = {now}, recorded {was}")
+    timed = runs["end_to_end"]["metrics"]
+    for key, metric in record["end_to_end"]["metrics"].items():
+        if key.endswith(".wall_s"):
+            bound = max(metric["value"] * WALL_FACTOR, metric["value"] + WALL_SLACK_S)
+            now = timed.get(key, {}).get("value")
+            if now is None or now > bound:
+                failures.append(f"{key} = {now} s, bound {bound:.3f} s")
+    return failures
+
+
+def load() -> dict:
+    return json.loads(TRAJECTORY_PATH.read_text(encoding="utf-8"))
+
+
+def last_record(document: dict) -> tuple[str, dict]:
+    """The last entry's label and perfbench record."""
+    entries = document["entries"]
+    last = entries[-1] if entries else {}
+    if "perfbench" not in last:
+        raise TrajectoryError(
+            f"the last entry ({last.get('label', 'none')}) has no perfbench "
+            "record; append one with 'trajectory.py append --label ...'"
         )
+    return last["label"], last["perfbench"]
 
 
-def load_trajectory() -> dict:
-    with open(TRAJECTORY_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def save_trajectory(document: dict) -> None:
-    TRAJECTORY_PATH.write_text(
-        json.dumps(document, indent=2) + "\n", encoding="utf-8"
+def commit() -> str | None:
+    """The measured checkout's commit, ``-dirty`` with uncommitted changes."""
+    proc = subprocess.run(
+        ["git", "describe", "--always", "--dirty"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
     )
+    return proc.stdout.strip() or None
+
+
+def append(label: str, note: str) -> int:
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    document = load()
+    entry = {
+        "label": label,
+        "note": note,
+        "commit": commit(),
+        "seed": SEED,
+        "seconds": seconds,
+        "perfbench": measure(seconds),
+    }
+    document["entries"].append(entry)
+    TRAJECTORY_PATH.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    print(f"appended '{label}' to {TRAJECTORY_PATH.name}")
+    return 0
+
+
+def check() -> int:
+    label, record = last_record(load())
+    failures = gate(record, measure(CHECK_SECONDS))
+    for failure in failures:
+        print(f"check failed: {failure}")
+    if failures:
+        print(
+            f"against '{label}'; if the work changed on purpose, append a "
+            "new record and say why in its note"
+        )
+        return 1
+    print(f"matches '{label}': counts equal, wall_s within bound")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "command", choices=("measure", "append", "check"), help="see module docstring"
-    )
-    parser.add_argument("--scale", type=float, default=DEFAULT_SCALE)
-    parser.add_argument(
-        "--repeat",
-        type=int,
-        default=DEFAULT_REPEAT,
-        help=f"cold runs; the minimum is recorded (default {DEFAULT_REPEAT})",
-    )
-    parser.add_argument(
-        "--label",
-        default=None,
-        help="entry label for 'append' (e.g. pr7-batched-dram)",
-    )
-    parser.add_argument(
-        "--note", default="", help="one-line what-changed note for 'append'"
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=2.0,
-        help="'check' fails when wall > last * threshold (default 2.0)",
-    )
-    parser.add_argument(
-        "--slack",
-        type=float,
-        default=5.0,
-        help="and wall > last + slack seconds (default 5.0; CI machines "
-        "are slower and noisier than the recording machines)",
-    )
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("command", choices=("append", "check"))
+    parser.add_argument("--label", help="entry label for 'append'")
+    parser.add_argument("--note", default="", help="what changed, for 'append'")
     args = parser.parse_args(argv)
-
-    record = measure(scale=args.scale, repeat=args.repeat)
-    print(json.dumps(record, indent=1))
-    warn_single_run(record, "this measurement")
-
-    if args.command == "measure":
-        return 0
-
-    if args.command == "append":
-        if not args.label:
-            parser.error("append needs --label")
-        document = load_trajectory()
-        entry = {"label": args.label, **record}
-        if args.note:
-            entry["note"] = args.note
-        document["entries"].append(entry)
-        save_trajectory(document)
-        print(f"appended '{args.label}' to {TRAJECTORY_PATH}")
-        return 0
-
-    # check: gate against the last committed entry, generously.
-    last = load_trajectory()["entries"][-1]
-    warn_single_run(last, f"last committed entry '{last['label']}'")
-    bound = max(
-        last["figures_wall_s"] * args.threshold,
-        last["figures_wall_s"] + args.slack,
-    )
-    wall = record["figures_wall_s"]
-    print(
-        f"figures plan: {wall:.2f}s vs last committed "
-        f"'{last['label']}' {last['figures_wall_s']:.2f}s "
-        f"(bound {bound:.2f}s)"
-    )
-    if wall > bound:
-        print(
-            "::error::gross figures-plan slowdown vs the committed "
-            "trajectory; if intentional, append a new entry with "
-            "`python benchmarks/trajectory.py append --label ...` and "
-            "explain in the PR"
-        )
-        return 1
-    print("within bound")
-    return 0
+    if args.command == "append" and not args.label:
+        parser.error("append needs --label")
+    try:
+        return append(args.label, args.note) if args.command == "append" else check()
+    except TrajectoryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ Usage::
     python -m repro sweep --workloads ds,gcn --mechanisms inorder,nvr
     python -m repro sweep --spec plan.json --jobs 4
     python -m repro ablate nvr-depth --workloads ds,gcn --jobs 4
-    python -m repro profile --workloads gcn,mk --mechanisms inorder,nvr
     python -m repro workloads
     python -m repro overhead
     python -m repro figures --scale 0.6 --jobs 4 -o EXPERIMENTS.md
@@ -71,12 +70,10 @@ import argparse
 import json
 import sys
 import tempfile
-from pathlib import Path
 
 from .analysis import format_table, table1_overhead, table2_workloads
 from .analysis.experiments import ABLATION_WORKLOADS, ABLATIONS
 from .analysis.paperfigs import figures_plan, generate_report
-from .analysis.profile import profile_grid, profile_json
 from .api import DTYPE_BYTES, MECHANISM_ORDER, compare_mechanisms
 from .check import cli as check_cli
 from .errors import ConfigError, ReproError
@@ -173,7 +170,7 @@ def _csv(text: str, known: tuple[str, ...], axis: str) -> tuple[str, ...]:
     values = tuple(v.strip() for v in text.split(",") if v.strip())
     for value in values:
         if value not in known:
-            raise SystemExit(f"unknown {axis} '{value}' (known: {', '.join(known)})")
+            raise ConfigError(f"unknown {axis} '{value}' (known: {', '.join(known)})")
     return values
 
 
@@ -188,7 +185,7 @@ def _numbers(text: str, parse, axis: str) -> tuple:
     try:
         return tuple(parse(v) for v in text.split(","))
     except ValueError:
-        raise SystemExit(f"invalid {axis} list '{text}'") from None
+        raise ConfigError(f"invalid {axis} list '{text}'") from None
 
 
 def _sweep_grid(args: argparse.Namespace) -> Grid:
@@ -546,77 +543,6 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
     finally:
         if scratch is not None:
             scratch.cleanup()
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    records = profile_grid(
-        _csv(args.workloads, WORKLOAD_ORDER, "workload"),
-        _csv(
-            args.mechanisms,
-            tuple(MECHANISM_ORDER) + ("preload",),
-            "mechanism",
-        ),
-        nsb=args.nsb,
-        dtype=args.dtype,
-        scale=args.scale,
-        seed=args.seed,
-        repeat=args.repeat,
-    )
-    rows = [
-        [
-            r.workload,
-            r.mechanism,
-            round(r.build_s, 3),
-            round(r.simulate_s, 3),
-            r.total_cycles,
-            round(r.kcycles_per_s, 1),
-        ]
-        for r in records
-    ]
-    print(
-        format_table(
-            ["workload", "mech", "build_s", "sim_s", "cycles", "kcyc/s"],
-            rows,
-            title=(
-                f"profile (scale={args.scale}, min of {args.repeat} "
-                f"repeat{'s' if args.repeat != 1 else ''})"
-            ),
-        )
-    )
-    # Per-level memory breakdown: where demand lines were served (NSB /
-    # L2 / DRAM fill) and prefetch effectiveness.
-    mem_rows = [
-        [
-            r.workload,
-            r.mechanism,
-            r.nsb_hits,
-            r.l2_hits,
-            r.dram_fills,
-            r.pf_useful,
-            r.pf_late,
-        ]
-        for r in records
-    ]
-    print()
-    print(
-        format_table(
-            [
-                "workload",
-                "mech",
-                "nsb_hits",
-                "l2_hits",
-                "dram_fills",
-                "pf_useful",
-                "pf_late",
-            ],
-            mem_rows,
-            title="memory breakdown",
-        )
-    )
-    if args.json is not None:
-        Path(args.json).write_text(profile_json(records) + "\n", encoding="utf-8")
-        print(f"wrote {args.json} ({len(records)} records)")
     return 0
 
 
@@ -1182,34 +1108,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     oh_p = sub.add_parser("overhead", help="Table I hardware overhead")
     oh_p.set_defaults(fn=_cmd_overhead)
-
-    prof_p = sub.add_parser(
-        "profile",
-        help="time the build/simulate phases per point (uncached, in-process)",
-    )
-    prof_p.add_argument(
-        "--workloads", default="gcn,mk", help="comma-separated workloads, or 'all'"
-    )
-    prof_p.add_argument(
-        "--mechanisms", default="nvr", help="comma-separated mechanisms, or 'all'"
-    )
-    prof_p.add_argument("--nsb", action="store_true")
-    prof_p.add_argument("--dtype", default="fp16", choices=list(DTYPE_BYTES))
-    prof_p.add_argument("--scale", type=float, default=0.1)
-    prof_p.add_argument("--seed", type=int, default=0)
-    prof_p.add_argument(
-        "--repeat",
-        type=int,
-        default=3,
-        help="time each phase N times and report the minimum (default 3)",
-    )
-    prof_p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also dump the profile records as JSON",
-    )
-    prof_p.set_defaults(fn=_cmd_profile)
 
     fig_p = sub.add_parser(
         "figures", parents=[session_parent], help="regenerate EXPERIMENTS.md"

@@ -74,6 +74,29 @@ REMOVED_FLAGS = [
 ]
 
 
+class StaticDriver:
+    """Workers that never die, so every herder tick is the steady state."""
+
+    def __init__(self):
+        self.started = 0
+
+    def config(self) -> dict:
+        return {}
+
+    def submit(self, count):
+        self.started += count
+        return [
+            WorkerHandle(f"static-{i}", {})
+            for i in range(self.started - count, self.started)
+        ]
+
+    def poll(self, handles):
+        return {handle.id: RUNNING for handle in handles}
+
+    def stop(self, handles):
+        pass
+
+
 def write_state(work_dir, state) -> None:
     path = work_dir / "fleet" / "state.json"
     path.parent.mkdir(parents=True)
@@ -159,6 +182,17 @@ class TestHerder:
             assert handles[0].id not in status.workers
         finally:
             fleet.down(drain_timeout=0.1)
+
+    def test_steady_ticks_keep_every_worker(self, tmp_path):
+        fleet = Fleet(tmp_path, StaticDriver())
+        fleet.up(64)
+        try:
+            for _ in range(10):
+                status = fleet.tick()
+            assert status.running == 64
+            assert fleet.restarts == 0
+        finally:
+            fleet.down(drain_timeout=0.0)
 
     def test_restarts_wait_out_the_backoff_window(self, tmp_path):
         now = [0.0]
@@ -307,6 +341,15 @@ class TestCacheSync:
         report = pull_cache(other, remote)
         assert (report.copied, report.rejected) == (1, 0)
         assert other.get(spec) == payload
+
+    def test_round_trip_copies_every_entry(self, tmp_path):
+        source = ResultCache(tmp_path / "source")
+        for seed in range(200):
+            spec = RunSpec("st", scale=SCALE, seed=seed)
+            source.put(spec, {"total_cycles": seed + 1, "stall_cycles": 0})
+        remote = str(tmp_path / "remote")
+        assert push_cache(source, remote).copied == 200
+        assert pull_cache(ResultCache(tmp_path / "dest"), remote).copied == 200
 
     def test_push_skips_entries_already_remote(self, tmp_path):
         cache, _, _ = self.warm_cache(tmp_path / "a")

@@ -73,6 +73,7 @@ class TestLowering:
         for tile in prog.tiles:
             covered.extend(range(tile.j_start, tile.j_end))
         assert covered == list(range(w.nnz))
+        assert prog.nnz == w.nnz
 
     def test_indices_match_csr(self):
         w, prog = small_program()

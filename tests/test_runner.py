@@ -473,6 +473,7 @@ class TestSweepRunner:
         cold = SweepRunner(cache=ResultCache(tmp_path))
         cold_results = cold.run_plan(plan)
         assert cold.submitted == len(plan)
+        assert all(r.total_cycles > 0 for r in cold_results)
 
         warm = SweepRunner(cache=ResultCache(tmp_path))
         warm_results = warm.run_plan(plan)
@@ -655,9 +656,20 @@ class TestCLI:
         assert records[0]["mechanism"] == "inorder"
         assert records[0]["total_cycles"] > 0
 
-    def test_sweep_rejects_unknown_axis_value(self, tmp_path):
-        with pytest.raises(SystemExit):
-            cli_main(["sweep", "--workloads", "nope", "--no-cache"])
+    def test_sweep_rejects_unknown_axis_value(self, capsys):
+        # A malformed axis value is user input: exit 2, one error line.
+        for argv in (
+            ["sweep", "--workloads", "nope"],
+            ["sweep", "--workloads", "foo"],
+            ["sweep", "--scales", "x"],
+            ["sweep", "--seeds", "1.5"],
+            ["plan", "export", "--mechanisms", "bogus"],
+            ["ablate", "nvr-depth", "--values", "x"],
+        ):
+            assert cli_main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: "), (argv, err)
+            assert len(err.splitlines()) == 1, (argv, err)
 
     def test_backends_are_local_and_queue(self, capsys):
         with pytest.raises(ConfigError, match="known: local, queue"):

@@ -175,6 +175,13 @@ class TestSession:
             session.run("st", mechanism="nvr", scale=SCALE)
             assert session.submitted == 2
             assert session.cache_hits == 1
+        # A warm sweep pays only grid expansion, keying and cache reads.
+        with Session(cache_dir=tmp_path) as warm:
+            rs = warm.sweep(grid)
+            assert warm.submitted == 0
+            assert warm.cache_hits == len(grid)
+        assert len(rs) == len(grid)
+        assert all(r.total_cycles > 0 for r in rs.results)
 
     def test_sweep_returns_aligned_resultset(self, scratch_session):
         grid = Grid(workload="st", mechanism=["inorder", "nvr"], scale=SCALE)

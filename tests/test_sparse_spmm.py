@@ -26,6 +26,7 @@ class TestOneSide:
         ia = np.arange(24 * 8, dtype=np.float32).reshape(24, 8)
         out = spmm_one_side(w, ia)
         expected = w.to_dense() @ ia
+        assert out.shape == (16, 8)
         assert np.allclose(out, expected, rtol=1e-5)
 
     def test_empty_rows_produce_zeros(self):

@@ -41,6 +41,7 @@ class TestRegistry:
     def test_builds_and_is_deterministic(self, short):
         a = build_workload(short, scale=SCALE, seed=5)
         b = build_workload(short, scale=SCALE, seed=5)
+        assert a.n_tiles > 0
         assert a.nnz == b.nnz
         assert np.array_equal(a.col_stream, b.col_stream)
 
