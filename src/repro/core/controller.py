@@ -179,7 +179,7 @@ class RunaheadController:
             start = base + p0 * esize
             end = base + p1 * esize
             batches = self.vmig.bundle([start], max(1, end - start))
-            issued = self._prefetch_batches(now, batches, irregular=False)
+            issued = self.port.prefetch_bursts(now, batches, irregular=False)
             if issued:
                 ready = max(ready, max(issued))
         self._pending.append(_PendingWindow(p0=p0, p1=p1, ready=ready))
@@ -218,7 +218,7 @@ class RunaheadController:
                 self.scd.record_window(stream_id, indices, addrs)
                 batches = self.vmig.bundle(addrs, stream.segment_sizes(indices))
                 self.exact_prefetches += len(
-                    self._prefetch_batches(grant, batches, irregular=True)
+                    self.port.prefetch_bursts(grant, batches, irregular=True)
                 )
         self._pending = still_pending
 
@@ -239,18 +239,5 @@ class RunaheadController:
                     addrs.append(addr)
             batches = self.vmig.bundle(addrs, stream.row_bytes)
             self.approx_prefetches += len(
-                self._prefetch_batches(now, batches, irregular=True)
+                self.port.prefetch_bursts(now, batches, irregular=True)
             )
-
-    # -- issue ------------------------------------------------------------------
-    def _prefetch_batches(
-        self, at: int, batches: list[list[int]], irregular: bool
-    ) -> list[int]:
-        """Issue VMIG batch ``i`` at cycle ``at + i`` (fully pipelined,
-        Fig. 4); returns the issued fill times."""
-        ats: list[int] = []
-        lines: list[int] = []
-        for batch_i, batch in enumerate(batches):
-            ats.extend([at + batch_i] * len(batch))
-            lines.extend(batch)
-        return self.port.prefetch_many(ats, lines, irregular=irregular)

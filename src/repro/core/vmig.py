@@ -19,7 +19,7 @@ observable the paper's bandwidth-utilisation argument rests on.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from itertools import repeat
 
 import numpy as np
@@ -45,7 +45,7 @@ class VMIG:
         self,
         byte_addrs: list[int] | np.ndarray,
         seg_bytes: int | list[int] | np.ndarray,
-    ) -> list[list[int]]:
+    ) -> list[Sequence[int]]:
         """Pack element segments into vector-width line batches.
 
         Args:
@@ -55,16 +55,16 @@ class VMIG:
                 data-dependent segment lengths.
 
         Returns:
-            Batches of unique line addresses (plain ints, ready for the
-            prefetch port's batch interface), each at most
-            ``vector_width`` long, in first-touch order. Batch ``i`` is
-            intended to issue at cycle offset ``i`` (fully pipelined,
-            Fig. 4).
+            Batches of unique line addresses (plain ints), each at most
+            ``vector_width`` long, in first-touch order: the bursts of
+            :meth:`~repro.prefetch.base.PrefetchPort.prefetch_bursts`,
+            batch ``i`` issuing at cycle offset ``i`` (fully pipelined,
+            Fig. 4). A single segment's batches are ranges.
         """
         n = len(byte_addrs)
         if n == 0:
             return []
-        if np.isscalar(seg_bytes) or isinstance(seg_bytes, int):
+        if isinstance(seg_bytes, int) or np.isscalar(seg_bytes):
             seg = int(seg_bytes)
             if seg < 1:
                 raise ConfigError("seg_bytes must be >= 1")
@@ -79,16 +79,22 @@ class VMIG:
             byte_addrs = byte_addrs.tolist()
         self.elements_in += n
         lb = self.line_bytes
-        # Flattened line stream (element order, then offset within
-        # segment), deduplicated preserving first touch. Plain Python: a
-        # bundle covers one runahead window (tens of elements), far
-        # below numpy's array-dispatch break-even.
-        touched = [
-            la
-            for a, seg in zip(byte_addrs, segs)
-            for la in range(a - a % lb, a + seg, lb)
-        ]
-        lines = list(dict.fromkeys(touched))
+        if n == 1:
+            # One segment (a W-stream window) touches each line once.
+            (a,) = byte_addrs
+            (seg,) = segs
+            lines: Sequence[int] = range(a - a % lb, a + seg, lb)
+        else:
+            # Flattened line stream (element order, then offset within
+            # segment), deduplicated preserving first touch. Plain
+            # Python: a bundle covers one runahead window (tens of
+            # elements), far below numpy's array-dispatch break-even.
+            touched = [
+                la
+                for a, seg in zip(byte_addrs, segs)
+                for la in range(a - a % lb, a + seg, lb)
+            ]
+            lines = list(dict.fromkeys(touched))
         self.lines_deduped += len(lines)
         batches = [
             lines[i : i + self.vector_width]

@@ -21,9 +21,10 @@ sparse_func eval                            x
 cannot see the NPU's ROB; our DVR implementation therefore only reacts in
 ``on_demand_access``.
 
-Every mechanism issues requests through :class:`PrefetchPort`, which
-enforces the shared issue budget (vector width per event burst) and routes
-fills into L2 (and the NSB for irregular data when configured).
+Every mechanism issues requests through :class:`PrefetchPort` as bursts
+(burst ``i`` at cycle ``at + i``); the port enforces the shared per-cycle
+issue budget and routes fills into L2 (and the NSB for irregular data
+when configured).
 """
 
 from __future__ import annotations
@@ -35,100 +36,50 @@ from ..sim.npu.program import SparseProgram
 class PrefetchPort:
     """Issue interface handed to every prefetcher.
 
-    Wraps the memory system; also enforces a per-burst issue budget so all
-    mechanisms share the same request parallelism (the paper equalises
-    this across baselines).
+    Wraps the memory system's burst kernel,
+    :meth:`~repro.sim.memory.hierarchy.MemorySystem.prefetch_lines`, and
+    enforces a per-cycle issue budget so all mechanisms share the same
+    request parallelism (the paper equalises this across baselines).
     """
 
     def __init__(self, mem, burst_budget: int = 64) -> None:
         if burst_budget < 1:
             raise ConfigError("burst_budget must be >= 1")
-        self._mem = mem
-        # The memory system's batched prefetch kernel, if it has one.
-        self._prefetch_lines = getattr(mem, "prefetch_lines", None)
+        self._prefetch_lines = mem.prefetch_lines
+        self.line_bytes = mem.line_bytes
         self.burst_budget = burst_budget
         self._burst_now = -1
         self._burst_used = 0
         self.dropped_over_budget = 0
 
-    @property
-    def line_bytes(self) -> int:
-        return self._mem.line_bytes
+    def prefetch_bursts(self, at: int, bursts, irregular: bool) -> list[int]:
+        """Issue burst ``i`` at cycle ``at + i``; returns the issued fill times.
 
-    def line_addr(self, byte_addr: int) -> int:
-        return self._mem.line_addr(byte_addr)
-
-    def is_resident(self, line_addr: int) -> bool:
-        """Read-only residency probe (tag check before enqueue)."""
-        return self._mem.is_resident(line_addr)
-
-    def prefetch(self, now: int, line_addr: int, irregular: bool) -> int | None:
-        """Issue one line prefetch.
-
-        Returns the fill-ready cycle, or None when the request was squashed
-        (already resident) or dropped (burst budget exhausted).
-        """
-        if now != self._burst_now:
-            self._burst_now = now
-            self._burst_used = 0
-        if self._burst_used >= self.burst_budget:
-            self.dropped_over_budget += 1
-            return None
-        ready = self._mem.prefetch_line(now, line_addr, irregular)
-        if ready is None or ready is False:
-            return None
-        self._burst_used += 1
-        return ready
-
-    def prefetch_many(self, ats, lines, irregular: bool) -> list[int]:
-        """Issue a burst of line prefetches; returns the issued fill times.
-
-        Bit-exact with calling :meth:`prefetch` once per line in order —
-        same budget accounting, same squash/drop decisions — but routed
-        through the memory system's batched
-        :meth:`~repro.sim.memory.hierarchy.MemorySystem.prefetch_lines`
-        kernel when it has one, so a whole VMIG bundle or runahead burst
-        costs one call instead of one per line. ``ats`` is the issue
-        cycle: a single int for a same-cycle burst, or one per line
-        (non-decreasing, as the issue loops generate them).
+        Every generator already thinks in bursts: VMIG's vector ops, a
+        runahead gather chunked by vector width, a stream's degree window
+        four lines a cycle. Each (non-empty) burst is one call of the
+        memory system's kernel, capped by what is left of its cycle's
+        budget: already-resident lines are squashed without consuming
+        budget, and lines beyond it are dropped (``dropped_over_budget``).
 
         Squashed and dropped requests produce no entry, so callers use
         ``len()`` for the issued count and ``max()`` for the last fill.
         """
-        if not lines:
-            return []
-        if isinstance(ats, int):
-            runs = ((ats, lines),)
-        else:
-            # Split into same-cycle segments; budget state is per cycle.
-            runs = []
-            start = 0
-            n = len(ats)
-            for i in range(1, n):
-                if ats[i] != ats[start]:
-                    runs.append((ats[start], lines[start:i]))
-                    start = i
-            runs.append((ats[start], lines[start:]))
-        batch = self._prefetch_lines
+        kernel = self._prefetch_lines
         out: list[int] = []
-        for at, seg in runs:
+        for burst in bursts:
             if at != self._burst_now:
                 self._burst_now = at
                 self._burst_used = 0
             remaining = self.burst_budget - self._burst_used
-            if remaining <= 0:
-                self.dropped_over_budget += len(seg)
-                continue
-            if batch is not None:
-                readys, consumed = batch(at, seg, irregular, remaining)
+            if remaining > 0:
+                readys, consumed = kernel(at, burst, irregular, remaining)
                 self._burst_used += len(readys)
-                self.dropped_over_budget += len(seg) - consumed
-                out.extend(readys)
+                self.dropped_over_budget += len(burst) - consumed
+                out += readys
             else:
-                for la in seg:
-                    r = self.prefetch(at, la, irregular)
-                    if r is not None:
-                        out.append(r)
+                self.dropped_over_budget += len(burst)
+            at += 1
         return out
 
 

@@ -57,12 +57,13 @@ class DecoupledVectorRunahead(Prefetcher):
         super().attach(program, port)
         # Hot-path bindings: on_demand_access fires once per demand line.
         self._line_bytes = port.line_bytes
-        self._prefetch_many = port.prefetch_many
+        self._prefetch_bursts = port.prefetch_bursts
 
     # -- position tracking (CPU-visible data returns) ---------------------------
     def on_data_return(self, now: int, tile_id: int) -> None:
         self._position = max(self._position, tile_id)
-        self._resolve_ready(now)
+        if now >= self._next_ready:
+            self._resolve_ready(now)
 
     # -- trigger: the core stalls on a miss --------------------------------------
     def on_demand_access(self, now, stream_id, line_addr, idx_value, off_chip):
@@ -70,7 +71,8 @@ class DecoupledVectorRunahead(Prefetcher):
         # triggers runahead - streaming or gather alike.
         if off_chip:
             self._enter_runahead(now)
-        self._resolve_ready(now)
+        if now >= self._next_ready:
+            self._resolve_ready(now)
 
     def _enter_runahead(self, now: int) -> None:
         """Chase the dependency chain for the next ``depth_tiles`` tiles."""
@@ -93,7 +95,7 @@ class DecoupledVectorRunahead(Prefetcher):
             lines = tile.w_idx_load.line_addr_list(
                 self._line_bytes
             ) + tile.w_val_load.line_addr_list(self._line_bytes)
-            issued = self._prefetch_many(now + burst, lines, irregular=False)
+            issued = self._prefetch_bursts(now + burst, (lines,), irregular=False)
             if issued:
                 ready = max(ready, max(issued))
             self._awaiting[t] = ready
@@ -102,18 +104,19 @@ class DecoupledVectorRunahead(Prefetcher):
 
     # -- second chain hop: index data arrived, compute gather addresses ----------
     def _resolve_ready(self, now: int) -> None:
-        if now < self._next_ready:
-            return  # hot path: fires per demand line, usually nothing due
+        """Chase the gathers of every tile whose index data arrived.
+
+        Callers check ``now >= self._next_ready`` first: the demand hook
+        fires once per line, and usually nothing is due.
+        """
         line_bytes = self._line_bytes
+        width = self.vector_width
         for tile_id, ready in list(self._awaiting.items()):
             if ready > now:
                 continue
             del self._awaiting[tile_id]
             tile = self.program.tiles[tile_id]
-            ats = []
-            lines = []
-            burst = 0
-            width = self.vector_width
+            lines: list[int] = []
             for gather in tile.gathers:
                 if not gather.affine:
                     # The hash/rulebook sparse_func is NPU hardware; a
@@ -121,15 +124,14 @@ class DecoupledVectorRunahead(Prefetcher):
                     continue
                 # Affine address arithmetic is part of the loop body the
                 # runahead thread executes - exact reconstruction.
-                for addr in gather.byte_addrs:
-                    first = (int(addr) // line_bytes) * line_bytes
-                    last = (
-                        (int(addr) + gather.seg_bytes - 1) // line_bytes
-                    ) * line_bytes
-                    for la in range(first, last + line_bytes, line_bytes):
-                        ats.append(now + burst // width)
-                        lines.append(la)
-                        burst += 1
+                seg = gather.seg_bytes
+                for addr in gather.byte_addrs.tolist():
+                    lines += range(addr - addr % line_bytes, addr + seg, line_bytes)
             if lines:
-                self._prefetch_many(ats, lines, irregular=True)
+                # Vector-width bursts, one per cycle.
+                self._prefetch_bursts(
+                    now,
+                    [lines[i : i + width] for i in range(0, len(lines), width)],
+                    irregular=True,
+                )
         self._next_ready = min(self._awaiting.values(), default=math.inf)

@@ -72,7 +72,7 @@ class IndirectMemoryPrefetcher(Prefetcher):
         super().attach(program, port)
         # Hot-path bindings: handlers fire once per demand line / tile.
         self._line_bytes = port.line_bytes
-        self._prefetch_many = port.prefetch_many
+        self._prefetch_bursts = port.prefetch_bursts
 
     # -- pattern learning ------------------------------------------------------
     def _learn(self, stream_id: int, idx: int, addr: int) -> None:
@@ -103,18 +103,13 @@ class IndirectMemoryPrefetcher(Prefetcher):
         entry.confidence = 0
         entry.failures += 1
 
-    def _predict(self, stream_id: int, idx: int) -> int | None:
-        entry = self._ipt.get(stream_id)
-        if entry is None or not entry.locked:
-            return None
-        return entry.base + (idx << entry.shift)
-
     # -- event handlers ---------------------------------------------------------
     def on_demand_access(self, now, stream_id, line_addr, idx_value, off_chip):
         if stream_id in (STREAM_IA_GATHER, STREAM_IA_GATHER_2):
             if idx_value is not None:
                 self._learn(stream_id, idx_value, line_addr)
-        self._drain_ready(now)
+        if now >= self._next_ready:
+            self._drain_ready(now)
 
     def on_data_return(self, now: int, tile_id: int) -> None:
         # Index-stream runahead: fetch the W lines of the next tiles.
@@ -128,19 +123,22 @@ class IndirectMemoryPrefetcher(Prefetcher):
             lines = tile.w_idx_load.line_addr_list(
                 self._line_bytes
             ) + tile.w_val_load.line_addr_list(self._line_bytes)
-            issued = self._prefetch_many(now, lines, irregular=False)
+            issued = self._prefetch_bursts(now, (lines,), irregular=False)
             if issued:
                 ready = max(ready, max(issued))
             self._pending_w[target] = ready
             if ready < self._next_ready:
                 self._next_ready = ready
-        self._drain_ready(now)
+        if now >= self._next_ready:
+            self._drain_ready(now)
 
     # -- indirect issue ----------------------------------------------------------
     def _drain_ready(self, now: int) -> None:
-        """Issue indirect prefetches for tiles whose index data arrived."""
-        if now < self._next_ready:
-            return  # hot path: fires per demand line, usually nothing due
+        """Issue indirect prefetches for tiles whose index data arrived.
+
+        Callers check ``now >= self._next_ready`` first: the demand hook
+        fires once per line, and usually nothing is due.
+        """
         for tile_id, ready in list(self._pending_w.items()):
             if ready > now:
                 continue
@@ -150,24 +148,24 @@ class IndirectMemoryPrefetcher(Prefetcher):
             self._indirect_done.add(tile_id)
             tile = self.program.tiles[tile_id]
             line_bytes = self._line_bytes
+            width = self.vector_width
+            indices = None
             for gather in tile.gathers:
                 entry = self._ipt.get(gather.stream_id)
                 if entry is None or not entry.locked:
                     continue
-                ats = []
-                lines = []
-                burst = 0
-                width = self.vector_width
-                for idx in tile.indices:
-                    addr = self._predict(gather.stream_id, int(idx))
-                    if addr is None:
-                        continue
-                    first = (addr // line_bytes) * line_bytes
-                    last = ((addr + gather.seg_bytes - 1) // line_bytes) * line_bytes
-                    for la in range(first, last + line_bytes, line_bytes):
-                        ats.append(now + burst // width)
-                        lines.append(la)
-                        burst += 1
+                if indices is None:
+                    indices = tile.indices.tolist()
+                base, shift, seg = entry.base, entry.shift, gather.seg_bytes
+                lines: list[int] = []
+                for idx in indices:
+                    addr = base + (idx << shift)
+                    lines += range(addr - addr % line_bytes, addr + seg, line_bytes)
                 if lines:
-                    self._prefetch_many(ats, lines, irregular=True)
+                    # Vector-width bursts, one per cycle.
+                    self._prefetch_bursts(
+                        now,
+                        [lines[i : i + width] for i in range(0, len(lines), width)],
+                        irregular=True,
+                    )
         self._next_ready = min(self._pending_w.values(), default=math.inf)

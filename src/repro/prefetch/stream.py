@@ -68,7 +68,7 @@ class StreamPrefetcher(Prefetcher):
         super().attach(program, port)
         # Hot-path bindings: on_demand_access fires once per demand line.
         self._line_bytes = port.line_bytes
-        self._prefetch_many = port.prefetch_many
+        self._prefetch_bursts = port.prefetch_bursts
 
     def on_demand_access(self, now, stream_id, line_addr, idx_value, off_chip):
         entry = self._table.get(stream_id)
@@ -88,11 +88,8 @@ class StreamPrefetcher(Prefetcher):
         entry.last_line = line_addr
         if off_chip and entry.confidence < self.confirm:
             # Next-line ramp: assume a new ascending stream at every miss.
-            self._prefetch_many(
-                now,
-                [line_addr + k * line_bytes for k in range(1, self.ramp_degree + 1)],
-                irregular,
-            )
+            ramp = [line_addr + k * line_bytes for k in range(1, self.ramp_degree + 1)]
+            self._prefetch_bursts(now, (ramp,), irregular)
         if entry.confidence >= self.confirm and entry.stride != 0:
             degree = self.degree
             step = entry.stride * line_bytes
@@ -103,9 +100,11 @@ class StreamPrefetcher(Prefetcher):
                 # Stop before the first negative address.
                 ks = range(1, min(degree, line_addr // -step) + 1)
             if ks:
-                self._prefetch_many(
-                    [now + k // 4 for k in ks],
-                    [line_addr + k * step for k in ks],
-                    irregular,
-                )
+                # Multiple k issues at cycle now + k // 4: bursts of four,
+                # the first cut short where the window starts mid-group.
+                targets = [line_addr + k * step for k in ks]
+                cut = 4 - ks[0] % 4
+                bursts = [targets[:cut]]
+                bursts += [targets[i : i + 4] for i in range(cut, len(targets), 4)]
+                self._prefetch_bursts(now + ks[0] // 4, bursts, irregular)
             entry.frontier = max(entry.frontier, line_addr + degree * step)

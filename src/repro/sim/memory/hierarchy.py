@@ -17,7 +17,6 @@ bypass it (they live in the scratchpad pipeline and the L2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 
 from ...errors import ConfigError
 from ..request import Access, AccessResult, AccessType, HitLevel
@@ -170,13 +169,16 @@ class MemorySystem:
         # tuples hold containers that are mutated in place and never
         # reassigned (see Cache.hot_state / MSHRFile.hot_state), and all
         # line fills transfer exactly one line, so the DRAM bus service
-        # time is a constant.
+        # time is a constant. A line fill is ready ``_fill_lat`` cycles
+        # after its bus slot starts (DRAM latency, the line's bus service,
+        # the L2 hit): a constant, which is why fills complete in the
+        # order they are allocated (see MSHRFile).
         self._l2_hot = self.l2.hot_state()
         self._nsb_hot = self.nsb.hot_state() if self.nsb is not None else None
         self._l2_mshr_hot = self.l2.mshr.hot_state()
-        self._dram_lat = config.dram.latency
         self._pf_penalty = config.dram.prefetch_penalty
         self._line_service = self.dram.service_cycles(config.line_bytes)
+        self._fill_lat = config.dram.latency + self._line_service + self._l2_lat
 
     # -- background CPU traffic ----------------------------------------------
     _MAX_INJECT_PER_CALL = 64
@@ -205,21 +207,21 @@ class MemorySystem:
             self.cpu_accesses += 1
             kind, _ = self.l2.lookup(now, line)
             if kind == LookupKind.MISS:
-                self.cpu_misses += 1
-                start = max(now, self.l2.mshr.earliest_free_slot(now))
-                done = self.dram.access(start, self.line_bytes)
-                ready = done + self.l2.config.hit_latency
-                self.l2.mshr.allocate(start, line, ready)
+                mshr = self.l2.mshr
+                # A line evicted while in flight coalesces onto its fill.
+                ready = mshr.lookup(now, line)
+                if ready is None:
+                    self.cpu_misses += 1
+                    start = max(now, mshr.earliest_free_slot(now))
+                    done = self.dram.access(start, self.line_bytes)
+                    ready = done + self.l2.config.hit_latency
+                    mshr.allocate(start, line, ready)
                 self.l2.allocate(now, line, ready, by_prefetch=False)
 
     # -- helpers -----------------------------------------------------------
     @property
     def line_bytes(self) -> int:
         return self._line_bytes
-
-    def line_addr(self, byte_addr: int) -> int:
-        """Align a byte address to a line address."""
-        return self.l2.line_addr(byte_addr)
 
     def hit_latency(self, irregular: bool) -> int:
         """Best-case (all-hit) latency for one demand access.
@@ -231,15 +233,6 @@ class MemorySystem:
             return self.nsb.config.hit_latency
         return self.l2.config.hit_latency
 
-    def is_resident(self, line_addr: int) -> bool:
-        """True when the line is in any cache level (ready or in flight).
-
-        Read-only; used by prefetchers to squash redundant requests.
-        """
-        if self.l2.probe(line_addr) is not None:
-            return True
-        return self.nsb is not None and self.nsb.probe(line_addr) is not None
-
     # -- demand path ---------------------------------------------------------
     def demand_access(self, now: int, access: Access, irregular: bool) -> AccessResult:
         """Send one demand line request through NSB (optional) then L2/DRAM.
@@ -249,6 +242,11 @@ class MemorySystem:
         reports the outcome as an :class:`AccessResult`. The simulator's
         two fast walks, :meth:`demand_line` and :meth:`demand_lines`,
         inline the same steps; the property tests hold both to this one.
+
+        A line the L2 evicted while its fill was still in flight
+        coalesces onto that fill (:meth:`MSHRFile.lookup`): it counts as
+        an in-flight hit, starts no DRAM transfer, and is re-inserted
+        with the fill's ready cycle.
         """
         assert access.access_type is AccessType.DEMAND
         if self._cpu_cfg is not None:
@@ -286,7 +284,12 @@ class MemorySystem:
 
         l2_stats = self._stats_l2
         l2_stats.demand_accesses += 1
+        mshr = self.l2.mshr
         ready = self.l2.touch(line)
+        if ready is None:
+            ready = mshr.lookup(now, line)
+            if ready is not None:
+                self.l2.allocate(now, line, ready, by_prefetch=False)
         if ready is not None:
             if ready <= now:
                 l2_stats.demand_hits += 1
@@ -317,7 +320,6 @@ class MemorySystem:
         # True L2 miss: fetch from DRAM through an MSHR slot.
         l2_stats.demand_misses += 1
         pending.discard(line)
-        mshr = self.l2.mshr
         start = mshr.earliest_free_slot(now)
         if now > start:
             start = now
@@ -344,12 +346,6 @@ class MemorySystem:
         Returns the line's completion cycle, stored as ``~cycle``
         (negative) when the line went off-chip — the sign idiom
         :class:`Cache` uses for untouched prefetch fills.
-
-        One case differs, as it does for :meth:`demand_lines`: when the
-        L2 evicted a line whose fill is still in flight and the line is
-        demanded again, the reference's :meth:`MSHRFile.allocate` raises
-        a double-allocate error, while the inlined walks replace the
-        line's MSHR entry with the new fill.
         """
         if self._cpu_cfg is not None:
             self._inject_cpu_traffic(now)
@@ -390,6 +386,21 @@ class MemorySystem:
         traffic = self._traffic
         traffic.l2_to_npu_bytes += self._line_bytes
         ready = lset.pop(ltag, None)
+        if ready is None:
+            # Absent from the L2: retire the completed fills (the MSHR is
+            # a FIFO, see MSHRFile.hot_state); a line still in flight
+            # was evicted before its fill landed and coalesces onto it.
+            fills, inflight, capacity = self._l2_mshr_hot
+            while fills and inflight[fills[0]] <= now:
+                del inflight[fills.popleft()]
+            ready = inflight.get(line)
+            if ready is not None:
+                l2 = self.l2
+                l2.mshr.coalesced += 1
+                if len(lset) >= l2_assoc:
+                    l2.evictions += 1
+                    if lset.pop(next(iter(lset))) < 0:
+                        l2.prefetch_evicted_unused += 1
         if ready is not None:
             if ready < 0:
                 ready = ~ready
@@ -415,20 +426,13 @@ class MemorySystem:
             pending.discard(line)
             l2 = self.l2
             mshr = l2.mshr
-            heap, inflight, capacity = self._l2_mshr_hot
-            while heap and heap[0][0] <= now:
-                rt, ln = heappop(heap)
-                if inflight.get(ln) == rt:
-                    del inflight[ln]
-            if len(inflight) < capacity:
+            occupancy = len(inflight)
+            if occupancy < capacity:
                 start = now
             else:
                 mshr.structural_stalls += 1
-                start = heap[0][0]
-                while heap and heap[0][0] <= start:
-                    rt, ln = heappop(heap)
-                    if inflight.get(ln) == rt:
-                        del inflight[ln]
+                start = inflight.pop(fills.popleft())
+                occupancy -= 1
             dram = self.dram
             service = self._line_service
             busy = dram._bus_free_at
@@ -437,11 +441,11 @@ class MemorySystem:
             dram.busy_cycles += service
             dram.transfers += 1
             dram.bytes_transferred += self._line_bytes
-            complete = st + self._dram_lat + service + self._l2_lat
+            complete = st + self._fill_lat
             inflight[line] = complete
-            heappush(heap, (complete, line))
-            if len(inflight) > mshr.peak_occupancy:
-                mshr.peak_occupancy = len(inflight)
+            fills.append(line)
+            if occupancy >= mshr.peak_occupancy:
+                mshr.peak_occupancy = occupancy + 1
             if len(lset) >= l2_assoc:
                 l2.evictions += 1
                 if lset.pop(next(iter(lset))) < 0:
@@ -489,17 +493,20 @@ class MemorySystem:
         l2_sets, l2_shift, l2_smask, l2_tshift, l2_assoc = self._l2_hot
         l2_lat = self._l2_lat
         mshr = l2.mshr
-        mshr_heap, mshr_infl, mshr_cap = self._l2_mshr_hot
+        fills, inflight, mshr_cap = self._l2_mshr_hot
+        # CPU traffic (inject) allocates through the MSHR's methods too,
+        # so the local peak is folded back as a maximum.
+        peak = mshr.peak_occupancy
         dram = self.dram
-        dram_lat = self._dram_lat
         service = self._line_service
+        fill_lat = self._fill_lat
         if use_nsb:
             nsb = self.nsb
             nsb_sets, nsb_shift, nsb_smask, nsb_tshift, nsb_assoc = self._nsb_hot
             nsb_lat = self._nsb_lat
         # Local counter accumulators, folded into the stats records once.
         nsb_acc = nsb_hit = nsb_infl = nsb_miss = 0
-        l2_acc = l2_hit = l2_infl = l2_miss = 0
+        l2_acc = l2_hit = l2_infl = l2_miss = coalesced = stalls = 0
         pf_useful = pf_late = 0
         nsb_npu_bytes = l2_npu_bytes = 0
         l2_evt = l2_pfevt = nsb_evt = nsb_pfevt = 0
@@ -548,6 +555,19 @@ class MemorySystem:
             lset = l2_sets[(line >> l2_shift) & l2_smask]
             ltag = line >> l2_tshift
             ready = lset.pop(ltag, None)
+            if ready is None:
+                # Absent from the L2: retire the completed fills (oldest
+                # first: the MSHR is a FIFO); a line still in flight was
+                # evicted before its fill landed and coalesces onto it.
+                while fills and inflight[fills[0]] <= at:
+                    del inflight[fills.popleft()]
+                ready = inflight.get(line)
+                if ready is not None:
+                    coalesced += 1
+                    if len(lset) >= l2_assoc:
+                        l2_evt += 1
+                        if lset.pop(next(iter(lset))) < 0:
+                            l2_pfevt += 1
             if ready is not None:
                 if ready < 0:
                     ready = ~ready
@@ -570,33 +590,28 @@ class MemorySystem:
                         complete = t
             else:
                 # True L2 miss: fetch from DRAM through an MSHR slot.
-                # Inlined MSHRFile.earliest_free_slot / allocate (lazy
-                # retire at the probe time, again at the start time) and
-                # DRAM.access (serialising bus, constant line service).
+                # Inlined MSHRFile.earliest_free_slot / allocate (retired
+                # at the probe time above; a full file waits for its
+                # oldest fill) and DRAM.access (serialising bus, constant
+                # line service).
                 l2_miss += 1
                 flags[k] = 1
                 pending.discard(line)
-                while mshr_heap and mshr_heap[0][0] <= at:
-                    rt, ln = heappop(mshr_heap)
-                    if mshr_infl.get(ln) == rt:
-                        del mshr_infl[ln]
-                if len(mshr_infl) < mshr_cap:
+                occupancy = len(inflight)
+                if occupancy < mshr_cap:
                     start = at
                 else:
-                    mshr.structural_stalls += 1
-                    start = mshr_heap[0][0]
-                    while mshr_heap and mshr_heap[0][0] <= start:
-                        rt, ln = heappop(mshr_heap)
-                        if mshr_infl.get(ln) == rt:
-                            del mshr_infl[ln]
+                    stalls += 1
+                    start = inflight.pop(fills.popleft())
+                    occupancy -= 1
                 busy = dram._bus_free_at
                 st = start if start > busy else busy
                 dram._bus_free_at = st + service
-                complete = st + dram_lat + service + l2_lat
-                mshr_infl[line] = complete
-                heappush(mshr_heap, (complete, line))
-                if len(mshr_infl) > mshr.peak_occupancy:
-                    mshr.peak_occupancy = len(mshr_infl)
+                complete = st + fill_lat
+                inflight[line] = complete
+                fills.append(line)
+                if occupancy >= peak:
+                    peak = occupancy + 1
                 # Fill into L2 (the touch above proved the line absent).
                 if len(lset) >= l2_assoc:
                     l2_evt += 1
@@ -631,6 +646,8 @@ class MemorySystem:
         ls.demand_hits += l2_hit
         ls.demand_inflight_hits += l2_infl
         ls.demand_misses += l2_miss
+        if coalesced:
+            mshr.coalesced += coalesced
         if pf_useful or pf_late:
             pf = self._stats_pf
             pf.useful += pf_useful
@@ -639,9 +656,12 @@ class MemorySystem:
             dram.busy_cycles += l2_miss * service
             dram.transfers += l2_miss
             dram.bytes_transferred += l2_miss * line_bytes
-            if l2_evt:
-                l2.evictions += l2_evt
-                l2.prefetch_evicted_unused += l2_pfevt
+            mshr.structural_stalls += stalls
+            if peak > mshr.peak_occupancy:
+                mshr.peak_occupancy = peak
+        if l2_evt:
+            l2.evictions += l2_evt
+            l2.prefetch_evicted_unused += l2_pfevt
         traffic = self._traffic
         traffic.nsb_to_npu_bytes += nsb_npu_bytes
         traffic.l2_to_npu_bytes += l2_npu_bytes
@@ -652,14 +672,17 @@ class MemorySystem:
     def prefetch_line(self, now: int, line_addr: int, irregular: bool) -> int | None:
         """Bring one line toward the NPU speculatively.
 
-        With an NSB configured, *irregular* speculative fills land in the
-        NSB only — it is the Non-blocking **Speculative** Buffer, and
-        keeping speculation out of the shared L2 is what protects the L2
-        from prefetch pollution (the Fig. 9 trade: the NSB must be large
-        enough to hold the speculative window). Regular-stream prefetches
-        and NSB-less configurations fill the L2 as usual. Requests already
-        satisfied at their target level are squashed for free, mirroring
-        the tag-probe filter in hardware prefetch queues.
+        The readable reference for the prefetch path, as
+        :meth:`demand_access` is for the demand path; the simulator runs
+        :meth:`prefetch_lines`. Every off-chip speculative fill lands in
+        the L2. With an NSB configured, an *irregular* fill lands in the
+        NSB as well (both-fill), and an irregular request for a line the
+        L2 already holds pulls it on-chip into the NSB without DRAM
+        traffic. Regular-stream prefetches and NSB-less configurations
+        fill the L2 only. A line the L2 evicted while its fill is still
+        in flight counts as L2-resident, with the fill's ready cycle.
+        Requests already satisfied at their target level are squashed for
+        free, mirroring the tag-probe filter in hardware prefetch queues.
 
         Returns the fill-ready cycle when any fill was started (the request
         counts toward issued-prefetch statistics), else None.
@@ -668,7 +691,10 @@ class MemorySystem:
         if target_nsb and self.nsb.probe(line_addr) is not None:
             return None
 
+        mshr = self.l2.mshr
         ready = self.l2.probe(line_addr)
+        if ready is None:
+            ready = mshr.lookup(now, line_addr)
         if ready is not None:
             if not target_nsb:
                 return None
@@ -682,7 +708,6 @@ class MemorySystem:
             return ready
 
         line_bytes = self._line_bytes
-        mshr = self.l2.mshr
         start = mshr.earliest_free_slot(now)
         if now > start:
             start = now
@@ -705,11 +730,12 @@ class MemorySystem:
     ) -> tuple[list[int], int]:
         """Issue up to ``max_issue`` prefetches from ``lines``, in order.
 
-        Bit-exact with sequential :meth:`prefetch_line` calls under the
-        port's burst budget: already-resident lines are squashed without
-        consuming budget, and once ``max_issue`` fills have started the
-        remaining lines are not probed at all (the port counts them as
-        dropped — exactly what per-line budget checks would have done).
+        One burst of the prefetch port: bit-exact with sequential
+        :meth:`prefetch_line` calls under the port's per-cycle budget.
+        Already-resident lines are squashed without consuming budget, and
+        once ``max_issue`` fills have started the remaining lines are not
+        probed at all (the port counts them as dropped — exactly what
+        per-line budget checks would have done).
 
         Returns ``(ready cycles of the issued lines, lines processed)``.
         """
@@ -727,12 +753,16 @@ class MemorySystem:
             nsb_sets, nsb_shift, nsb_smask, nsb_tshift, nsb_assoc = self._nsb_hot
         l2_lat = self._l2_lat
         mshr = l2.mshr
-        mshr_heap, mshr_infl, mshr_cap = self._l2_mshr_hot
+        fills, inflight, mshr_cap = self._l2_mshr_hot
+        peak = mshr.peak_occupancy
+        # Nothing else touches the DRAM bus during a burst: keep it local.
         dram = self.dram
-        issue = now + self._pf_penalty
-        dram_lat = self._dram_lat
+        bus = dram._bus_free_at
+        pf_penalty = self._pf_penalty
+        issue = now + pf_penalty
         service = self._line_service
-        issued = off_chip = 0
+        fill_lat = self._fill_lat
+        issued = off_chip = stalls = 0
         l2_evt = l2_pfevt = nsb_evt = nsb_pfevt = 0
         consumed = n
         for k in range(n):
@@ -748,6 +778,15 @@ class MemorySystem:
             lset = l2_sets[(line >> l2_shift) & l2_smask]
             ltag = line >> l2_tshift
             ready = lset.get(ltag)
+            if ready is None:
+                # Absent from the L2: retire the completed fills (oldest
+                # first: the MSHR is a FIFO); a line still in flight was
+                # evicted before its fill landed and counts as resident.
+                while fills and inflight[fills[0]] <= now:
+                    del inflight[fills.popleft()]
+                ready = inflight.get(line)
+                if ready is not None:
+                    mshr.coalesced += 1
             if ready is not None:
                 if not target_nsb:
                     continue
@@ -761,28 +800,20 @@ class MemorySystem:
                 # Off-chip fill: inlined MSHR slot search, DRAM bus
                 # (prefetches issue after the arbitration penalty) and
                 # L2 fill — see demand_lines for the inlining contract.
-                while mshr_heap and mshr_heap[0][0] <= now:
-                    rt, ln = heappop(mshr_heap)
-                    if mshr_infl.get(ln) == rt:
-                        del mshr_infl[ln]
-                if len(mshr_infl) < mshr_cap:
+                occupancy = len(inflight)
+                if occupancy < mshr_cap:
                     start = issue
                 else:
-                    mshr.structural_stalls += 1
-                    start = mshr_heap[0][0]
-                    while mshr_heap and mshr_heap[0][0] <= start:
-                        rt, ln = heappop(mshr_heap)
-                        if mshr_infl.get(ln) == rt:
-                            del mshr_infl[ln]
-                    start += self._pf_penalty
-                busy = dram._bus_free_at
-                st = start if start > busy else busy
-                dram._bus_free_at = st + service
-                ready = st + dram_lat + service + l2_lat
-                mshr_infl[line] = ready
-                heappush(mshr_heap, (ready, line))
-                if len(mshr_infl) > mshr.peak_occupancy:
-                    mshr.peak_occupancy = len(mshr_infl)
+                    stalls += 1
+                    start = inflight.pop(fills.popleft()) + pf_penalty
+                    occupancy -= 1
+                st = start if start > bus else bus
+                bus = st + service
+                ready = st + fill_lat
+                inflight[line] = ready
+                fills.append(line)
+                if occupancy >= peak:
+                    peak = occupancy + 1
                 if len(lset) >= l2_assoc:
                     l2_evt += 1
                     if lset.pop(next(iter(lset))) < 0:
@@ -805,9 +836,12 @@ class MemorySystem:
             pf_stats.issued_lines_off_chip += off_chip
             self._traffic.off_chip_prefetch_bytes += off_chip * line_bytes
             if off_chip:
+                dram._bus_free_at = bus
                 dram.busy_cycles += off_chip * service
                 dram.transfers += off_chip
                 dram.bytes_transferred += off_chip * line_bytes
+                mshr.structural_stalls += stalls
+                mshr.peak_occupancy = peak
             if l2_evt:
                 l2.evictions += l2_evt
                 l2.prefetch_evicted_unused += l2_pfevt

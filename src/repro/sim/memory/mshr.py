@@ -8,23 +8,27 @@ the NSB "incorporates an MSHR file to manage concurrent memory operations"
 and VMIG's pipelining "depends on the MSHR, which prevents cache miss events
 from blocking subsequent prefetch operations".
 
-The simulator advances time monotonically, so entries whose fill has
-completed are retired lazily on each call.
+Fills retire in the order they are allocated. A fill's ready cycle is its
+DRAM bus slot plus fixed latencies; the bus serialises transfers and every
+line takes the same service time, so ready cycles strictly increase in
+allocation order. The file is therefore a FIFO: the oldest entry is always
+the next to complete. The simulator advances time monotonically, so
+entries whose fill has completed are retired lazily on each call.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 
 from ...errors import ConfigError
 
 
 class MSHRFile:
-    """Bounded set of outstanding line fills with coalescing.
+    """Bounded FIFO of outstanding line fills with coalescing.
 
     Args:
         capacity: maximum simultaneously outstanding fills. When the file is
-            full, a new miss must wait for the earliest outstanding fill to
+            full, a new miss must wait for the oldest outstanding fill to
             retire — the structural hazard that caps memory-level
             parallelism.
     """
@@ -33,21 +37,17 @@ class MSHRFile:
         if capacity < 1:
             raise ConfigError(f"MSHR capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._ready_heap: list[tuple[int, int]] = []
+        self._fills: deque[int] = deque()
         self._inflight: dict[int, int] = {}
         self.peak_occupancy = 0
         self.coalesced = 0
         self.structural_stalls = 0
 
     def _retire_completed(self, now: int) -> None:
-        heap = self._ready_heap
-        if not heap or heap[0][0] > now:
-            return  # hot path: nothing retirable, skip the pop/lookup loop
+        fills = self._fills
         inflight = self._inflight
-        while heap and heap[0][0] <= now:
-            ready, line = heapq.heappop(heap)
-            if inflight.get(line) == ready:
-                del inflight[line]
+        while fills and inflight[fills[0]] <= now:
+            del inflight[fills.popleft()]
 
     def occupancy(self, now: int) -> int:
         """Number of fills still outstanding at ``now``."""
@@ -77,33 +77,47 @@ class MSHRFile:
         if len(self._inflight) < self.capacity:
             return now
         self.structural_stalls += 1
-        return self._ready_heap[0][0]
+        return self._inflight[self._fills[0]]
 
-    def hot_state(self) -> tuple[list[tuple[int, int]], dict[int, int], int]:
-        """``(ready_heap, inflight, capacity)`` for inlined batch kernels.
+    def hot_state(self) -> tuple[deque[int], dict[int, int], int]:
+        """``(fills, inflight, capacity)`` for the inlined hierarchy walks.
 
-        The heap and dict are mutated in place and never reassigned, so
-        the tuple stays valid for the file's lifetime. Writers must
-        replicate the lazy-retire discipline of :meth:`earliest_free_slot`
-        / :meth:`allocate` exactly (retire at the probe time, then again
-        at the allocation start time) and keep ``structural_stalls`` and
-        ``peak_occupancy`` maintained through the attributes.
+        ``fills`` holds the outstanding lines in allocation order, which is
+        also completion order; ``inflight`` maps each of them to its ready
+        cycle. Both are mutated in place and never reassigned, so the
+        tuple stays valid for the file's lifetime. Writers keep them in
+        step: retire by popping ``fills`` from the left while the oldest
+        fill's ready cycle is at or before the request's cycle; when the
+        file is still full, wait for (and retire) the leftmost entry;
+        append every new fill on the right. They keep
+        ``structural_stalls``, ``peak_occupancy`` and ``coalesced``
+        maintained through the attributes.
         """
-        return self._ready_heap, self._inflight, self.capacity
+        return self._fills, self._inflight, self.capacity
 
     def allocate(self, now: int, line_addr: int, ready_at: int) -> None:
         """Record a new outstanding fill for ``line_addr``.
 
         The caller must have consulted :meth:`earliest_free_slot` and used
-        a start time at which a slot is available.
+        a start time at which a slot is available, and must not allocate
+        a line that is still in flight (it coalesces instead). The fill
+        must complete after every outstanding fill: the FIFO's premise.
         """
         self._retire_completed(now)
-        if len(self._inflight) >= self.capacity:
+        fills = self._fills
+        inflight = self._inflight
+        if len(inflight) >= self.capacity:
             raise ConfigError(
                 "MSHR allocate with full file - call earliest_free_slot first"
             )
-        if line_addr in self._inflight:
+        if line_addr in inflight:
             raise ConfigError(f"MSHR double-allocate for line {line_addr:#x}")
-        self._inflight[line_addr] = ready_at
-        heapq.heappush(self._ready_heap, (ready_at, line_addr))
-        self.peak_occupancy = max(self.peak_occupancy, len(self._inflight))
+        if fills and ready_at <= inflight[fills[-1]]:
+            raise ConfigError(
+                f"MSHR fill for line {line_addr:#x} ready at {ready_at}, not "
+                f"after the newest outstanding fill ({inflight[fills[-1]]})"
+            )
+        inflight[line_addr] = ready_at
+        fills.append(line_addr)
+        if len(inflight) > self.peak_occupancy:
+            self.peak_occupancy = len(inflight)

@@ -49,16 +49,10 @@ class PerfectMemory:
     def line_bytes(self) -> int:
         return self._line_bytes
 
-    def line_addr(self, byte_addr: int) -> int:
-        return byte_addr & ~(self._line_bytes - 1)
-
     def hit_latency(self, irregular: bool) -> int:
         if self._nsb_lat is not None and irregular:
             return self._nsb_lat
         return self._l2_lat
-
-    def is_resident(self, line_addr: int) -> bool:
-        return True
 
     def demand_access(self, now: int, access: Access, irregular: bool) -> AccessResult:
         if self._nsb_lat is not None and irregular:
@@ -70,8 +64,11 @@ class PerfectMemory:
     def demand_line(self, now: int, line: int, irregular: bool) -> int:
         return now + self.hit_latency(irregular)
 
-    def prefetch_line(self, now: int, line_addr: int, irregular: bool) -> None:
-        return None
+    def prefetch_lines(
+        self, now: int, lines, irregular: bool, max_issue: int
+    ) -> tuple[list[int], int]:
+        # Every line is already resident: all squashed, none dropped.
+        return [], len(lines)
 
     def bulk_transfer(self, now: int, n_bytes: int) -> int:
         # Perfect memory: the burst is instantaneous beyond one hit time.

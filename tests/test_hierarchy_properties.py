@@ -1,6 +1,7 @@
 """Hypothesis property tests over random memory-hierarchy interleavings."""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.memory.cache import CacheConfig
@@ -173,14 +174,22 @@ def _per_line_prefetch(mem, now, lines, irregular, max_issue):
 
 def _cache_state(cache):
     mshr = cache.mshr
+    fills, inflight, _ = mshr.hot_state()
     return (
         [list(cache_set.items()) for cache_set in cache.hot_state()[0]],
         cache.evictions,
         cache.prefetch_evicted_unused,
-        dict(mshr.hot_state()[1]),
+        list(fills),
+        dict(inflight),
         mshr.structural_stalls,
         mshr.peak_occupancy,
+        mshr.coalesced,
     )
+
+
+#: Line indices of five lines of one L2 set (4-way), then the first again:
+#: at cycle 0 the fifth evicts line 0 while its fill is still in flight.
+EVICTED_IN_FLIGHT = (0, 16, 32, 48, 64, 0)
 
 
 class TestBatchKernelsMatchPerLineWalk:
@@ -194,6 +203,9 @@ class TestBatchKernelsMatchPerLineWalk:
 
     @settings(max_examples=80, deadline=None)
     @given(kernel_calls_strategy, st.booleans(), st.booleans())
+    @example(calls=[(0, False, True, 8, list(EVICTED_IN_FLIGHT))], nsb=False, cpu=False)
+    @example(calls=[(0, False, True, 8, list(EVICTED_IN_FLIGHT))], nsb=True, cpu=False)
+    @example(calls=[(0, True, True, 8, list(EVICTED_IN_FLIGHT))], nsb=True, cpu=False)
     def test_same_stats_and_cache_contents(self, calls, nsb, cpu):
         ref = make_small_system(nsb, cpu)
         lean = make_small_system(nsb, cpu)
@@ -219,3 +231,155 @@ class TestBatchKernelsMatchPerLineWalk:
             assert _cache_state(mem.l2) == _cache_state(ref.l2)
             if nsb:
                 assert _cache_state(mem.nsb) == _cache_state(ref.nsb)
+
+
+def _mshr_fills(mem):
+    """The L2 MSHR's outstanding ``(line, ready)`` pairs, oldest first."""
+    fills, inflight, _ = mem.l2.mshr.hot_state()
+    return [(line, inflight[line]) for line in fills]
+
+
+DEMAND_WALKS = {
+    "demand_access": _per_line_demand,
+    "demand_line": _lean_per_line_demand,
+    "demand_lines": MemorySystem.demand_lines,
+}
+PREFETCH_WALKS = {
+    "prefetch_line": _per_line_prefetch,
+    "prefetch_lines": MemorySystem.prefetch_lines,
+}
+
+
+class TestEvictedInFlightLineCoalesces:
+    """A line the L2 evicts while its fill is in flight, requested again.
+
+    Five lines of one 4-way L2 set at cycle 0, then the first line again:
+    the fifth fill evicts line 0 before its fill (ready at cycle 102)
+    lands. The request coalesces onto that fill in every walk: no second
+    DRAM transfer, no second MSHR entry, and line 0 ready at 102.
+    """
+
+    @pytest.mark.parametrize("nsb", [False, True])
+    @pytest.mark.parametrize("walk", DEMAND_WALKS)
+    def test_demand(self, walk, nsb):
+        mem = make_small_system(nsb, cpu=False)
+        lines = [i * 64 for i in EVICTED_IN_FLIGHT]
+        done, flags = DEMAND_WALKS[walk](mem, 0, 8, lines, True)
+        assert mem.dram.transfers == 5
+        assert mem.stats.l2.demand_misses == 5
+        assert mem.stats.l2.demand_inflight_hits == 1
+        assert mem.l2.mshr.peak_occupancy == 5
+        assert list(flags) == [1, 1, 1, 1, 1, 0]
+        # Line 64 is the last fill (cycle 118); a second fill of line 0
+        # would have been ready at 122.
+        assert done == 118
+        assert mem.l2.probe(0) == 102
+        if walk == "demand_line":
+            assert mem.demand_line(1, 0, True) == 102
+        else:
+            access = Access(0, AccessType.DEMAND)
+            assert mem.demand_access(1, access, True).complete_at == 102
+        assert mem.dram.transfers == 5
+
+    @pytest.mark.parametrize("nsb", [False, True])
+    @pytest.mark.parametrize("walk", PREFETCH_WALKS)
+    def test_prefetch(self, walk, nsb):
+        mem = make_small_system(nsb, cpu=False)
+        lines = [i * 64 for i in EVICTED_IN_FLIGHT]
+        readys, consumed = PREFETCH_WALKS[walk](mem, 0, lines, True, 8)
+        assert consumed == 6
+        assert mem.dram.transfers == 5
+        assert mem.l2.mshr.peak_occupancy == 5
+        # Prefetches issue after the 4-cycle arbitration penalty: the
+        # first fill is ready at 106. With the NSB the re-request pulls
+        # the in-flight line into it; without, it is squashed.
+        assert readys[:5] == [106, 110, 114, 118, 122]
+        assert readys[5:] == ([106] if nsb else [])
+        assert mem.stats.prefetch.issued_lines_off_chip == 5
+        # A demand now coalesces onto the prefetch's fill: a late prefetch.
+        access = Access(0, AccessType.DEMAND)
+        assert mem.demand_access(1, access, False).complete_at == 106
+        assert mem.stats.prefetch.late == 1
+        assert mem.dram.transfers == 5
+
+    @pytest.mark.parametrize("walk", DEMAND_WALKS)
+    def test_cpu_traffic(self, walk):
+        """The CPU re-touches its own line after the NPU evicted it in flight."""
+        mem = make_small_system(nsb=False, cpu=True)
+        lcg = mem._cpu_lcg
+        demand = DEMAND_WALKS[walk]
+        # Cycle 50 is due one CPU line; it injects before the NPU line.
+        demand(mem, 50, 8, [0x100000], False)
+        cpu_line, ready = next(iter(mem.l2.mshr.hot_state()[1].items()))
+        assert mem.cpu_misses == 1
+        # Four NPU lines of the CPU line's set evict it while in flight.
+        same_set = [cpu_line % (16 * 64) + k * 16 * 64 for k in range(4)]
+        demand(mem, 50, 8, same_set, False)
+        assert mem.l2.probe(cpu_line) is None
+        # Rewind the CPU's address stream: cycle 100 draws the line again.
+        mem._cpu_lcg = lcg
+        demand(mem, 100, 8, [0x200000], False)
+        assert mem.cpu_accesses == 2
+        assert mem.cpu_misses == 1
+        assert mem.dram.transfers == 1 + 1 + 4 + 1
+        assert mem.l2.probe(cpu_line) == ready
+
+
+# One hierarchy operation: (time delta, kind, irregular, issue width or
+# prefetch budget, line indices, bulk bytes).
+hierarchy_ops_strategy = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=120),
+        st.sampled_from(("demand", "prefetch", "bulk")),
+        st.booleans(),
+        st.integers(min_value=1, max_value=6),
+        st.lists(st.integers(min_value=0, max_value=127), min_size=1, max_size=24),
+        st.integers(min_value=1, max_value=4096),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestMSHRFillsCompleteInOrder:
+    """The FIFO MSHR's premise, on every walk.
+
+    Each fill's ready cycle is its DRAM bus slot plus fixed latencies, and
+    the bus serialises every transfer (``bulk_transfer`` moves it without
+    an MSHR entry), so ready cycles strictly increase in allocation order.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(hierarchy_ops_strategy, st.booleans(), st.booleans())
+    @example(
+        ops=[(0, "demand", True, 8, list(EVICTED_IN_FLIGHT), 64)], nsb=True, cpu=False
+    )
+    def test_ready_cycles_increase_in_allocation_order(self, ops, nsb, cpu):
+        walks = [
+            (DEMAND_WALKS[demand], PREFETCH_WALKS[prefetch])
+            for demand, prefetch in (
+                ("demand_access", "prefetch_line"),
+                ("demand_line", "prefetch_line"),
+                ("demand_lines", "prefetch_lines"),
+            )
+        ]
+        mems = [make_small_system(nsb, cpu) for _ in walks]
+        now = 0
+        newest = [0] * len(walks)
+        for delta, kind, irregular, width, idxs, n_bytes in ops:
+            now += delta
+            lines = [idx * 64 for idx in idxs]
+            for w, (mem, (demand, prefetch)) in enumerate(zip(mems, walks)):
+                if kind == "demand":
+                    demand(mem, now, width, lines, irregular)
+                elif kind == "prefetch":
+                    prefetch(mem, now, lines, irregular, width)
+                else:
+                    mem.bulk_transfer(now, n_bytes)
+                readys = [ready for _, ready in _mshr_fills(mem)]
+                assert all(a < b for a, b in zip(readys, readys[1:]))
+                if readys:
+                    assert readys[-1] >= newest[w]
+                    newest[w] = readys[-1]
+            # Every walk holds the same outstanding fills.
+            assert all(_mshr_fills(mem) == _mshr_fills(mems[0]) for mem in mems)

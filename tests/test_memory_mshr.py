@@ -43,6 +43,37 @@ class TestMSHRBasics:
             mshr.allocate(0, 0x1000, ready_at=120)
 
 
+class TestMSHRFifo:
+    """Fills complete in allocation order: the file is a FIFO."""
+
+    @pytest.mark.parametrize("ready_at", [100, 90])
+    def test_fill_not_after_newest_raises(self, ready_at):
+        mshr = MSHRFile(4)
+        mshr.allocate(0, 0x1000, ready_at=100)
+        with pytest.raises(ConfigError, match="not after the newest"):
+            mshr.allocate(0, 0x2000, ready_at=ready_at)
+
+    def test_retires_oldest_first(self):
+        mshr = MSHRFile(4)
+        for i, ready in enumerate((100, 110, 120)):
+            mshr.allocate(0, 0x1000 * (i + 1), ready_at=ready)
+        fills, inflight, capacity = mshr.hot_state()
+        assert capacity == 4
+        assert list(fills) == [0x1000, 0x2000, 0x3000]
+        assert mshr.occupancy(110) == 1
+        assert list(fills) == [0x3000]
+        assert inflight == {0x3000: 120}
+
+    def test_full_file_waits_for_leftmost(self):
+        mshr = MSHRFile(2)
+        mshr.allocate(0, 0x1000, ready_at=100)
+        mshr.allocate(0, 0x2000, ready_at=150)
+        start = mshr.earliest_free_slot(10)
+        assert start == 100
+        mshr.allocate(start, 0x3000, ready_at=200)
+        assert list(mshr.hot_state()[0]) == [0x2000, 0x3000]
+
+
 class TestMSHRStructural:
     def test_free_slot_when_not_full(self):
         mshr = MSHRFile(2)
@@ -84,11 +115,15 @@ class TestMSHRProperties:
         capacity = 4
         mshr = MSHRFile(capacity)
         now = 0
+        bus_free = 0
         for delay, line_idx in sorted(events):
             now = max(now, delay)
             line = line_idx * 64
             if mshr.lookup(now, line) is not None:
                 continue
             start = max(now, mshr.earliest_free_slot(now))
-            mshr.allocate(start, line, ready_at=start + 100)
+            # A serialising one-cycle bus slot, as DRAM gives every fill.
+            slot = max(start, bus_free)
+            bus_free = slot + 1
+            mshr.allocate(start, line, ready_at=slot + 100)
             assert mshr.occupancy(start) <= capacity

@@ -77,13 +77,17 @@ class TestStream:
 
 
 class _RecordingPort:
+    """Records each ``prefetch_bursts`` call as per-line cycles and lines."""
+
     line_bytes = 64
 
     def __init__(self):
         self.calls = []
 
-    def prefetch_many(self, ats, lines, irregular):
-        self.calls.append((list(ats), list(lines)))
+    def prefetch_bursts(self, at, bursts, irregular):
+        assert all(bursts), "bursts are non-empty"
+        ats = [at + i for i, burst in enumerate(bursts) for _ in burst]
+        self.calls.append((ats, [line for burst in bursts for line in burst]))
         return []
 
 
