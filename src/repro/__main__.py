@@ -38,7 +38,7 @@ a sweep's points as a wire-format plan file that ``sweep --spec``
 executes anywhere. ``--backend queue`` runs the missing points
 off-process: they become claimable unit files under ``--work-dir`` and
 any number of ``repro queue worker`` processes *pull* them, heartbeating
-a lease so crashed workers' units are re-enqueued automatically; ``queue
+their claims so crashed workers' units are re-enqueued automatically; ``queue
 status`` inspects a work directory and ``touch <work-dir>/stop`` drains
 the workers. ``fleet`` owns the *lifecycle* of local workers: ``fleet
 up`` starts N ``queue worker`` subprocesses on this machine, ``fleet
@@ -816,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
     qworker_p.add_argument(
         "--worker-id",
         default=None,
-        help="lease identity (default host:pid)",
+        help="identity in stats and failure reports (default host:pid)",
     )
     qworker_p.add_argument(
         "--idle-timeout",
@@ -845,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=DEFAULT_HEARTBEAT,
         metavar="SEC",
-        help="lease touch interval while executing "
+        help="claim touch interval while executing "
         f"(default {DEFAULT_HEARTBEAT:g}; keep well under the "
         "orchestrator's lease timeout)",
     )
@@ -864,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SEC",
-        help="age that counts a claimed unit's lease as expired "
+        help="age that counts a claimed unit's heartbeat as expired "
         f"(default ${LEASE_TIMEOUT_ENV} or {DEFAULT_LEASE_TIMEOUT:g})",
     )
     qstatus_p.add_argument(
@@ -914,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SEC",
-        help="age that counts a claimed unit's lease as expired "
+        help="age that counts a claimed unit's heartbeat as expired "
         f"(default ${LEASE_TIMEOUT_ENV} or {DEFAULT_LEASE_TIMEOUT:g})",
     )
     serve_p.set_defaults(fn=_cmd_serve)

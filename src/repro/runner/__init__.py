@@ -13,7 +13,7 @@ parallel — and distributable — plan:
   :class:`QueueBackend` (workers *pull* claimable units from a shared
   directory);
 * :mod:`repro.runner.queue` — the pull-based work queue:
-  :class:`WorkQueue` unit/lease/result protocol, the result-file format
+  :class:`WorkQueue` unit/claim/result protocol, the result-file format
   (:func:`write_results`/:func:`load_results`) and the
   :class:`QueueBackend` orchestrator with crash recovery;
 * :mod:`repro.runner.worker` — queue-unit execution, the machinery
@@ -60,6 +60,7 @@ from .progress import NullProgress, Progress
 from .queue import (
     QueueBackend,
     QueueStatus,
+    WorkerStats,
     WorkQueue,
     batch_unit_id,
     load_results,
@@ -94,6 +95,7 @@ __all__ = [
     "SystemSpec",
     "WorkQueue",
     "WorkerHandle",
+    "WorkerStats",
     "batch_unit_id",
     "execute_spec",
     "load_results",

@@ -9,8 +9,8 @@ executing the pending points to a :class:`Backend`:
   in this process tree.
 * :class:`~repro.runner.queue.QueueBackend` — the off-process path:
   pending points become claimable unit files in a work directory and any
-  number of ``repro queue worker`` processes pull them; leases detect
-  crashed workers and their units are re-enqueued (see
+  number of ``repro queue worker`` processes pull them; heartbeaten
+  claims detect crashed workers and their units are re-enqueued (see
   :mod:`repro.runner.queue`).
 
 All backends yield ``(key, spec, payload)`` triples as points complete;

@@ -124,6 +124,10 @@ def tenant_salt(tenant: str, base: str | None = None) -> str:
     return f"{base}:tenant:{validate_tenant(tenant)}"
 
 
+def _canonical_json(document) -> str:
+    return json.dumps(document, separators=(",", ":"), sort_keys=True, allow_nan=False)
+
+
 def atomic_write_json(path: str | os.PathLike, document: dict) -> Path:
     """Write ``document`` as canonical JSON via temp file + rename.
 
@@ -136,19 +140,21 @@ def atomic_write_json(path: str | os.PathLike, document: dict) -> Path:
     payload and one that round-tripped through a worker file must keep
     producing the same bytes, so NaN is normalised away before either is
     written.
+
+    ``json.dumps`` runs the C encoder (``json.dump`` to a file never
+    does: ~3.5x slower on a cache entry); :func:`sanitize_nonfinite` walks
+    the tree only when a non-finite float makes the strict encode raise.
     """
+    try:
+        text = _canonical_json(document)
+    except ValueError:
+        text = _canonical_json(sanitize_nonfinite(document))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(
-                sanitize_nonfinite(document),
-                handle,
-                separators=(",", ":"),
-                sort_keys=True,
-                allow_nan=False,
-            )
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -216,7 +216,7 @@ class LocalDriver:
         SIGINT gives a worker its ``KeyboardInterrupt`` path — it
         releases its claimed unit back to the queue before exiting, so
         a stopped fleet orphans nothing (a SIGKILLed straggler's unit
-        is recovered by lease expiry instead).
+        is recovered by claim expiry instead).
         """
         for handle in handles:
             self._signal(handle, signal.SIGINT)

@@ -1,11 +1,12 @@
-"""Pull-based filesystem work queue: units, leases, streamed results.
+"""Pull-based filesystem work queue: units, claims, streamed results.
 
 The off-process execution model, beside the in-process pool: the
 submitter *enqueues* cache-missed points as claimable unit files, and
 any number of ``repro queue worker`` processes — started before, during
 or after the sweep, on any machine sharing the work directory — *pull*
-units at their own pace. A dead worker strands nothing: ownership is a
-lease that must be heartbeaten, and an expired lease re-deals the unit.
+units at their own pace. A dead worker strands nothing: the claim is a
+lease whose mtime must be heartbeaten, and an expired claim re-deals
+the unit.
 
 Layout of a work directory (every transition is an atomic write or
 rename, so any number of workers and submitters can share it)::
@@ -13,10 +14,11 @@ rename, so any number of workers and submitters can share it)::
     work_dir/
         queue/unit-<id>.json     claimable units (one wire-format spec,
                                  or a "specs" list for batched units)
-        claimed/unit-<id>.json   claimed units (renamed out of queue/)
-        leases/unit-<id>.json    worker identity; mtime is the heartbeat
+        claimed/unit-<id>.json   claimed units (renamed out of queue/);
+                                 the file's mtime is the heartbeat
         results/unit-<id>.json   worker result files (one record/spec)
         failed/unit-<id>.json    spec-failure reports (worker error text)
+        workers/<id>.json        per-worker throughput stats
         stop                     sentinel: workers drain and exit
 
 The unit id is a content address (sha256 of the spec key; a batched
@@ -26,21 +28,22 @@ submitters wanting the same point share one unit.
 The protocol:
 
 * **claim** — a worker renames ``queue/u`` to ``claimed/u``; the rename
-  is atomic, so exactly one claimant wins. It then writes a lease file
-  and touches it every ``heartbeat`` seconds while executing.
+  is atomic, so exactly one claimant wins. The claim is the lease: the
+  worker stamps its mtime on claiming and touches it every
+  ``heartbeat`` seconds while executing.
 * **report** — the worker writes ``results/u`` (a result file with one
   record per spec, written by :func:`write_results`, validated by
   :func:`load_results` on the way back and stamped with the worker's
   code-fingerprint salt, so a stale result in a reused work directory
   is discarded and re-run instead of served),
-  then removes its claim and lease. A spec that *fails* — a
+  then removes its claim. A spec that *fails* — a
   :class:`~repro.errors.ReproError` out of the simulator — is reported
   through ``failed/u`` instead: the worker stays alive for other units
   and the orchestrator raises the error, exactly like a local run
   would. Corrupt unit files are quarantined the same way rather than
   poisoning every worker that claims them.
 * **recover** — the orchestrator (:class:`QueueBackend`) watches the
-  units it is waiting on; a claimed unit whose lease has not been
+  units it is waiting on; a claimed unit whose claim file has not been
   touched for ``lease_timeout`` seconds belonged to a crashed (or
   wedged) worker and is renamed back into ``queue/`` for the next
   claimant. Results are a pure function of the spec, so the rare
@@ -61,6 +64,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -70,7 +74,7 @@ from ..spec import parse_json
 from .cache import atomic_write_json, default_salt
 from .plan import PLAN_FORMAT, RunSpec
 
-#: Seconds without a lease heartbeat before a claimed unit is considered
+#: Seconds without a heartbeat before a claimed unit is considered
 #: abandoned and re-enqueued. Overridable per-backend and through the
 #: environment (the CI crash-recovery job shortens it).
 LEASE_TIMEOUT_ENV = "REPRO_QUEUE_LEASE_TIMEOUT"
@@ -79,7 +83,7 @@ DEFAULT_LEASE_TIMEOUT = 30.0
 #: How often pollers (orchestrator and idle workers) re-scan, seconds.
 DEFAULT_POLL = 0.2
 
-#: How often a busy worker touches its lease, seconds. Must be well
+#: How often a busy worker touches its claim, seconds. Must be well
 #: under the lease timeout or healthy-but-slow workers get recovered.
 DEFAULT_HEARTBEAT = 1.0
 
@@ -120,7 +124,7 @@ def units_per_minute(stats: dict) -> float:
     """Recent throughput of one worker-stats document, in units/min.
 
     Measured over the span of the retained completion timestamps (the
-    last :attr:`WorkQueue.STATS_TIMESTAMPS` units), so the number keeps
+    last :attr:`WorkerStats.TIMESTAMPS` units), so the number keeps
     reflecting *current* pace on long sweeps. Fewer than two recorded
     completions — or a clock that went backwards — reads as 0.0 rather
     than a spurious rate.
@@ -187,20 +191,10 @@ def load_results(path: str | os.PathLike) -> list[dict]:
 
 @dataclass(frozen=True)
 class ClaimedUnit:
-    """A unit a worker has exclusive ownership of (claim + lease)."""
+    """A unit a worker has exclusive ownership of (its claim)."""
 
     id: str
     specs: tuple[RunSpec, ...]
-
-    @property
-    def spec(self) -> RunSpec:
-        """The sole spec of a single-spec unit (the common case)."""
-        if len(self.specs) != 1:
-            raise ValueError(
-                f"unit {self.id[:12]} holds {len(self.specs)} specs — "
-                "iterate .specs for batched units"
-            )
-        return self.specs[0]
 
 
 @dataclass
@@ -218,7 +212,7 @@ class QueueStatus:
 
     queued: int = 0
     claimed: int = 0
-    expired: int = 0  # claimed units whose lease heartbeat has lapsed
+    expired: int = 0  # claimed units whose heartbeat has lapsed
     results: int = 0
     failed: int = 0  # spec-failure reports awaiting their orchestrator
     stopping: bool = False
@@ -237,7 +231,7 @@ class QueueStatus:
 
 
 class WorkQueue:
-    """The on-disk queue protocol: enqueue, claim, lease, report, recover.
+    """The on-disk queue protocol: enqueue, claim, heartbeat, report, recover.
 
     Pure mechanism — no policy. Both sides of the protocol
     (:class:`QueueBackend` submitting, :func:`~repro.runner.worker.
@@ -249,7 +243,6 @@ class WorkQueue:
         self.root = Path(work_dir)
         self.queue_dir = self.root / "queue"
         self.claimed_dir = self.root / "claimed"
-        self.lease_dir = self.root / "leases"
         self.results_dir = self.root / "results"
         self.failed_dir = self.root / "failed"
         self.workers_dir = self.root / "workers"
@@ -259,7 +252,6 @@ class WorkQueue:
         for directory in (
             self.queue_dir,
             self.claimed_dir,
-            self.lease_dir,
             self.results_dir,
             self.failed_dir,
         ):
@@ -274,9 +266,6 @@ class WorkQueue:
     def claimed_path(self, uid: str) -> Path:
         return self.claimed_dir / f"unit-{uid}.json"
 
-    def lease_path(self, uid: str) -> Path:
-        return self.lease_dir / f"unit-{uid}.json"
-
     def result_path(self, uid: str) -> Path:
         return self.results_dir / f"unit-{uid}.json"
 
@@ -284,12 +273,21 @@ class WorkQueue:
         return self.failed_dir / f"unit-{uid}.json"
 
     @staticmethod
-    def _uid_of(path: Path) -> str:
-        return path.name[len("unit-") : -len(".json")]
+    def unit_ids(directory: Path) -> list[str]:
+        """The ids of the ``unit-*.json`` files in ``directory``, sorted.
 
-    def unit_ids(self, directory: Path) -> set[str]:
-        """One readdir's worth of unit ids (results/failed scans)."""
-        return {self._uid_of(p) for p in directory.glob("unit-*.json")}
+        One ``os.listdir``, not ``Path.glob``: on an 80-unit queue the
+        glob costs ~7x more, and every claim scans the queue.
+        """
+        try:
+            names = os.listdir(directory)
+        except FileNotFoundError:
+            return []
+        return sorted(
+            name[len("unit-") : -len(".json")]
+            for name in names
+            if name.startswith("unit-") and name.endswith(".json")
+        )
 
     # -- submitter side ------------------------------------------------------
 
@@ -306,7 +304,7 @@ class WorkQueue:
         """Make a group of specs claimable as *one* unit; returns its id.
 
         Batching amortises the per-unit filesystem protocol (claim
-        rename, lease writes, result file) over several points — the
+        rename and result file) over several points — the
         right trade when points are much cheaper than the protocol. A
         single-spec batch writes the classic ``"spec"`` document, so
         ``batch=1`` is byte-identical to the un-batched wire format;
@@ -344,40 +342,32 @@ class WorkQueue:
             self.failed_path(uid),
             self.queued_path(uid),
             self.claimed_path(uid),
-            self.lease_path(uid),
         ):
             path.unlink(missing_ok=True)
 
     def recover_expired(self, lease_timeout: float, uids=None) -> list[str]:
-        """Re-enqueue claimed units whose lease stopped heartbeating.
+        """Re-enqueue claimed units whose claim stopped heartbeating.
 
         ``uids`` restricts the scan to the units one orchestrator is
         waiting on (``None`` scans everything — the ``status`` CLI).
-        A claim with no lease file at all (the worker died between the
-        rename and the lease write) expires on the claim file's own
-        mtime. Returns the recovered unit ids.
+        Returns the recovered unit ids.
         """
         recovered = []
         now = time.time()
         if uids is None:
-            uids = [self._uid_of(p) for p in self.claimed_dir.glob("unit-*.json")]
+            uids = self.unit_ids(self.claimed_dir)
         for uid in uids:
             claimed = self.claimed_path(uid)
-            lease = self.lease_path(uid)
             try:
-                beat = lease.stat().st_mtime
+                beat = claimed.stat().st_mtime
             except OSError:
-                try:
-                    beat = claimed.stat().st_mtime
-                except OSError:
-                    continue  # not claimed (anymore)
+                continue  # not claimed (anymore)
             if now - beat < lease_timeout:
                 continue
             try:
                 os.replace(claimed, self.queued_path(uid))
             except OSError:
                 continue  # completed or re-claimed under us
-            lease.unlink(missing_ok=True)
             recovered.append(uid)
         return recovered
 
@@ -386,48 +376,38 @@ class WorkQueue:
     def claim_next(self, worker_id: str) -> ClaimedUnit | None:
         """Claim one queued unit via atomic rename, or ``None`` if idle.
 
-        Exactly one claimant wins each unit; losers skip to the next
-        file. The winner touches the claim and writes its lease before
-        this returns, so the orchestrator's no-lease grace window only
-        covers a crash inside this method. A corrupt unit file is
-        quarantined as a failure report (and skipped) rather than
-        raised: one bad file must not kill every worker that claims it.
+        Units are tried in name order. Exactly one claimant wins each
+        unit; losers skip to the next file. The winner re-stamps the
+        claim's mtime (a rename keeps the enqueue time), which starts
+        its heartbeat. A corrupt unit file is quarantined as a failure
+        report (and skipped) rather than raised: one bad file must not
+        kill every worker that claims it.
         """
-        for path in sorted(self.queue_dir.glob("unit-*.json")):
-            uid = self._uid_of(path)
+        for uid in self.unit_ids(self.queue_dir):
             target = self.claimed_path(uid)
             try:
-                os.replace(path, target)
-            except OSError:
-                continue  # lost the race for this unit
-            try:
-                # os.replace preserves mtime; re-stamp it so the no-lease
-                # grace window measures from the claim, not the enqueue.
+                os.replace(self.queued_path(uid), target)
                 os.utime(target)
             except OSError:
-                pass
+                continue  # lost the race for this unit, or recovery took it
             try:
                 specs = self._load_unit(target, uid)
             except ConfigError as exc:
                 if not target.exists():
-                    # recover_expired() re-enqueued the claim before we
-                    # could read it (the no-lease window): a lost race,
-                    # not a corrupt unit.
+                    # recover_expired() re-enqueued the claim before its
+                    # mtime was re-stamped: a lost race, not a corrupt
+                    # unit.
                     continue
                 self.report_failure(uid, worker_id, str(exc))
                 target.unlink(missing_ok=True)
                 continue
-            atomic_write_json(
-                self.lease_path(uid),
-                {"worker": worker_id, "unit": uid, "claimed_at": time.time()},
-            )
             return ClaimedUnit(id=uid, specs=specs)
         return None
 
     def heartbeat(self, unit: ClaimedUnit) -> None:
-        """Refresh the lease mtime (ignores a lease recovered from us)."""
+        """Refresh the claim's mtime (ignores a claim recovered from us)."""
         try:
-            os.utime(self.lease_path(unit.id))
+            os.utime(self.claimed_path(unit.id))
         except OSError:
             pass
 
@@ -437,12 +417,10 @@ class WorkQueue:
             os.replace(self.claimed_path(unit.id), self.queued_path(unit.id))
         except OSError:
             pass
-        self.lease_path(unit.id).unlink(missing_ok=True)
 
     def complete(self, unit: ClaimedUnit) -> None:
-        """Drop the claim and lease after the result file is in place."""
+        """Drop the claim after the result file is in place."""
         self.claimed_path(unit.id).unlink(missing_ok=True)
-        self.lease_path(unit.id).unlink(missing_ok=True)
 
     def report_failure(self, uid: str, worker_id: str, error: str) -> None:
         """Record that a unit's spec itself failed (executed, raised).
@@ -496,52 +474,10 @@ class WorkQueue:
 
     # -- worker throughput ---------------------------------------------------
 
-    #: Completion timestamps retained per worker stats file — enough to
-    #: estimate a recent rate without the file growing with the sweep.
-    STATS_TIMESTAMPS = 64
-
     def worker_stats_path(self, worker_id: str) -> Path:
         """Stats file for one worker id (sanitised to a safe filename)."""
         safe = re.sub(r"[^A-Za-z0-9._-]", "_", worker_id)[:120]
         return self.workers_dir / f"{safe}.json"
-
-    def record_completion(
-        self, worker_id: str, points: int = 1, failed: bool = False
-    ) -> None:
-        """Fold one finished unit into the worker's throughput stats.
-
-        Called by :func:`~repro.runner.worker.run_queue_worker` after
-        every unit (success or failure report). The file keeps running
-        unit/point/failure counts plus the last
-        :data:`STATS_TIMESTAMPS` completion times — the raw material
-        for ``repro fleet status``'s units/min column and the server's
-        ``/v1/stats``. Best-effort: a corrupt or unwritable stats file
-        must never take a worker down, so errors degrade to a fresh
-        document (or are swallowed entirely on write).
-        """
-        path = self.worker_stats_path(worker_id)
-        now = time.time()
-        try:
-            stats = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(stats, dict):
-                raise ValueError("stats file is not an object")
-        except (OSError, ValueError):
-            stats = {"worker": worker_id, "started_at": now}
-        stats["worker"] = worker_id
-        stats.setdefault("started_at", now)
-        stats["units"] = int(stats.get("units", 0)) + 1
-        stats["points"] = int(stats.get("points", 0)) + max(1, int(points))
-        stats["failures"] = int(stats.get("failures", 0)) + (1 if failed else 0)
-        timestamps = [
-            t for t in stats.get("timestamps", []) if isinstance(t, (int, float))
-        ]
-        timestamps.append(now)
-        stats["timestamps"] = timestamps[-self.STATS_TIMESTAMPS :]
-        stats["last_done_at"] = now
-        try:
-            atomic_write_json(path, stats)
-        except OSError:  # pragma: no cover - unwritable work dir
-            pass
 
     def worker_stats(self) -> list[dict]:
         """Every worker's recorded stats, sorted by worker id.
@@ -585,26 +521,22 @@ class WorkQueue:
         )
         now = time.time()
         expired = 0
-        claimed = list(self.claimed_dir.glob("unit-*.json"))
-        for path in claimed:
-            uid = self._uid_of(path)
+        claimed = self.unit_ids(self.claimed_dir)
+        for uid in claimed:
             try:
-                beat = self.lease_path(uid).stat().st_mtime
+                beat = self.claimed_path(uid).stat().st_mtime
             except OSError:
-                try:
-                    beat = path.stat().st_mtime
-                except OSError:
-                    continue
+                continue
             if now - beat >= lease_timeout:
                 expired += 1
         queued = 0
         queued_points = 0
         corrupt = 0
-        for path in sorted(self.queue_dir.glob("unit-*.json")):
+        for uid in self.unit_ids(self.queue_dir):
             if not deep:
                 queued += 1
                 continue
-            uid = self._uid_of(path)
+            path = self.queued_path(uid)
             try:
                 specs = self._load_unit(path, uid)
             except ConfigError as exc:
@@ -620,12 +552,62 @@ class WorkQueue:
             queued=queued,
             claimed=len(claimed),
             expired=expired,
-            results=len(list(self.results_dir.glob("unit-*.json"))),
-            failed=len(list(self.failed_dir.glob("unit-*.json"))),
+            results=len(self.unit_ids(self.results_dir)),
+            failed=len(self.unit_ids(self.failed_dir)),
             stopping=self.stop_requested(),
             queued_points=queued_points,
             corrupt=corrupt,
         )
+
+
+class WorkerStats:
+    """One worker's ``workers/<id>.json``, kept in memory and written whole.
+
+    Unit/point/failure counts and the last :data:`TIMESTAMPS` completion
+    times, for ``repro fleet status`` and ``/v1/stats``. The worker's
+    heartbeat thread writes it, so a unit costs no stats I/O.
+    """
+
+    #: Completion timestamps retained — enough to estimate a recent rate
+    #: without the file growing with the sweep.
+    TIMESTAMPS = 64
+
+    def __init__(self, queue: WorkQueue, worker_id: str) -> None:
+        self.path = queue.worker_stats_path(worker_id)
+        self._lock = threading.Lock()
+        self._changed = False
+        self._document = {
+            "worker": worker_id,
+            "started_at": time.time(),
+            "units": 0,
+            "points": 0,
+            "failures": 0,
+            "timestamps": [],
+        }
+
+    def record(self, points: int = 1, failed: bool = False) -> None:
+        """Fold one finished unit into the counters."""
+        now = time.time()
+        with self._lock:
+            doc = self._document
+            doc["units"] += 1
+            doc["points"] += max(1, int(points))
+            doc["failures"] += bool(failed)
+            doc["timestamps"] = doc["timestamps"][1 - self.TIMESTAMPS :] + [now]
+            doc["last_done_at"] = now
+            self._changed = True
+
+    def write(self) -> None:
+        """Write a copy of the document if it changed since the last write."""
+        with self._lock:
+            if not self._changed:
+                return
+            self._changed = False
+            document = dict(self._document)  # timestamps are never mutated
+        try:
+            atomic_write_json(self.path, document)
+        except OSError:  # pragma: no cover - stats never take a worker down
+            pass
 
 
 def _group_label(group) -> str:
@@ -643,7 +625,7 @@ class QueueBackend:
     not dealt: ``run`` enqueues every pending point, then streams each
     result back the moment its file lands — the runner folds it into the
     cache immediately, so a sweep interrupted at point N resumes with N
-    warm hits. Crashed workers are detected by lease expiry and their
+    warm hits. Crashed workers are detected by claim expiry and their
     units silently re-enqueued; an interrupted sweep withdraws its
     still-unclaimed units so nothing is orphaned in the queue.
 
@@ -657,7 +639,7 @@ class QueueBackend:
             :class:`~repro.errors.SimulationError` (``None`` waits
             forever — a queue with no workers blocks by design).
         batch: points per queue unit (default 1). Batching amortises
-            the claim/lease/result filesystem protocol over ``batch``
+            the claim/result filesystem protocol over ``batch``
             points — worthwhile when points are cheap relative to the
             protocol — at the cost of coarser work distribution and
             recovery (a crashed worker re-runs its whole batch).
@@ -719,7 +701,7 @@ class QueueBackend:
         try:
             while waiting:
                 progressed = False
-                landed = queue.unit_ids(queue.results_dir)
+                landed = set(queue.unit_ids(queue.results_dir))
                 for uid in [u for u in waiting if u in landed]:
                     triples = self._consume(uid, waiting[uid], discards)
                     if triples is None:
@@ -727,7 +709,7 @@ class QueueBackend:
                     del waiting[uid]
                     progressed = True
                     yield from triples
-                for uid in queue.unit_ids(queue.failed_dir) & waiting.keys():
+                for uid in waiting.keys() & queue.unit_ids(queue.failed_dir):
                     self._raise_failure(uid, waiting[uid])
                 if time.monotonic() >= next_maintenance:
                     queue.recover_expired(self.lease_timeout, uids=list(waiting))
@@ -851,7 +833,7 @@ class QueueBackend:
             queue.results_dir,
             queue.failed_dir,
         ):
-            present |= queue.unit_ids(directory)
+            present.update(queue.unit_ids(directory))
         for uid, group in waiting.items():
             if uid not in present:
                 queue.enqueue_batch(tuple(spec for _, spec in group))

@@ -29,6 +29,7 @@ from .queue import (
     DEFAULT_HEARTBEAT,
     DEFAULT_POLL,
     ClaimedUnit,
+    WorkerStats,
     WorkQueue,
     write_results,
 )
@@ -42,13 +43,9 @@ def _silent(text: str) -> None:
     pass
 
 
-def _process_unit(
-    queue: WorkQueue, unit: ClaimedUnit, worker_id: str, heartbeat: float
-) -> str | None:
-    """Execute one claimed unit: heartbeat, run, report, clean up.
+def _process_unit(queue: WorkQueue, unit: ClaimedUnit, worker_id: str) -> str | None:
+    """Execute one claimed unit: run, report, clean up.
 
-    The lease is touched from a daemon thread for the whole execution,
-    so a healthy-but-slow unit is never recovered out from under us.
     Returns ``None`` on success. Any :class:`Exception` out of the spec
     itself — a :class:`~repro.errors.ReproError`, or a plain bug like a
     ``TypeError`` in the simulator — is *reported* (``failed/`` file,
@@ -56,19 +53,11 @@ def _process_unit(
     so releasing the unit would just poison the next claimant, and the
     orchestrator surfaces them to the submitter like a local backend
     would. Only interrupts (``KeyboardInterrupt``/``SystemExit``)
-    release the unit back into the queue and remove the lease, so an
-    interrupted worker leaves nothing orphaned.
+    release the unit back into the queue, so an interrupted worker
+    leaves nothing orphaned.
     """
     from .pool import execute_spec  # circular at import time only
 
-    stop = threading.Event()
-
-    def beat() -> None:
-        while not stop.wait(heartbeat):
-            queue.heartbeat(unit)
-
-    thread = threading.Thread(target=beat, daemon=True)
-    thread.start()
     try:
         records = []
         for spec in unit.specs:
@@ -86,9 +75,8 @@ def _process_unit(
                 }
             )
         write_results(queue.result_path(unit.id), records)
+        error = None
     except Exception as exc:
-        stop.set()
-        thread.join()
         error = (
             str(exc)
             if isinstance(exc, ReproError)
@@ -97,17 +85,11 @@ def _process_unit(
         if len(unit.specs) > 1:
             error = f"{spec.label()}: {error}"
         queue.report_failure(unit.id, worker_id, error)
-        queue.complete(unit)
-        return error
     except BaseException:
-        stop.set()
-        thread.join()
         queue.release(unit)
         raise
-    stop.set()
-    thread.join()
     queue.complete(unit)
-    return None
+    return error
 
 
 def run_queue_worker(
@@ -122,14 +104,19 @@ def run_queue_worker(
     """Pull and execute queue units until stopped; returns units processed.
 
     The claim/run/report loop behind ``repro queue worker``: claim a
-    unit by atomic rename, execute its spec(s) (heartbeating the lease),
-    write its result file (one record per spec) — or its failure
-    report, when a spec itself raises — and repeat. The loop ends when
+    unit by atomic rename, execute its spec(s), write its result file
+    (one record per spec) — or its failure report, when a spec itself
+    raises — and repeat. The loop ends when
 
     * a ``stop`` sentinel appears in the work directory,
     * ``max_units`` units have been executed, or
     * the queue has been empty for ``idle_timeout`` seconds
       (``None`` = wait for work forever).
+
+    One heartbeat thread lives as long as the worker. Every ``heartbeat``
+    seconds it touches the current unit's claim, so a slow unit is never
+    recovered from a live worker, and writes the worker's
+    :class:`~repro.runner.queue.WorkerStats`, which every exit writes too.
 
     ``log`` is an optional ``callable(str)`` for per-unit progress lines
     (the CLI passes a stderr printer; library callers default silent).
@@ -137,36 +124,54 @@ def run_queue_worker(
     queue = WorkQueue(work_dir).ensure()
     worker_id = worker_id if worker_id is not None else _default_worker_id()
     emit = log if log is not None else _silent
+    stats = WorkerStats(queue, worker_id)
+    current: list[ClaimedUnit | None] = [None]  # the unit being executed
+    stop = threading.Event()
+
+    def beat() -> None:
+        while not stop.wait(heartbeat):
+            unit = current[0]
+            if unit is not None:
+                queue.heartbeat(unit)
+            stats.write()
+
+    thread = threading.Thread(target=beat, daemon=True, name="queue-heartbeat")
+    thread.start()
     done = 0
     idle_since = time.monotonic()
-    while True:
-        if queue.stop_requested():
-            emit(f"worker {worker_id}: stop requested, exiting ({done} done)")
-            break
-        if max_units is not None and done >= max_units:
-            break
-        unit = queue.claim_next(worker_id)
-        if unit is None:
-            if (
-                idle_timeout is not None
-                and time.monotonic() - idle_since >= idle_timeout
-            ):
-                emit(f"worker {worker_id}: idle for {idle_timeout:g}s, exiting")
+    try:
+        while True:
+            if queue.stop_requested():
+                emit(f"worker {worker_id}: stop requested, exiting ({done} done)")
                 break
-            time.sleep(poll)
-            continue
-        label = unit.specs[0].label()
-        if len(unit.specs) > 1:
-            label += f" +{len(unit.specs) - 1} more"
-        emit(f"worker {worker_id}: claimed {unit.id[:12]} ({label})")
-        error = _process_unit(queue, unit, worker_id, heartbeat)
-        done += 1
-        queue.record_completion(
-            worker_id, points=len(unit.specs), failed=error is not None
-        )
-        if error is not None:
-            emit(f"worker {worker_id}: unit {unit.id[:12]} failed: {error}")
-        else:
-            emit(f"worker {worker_id}: done {unit.id[:12]} ({done} total)")
-        idle_since = time.monotonic()
+            if max_units is not None and done >= max_units:
+                break
+            unit = queue.claim_next(worker_id)
+            if unit is None:
+                if (
+                    idle_timeout is not None
+                    and time.monotonic() - idle_since >= idle_timeout
+                ):
+                    emit(f"worker {worker_id}: idle for {idle_timeout:g}s, exiting")
+                    break
+                time.sleep(poll)
+                continue
+            label = unit.specs[0].label()
+            if len(unit.specs) > 1:
+                label += f" +{len(unit.specs) - 1} more"
+            emit(f"worker {worker_id}: claimed {unit.id[:12]} ({label})")
+            current[0] = unit
+            error = _process_unit(queue, unit, worker_id)
+            current[0] = None
+            done += 1
+            stats.record(points=len(unit.specs), failed=error is not None)
+            if error is not None:
+                emit(f"worker {worker_id}: unit {unit.id[:12]} failed: {error}")
+            else:
+                emit(f"worker {worker_id}: done {unit.id[:12]} ({done} total)")
+            idle_since = time.monotonic()
+    finally:
+        stop.set()
+        thread.join()
+        stats.write()
     return done

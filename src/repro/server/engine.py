@@ -43,6 +43,7 @@ from ..resultset import RESULT_FORMATS, ResultSet
 from ..runner.cache import ResultCache, materialise, validate_tenant
 from ..runner.fleet import Fleet
 from ..runner.plan import Plan, RunSpec, parse_specs
+from ..runner.progress import NullProgress
 from ..runner.queue import (
     DEFAULT_POLL,
     QueueBackend,
@@ -160,6 +161,8 @@ class SweepEngine:
         self._stop = threading.Event()
         self._points_seen = 0
         self._points_cached = 0
+        #: Every drain's progress observer (the server's wakes its poll).
+        self.progress = NullProgress()
 
     # -- plumbing ------------------------------------------------------------
 
@@ -322,7 +325,7 @@ class SweepEngine:
             )
             backend._sleep = self._interruptible_sleep
             cache = self.cache_for(state.record.tenant)
-            session = Session(cache=cache, backend=backend)
+            session = Session(cache=cache, backend=backend, progress=self.progress)
             try:
                 session.sweep([spec for _, spec in state.unique])
             finally:
@@ -505,13 +508,6 @@ class SweepEngine:
                 "running": running,
             },
         }
-
-    def is_done(self, sweep: str) -> bool:
-        with self._lock:
-            state = self._states.get(sweep)
-            if state is None:
-                raise ConfigError(f"unknown sweep id {sweep!r}")
-            return state.finished and state.error is None
 
     def results(self, sweep: str, fmt: str = "json") -> str:
         """The finished sweep as rendered ResultSet text.

@@ -21,10 +21,10 @@ The ``X-Repro-Tenant`` request header selects the cache namespace for a
 submission. Reads are by sweep id only — ids are content addresses that
 already fold the tenant in, so holding an id is the read capability.
 
-Threading: the event loop owns all engine reads and the periodic
+Threading: the event loop owns all engine reads and every
 :meth:`~repro.server.engine.SweepEngine.poll`; sweep execution runs on
-the engine's drain threads. :func:`start_in_thread` hosts the whole
-loop on a daemon thread for tests and in-process examples.
+the engine's drain threads, which wake the poll as each point lands.
+:func:`start_in_thread` hosts the whole loop on a daemon thread.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..errors import ConfigError
 from ..runner.cache import validate_tenant
+from ..runner.progress import NullProgress
 from ..utils import sanitize_nonfinite
 from .engine import SweepEngine, parse_submission
 
@@ -76,6 +77,18 @@ class _HttpError(Exception):
         self.status = status
 
 
+class _PollWaker(NullProgress):
+    """The drains' progress observer: each stored point wakes the poll loop."""
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, landed: asyncio.Event) -> None:
+        self.loop = loop
+        self.landed = landed
+
+    def point_done(self, label: str, source: str, done: int, total: int) -> None:
+        with suppress(RuntimeError):  # the loop has closed: nothing to wake
+            self.loop.call_soon_threadsafe(self.landed.set)
+
+
 class SweepServer:
     """The daemon: one engine behind an asyncio socket server."""
 
@@ -90,6 +103,7 @@ class SweepServer:
         self.port = int(port)
         self._server: asyncio.base_events.Server | None = None
         self._poll_task: asyncio.Task | None = None
+        self._landed: asyncio.Event | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -99,6 +113,8 @@ class SweepServer:
         With ``port=0`` the OS picks a free port; ``self.port`` holds
         the actual one afterwards (tests and CI scrape it).
         """
+        self._landed = asyncio.Event()
+        self.engine.progress = _PollWaker(asyncio.get_running_loop(), self._landed)
         resumed = self.engine.start()
         if resumed:
             self.engine.poll()
@@ -126,14 +142,20 @@ class SweepServer:
         self.engine.shutdown()
 
     async def _poll_loop(self) -> None:
-        """Drive engine.poll() — the only writer of progress/events."""
+        """Drive engine.poll(), the only writer of progress/events.
+
+        On each landing and on the ``poll_interval`` tick, which catches
+        points landed by other processes and restart recovery.
+        """
         while True:
+            self._landed.clear()
             try:
                 self.engine.poll()
             # repro: ignore[RPR005] poll must outlive any one bad tick
             except Exception:  # pragma: no cover - keep the loop alive
                 pass
-            await asyncio.sleep(self.engine.poll_interval)
+            with suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(self._landed.wait(), self.engine.poll_interval)
 
     # -- connection handling -------------------------------------------------
 

@@ -644,7 +644,7 @@ def add_session_arguments(parser: argparse.ArgumentParser) -> None:
         default=argparse.SUPPRESS,
         metavar="N",
         help="points per claimable unit for --backend queue (default 1; "
-        "batching amortises the per-unit claim/lease/result protocol "
+        "batching amortises the per-unit claim/result protocol "
         "when points are cheap)",
     )
     parser.add_argument(

@@ -97,16 +97,11 @@ class Cache:
         # two (validated by CacheConfig), so set/tag extraction is two
         # shifts and a mask instead of div/mod through two properties.
         self._assoc = config.assoc
-        self._line_mask = ~(config.line_bytes - 1)
         self._line_shift = config.line_bytes.bit_length() - 1
         self._set_mask = n_sets - 1
         self._tag_shift = self._line_shift + n_sets.bit_length() - 1
 
     # -- address helpers ---------------------------------------------------
-    def line_addr(self, byte_addr: int) -> int:
-        """Align a byte address down to its line address."""
-        return byte_addr & self._line_mask
-
     def _set_index(self, line_addr: int) -> int:
         return (line_addr >> self._line_shift) & self._set_mask
 

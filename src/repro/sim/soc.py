@@ -23,7 +23,6 @@ from .memory.hierarchy import MemoryConfig, MemorySystem
 from .npu.executor import ExecutorConfig, build_engine
 from .npu.program import SparseProgram
 from .npu.sparse_unit import SparseUnit
-from .request import Access, AccessResult, HitLevel
 from .stats import RunStats
 
 
@@ -53,13 +52,6 @@ class PerfectMemory:
         if self._nsb_lat is not None and irregular:
             return self._nsb_lat
         return self._l2_lat
-
-    def demand_access(self, now: int, access: Access, irregular: bool) -> AccessResult:
-        if self._nsb_lat is not None and irregular:
-            return AccessResult(
-                complete_at=now + self._nsb_lat, hit_level=HitLevel.NSB
-            )
-        return AccessResult(complete_at=now + self._l2_lat, hit_level=HitLevel.L2)
 
     def demand_line(self, now: int, line: int, irregular: bool) -> int:
         return now + self.hit_latency(irregular)

@@ -31,6 +31,7 @@ from repro.runner import (
     ResultCache,
     RunSpec,
     WorkerHandle,
+    WorkerStats,
     WorkQueue,
     pull_cache,
     push_cache,
@@ -462,9 +463,10 @@ class TestFleetCLI:
         assert "1/1 running" in out
         assert "throughput:" not in out  # nothing executed yet
         # Completions recorded by workers surface as per-worker rates.
-        queue = WorkQueue(work)
-        queue.record_completion("w:1", points=2)
-        queue.record_completion("w:1", points=2)
+        stats = WorkerStats(WorkQueue(work), "w:1")
+        stats.record(points=2)
+        stats.record(points=2)
+        stats.write()
         assert cli_main(["fleet", "status", "--work-dir", work]) == 0
         out = capsys.readouterr().out
         assert "throughput:" in out

@@ -42,10 +42,6 @@ class TestCacheConfig:
 
 
 class TestAddressMath:
-    def test_line_addr_alignment(self):
-        cache = small_cache()
-        assert cache.line_addr(0x12345) == 0x12340
-
     def test_distinct_sets(self):
         cache = small_cache(assoc=1, sets=4)
         idxs = {cache._set_index(i * 64) for i in range(4)}

@@ -1,15 +1,17 @@
-"""The pull-based work queue: claims, leases, crash recovery, identity.
+"""The pull-based work queue: claims, heartbeats, crash recovery, identity.
 
 The acceptance properties of the queue backend:
 
 * a unit is claimed by exactly one worker (atomic rename), and enqueues
   are idempotent content-addressed writes;
-* a worker that dies mid-unit — SIGKILL included — is detected by lease
-  expiry and its unit re-enqueued for the next claimant;
+* a worker that dies mid-unit — SIGKILL included — is detected by its
+  claim's lapsed heartbeat and its unit re-enqueued for the next
+  claimant, while a live worker's slow unit is never recovered;
 * the merged sweep payload is byte-identical to ``--backend local``
   (the ``queue-smoke`` CI job pins the CLI flavour of this);
 * an interrupted run (worker or orchestrator) leaves no orphaned
-  ``.tmp``, lease or claimable unit files behind;
+  ``.tmp``, claim or claimable unit files behind, and no ``leases/``
+  directory is ever made;
 * result files round-trip byte for byte, and a corrupt one fails with
   ``ConfigError`` instead of poisoning the cache.
 """
@@ -32,6 +34,7 @@ from repro.runner import (
     ResultCache,
     RunSpec,
     SweepRunner,
+    WorkerStats,
     WorkQueue,
     batch_unit_id,
     execute_spec,
@@ -62,6 +65,12 @@ def start_worker(work_dir, **kwargs) -> threading.Thread:
 
 def tree_files(root, pattern: str) -> list:
     return sorted(root.rglob(pattern))
+
+
+def age(path, seconds: float = 60) -> None:
+    """Back-date a claim's heartbeat (its mtime) by ``seconds``."""
+    past = time.time() - seconds
+    os.utime(path, (past, past))
 
 
 def result_records(specs) -> list[dict]:
@@ -131,15 +140,13 @@ class TestWorkQueue:
         assert unit is not None
         assert queue.claim_next("w2") is None
         assert queue.claimed_path(unit.id).exists()
-        lease = json.loads(queue.lease_path(unit.id).read_text())
-        assert lease["worker"] == "w1"
 
     def test_claim_round_trips_the_spec(self, tmp_path):
         queue = WorkQueue(tmp_path).ensure()
         spec = RunSpec("gcn", mechanism="nvr", dtype="int8", scale=0.2, seed=3)
         queue.enqueue(spec)
         unit = queue.claim_next("w")
-        assert unit.spec.key() == spec.key()
+        assert [s.key() for s in unit.specs] == [spec.key()]
 
     def test_release_returns_unit_to_queue(self, tmp_path):
         queue = WorkQueue(tmp_path).ensure()
@@ -148,17 +155,18 @@ class TestWorkQueue:
         queue.release(unit)
         assert queue.queued_path(unit.id).exists()
         assert not queue.claimed_path(unit.id).exists()
-        assert not queue.lease_path(unit.id).exists()
+        assert not (queue.root / "leases").exists()
 
     def test_recover_expired_requeues_stale_lease(self, tmp_path):
+        # The claim is the lease: its mtime is the heartbeat, so a claim
+        # whose worker died (even right after the rename) ages out.
         queue = WorkQueue(tmp_path).ensure()
         queue.enqueue(RunSpec("st", scale=SCALE))
         unit = queue.claim_next("w")
-        past = time.time() - 60
-        os.utime(queue.lease_path(unit.id), (past, past))
+        age(queue.claimed_path(unit.id))
         assert queue.recover_expired(1.0) == [unit.id]
         assert queue.queued_path(unit.id).exists()
-        assert not queue.lease_path(unit.id).exists()
+        assert not queue.claimed_path(unit.id).exists()
 
     def test_recover_leaves_fresh_leases_alone(self, tmp_path):
         queue = WorkQueue(tmp_path).ensure()
@@ -168,13 +176,18 @@ class TestWorkQueue:
         assert queue.claimed_path(unit.id).exists()
 
     def test_recover_claim_without_lease_uses_claim_mtime(self, tmp_path):
-        # A worker killed between the claim rename and the lease write.
+        # No lease file backs a claim: the claim's own mtime is read, and
+        # it is re-stamped on claiming. A unit that sat queued past the
+        # timeout is not recovered the moment a worker takes it (a rename
+        # keeps the enqueue time); once the claim itself ages, it is.
         queue = WorkQueue(tmp_path).ensure()
-        queue.enqueue(RunSpec("st", scale=SCALE))
+        uid = queue.enqueue(RunSpec("st", scale=SCALE))
+        age(queue.queued_path(uid))
         unit = queue.claim_next("w")
-        queue.lease_path(unit.id).unlink()
-        past = time.time() - 60
-        os.utime(queue.claimed_path(unit.id), (past, past))
+        assert unit.id == uid
+        assert queue.recover_expired(1.0) == []
+        assert not (queue.root / "leases").exists()
+        age(queue.claimed_path(unit.id))
         assert queue.recover_expired(1.0) == [unit.id]
         assert queue.queued_path(unit.id).exists()
 
@@ -186,7 +199,7 @@ class TestWorkQueue:
         good = RunSpec("st", scale=SCALE)
         queue.enqueue(good)
         unit = queue.claim_next("w")
-        assert unit is not None and unit.spec.key() == good.key()
+        assert unit is not None and [s.key() for s in unit.specs] == [good.key()]
         # Whichever side of the sort order the corrupt file landed on,
         # after one more scan it is quarantined and the queue is idle.
         assert queue.claim_next("w") is None
@@ -209,8 +222,7 @@ class TestWorkQueue:
         for spec in small_specs():
             queue.enqueue(spec)
         unit = queue.claim_next("w")
-        past = time.time() - 60
-        os.utime(queue.lease_path(unit.id), (past, past))
+        age(queue.claimed_path(unit.id))
         status = queue.status(lease_timeout=1.0)
         assert status.queued == 1
         assert status.claimed == 1
@@ -229,13 +241,12 @@ class TestWorkQueue:
         queue.enqueue(healthy_spec)
         expired = queue.claim_next("dead-worker")
         healthy = queue.claim_next("live-worker")
-        past = time.time() - 60
-        os.utime(queue.lease_path(expired.id), (past, past))
+        age(queue.claimed_path(expired.id))
         queue.heartbeat(healthy)
         queue.report_failure("f" * 32, "w", "boom")
         status = queue.status(lease_timeout=1.0)
         assert status.claimed == 2
-        assert status.expired == 1  # only the lapsed lease
+        assert status.expired == 1  # only the lapsed claim
         assert status.failed == 1  # the report, not the expiry
 
     def test_deep_status_counts_points_in_batched_units(self, tmp_path):
@@ -287,7 +298,7 @@ class TestQueueWorker:
             assert len(records) == 1
             assert records[0]["key"] == spec.key()
         assert not list(queue.claimed_dir.iterdir())
-        assert not list(queue.lease_dir.iterdir())
+        assert not (queue.root / "leases").exists()
 
     def test_worker_honours_stop_sentinel(self, tmp_path):
         queue = WorkQueue(tmp_path).ensure()
@@ -328,7 +339,7 @@ class TestQueueWorker:
         report = json.loads(queue.failed_path(unit_id(bad)).read_text())
         assert report["error"] == "synthetic failure"
         assert not list(queue.claimed_dir.iterdir())
-        assert not list(queue.lease_dir.iterdir())
+        assert not (queue.root / "leases").exists()
 
         backend = QueueBackend(tmp_path / "work", poll=0.02, timeout=10)
         runner = SweepRunner(backend=backend)
@@ -356,6 +367,75 @@ class TestQueueWorker:
         assert report["error"] == "TypeError: boom"
         assert not list(queue.claimed_dir.iterdir())
 
+    def test_live_worker_keeps_a_slow_unit(self, tmp_path, monkeypatch):
+        # A unit that runs past the lease timeout is not recovered while
+        # its worker lives: the heartbeat thread keeps the claim fresh.
+        import repro.runner.pool as pool
+
+        real_execute = pool.execute_spec
+
+        def slow_execute(spec):
+            time.sleep(1.5)
+            return real_execute(spec)
+
+        monkeypatch.setattr(pool, "execute_spec", slow_execute)
+        queue = WorkQueue(tmp_path).ensure()
+        spec = RunSpec("st", scale=SCALE)
+        uid = queue.enqueue(spec)
+        worker = start_worker(tmp_path, max_units=1, heartbeat=0.1)
+        recovered = []
+        deadline = time.monotonic() + 30
+        while not queue.result_path(uid).exists():
+            assert time.monotonic() < deadline, "the unit never finished"
+            recovered += queue.recover_expired(0.5, uids=[uid])
+            time.sleep(0.05)
+        worker.join(10)
+        assert recovered == []
+        assert load_results(queue.result_path(uid))[0]["key"] == spec.key()
+
+    @pytest.mark.parametrize("exit_path", ["max_units", "stop", "idle", "interrupt"])
+    def test_exited_worker_stats_hold_exact_counts(
+        self, tmp_path, monkeypatch, exit_path
+    ):
+        # The stats live in memory and the heartbeat thread (every 60 s
+        # here) never gets to write them: each way out of the worker
+        # does, so the file holds exactly what the worker did.
+        import repro.runner.pool as pool
+
+        real_execute = pool.execute_spec
+        queue = WorkQueue(tmp_path).ensure()
+        calls = []
+
+        def execute(spec):
+            calls.append(spec)
+            if len(calls) == 4:  # the last point of the last unit
+                if exit_path == "stop":
+                    queue.stop_path.touch()
+                elif exit_path == "interrupt":
+                    queue.enqueue(RunSpec("st", scale=SCALE, seed=9))
+            if spec.seed == 9:
+                raise KeyboardInterrupt
+            if spec.seed == 7:
+                raise SimulationError("synthetic failure")
+            return real_execute(spec)
+
+        monkeypatch.setattr(pool, "execute_spec", execute)
+        queue.enqueue_batch(small_specs())  # one unit, two points
+        queue.enqueue(RunSpec("st", scale=SCALE, seed=7))  # fails
+        queue.enqueue(RunSpec("st", scale=SCALE))
+        limits = {"max_units": {"max_units": 3}, "idle": {"idle_timeout": 0.1}}
+        kwargs = dict(worker_id="w", poll=0.02, heartbeat=60, idle_timeout=30)
+        kwargs.update(limits.get(exit_path, {}))
+        if exit_path == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                run_queue_worker(tmp_path, **kwargs)
+        else:
+            assert run_queue_worker(tmp_path, **kwargs) == 3
+        (stats,) = queue.worker_stats()
+        assert stats["worker"] == "w"
+        assert (stats["units"], stats["points"], stats["failures"]) == (3, 4, 1)
+        assert len(stats["timestamps"]) == 3
+
     def test_interrupted_worker_leaves_no_orphans(self, tmp_path, monkeypatch):
         import repro.runner.pool as pool
 
@@ -367,11 +447,11 @@ class TestQueueWorker:
         uid = queue.enqueue(RunSpec("st", scale=SCALE))
         with pytest.raises(KeyboardInterrupt):
             run_queue_worker(tmp_path, poll=0.02)
-        # The unit went back to the queue; no lease, claim or temp file
+        # The unit went back to the queue; no claim or temp file
         # survives the interrupt.
         assert queue.queued_path(uid).exists()
         assert not list(queue.claimed_dir.iterdir())
-        assert not list(queue.lease_dir.iterdir())
+        assert not (queue.root / "leases").exists()
         assert tree_files(tmp_path, "*.tmp") == []
 
 
@@ -403,8 +483,7 @@ class TestQueueBackend:
         crashed = queue.enqueue(specs[0])
         unit = queue.claim_next("crashed-worker")
         assert unit.id == crashed
-        past = time.time() - 60
-        os.utime(queue.lease_path(unit.id), (past, past))
+        age(queue.claimed_path(unit.id))
 
         backend = QueueBackend(work, lease_timeout=0.5, poll=0.02, timeout=30)
         runner = SweepRunner(cache=ResultCache(tmp_path / "cache"), backend=backend)
@@ -412,9 +491,9 @@ class TestQueueBackend:
         results = runner.run_plan(specs)
         assert len(results) == len(specs)
         # The recovered unit really was re-executed (not stranded), and
-        # nothing claimable or leased is left behind.
+        # nothing claimable or claimed is left behind.
         assert not list(queue.claimed_dir.iterdir())
-        assert not list(queue.lease_dir.iterdir())
+        assert not (queue.root / "leases").exists()
         assert not list(queue.queue_dir.iterdir())
         local = SweepRunner(cache=ResultCache(tmp_path / "local"))
         assert [dataclasses.asdict(r) for r in local.run_plan(specs)] == [
@@ -443,7 +522,7 @@ class TestQueueBackend:
             runner.run_plan(small_specs())
         queue = WorkQueue(tmp_path / "work")
         assert not list(queue.queue_dir.iterdir())
-        assert not list(queue.lease_dir.iterdir())
+        assert not list(queue.claimed_dir.iterdir())
         assert tree_files(tmp_path, "*.tmp") == []
 
     def test_streamed_results_survive_a_failed_plan(self, tmp_path):
@@ -599,7 +678,7 @@ class TestQueueBackend:
 class TestSigkilledWorker:
     def test_sigkilled_worker_unit_is_reclaimed_and_identical(self, tmp_path):
         # The real crash: a `repro queue worker` subprocess is SIGKILLed
-        # mid-unit. Its lease must expire, the unit must be re-claimed
+        # mid-unit. Its claim must expire, the unit must be re-claimed
         # and re-executed, and the merged payload must be byte-identical
         # to local execution.
         work = tmp_path / "work"
@@ -648,7 +727,7 @@ class TestSigkilledWorker:
         (result,) = runner.run_plan([spec])
         assert runner.submitted == 1
         assert not queue.claimed_path(uid).exists()
-        assert not queue.lease_path(uid).exists()
+        assert not (queue.root / "leases").exists()
 
         local = SweepRunner(cache=ResultCache(tmp_path / "local"))
         (expected,) = local.run_plan([spec])
@@ -679,8 +758,6 @@ class TestQueueBatching:
         unit = queue.claim_next("w")
         assert unit.id == uid
         assert [s.key() for s in unit.specs] == [s.key() for s in specs]
-        with pytest.raises(ValueError, match="iterate .specs"):
-            unit.spec
 
     def test_empty_batch_rejected(self, tmp_path):
         queue = WorkQueue(tmp_path).ensure()
@@ -696,7 +773,7 @@ class TestQueueBatching:
         records = load_results(queue.result_path(uid))
         assert [r["key"] for r in records] == [s.key() for s in specs]
         assert not list(queue.claimed_dir.iterdir())
-        assert not list(queue.lease_dir.iterdir())
+        assert not (queue.root / "leases").exists()
 
     def test_batched_backend_matches_local_bit_for_bit(self, tmp_path):
         specs = Grid(
@@ -825,9 +902,12 @@ class TestQueueCLI:
 class TestWorkerStats:
     def test_record_completion_accumulates(self, tmp_path):
         queue = WorkQueue(tmp_path).ensure()
-        queue.record_completion("w1", points=2)
-        queue.record_completion("w1", points=3, failed=True)
-        queue.record_completion("w2")
+        w1, w2 = WorkerStats(queue, "w1"), WorkerStats(queue, "w2")
+        w1.record(points=2)
+        w1.record(points=3, failed=True)
+        w2.record()
+        w1.write()
+        w2.write()
         stats = {s["worker"]: s for s in queue.worker_stats()}
         assert stats["w1"]["units"] == 2
         assert stats["w1"]["points"] == 5
@@ -837,10 +917,12 @@ class TestWorkerStats:
         assert stats["w1"]["started_at"] <= stats["w1"]["last_done_at"]
 
     def test_timestamps_are_bounded(self, tmp_path):
-        bound = WorkQueue.STATS_TIMESTAMPS
+        bound = WorkerStats.TIMESTAMPS
         queue = WorkQueue(tmp_path).ensure()
+        w1 = WorkerStats(queue, "w1")
         for _ in range(bound + 10):
-            queue.record_completion("w1")
+            w1.record()
+        w1.write()
         (stats,) = queue.worker_stats()
         assert len(stats["timestamps"]) == bound
         assert stats["units"] == bound + 10
@@ -858,7 +940,9 @@ class TestWorkerStats:
 
     def test_worker_ids_are_sanitised_and_corrupt_files_skipped(self, tmp_path):
         queue = WorkQueue(tmp_path).ensure()
-        queue.record_completion("host:1/evil id")
+        evil = WorkerStats(queue, "host:1/evil id")
+        evil.record()
+        evil.write()
         path = queue.worker_stats_path("host:1/evil id")
         assert path.parent == queue.workers_dir
         assert "/" not in path.name.replace(path.suffix, "")

@@ -418,6 +418,28 @@ class TestHTTPServer:
         assert labels == {s.label() for s in small_grid().specs()}
         stop_worker(worker, server.engine.work_dir)
 
+    def test_landing_wakes_the_poller(self, tmp_path):
+        # The drain wakes the server's poll loop as it stores each point,
+        # so a sweep's events do not wait for the (here 30 s) tick.
+        engine = SweepEngine(
+            tmp_path / "work", cache_dir=tmp_path / "cache", poll_interval=30
+        )
+        handle = start_in_thread(engine)
+        worker = start_worker(engine.work_dir)
+        try:
+            client = SweepClient(handle.base_url)
+            start = time.monotonic()
+            accepted = client.submit(small_grid())
+            events = list(client.events(accepted["id"], timeout=10))
+            assert [e["event"] for e in events] == ["point", "point", "done"]
+            assert time.monotonic() - start < 10
+        finally:
+            stop_worker(worker, engine.work_dir)
+            handle.stop()
+            engine.shutdown()
+        # The loop is closed: a late landing wakes nothing and raises nothing.
+        engine.progress.point_done("late", "run", 2, 2)
+
     def test_http_error_surface(self, server):
         client = SweepClient(server.base_url)
         base = server.base_url
