@@ -1002,7 +1002,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="points per claimable unit (default 1)",
+        help="points per claimable unit (default: sized from the plan, "
+        "up to 8 points per unit while keeping at least 8 units)",
     )
     frun_p.add_argument("--no-cache", action="store_true", help=argparse.SUPPRESS)
     frun_p.add_argument(

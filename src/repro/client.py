@@ -23,6 +23,7 @@ as ``X-Repro-Tenant`` on submissions, selecting the cache namespace.
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -196,20 +197,35 @@ class SweepClient:
 
         A generator over the live stream: one dict per ``point`` /
         ``done`` / ``failed`` event (keepalive comments are filtered
-        out). Ends after the terminal event.
+        out). Ends after the terminal event. A stream that stays silent
+        for ``timeout`` seconds, breaks, or closes before its terminal
+        event raises :class:`ServerError`.
         """
         with self._open(f"/v1/sweeps/{sweep}/events", timeout=timeout) as response:
             data_lines: list[str] = []
-            for raw in response:
-                line = raw.decode("utf-8").rstrip("\n")
-                if line.startswith("data:"):
-                    data_lines.append(line[5:].strip())
-                elif not line and data_lines:
-                    event = json.loads("\n".join(data_lines))
-                    data_lines = []
-                    yield event
-                    if event.get("event") in ("done", "failed"):
-                        return
+            try:
+                for raw in response:
+                    line = raw.decode("utf-8").rstrip("\n")
+                    if line.startswith("data:"):
+                        data_lines.append(line[5:].strip())
+                    elif not line and data_lines:
+                        event = json.loads("\n".join(data_lines))
+                        data_lines = []
+                        yield event
+                        if event.get("event") in ("done", "failed"):
+                            return
+            except TimeoutError:
+                raise ServerError(
+                    f"no event from sweep {sweep} within {timeout:g}s"
+                ) from None
+            except (OSError, http.client.HTTPException) as exc:
+                raise ServerError(
+                    f"event stream of sweep {sweep} broke: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from None
+        raise ServerError(
+            f"event stream of sweep {sweep} closed before its terminal event"
+        )
 
     def sweep(self, sweep, meta: dict | None = None, timeout: float = 300.0) -> str:
         """Submit, wait, and return the ResultSet JSON text in one call."""

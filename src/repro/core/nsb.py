@@ -4,8 +4,7 @@ A compact, high-associativity, MSHR-backed cache inside the NPU that holds
 *sparse discrete* data, while continuous data stays in the scratchpad. The
 actual cache machinery is :class:`repro.sim.memory.cache.Cache` (shared
 with the L2 — the NSB is "a compact non-blocking cache architecture");
-this module owns its configuration and the area accounting used by the
-Fig. 9 sensitivity study.
+this module owns its configuration.
 
 The paper's default: 16 KiB, high-way set-associative (irregular index
 spaces make low associativity thrash on conflicts), 2-cycle NPU-local hit
@@ -53,12 +52,3 @@ def nsb_config(
         mshr_entries=mshr_entries,
         name="nsb",
     )
-
-
-def nsb_storage_bits(config: CacheConfig, tag_bits: int = 36) -> int:
-    """Total NSB storage (data + tag + state) for area accounting."""
-    n_lines = config.size_bytes // config.line_bytes
-    data = config.size_bytes * 8
-    # tag + valid + LRU state per line (LRU: log2(assoc) bits).
-    state = n_lines * (tag_bits + 1 + max(1, config.assoc.bit_length() - 1))
-    return data + state

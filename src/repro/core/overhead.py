@@ -177,11 +177,6 @@ class OverheadReport:
     def total_kib(self) -> float:
         return self.total_bits / 8 / KIB
 
-    @property
-    def paper_total_kib(self) -> float:
-        """The paper's headline: 9.72 KiB (+16 KiB optional NSB)."""
-        return 9.72
-
     def area_fraction(self, with_nsb: bool) -> float:
         """Storage-ratio area model vs baseline on-chip SRAM."""
         extra = self.total_bits / 8 + (self.nsb_bytes if with_nsb else 0)

@@ -111,12 +111,6 @@ class StrideDetector:
         entry.last_prefetch_addr = end
         return start, end
 
-    def reset_frontier(self, stream_id: int) -> None:
-        """Drop the frontier (used when the LBD detects a loop restart)."""
-        entry = self._table.get(stream_id)
-        if entry is not None:
-            entry.last_prefetch_addr = None
-
     @property
     def occupancy(self) -> int:
         return len(self._table)

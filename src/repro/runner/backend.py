@@ -94,7 +94,7 @@ def make_backend(
     name: str,
     jobs: int = 1,
     work_dir: str | os.PathLike | None = None,
-    queue_batch: int = 1,
+    queue_batch: int | None = None,
 ) -> Backend:
     """Build the ``--backend`` CLI choice: 'local' or 'queue'.
 
@@ -102,7 +102,7 @@ def make_backend(
     its parallelism is however many ``repro queue worker`` processes
     attach to the shared ``work_dir`` (which is therefore required).
     ``queue_batch`` groups that many points per claimable queue unit
-    (ignored by the local backend).
+    (``None`` sizes units from each plan; ignored by the local backend).
     """
     if name == "local":
         return LocalPoolBackend(jobs=jobs)

@@ -55,7 +55,11 @@ The protocol:
 queue --work-dir DIR`` (or :meth:`repro.session.Session.remote`) streams
 results back as they land, folding each into the submitter's
 :class:`~repro.runner.cache.ResultCache` incrementally — so a crashed
-*orchestrator* also resumes warm.
+*orchestrator* also resumes warm. Unless its caller names a batch, the
+backend sizes each plan's units with :func:`unit_size`; a retried plan
+waits on the units its earlier run left rather than regrouping their
+points. It re-scans for results at once after a landing and with a
+doubling sleep after an empty scan.
 """
 
 from __future__ import annotations
@@ -82,6 +86,17 @@ DEFAULT_LEASE_TIMEOUT = 30.0
 
 #: How often pollers (orchestrator and idle workers) re-scan, seconds.
 DEFAULT_POLL = 0.2
+
+#: The orchestrator's sleep after an empty result scan, seconds; each
+#: further empty scan doubles it, up to ``poll``.
+FIRST_SCAN_SLEEP = 0.02
+
+#: :func:`unit_size`'s bounds: at most UNIT_POINTS points per unit (the
+#: per-unit protocol stays near 5% of a unit of ~5 ms points), and at
+#: least MIN_UNITS units (a crash re-runs at most an eighth of the
+#: plan). The measurements behind them are in docs/performance.md.
+UNIT_POINTS = 8
+MIN_UNITS = 8
 
 #: How often a busy worker touches its claim, seconds. Must be well
 #: under the lease timeout or healthy-but-slow workers get recovered.
@@ -118,6 +133,24 @@ def batch_unit_id(specs) -> str:
         return unit_id(specs[0])
     joined = "\n".join(spec.key() for spec in specs)
     return hashlib.sha256(joined.encode()).hexdigest()[:32]
+
+
+def check_batch(batch: int | None) -> int | None:
+    """A caller's points per unit: ``None`` (sized per plan) or >= 1."""
+    if batch is None:
+        return None
+    if int(batch) < 1:
+        raise ConfigError(f"queue batch must be >= 1, got {batch}")
+    return int(batch)
+
+
+def unit_size(points: int) -> int:
+    """Points per unit for a sweep of ``points`` whose caller names no batch.
+
+    Up to :data:`UNIT_POINTS` per unit, while leaving at least
+    :data:`MIN_UNITS` units; fewer than 16 points go one per unit.
+    """
+    return min(UNIT_POINTS, max(1, points // MIN_UNITS))
 
 
 def units_per_minute(stats: dict) -> float:
@@ -344,6 +377,28 @@ class WorkQueue:
             self.claimed_path(uid),
         ):
             path.unlink(missing_ok=True)
+
+    def outstanding(self):
+        """Yield ``(uid, keys)`` for each queued, claimed or landed unit.
+
+        ``keys`` are the cache keys of the unit's points, in unit order.
+        A unit that moves on or will not parse mid-scan is skipped: this
+        only reads (workers and the deep status scan quarantine corrupt
+        units).
+        """
+        for directory in (self.queue_dir, self.claimed_dir):
+            for uid in self.unit_ids(directory):
+                try:
+                    specs = self._load_unit(directory / f"unit-{uid}.json", uid)
+                except ConfigError:
+                    continue
+                yield uid, [spec.key() for spec in specs]
+        for uid in self.unit_ids(self.results_dir):
+            try:
+                records = load_results(self.result_path(uid))
+            except ConfigError:
+                continue
+            yield uid, [record["key"] for record in records]
 
     def recover_expired(self, lease_timeout: float, uids=None) -> list[str]:
         """Re-enqueue claimed units whose claim stopped heartbeating.
@@ -634,15 +689,22 @@ class QueueBackend:
             rendezvous point with the workers).
         lease_timeout: seconds without a heartbeat before recovery
             (default ``$REPRO_QUEUE_LEASE_TIMEOUT`` or 30).
-        poll: seconds between result/recovery scans.
+        poll: the longest sleep between result scans, seconds. An
+            empty scan sleeps :data:`FIRST_SCAN_SLEEP` (or ``poll`` if
+            shorter), doubling each further empty scan up to ``poll``.
         timeout: overall seconds to wait per plan before raising
             :class:`~repro.errors.SimulationError` (``None`` waits
             forever — a queue with no workers blocks by design).
-        batch: points per queue unit (default 1). Batching amortises
-            the claim/result filesystem protocol over ``batch``
-            points — worthwhile when points are cheap relative to the
-            protocol — at the cost of coarser work distribution and
-            recovery (a crashed worker re-runs its whole batch).
+        batch: points per queue unit, or ``None`` to size units from
+            each plan with :func:`unit_size`. Batching amortises the
+            claim/result filesystem protocol over ``batch`` points —
+            worthwhile when points are cheap relative to the protocol —
+            at the cost of coarser work distribution and recovery (a
+            crashed worker re-runs its whole batch, and a failing spec
+            fails its unit, so the unit's other points are not
+            streamed). Units already in the queue whose points are all
+            pending — left by an interrupted or killed run of the same
+            plan — are waited on as they are, not regrouped.
     """
 
     def __init__(
@@ -651,7 +713,7 @@ class QueueBackend:
         lease_timeout: float | None = None,
         poll: float = DEFAULT_POLL,
         timeout: float | None = None,
-        batch: int = 1,
+        batch: int | None = None,
     ) -> None:
         if work_dir is None:
             raise ConfigError("the queue backend needs a work directory")
@@ -665,9 +727,7 @@ class QueueBackend:
             raise ConfigError(f"lease timeout must be > 0, got {self.lease_timeout:g}")
         self.poll = float(poll)
         self.timeout = timeout
-        self.batch = int(batch)
-        if self.batch < 1:
-            raise ConfigError(f"queue batch must be >= 1, got {batch}")
+        self.batch = check_batch(batch)
         # Indirection so tests can interrupt the orchestrator's poll
         # loop without touching the module-global time.sleep that the
         # workers share.
@@ -682,11 +742,15 @@ class QueueBackend:
     def run(self, pending):
         queue = self.queue.ensure()
         pending = list(pending)
-        # Each unit holds up to `batch` points; waiting maps the unit
-        # id to its (key, spec) group in unit order.
-        waiting: dict[str, list[tuple[str, RunSpec]]] = {}
-        for start in range(0, len(pending), self.batch):
-            group = pending[start : start + self.batch]
+        # waiting maps each unit id to its (key, spec) group in unit
+        # order: first the units adopted from an earlier run, then the
+        # rest in groups of `batch`.
+        waiting = self._adopt(pending)
+        adopted = {key for group in waiting.values() for key, _ in group}
+        rest = [(key, spec) for key, spec in pending if key not in adopted]
+        batch = self.batch if self.batch is not None else unit_size(len(rest))
+        for start in range(0, len(rest), batch):
+            group = rest[start : start + batch]
             uid = queue.enqueue_batch(tuple(spec for _, spec in group))
             waiting[uid] = group
         deadline = None if self.timeout is None else time.monotonic() + self.timeout
@@ -697,7 +761,13 @@ class QueueBackend:
         # not wait).
         maintenance_every = max(self.poll, self.lease_timeout / 4)
         next_maintenance = time.monotonic()
+        # The vanished-unit check lists four directories: at the first
+        # empty scan, then once per `poll` of sleep, however short the
+        # backed-off sleeps are.
+        slept = self.poll
         discards: dict[str, int] = {}
+        first_sleep = min(FIRST_SCAN_SLEEP, self.poll)
+        sleep = first_sleep
         try:
             while waiting:
                 progressed = False
@@ -715,7 +785,9 @@ class QueueBackend:
                     queue.recover_expired(self.lease_timeout, uids=list(waiting))
                     next_maintenance = time.monotonic() + maintenance_every
                 if waiting and not progressed:
-                    self._requeue_vanished(waiting)
+                    if slept >= self.poll:
+                        self._requeue_vanished(waiting)
+                        slept = 0.0
                     if deadline is not None and time.monotonic() > deadline:
                         status = queue.status(self.lease_timeout)
                         raise SimulationError(
@@ -725,7 +797,11 @@ class QueueBackend:
                             f"claimed) — are any 'repro queue worker' "
                             f"processes attached to {queue.root}?"
                         )
-                    self._sleep(self.poll)
+                    self._sleep(sleep)
+                    slept += sleep
+                    sleep = min(2 * sleep, self.poll)
+                else:
+                    sleep = first_sleep
         except BaseException:
             # An abandoned sweep must not leave claimable orphans: the
             # still-unclaimed units are withdrawn (claimed ones belong
@@ -734,6 +810,26 @@ class QueueBackend:
             for uid in waiting:
                 queue.withdraw(uid)
             raise
+
+    def _adopt(self, pending) -> dict[str, list[tuple[str, RunSpec]]]:
+        """The queued, claimed or landed units whose points are all pending.
+
+        A retried or resumed plan (an interrupted sweep, a restarted
+        daemon) has fewer pending points than its first run, so sizing
+        and grouping them afresh would give new unit ids: the old units
+        would run anyway and their results sit in ``results/`` for
+        good. Waiting on them instead runs each point once.
+        """
+        free = dict(pending)
+        adopted: dict[str, list[tuple[str, RunSpec]]] = {}
+        if not free:
+            return adopted
+        for uid, keys in self.queue.outstanding():
+            if len(set(keys)) == len(keys) and all(key in free for key in keys):
+                adopted[uid] = [(key, free.pop(key)) for key in keys]
+                if not free:
+                    break
+        return adopted
 
     #: Consecutive same-unit salt discards before the sweep fails loudly
     #: instead of silently re-running forever against a version-skewed

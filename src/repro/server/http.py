@@ -104,6 +104,8 @@ class SweepServer:
         self._server: asyncio.base_events.Server | None = None
         self._poll_task: asyncio.Task | None = None
         self._landed: asyncio.Event | None = None
+        #: Live connection handlers, which :meth:`stop` cancels.
+        self._connections: set[asyncio.Task] = set()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -119,7 +121,7 @@ class SweepServer:
         if resumed:
             self.engine.poll()
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port, limit=1 << 20
+            self._accept, self.host, self.port, limit=1 << 20
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._poll_task = asyncio.get_running_loop().create_task(self._poll_loop())
@@ -129,7 +131,12 @@ class SweepServer:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Close the socket, stop polling, interrupt drain threads."""
+        """Close the socket and live connections, stop polling, interrupt drains.
+
+        A live connection (an SSE stream waits for its sweep's next
+        event) is cancelled, and its handler closes the socket, so the
+        client sees the stream end instead of waiting out its timeout.
+        """
         if self._poll_task is not None:
             self._poll_task.cancel()
             with suppress(asyncio.CancelledError):
@@ -137,6 +144,10 @@ class SweepServer:
             self._poll_task = None
         if self._server is not None:
             self._server.close()
+            connections = list(self._connections)
+            for task in connections:
+                task.cancel()
+            await asyncio.gather(*connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         self.engine.shutdown()
@@ -158,6 +169,12 @@ class SweepServer:
                 await asyncio.wait_for(self._landed.wait(), self.engine.poll_interval)
 
     # -- connection handling -------------------------------------------------
+
+    def _accept(self, reader, writer) -> None:
+        """Run one connection's handler as a task :meth:`stop` can cancel."""
+        task = asyncio.get_running_loop().create_task(self._handle(reader, writer))
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
 
     async def _handle(self, reader, writer) -> None:
         try:

@@ -71,6 +71,7 @@ from .runner import (
     shape_l2,
 )
 from .runner.progress import NullProgress, Progress
+from .runner.queue import check_batch
 from .sim.memory.hierarchy import MemoryConfig, default_l2_config
 from .sim.npu.executor import ExecutorConfig
 
@@ -250,7 +251,9 @@ class Session:
             (required there, ignored by the local pool) — see also the
             :meth:`remote` shorthand.
         queue_batch: points per claimable unit for the queue backend
-            (default 1; ignored by the local pool).
+            (default ``None``: sized from each plan, see
+            :func:`~repro.runner.queue.unit_size`; ignored by the local
+            pool, but must be >= 1 when given).
         progress: ``True`` for live progress lines, ``False``/``None``
             for silence, or a progress object.
 
@@ -266,7 +269,7 @@ class Session:
         cache_dir: str | os.PathLike | None = None,
         backend: Backend | str | None = None,
         work_dir: str | os.PathLike | None = None,
-        queue_batch: int = 1,
+        queue_batch: int | None = None,
         progress=None,
     ) -> None:
         self._runner: SweepRunner | None = None
@@ -275,7 +278,7 @@ class Session:
         self._cache_dir = cache_dir
         self._backend = backend
         self._work_dir = work_dir
-        self._queue_batch = max(1, int(queue_batch))
+        self._queue_batch = check_batch(queue_batch)
         self._progress = progress
 
     # -- plumbing ------------------------------------------------------------
@@ -407,9 +410,10 @@ class Session:
 
         ``timeout`` bounds how long one plan waits overall (``None``
         waits forever — a queue with no workers blocks by design);
-        ``poll`` is the result-scan interval; ``batch`` groups that
-        many points per claimable unit, amortising the queue's
-        per-unit filesystem protocol when points are cheap. Grid
+        ``poll`` is the longest sleep between result scans; ``batch``
+        groups that many points per claimable unit, amortising the
+        queue's per-unit filesystem protocol when points are cheap
+        (default: sized from each plan). Grid
         sweeps and every figure runner accept the returned session
         unchanged — the queue is just another backend behind the same
         front door.
@@ -643,9 +647,10 @@ def add_session_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=argparse.SUPPRESS,
         metavar="N",
-        help="points per claimable unit for --backend queue (default 1; "
-        "batching amortises the per-unit claim/result protocol "
-        "when points are cheap)",
+        help="points per claimable unit for --backend queue (default: "
+        "sized from the sweep, up to 8 points per unit while keeping "
+        "at least 8 units; batching amortises the per-unit "
+        "claim/result protocol when points are cheap)",
     )
     parser.add_argument(
         "--no-cache",
@@ -669,6 +674,6 @@ def session_from_args(args: argparse.Namespace, quiet: bool = False) -> Session:
         cache_dir=getattr(args, "cache_dir", None),
         backend=getattr(args, "backend", None),
         work_dir=getattr(args, "work_dir", None),
-        queue_batch=getattr(args, "queue_batch", 1),
+        queue_batch=getattr(args, "queue_batch", None),
         progress=not quiet,
     )

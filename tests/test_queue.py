@@ -341,7 +341,7 @@ class TestQueueWorker:
         assert not list(queue.claimed_dir.iterdir())
         assert not (queue.root / "leases").exists()
 
-        backend = QueueBackend(tmp_path / "work", poll=0.02, timeout=10)
+        backend = QueueBackend(tmp_path / "work", poll=0.02, timeout=10, batch=1)
         runner = SweepRunner(backend=backend)
         with pytest.raises(SimulationError, match="synthetic failure"):
             runner.run_plan([bad, good])
@@ -485,7 +485,9 @@ class TestQueueBackend:
         assert unit.id == crashed
         age(queue.claimed_path(unit.id))
 
-        backend = QueueBackend(work, lease_timeout=0.5, poll=0.02, timeout=30)
+        backend = QueueBackend(
+            work, lease_timeout=0.5, poll=0.02, timeout=30, batch=1
+        )
         runner = SweepRunner(cache=ResultCache(tmp_path / "cache"), backend=backend)
         start_worker(work)
         results = runner.run_plan(specs)
@@ -540,7 +542,7 @@ class TestQueueBackend:
         def interrupted_sleep(seconds):
             raise KeyboardInterrupt
 
-        backend = QueueBackend(work, poll=0.02)
+        backend = QueueBackend(work, poll=0.02, batch=1)
         backend._sleep = interrupted_sleep
         runner = SweepRunner(cache=cache, backend=backend)
         with pytest.raises(KeyboardInterrupt):
@@ -548,7 +550,7 @@ class TestQueueBackend:
         assert runner.submitted == 1
         assert runner.last_report.submitted == 1
 
-        retry = SweepRunner(cache=cache, backend=QueueBackend(work, poll=0.02))
+        retry = SweepRunner(cache=cache, backend=QueueBackend(work, poll=0.02, batch=1))
         start_worker(work)
         retry.run_plan(specs)
         assert retry.cache_hits == 1
@@ -569,7 +571,7 @@ class TestQueueBackend:
         document["results"][0]["salt"] = "a-previous-code-version"
         result_path.write_text(json.dumps(document))
 
-        backend = QueueBackend(work, poll=0.02, timeout=30)
+        backend = QueueBackend(work, poll=0.02, timeout=30, batch=1)
         runner = SweepRunner(cache=ResultCache(tmp_path / "cache"), backend=backend)
         start_worker(work)
         (result,) = runner.run_plan([spec])
@@ -616,7 +618,7 @@ class TestQueueBackend:
         document["salt"] = "a-previous-code-version"
         report_path.write_text(json.dumps(document))
 
-        backend = QueueBackend(work, poll=0.02, timeout=30)
+        backend = QueueBackend(work, poll=0.02, timeout=30, batch=1)
         runner = SweepRunner(backend=backend)
         start_worker(work)
         (result,) = runner.run_plan([spec])
@@ -637,13 +639,15 @@ class TestQueueBackend:
         def sleep_while_others_work(seconds):
             if not sleeps:
                 run_queue_worker(work, max_units=1, poll=0.02)
-                other = QueueBackend(work, lease_timeout=60, poll=0.02, timeout=5)
+                other = QueueBackend(
+                    work, lease_timeout=60, poll=0.02, timeout=5, batch=1
+                )
                 assert len(list(other.run([(spec.key(), spec)]))) == 1
             else:
                 run_queue_worker(work, max_units=1, poll=0.02, idle_timeout=0.05)
             sleeps.append(seconds)
 
-        backend = QueueBackend(work, lease_timeout=60, poll=0.02, timeout=2)
+        backend = QueueBackend(work, lease_timeout=60, poll=0.02, timeout=2, batch=1)
         backend._sleep = sleep_while_others_work
         (result,) = SweepRunner(backend=backend).run_plan([spec])
         assert result.total_cycles > 0
@@ -721,7 +725,9 @@ class TestSigkilledWorker:
         assert queue.claimed_path(uid).exists()
         assert not queue.result_path(uid).exists()
 
-        backend = QueueBackend(work, lease_timeout=0.5, poll=0.02, timeout=60)
+        backend = QueueBackend(
+            work, lease_timeout=0.5, poll=0.02, timeout=60, batch=1
+        )
         runner = SweepRunner(cache=ResultCache(tmp_path / "cache"), backend=backend)
         start_worker(work, idle_timeout=60)
         (result,) = runner.run_plan([spec])
@@ -827,7 +833,176 @@ class TestQueueBatching:
         session.close()
 
 
+class _Stop(Exception):
+    """Ends a backend's scan loop from its sleep."""
+
+
+def enqueued_units(backend, points: int) -> tuple[int, int]:
+    """(units, points) ``backend`` enqueues for ``points`` distinct points.
+
+    Read at the backend's first sleep, when every unit is enqueued and
+    no worker has run; the interrupted run then withdraws them.
+    """
+    specs = [RunSpec("st", scale=SCALE, seed=seed) for seed in range(points)]
+    seen = []
+
+    def sleep(seconds):
+        status = backend.queue.status(deep=True)
+        seen.append((status.queued, status.queued_points))
+        raise _Stop
+
+    backend._sleep = sleep
+    with pytest.raises(_Stop):
+        list(backend.run([(spec.key(), spec) for spec in specs]))
+    assert not list(backend.queue.queue_dir.iterdir())
+    return seen[0]
+
+
+class TestUnitSizing:
+    @pytest.mark.parametrize(
+        "points, batch, units",
+        [
+            (10, None, 10),
+            (24, None, 8),
+            (80, None, 10),
+            (300, None, 38),
+            (80, 1, 80),
+            (80, 3, 27),
+        ],
+    )
+    def test_units_sized_from_the_plan(self, tmp_path, points, batch, units):
+        backend = QueueBackend(tmp_path / "work", batch=batch)
+        assert enqueued_units(backend, points) == (units, points)
+
+    @pytest.mark.parametrize("leftover", ["queued", "claimed", "landed"])
+    def test_a_retried_plan_runs_no_point_twice(
+        self, tmp_path, monkeypatch, leftover
+    ):
+        # A 24-point plan goes out as 8 units of 3 and is interrupted
+        # once one unit has landed. Its other units are left queued (the
+        # orchestrator died before withdrawing them), or a worker holds
+        # one, whose result lands during or before the retry. The retry
+        # waits on those units instead of regrouping the 21 points still
+        # missing, so no point runs twice and results/ ends empty.
+        import repro.runner.pool as pool
+        from repro.runner import worker
+
+        work = tmp_path / "work"
+        queue = WorkQueue(work)
+        cache = ResultCache(tmp_path / "cache")
+        specs = [RunSpec("st", scale=SCALE, seed=seed) for seed in range(24)]
+        executed = []
+        execute = pool.execute_spec
+
+        def counted(spec):
+            executed.append(spec.key())
+            return execute(spec)
+
+        monkeypatch.setattr(pool, "execute_spec", counted)
+        held = []
+
+        def land_one_then_interrupt(seconds):
+            if executed:
+                raise KeyboardInterrupt
+            assert run_queue_worker(work, max_units=1, poll=0.02) == 1
+            if leftover != "queued":
+                held.append(queue.claim_next("held"))
+
+        first = QueueBackend(work, poll=0.02)
+        first._sleep = land_one_then_interrupt
+        if leftover == "queued":
+            monkeypatch.setattr(first.queue, "withdraw", lambda uid: None)
+        with pytest.raises(KeyboardInterrupt):
+            SweepRunner(cache=cache, backend=first).run_plan(specs)
+        assert len(executed) == 3
+        if leftover == "landed":
+            worker._process_unit(queue, held.pop(), "held")
+
+        def drain(seconds):
+            while held:
+                worker._process_unit(queue, held.pop(), "held")
+            run_queue_worker(work, poll=0.02, idle_timeout=0.05)
+
+        retry = QueueBackend(work, poll=0.02, timeout=30)
+        retry._sleep = drain
+        runner = SweepRunner(cache=cache, backend=retry)
+        assert len(runner.run_plan(specs)) == 24
+        assert (runner.cache_hits, runner.submitted) == (3, 21)
+        assert sorted(executed) == sorted(spec.key() for spec in specs)
+        for directory in (queue.queue_dir, queue.claimed_dir, queue.results_dir):
+            assert not list(directory.iterdir())
+
+    def test_sessions_pass_the_batch_or_none(self, tmp_path):
+        work = tmp_path / "work"
+        for session, batch in (
+            (Session(backend="queue", work_dir=work, cache=False), None),
+            (Session(backend="queue", work_dir=work, queue_batch=3, cache=False), 3),
+            (Session.remote(work, cache=False), None),
+        ):
+            assert session._build_backend().batch == batch
+            session.close()
+
+    @staticmethod
+    def scan_sleeps(tmp_path, poll, land_after):
+        """The backend's sleeps over a 2-point plan, and how many sleeps
+        came before each vanished-unit check; after the sleeps numbered
+        in ``land_after`` a worker lands one unit."""
+        work = tmp_path / "work"
+        backend = QueueBackend(work, poll=poll, timeout=30, batch=1)
+        sleeps, checks = [], []
+        requeue_vanished = backend._requeue_vanished
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            if len(sleeps) in land_after:
+                assert run_queue_worker(work, max_units=1, poll=0.02) == 1
+
+        def check(waiting):
+            checks.append(len(sleeps))
+            requeue_vanished(waiting)
+
+        backend._sleep = sleep
+        backend._requeue_vanished = check
+        SweepRunner(backend=backend).run_plan(small_specs())
+        return sleeps, checks
+
+    def test_empty_scans_back_off_and_a_landing_resets(self, tmp_path):
+        sleeps, checks = self.scan_sleeps(tmp_path, poll=0.2, land_after=(6, 8))
+        assert sleeps == pytest.approx(
+            [0.02, 0.04, 0.08, 0.16, 0.2, 0.2, 0.02, 0.04]
+        )
+        # The vanished-unit check keeps its cadence: at the first empty
+        # scan, then once per poll of sleep.
+        assert checks == [0, 4, 5, 6]
+
+    def test_a_short_poll_keeps_every_sleep(self, tmp_path):
+        sleeps, checks = self.scan_sleeps(tmp_path, poll=0.02, land_after=(3, 5))
+        assert sleeps == pytest.approx([0.02] * 5)
+        assert checks == [0, 1, 2, 3, 4]
+
+
 class TestQueueCLI:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--workloads", "st", "--mechanisms", "inorder", "--scales"],
+            ["figures", "-o", "E.md", "--scale"],
+            ["fleet", "run", "-n", "1", "-o", "E.md", "--scale"],
+        ],
+        ids=["sweep", "figures", "fleet-run"],
+    )
+    @pytest.mark.parametrize("batch", ["0", "-2"])
+    def test_nonpositive_queue_batch_is_an_error(
+        self, tmp_path, monkeypatch, capsys, argv, batch
+    ):
+        monkeypatch.chdir(tmp_path)
+        rc = cli_main(argv + ["0.05", "--cache-dir", "cache", "--queue-batch", batch])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"queue batch must be >= 1, got {batch}" in err
+        assert not (tmp_path / "E.md").exists()
+
     def test_status_command(self, tmp_path, capsys):
         queue = WorkQueue(tmp_path / "work").ensure()
         queue.enqueue(RunSpec("st", scale=SCALE))

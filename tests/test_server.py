@@ -11,7 +11,10 @@ The acceptance properties of the sweep-as-a-service daemon:
 * a daemon killed mid-sweep resumes it from the ledger on restart.
 """
 
+import gc
 import json
+import logging
+import sys
 import threading
 import time
 import urllib.error
@@ -251,6 +254,25 @@ class TestSweepEngine:
         assert {r["mechanism"] for r in records} == {"inorder", "nvr"}
         stop_worker(worker, engine.work_dir)
 
+    def test_drain_sizes_its_units(self, engine):
+        # The drain names no batch, so the queue backend sizes the units
+        # from the sweep: 80 points go out as 10 units of 8. Counted at
+        # the drain's first sleep, with every unit enqueued and no
+        # worker started.
+        specs = [RunSpec("st", scale=SCALE, seed=seed) for seed in range(80)]
+        slept = threading.Event()
+        sleep = engine._interruptible_sleep
+
+        def first_sleep(seconds):
+            slept.set()
+            sleep(seconds)
+
+        engine._interruptible_sleep = first_sleep
+        engine.submit(specs)
+        assert slept.wait(30), "the drain never reached its scan loop"
+        status = engine.queue.status(deep=True)
+        assert (status.queued, status.queued_points) == (10, 80)
+
     def test_unknown_sweep_is_config_error(self, engine):
         with pytest.raises(ConfigError, match="unknown sweep"):
             engine.status("f" * 24)
@@ -417,6 +439,52 @@ class TestHTTPServer:
         labels = {e["label"] for e in events[:2]}
         assert labels == {s.label() for s in small_grid().specs()}
         stop_worker(worker, server.engine.work_dir)
+
+    def test_silent_event_stream_is_server_error(self, server):
+        client = SweepClient(server.base_url)
+        sid = client.submit(small_grid())["id"]  # no worker: no event comes
+        start = time.monotonic()
+        with pytest.raises(ServerError, match="no event .* within 0.5s"):
+            list(client.events(sid, timeout=0.5))
+        assert time.monotonic() - start < 2
+
+    def test_stop_ends_live_event_streams(self, tmp_path, caplog, monkeypatch):
+        # Stopping the server cancels an SSE handler still waiting for
+        # its sweep's next event: stop() returns at once, the client
+        # sees its stream end early, and the closed loop destroys no
+        # pending task.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        engine = SweepEngine(tmp_path / "work", cache_dir=tmp_path / "cache")
+        handle = start_in_thread(engine)
+        client = SweepClient(handle.base_url)
+        sid = client.submit(small_grid())["id"]  # no worker: no event comes
+        errors = []
+
+        def follow():
+            try:
+                list(client.events(sid, timeout=30))
+            except ServerError as exc:
+                errors.append(exc)
+
+        follower = threading.Thread(target=follow, daemon=True)
+        follower.start()
+        try:
+            wait_for(lambda: sid in engine._subscribers, timeout=10)
+            start = time.monotonic()
+            handle.stop()
+            assert time.monotonic() - start < 2
+            follower.join(2)
+            assert not follower.is_alive(), "the client still waits"
+        finally:
+            handle.stop()
+            engine.shutdown()
+        gc.collect()
+        assert len(errors) == 1
+        assert "closed before its terminal event" in str(errors[0])
+        logged = [r for r in caplog.records if r.name == "asyncio"]
+        assert [r for r in logged if r.levelno >= logging.WARNING] == []
+        assert unraisable == []
 
     def test_landing_wakes_the_poller(self, tmp_path):
         # The drain wakes the server's poll loop as it stores each point,
