@@ -59,3 +59,12 @@ class WorkloadError(ReproError):
     that make no sense (more selected tokens than cache entries, graphs
     with zero nodes, ...).
     """
+
+
+class BuildError(ReproError):
+    """The simulator's compiled kernels could not be built.
+
+    Raised on the first import of :mod:`repro.sim.memory.hierarchy` when
+    compiling ``_kernels.c`` fails; the message names the compiler
+    command and carries its output.
+    """

@@ -63,23 +63,36 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 _FINGERPRINT: str | None = None
 
 
+#: Source files the simulator is made of: the Python modules and the C
+#: source of the compiled kernels.
+SOURCE_PATTERNS = ("*.py", "*.c")
+
+
+def source_fingerprint(package_root: Path) -> str:
+    """Content hash of every source file under ``package_root``."""
+    digest = hashlib.sha256()
+    paths = {
+        path for pattern in SOURCE_PATTERNS for path in package_root.rglob(pattern)
+    }
+    for path in sorted(paths):
+        digest.update(str(path.relative_to(package_root)).encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()[:16]
+
+
 def code_fingerprint() -> str:
     """Content hash of every ``repro`` source file (memoised per process).
 
     Results are a pure function of (spec, simulator code); hashing the
-    package source makes the cache self-invalidating on code changes
-    instead of trusting a manually-bumped version constant.
+    package source (see :func:`source_fingerprint`) makes the cache
+    self-invalidating on code changes instead of trusting a
+    manually-bumped version constant.
     """
     global _FINGERPRINT
     if _FINGERPRINT is None:
-        package_root = Path(__file__).resolve().parents[1]
-        digest = hashlib.sha256()
-        for path in sorted(package_root.rglob("*.py")):
-            digest.update(str(path.relative_to(package_root)).encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-        _FINGERPRINT = digest.hexdigest()[:16]
+        _FINGERPRINT = source_fingerprint(Path(__file__).resolve().parents[1])
     return _FINGERPRINT
 
 

@@ -178,11 +178,11 @@ class SweepServer:
 
     async def _handle(self, reader, writer) -> None:
         try:
-            request = await self._read_request(reader)
-            if request is None:
-                return
-            method, path, query, headers, body = request
             try:
+                request = await self._read_request(reader)
+                if request is None:
+                    return
+                method, path, query, headers, body = request
                 await self._route(method, path, query, headers, body, writer)
             except _HttpError as exc:
                 self._send_json(writer, exc.status, {"error": str(exc)})

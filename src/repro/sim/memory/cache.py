@@ -191,11 +191,11 @@ class Cache:
     def hot_state(
         self,
     ) -> tuple[list[dict[int, int]], int, int, int, int]:
-        """The lookup state the batched hierarchy kernels inline against.
+        """The lookup state the hierarchy's inlined walks run against.
 
         Returns ``(sets, line_shift, set_mask, tag_shift, assoc)``: the
-        per-set tag dicts plus the precomputed address math, so a batch
-        loop can run ``sets[(line >> line_shift) & set_mask].get(line >>
+        per-set tag dicts plus the precomputed address math, so a walk
+        can run ``sets[(line >> line_shift) & set_mask].get(line >>
         tag_shift)`` without a method call per line. Values are the
         ready-cycle ints described in the class docstring. The contract
         for writers is the one :meth:`touch` and :meth:`allocate`
@@ -205,6 +205,11 @@ class Cache:
         dict's front entry, counting ``evictions`` and, for a negative
         entry, ``prefetch_evicted_unused``. The sets list itself is never
         reassigned, so the tuple stays valid for the cache's lifetime.
+
+        The compiled kernels (``_kernels.c``) read this tuple through the
+        C API, so its types are part of the contract: a ``list`` of
+        ``dict`` objects (exact types) from int tag to int, and four
+        ints. ``MemorySystem.__init__`` checks them once.
         """
         return (
             self._sets,

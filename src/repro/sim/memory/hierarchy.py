@@ -17,12 +17,20 @@ bypass it (they live in the scratchpad pipeline and the L2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from ...errors import ConfigError
 from ..request import Access, AccessResult, AccessType, HitLevel
 from ..stats import RunStats
+from ._build import load_extension
 from .cache import Cache, CacheConfig, LookupKind
 from .dram import DRAM, DRAMConfig
+
+#: The compiled request-vector kernels (``_kernels.c``), built on the
+#: first import (see :mod:`._build`) so the build precedes any run.
+_kernels = load_extension(
+    f"{__package__}._kernels", Path(__file__).with_name("_kernels.c")
+)
 
 
 def default_l2_config() -> CacheConfig:
@@ -176,9 +184,35 @@ class MemorySystem:
         self._l2_hot = self.l2.hot_state()
         self._nsb_hot = self.nsb.hot_state() if self.nsb is not None else None
         self._l2_mshr_hot = self.l2.mshr.hot_state()
-        self._pf_penalty = config.dram.prefetch_penalty
         self._line_service = self.dram.service_cycles(config.line_bytes)
         self._fill_lat = config.dram.latency + self._line_service + self._l2_lat
+        # The compiled kernels' context: the same hot state, the timing
+        # constants and the objects whose counters they fold, in the
+        # layout _kernels.c reads (validated once here).
+        self._kernel_ctx = _kernels.check_context(
+            (
+                self._l2_hot,
+                self._nsb_hot,
+                self._l2_mshr_hot,
+                self._pf_pending,
+                (
+                    self._line_bytes,
+                    self._l2_lat,
+                    self._nsb_lat or 0,
+                    self._line_service,
+                    self._fill_lat,
+                    config.dram.prefetch_penalty,
+                ),
+                self.l2,
+                self.nsb,
+                self.l2.mshr,
+                self.dram,
+                self._stats_nsb,
+                self._stats_l2,
+                self._stats_pf,
+                self._traffic,
+            )
+        )
 
     # -- background CPU traffic ----------------------------------------------
     _MAX_INJECT_PER_CALL = 64
@@ -476,197 +510,23 @@ class MemorySystem:
         rather than by a conflict analysis. What the batch form removes is
         the per-line call overhead: one call per *instruction* instead of
         per line, and statistics accumulated in locals and folded once.
+        The walk runs compiled (``_kernels.c``) over the containers of
+        :meth:`Cache.hot_state` and :meth:`MSHRFile.hot_state`, calling
+        :meth:`_inject_cpu_traffic` before each line when CPU traffic is
+        configured.
 
         Returns ``(last_complete_cycle, dram_flags)``; ``dram_flags[k]``
         is 1 when line ``k`` went off-chip (the executors fold these
         into the vector-batch miss statistics).
         """
-        n = len(lines)
-        flags = bytearray(n)
-        if n == 0:
-            return now, flags
-        inject = self._inject_cpu_traffic if self._cpu_cfg is not None else None
-        line_bytes = self._line_bytes
-        pending = self._pf_pending
-        use_nsb = irregular and self._nsb_hot is not None
-        l2 = self.l2
-        l2_sets, l2_shift, l2_smask, l2_tshift, l2_assoc = self._l2_hot
-        l2_lat = self._l2_lat
-        mshr = l2.mshr
-        fills, inflight, mshr_cap = self._l2_mshr_hot
-        # CPU traffic (inject) allocates through the MSHR's methods too,
-        # so the local peak is folded back as a maximum.
-        peak = mshr.peak_occupancy
-        dram = self.dram
-        service = self._line_service
-        fill_lat = self._fill_lat
-        if use_nsb:
-            nsb = self.nsb
-            nsb_sets, nsb_shift, nsb_smask, nsb_tshift, nsb_assoc = self._nsb_hot
-            nsb_lat = self._nsb_lat
-        # Local counter accumulators, folded into the stats records once.
-        nsb_acc = nsb_hit = nsb_infl = nsb_miss = 0
-        l2_acc = l2_hit = l2_infl = l2_miss = coalesced = stalls = 0
-        pf_useful = pf_late = 0
-        nsb_npu_bytes = l2_npu_bytes = 0
-        l2_evt = l2_pfevt = nsb_evt = nsb_pfevt = 0
-        done = now
-        at = now
-        slot = 0
-        for k in range(n):
-            line = lines[k]
-            if inject is not None:
-                inject(at)
-            if use_nsb:
-                nsb_acc += 1
-                nset = nsb_sets[(line >> nsb_shift) & nsb_smask]
-                ntag = line >> nsb_tshift
-                ready = nset.pop(ntag, None)
-                if ready is not None:
-                    # Demand touch: back of the LRU order, mark cleared.
-                    if ready < 0:
-                        ready = ~ready
-                    nset[ntag] = ready
-                    if ready <= at:
-                        nsb_hit += 1
-                        nsb_npu_bytes += line_bytes
-                        if line in pending:
-                            pending.discard(line)
-                            pf_useful += 1
-                        complete = at + nsb_lat
-                    else:
-                        nsb_infl += 1
-                        if line in pending:
-                            pending.discard(line)
-                            pf_late += 1
-                        complete = ready
-                        t = at + nsb_lat
-                        if t > complete:
-                            complete = t
-                    if complete > done:
-                        done = complete
-                    slot += 1
-                    if slot == issue_width:
-                        slot = 0
-                        at += 1
-                    continue
-                nsb_miss += 1
-            l2_acc += 1
-            lset = l2_sets[(line >> l2_shift) & l2_smask]
-            ltag = line >> l2_tshift
-            ready = lset.pop(ltag, None)
-            if ready is None:
-                # Absent from the L2: retire the completed fills (oldest
-                # first: the MSHR is a FIFO); a line still in flight was
-                # evicted before its fill landed and coalesces onto it.
-                while fills and inflight[fills[0]] <= at:
-                    del inflight[fills.popleft()]
-                ready = inflight.get(line)
-                if ready is not None:
-                    coalesced += 1
-                    if len(lset) >= l2_assoc:
-                        l2_evt += 1
-                        if lset.pop(next(iter(lset))) < 0:
-                            l2_pfevt += 1
-            if ready is not None:
-                if ready < 0:
-                    ready = ~ready
-                lset[ltag] = ready
-                l2_npu_bytes += line_bytes
-                if ready <= at:
-                    l2_hit += 1
-                    if line in pending:
-                        pending.discard(line)
-                        pf_useful += 1
-                    complete = at + l2_lat
-                else:
-                    l2_infl += 1
-                    if line in pending:
-                        pending.discard(line)
-                        pf_late += 1
-                    complete = ready
-                    t = at + l2_lat
-                    if t > complete:
-                        complete = t
-            else:
-                # True L2 miss: fetch from DRAM through an MSHR slot.
-                # Inlined MSHRFile.earliest_free_slot / allocate (retired
-                # at the probe time above; a full file waits for its
-                # oldest fill) and DRAM.access (serialising bus, constant
-                # line service).
-                l2_miss += 1
-                flags[k] = 1
-                pending.discard(line)
-                occupancy = len(inflight)
-                if occupancy < mshr_cap:
-                    start = at
-                else:
-                    stalls += 1
-                    start = inflight.pop(fills.popleft())
-                    occupancy -= 1
-                busy = dram._bus_free_at
-                st = start if start > busy else busy
-                dram._bus_free_at = st + service
-                complete = st + fill_lat
-                inflight[line] = complete
-                fills.append(line)
-                if occupancy >= peak:
-                    peak = occupancy + 1
-                # Fill into L2 (the touch above proved the line absent).
-                if len(lset) >= l2_assoc:
-                    l2_evt += 1
-                    if lset.pop(next(iter(lset))) < 0:
-                        l2_pfevt += 1
-                lset[ltag] = complete
-                l2_npu_bytes += line_bytes
-            if use_nsb:
-                # Promote into the NSB (it missed there, so a plain fill).
-                if len(nset) >= nsb_assoc:
-                    nsb_evt += 1
-                    if nset.pop(next(iter(nset))) < 0:
-                        nsb_pfevt += 1
-                nset[ntag] = complete
-            if complete > done:
-                done = complete
-            slot += 1
-            if slot == issue_width:
-                slot = 0
-                at += 1
-        if use_nsb:
-            ns = self._stats_nsb
-            ns.demand_accesses += nsb_acc
-            ns.demand_hits += nsb_hit
-            ns.demand_inflight_hits += nsb_infl
-            ns.demand_misses += nsb_miss
-            if nsb_evt:
-                nsb.evictions += nsb_evt
-                nsb.prefetch_evicted_unused += nsb_pfevt
-        ls = self._stats_l2
-        ls.demand_accesses += l2_acc
-        ls.demand_hits += l2_hit
-        ls.demand_inflight_hits += l2_infl
-        ls.demand_misses += l2_miss
-        if coalesced:
-            mshr.coalesced += coalesced
-        if pf_useful or pf_late:
-            pf = self._stats_pf
-            pf.useful += pf_useful
-            pf.late += pf_late
-        if l2_miss:
-            dram.busy_cycles += l2_miss * service
-            dram.transfers += l2_miss
-            dram.bytes_transferred += l2_miss * line_bytes
-            mshr.structural_stalls += stalls
-            if peak > mshr.peak_occupancy:
-                mshr.peak_occupancy = peak
-        if l2_evt:
-            l2.evictions += l2_evt
-            l2.prefetch_evicted_unused += l2_pfevt
-        traffic = self._traffic
-        traffic.nsb_to_npu_bytes += nsb_npu_bytes
-        traffic.l2_to_npu_bytes += l2_npu_bytes
-        traffic.off_chip_demand_bytes += l2_miss * line_bytes
-        return done, flags
+        return _kernels.demand_lines(
+            self._kernel_ctx,
+            now,
+            issue_width,
+            lines,
+            irregular,
+            self._inject_cpu_traffic if self._cpu_cfg is not None else None,
+        )
 
     # -- prefetch path -------------------------------------------------------
     def prefetch_line(self, now: int, line_addr: int, irregular: bool) -> int | None:
@@ -735,120 +595,15 @@ class MemorySystem:
         Already-resident lines are squashed without consuming budget, and
         once ``max_issue`` fills have started the remaining lines are not
         probed at all (the port counts them as dropped — exactly what
-        per-line budget checks would have done).
+        per-line budget checks would have done). ``lines`` is any int
+        sequence (VMIG passes a ``range``). The walk runs compiled
+        (``_kernels.c``), like :meth:`demand_lines`.
 
         Returns ``(ready cycles of the issued lines, lines processed)``.
         """
-        readys: list[int] = []
-        n = len(lines)
-        if n == 0:
-            return readys, 0
-        line_bytes = self._line_bytes
-        pending = self._pf_pending
-        target_nsb = irregular and self._nsb_hot is not None
-        l2 = self.l2
-        l2_sets, l2_shift, l2_smask, l2_tshift, l2_assoc = self._l2_hot
-        if target_nsb:
-            nsb = self.nsb
-            nsb_sets, nsb_shift, nsb_smask, nsb_tshift, nsb_assoc = self._nsb_hot
-        l2_lat = self._l2_lat
-        mshr = l2.mshr
-        fills, inflight, mshr_cap = self._l2_mshr_hot
-        peak = mshr.peak_occupancy
-        # Nothing else touches the DRAM bus during a burst: keep it local.
-        dram = self.dram
-        bus = dram._bus_free_at
-        pf_penalty = self._pf_penalty
-        issue = now + pf_penalty
-        service = self._line_service
-        fill_lat = self._fill_lat
-        issued = off_chip = stalls = 0
-        l2_evt = l2_pfevt = nsb_evt = nsb_pfevt = 0
-        consumed = n
-        for k in range(n):
-            if issued >= max_issue:
-                consumed = k
-                break
-            line = lines[k]
-            if target_nsb:
-                nset = nsb_sets[(line >> nsb_shift) & nsb_smask]
-                ntag = line >> nsb_tshift
-                if ntag in nset:
-                    continue
-            lset = l2_sets[(line >> l2_shift) & l2_smask]
-            ltag = line >> l2_tshift
-            ready = lset.get(ltag)
-            if ready is None:
-                # Absent from the L2: retire the completed fills (oldest
-                # first: the MSHR is a FIFO); a line still in flight was
-                # evicted before its fill landed and counts as resident.
-                while fills and inflight[fills[0]] <= now:
-                    del inflight[fills.popleft()]
-                ready = inflight.get(line)
-                if ready is not None:
-                    mshr.coalesced += 1
-            if ready is not None:
-                if not target_nsb:
-                    continue
-                # Pull from L2 into the NSB: on-chip transfer, no DRAM.
-                if ready < 0:
-                    ready = ~ready
-                t = now + l2_lat
-                if t > ready:
-                    ready = t
-            else:
-                # Off-chip fill: inlined MSHR slot search, DRAM bus
-                # (prefetches issue after the arbitration penalty) and
-                # L2 fill — see demand_lines for the inlining contract.
-                occupancy = len(inflight)
-                if occupancy < mshr_cap:
-                    start = issue
-                else:
-                    stalls += 1
-                    start = inflight.pop(fills.popleft()) + pf_penalty
-                    occupancy -= 1
-                st = start if start > bus else bus
-                bus = st + service
-                ready = st + fill_lat
-                inflight[line] = ready
-                fills.append(line)
-                if occupancy >= peak:
-                    peak = occupancy + 1
-                if len(lset) >= l2_assoc:
-                    l2_evt += 1
-                    if lset.pop(next(iter(lset))) < 0:
-                        l2_pfevt += 1
-                lset[ltag] = ~ready
-                off_chip += 1
-            if target_nsb:
-                # The NSB probe above proved the line absent: plain fill.
-                if len(nset) >= nsb_assoc:
-                    nsb_evt += 1
-                    if nset.pop(next(iter(nset))) < 0:
-                        nsb_pfevt += 1
-                nset[ntag] = ~ready
-            issued += 1
-            pending.add(line)
-            readys.append(ready)
-        if issued:
-            pf_stats = self._stats_pf
-            pf_stats.issued += issued
-            pf_stats.issued_lines_off_chip += off_chip
-            self._traffic.off_chip_prefetch_bytes += off_chip * line_bytes
-            if off_chip:
-                dram._bus_free_at = bus
-                dram.busy_cycles += off_chip * service
-                dram.transfers += off_chip
-                dram.bytes_transferred += off_chip * line_bytes
-                mshr.structural_stalls += stalls
-                mshr.peak_occupancy = peak
-            if l2_evt:
-                l2.evictions += l2_evt
-                l2.prefetch_evicted_unused += l2_pfevt
-            if nsb_evt:
-                nsb.evictions += nsb_evt
-                nsb.prefetch_evicted_unused += nsb_pfevt
-        return readys, consumed
+        return _kernels.prefetch_lines(
+            self._kernel_ctx, now, lines, irregular, max_issue
+        )
 
     # -- bulk DMA path (explicit preload) ----------------------------------------
     def bulk_transfer(self, now: int, n_bytes: int) -> int:

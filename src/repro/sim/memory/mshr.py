@@ -92,6 +92,12 @@ class MSHRFile:
         append every new fill on the right. They keep
         ``structural_stalls``, ``peak_occupancy`` and ``coalesced``
         maintained through the attributes.
+
+        The compiled kernels (``_kernels.c``) read this tuple through the
+        C API, so its types are part of the contract: a
+        ``collections.deque`` and a ``dict`` (exact types) keyed by line
+        address, and an int capacity. ``MemorySystem.__init__`` checks
+        them once.
         """
         return self._fills, self._inflight, self.capacity
 

@@ -1,5 +1,9 @@
 """Hypothesis property tests over random memory-hierarchy interleavings."""
 
+import gc
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -123,17 +127,34 @@ def make_small_system(nsb: bool, cpu: bool) -> MemorySystem:
 # One kernel call: (time delta, is_prefetch, irregular, issue width or
 # prefetch budget, line indices). Lines come from a range twice the L2's
 # capacity and eight times the NSB's, so sets collide and both levels evict.
+# Some index draws are a ``range`` of consecutive lines, which a prefetch
+# burst passes on to the kernel as a ``range``: the form VMIG issues a
+# single-segment window in.
 kernel_calls_strategy = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=120),
         st.booleans(),
         st.booleans(),
         st.integers(min_value=1, max_value=6),
-        st.lists(st.integers(min_value=0, max_value=127), min_size=1, max_size=24),
+        st.one_of(
+            st.lists(st.integers(min_value=0, max_value=127), min_size=1, max_size=24),
+            st.builds(
+                lambda first, n: range(first, first + n),
+                st.integers(min_value=0, max_value=127),
+                st.integers(min_value=1, max_value=24),
+            ),
+        ),
     ),
     min_size=4,
     max_size=40,
 )
+
+
+def _as_burst(idxs, lines):
+    """The kernel's form of a prefetch burst: a ``range`` stays one."""
+    if isinstance(idxs, range):
+        return range(idxs.start * 64, idxs.stop * 64, 64)
+    return lines
 
 
 def _per_line_demand(mem, now, issue_width, lines, irregular):
@@ -217,7 +238,9 @@ class TestBatchKernelsMatchPerLineWalk:
             if is_prefetch:
                 want = _per_line_prefetch(ref, now, lines, irregular, width)
                 lean_got = _per_line_prefetch(lean, now, lines, irregular, width)
-                got = kernel.prefetch_lines(now, lines, irregular, width)
+                got = kernel.prefetch_lines(
+                    now, _as_burst(idxs, lines), irregular, width
+                )
             else:
                 want = _per_line_demand(ref, now, width, lines, irregular)
                 lean_got = _lean_per_line_demand(lean, now, width, lines, irregular)
@@ -383,3 +406,54 @@ class TestMSHRFillsCompleteInOrder:
                     newest[w] = readys[-1]
             # Every walk holds the same outstanding fills.
             assert all(_mshr_fills(mem) == _mshr_fills(mems[0]) for mem in mems)
+
+
+#: Line addresses of the leak batches: high enough that every line, tag
+#: and ready cycle is a fresh int object (not one of CPython's cached
+#: small ints), so a reference the kernels fail to release keeps memory.
+LEAK_BASE = 0x4000_0000
+
+
+def _kernel_batch(seed: int, calls: int) -> None:
+    """A fixed random sequence of kernel calls on a fresh small system."""
+    rng = random.Random(seed)
+    mem = make_small_system(nsb=True, cpu=True)
+    now = 0
+    for _ in range(calls):
+        now += rng.randrange(120)
+        irregular = rng.random() < 0.5
+        width = rng.randint(1, 6)
+        n = rng.randint(1, 24)
+        lines = [LEAK_BASE + rng.randrange(128) * 64 for _ in range(n)]
+        kind = rng.randrange(3)
+        if kind == 0:
+            mem.demand_lines(now, width, lines, irregular)
+        elif kind == 1:
+            mem.prefetch_lines(now, lines, irregular, width)
+        else:
+            burst = range(lines[0], lines[0] + 64 * n, 64)
+            mem.prefetch_lines(now, burst, irregular, width)
+
+
+class TestKernelsReleaseWhatTheyTouch:
+    """Reference counts in the compiled kernels balance.
+
+    The same batch of calls, on a fresh system each time, runs twice
+    under ``tracemalloc``: memory the first batch left behind (one-time
+    caches) may stay, but the second may add no more than a small slack.
+    A kernel that kept one reference per line (a line, tag or ready
+    cycle) would keep tens of kilobytes per batch.
+    """
+
+    def test_second_batch_keeps_no_memory(self):
+        tracemalloc.start()
+        try:
+            _kernel_batch(seed=11, calls=600)
+            gc.collect()
+            after_first = tracemalloc.get_traced_memory()[0]
+            _kernel_batch(seed=11, calls=600)
+            gc.collect()
+            after_second = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after_second - after_first <= 4096

@@ -1,0 +1,102 @@
+"""Building the compiled hierarchy kernels on first import.
+
+``repro.sim.memory._build`` compiles ``_kernels.c`` with the
+interpreter's own toolchain into ``__pycache__``, once per source and
+interpreter: a fresh checkout builds on its first import, processes that
+import at the same time all succeed, a later import runs no compiler,
+and a failed compile is one error carrying the command and its output.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.errors import BuildError
+from repro.sim.memory import _build
+
+PACKAGE = Path(repro.__file__).resolve().parent
+
+
+def _fresh_checkout(tmp_path: Path) -> Path:
+    """A copy of the package source with no ``__pycache__``."""
+    root = tmp_path / "src"
+    shutil.copytree(
+        PACKAGE, root / "repro", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    return root
+
+
+def _import_repro(root: Path) -> subprocess.Popen:
+    return subprocess.Popen(
+        [
+            sys.executable,
+            "-c",
+            "import repro.sim.memory.hierarchy as h; print(h._kernels.__file__)",
+        ],
+        env={**os.environ, "PYTHONPATH": str(root)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def test_fresh_checkout_builds_once_and_concurrent_imports_succeed(tmp_path):
+    root = _fresh_checkout(tmp_path)
+    cache = root / "repro" / "sim" / "memory" / "__pycache__"
+    # Two processes import at once, each finding no build.
+    procs = [_import_repro(root) for _ in range(2)]
+    outs = [proc.communicate(timeout=120) for proc in procs]
+    for proc, (out, err) in zip(procs, outs):
+        assert proc.returncode == 0, err
+    built = sorted(cache.glob("_kernels.*"))
+    assert [Path(out.strip()) for out, _ in outs] == [built[0]] * 2
+    assert len(built) == 1, built  # no temporary file left behind
+    stat = built[0].stat()
+    # A later import loads the build: no compiler runs, nothing is replaced.
+    proc = _import_repro(root)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert Path(out.strip()) == built[0]
+    after = built[0].stat()
+    assert (after.st_ino, after.st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+
+
+def test_load_compiles_only_when_the_build_is_missing(tmp_path, monkeypatch):
+    source = tmp_path / "_kernels.c"
+    shutil.copy(PACKAGE / "sim" / "memory" / "_kernels.c", source)
+    runs = []
+    real_run = subprocess.run
+
+    def counting_run(command, **kwargs):
+        runs.append(command)
+        return real_run(command, **kwargs)
+
+    monkeypatch.setattr(_build.subprocess, "run", counting_run)
+    first = _build.load_extension("probe._kernels", source, tmp_path / "out")
+    second = _build.load_extension("probe._kernels", source, tmp_path / "out")
+    assert len(runs) == 1
+    assert first.__file__ == second.__file__
+    assert callable(first.demand_lines) and callable(first.prefetch_lines)
+    # An edited source is another build.
+    source.write_text(source.read_text() + "\n/* edited */\n")
+    _build.load_extension("probe._kernels", source, tmp_path / "out")
+    assert len(runs) == 2
+
+
+def test_compile_failure_is_one_error_with_command_and_output(tmp_path):
+    source = tmp_path / "_kernels.c"
+    source.write_text("this is not C;\n")
+    out_dir = tmp_path / "out"
+    with pytest.raises(BuildError) as info:
+        _build.load_extension("probe._kernels", source, out_dir)
+    message = str(info.value)
+    command = _build.compile_command(source, Path("OUT"))
+    assert " ".join(command[:1]) in message  # the compiler
+    assert str(source) in message
+    assert "error" in message.split("\n", 1)[1]  # the compiler's own output
+    assert list(out_dir.iterdir()) == []

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +252,21 @@ class TestCache:
         spec = RunSpec("st", scale=SCALE)
         cache.put(spec, {"x": 1})
         assert ResultCache(tmp_path).get(spec) == {"x": 1}
+
+    def test_fingerprint_covers_the_kernel_c_source(self, tmp_path):
+        """An edit to the compiled kernels' C source changes the salt."""
+        import repro
+        from repro.runner.cache import code_fingerprint, source_fingerprint
+
+        package = Path(repro.__file__).resolve().parent
+        tree = tmp_path / "repro"
+        shutil.copytree(package, tree, ignore=shutil.ignore_patterns("__pycache__"))
+        assert source_fingerprint(tree) == code_fingerprint()
+        source = tree / "sim" / "memory" / "_kernels.c"
+        data = bytearray(source.read_bytes())
+        data[len(data) // 2] ^= 1
+        source.write_bytes(bytes(data))
+        assert source_fingerprint(tree) != code_fingerprint()
 
     def test_salt_change_invalidates(self, tmp_path):
         spec = RunSpec("st", scale=SCALE)

@@ -14,11 +14,13 @@ The acceptance properties of the sweep-as-a-service daemon:
 import gc
 import json
 import logging
+import socket
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -485,6 +487,30 @@ class TestHTTPServer:
         logged = [r for r in caplog.records if r.name == "asyncio"]
         assert [r for r in logged if r.levelno >= logging.WARNING] == []
         assert unraisable == []
+
+    def test_oversized_body_is_refused_with_413(self, tmp_path, caplog):
+        # A Content-Length over MAX_BODY_BYTES is answered with 413 before
+        # any body is read, and the handler ends without a stray error.
+        engine = SweepEngine(tmp_path / "work", cache_dir=tmp_path / "cache")
+        handle = start_in_thread(engine)
+        url = urlsplit(handle.base_url)
+        reply = b""
+        try:
+            with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+                sock.sendall(
+                    b"POST /v1/sweeps HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Length: 40000000\r\n\r\n"
+                )
+                while chunk := sock.recv(4096):
+                    reply += chunk
+        finally:
+            handle.stop()
+            engine.shutdown()
+        gc.collect()
+        assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 413 Payload Too Large"
+        assert b"request body over" in reply
+        logged = [r for r in caplog.records if r.name == "asyncio"]
+        assert [r for r in logged if r.levelno >= logging.WARNING] == []
 
     def test_landing_wakes_the_poller(self, tmp_path):
         # The drain wakes the server's poll loop as it stores each point,
