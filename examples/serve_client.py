@@ -10,10 +10,9 @@ exact same wire protocol as a daemon started with::
     repro serve --work work/ --port 8080
     repro queue worker --work-dir work/ &
 
-Shows the three server guarantees: live SSE progress as points land,
+Shows the two server guarantees: live SSE progress as points land, and
 an identical resubmission answered entirely from cache (nothing
-enqueued), and two tenants with the same sweep kept in isolated cache
-namespaces.
+enqueued).
 
 Run:  python examples/serve_client.py
       (scale honours $REPRO_EXAMPLE_SCALE; default 0.2)
@@ -74,14 +73,6 @@ def main() -> None:
         f"resubmission: state '{again['state']}', "
         f"{again['points']['cached_at_submit']}/{again['points']['unique']} "
         "point(s) answered from cache, nothing enqueued"
-    )
-
-    alice = SweepClient(server.base_url, tenant="alice")
-    accepted = alice.submit(grid)
-    alice.wait(accepted["id"], timeout=120)
-    print(
-        f"tenant 'alice' ran the same sweep in its own cache namespace "
-        f"({engine.cache_for('alice').root})"
     )
 
     stats = client.stats()

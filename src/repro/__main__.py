@@ -15,16 +15,9 @@ Usage::
     python -m repro sweep --backend queue --work-dir work/ --workloads ds
     python -m repro queue status --work-dir work/ [--json]
     python -m repro serve --work work/ --port 8080
-    python -m repro fleet run -n 4 --scale 0.25 -o EXP.md
-    python -m repro fleet up --work-dir work/ -n 8
-    python -m repro fleet status --work-dir work/
-    python -m repro fleet down --work-dir work/
     python -m repro cache
     python -m repro cache gc --max-mb 64 --dry-run
-    python -m repro cache gc --max-mb 16 --tenant alice
     python -m repro cache clear
-    python -m repro cache push --remote /mnt/shared/repro-cache
-    python -m repro cache pull --remote rsync://host/module/repro-cache
 
 Every executing subcommand (``run``, ``compare``, ``sweep``, ``ablate``,
 ``figures``) shares one parent parser of session flags —
@@ -40,24 +33,15 @@ off-process: they become claimable unit files under ``--work-dir`` and
 any number of ``repro queue worker`` processes *pull* them, heartbeating
 their claims so crashed workers' units are re-enqueued automatically; ``queue
 status`` inspects a work directory and ``touch <work-dir>/stop`` drains
-the workers. ``fleet`` owns the *lifecycle* of local workers: ``fleet
-up`` starts N ``queue worker`` subprocesses on this machine, ``fleet
-status``/``down`` inspect and drain them from any process sharing the
-work directory, and ``fleet run`` is the one-command path — raise a
-herded (restart-on-death) fleet, drain a figures or plan sweep through
-it, tear it down. ``cache gc`` bounds the cache's size with
-least-recently-accessed eviction, and ``cache push``/``pull --remote``
-sync entries with a shared directory or rsync tier so fleets on
-different filesystems share warmth (pulls are salt/spec-verified,
-exactly like cache reads) — machines that share nothing export their
-slice of a plan, ``sweep --spec`` it, and ``cache push`` the results
-for the submitter to ``cache pull``.
+the workers. ``cache gc`` bounds the cache's size with
+least-recently-accessed eviction. A cache directory moves between
+machines as a plain copy: every read checks the entry's salt and spec,
+so machines that share nothing export their slice of a plan, ``sweep
+--spec`` it, and copy the cache directory back to the submitter.
 ``serve`` turns the same machinery into a long-lived daemon: sweeps
 arrive over HTTP (``POST /v1/sweeps``), dedupe point-by-point against
 the cache, and only the misses hit the queue — see
-:mod:`repro.server` and ``docs/server.md``. An ``X-Repro-Tenant``
-header selects an isolated per-tenant cache namespace, which ``cache
-gc/clear --tenant`` manage individually.
+:mod:`repro.server` and ``docs/server.md``.
 
 ``sweep`` expands its axis flags through a declarative
 :class:`~repro.session.Grid` and dumps its ``--json`` payload from the
@@ -69,7 +53,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 
 from .analysis import format_table, table1_overhead, table2_workloads
 from .analysis.experiments import ABLATION_WORKLOADS, ABLATIONS
@@ -78,24 +61,18 @@ from .api import DTYPE_BYTES, MECHANISM_ORDER, compare_mechanisms
 from .check import cli as check_cli
 from .errors import ConfigError, ReproError
 from .runner import (
-    Fleet,
-    LocalDriver,
     Plan,
     ResultCache,
     WorkQueue,
-    pull_cache,
-    push_cache,
     result_to_payload,
     run_queue_worker,
     trace_to_payload,
-    units_per_minute,
 )
 from .runner.queue import (
     DEFAULT_HEARTBEAT,
     DEFAULT_LEASE_TIMEOUT,
     DEFAULT_POLL,
     LEASE_TIMEOUT_ENV,
-    QueueStatus,
 )
 from .session import (
     Grid,
@@ -209,7 +186,7 @@ def _payload_records(specs, results) -> list[dict]:
     """Content-addressed records, re-serialised exactly as a worker would.
 
     Payloads are a pure function of the spec, so ``repro sweep --spec
-    --json`` dumps identical records whichever backend (or pulled cache)
+    --json`` dumps identical records whichever backend (or copied cache)
     served the plan — the byte-for-byte check ``queue-smoke`` performs.
     """
     return [
@@ -227,7 +204,7 @@ def _payload_records(specs, results) -> list[dict]:
 
 
 def _sweep_spec(args: argparse.Namespace, session: Session) -> None:
-    """Execute ``--spec PLAN`` (``sweep`` and ``fleet run``).
+    """Execute ``--spec PLAN``.
 
     Prints the plan's summary line and, with ``--json``, dumps the raw
     payload records: plans mix kinds (sim/trace/with_base), so there
@@ -251,14 +228,6 @@ def _sweep_spec(args: argparse.Namespace, session: Session) -> None:
                 allow_nan=False,
             )
         print(f"wrote {args.json} ({len(records)} records)")
-
-
-def _write_report(args: argparse.Namespace, session: Session) -> None:
-    """Render the figures report to ``-o`` (``figures`` and ``fleet run``)."""
-    text = generate_report(scale=args.scale, seed=args.seed, session=session)
-    with open(args.output, "w") as handle:
-        handle.write(text)
-    print(f"wrote {args.output} ({len(text)} chars)")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -391,21 +360,6 @@ def _cmd_queue_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_queue_lines(status: QueueStatus, deep: bool) -> None:
-    """The queue part of ``queue status`` and ``fleet status``."""
-    queued = f"{status.queued}"
-    if deep:
-        queued += f" ({status.queued_points} point(s))"
-    print(f"queued    : {queued}")
-    print(
-        f"claimed   : {status.claimed} "
-        f"({status.expired} lease-expired, recoverable)"
-    )
-    print(f"results   : {status.results}")
-    print(f"failed    : {status.failed}")
-    print(f"stopping  : {'yes' if status.stopping else 'no'}")
-
-
 def _cmd_queue_status(args: argparse.Namespace) -> int:
     queue = WorkQueue(args.work_dir)
     deep = not args.shallow
@@ -416,8 +370,18 @@ def _cmd_queue_status(args: argparse.Namespace) -> int:
         document = {"work_dir": str(queue.root), **status.to_dict()}
         print(json.dumps(document, indent=2, sort_keys=True, allow_nan=False))
         return 0
+    queued = f"{status.queued}"
+    if deep:
+        queued += f" ({status.queued_points} point(s))"
     print(f"work dir  : {queue.root}")
-    _print_queue_lines(status, deep)
+    print(f"queued    : {queued}")
+    print(
+        f"claimed   : {status.claimed} "
+        f"({status.expired} lease-expired, recoverable)"
+    )
+    print(f"results   : {status.results}")
+    print(f"failed    : {status.failed}")
+    print(f"stopping  : {'yes' if status.stopping else 'no'}")
     if status.corrupt:
         print(
             f"# quarantined {status.corrupt} corrupt unit(s) into failed/ "
@@ -459,127 +423,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fleet_up(args: argparse.Namespace) -> int:
-    driver = LocalDriver(args.work_dir, worker_args=args.worker_arg or ())
-    fleet = Fleet(args.work_dir, driver)
-    handles = fleet.up(args.size)
-    for handle in handles:
-        print(f"started {handle.id}")
-    print(
-        f"fleet up: {len(handles)} worker(s) on {fleet.queue.root} "
-        f"(state: {fleet.state_path})"
-    )
-    return 0
-
-
-def _cmd_fleet_status(args: argparse.Namespace) -> int:
-    fleet = Fleet.attach(args.work_dir)
-    status = fleet.status()
-    print(f"work dir  : {fleet.queue.root}")
-    print(f"workers   : {status.running}/{len(status.workers)} running")
-    for wid, state in sorted(status.workers.items()):
-        print(f"  {wid}: {state}")
-    _print_queue_lines(fleet.queue.status(deep=True), deep=True)
-    stats = fleet.queue.worker_stats()
-    if stats:
-        print("throughput:")
-        for entry in stats:
-            rate = units_per_minute(entry)
-            print(
-                f"  {entry.get('worker')}: {entry.get('units', 0)} unit(s), "
-                f"{entry.get('points', 0)} point(s), "
-                f"{entry.get('failures', 0)} failure(s), "
-                f"{rate:.1f} units/min"
-            )
-    return 0
-
-
-def _cmd_fleet_down(args: argparse.Namespace) -> int:
-    fleet = Fleet.attach(args.work_dir)
-    count = len(fleet.workers)
-    fleet.down(drain_timeout=args.drain_timeout)
-    print(f"fleet down: drained {count} worker(s) on {fleet.queue.root}")
-    return 0
-
-
-def _cmd_fleet_run(args: argparse.Namespace) -> int:
-    scratch = None
-    work_dir = args.work_dir
-    if work_dir is None:
-        scratch = tempfile.TemporaryDirectory(prefix="repro-fleet-")
-        work_dir = scratch.name
-
-    def log(text: str) -> None:
-        print(f"# {text}", file=sys.stderr, flush=True)
-
-    try:
-        session = Session.fleet(
-            work_dir,
-            size=args.size,
-            # Poll fast enough that worker pickup latency never
-            # dominates a small plan.
-            worker_args=args.worker_arg or ["--poll", "0.05"],
-            timeout=args.timeout,
-            batch=getattr(args, "queue_batch", None),
-            cache=False if getattr(args, "no_cache", False) else None,
-            cache_dir=getattr(args, "cache_dir", None),
-            progress=True,
-        )
-        with session:
-            fleet = session._fleet
-            fleet.log = log
-            if args.test_kill_worker:
-                fleet.arm_chaos()
-            if args.spec is not None:
-                _sweep_spec(args, session)
-            else:
-                _write_report(args, session)
-            if args.test_kill_worker and fleet.restarts < 1:
-                raise ConfigError(
-                    "--test-kill-worker: the chaos hook never fired (the "
-                    "plan drained before any unit was observed claimed) — "
-                    "use a larger plan or more workers"
-                )
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
-    return 0
-
-
 def _cmd_figures(args: argparse.Namespace) -> int:
     with session_from_args(args) as session:
-        _write_report(args, session)
+        text = generate_report(scale=args.scale, seed=args.seed, session=session)
+    with open(args.output, "w") as handle:
+        handle.write(text)
+    print(f"wrote {args.output} ({len(text)} chars)")
     return 0
-
-
-def _print_cache_stats(cache: ResultCache) -> None:
-    entries = cache.entries()
-    size = cache.size_bytes()
-    print(f"cache dir : {cache.root}")
-    print(f"entries   : {len(entries)}")
-    print(f"size      : {size / 1024:.1f} KiB")
-    if cache.tenant is None:
-        tenants = cache.tenants()
-        if tenants:
-            print(f"tenants   : {', '.join(tenants)} (scope with --tenant)")
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    cache = ResultCache(
-        resolve_cache_dir(getattr(args, "cache_dir", None)),
-        tenant=getattr(args, "tenant", None),
-    )
+    cache = ResultCache(resolve_cache_dir(getattr(args, "cache_dir", None)))
     action = getattr(args, "cache_cmd", None)
     if action is None:
         action = "clear" if args.clear else "stats"
     if action == "clear":
         removed = cache.clear()
         print(f"cleared {removed} entries from {cache.root}")
-        return 0
-    if action in ("push", "pull"):
-        sync = push_cache if action == "push" else pull_cache
-        report = sync(cache, args.remote)
-        print(report.summary(action))
         return 0
     if action == "gc":
         report = cache.gc(int(args.max_mb * 1024 * 1024), dry_run=args.dry_run)
@@ -593,7 +453,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             f"({report.kept_bytes / 1024:.1f} KiB <= {args.max_mb:g} MB)"
         )
         return 0
-    _print_cache_stats(cache)
+    print(f"cache dir : {cache.root}")
+    print(f"entries   : {len(cache.entries())}")
+    print(f"size      : {cache.size_bytes() / 1024:.1f} KiB")
     return 0
 
 
@@ -763,8 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan_p = sub.add_parser(
         "plan",
-        help="export wire-format sweep plans "
-        "(for 'sweep --spec' and 'fleet run --spec')",
+        help="export wire-format sweep plans (for 'sweep --spec')",
     )
     plan_sub = plan_p.add_subparsers(dest="plan_cmd", required=True)
     exp_p = plan_sub.add_parser(
@@ -887,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[cache_parent],
         help="sweep-as-a-service daemon: accept sweep submissions over "
         "HTTP, dedupe against the cache, enqueue misses on the work "
-        "queue (drain with 'queue worker' or 'fleet up')",
+        "queue (drain with 'queue worker')",
     )
     serve_p.add_argument(
         "--work",
@@ -919,145 +780,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.set_defaults(fn=_cmd_serve)
 
-    fleet_p = sub.add_parser(
-        "fleet",
-        help="raise, herd and drain fleets of local 'repro queue worker' subprocesses",
-    )
-    fleet_sub = fleet_p.add_subparsers(dest="fleet_cmd", required=True)
-
-    def _add_worker_arguments(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "-n",
-            "--size",
-            type=int,
-            default=2,
-            metavar="N",
-            help="workers to start (default 2)",
-        )
-        p.add_argument(
-            "--worker-arg",
-            action="append",
-            default=None,
-            metavar="ARG",
-            help="extra 'repro queue worker' argument (repeatable, e.g. "
-            "--worker-arg=--heartbeat --worker-arg=0.5)",
-        )
-
-    fup_p = fleet_sub.add_parser(
-        "up", help="submit N workers against a work directory"
-    )
-    fup_p.add_argument(
-        "--work-dir",
-        required=True,
-        metavar="DIR",
-        help="the shared work directory the workers pull from",
-    )
-    _add_worker_arguments(fup_p)
-    fup_p.set_defaults(fn=_cmd_fleet_up)
-
-    fstatus_p = fleet_sub.add_parser(
-        "status",
-        help="poll a raised fleet's workers and its queue (from any "
-        "process sharing the work dir)",
-    )
-    fstatus_p.add_argument("--work-dir", required=True, metavar="DIR")
-    fstatus_p.set_defaults(fn=_cmd_fleet_status)
-
-    fdown_p = fleet_sub.add_parser(
-        "down", help="drain a raised fleet (stop sentinel, then stop hard)"
-    )
-    fdown_p.add_argument("--work-dir", required=True, metavar="DIR")
-    fdown_p.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=10.0,
-        metavar="SEC",
-        help="seconds to wait for workers to finish their current unit "
-        "before stopping them (default 10)",
-    )
-    fdown_p.set_defaults(fn=_cmd_fleet_down)
-
-    frun_p = fleet_sub.add_parser(
-        "run",
-        parents=[cache_parent],
-        help="one-command fleet lifecycle: up, drain a figures/plan "
-        "sweep through the herded fleet, down",
-    )
-    frun_p.add_argument(
-        "--work-dir",
-        default=None,
-        metavar="DIR",
-        help="work directory for the fleet (default: a temporary one)",
-    )
-    _add_worker_arguments(frun_p)
-    frun_p.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SEC",
-        help="overall seconds to wait per plan (default: forever)",
-    )
-    frun_p.add_argument(
-        "--queue-batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="points per claimable unit (default: sized from the plan, "
-        "up to 8 points per unit while keeping at least 8 units)",
-    )
-    frun_p.add_argument("--no-cache", action="store_true", help=argparse.SUPPRESS)
-    frun_p.add_argument(
-        "--scale", type=float, default=0.6, help="figures scale (default 0.6)"
-    )
-    frun_p.add_argument("--seed", type=int, default=0)
-    frun_p.add_argument(
-        "-o",
-        "--output",
-        default="EXPERIMENTS.md",
-        help="figures report path (default EXPERIMENTS.md)",
-    )
-    frun_p.add_argument(
-        "--spec",
-        default=None,
-        metavar="PLAN",
-        help="drain an exported plan file instead of the figures report",
-    )
-    frun_p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="with --spec: dump one JSON record per point",
-    )
-    frun_p.add_argument(
-        "--test-kill-worker",
-        action="store_true",
-        help="restart test hook: SIGKILL one worker once real work is "
-        "observed in flight and require the herder to replace it "
-        "(exercised by CI)",
-    )
-    frun_p.set_defaults(fn=_cmd_fleet_run)
-
-    tenant_parent = argparse.ArgumentParser(add_help=False)
-    tenant_parent.add_argument(
-        "--tenant",
-        default=argparse.SUPPRESS,
-        metavar="NAME",
-        help="scope to one server tenant's cache namespace "
-        "(default: the shared default namespace)",
-    )
-
     cache_p = sub.add_parser(
         "cache",
-        parents=[cache_parent, tenant_parent],
+        parents=[cache_parent],
         help="inspect, garbage-collect or clear the result cache",
     )
     cache_p.add_argument("--clear", action="store_true", help="same as 'cache clear'")
     cache_sub = cache_p.add_subparsers(dest="cache_cmd")
     gc_p = cache_sub.add_parser(
         "gc",
-        parents=[cache_parent, tenant_parent],
-        help="evict least-recently-accessed entries over a size bound "
-        "(per-tenant with --tenant)",
+        parents=[cache_parent],
+        help="evict least-recently-accessed entries over a size bound",
     )
     gc_p.add_argument(
         "--max-mb",
@@ -1070,36 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report what would be evicted without deleting anything",
     )
-    cache_sub.add_parser(
-        "clear",
-        parents=[cache_parent, tenant_parent],
-        help="delete every entry (per-tenant with --tenant)",
-    )
-    push_p = cache_sub.add_parser(
-        "push",
-        parents=[cache_parent],
-        help="copy local entries a remote cache tier is missing",
-    )
-    push_p.add_argument(
-        "--remote",
-        required=True,
-        metavar="DEST",
-        help="remote tier: a directory, rsync://host/module/path, or "
-        "host:path (goes through rsync)",
-    )
-    pull_p = cache_sub.add_parser(
-        "pull",
-        parents=[cache_parent],
-        help="merge a remote tier's entries into the local cache "
-        "(salt/spec-verified — foreign-version entries are rejected)",
-    )
-    pull_p.add_argument(
-        "--remote",
-        required=True,
-        metavar="SRC",
-        help="remote tier: a directory, rsync://host/module/path, or "
-        "host:path (goes through rsync)",
-    )
+    cache_sub.add_parser("clear", parents=[cache_parent], help="delete every entry")
     cache_p.set_defaults(fn=_cmd_cache)
 
     wl_p = sub.add_parser("workloads", help="list Table II workloads")

@@ -68,7 +68,7 @@ def _contains_json_dumps(node: ast.AST) -> bool:
 class AtomicWriteRule:
     """RPR001 — durable state files are written via ``atomic_write_json``.
 
-    The cache/queue/ledger/fleet protocols all assume a reader never
+    The cache/queue/ledger protocols all assume a reader never
     observes a half-written JSON document: the queue claims by renaming
     whole files, the cache trusts any present blob, and crashed writers
     must leave no torn state behind. ``atomic_write_json`` (temp file +
@@ -90,8 +90,6 @@ class AtomicWriteRule:
     scope = (
         "repro/runner/cache.py",
         "repro/runner/queue.py",
-        "repro/runner/fleet.py",
-        "repro/runner/sync.py",
         "repro/runner/worker.py",
         "repro/server/*.py",
     )
@@ -130,8 +128,8 @@ class CanonicalJsonRule:
     """RPR002 — wire/cache JSON is sorted and NaN-free.
 
     Cache keys, ledgers and HTTP bodies are compared byte-for-byte (the
-    CI ``cmp`` gates, result-cache hits, fleet sync). ``sort_keys=True``
-    makes dict order irrelevant; ``allow_nan=False`` refuses the
+    CI ``cmp`` gates, result-cache hits). ``sort_keys=True`` makes dict
+    order irrelevant; ``allow_nan=False`` refuses the
     non-standard ``NaN``/``Infinity`` literals that other parsers (and
     the repo's own strict loads) reject — non-finite floats must be
     mapped to ``None`` first via ``utils.sanitize_nonfinite``.

@@ -7,7 +7,7 @@ list and get status dicts and rendered ResultSet text back::
 
     from repro import Grid, SweepClient
 
-    client = SweepClient("http://localhost:8080", tenant="alice")
+    client = SweepClient("http://localhost:8080")
     sweep = client.submit(Grid(workload="gcn", mechanism=["inorder", "nvr"]))
     client.wait(sweep["id"])
     text = client.results(sweep["id"])            # ResultSet JSON
@@ -17,8 +17,7 @@ list and get status dicts and rendered ResultSet text back::
 Every HTTP failure — a 4xx/5xx answer or an unreachable daemon — is a
 :class:`~repro.errors.ServerError` carrying the server's own error
 message (and ``.status`` when there is one), so callers never see raw
-``urllib`` exceptions. The ``tenant`` set at construction rides along
-as ``X-Repro-Tenant`` on submissions, selecting the cache namespace.
+``urllib`` exceptions.
 """
 
 from __future__ import annotations
@@ -63,21 +62,14 @@ def _wire_body(sweep) -> dict:
 
 
 class SweepClient:
-    """One daemon endpoint (+ optional tenant), wrapped for Python callers."""
+    """One daemon endpoint, wrapped for Python callers."""
 
-    def __init__(
-        self,
-        base_url: str,
-        tenant: str | None = None,
-        timeout: float = 30.0,
-    ) -> None:
+    def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
-        self.tenant = tenant
         self.timeout = float(timeout)
 
     def __repr__(self) -> str:
-        who = f", tenant={self.tenant!r}" if self.tenant else ""
-        return f"SweepClient({self.base_url!r}{who})"
+        return f"SweepClient({self.base_url!r})"
 
     # -- transport -----------------------------------------------------------
 
@@ -93,8 +85,6 @@ class SweepClient:
                 sanitize_nonfinite(body), sort_keys=True, allow_nan=False
             ).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        if self.tenant:
-            headers["X-Repro-Tenant"] = self.tenant
         request = urllib.request.Request(
             self.base_url + path,
             data=data,
@@ -130,7 +120,7 @@ class SweepClient:
         return self._json("/healthz")
 
     def stats(self) -> dict:
-        """``GET /v1/stats`` — cache hit-rate, queue depth, fleet size."""
+        """``GET /v1/stats`` — cache hit-rate, queue depth, worker throughput."""
         return self._json("/v1/stats")
 
     def submit(self, sweep, meta: dict | None = None) -> dict:

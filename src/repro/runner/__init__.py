@@ -1,7 +1,7 @@
 """Sweep runner: plans, execution backends, result cache, progress.
 
 The subsystem that turns every paper sweep into an explicit, cacheable,
-parallel — and distributable — plan:
+parallel plan:
 
 * :mod:`repro.runner.plan` — :class:`RunSpec` points and the
   wire-format :class:`Plan` (JSON round-trip); cartesian sweeps are
@@ -18,11 +18,6 @@ parallel — and distributable — plan:
   :class:`QueueBackend` orchestrator with crash recovery;
 * :mod:`repro.runner.worker` — queue-unit execution, the machinery
   behind ``repro queue worker``;
-* :mod:`repro.runner.fleet` — worker *acquisition* for the queue:
-  :class:`Fleet` herds local ``repro queue worker`` subprocesses
-  (:class:`LocalDriver`) and restarts the ones that die;
-* :mod:`repro.runner.sync` — remote cache sync (:func:`push_cache` /
-  :func:`pull_cache`), sharing sweep warmth across filesystems;
 * :mod:`repro.runner.cache` — :class:`ResultCache`, content-addressed
   JSON memoisation under ``.repro-cache/`` with an inter-process lock
   for structural mutations;
@@ -44,9 +39,7 @@ from .cache import (
     materialise,
     payload_to_result,
     result_to_payload,
-    tenant_salt,
     trace_to_payload,
-    validate_tenant,
 )
 from .plan import (
     PLAN_FORMAT,
@@ -54,7 +47,6 @@ from .plan import (
     RunSpec,
     shape_l2,
 )
-from .fleet import Fleet, FleetStatus, LocalDriver, WorkerHandle
 from .pool import PlanReport, SweepRunner, execute_spec
 from .progress import NullProgress, Progress
 from .queue import (
@@ -68,7 +60,6 @@ from .queue import (
     units_per_minute,
     write_results,
 )
-from .sync import SyncReport, pull_cache, push_cache
 from .worker import run_queue_worker
 
 __all__ = [
@@ -76,10 +67,7 @@ __all__ = [
     "Backend",
     "CACHE_SALT",
     "DEFAULT_CACHE_DIR",
-    "Fleet",
-    "FleetStatus",
     "GCReport",
-    "LocalDriver",
     "LocalPoolBackend",
     "NullProgress",
     "PLAN_FORMAT",
@@ -91,10 +79,8 @@ __all__ = [
     "ResultCache",
     "RunSpec",
     "SweepRunner",
-    "SyncReport",
     "SystemSpec",
     "WorkQueue",
-    "WorkerHandle",
     "WorkerStats",
     "batch_unit_id",
     "execute_spec",
@@ -102,15 +88,11 @@ __all__ = [
     "make_backend",
     "materialise",
     "payload_to_result",
-    "pull_cache",
-    "push_cache",
     "result_to_payload",
     "run_queue_worker",
     "shape_l2",
-    "tenant_salt",
     "trace_to_payload",
     "unit_id",
     "units_per_minute",
-    "validate_tenant",
     "write_results",
 ]

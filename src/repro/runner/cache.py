@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -37,7 +36,6 @@ try:  # POSIX; the no-lock fallback keeps single-process use working
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-from ..errors import ConfigError
 from ..sim.soc import RunResult
 from ..sim.stats import (
     BatchStats,
@@ -98,43 +96,6 @@ def code_fingerprint() -> str:
 
 def default_salt() -> str:
     return f"{CACHE_SALT}:{code_fingerprint()}"
-
-
-#: Directory (under the cache root) holding per-tenant namespaces.
-TENANTS_DIR = "tenants"
-
-#: Tenant names double as directory names and salt components, so they
-#: are restricted to a filesystem- and header-safe alphabet (the server
-#: reads them straight out of ``X-Repro-Tenant``).
-_TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
-
-
-def validate_tenant(name: str) -> str:
-    """Check a tenant name against the allowed alphabet; returns it.
-
-    Raises :class:`~repro.errors.ConfigError` on anything that could
-    escape the per-tenant directory or smuggle separators into the salt
-    (path components, whitespace, a leading dot).
-    """
-    if not isinstance(name, str) or not _TENANT_RE.match(name):
-        raise ConfigError(
-            f"invalid tenant name {name!r}: use 1-64 characters from "
-            "[A-Za-z0-9._-], not starting with '.' or '-'"
-        )
-    return name
-
-
-def tenant_salt(tenant: str, base: str | None = None) -> str:
-    """The cache salt of one tenant's namespace.
-
-    Suffixing the (code-fingerprinted) base salt keeps every tenant
-    namespace self-invalidating on code changes *and* disjoint from
-    every other tenant — two tenants caching the same spec produce
-    different content addresses, so neither can read (or evict via
-    content-address collision) the other's entries.
-    """
-    base = base if base is not None else default_salt()
-    return f"{base}:tenant:{validate_tenant(tenant)}"
 
 
 def _canonical_json(document) -> str:
@@ -261,60 +222,22 @@ class GCReport:
 class ResultCache:
     """On-disk memo of executed specs, keyed by content address.
 
-    With ``tenant`` set, the cache becomes that tenant's *namespace*
-    within the same cache directory: entries live under
-    ``<root>/tenants/<tenant>/`` and are addressed with
-    :func:`tenant_salt` (the base salt plus a tenant suffix). The
-    directory split makes per-tenant accounting and eviction (``repro
-    cache gc --tenant``) a plain directory scan; the salt split makes
-    the namespaces cryptographically disjoint even if entries are
-    copied between directories. A cache without a tenant is the default
-    namespace — the one local ``Session`` runs read and write — so
-    server results for the default tenant stay bit-identical warm hits
-    for local sweeps of the same specs.
+    Every front door (a local ``Session``, the queue orchestrator folding
+    worker results, ``repro serve``) writes the same entry for a point,
+    so over one cache directory a point computed by any of them is a
+    warm hit for all.
     """
 
     def __init__(
         self,
         root: str | os.PathLike = DEFAULT_CACHE_DIR,
         salt: str | None = None,
-        tenant: str | None = None,
     ) -> None:
-        self.base_root = Path(root)
-        self.base_salt = salt if salt is not None else default_salt()
-        self.tenant = validate_tenant(tenant) if tenant is not None else None
-        if self.tenant is None:
-            self.root = self.base_root
-            self.salt = self.base_salt
-        else:
-            self.root = self.base_root / TENANTS_DIR / self.tenant
-            self.salt = tenant_salt(self.tenant, self.base_salt)
+        self.root = Path(root)
+        self.salt = salt if salt is not None else default_salt()
         self.hits = 0
         self.misses = 0
         self.writes = 0
-
-    # -- tenancy -------------------------------------------------------------
-
-    def for_tenant(self, tenant: str | None) -> "ResultCache":
-        """A sibling cache addressing ``tenant``'s namespace (or the default).
-
-        The returned cache shares this cache's directory root and base
-        salt but nothing else — hit/miss counters are per-instance.
-        """
-        if tenant == self.tenant:
-            return self
-        return ResultCache(self.base_root, salt=self.base_salt, tenant=tenant)
-
-    def tenants(self) -> list[str]:
-        """Tenant namespaces present under this cache's directory root."""
-        tenants_root = self.base_root / TENANTS_DIR
-        if not tenants_root.is_dir():
-            return []
-        return sorted(
-            p.name
-            for p in tenants_root.iterdir()
-            if p.is_dir() and _TENANT_RE.match(p.name)
-        )
 
     # -- addressing ----------------------------------------------------------
 
@@ -336,11 +259,9 @@ class ResultCache:
         """Exclusive inter-process lock over structural cache mutations.
 
         ``put``/``get`` stay lock-free (atomic rename makes them safe),
-        but operations that *scan then delete or bulk-insert* — ``gc``,
-        ``clear``, and :func:`~repro.runner.sync.pull_cache` folding a
-        remote tier in — must not interleave: a gc pass racing a pull
-        could collect the freshly pulled entries it never saw get
-        touched. The lock is an advisory ``flock`` on ``<root>/.lock``
+        but the operations that *scan then delete* — :meth:`gc` and
+        :meth:`clear` — take it, so one of them fully precedes the
+        other. The lock is an advisory ``flock`` on ``<root>/.lock``
         (waits, never fails); holders may call ``put`` freely but must
         not nest ``lock()``.
         """
@@ -438,10 +359,9 @@ class ResultCache:
         *would* go. Orphaned ``.tmp`` files are swept as a side effect
         of a real (non-dry) collection.
 
-        The scan-and-delete pass holds the cache :meth:`lock`, so a
-        concurrent ``repro cache pull`` (which locks for its bulk
-        insert) can never land fresh entries between the scan and the
-        unlink — one of the two fully precedes the other.
+        The scan-and-delete pass holds the cache :meth:`lock`, so it
+        never interleaves with a concurrent :meth:`clear` (or another
+        gc): one of the two fully precedes the other.
         """
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")

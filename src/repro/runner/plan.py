@@ -23,9 +23,8 @@ compare (and hash) equal however they were written.
 
 :class:`Plan` wraps a spec list in a versioned wire format
 (``to_json``/``from_json``), so compiled plans can leave the process:
-``repro plan export`` writes one, ``repro sweep --spec`` and ``repro
-fleet run --spec`` execute one, and ``repro serve`` accepts one as a
-sweep body.
+``repro plan export`` writes one, ``repro sweep --spec`` executes one,
+and ``repro serve`` accepts one as a sweep body.
 """
 
 from __future__ import annotations

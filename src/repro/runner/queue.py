@@ -237,7 +237,7 @@ class QueueStatus:
     ``queued_points`` and ``corrupt`` are only populated by a *deep*
     scan (``status(deep=True)``), which reads every queued unit file:
     a batched unit counts one toward ``queued`` but each of its specs
-    toward ``queued_points`` (the outstanding work ``repro fleet
+    toward ``queued_points`` (the outstanding work ``repro queue
     status`` reports), and an unreadable unit — e.g. a zero-byte file
     left by an interrupted enqueue — is quarantined into ``failed/``
     and counted in ``corrupt`` instead of ``queued``.
@@ -619,8 +619,8 @@ class WorkerStats:
     """One worker's ``workers/<id>.json``, kept in memory and written whole.
 
     Unit/point/failure counts and the last :data:`TIMESTAMPS` completion
-    times, for ``repro fleet status`` and ``/v1/stats``. The worker's
-    heartbeat thread writes it, so a unit costs no stats I/O.
+    times, for ``/v1/stats``. The worker's heartbeat thread writes it,
+    so a unit costs no stats I/O.
     """
 
     #: Completion timestamps retained — enough to estimate a recent rate
@@ -832,8 +832,8 @@ class QueueBackend:
         return adopted
 
     #: Consecutive same-unit salt discards before the sweep fails loudly
-    #: instead of silently re-running forever against a version-skewed
-    #: worker fleet.
+    #: instead of silently re-running forever against version-skewed
+    #: workers.
     MAX_SALT_DISCARDS = 3
 
     def _consume(self, uid, group, discards):

@@ -1,4 +1,4 @@
-"""SweepEngine: submissions, per-tenant dedupe, drain threads, status.
+"""SweepEngine: submissions, cache dedupe, drain threads, status.
 
 The orchestration core of ``repro serve``, deliberately free of any
 HTTP: everything here is plain-Python callable (and unit-testable)
@@ -8,17 +8,17 @@ state over the same primitives every other front door uses —
   (:func:`parse_submission`), content-addressed into a sweep id, and
   persisted to the :class:`~repro.server.ledger.SweepLedger` before it
   is acknowledged;
-* the tenant's :class:`~repro.runner.ResultCache` namespace is scanned
-  point-by-point — hits are done before any worker hears about the
-  sweep, and a fully-cached submission never touches the queue at all
-  (the "second identical POST enqueues nothing" guarantee);
+* the :class:`~repro.runner.ResultCache` is scanned point-by-point —
+  hits are done before any worker hears about the sweep, and a
+  fully-cached submission never touches the queue at all (the "second
+  identical POST enqueues nothing" guarantee);
 * the misses drain through an ordinary :class:`~repro.session.Session`
   over the :class:`~repro.runner.QueueBackend` on a background thread
   per sweep — the exact orchestration a ``Session.remote`` sweep runs,
   crash recovery and salt verification included, so any ``repro queue
-  worker`` or fleet drains server sweeps unchanged;
+  worker`` drains server sweeps unchanged;
 * progress is *derived*, never journalled: :meth:`SweepEngine.poll`
-  watches the tenant cache for outstanding points and turns each
+  watches the cache for outstanding points and turns each
   landing into an event (the SSE feed), and :meth:`SweepEngine.status`
   reads queued/claimed straight off the work directory. A restarted
   daemon reloads the ledger and resumes from what the filesystem
@@ -40,8 +40,7 @@ from pathlib import Path
 
 from ..errors import ConfigError, ReproError
 from ..resultset import RESULT_FORMATS, ResultSet
-from ..runner.cache import ResultCache, materialise, validate_tenant
-from ..runner.fleet import Fleet
+from ..runner.cache import ResultCache, materialise
 from ..runner.plan import Plan, RunSpec, parse_specs
 from ..runner.progress import NullProgress
 from ..runner.queue import (
@@ -54,7 +53,7 @@ from ..runner.queue import (
 from ..session import Grid, Session, resolve_cache_dir
 from .ledger import SweepLedger, SweepRecord
 
-__all__ = ["SweepEngine", "SweepState", "fleet_summary", "parse_submission"]
+__all__ = ["SweepEngine", "SweepState", "parse_submission"]
 
 
 def parse_submission(document) -> tuple[list[RunSpec], dict]:
@@ -99,25 +98,6 @@ def parse_submission(document) -> tuple[list[RunSpec], dict]:
     return specs, dict(meta)
 
 
-def fleet_summary(work_dir: str | os.PathLike) -> dict:
-    """What ``<work>/fleet/state.json`` says about the attached fleet.
-
-    Read through :meth:`~repro.runner.Fleet.attach`, the file's one
-    reader; a work directory without a readable fleet state — workers
-    started by hand, none at all, or a malformed file — reports an
-    empty fleet instead of failing the stats request.
-    """
-    try:
-        fleet = Fleet.attach(work_dir)
-    except ConfigError:
-        return {"size": 0, "workers": 0, "restarts": 0}
-    return {
-        "size": fleet.size,
-        "workers": len(fleet.workers),
-        "restarts": fleet.restarts,
-    }
-
-
 class _EngineStopped(Exception):
     """Internal: a drain thread interrupted by engine shutdown."""
 
@@ -150,6 +130,7 @@ class SweepEngine:
         self.queue = WorkQueue(self.work_dir).ensure()
         self.ledger = SweepLedger(self.work_dir / "server")
         self.cache_dir = resolve_cache_dir(cache_dir)
+        self.cache = ResultCache(self.cache_dir)
         self.lease_timeout = lease_timeout
         self.queue_timeout = queue_timeout
         self.poll_interval = float(poll_interval)
@@ -157,20 +138,11 @@ class SweepEngine:
         self._lock = threading.Lock()
         self._states: dict[str, SweepState] = {}
         self._subscribers: dict[str, list] = {}
-        self._caches: dict[str | None, ResultCache] = {}
         self._stop = threading.Event()
         self._points_seen = 0
         self._points_cached = 0
         #: Every drain's progress observer (the server's wakes its poll).
         self.progress = NullProgress()
-
-    # -- plumbing ------------------------------------------------------------
-
-    def cache_for(self, tenant: str | None) -> ResultCache:
-        """The (memoised) cache namespace of one tenant."""
-        if tenant not in self._caches:
-            self._caches[tenant] = ResultCache(self.cache_dir, tenant=tenant)
-        return self._caches[tenant]
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -213,20 +185,17 @@ class SweepEngine:
 
     # -- submission ----------------------------------------------------------
 
-    def submit(
-        self, specs, tenant: str | None = None, meta: dict | None = None
-    ) -> tuple[str, bool]:
+    def submit(self, specs, meta: dict | None = None) -> tuple[str, bool]:
         """Accept one sweep; returns (sweep id, created-new-record).
 
-        Idempotent by content address: resubmitting the same specs (as
-        the same tenant) maps onto the existing sweep — an active one
+        Idempotent by content address: resubmitting the same specs maps
+        onto the existing sweep — an active one
         is simply reported, a finished one is re-validated against the
         cache (all present: every point is a hit and nothing is
         enqueued; evicted or previously failed: the misses drain
         again). ``meta`` is recorded on first submission only.
         """
-        tenant = validate_tenant(tenant) if tenant else None
-        record = SweepRecord.create(tenant, specs, meta)
+        record = SweepRecord.create(specs, meta)
         with self._lock:
             state = self._states.get(record.id)
             created = state is None
@@ -250,17 +219,16 @@ class SweepEngine:
         return SweepState(record=record, unique=unique)
 
     def _activate(self, state: SweepState, fresh: bool) -> None:
-        """(Re-)scan the tenant cache and set the sweep in motion.
+        """(Re-)scan the cache and set the sweep in motion.
 
         Called under the lock. ``fresh`` marks a client submission (the
         scan counts toward the server's hit-rate stats and clears any
         previous failure); a ledger reload keeps a persisted error as a
         failed terminal state instead of silently retrying.
         """
-        cache = self.cache_for(state.record.tenant)
         done = set()
         for key, spec in state.unique:
-            if cache.get(spec) is not None:
+            if self.cache.get(spec) is not None:
                 done.add(key)
         state.done = done
         state.cached_at_submit = len(done)
@@ -308,7 +276,7 @@ class SweepEngine:
     def _drain(self, state: SweepState) -> None:
         """One sweep's worker thread: a Session over the queue backend.
 
-        Results stream into the tenant cache as units land (the
+        Results stream into the cache as units land (the
         standard incremental fold), which is exactly what
         :meth:`poll` watches — this thread owns *execution*, never
         status. A spec failure out of the queue records the error on
@@ -324,8 +292,7 @@ class SweepEngine:
                 timeout=self.queue_timeout,
             )
             backend._sleep = self._interruptible_sleep
-            cache = self.cache_for(state.record.tenant)
-            session = Session(cache=cache, backend=backend, progress=self.progress)
+            session = Session(cache=self.cache, backend=backend, progress=self.progress)
             try:
                 session.sweep([spec for _, spec in state.unique])
             finally:
@@ -354,7 +321,7 @@ class SweepEngine:
         """Fold newly-landed cache entries into sweep state; emit events.
 
         The single place progress is observed: every active sweep's
-        outstanding points are checked against its tenant cache (a
+        outstanding points are checked against the cache (a
         stat per point), each landing becomes a ``point`` event, and a
         sweep whose last point landed — or whose drain thread recorded
         an error — becomes terminal with a ``done``/``failed`` event.
@@ -365,11 +332,10 @@ class SweepEngine:
             for sid, state in self._states.items():
                 if state.finished:
                     continue
-                cache = self.cache_for(state.record.tenant)
                 for key, spec in state.unique:
                     if key in state.done:
                         continue
-                    if cache.path_for(spec).exists():
+                    if self.cache.path_for(spec).exists():
                         state.done.add(key)
                         events.append((sid, self._point_event(state, spec)))
                 if len(state.done) == len(state.unique):
@@ -494,7 +460,6 @@ class SweepEngine:
             phase = "queued"
         return {
             "id": state.record.id,
-            "tenant": state.record.tenant,
             "state": phase,
             "created_at": state.record.created_at,
             "meta": state.record.meta,
@@ -512,7 +477,7 @@ class SweepEngine:
     def results(self, sweep: str, fmt: str = "json") -> str:
         """The finished sweep as rendered ResultSet text.
 
-        Rebuilt from the tenant cache in submission order — the same
+        Rebuilt from the cache in submission order — the same
         materialisation path a warm local sweep takes, so the JSON
         flavour is byte-identical to ``Session.sweep(...).to_json()``
         of the same points. A point evicted between completion and
@@ -534,10 +499,9 @@ class SweepEngine:
                     f"sweep {sweep} has no results yet "
                     f"(state: {self._status_locked(state)['state']})"
                 )
-            cache = self.cache_for(state.record.tenant)
             entries = []
             for spec in state.record.specs:
-                payload = cache.get(spec)
+                payload = self.cache.get(spec)
                 if payload is None:
                     state.done.discard(spec.key())
                     state.finished = False
@@ -552,7 +516,7 @@ class SweepEngine:
     # -- stats ---------------------------------------------------------------
 
     def stats(self) -> dict:
-        """The ``GET /v1/stats`` document: server, cache, queue, fleet."""
+        """The ``GET /v1/stats`` document: server, cache, queue, workers."""
         queue_status = self.queue.status(self.lease_timeout, deep=True)
         workers = [
             {
@@ -571,15 +535,11 @@ class SweepEngine:
                 phase = self._status_locked(state)["state"]
                 by_phase[phase] = by_phase.get(phase, 0) + 1
             seen, cached = self._points_seen, self._points_cached
-            tenants = sorted(
-                {s.record.tenant for s in self._states.values() if s.record.tenant}
-            )
         return {
             "server": {
                 "uptime_s": round(time.time() - self.started_at, 3),
                 "work_dir": str(self.work_dir),
                 "sweeps": {"total": sum(by_phase.values()), **by_phase},
-                "tenants": tenants,
             },
             "cache": {
                 "dir": str(self.cache_dir),
@@ -589,5 +549,4 @@ class SweepEngine:
             },
             "queue": queue_status.to_dict(),
             "workers": workers,
-            "fleet": fleet_summary(self.work_dir),
         }

@@ -10,16 +10,17 @@ CI. Deliberate simplifications: every response closes the connection
 Routes (all JSON unless noted)::
 
     GET  /healthz                       liveness probe
-    GET  /v1/stats                      cache / queue / fleet / worker stats
+    GET  /v1/stats                      server / cache / queue / worker stats
     POST /v1/sweeps                     submit (grid | plan | specs body)
     GET  /v1/sweeps                     every known sweep's status
     GET  /v1/sweeps/{id}                one sweep's status
     GET  /v1/sweeps/{id}/results        ResultSet (?format=json|csv|markdown)
     GET  /v1/sweeps/{id}/events         Server-Sent Events progress stream
 
-The ``X-Repro-Tenant`` request header selects the cache namespace for a
-submission. Reads are by sweep id only — ids are content addresses that
-already fold the tenant in, so holding an id is the read capability.
+Every request shares one cache namespace. A request that carries the
+``X-Repro-Tenant`` header of older versions is refused with a 400, so a
+client that relied on per-tenant isolation fails instead of silently
+sharing results.
 
 Threading: the event loop owns all engine reads and every
 :meth:`~repro.server.engine.SweepEngine.poll`; sweep execution runs on
@@ -37,7 +38,6 @@ from dataclasses import dataclass, field
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..errors import ConfigError
-from ..runner.cache import validate_tenant
 from ..runner.progress import NullProgress
 from ..utils import sanitize_nonfinite
 from .engine import SweepEngine, parse_submission
@@ -278,6 +278,10 @@ class SweepServer:
     # -- routing -------------------------------------------------------------
 
     async def _route(self, method, path, query, headers, body, writer) -> None:
+        if "x-repro-tenant" in headers:
+            raise _HttpError(
+                400, "X-Repro-Tenant: tenant namespaces were removed; drop the header"
+            )
         segments = [s for s in path.split("/") if s]
         if path == "/healthz":
             self._require(method, "GET")
@@ -290,7 +294,7 @@ class SweepServer:
         if segments[:2] == ["v1", "sweeps"]:
             if len(segments) == 2:
                 if method == "POST":
-                    self._submit(headers, body, writer)
+                    self._submit(body, writer)
                     return
                 self._require(method, "GET")
                 statuses = [
@@ -317,29 +321,19 @@ class SweepServer:
         if method != expected:
             raise _HttpError(405, f"method {method} not allowed (use {expected})")
 
-    def _tenant(self, headers) -> str | None:
-        raw = headers.get("x-repro-tenant")
-        if not raw:
-            return None
-        try:
-            return validate_tenant(raw)
-        except ConfigError as exc:
-            raise _HttpError(400, str(exc)) from None
-
     def _status_or_404(self, sweep: str) -> dict:
         try:
             return self.engine.status(sweep)
         except ConfigError as exc:
             raise _HttpError(404, str(exc)) from None
 
-    def _submit(self, headers, body, writer) -> None:
-        tenant = self._tenant(headers)
+    def _submit(self, body, writer) -> None:
         try:
             document = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise _HttpError(400, f"request body is not valid JSON: {exc}") from None
         specs, meta = parse_submission(document)
-        sweep, created = self.engine.submit(specs, tenant=tenant, meta=meta)
+        sweep, created = self.engine.submit(specs, meta=meta)
         status = self.engine.status(sweep)
         status["created"] = created
         self._send_json(writer, 201 if created else 200, status)

@@ -6,15 +6,15 @@ acknowledged::
 
     <work>/server/sweeps/<sweep_id>.json
 
-A record stores identity, not progress: the tenant, the submitted specs
-(in submission order — result order is part of the contract) and any
+A record stores identity, not progress: the submitted specs (in
+submission order — result order is part of the contract) and any
 terminal error. Progress is *derived* — which points are in the cache,
 which units are queued or claimed — so a restarted daemon reloads the
 records, re-scans cache and queue, and resumes every sweep exactly
 where the filesystem says it is, with nothing to replay and no journal
 to compact.
 
-The sweep id is a content address over (tenant, ordered spec keys), so
+The sweep id is a content address over the ordered spec keys, so
 resubmitting an identical sweep maps onto the same record — the POST is
 idempotent by construction, and the second submission reports whatever
 the first one already cached.
@@ -38,17 +38,16 @@ from ..spec import parse_json
 LEDGER_FORMAT = 1
 
 
-def sweep_id(tenant: str | None, specs) -> str:
-    """Content address of one submission: tenant + ordered spec keys.
+def sweep_id(specs) -> str:
+    """Content address of one submission: its ordered spec keys.
 
     Submission order is folded in (not a sorted set): the results
     endpoint returns points in submission order, so two submissions
     that differ only in order are different sweeps — while a truly
-    identical resubmission, from the same tenant, lands on the same id
-    and therefore the same ledger record.
+    identical resubmission lands on the same id and therefore the same
+    ledger record.
     """
     digest = hashlib.sha256()
-    digest.update((tenant or "").encode())
     for spec in specs:
         digest.update(b"\n")
         digest.update(spec.key().encode())
@@ -60,25 +59,18 @@ class SweepRecord:
     """One submitted sweep, as persisted (identity, not progress)."""
 
     id: str
-    tenant: str | None
     specs: list[RunSpec]
     meta: dict = field(default_factory=dict)
     created_at: float = 0.0
     error: str | None = None
 
     @classmethod
-    def create(
-        cls,
-        tenant: str | None,
-        specs,
-        meta: dict | None = None,
-    ) -> "SweepRecord":
+    def create(cls, specs, meta: dict | None = None) -> "SweepRecord":
         specs = list(specs)
         if not specs:
             raise ConfigError("a sweep needs at least one point")
         return cls(
-            id=sweep_id(tenant, specs),
-            tenant=tenant,
+            id=sweep_id(specs),
             specs=specs,
             meta=dict(meta or {}),
             created_at=time.time(),
@@ -88,7 +80,6 @@ class SweepRecord:
         return {
             "format": LEDGER_FORMAT,
             "id": self.id,
-            "tenant": self.tenant,
             "created_at": self.created_at,
             "meta": self.meta,
             "specs": [spec.to_dict() for spec in self.specs],
@@ -105,6 +96,13 @@ class SweepRecord:
                 f"unsupported sweep record format {version!r} "
                 f"(this reader understands format {LEDGER_FORMAT})"
             )
+        # Records written before cache namespaces were removed carry a
+        # "tenant" key; null is the default namespace, which still reloads.
+        if d.get("tenant") is not None:
+            raise ConfigError(
+                f"sweep record names tenant {d['tenant']!r}: tenant "
+                "namespaces were removed"
+            )
         raw_specs = d.get("specs")
         if not isinstance(raw_specs, list) or not raw_specs:
             raise ConfigError("sweep record 'specs' must be a non-empty list")
@@ -114,15 +112,14 @@ class SweepRecord:
             raise ConfigError(f"sweep record spec: {exc}") from None
         record = cls(
             id=str(d.get("id", "")),
-            tenant=d.get("tenant"),
             specs=specs,
             meta=dict(d.get("meta") or {}),
             created_at=float(d.get("created_at", 0.0)),
             error=d.get("error"),
         )
-        if record.id != sweep_id(record.tenant, record.specs):
+        if record.id != sweep_id(record.specs):
             raise ConfigError(
-                "sweep record id does not match its tenant/specs — "
+                "sweep record id does not match its specs — "
                 "corrupt or hand-edited ledger file"
             )
         return record

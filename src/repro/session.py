@@ -51,7 +51,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .core.controller import NVRConfig
 from .core.nsb import nsb_config
@@ -434,63 +434,6 @@ class Session:
             progress=progress,
         )
 
-    @classmethod
-    def fleet(
-        cls,
-        work_dir: str | os.PathLike,
-        *,
-        size: int = 2,
-        worker_args: Sequence[str] = (),
-        lease_timeout: float | None = None,
-        poll: float | None = None,
-        timeout: float | None = None,
-        batch: int | None = None,
-        cache: ResultCache | bool | None = None,
-        cache_dir: str | os.PathLike | None = None,
-        progress=None,
-    ) -> "Session":
-        """A :meth:`remote` session that raises its *own* worker fleet.
-
-        Where :meth:`remote` assumes someone else starts the
-        ``repro queue worker`` processes, this raises a
-        :class:`~repro.runner.Fleet` of ``size`` local subprocess
-        workers, herds it on a background thread — dead workers restart
-        with backoff — and tears the whole fleet down when the session
-        closes::
-
-            with Session.fleet("sweep-work", size=4) as session:
-                rs = session.sweep(grid)   # the session's own workers pull
-
-        ``worker_args`` are extra ``repro queue worker`` arguments (e.g.
-        ``["--poll", "0.05"]``). The queue knobs (``lease_timeout``/
-        ``poll``/``timeout``/``batch``) mean exactly what they mean on
-        :meth:`remote`.
-        """
-        from .runner.fleet import Fleet, LocalDriver
-
-        fleet = Fleet(work_dir, LocalDriver(work_dir, worker_args=worker_args))
-        session = _FleetSession.remote(
-            work_dir,
-            lease_timeout=lease_timeout,
-            poll=poll,
-            timeout=timeout,
-            batch=batch,
-            cache=cache,
-            cache_dir=cache_dir,
-            progress=progress,
-        )
-        assert isinstance(session, _FleetSession)
-        session._fleet = fleet
-        try:
-            fleet.up(size)
-            fleet.start_herding()
-        except BaseException:
-            # A failed raise (a spawn error) must not leak the workers
-            # that *did* start: close() tears the fleet down.
-            session.close()
-            raise
-        return session
-
     # -- execution -----------------------------------------------------------
 
     def point_spec(
@@ -564,19 +507,6 @@ class Session:
             specs = list(plan)
         results = self.runner.run_plan(specs)
         return ResultSet(list(zip(specs, results)))
-
-
-class _FleetSession(Session):
-    """A queue session that owns (and tears down) its worker fleet."""
-
-    _fleet = None
-
-    def close(self) -> None:
-        super().close()
-        if self._fleet is not None:
-            fleet, self._fleet = self._fleet, None
-            fleet.stop_herding()
-            fleet.down()
 
 
 # ---------------------------------------------------------------------------

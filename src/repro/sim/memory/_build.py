@@ -8,6 +8,9 @@ source or another interpreter builds its own copy, and an existing copy
 is loaded without running the compiler. The compiler writes a temporary
 file that ``os.replace`` moves into place, so processes that build at
 the same time each install a complete file and all of them load one.
+Installing a build unlinks the superseded builds of the same source for
+the same interpreter; a process that has one loaded keeps its mapping,
+and other processes' temporary files are left alone.
 
 Loading an existing build costs one file read, a hash and the
 extension's import; ``sysconfig`` is imported only to compile.
@@ -27,12 +30,16 @@ from types import ModuleType
 from ...errors import BuildError
 
 
+#: Hex digits of the source hash in a build's file name.
+DIGEST_CHARS = 16
+
+
 def extension_path(source: Path, out_dir: Path) -> Path:
     """Where the build of ``source`` for this interpreter lives."""
     # The first suffix is the interpreter's EXT_SUFFIX.
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     digest = hashlib.sha256(source.read_bytes() + suffix.encode()).hexdigest()
-    return out_dir / f"{source.stem}.{digest[:16]}{suffix}"
+    return out_dir / f"{source.stem}.{digest[:DIGEST_CHARS]}{suffix}"
 
 
 def compile_command(source: Path, output: Path) -> list[str]:
@@ -59,7 +66,11 @@ def build(source: Path, target: Path) -> None:
     """Compile ``source`` into ``target`` through a temporary file.
 
     The temporary name is unique to this process; the compiler creates
-    the file itself, so it gets the usual permissions.
+    the file itself, so it gets the usual permissions. Once ``target``
+    is in place, the other builds of ``source`` for this interpreter are
+    unlinked: only names of the form ``<stem>.<digest><EXT_SUFFIX>``
+    match, so another interpreter's builds and every ``*.tmp`` file of a
+    concurrent builder stay.
     """
     target.parent.mkdir(parents=True, exist_ok=True)
     token = f"{os.getpid()}.{os.urandom(4).hex()}"
@@ -79,6 +90,11 @@ def build(source: Path, target: Path) -> None:
         os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    pattern = f"{source.stem}.{'[0-9a-f]' * DIGEST_CHARS}{suffix}"
+    for path in target.parent.glob(pattern):
+        if path != target:
+            path.unlink(missing_ok=True)
 
 
 def load_extension(

@@ -371,11 +371,13 @@ class MemorySystem:
     def demand_line(self, now: int, line: int, irregular: bool) -> int:
         """The per-line demand walk: one line, addressed by line.
 
-        Bit-exact with :meth:`demand_access`, but inlined the way
-        :meth:`demand_lines` is (set/tag math, MSHR slot search, DRAM bus
-        step and fills against :meth:`Cache.hot_state` and
-        :meth:`MSHRFile.hot_state`) and without a result object: it runs
-        once per demand line of every stream/IMP/DVR run.
+        Bit-exact with :meth:`demand_access`, but inlined (set/tag math,
+        MSHR slot search, DRAM bus step and fills against
+        :meth:`Cache.hot_state` and :meth:`MSHRFile.hot_state`) and
+        without a result object: it runs once per demand line of every
+        stream/IMP/DVR run. It is the per-line form of the compiled
+        ``demand_lines`` kernel in ``_kernels.c``, whose comments state
+        the container contract both walks keep.
 
         Returns the line's completion cycle, stored as ``~cycle``
         (negative) when the line went off-chip — the sign idiom
@@ -455,7 +457,8 @@ class MemorySystem:
             result = complete
         else:
             # True L2 miss: inlined MSHR slot search and allocation, DRAM
-            # bus step and L2 fill — see demand_lines for the contract.
+            # bus step and L2 fill — the miss path of demand_lines in
+            # _kernels.c, where the contract is commented.
             ls.demand_misses += 1
             pending.discard(line)
             l2 = self.l2

@@ -6,7 +6,7 @@ by `default_session()` and therefore by bare `run_workload` /
 a per-run scratch directory. Tests still exercise real caching — points
 memoise across a pytest run — but never read a stale `.repro-cache/`
 from a previous run or litter the repository root. The env var is
-inherited by `repro` subprocesses (queue workers, fleets), so the
+inherited by `repro` subprocesses (queue workers, daemons), so the
 off-process paths stay isolated too.
 """
 

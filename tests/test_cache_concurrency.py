@@ -1,6 +1,6 @@
 """Concurrent cache access: racing writers/readers of the same point.
 
-The server hands every tenant cache to multiple drain threads, and any
+The server hands its cache to multiple drain threads, and any
 number of workers/orchestrators/daemons may share one cache directory —
 so the lock-free put/get protocol (atomic temp-file + rename, salt and
 spec verified on read) must hold up under deliberate races:
@@ -10,8 +10,7 @@ spec verified on read) must hold up under deliberate races:
   the right results and exactly one entry per point;
 * two separate *processes* executing the same point concurrently leave
   one valid entry and no temp-file litter;
-* the scan-then-mutate operations — ``gc`` and the bulk insert of a
-  ``cache pull`` — serialise on the cache lock.
+* the scan-then-delete pass of ``gc`` waits on the cache lock.
 """
 
 import json
@@ -22,7 +21,7 @@ import threading
 import time
 from pathlib import Path
 
-from repro.runner import ResultCache, RunSpec, pull_cache, push_cache
+from repro.runner import ResultCache, RunSpec
 from repro.session import Grid, Session
 
 SCALE = 0.05
@@ -176,27 +175,3 @@ class TestCacheLock:
         # The gc (max_bytes=0) ran strictly after the writes and evicted
         # every entry, not some of them.
         assert len(ResultCache(tmp_path)) == 0
-
-    def test_pull_waits_for_held_lock(self, tmp_path):
-        spec = RunSpec("st", scale=SCALE)
-        source = ResultCache(tmp_path / "source")
-        source.put(spec, trace_payload(spec))
-        remote = str(tmp_path / "remote")
-        push_cache(source, remote)
-        cache = ResultCache(tmp_path / "cache")
-        done = threading.Event()
-
-        def pull_thread():
-            pull_cache(ResultCache(tmp_path / "cache"), remote)
-            done.set()
-
-        thread = threading.Thread(target=pull_thread)
-        with cache.lock():
-            thread.start()
-            time.sleep(0.3)
-            assert not done.is_set()
-            assert len(cache) == 0
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert done.is_set()
-        assert ResultCache(tmp_path / "cache").get(spec) == trace_payload(spec)

@@ -113,7 +113,7 @@ class TestRPR001AtomicWrites:
             "    path.write_text(json.dumps(doc, sort_keys=True, "
             "allow_nan=False))\n"
         )
-        codes = codes_for(tmp_path, "repro/runner/fleet.py", body)
+        codes = codes_for(tmp_path, "repro/runner/worker.py", body)
         assert "RPR001" in codes
 
     def test_out_of_scope_module_is_not_flagged(self, tmp_path):
@@ -218,7 +218,7 @@ class TestRPR005SilentExcept:
             "    except Exception:\n"
             "        pass\n"
         )
-        codes = codes_for(tmp_path, "repro/runner/sync.py", body)
+        codes = codes_for(tmp_path, "repro/runner/cache.py", body)
         assert "RPR005" in codes
 
     def test_bare_except_returning_none_is_flagged(self, tmp_path):
@@ -240,7 +240,7 @@ class TestRPR005SilentExcept:
             "    except (OSError, ValueError):\n"
             "        return None\n"
         )
-        codes = codes_for(tmp_path, "repro/runner/sync.py", body)
+        codes = codes_for(tmp_path, "repro/runner/cache.py", body)
         assert "RPR005" not in codes
 
     def test_broad_except_that_reraises_is_clean(self, tmp_path):
@@ -251,7 +251,7 @@ class TestRPR005SilentExcept:
             "    except Exception:\n"
             "        raise\n"
         )
-        codes = codes_for(tmp_path, "repro/runner/sync.py", body)
+        codes = codes_for(tmp_path, "repro/runner/cache.py", body)
         assert "RPR005" not in codes
 
     def test_broad_except_that_logs_is_clean(self, tmp_path):
@@ -263,7 +263,7 @@ class TestRPR005SilentExcept:
             "        log(str(exc))\n"
             "        return None\n"
         )
-        codes = codes_for(tmp_path, "repro/runner/sync.py", body)
+        codes = codes_for(tmp_path, "repro/runner/cache.py", body)
         assert "RPR005" not in codes
 
 
@@ -289,8 +289,8 @@ class TestRPR006QueueRenames:
         assert "RPR006" not in codes
 
     def test_shutil_elsewhere_is_out_of_scope(self, tmp_path):
-        body = "import shutil\ndef push(src, dst):\n    shutil.copyfile(src, dst)\n"
-        codes = codes_for(tmp_path, "repro/runner/sync.py", body)
+        body = "import shutil\ndef copy(src, dst):\n    shutil.copyfile(src, dst)\n"
+        codes = codes_for(tmp_path, "repro/runner/cache.py", body)
         assert "RPR006" not in codes
 
 

@@ -4,22 +4,29 @@
 interpreter's own toolchain into ``__pycache__``, once per source and
 interpreter: a fresh checkout builds on its first import, processes that
 import at the same time all succeed, a later import runs no compiler,
-and a failed compile is one error carrying the command and its output.
+a new build removes the one it supersedes (but no other process's
+files), and a failed compile is one error carrying the command and its
+output.
 """
 
+import importlib.machinery
 import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.errors import BuildError
-from repro.sim.memory import _build
+from repro.sim.memory import _build, hierarchy
+from repro.sim.memory.hierarchy import MemoryConfig, MemorySystem
+from repro.sim.stats import RunStats
 
 PACKAGE = Path(repro.__file__).resolve().parent
+KERNEL_SOURCE = PACKAGE / "sim" / "memory" / "_kernels.c"
 
 
 def _fresh_checkout(tmp_path: Path) -> Path:
@@ -68,7 +75,7 @@ def test_fresh_checkout_builds_once_and_concurrent_imports_succeed(tmp_path):
 
 def test_load_compiles_only_when_the_build_is_missing(tmp_path, monkeypatch):
     source = tmp_path / "_kernels.c"
-    shutil.copy(PACKAGE / "sim" / "memory" / "_kernels.c", source)
+    shutil.copy(KERNEL_SOURCE, source)
     runs = []
     real_run = subprocess.run
 
@@ -86,6 +93,50 @@ def test_load_compiles_only_when_the_build_is_missing(tmp_path, monkeypatch):
     source.write_text(source.read_text() + "\n/* edited */\n")
     _build.load_extension("probe._kernels", source, tmp_path / "out")
     assert len(runs) == 2
+
+
+def _kernel_outputs(kernels) -> tuple:
+    """One fixed demand and prefetch call through ``kernels``, fresh state."""
+    stats = RunStats()
+    memory = MemorySystem(MemoryConfig().with_nsb(), stats)
+    ctx = kernels.check_context(memory._kernel_ctx)
+    demand = kernels.demand_lines(ctx, 0, 2, [7, 300, 7, 4100, 300, 9000], True, None)
+    prefetch = kernels.prefetch_lines(ctx, 50, range(4096, 4112), True, 4)
+    return demand, prefetch, asdict(stats)
+
+
+def test_an_edited_source_replaces_its_build_and_the_old_one_keeps_running(tmp_path):
+    source = tmp_path / "_kernels.c"
+    shutil.copy(KERNEL_SOURCE, source)
+    out_dir = tmp_path / "out"
+    old = _build.load_extension("probe._kernels", source, out_dir)
+    source.write_text(source.read_text() + "\n/* edited */\n")
+    new = _build.load_extension("probe._kernels", source, out_dir)
+    # Exactly one build is left: the edited source's.
+    assert list(out_dir.iterdir()) == [Path(new.__file__)]
+    assert not Path(old.__file__).exists()
+    # A module loaded from the unlinked build keeps its mapping: its
+    # kernels still run, and agree with the package's own.
+    assert _kernel_outputs(old) == _kernel_outputs(hierarchy._kernels)
+
+
+def test_a_new_build_leaves_other_builders_files_alone(tmp_path):
+    source = tmp_path / "_kernels.c"
+    shutil.copy(KERNEL_SOURCE, source)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = _build.extension_path(source, out_dir)
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    # A concurrent builder's temporary file (of another source), another
+    # interpreter's build, and a superseded build of this interpreter.
+    stale = out_dir / f"_kernels.{'0' * 16}{suffix}"
+    temp = stale.with_name(f"{stale.name}.12345.cafef00d.tmp")
+    other = out_dir / f"_kernels.{'0' * 16}.cpython-39-other.so"
+    for path in (stale, temp, other):
+        path.write_bytes(b"")
+    module = _build.load_extension("probe._kernels", source, out_dir)
+    assert Path(module.__file__) == target
+    assert sorted(out_dir.iterdir()) == sorted([target, temp, other])
 
 
 def test_compile_failure_is_one_error_with_command_and_output(tmp_path):

@@ -7,11 +7,12 @@ The acceptance properties of the plan format and its commands:
 * the figures plan covers exactly what the figure runners submit, so
   executing it warms a cache that ``repro figures`` reads 100% warm;
 * machines that share nothing run a plan with ``plan export`` →
-  ``sweep --spec`` → ``cache push``, and after ``cache pull`` the
+  ``sweep --spec``, and after a plain copy of that cache directory the
   submitter's payloads are bit-identical to a local run.
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -132,8 +133,8 @@ class TestPlanWireFormat:
 class TestPlanCLI:
     def test_share_nothing_recipe_matches_local(self, tmp_path, capsys):
         # Two machines sharing no filesystem: the worker exports and runs
-        # the plan into its own cache and pushes it to a cache tier; the
-        # submitter pulls the tier into a cache of its own.
+        # the plan into its own cache; the submitter copies that cache
+        # directory into a cache of its own.
         plan_path = tmp_path / "plan.json"
         argv = [
             "plan",
@@ -151,22 +152,20 @@ class TestPlanCLI:
         sweep_argv = ["sweep", "--spec", str(plan_path)]
         worker_cache = ["--cache-dir", str(tmp_path / "a")]
         assert cli_main(sweep_argv + worker_cache) == 0
-        remote = ["--remote", str(tmp_path / "remote")]
-        assert cli_main(["cache", "push", *remote, *worker_cache]) == 0
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
         submitter_cache = ["--cache-dir", str(tmp_path / "b")]
-        assert cli_main(["cache", "pull", *remote, *submitter_cache]) == 0
         capsys.readouterr()
-        # Warm sweep over the pulled cache: zero simulations, and the
+        # Warm sweep over the copied cache: zero simulations, and the
         # payload records equal a from-scratch local run bit for bit.
-        pulled_json = tmp_path / "pulled.json"
-        warm_argv = sweep_argv + submitter_cache + ["--json", str(pulled_json)]
+        copied_json = tmp_path / "copied.json"
+        warm_argv = sweep_argv + submitter_cache + ["--json", str(copied_json)]
         assert cli_main(warm_argv) == 0
         assert "0 simulated" in capsys.readouterr().out
         local_json = tmp_path / "local.json"
         local_argv = sweep_argv + ["--backend", "local"]
         local_argv += ["--cache-dir", str(tmp_path / "c")]
         assert cli_main(local_argv + ["--json", str(local_json)]) == 0
-        assert pulled_json.read_bytes() == local_json.read_bytes()
+        assert copied_json.read_bytes() == local_json.read_bytes()
 
     def test_sweep_corrupt_spec_is_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

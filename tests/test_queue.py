@@ -352,8 +352,8 @@ class TestQueueWorker:
 
     def test_simulator_bug_is_reported_not_poisonous(self, tmp_path, monkeypatch):
         # A deterministic non-ReproError (a plain bug in the simulator)
-        # must be reported like a spec failure, not cycled through every
-        # worker until the fleet is dead.
+        # must be reported like a spec failure, not retried on worker
+        # after worker.
         import repro.runner.pool as pool
 
         def buggy_execute(spec):
@@ -987,9 +987,8 @@ class TestQueueCLI:
         [
             ["sweep", "--workloads", "st", "--mechanisms", "inorder", "--scales"],
             ["figures", "-o", "E.md", "--scale"],
-            ["fleet", "run", "-n", "1", "-o", "E.md", "--scale"],
         ],
-        ids=["sweep", "figures", "fleet-run"],
+        ids=["sweep", "figures"],
     )
     @pytest.mark.parametrize("batch", ["0", "-2"])
     def test_nonpositive_queue_batch_is_an_error(

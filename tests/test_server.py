@@ -1,4 +1,4 @@
-"""repro serve: ledger, engine, HTTP API, client, multi-tenant isolation.
+"""repro serve: ledger, engine, HTTP API, client.
 
 The acceptance properties of the sweep-as-a-service daemon:
 
@@ -6,8 +6,8 @@ The acceptance properties of the sweep-as-a-service daemon:
   ResultSet JSON byte-identical to the same sweep run locally;
 * an identical resubmission is answered entirely from cache — every
   point a hit, nothing enqueued;
-* two tenants submitting the same spec get isolated cache namespaces
-  (different salts, different directories) and both complete;
+* a request carrying the removed ``X-Repro-Tenant`` header is refused,
+  and a ledger record that names a tenant is skipped on reload;
 * a daemon killed mid-sweep resumes it from the ledger on restart.
 """
 
@@ -109,23 +109,22 @@ def poll_until(engine, sid, state, timeout=60.0):
 class TestLedger:
     def test_sweep_id_is_content_addressed(self):
         a, b = small_specs()
-        assert sweep_id(None, [a, b]) == sweep_id(None, [a, b])
-        assert sweep_id(None, [a, b]) != sweep_id(None, [b, a])
-        assert sweep_id(None, [a, b]) != sweep_id("alice", [a, b])
-        assert sweep_id("alice", [a]) != sweep_id("bob", [a])
+        assert sweep_id([a, b]) == sweep_id([a, b])
+        assert sweep_id([a, b]) != sweep_id([b, a])
+        assert sweep_id([a]) != sweep_id([a, b])
 
     def test_record_roundtrip(self):
-        record = SweepRecord.create("alice", small_specs(), meta={"figure": "9"})
+        record = SweepRecord.create(small_specs(), meta={"figure": "9"})
         again = SweepRecord.from_dict(record.to_dict())
         assert again.id == record.id
-        assert again.tenant == "alice"
         assert again.meta == {"figure": "9"}
         assert [s.key() for s in again.specs] == [s.key() for s in record.specs]
+        assert "tenant" not in record.to_dict()
 
     def test_record_rejects_tampering_and_version_skew(self):
-        record = SweepRecord.create(None, small_specs())
+        record = SweepRecord.create(small_specs())
         tampered = record.to_dict()
-        tampered["tenant"] = "mallory"
+        tampered["specs"] = tampered["specs"][::-1]
         with pytest.raises(ConfigError, match="does not match"):
             SweepRecord.from_dict(tampered)
         skewed = record.to_dict()
@@ -133,11 +132,37 @@ class TestLedger:
         with pytest.raises(ConfigError, match="format"):
             SweepRecord.from_dict(skewed)
         with pytest.raises(ConfigError, match="at least one point"):
-            SweepRecord.create(None, [])
+            SweepRecord.create([])
+
+    def test_record_with_null_tenant_reloads_with_its_id(self, tmp_path):
+        # A record written before tenants were removed carries
+        # "tenant": null. The default namespace hashed no tenant bytes,
+        # so its id (pinned here as that version computed it) is
+        # unchanged and the daemon resumes the sweep.
+        specs = small_specs()
+        old = {**SweepRecord.create(specs).to_dict(), "tenant": None}
+        old["id"] = "28ae315e83d9a612822c8871"
+        ledger = SweepLedger(tmp_path)
+        ledger.sweeps_dir.mkdir(parents=True)
+        ledger.path_for(old["id"]).write_text(json.dumps(old))
+        assert ledger.load(old["id"]).id == sweep_id(specs) == old["id"]
+        assert [r.id for r in ledger.load_all()] == [old["id"]]
+
+    def test_record_naming_a_tenant_is_refused_and_skipped(self, tmp_path):
+        ledger = SweepLedger(tmp_path)
+        kept = SweepRecord.create(small_specs())
+        ledger.save(kept)
+        # The first point submitted as tenant "alice" by that version.
+        named = SweepRecord.create(small_specs()[:1]).to_dict()
+        named.update(id="d75ccd0f708454693baa6a03", tenant="alice")
+        with pytest.raises(ConfigError, match="tenant namespaces were removed"):
+            SweepRecord.from_dict(named)
+        ledger.path_for(named["id"]).write_text(json.dumps(named))
+        assert [r.id for r in ledger.load_all()] == [kept.id]
 
     def test_ledger_persists_and_skips_corrupt(self, tmp_path):
         ledger = SweepLedger(tmp_path)
-        record = SweepRecord.create(None, small_specs())
+        record = SweepRecord.create(small_specs())
         ledger.save(record)
         assert ledger.load(record.id).id == record.id
         (ledger.sweeps_dir / "junk.json").write_text("{not json")
@@ -368,7 +393,8 @@ class TestSweepEngine:
         assert stats["cache"]["points_submitted"] == 4
         assert stats["cache"]["hit_rate"] == 1.0
         assert stats["queue"]["queued"] == 0
-        assert stats["fleet"] == {"size": 0, "workers": 0, "restarts": 0}
+        assert set(stats) == {"server", "cache", "queue", "workers"}
+        assert "tenants" not in stats["server"]
 
 
 class TestHTTPServer:
@@ -404,32 +430,25 @@ class TestHTTPServer:
         listed = client.list_sweeps()
         assert [s["id"] for s in listed] == [accepted["id"]]
 
-    def test_tenants_get_isolated_namespaces(self, server):
-        worker = start_worker(server.engine.work_dir)
-        alice = SweepClient(server.base_url, tenant="alice")
-        bob = SweepClient(server.base_url, tenant="bob")
-
-        a = alice.submit(small_grid())
-        b = bob.submit(small_grid())
-        assert a["id"] != b["id"]  # tenant is part of the content address
-        assert a["tenant"] == "alice" and b["tenant"] == "bob"
-        alice.wait(a["id"], timeout=120)
-        bob.wait(b["id"], timeout=120)
-        assert alice.results(a["id"]) == bob.results(b["id"])
-
+    def test_tenant_header_is_refused_with_400(self, server):
+        # Tenant namespaces were removed: a client that still sends the
+        # header fails loudly instead of sharing the default namespace.
+        body = json.dumps({"grid": {"workload": "st", "scale": SCALE}}).encode()
+        request = urllib.request.Request(
+            server.base_url + "/v1/sweeps",
+            data=body,
+            method="POST",
+            headers={"X-Repro-Tenant": "alice"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(request)
+        assert info.value.code == 400
+        error = json.loads(info.value.read())["error"]
+        assert "tenant namespaces were removed" in error
         engine = server.engine
-        alice_cache = engine.cache_for("alice")
-        bob_cache = engine.cache_for("bob")
-        default_cache = engine.cache_for(None)
-        # Different salts and disjoint directories per tenant ...
-        assert alice_cache.salt != bob_cache.salt != default_cache.salt
-        assert alice_cache.root != bob_cache.root
-        assert len(alice_cache.entries()) == 2
-        assert len(bob_cache.entries()) == 2
-        # ... and nothing leaked into the default namespace.
-        assert len(default_cache.entries()) == 0
-        assert default_cache.tenants() == ["alice", "bob"]
-        stop_worker(worker, server.engine.work_dir)
+        assert engine.sweep_ids() == []
+        assert not list(engine.queue.queue_dir.iterdir())
+        assert not engine.ledger.sweeps_dir.exists()
 
     def test_sse_stream_ends_with_done(self, server):
         client = SweepClient(server.base_url)
@@ -573,7 +592,7 @@ class TestHTTPServer:
             method="POST",
             headers={"X-Repro-Tenant": "no spaces allowed"},
         )
-        assert code == 400 and "tenant" in body["error"]
+        assert code == 400 and "tenant namespaces were removed" in body["error"]
         # A queued sweep's results are a 409 Conflict, not an error page.
         code, body = code_of(
             "/v1/sweeps",
@@ -595,7 +614,7 @@ class TestHTTPServer:
 
         client = SweepClient(server.base_url)
         stats = client.stats()
-        assert set(stats) == {"server", "cache", "queue", "workers", "fleet"}
+        assert set(stats) == {"server", "cache", "queue", "workers"}
         rc = cli_main(
             ["queue", "status", "--work-dir", str(server.engine.work_dir), "--json"]
         )
