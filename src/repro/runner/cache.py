@@ -27,6 +27,7 @@ import hashlib
 import json
 import os
 import tempfile
+import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -57,6 +58,13 @@ from .plan import RunSpec
 CACHE_SALT = "nvr-sim-v1"
 
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+#: Age in seconds after which cache maintenance treats a ``.tmp`` file as
+#: orphaned by a killed writer. A live ``put`` holds its temp file only
+#: between one small write and its rename, so an hour-old one has no
+#: owner left, and a younger one may belong to a writer in another
+#: process that is about to rename it.
+TMP_ORPHAN_AGE_S = 3600.0
 
 _FINGERPRINT: str | None = None
 
@@ -235,6 +243,9 @@ class ResultCache:
     ) -> None:
         self.root = Path(root)
         self.salt = salt if salt is not None else default_salt()
+        # get() addresses entries by string concatenation: two pathlib
+        # joins per lookup cost more than the read on a warm sweep.
+        self._prefix = os.path.join(os.fspath(self.root), "")
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -249,8 +260,10 @@ class ResultCache:
         return digest.hexdigest()
 
     def path_for(self, spec: RunSpec) -> Path:
-        key = self.key_for(spec)
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._entry_path(self.key_for(spec)))
+
+    def _entry_path(self, key: str) -> str:
+        return f"{self._prefix}{key[:2]}/{key}.json"
 
     # -- concurrency ---------------------------------------------------------
 
@@ -285,13 +298,17 @@ class ResultCache:
         between code versions — or an entry hand-copied to the
         wrong path — would otherwise be served silently. A mismatched
         entry degrades to a miss, exactly like a corrupt one.
+
+        A hit costs one read of the entry's bytes and one decode; the
+        stored spec is compared with the dict the spec built once at
+        construction.
         """
-        path = self.path_for(spec)
+        path = self._entry_path(self.key_for(spec))
         try:
-            with open(path, encoding="utf-8") as handle:
-                entry = json.load(handle)
+            with open(path, "rb") as handle:
+                entry = json.loads(handle.read())
             payload = entry["payload"]
-            if entry["salt"] != self.salt or entry["spec"] != spec.to_dict():
+            if entry["salt"] != self.salt or entry["spec"] != spec._dict:
                 raise ValueError("entry does not match the requesting spec")
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
@@ -329,7 +346,8 @@ class ResultCache:
         """Delete every entry; returns how many were removed.
 
         Also sweeps ``.tmp`` files orphaned by killed writers (mkstemp
-        leaves them behind when a process dies between write and rename).
+        leaves them behind when a process dies between write and rename);
+        see :meth:`_sweep_tmp_files` for which ones count as orphaned.
         """
         removed = 0
         with self.lock():
@@ -343,9 +361,17 @@ class ResultCache:
         return removed
 
     def _sweep_tmp_files(self) -> None:
+        """Delete the ``.tmp`` files older than :data:`TMP_ORPHAN_AGE_S`.
+
+        ``put`` takes no lock, so a younger temp file may be another
+        process's write in flight: deleting it would fail that writer's
+        rename and its sweep.
+        """
+        cutoff = time.time() - TMP_ORPHAN_AGE_S
         for path in self.root.glob("??/*.tmp"):
             try:
-                path.unlink()
+                if path.stat().st_mtime < cutoff:
+                    path.unlink()
             except OSError:
                 pass
 
@@ -356,8 +382,8 @@ class ResultCache:
         hit, so warm results survive) and the least-recently-used are
         deleted oldest-first until the remaining payload fits. With
         ``dry_run=True`` nothing is deleted — the report describes what
-        *would* go. Orphaned ``.tmp`` files are swept as a side effect
-        of a real (non-dry) collection.
+        *would* go. Orphaned ``.tmp`` files (see :meth:`_sweep_tmp_files`)
+        are swept as a side effect of a real (non-dry) collection.
 
         The scan-and-delete pass holds the cache :meth:`lock`, so it
         never interleaves with a concurrent :meth:`clear` (or another

@@ -160,10 +160,14 @@ class RunSpec:
         object.__setattr__(self, "memory", None)
         object.__setattr__(self, "nvr", None)
         object.__setattr__(self, "executor", None)
-        # The spec is frozen, so its content key can never go stale —
-        # compute it once here rather than re-serialising the nested
-        # system dict at every dedupe/cache/hash call site.
-        object.__setattr__(self, "_key", canonical_json(self.to_dict()))
+        # The spec is frozen, so its dict and content key can never go
+        # stale — compute them once here rather than re-serialising the
+        # nested system dict at every dedupe/cache/hash call site. The
+        # dict stays private: ResultCache.get compares stored entries
+        # against it, and to_dict() hands callers a fresh one.
+        spec_dict = self.to_dict()
+        object.__setattr__(self, "_dict", spec_dict)
+        object.__setattr__(self, "_key", canonical_json(spec_dict))
 
     # -- identity ------------------------------------------------------------
 

@@ -619,8 +619,9 @@ class WorkerStats:
     """One worker's ``workers/<id>.json``, kept in memory and written whole.
 
     Unit/point/failure counts and the last :data:`TIMESTAMPS` completion
-    times, for ``/v1/stats``. The worker's heartbeat thread writes it,
-    so a unit costs no stats I/O.
+    times, for ``/v1/stats``. The worker writes it once when it starts,
+    so it is listed before its first claim; after that its heartbeat
+    thread and its exit write it, so a unit costs no stats I/O.
     """
 
     #: Completion timestamps retained — enough to estimate a recent rate
@@ -630,7 +631,7 @@ class WorkerStats:
     def __init__(self, queue: WorkQueue, worker_id: str) -> None:
         self.path = queue.worker_stats_path(worker_id)
         self._lock = threading.Lock()
-        self._changed = False
+        self._changed = True  # a new worker's first write lists it
         self._document = {
             "worker": worker_id,
             "started_at": time.time(),

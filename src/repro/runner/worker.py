@@ -113,10 +113,12 @@ def run_queue_worker(
     * the queue has been empty for ``idle_timeout`` seconds
       (``None`` = wait for work forever).
 
-    One heartbeat thread lives as long as the worker. Every ``heartbeat``
+    The worker writes its :class:`~repro.runner.queue.WorkerStats` before
+    its first claim, so ``/v1/stats`` lists it from the start. One
+    heartbeat thread lives as long as the worker. Every ``heartbeat``
     seconds it touches the current unit's claim, so a slow unit is never
-    recovered from a live worker, and writes the worker's
-    :class:`~repro.runner.queue.WorkerStats`, which every exit writes too.
+    recovered from a live worker, and rewrites the stats if they
+    changed, which every exit does too.
 
     ``log`` is an optional ``callable(str)`` for per-unit progress lines
     (the CLI passes a stderr printer; library callers default silent).
@@ -125,6 +127,7 @@ def run_queue_worker(
     worker_id = worker_id if worker_id is not None else _default_worker_id()
     emit = log if log is not None else _silent
     stats = WorkerStats(queue, worker_id)
+    stats.write()
     current: list[ClaimedUnit | None] = [None]  # the unit being executed
     stop = threading.Event()
 

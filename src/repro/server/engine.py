@@ -9,9 +9,11 @@ state over the same primitives every other front door uses —
   persisted to the :class:`~repro.server.ledger.SweepLedger` before it
   is acknowledged;
 * the :class:`~repro.runner.ResultCache` is scanned point-by-point —
-  hits are done before any worker hears about the sweep, and a
-  fully-cached submission never touches the queue at all (the "second
-  identical POST enqueues nothing" guarantee);
+  points whose entries are present are done before any worker hears
+  about the sweep, and a fully-cached submission never touches the
+  queue at all (the "second identical POST enqueues nothing"
+  guarantee); each entry is read and verified once, by
+  :meth:`SweepEngine.results`;
 * the misses drain through an ordinary :class:`~repro.session.Session`
   over the :class:`~repro.runner.QueueBackend` on a background thread
   per sweep — the exact orchestration a ``Session.remote`` sweep runs,
@@ -190,10 +192,10 @@ class SweepEngine:
 
         Idempotent by content address: resubmitting the same specs maps
         onto the existing sweep — an active one
-        is simply reported, a finished one is re-validated against the
-        cache (all present: every point is a hit and nothing is
-        enqueued; evicted or previously failed: the misses drain
-        again). ``meta`` is recorded on first submission only.
+        is simply reported, a finished one is re-checked against the
+        cache (all present: nothing is enqueued; evicted or previously
+        failed: the misses drain again). ``meta`` is recorded on first
+        submission only.
         """
         record = SweepRecord.create(specs, meta)
         with self._lock:
@@ -225,10 +227,14 @@ class SweepEngine:
         scan counts toward the server's hit-rate stats and clears any
         previous failure); a ledger reload keeps a persisted error as a
         failed terminal state instead of silently retrying.
+
+        The scan tests presence only, as :meth:`poll` does: every entry
+        is read and verified once, by :meth:`results`, which re-drains
+        one that turns out missing or invalid.
         """
         done = set()
         for key, spec in state.unique:
-            if self.cache.get(spec) is not None:
+            if self.cache.path_for(spec).exists():
                 done.add(key)
         state.done = done
         state.cached_at_submit = len(done)
@@ -480,10 +486,11 @@ class SweepEngine:
         Rebuilt from the cache in submission order — the same
         materialisation path a warm local sweep takes, so the JSON
         flavour is byte-identical to ``Session.sweep(...).to_json()``
-        of the same points. A point evicted between completion and
-        this read (a racing ``cache gc``) flips the sweep back to
-        pending and raises, so the caller re-polls rather than getting
-        a partial result set.
+        of the same points. This is where every entry is read and
+        verified: a point whose entry is missing (evicted by a racing
+        ``cache gc``) or invalid (corrupt, or another spec's) flips the
+        sweep back to pending, re-drains it and raises, so the caller
+        re-polls rather than getting a partial result set.
         """
         if fmt not in RESULT_FORMATS:
             raise ConfigError(
@@ -503,12 +510,16 @@ class SweepEngine:
             for spec in state.record.specs:
                 payload = self.cache.get(spec)
                 if payload is None:
+                    # An invalid entry would read as landed to poll()
+                    # at once; removed, poll waits for the re-drain.
+                    self.cache.path_for(spec).unlink(missing_ok=True)
                     state.done.discard(spec.key())
                     state.finished = False
                     self._start_drain(state)
                     raise ConfigError(
-                        f"sweep {sweep}: point {spec.label()} was evicted "
-                        "from the cache — re-draining; poll status again"
+                        f"sweep {sweep}: point {spec.label()} is missing "
+                        "from the cache or invalid — re-draining; poll "
+                        "status again"
                     )
                 entries.append((spec, materialise(payload)))
         return ResultSet(entries).render(fmt)

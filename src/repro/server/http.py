@@ -354,7 +354,7 @@ class SweepServer:
             )
         try:
             text = self.engine.results(sweep, fmt)
-        except ConfigError as exc:  # evicted between status and read
+        except ConfigError as exc:  # an entry missing or invalid: re-draining
             raise _HttpError(409, str(exc)) from None
         self._send(writer, 200, text.encode("utf-8"), _CONTENT_TYPES[fmt])
 

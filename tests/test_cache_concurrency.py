@@ -10,7 +10,8 @@ spec verified on read) must hold up under deliberate races:
   the right results and exactly one entry per point;
 * two separate *processes* executing the same point concurrently leave
   one valid entry and no temp-file litter;
-* the scan-then-delete pass of ``gc`` waits on the cache lock.
+* the scan-then-delete pass of ``gc`` waits on the cache lock;
+* ``gc`` and ``clear`` leave a live writer's temp file alone.
 """
 
 import json
@@ -21,7 +22,10 @@ import threading
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.runner import ResultCache, RunSpec
+from repro.runner import cache as cache_module
 from repro.session import Grid, Session
 
 SCALE = 0.05
@@ -175,3 +179,32 @@ class TestCacheLock:
         # The gc (max_bytes=0) ran strictly after the writes and evicted
         # every entry, not some of them.
         assert len(ResultCache(tmp_path)) == 0
+
+
+class TestMaintenanceSparesLiveWriters:
+    @pytest.mark.parametrize("maintenance", ["gc", "clear"])
+    def test_put_survives_maintenance_between_write_and_rename(
+        self, tmp_path, monkeypatch, maintenance
+    ):
+        # Another cache over the same directory runs its maintenance
+        # while a put holds its written temp file and has yet to rename
+        # it; the gc evicts nothing, and neither may take the temp file.
+        cache, other = ResultCache(tmp_path), ResultCache(tmp_path)
+        spec = RunSpec("st", scale=SCALE)
+        real_replace = os.replace
+        ran = []
+
+        def replace_after_maintenance(src, dst):
+            if not ran:
+                ran.append(maintenance)
+                if maintenance == "gc":
+                    assert other.gc(max_bytes=10**9).removed == 0
+                else:
+                    other.clear()
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(cache_module.os, "replace", replace_after_maintenance)
+        cache.put(spec, trace_payload(spec))
+        assert ran == [maintenance]
+        assert cache.get(spec) == trace_payload(spec)
+        assert tmp_litter(tmp_path) == []

@@ -1124,6 +1124,23 @@ class TestWorkerStats:
         stats = queue.worker_stats()
         assert [s["worker"] for s in stats] == ["host:1/evil id"]
 
+    def test_worker_is_listed_from_the_moment_it_starts(self, tmp_path):
+        # Its heartbeat is far off and the queue is empty, so only the
+        # start-up write can list the worker before it exits.
+        queue = WorkQueue(tmp_path).ensure()
+        worker = start_worker(tmp_path, worker_id="fresh", heartbeat=600)
+        try:
+            deadline = time.monotonic() + 10
+            while not queue.worker_stats() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            (stats,) = queue.worker_stats()
+            assert worker.is_alive()
+            assert (stats["worker"], stats["units"]) == ("fresh", 0)
+        finally:
+            queue.stop_path.touch()
+            worker.join(10)
+        assert not worker.is_alive()
+
     def test_queue_worker_records_throughput(self, tmp_path):
         queue = WorkQueue(tmp_path).ensure()
         for spec in small_specs():

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -291,25 +292,47 @@ class TestCache:
         assert len(cache) == 0
 
     def test_clear_sweeps_orphaned_tmp_files(self, tmp_path):
+        from repro.runner.cache import TMP_ORPHAN_AGE_S
+
         cache = ResultCache(tmp_path)
         path = cache.put(RunSpec("st"), {"x": 1})
         orphan = path.parent / "deadbeef0123.tmp"
         orphan.write_text("partial", encoding="utf-8")
+        # A killed writer's orphan, as old as the sweep requires.
+        past = time.time() - TMP_ORPHAN_AGE_S - 1
+        os.utime(orphan, (past, past))
         cache.clear()
         assert not orphan.exists()
 
     def test_entry_at_wrong_path_is_miss(self, tmp_path):
         # A worker file hand-merged at the wrong path must not be served
-        # for the spec that happens to hash there.
+        # for the spec that happens to hash there: neither for another
+        # workload nor for a spec that differs only inside `system`.
         cache = ResultCache(tmp_path)
         spec_a = RunSpec("st", scale=SCALE)
-        spec_b = RunSpec("ds", scale=SCALE)
         path_a = cache.put(spec_a, {"x": 1})
-        target = cache.path_for(spec_b)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy(path_a, target)
-        assert cache.get(spec_b) is None
+        for spec_b in (
+            RunSpec("ds", scale=SCALE),
+            RunSpec("st", scale=SCALE, nsb=True),
+        ):
+            target = cache.path_for(spec_b)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(path_a, target)
+            assert cache.get(spec_b) is None
         assert cache.get(spec_a) == {"x": 1}
+
+    def test_mutating_to_dict_leaves_the_entry_a_hit(self, tmp_path):
+        # get() compares entries with the dict the spec keeps privately;
+        # the dict to_dict() returns is the caller's own.
+        cache = ResultCache(tmp_path)
+        spec = RunSpec("st", scale=SCALE, nsb=True)
+        cache.put(spec, {"x": 1})
+        exported = spec.to_dict()
+        exported["workload"] = "ds"
+        exported["system"]["mechanism"] = "inorder"
+        exported["system"]["memory"] = None
+        assert cache.get(spec) == {"x": 1}
+        assert spec.to_dict() != exported
 
     def test_entry_with_foreign_salt_is_miss(self, tmp_path):
         # An entry carried over from a different code version (its salt

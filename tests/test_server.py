@@ -26,7 +26,7 @@ import pytest
 
 from repro.client import SweepClient
 from repro.errors import ConfigError, ServerError, SimulationError
-from repro.runner import RunSpec, run_queue_worker
+from repro.runner import ResultCache, RunSpec, run_queue_worker
 from repro.runner.queue import WorkQueue
 from repro.server import (
     SweepEngine,
@@ -250,6 +250,54 @@ class TestSweepEngine:
         assert status["points"]["cached_at_submit"] == 2
         assert not list(engine.queue.queue_dir.iterdir())
         assert engine.results(sid) == local.render("json")
+
+    def test_submit_and_results_read_each_entry_once(
+        self, tmp_path, engine, monkeypatch
+    ):
+        # Submission tests entries for presence; results() is the one
+        # verified read, on the first submission and on a warm resubmit.
+        specs = small_specs()
+        with Session(cache_dir=tmp_path / "cache") as session:
+            local = session.sweep(specs)
+        reads = []
+        real_get = ResultCache.get
+
+        def counting_get(cache, spec):
+            reads.append(spec.key())
+            return real_get(cache, spec)
+
+        monkeypatch.setattr(ResultCache, "get", counting_get)
+        for created in (True, False):
+            reads.clear()
+            sid, new_record = engine.submit(specs)
+            assert new_record is created
+            assert engine.results(sid) == local.render("json")
+            assert sorted(reads) == sorted(spec.key() for spec in specs)
+
+    def test_results_redrains_an_entry_present_but_invalid(self, tmp_path, engine):
+        specs = small_specs()
+        with Session(cache_dir=tmp_path / "cache") as session:
+            local = session.sweep(specs)
+        bad = engine.cache.path_for(specs[0])
+        bad.write_text("{truncated", encoding="utf-8")
+        sid, _ = engine.submit(specs)
+        # Present at submit counts as cached; results() verifies.
+        assert engine.status(sid)["points"]["cached_at_submit"] == 2
+        with pytest.raises(ConfigError, match="missing from the cache or invalid"):
+            engine.results(sid)
+        # Removed, so poll() waits for the re-drain's entry.
+        assert not bad.exists()
+        engine.poll()
+        assert engine.status(sid)["points"]["done"] == 1
+        worker = start_worker(engine.work_dir)
+
+        def redrained() -> bool:
+            engine.poll()
+            return engine.status(sid)["points"]["done"] == 2
+
+        wait_for(redrained)
+        assert engine.results(sid) == local.render("json")
+        stop_worker(worker, engine.work_dir)
 
     def test_duplicate_points_dedupe_but_results_keep_submission_order(
         self, tmp_path, engine
