@@ -54,9 +54,9 @@ import argparse
 import json
 import sys
 
-from .analysis import format_table, table1_overhead, table2_workloads
-from .analysis.experiments import ABLATION_WORKLOADS, ABLATIONS
-from .analysis.paperfigs import figures_plan, generate_report
+from .analysis import format_table
+from .analysis.experiments import ABLATION_WORKLOADS, ABLATIONS, run_ablation
+from .analysis.paperfigs import FIGURES, figures_plan, generate_report
 from .api import DTYPE_BYTES, MECHANISM_ORDER, compare_mechanisms
 from .check import cli as check_cli
 from .errors import ConfigError, ReproError
@@ -281,13 +281,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    study = ABLATIONS[args.study]
     workloads = _csv(args.workloads, WORKLOAD_ORDER, "workload")
-    kwargs = dict(workloads=workloads, scale=args.scale, seed=args.seed)
-    if args.values is not None:
-        kwargs["values"] = _numbers(args.values, int, "values")
+    values = None if args.values is None else _numbers(args.values, int, "values")
     with session_from_args(args) as session:
-        result = study(session=session, **kwargs)
+        result = run_ablation(
+            args.study,
+            values,
+            workloads=workloads,
+            scale=args.scale,
+            seed=args.seed,
+            session=session,
+        )
     geomeans = result.geomean_speedups()
     rows = [
         [value]
@@ -460,41 +464,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_workloads(args: argparse.Namespace) -> int:
-    rows = [
-        [
-            r.short,
-            r.full_name,
-            r.domain,
-            r.gather_elements,
-            round(r.footprint_kib),
-            round(r.reuse_factor, 1),
-        ]
-        for r in table2_workloads(scale=args.scale, seed=args.seed)
-    ]
-    print(
-        format_table(
-            ["short", "workload", "domain", "gathers", "KiB", "reuse"],
-            rows,
-            title="Table II workloads",
-        )
-    )
+    table2 = FIGURES["table2"]
+    print(table2.render(table2.run(scale=args.scale, seed=args.seed)), end="")
     return 0
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
-    report = table1_overhead()
-    rows = [
-        [name, entries, bits, paper, "yes" if ok else "no"]
-        for name, entries, bits, paper, ok in report.rows()
-    ]
-    print(
-        format_table(
-            ["structure", "entries", "bits", "paper", "match"],
-            rows,
-            title="Table I - NVR hardware overhead",
-        )
-    )
-    print(f"total: {report.total_bits} bits ({report.total_kib:.2f} KiB)")
+    table1 = FIGURES["table1"]
+    print(table1.render(table1.run()), end="")
     return 0
 
 

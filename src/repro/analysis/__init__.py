@@ -1,32 +1,18 @@
-"""Analysis layer: metrics, per-figure experiment runners, text reports.
+"""Analysis layer: the paper's figures and tables, ablations, text reports.
 
-* :mod:`repro.analysis.metrics` — every derived metric (normalised
-  latency, miss reduction, coverage summaries, bandwidth shares) in one
-  place so definitions cannot drift between figures.
-* :mod:`repro.analysis.experiments` — one runner per paper table/figure
-  (:mod:`repro.analysis.paperfigs` renders them all into the report).
+* :mod:`repro.analysis.paperfigs` — :data:`FIGURES`, the one table of
+  paper figures and tables, and the report and figures plan read off it.
+* :mod:`repro.analysis.experiments` — each figure's plan builder and
+  reduction, and the :data:`ABLATIONS` sensitivity studies.
+* :mod:`repro.analysis.metrics` — byte-level traffic shares.
 * :mod:`repro.analysis.report` — ascii rendering for examples/benches.
+* :mod:`repro.analysis.traces` — access-trace reuse distances and
+  miss-rate curves.
 """
 
-from .experiments import (
-    fig1b_sparsity_gap,
-    fig5_latency_breakdown,
-    fig6_accuracy_coverage,
-    fig6c_data_movement,
-    fig7_bandwidth_allocation,
-    fig8a_layer_miss,
-    fig8bc_llm_throughput,
-    fig9_nsb_sensitivity,
-    table1_overhead,
-    table2_workloads,
-)
-from .metrics import (
-    bandwidth_shares,
-    geomean_speedup,
-    miss_reduction,
-    normalised_latency,
-    stall_fraction,
-)
+from .experiments import ABLATIONS, run_ablation
+from .metrics import bandwidth_shares
+from .paperfigs import FIGURES, figures_plan, generate_report
 from .report import format_grid, format_series, format_table
 from .traces import (
     gather_line_trace,
@@ -36,26 +22,17 @@ from .traces import (
 )
 
 __all__ = [
+    "ABLATIONS",
+    "FIGURES",
     "bandwidth_shares",
-    "fig1b_sparsity_gap",
-    "fig5_latency_breakdown",
-    "fig6_accuracy_coverage",
-    "fig6c_data_movement",
-    "fig7_bandwidth_allocation",
-    "fig8a_layer_miss",
-    "fig8bc_llm_throughput",
-    "fig9_nsb_sensitivity",
+    "figures_plan",
     "format_grid",
     "format_series",
     "format_table",
     "gather_line_trace",
-    "geomean_speedup",
+    "generate_report",
     "miss_rate_curve",
-    "miss_reduction",
-    "normalised_latency",
     "profile_trace",
     "reuse_distances",
-    "stall_fraction",
-    "table1_overhead",
-    "table2_workloads",
+    "run_ablation",
 ]

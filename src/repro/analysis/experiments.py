@@ -1,17 +1,20 @@
-"""One runner per paper table/figure; ``paperfigs`` renders them all.
+"""What each paper figure and table sweeps, and what it measures.
 
-Every runner is a pure function of (scale, seed): it expresses its
-simulation matrix as a plan of :class:`~repro.runner.RunSpec` points —
-built declaratively by the per-figure ``*_plan()`` builders on top of
-:class:`~repro.session.Grid` — submits the plan through a
-:class:`~repro.session.Session` and selects the results it needs out of
-the returned :class:`~repro.resultset.ResultSet` by axis (no positional
-spec/result zipping). Pass a shared ``session`` to reuse one worker pool
-and one on-disk result cache across figures — identical points then
-simulate exactly once per cache lifetime; without one, runners use
-:func:`~repro.session.default_session`. ``scale`` trades run time for
-statistical weight; the shapes (who wins, by what factor, where
-crossovers fall) are stable from ``scale≈0.3`` upward.
+A figure is two functions here. Its ``*_plan`` builder returns the
+sweeps the figure submits, in order, each a list of
+:class:`~repro.runner.RunSpec` points built on
+:class:`~repro.session.Grid`; only the builder declares the figure's
+parameters and their defaults. Its reduction turns the concatenated
+:class:`~repro.resultset.ResultSet` of those sweeps into the figure's
+numbers, reading every axis off the results, so it repeats none of
+them. :data:`repro.analysis.paperfigs.FIGURES` pairs the two with a
+renderer, and ``FIGURES[name].run(scale=..., session=...)`` runs one
+figure. ``scale`` trades run time for statistical weight; the shapes
+(who wins, by what factor, where crossovers fall) are stable from
+``scale≈0.3`` upward.
+
+The sensitivity ablations are the data rows of :data:`ABLATIONS`, run
+by :func:`run_ablation`.
 """
 
 from __future__ import annotations
@@ -19,15 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..api import MECHANISM_ORDER
-from ..core.overhead import OverheadReport, nvr_overhead
 from ..llm import (
+    MemoryCalibration,
     NPUHardware,
     TransformerSpec,
-    calibrate_memory_efficiency,
+    calibration_plan,
     decode_throughput,
-    layer_miss_rates,
+    gather_layer_rates,
+    layer_miss_plan,
     prefill_throughput,
 )
+from ..registry import Registry
+from ..resultset import ResultSet, axis_value
 from ..runner import RunSpec
 from ..session import Grid, Session, default_session
 from ..sim.soc import RunResult
@@ -35,7 +41,13 @@ from ..utils import KIB, geometric_mean
 from ..workloads import WORKLOAD_INFO, WORKLOAD_ORDER
 from .metrics import bandwidth_shares
 
-PREFETCHER_MECHS: tuple[str, ...] = ("stream", "imp", "dvr", "nvr")
+#: A figure's plan: the spec lists it submits, one sweep each, in order.
+Sweeps = list[list[RunSpec]]
+
+
+def _label(name: str, nsb: bool) -> str:
+    """A bar or panel name: ``name``, with ``+nsb`` when the NSB is on."""
+    return f"{name}+nsb" if nsb else name
 
 
 # ---------------------------------------------------------------------------
@@ -62,28 +74,25 @@ def fig1b_plan(
     ratios: tuple[int, ...] = (1, 2, 4, 8, 16),
     scale: float = 0.4,
     seed: int = 0,
-) -> list[RunSpec]:
-    """The Fig. 1b TopK sweep as plan content.
+) -> Sweeps:
+    """The Fig. 1b TopK sweep: the streaming baseline on DS per ratio.
 
     drift=1.0: scores are re-ranked from scratch each step (worst-case
     TopK churn), isolating the miss penalty from selection locality.
     """
-    return Grid(
-        workload="ds",
-        mechanism="stream",
-        scale=scale,
-        seed=seed,
-        topk_ratio=list(ratios),
-        drift=1.0,
-    ).specs()
+    return [
+        Grid(
+            workload="ds",
+            mechanism="stream",
+            scale=scale,
+            seed=seed,
+            topk_ratio=list(ratios),
+            drift=1.0,
+        ).specs()
+    ]
 
 
-def fig1b_sparsity_gap(
-    ratios: tuple[int, ...] = (1, 2, 4, 8, 16),
-    scale: float = 0.4,
-    seed: int = 0,
-    session: Session | None = None,
-) -> Fig1bResult:
+def fig1b_sparsity_gap(rs: ResultSet) -> Fig1bResult:
     """Fig. 1b: 16x fewer parameters yields well under 16x speedup.
 
     The baseline NPU runs with its native streaming efficiency (modelled
@@ -92,19 +101,17 @@ def fig1b_sparsity_gap(
     defeats exactly that engine, so the measured speedup falls short of
     the parameter reduction — the motivation gap.
     """
-    session = session or default_session()
-    rs = session.sweep(fig1b_plan(ratios, scale=scale, seed=seed))
+    ratios = list(dict.fromkeys(axis_value(s, "topk_ratio") for s in rs.specs))
     cycles, offchip = [], []
     for ratio in ratios:
         result = rs.one(topk_ratio=ratio)
         steps = max(1, result.n_rows or 0)
         cycles.append(result.total_cycles / steps)
         offchip.append(result.stats.traffic.off_chip_total_bytes / steps)
-    speedups = [cycles[0] / c for c in cycles]
     return Fig1bResult(
-        ratios=list(ratios),
+        ratios=ratios,
         cycles_per_step=cycles,
-        speedups=speedups,
+        speedups=[cycles[0] / c for c in cycles],
         offchip_per_step=offchip,
     )
 
@@ -147,75 +154,53 @@ class Fig5Result:
         return sum(reductions) / len(reductions) if reductions else 0.0
 
 
-_FIG5_PANELS: tuple[tuple[str, str, bool], ...] = (
-    ("int8", "int8", False),
-    ("fp16", "fp16", False),
-    ("int32", "int32", False),
-    ("int32+nsb", "int32", True),
-)
-
-
 def fig5_plan(
     workloads: tuple[str, ...] = WORKLOAD_ORDER,
     mechanisms: tuple[str, ...] = MECHANISM_ORDER,
     panels: tuple[str, ...] = ("int8", "fp16", "int32", "int32+nsb"),
     scale: float = 0.5,
     seed: int = 0,
-) -> list[RunSpec]:
-    """The Fig. 5 ``panels x workloads x mechanisms`` grid as plan content.
+) -> Sweeps:
+    """The Fig. 5 ``panels x workloads x mechanisms`` base+stall grid.
 
-    The panel axis is not a cartesian product (the NSB panel repeats the
-    int32 dtype), so the plan is one Grid per panel, concatenated in
-    panel order.
+    A panel is a dtype, suffixed ``+nsb`` for the NSB panel, so the
+    panel axis is not a cartesian product: the one sweep concatenates a
+    Grid per panel, in panel order. It is the hottest sweep of the
+    reproduction, and the reason the runner exists.
     """
     specs: list[RunSpec] = []
-    for _, dtype, nsb in [p for p in _FIG5_PANELS if p[0] in panels]:
+    for panel in panels:
         specs += Grid(
             workload=workloads,
             mechanism=mechanisms,
-            dtype=dtype,
-            nsb=nsb,
+            dtype=panel.removesuffix("+nsb"),
+            nsb=panel.endswith("+nsb"),
             scale=scale,
             seed=seed,
             with_base=True,
         ).specs()
-    return specs
+    return [specs]
 
 
-def fig5_latency_breakdown(
-    workloads: tuple[str, ...] = WORKLOAD_ORDER,
-    mechanisms: tuple[str, ...] = MECHANISM_ORDER,
-    panels: tuple[str, ...] = ("int8", "fp16", "int32", "int32+nsb"),
-    scale: float = 0.5,
-    seed: int = 0,
-    session: Session | None = None,
-) -> Fig5Result:
-    """Fig. 5: all four panels of the latency breakdown.
-
-    The full figure is one plan of ``panels x workloads x mechanisms``
-    base+stall points — the hottest sweep of the reproduction, and the
-    reason the runner exists.
-    """
-    session = session or default_session()
-    rs = session.sweep(fig5_plan(workloads, mechanisms, panels, scale=scale, seed=seed))
-    out: dict[str, dict[str, dict[str, Fig5Cell]]] = {}
-    for panel_name, dtype, nsb in [p for p in _FIG5_PANELS if p[0] in panels]:
-        panel: dict[str, dict[str, Fig5Cell]] = {}
-        for workload in workloads:
-            per_mech: dict[str, RunResult] = {
-                mech: rs.one(workload=workload, mechanism=mech, dtype=dtype, nsb=nsb)
-                for mech in mechanisms
-            }
+def fig5_latency_breakdown(rs: ResultSet) -> Fig5Result:
+    """Fig. 5: every bar's base and stall over its workload's InO total."""
+    runs: dict[str, dict[str, dict[str, RunResult]]] = {}
+    for spec, result in rs:
+        panel = runs.setdefault(_label(spec.dtype, spec.nsb), {})
+        panel.setdefault(spec.workload, {})[spec.mechanism] = result
+    panels: dict[str, dict[str, dict[str, Fig5Cell]]] = {}
+    for name, per_workload in runs.items():
+        panels[name] = {}
+        for workload, per_mech in per_workload.items():
             ino_total = per_mech["inorder"].total_cycles
-            panel[workload] = {
+            panels[name][workload] = {
                 mech: Fig5Cell(
                     base=r.base_cycles / ino_total,
                     stall=r.stall_cycles / ino_total,
                 )
                 for mech, r in per_mech.items()
             }
-        out[panel_name] = panel
-    return Fig5Result(panels=out)
+    return Fig5Result(panels=panels)
 
 
 # ---------------------------------------------------------------------------
@@ -238,35 +223,24 @@ class Fig6Result:
 
 def fig6_plan(
     workloads: tuple[str, ...] = WORKLOAD_ORDER,
-    mechanisms: tuple[str, ...] = PREFETCHER_MECHS,
+    mechanisms: tuple[str, ...] = ("stream", "imp", "dvr", "nvr"),
     scale: float = 0.5,
     seed: int = 0,
-) -> list[RunSpec]:
-    """The Fig. 6a/6b accuracy/coverage grid as plan content."""
-    return Grid(
-        workload=workloads, mechanism=mechanisms, scale=scale, seed=seed
-    ).specs()
+) -> Sweeps:
+    """The Fig. 6a/6b accuracy/coverage grid."""
+    return [
+        Grid(workload=workloads, mechanism=mechanisms, scale=scale, seed=seed).specs()
+    ]
 
 
-def fig6_accuracy_coverage(
-    workloads: tuple[str, ...] = WORKLOAD_ORDER,
-    mechanisms: tuple[str, ...] = PREFETCHER_MECHS,
-    scale: float = 0.5,
-    seed: int = 0,
-    session: Session | None = None,
-) -> Fig6Result:
+def fig6_accuracy_coverage(rs: ResultSet) -> Fig6Result:
     """Fig. 6a/6b: prefetcher accuracy and coverage per workload."""
-    session = session or default_session()
-    rs = session.sweep(fig6_plan(workloads, mechanisms, scale=scale, seed=seed))
     data: dict[str, dict[str, tuple[float, float]]] = {}
-    for workload in workloads:
-        data[workload] = {}
-        for mech in mechanisms:
-            result = rs.one(workload=workload, mechanism=mech)
-            data[workload][mech] = (
-                result.stats.prefetch.accuracy,
-                result.stats.coverage(),
-            )
+    for spec, result in rs:
+        data.setdefault(spec.workload, {})[spec.mechanism] = (
+            result.stats.prefetch.accuracy,
+            result.stats.coverage(),
+        )
     return Fig6Result(data=data)
 
 
@@ -288,19 +262,9 @@ class Fig6cResult:
         return self.offchip_demand[versus] / ours
 
 
-#: The Fig. 6c bars: config label -> (mechanism, nsb).
-_FIG6C_CONFIGS: dict[str, tuple[str, bool]] = {
-    "inorder": ("inorder", False),
-    "nvr": ("nvr", False),
-    "nvr+nsb": ("nvr", True),
-}
-
-
-def fig6c_plan(
-    workload: str = "ds", scale: float = 0.5, seed: int = 0
-) -> list[RunSpec]:
-    """The Fig. 6c InO / NVR / NVR+NSB triple as plan content."""
-    return (
+def fig6c_plan(workload: str = "ds", scale: float = 0.5, seed: int = 0) -> Sweeps:
+    """The Fig. 6c InO / NVR / NVR+NSB triple."""
+    return [
         Grid(
             workload=workload,
             mechanism=["inorder", "nvr"],
@@ -310,26 +274,20 @@ def fig6c_plan(
         + Grid(
             workload=workload, mechanism="nvr", nsb=True, scale=scale, seed=seed
         ).specs()
-    )
+    ]
 
 
-def fig6c_data_movement(
-    workload: str = "ds",
-    scale: float = 0.5,
-    seed: int = 0,
-    session: Session | None = None,
-) -> Fig6cResult:
+def fig6c_data_movement(rs: ResultSet) -> Fig6cResult:
     """Fig. 6c: InO vs NVR vs NVR+NSB demand off-chip traffic.
 
     The paper plots actual-load execution traffic (prefetch bandwidth
     removed): NVR turns demand misses into overlappable prefetches
     (~30x), and the NSB removes re-fetches on top (~5x more).
     """
-    session = session or default_session()
-    rs = session.sweep(fig6c_plan(workload, scale=scale, seed=seed))
     offchip, in_chip = {}, {}
-    for name, (mech, nsb) in _FIG6C_CONFIGS.items():
-        shares = bandwidth_shares(rs.one(mechanism=mech, nsb=nsb).stats)
+    for spec, result in rs:
+        name = _label(spec.mechanism, spec.nsb)
+        shares = bandwidth_shares(result.stats)
         offchip[name] = shares["off_chip_demand"]
         in_chip[name] = shares["l2_to_npu"] + shares["nsb_to_npu"]
     return Fig6cResult(offchip_demand=offchip, in_chip=in_chip)
@@ -382,9 +340,9 @@ class Fig7Result:
         return 1.0 - offchip / 100.0
 
 
-def fig7_plan(workload: str = "ds", scale: float = 0.5, seed: int = 0) -> list[RunSpec]:
-    """The Fig. 7 preload / NVR / NVR+NSB triple as plan content."""
-    return (
+def fig7_plan(workload: str = "ds", scale: float = 0.5, seed: int = 0) -> Sweeps:
+    """The Fig. 7 preload / NVR / NVR+NSB triple."""
+    return [
         Grid(
             workload=workload,
             mechanism=["preload", "nvr"],
@@ -394,15 +352,10 @@ def fig7_plan(workload: str = "ds", scale: float = 0.5, seed: int = 0) -> list[R
         + Grid(
             workload=workload, mechanism="nvr", nsb=True, scale=scale, seed=seed
         ).specs()
-    )
+    ]
 
 
-def fig7_bandwidth_allocation(
-    workload: str = "ds",
-    scale: float = 0.5,
-    seed: int = 0,
-    session: Session | None = None,
-) -> Fig7Result:
+def fig7_bandwidth_allocation(rs: ResultSet) -> Fig7Result:
     """Fig. 7: who uses the memory system, with and without the NSB.
 
     The 100% reference is the *simulated* explicit-preload baseline
@@ -410,8 +363,6 @@ def fig7_bandwidth_allocation(
     line-granular speculative fetches plus residual demand misses
     replace its over-fetched bursts.
     """
-    session = session or default_session()
-    rs = session.sweep(fig7_plan(workload, scale=scale, seed=seed))
     baseline = rs.one(mechanism="preload")
     no_nsb = rs.one(mechanism="nvr", nsb=False)
     with_nsb = rs.one(mechanism="nvr", nsb=True)
@@ -438,24 +389,11 @@ def fig7_bandwidth_allocation(
 # ---------------------------------------------------------------------------
 
 
-def fig8a_layer_miss(
-    scale: float = 0.3,
-    seed: int = 0,
-    session: Session | None = None,
-) -> dict[str, dict[str, tuple[float, float]]]:
-    """Fig. 8a: per-layer batch/element miss rates, InO vs NVR."""
-    return layer_miss_rates(
-        mechanisms=("inorder", "nvr"),
-        scale=scale,
-        seed=seed,
-        session=session,
-    )
-
-
 @dataclass
-class Fig8bcResult:
-    """Throughput-vs-bandwidth series for both stages."""
+class Fig8Result:
+    """Per-layer miss rates (8a) and throughput-vs-bandwidth series (8b/8c)."""
 
+    rates: dict[str, dict[str, tuple[float, float]]]  # layer -> mech -> rates
     bandwidths: list[float]
     prefill: dict[str, dict[int, list[float]]]  # mech -> seq len -> series
     decode: dict[str, dict[int, list[float]]]
@@ -465,37 +403,54 @@ class Fig8bcResult:
         return self.decode["nvr"][seq_len][bw_index] / base - 1.0
 
 
-def fig8bc_llm_throughput(
+def fig8_plan(scale: float = 0.3, seed: int = 0) -> Sweeps:
+    """Fig. 8's four sweeps, InO then NVR in each half.
+
+    First the 8a gather layers (QK^T and AV), one sweep per mechanism;
+    then the 8b/8c roofline calibrations, one in-order reference plus
+    measured pair per mechanism.
+    """
+    mechanisms = ("inorder", "nvr")
+    return [layer_miss_plan((m,), scale=scale, seed=seed) for m in mechanisms] + [
+        calibration_plan(m, scale=scale, seed=seed) for m in mechanisms
+    ]
+
+
+def fig8_llm_evaluation(
+    rs: ResultSet,
     prefill_lens: tuple[int, ...] = (1024, 2048, 4096),
     decode_lens: tuple[int, ...] = (512, 1024, 2048),
     bandwidths: tuple[float, ...] = (100, 200, 400, 800, 1600, 2400, 3200, 4000),
-    calib_scale: float = 0.3,
-    seed: int = 0,
-    session: Session | None = None,
-) -> Fig8bcResult:
-    """Fig. 8b/8c: prefill and decode throughput vs bandwidth."""
-    session = session or default_session()
-    spec, hw = TransformerSpec(), NPUHardware()
-    calibs = {
-        "inorder": calibrate_memory_efficiency(
-            "inorder", scale=calib_scale, seed=seed, session=session
-        ),
-        "nvr": calibrate_memory_efficiency(
-            "nvr", scale=calib_scale, seed=seed, session=session
-        ),
-    }
+) -> Fig8Result:
+    """Fig. 8a per-layer miss rates; 8b/8c prefill and decode throughput.
+
+    The gather layers are the plain runs and the calibrations the
+    ``with_base`` ones. Each calibration pair leads with the same
+    in-order reference, so every second calibration run is a measured
+    one. The sequence lengths and bandwidths feed the roofline model
+    only, so they never reach a spec.
+    """
+    calibrations = rs.filter(with_base=True)
+    reference = calibrations.results[0]
+    model, hw = TransformerSpec(), NPUHardware()
     prefill: dict[str, dict[int, list[float]]] = {}
     decode: dict[str, dict[int, list[float]]] = {}
-    for mech, calib in calibs.items():
-        prefill[mech] = {
-            l: [prefill_throughput(spec, hw, l, bw, calib) for bw in bandwidths]
+    for spec, run in calibrations[1::2]:
+        calib = MemoryCalibration.measure(spec.mechanism, reference, run)
+        prefill[spec.mechanism] = {
+            l: [prefill_throughput(model, hw, l, bw, calib) for bw in bandwidths]
             for l in prefill_lens
         }
-        decode[mech] = {
-            l: [decode_throughput(spec, hw, l, bw, calib) for bw in bandwidths]
+        decode[spec.mechanism] = {
+            l: [decode_throughput(model, hw, l, bw, calib) for bw in bandwidths]
             for l in decode_lens
         }
-    return Fig8bcResult(bandwidths=list(bandwidths), prefill=prefill, decode=decode)
+    return Fig8Result(
+        rates=gather_layer_rates(rs.filter(with_base=False)),
+        bandwidths=list(bandwidths),
+        prefill=prefill,
+        decode=decode,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -530,46 +485,68 @@ def fig9_plan(
     workload: str = "ds",
     scale: float = 0.4,
     seed: int = 0,
-) -> list[RunSpec]:
-    """The Fig. 9 NSB-size x L2-size grid as plan content."""
-    return Grid(
-        workload=workload,
-        mechanism="nvr",
-        scale=scale,
-        seed=seed,
-        nsb_kib=nsb_sizes,
-        l2_kib=l2_sizes,
-    ).specs()
+) -> Sweeps:
+    """The Fig. 9 NSB-size x L2-size grid."""
+    return [
+        Grid(
+            workload=workload,
+            mechanism="nvr",
+            scale=scale,
+            seed=seed,
+            nsb_kib=nsb_sizes,
+            l2_kib=l2_sizes,
+        ).specs()
+    ]
 
 
-def fig9_nsb_sensitivity(
-    nsb_sizes: tuple[int, ...] = (4, 8, 16, 32),
-    l2_sizes: tuple[int, ...] = (64, 128, 192, 256, 384, 512, 1024),
-    workload: str = "ds",
-    scale: float = 0.4,
-    seed: int = 0,
-    session: Session | None = None,
-) -> Fig9Result:
+def fig9_nsb_sensitivity(rs: ResultSet) -> Fig9Result:
     """Fig. 9: NSB and L2 cache impact, perf = 1/(latency x area)."""
-    session = session or default_session()
-    rs = session.sweep(fig9_plan(nsb_sizes, l2_sizes, workload, scale=scale, seed=seed))
-    perf: list[list[float]] = []
-    cycles: list[list[int]] = []
-    for nsb_kib in nsb_sizes:
-        perf_row, cyc_row = [], []
-        for l2_kib in l2_sizes:
-            result = rs.one(nsb_kib=nsb_kib, l2_kib=l2_kib)
-            area = nsb_kib + l2_kib
-            perf_row.append(1e9 / (result.total_cycles * area))
-            cyc_row.append(result.total_cycles)
-        perf.append(perf_row)
-        cycles.append(cyc_row)
+    grid = rs.pivot("nsb_kib", "l2_kib")
+    perf = [
+        [1e9 / (cycles * (nsb + l2)) for cycles, l2 in zip(row, grid.cols)]
+        for row, nsb in zip(grid.values, grid.rows)
+    ]
     return Fig9Result(
-        nsb_sizes=list(nsb_sizes),
-        l2_sizes=list(l2_sizes),
-        perf=perf,
-        cycles=cycles,
+        nsb_sizes=grid.rows, l2_sizes=grid.cols, perf=perf, cycles=grid.values
     )
+
+
+# ---------------------------------------------------------------------------
+# Table II — the workload suite
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Table2Row:
+    short: str
+    full_name: str
+    domain: str
+    gather_elements: int
+    footprint_kib: float
+    reuse_factor: float
+
+
+def table2_plan(scale: float = 0.3, seed: int = 0) -> Sweeps:
+    """The Table II trace-statistics pass, one trace point per workload."""
+    return [Grid(workload=WORKLOAD_ORDER, kind="trace", scale=scale, seed=seed).specs()]
+
+
+def table2_workloads(rs: ResultSet) -> list[Table2Row]:
+    """Table II: the workload suite, with measured trace statistics."""
+    rows = []
+    for spec, stats in rs:
+        info = WORKLOAD_INFO[spec.workload]
+        rows.append(
+            Table2Row(
+                short=info.short,
+                full_name=info.full_name,
+                domain=info.domain,
+                gather_elements=stats.gather_elements,
+                footprint_kib=stats.footprint_bytes / KIB,
+                reuse_factor=stats.reuse_factor,
+            )
+        )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +557,27 @@ def fig9_nsb_sensitivity(
 # ---------------------------------------------------------------------------
 
 ABLATION_WORKLOADS: tuple[str, ...] = ("ds", "gcn", "st")
+
+
+@dataclass(frozen=True)
+class Ablation:
+    """One sensitivity study: NVR runs swept along one platform axis."""
+
+    axis: str  # the config field the study's table is labelled with
+    grid_axis: str  # the Grid axis that sweeps it
+    values: tuple[int, ...]  # the default sweep; the first is the baseline
+
+
+#: Named ablation studies, the `repro ablate` CLI's menu.
+ABLATIONS = Registry("ablation")
+# How far ahead NVR chases the W stream.
+ABLATIONS.register("nvr-depth", Ablation("depth_tiles", "nvr_depth", (1, 2, 4, 8, 16)))
+# NVR's parallel-entry count N (Table I: 16).
+ABLATIONS.register("nvr-width", Ablation("vector_width", "nvr_width", (4, 8, 16, 32)))
+# NSB capacity at the default 256 KiB L2 (Fig. 9's row axis).
+ABLATIONS.register("nsb-size", Ablation("nsb_kib", "nsb_kib", (4, 8, 16, 32, 64)))
+# Load-pipeline issue width (line requests per cycle).
+ABLATIONS.register("issue-width", Ablation("issue_width", "issue_width", (1, 2, 4, 8)))
 
 
 @dataclass
@@ -610,16 +608,20 @@ class AblationResult:
         return self.values[means.index(max(means))]
 
 
-def _run_ablation(
+def run_ablation(
     name: str,
-    axis: str,
-    grid_axis: str,
-    values: tuple[int, ...],
-    workloads: tuple[str, ...],
-    scale: float,
-    seed: int,
-    session: Session | None,
+    values: tuple[int, ...] | None = None,
+    workloads: tuple[str, ...] = ABLATION_WORKLOADS,
+    scale: float = 0.4,
+    seed: int = 0,
+    session: Session | None = None,
 ) -> AblationResult:
+    """One :data:`ABLATIONS` study: NVR cycles per workload and axis value.
+
+    ``values`` defaults to the study's own sweep.
+    """
+    study = ABLATIONS[name]
+    values = study.values if values is None else tuple(values)
     session = session or default_session()
     rs = session.sweep(
         Grid(
@@ -627,134 +629,17 @@ def _run_ablation(
             mechanism="nvr",
             scale=scale,
             seed=seed,
-            **{grid_axis: tuple(values)},
+            **{study.grid_axis: values},
         )
     )
     cycles = {
-        w: [rs.one(workload=w, **{grid_axis: v}).total_cycles for v in values]
+        w: [rs.one(workload=w, **{study.grid_axis: v}).total_cycles for v in values]
         for w in workloads
     }
     return AblationResult(
         name=name,
-        axis=axis,
+        axis=study.axis,
         values=list(values),
         workloads=list(workloads),
         cycles=cycles,
     )
-
-
-def ablate_nvr_depth(
-    values: tuple[int, ...] = (1, 2, 4, 8, 16),
-    workloads: tuple[str, ...] = ABLATION_WORKLOADS,
-    scale: float = 0.4,
-    seed: int = 0,
-    session: Session | None = None,
-) -> AblationResult:
-    """Runahead depth sweep: how far ahead NVR chases the W stream."""
-    return _run_ablation(
-        "nvr-depth", "depth_tiles", "nvr_depth",
-        values, workloads, scale, seed, session,
-    )
-
-
-def ablate_nvr_width(
-    values: tuple[int, ...] = (4, 8, 16, 32),
-    workloads: tuple[str, ...] = ABLATION_WORKLOADS,
-    scale: float = 0.4,
-    seed: int = 0,
-    session: Session | None = None,
-) -> AblationResult:
-    """Vector width sweep: NVR's parallel-entry count N (Table I: 16)."""
-    return _run_ablation(
-        "nvr-width", "vector_width", "nvr_width",
-        values, workloads, scale, seed, session,
-    )
-
-
-def ablate_nsb_size(
-    values: tuple[int, ...] = (4, 8, 16, 32, 64),
-    workloads: tuple[str, ...] = ABLATION_WORKLOADS,
-    scale: float = 0.4,
-    seed: int = 0,
-    session: Session | None = None,
-) -> AblationResult:
-    """NSB capacity sweep at the default 256 KiB L2 (Fig. 9's row axis)."""
-    return _run_ablation(
-        "nsb-size", "nsb_kib", "nsb_kib",
-        values, workloads, scale, seed, session,
-    )
-
-
-def ablate_issue_width(
-    values: tuple[int, ...] = (1, 2, 4, 8),
-    workloads: tuple[str, ...] = ABLATION_WORKLOADS,
-    scale: float = 0.4,
-    seed: int = 0,
-    session: Session | None = None,
-) -> AblationResult:
-    """Load-pipeline issue width sweep (line requests per cycle)."""
-    return _run_ablation(
-        "issue-width", "issue_width", "issue_width",
-        values, workloads, scale, seed, session,
-    )
-
-
-#: Named ablation studies, the `repro ablate` CLI's menu.
-ABLATIONS = {
-    "nvr-depth": ablate_nvr_depth,
-    "nvr-width": ablate_nvr_width,
-    "nsb-size": ablate_nsb_size,
-    "issue-width": ablate_issue_width,
-}
-
-
-# ---------------------------------------------------------------------------
-# Tables
-# ---------------------------------------------------------------------------
-
-
-def table1_overhead(vector_width: int = 16) -> OverheadReport:
-    """Table I: NVR hardware storage overhead."""
-    return nvr_overhead(vector_width=vector_width)
-
-
-@dataclass
-class Table2Row:
-    short: str
-    full_name: str
-    domain: str
-    gather_elements: int
-    footprint_kib: float
-    reuse_factor: float
-
-
-def table2_plan(scale: float = 0.3, seed: int = 0) -> list[RunSpec]:
-    """The Table II trace-statistics pass as plan content."""
-    return Grid(
-        workload=WORKLOAD_ORDER, kind="trace", scale=scale, seed=seed
-    ).specs()
-
-
-def table2_workloads(
-    scale: float = 0.3,
-    seed: int = 0,
-    session: Session | None = None,
-) -> list[Table2Row]:
-    """Table II: the workload suite, with measured trace statistics."""
-    session = session or default_session()
-    rs = session.sweep(table2_plan(scale=scale, seed=seed))
-    rows = []
-    for short in WORKLOAD_ORDER:
-        stats = rs.one(workload=short)
-        info = WORKLOAD_INFO[short]
-        rows.append(
-            Table2Row(
-                short=info.short,
-                full_name=info.full_name,
-                domain=info.domain,
-                gather_elements=stats.gather_elements,
-                footprint_kib=stats.footprint_bytes / KIB,
-                reuse_factor=stats.reuse_factor,
-            )
-        )
-    return rows

@@ -1,74 +1,13 @@
-"""Derived metrics over :class:`~repro.sim.soc.RunResult` collections.
+"""Byte-level traffic shares of one run, the split Figs. 6c and 7 plot.
 
-All published quantities are computed here, once, so that figures, tests
-and benches agree on definitions:
-
-* **normalised latency** — total cycles over the in-order baseline's.
-* **stall fraction** — (total − base) / total, the Fig. 5 upper segment.
-* **miss reduction** — reduction in stall events (true misses plus late
-  prefetches, both of which stall the vector pipeline).
-* **coverage / accuracy** — delegated to
-  :class:`~repro.sim.stats.RunStats` (single source of truth).
-* **bandwidth shares** — byte-level split for Figs. 6c/7.
+Accuracy and coverage are :class:`~repro.sim.stats.RunStats`'s own
+methods; every other figure metric is computed by that figure's
+reduction in :mod:`repro.analysis.experiments`.
 """
 
 from __future__ import annotations
 
-from ..errors import ConfigError
-from ..sim.soc import RunResult
 from ..sim.stats import RunStats
-from ..utils import geometric_mean
-
-
-def normalised_latency(
-    results: dict[str, RunResult], baseline: str = "inorder"
-) -> dict[str, float]:
-    """Total cycles of each mechanism over the baseline's."""
-    if baseline not in results:
-        raise ConfigError(f"baseline '{baseline}' missing from results")
-    base = results[baseline].total_cycles
-    if base <= 0:
-        raise ConfigError("baseline run has no cycles")
-    return {name: r.total_cycles / base for name, r in results.items()}
-
-
-def stall_fraction(result: RunResult) -> float:
-    """Fraction of wall-clock spent stalled on cache misses.
-
-    Requires a run produced by ``run_with_base`` (needs base_cycles).
-    """
-    if result.base_cycles is None:
-        raise ConfigError("stall_fraction needs a run_with_base result")
-    if result.total_cycles == 0:
-        return 0.0
-    return result.stall_cycles / result.total_cycles
-
-
-def stall_events(stats: RunStats) -> int:
-    """Pipeline-stalling memory events: true misses plus late prefetches."""
-    return stats.l2.demand_misses + stats.prefetch.late
-
-
-def miss_reduction(ours: RunResult, reference: RunResult) -> float:
-    """Fractional reduction in stall events versus ``reference``."""
-    ref = stall_events(reference.stats)
-    if ref == 0:
-        return 0.0
-    return 1.0 - stall_events(ours.stats) / ref
-
-
-def geomean_speedup(
-    per_workload: dict[str, dict[str, RunResult]],
-    mechanism: str,
-    baseline: str = "inorder",
-) -> float:
-    """Geometric-mean speedup of ``mechanism`` across workloads."""
-    speedups = []
-    for results in per_workload.values():
-        speedups.append(
-            results[baseline].total_cycles / results[mechanism].total_cycles
-        )
-    return geometric_mean(speedups)
 
 
 def bandwidth_shares(stats: RunStats) -> dict[str, int]:

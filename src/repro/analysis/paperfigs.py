@@ -1,23 +1,42 @@
-"""Generate EXPERIMENTS.md: every paper table/figure, paper vs measured.
+"""The figure table and the report it generates, paper vs measured.
 
-Regenerate the full comparison with the ``figures`` command::
+:data:`FIGURES` declares each paper figure and table once, in report
+order: its plan builder and reduction (from
+:mod:`repro.analysis.experiments`), its renderer (below) and its scale
+cap. :func:`generate_report`, :func:`figures_plan` and the
+``workloads``/``overhead`` commands all read it. Regenerate the full
+comparison (EXPERIMENTS.md) with the ``figures`` command::
 
     python -m repro figures --scale 0.6 -o EXPERIMENTS.md
 
 Scale trades run time for statistical weight; shapes are stable from
-~0.3. The full-paper run (scale 1.0) takes tens of minutes on a laptop.
+~0.3. The full-paper run (scale 1.0) takes about 35 s serially on a
+2-vCPU machine with a fresh cache.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from dataclasses import dataclass
+from typing import Callable
 
-from ..llm import calibration_plan, layer_miss_plan
+from ..core.overhead import OverheadReport, nvr_overhead
+from ..registry import Registry
+from ..resultset import ResultSet
 from ..runner import Plan
 from ..session import Session, default_session
 from ..utils import geometric_mean
-from ..workloads import WORKLOAD_ORDER
 from .experiments import (
+    Fig1bResult,
+    Fig5Result,
+    Fig6cResult,
+    Fig6Result,
+    Fig7Result,
+    Fig8Result,
+    Fig9Result,
+    Sweeps,
+    Table2Row,
     fig1b_plan,
     fig1b_sparsity_gap,
     fig5_latency_breakdown,
@@ -28,20 +47,14 @@ from .experiments import (
     fig6c_plan,
     fig7_bandwidth_allocation,
     fig7_plan,
-    fig8a_layer_miss,
-    fig8bc_llm_throughput,
+    fig8_llm_evaluation,
+    fig8_plan,
     fig9_nsb_sensitivity,
     fig9_plan,
-    table1_overhead,
     table2_plan,
     table2_workloads,
 )
 from .report import format_grid, format_series, format_table
-
-#: ``generate_report`` caps the heavier figures below the headline scale;
-#: :func:`figures_plan` must apply the same caps to cover the same points.
-FIG8_SCALE_CAP = 0.4
-FIG9_SCALE_CAP = 0.5
 
 
 def _header(scale: float, seed: int, elapsed: float, session=None) -> str:
@@ -70,8 +83,7 @@ def _header(scale: float, seed: int, elapsed: float, session=None) -> str:
     )
 
 
-def _fig1b(scale: float, seed: int, session=None) -> str:
-    res = fig1b_sparsity_gap(scale=scale, seed=seed, session=session)
+def _fig1b(res: Fig1bResult) -> str:
     rows = [
         [f"1/{r}", round(s, 2), r, round(r / s, 2), int(o)]
         for r, s, o in zip(res.ratios, res.speedups, res.offchip_per_step)
@@ -101,13 +113,11 @@ def _fig1b(scale: float, seed: int, session=None) -> str:
     )
 
 
-def _fig5(scale: float, seed: int, session=None) -> str:
-    res = fig5_latency_breakdown(scale=scale, seed=seed, session=session)
+def _fig5(res: Fig5Result) -> str:
     sections = []
     for panel, data in res.panels.items():
         rows = []
-        for workload in WORKLOAD_ORDER:
-            per = data[workload]
+        for workload, per in data.items():
             rows.append(
                 [workload]
                 + [
@@ -120,7 +130,7 @@ def _fig5(scale: float, seed: int, session=None) -> str:
             rows,
             title=f"[{panel}] normalised latency (base+stall, InO total = 1.00)",
         )
-        speedups = [1.0 / max(data[w]["nvr"].total, 1e-9) for w in WORKLOAD_ORDER]
+        speedups = [1.0 / max(per["nvr"].total, 1e-9) for per in data.values()]
         sections.append(
             f"```\n{table}\n```\n"
             f"- NVR mean stall-time reduction vs InO: "
@@ -138,28 +148,16 @@ def _fig5(scale: float, seed: int, session=None) -> str:
     )
 
 
-def _fig6(scale: float, seed: int, session=None) -> str:
-    res = fig6_accuracy_coverage(scale=scale, seed=seed, session=session)
-    rows = []
-    for workload in WORKLOAD_ORDER:
-        per = res.data[workload]
-        rows.append(
-            [workload]
-            + [round(per[m][0], 2) for m in ("stream", "imp", "dvr", "nvr")]
-            + [round(per[m][1], 2) for m in ("stream", "imp", "dvr", "nvr")]
-        )
+def _fig6(res: Fig6Result) -> str:
+    mechs = list(next(iter(res.data.values())))
+    rows = [
+        [workload]
+        + [round(per[m][0], 2) for m in mechs]
+        + [round(per[m][1], 2) for m in mechs]
+        for workload, per in res.data.items()
+    ]
     table = format_table(
-        [
-            "workload",
-            "acc:stream",
-            "acc:imp",
-            "acc:dvr",
-            "acc:nvr",
-            "cov:stream",
-            "cov:imp",
-            "cov:dvr",
-            "cov:nvr",
-        ],
+        ["workload"] + [f"acc:{m}" for m in mechs] + [f"cov:{m}" for m in mechs],
         rows,
     )
     return (
@@ -177,8 +175,7 @@ def _fig6(scale: float, seed: int, session=None) -> str:
     )
 
 
-def _fig6c(scale: float, seed: int, session=None) -> str:
-    res = fig6c_data_movement(scale=scale, seed=seed, session=session)
+def _fig6c(res: Fig6cResult) -> str:
     rows = [
         [
             name,
@@ -186,7 +183,7 @@ def _fig6c(scale: float, seed: int, session=None) -> str:
             res.in_chip[name],
             f"{res.reduction(name):.1f}x",
         ]
-        for name in ("inorder", "nvr", "nvr+nsb")
+        for name in res.offchip_demand
     ]
     table = format_table(
         ["config", "off-chip demand B", "in-chip B", "reduction vs InO"],
@@ -205,8 +202,7 @@ def _fig6c(scale: float, seed: int, session=None) -> str:
     )
 
 
-def _fig7(scale: float, seed: int, session=None) -> str:
-    res = fig7_bandwidth_allocation(scale=scale, seed=seed, session=session)
+def _fig7(res: Fig7Result) -> str:
     shares = ("npu_demand", "nvr_prefetch", "l2_to_npu", "nsb_to_npu")
     rows = [
         ["explicit preload (baseline)", 100.0, "-", "-", "-"],
@@ -231,8 +227,7 @@ def _fig7(scale: float, seed: int, session=None) -> str:
     )
 
 
-def _fig8(scale: float, seed: int, session=None) -> str:
-    rates = fig8a_layer_miss(scale=scale, seed=seed, session=session)
+def _fig8(res: Fig8Result) -> str:
     rows = [
         [
             layer,
@@ -241,14 +236,13 @@ def _fig8(scale: float, seed: int, session=None) -> str:
             f"{per['nvr'][0]:.4f}",
             f"{per['nvr'][1]:.4f}",
         ]
-        for layer, per in rates.items()
+        for layer, per in res.rates.items()
     ]
     table_a = format_table(
         ["layer", "InO batch", "InO element", "NVR batch", "NVR element"],
         rows,
         title="miss rates per attention layer",
     )
-    res = fig8bc_llm_throughput(calib_scale=scale, seed=seed, session=session)
     prefill = format_series(
         "GB/s", res.bandwidths,
         {f"base l={l}": res.prefill["inorder"][l] for l in res.prefill["inorder"]} | {
@@ -264,7 +258,7 @@ def _fig8(scale: float, seed: int, session=None) -> str:
         floatfmt=".1f",
     )
     gains = ", ".join(
-        f"l={l}: +{res.decode_gain(l) * 100:.0f}%" for l in (512, 1024, 2048)
+        f"l={l}: +{res.decode_gain(l) * 100:.0f}%" for l in res.decode["nvr"]
     )
     return (
         "## Fig. 8 — system-level LLM evaluation\n\n"
@@ -281,8 +275,7 @@ def _fig8(scale: float, seed: int, session=None) -> str:
     )
 
 
-def _fig9(scale: float, seed: int, session=None) -> str:
-    res = fig9_nsb_sensitivity(scale=scale, seed=seed, session=session)
+def _fig9(res: Fig9Result) -> str:
     grid = format_grid(
         [f"NSB {n}" for n in res.nsb_sizes],
         [f"L2 {l}" for l in res.l2_sizes],
@@ -305,8 +298,7 @@ def _fig9(scale: float, seed: int, session=None) -> str:
     )
 
 
-def _table1() -> str:
-    report = table1_overhead()
+def _table1(report: OverheadReport) -> str:
     rows = [
         [name, entries, bits, paper, "yes" if match else "no (see note)"]
         for name, entries, bits, paper, match in report.rows()
@@ -334,7 +326,7 @@ def _table1() -> str:
     )
 
 
-def _table2(scale: float, seed: int, session=None) -> str:
+def _table2(workloads: list[Table2Row]) -> str:
     rows = [
         [
             r.short,
@@ -344,7 +336,7 @@ def _table2(scale: float, seed: int, session=None) -> str:
             round(r.footprint_kib),
             round(r.reuse_factor, 1),
         ]
-        for r in table2_workloads(scale=scale, seed=seed, session=session)
+        for r in workloads
     ]
     table = format_table(
         ["short", "workload", "domain", "gathers", "footprint KiB", "reuse"],
@@ -359,12 +351,62 @@ def _table2(scale: float, seed: int, session=None) -> str:
     )
 
 
+@dataclass(frozen=True)
+class Figure:
+    """One paper figure or table: what it sweeps, measures and prints.
+
+    ``plan`` returns the figure's sweeps and alone declares its
+    parameters and their defaults; a figure without one (Table I) sweeps
+    nothing. ``reduce`` turns the concatenated results of those sweeps
+    into the figure's numbers, and ``render`` turns the numbers into its
+    report section. A report at a scale above ``scale_cap`` runs the
+    figure at the cap.
+    """
+
+    plan: Callable[..., Sweeps] | None
+    reduce: Callable[[ResultSet], object]
+    render: Callable[..., str]
+    scale_cap: float = math.inf
+
+    def sweeps(self, **params) -> Sweeps:
+        return self.plan(**params) if self.plan else []
+
+    def run(self, session: Session | None = None, **params):
+        """Submit the sweeps in order and reduce their results.
+
+        ``params`` go to the plan builder; ``session`` defaults to
+        :func:`~repro.session.default_session`.
+        """
+        session = session or default_session()
+        entries = []
+        for specs in self.sweeps(**params):
+            entries += session.sweep(specs)
+        return self.reduce(ResultSet(entries))
+
+    def report_params(self, scale: float, seed: int) -> dict:
+        """The plan arguments this figure runs with in a report."""
+        return {"scale": min(scale, self.scale_cap), "seed": seed}
+
+
+#: Every paper figure and table, in report order.
+FIGURES = Registry("figure")
+FIGURES.register("fig1b", Figure(fig1b_plan, fig1b_sparsity_gap, _fig1b))
+FIGURES.register("fig5", Figure(fig5_plan, fig5_latency_breakdown, _fig5))
+FIGURES.register("fig6", Figure(fig6_plan, fig6_accuracy_coverage, _fig6))
+FIGURES.register("fig6c", Figure(fig6c_plan, fig6c_data_movement, _fig6c))
+FIGURES.register("fig7", Figure(fig7_plan, fig7_bandwidth_allocation, _fig7))
+FIGURES.register("fig8", Figure(fig8_plan, fig8_llm_evaluation, _fig8, scale_cap=0.4))
+FIGURES.register("fig9", Figure(fig9_plan, fig9_nsb_sensitivity, _fig9, scale_cap=0.5))
+FIGURES.register("table1", Figure(None, lambda _: nvr_overhead(), _table1))
+FIGURES.register("table2", Figure(table2_plan, table2_workloads, _table2))
+
+
 def generate_report(
     scale: float = 0.6,
     seed: int = 0,
     session: Session | None = None,
 ) -> str:
-    """Produce the full EXPERIMENTS.md text.
+    """Produce the full EXPERIMENTS.md text: one section per figure.
 
     All figures share ``session`` (defaulting to the process-wide
     :func:`~repro.session.default_session`). The session's cache means
@@ -379,40 +421,25 @@ def generate_report(
     start = time.time()
     session = session or default_session()
     sections = [
-        _fig1b(scale, seed, session),
-        _fig5(scale, seed, session),
-        _fig6(scale, seed, session),
-        _fig6c(scale, seed, session),
-        _fig7(scale, seed, session),
-        _fig8(min(scale, FIG8_SCALE_CAP), seed, session),
-        _fig9(min(scale, FIG9_SCALE_CAP), seed, session),
-        _table1(),
-        _table2(scale, seed, session),
+        figure.render(figure.run(session, **figure.report_params(scale, seed)))
+        for _, figure in FIGURES.items()
     ]
     header = _header(scale, seed, time.time() - start, session)
     return header + "\n" + "\n".join(sections)
 
 
 def figures_plan(scale: float = 0.6, seed: int = 0) -> Plan:
-    """Every runner point a full :func:`generate_report` pass submits.
+    """Every point a full :func:`generate_report` pass submits, in order.
 
-    Built from the same per-figure plan builders the figure runners use
-    (same scale caps included), so executing this plan — locally, or
-    through queue workers — warms a cache from which a subsequent
-    ``repro figures`` run is served without simulating anything. The
-    ``queue-smoke`` CI job pins exactly that.
+    The concatenation of every figure's sweeps at its report parameters,
+    so executing this plan — locally, or through queue workers — warms a
+    cache from which a subsequent ``repro figures`` run is served
+    without simulating anything.
     """
-    fig8_scale = min(scale, FIG8_SCALE_CAP)
     specs = [
-        *fig1b_plan(scale=scale, seed=seed),
-        *fig5_plan(scale=scale, seed=seed),
-        *fig6_plan(scale=scale, seed=seed),
-        *fig6c_plan(scale=scale, seed=seed),
-        *fig7_plan(scale=scale, seed=seed),
-        *layer_miss_plan(("inorder", "nvr"), scale=fig8_scale, seed=seed),
-        *calibration_plan("inorder", scale=fig8_scale, seed=seed),
-        *calibration_plan("nvr", scale=fig8_scale, seed=seed),
-        *fig9_plan(scale=min(scale, FIG9_SCALE_CAP), seed=seed),
-        *table2_plan(scale=scale, seed=seed),
+        spec
+        for _, figure in FIGURES.items()
+        for sweep in figure.sweeps(**figure.report_params(scale, seed))
+        for spec in sweep
     ]
     return Plan(specs=specs, meta={"source": "figures", "scale": scale, "seed": seed})

@@ -15,6 +15,7 @@ from .inference import (
     calibrate_memory_efficiency,
     calibration_plan,
     decode_throughput,
+    gather_layer_rates,
     layer_miss_plan,
     layer_miss_rates,
     prefill_throughput,
@@ -28,6 +29,7 @@ __all__ = [
     "calibrate_memory_efficiency",
     "calibration_plan",
     "decode_throughput",
+    "gather_layer_rates",
     "layer_miss_plan",
     "layer_miss_rates",
     "prefill_throughput",

@@ -32,12 +32,13 @@ import numpy as np
 
 from ..api import make_system
 from ..errors import ConfigError
+from ..resultset import ResultSet
 from ..runner import RunSpec
 from ..session import Grid, Session, default_session
 from ..sim.memory.hierarchy import MemoryConfig
 from ..sim.npu.program import ProgramConfig, SparseProgram, build_one_side_program
+from ..sim.soc import RunResult
 from ..sparse.csr import CSRMatrix
-from ..workloads import build_workload
 from .hardware import NPUHardware
 from .model import TransformerSpec
 
@@ -55,6 +56,27 @@ class MemoryCalibration:
             raise ConfigError("gather_efficiency must be in (0, 1]")
         if self.traffic_ratio <= 0:
             raise ConfigError("traffic_ratio must be positive")
+
+    @classmethod
+    def measure(
+        cls, mechanism: str, reference: RunResult, run: RunResult
+    ) -> MemoryCalibration:
+        """The calibration of a ``with_base`` DS run of ``mechanism``.
+
+        ``gather_efficiency = ideal / (ideal + stall)`` memory cycles of
+        ``run``; ``traffic_ratio`` = its off-chip bytes over those of the
+        no-prefetch ``reference``.
+        """
+        bytes_per_cycle = MemoryConfig().dram.bytes_per_cycle
+        offchip = run.stats.traffic.off_chip_total_bytes
+        mem_ideal = max(1.0, offchip / bytes_per_cycle)
+        efficiency = mem_ideal / (mem_ideal + run.stall_cycles)
+        ref_bytes = max(1, reference.stats.traffic.off_chip_total_bytes)
+        return cls(
+            mechanism=mechanism,
+            gather_efficiency=float(min(1.0, efficiency)),
+            traffic_ratio=float(offchip / ref_bytes),
+        )
 
 
 def calibration_plan(
@@ -89,26 +111,16 @@ def calibrate_memory_efficiency(
 
     Runs the Double-Sparsity micro-benchmark under ``mechanism`` (plus an
     in-order reference for the traffic baseline) and derives the two
-    roofline inputs: ``gather_efficiency = ideal / (ideal + stall)``
-    memory cycles, ``traffic_ratio`` = off-chip bytes vs no-prefetch.
-    The in-order reference is a plain plan spec, so the two Fig. 8
-    calibrations share one reference simulation whenever ``session``
-    carries a cache (the specs are identical across both calls).
+    roofline inputs with :meth:`MemoryCalibration.measure`. The in-order
+    reference is a plain plan spec, so the two Fig. 8 calibrations share
+    one reference simulation whenever ``session`` carries a cache (the
+    specs are identical across both calls).
     """
     session = session or default_session()
-    ref, res = session.sweep(
+    reference, run = session.sweep(
         calibration_plan(mechanism, nsb=nsb, scale=scale, seed=seed)
     ).results
-    bytes_per_cycle = MemoryConfig().dram.bytes_per_cycle
-    mem_ideal = max(1.0, res.stats.traffic.off_chip_total_bytes / bytes_per_cycle)
-    efficiency = mem_ideal / (mem_ideal + res.stall_cycles)
-    ref_bytes = max(1, ref.stats.traffic.off_chip_total_bytes)
-    traffic_ratio = res.stats.traffic.off_chip_total_bytes / ref_bytes
-    return MemoryCalibration(
-        mechanism=mechanism,
-        gather_efficiency=float(min(1.0, efficiency)),
-        traffic_ratio=float(traffic_ratio),
-    )
+    return MemoryCalibration.measure(mechanism, reference, run)
 
 
 def _stage_time(
@@ -166,8 +178,8 @@ def decode_throughput(
 # -- Fig. 8a: per-layer miss rates ------------------------------------------------
 
 
-def _qkv_program(scale: float, elem_bytes: int) -> SparseProgram:
-    """The QKV projection layer: dense, streaming weight reads.
+def _qkv_program(scale: float) -> SparseProgram:
+    """The QKV projection layer: dense, streaming fp16 weight reads.
 
     Modelled as a fully dense 'sparse' operand whose gather indices are
     sequential — the regular end of the spectrum.
@@ -178,75 +190,63 @@ def _qkv_program(scale: float, elem_bytes: int) -> SparseProgram:
     cols = np.tile(np.arange(d, dtype=np.int64), n_rows)
     weights = CSRMatrix(n_rows, d, rowptr, cols, np.ones(len(cols), dtype=np.float32))
     return build_one_side_program(
-        "qkv", weights, ProgramConfig(elem_bytes=elem_bytes, ia_seg_elems=64)
+        "qkv", weights, ProgramConfig(elem_bytes=2, ia_seg_elems=64)
     )
-
-
-_ELEM_DTYPE = {1: "int8", 2: "fp16", 4: "int32"}
 
 
 def layer_miss_plan(
     mechanisms: tuple[str, ...] = ("inorder", "nvr"),
     scale: float = 0.3,
     seed: int = 0,
-    elem_bytes: int = 2,
 ) -> list[RunSpec]:
-    """The runner-spec part of the Fig. 8a pass (QK^T and AV gathers).
-
-    Empty for exotic element widths: those, like the dense QKV program,
-    execute in-process and never reach the plan/cache layer.
-    """
-    dtype = _ELEM_DTYPE.get(elem_bytes)
-    if dtype is None:
-        return []
+    """The runner-spec part of the Fig. 8a pass: the fp16 DS gathers of
+    QK^T (at ``seed``) and AV (at ``seed + 101``) per mechanism."""
     return Grid(
         workload="ds",
         mechanism=mechanisms,
-        dtype=dtype,
+        dtype="fp16",
         scale=scale,
         seed=[seed, seed + 101],
     ).specs()
+
+
+def gather_layer_rates(gathers: ResultSet) -> dict[str, dict[str, tuple[float, float]]]:
+    """Batch and element miss rates per attention layer (Fig. 8a).
+
+    ``gathers`` holds :func:`layer_miss_plan` results. Returns
+    ``{layer: {mechanism: (batch_miss_rate, element_miss_rate)}}`` for
+    the QKV projection (streaming), QK^T (K-cache gather) and AV
+    (V-cache gather) layers. The dense QKV program is not a workload, so
+    it runs here in-process at the gathers' scale.
+    """
+    first = gathers.specs[0]
+    qkv_program = _qkv_program(first.scale)
+    out: dict[str, dict[str, tuple[float, float]]] = {"qkv": {}, "qkt": {}, "av": {}}
+    for mech in dict.fromkeys(spec.mechanism for spec in gathers.specs):
+        layers = (
+            make_system(qkv_program, mechanism=mech).run(),
+            gathers.one(mechanism=mech, seed=first.seed),
+            gathers.one(mechanism=mech, seed=first.seed + 101),
+        )
+        for layer, result in zip(out, layers):
+            out[layer][mech] = (
+                result.stats.batch.batch_miss_rate,
+                result.stats.batch.element_miss_rate,
+            )
+    return out
 
 
 def layer_miss_rates(
     mechanisms: tuple[str, ...] = ("inorder", "nvr"),
     scale: float = 0.3,
     seed: int = 0,
-    elem_bytes: int = 2,
     session: Session | None = None,
 ) -> dict[str, dict[str, tuple[float, float]]]:
-    """Batch and element miss rates per attention layer (Fig. 8a).
-
-    Returns ``{layer: {mechanism: (batch_miss_rate, element_miss_rate)}}``
-    for the QKV projection (streaming), QK^T (K-cache gather) and AV
-    (V-cache gather) layers. For the named element widths (1/2/4 bytes)
-    the gather layers are plain plan specs; exotic widths — and the
-    custom dense QKV program always — execute in-process.
-    """
+    """Fig. 8a's :func:`gather_layer_rates`, one gather sweep per mechanism."""
     session = session or default_session()
-    dtype = _ELEM_DTYPE.get(elem_bytes)
-    qkv_program = _qkv_program(scale, elem_bytes)
-    gather_seeds = {"qkt": seed, "av": seed + 101}
-    out: dict[str, dict[str, tuple[float, float]]] = {}
-    for mech in mechanisms:
-        qkv = make_system(qkv_program, mechanism=mech).run()
-        if dtype is not None:
-            rs = session.sweep(
-                layer_miss_plan((mech,), scale=scale, seed=seed, elem_bytes=elem_bytes)
-            )
-            gathers = [rs.one(seed=s) for s in gather_seeds.values()]
-        else:
-            gathers = [
-                make_system(
-                    build_workload("ds", scale=scale, seed=s, elem_bytes=elem_bytes),
-                    mechanism=mech,
-                ).run()
-                for s in gather_seeds.values()
-            ]
-        for layer, result in zip(("qkv", *gather_seeds), (qkv, *gathers)):
-            out.setdefault(layer, {})[mech] = (
-                result.stats.batch.batch_miss_rate,
-                result.stats.batch.element_miss_rate,
-            )
-    # Figure order: qkv, qkt, av (insertion above is per-mechanism).
-    return {layer: out[layer] for layer in ("qkv", *gather_seeds)}
+    gathers = [
+        entry
+        for mech in mechanisms
+        for entry in session.sweep(layer_miss_plan((mech,), scale=scale, seed=seed))
+    ]
+    return gather_layer_rates(ResultSet(gathers))

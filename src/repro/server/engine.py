@@ -111,7 +111,7 @@ class SweepState:
     record: SweepRecord
     unique: list[tuple[str, RunSpec]]  # (spec.key(), spec), submission order
     done: set = field(default_factory=set)  # spec keys present in the cache
-    cached_at_submit: int = 0
+    cached: set = field(default_factory=set)  # of those, present at submit
     finished: bool = False
     error: str | None = None
     thread: threading.Thread | None = None
@@ -237,7 +237,7 @@ class SweepEngine:
             if self.cache.path_for(spec).exists():
                 done.add(key)
         state.done = done
-        state.cached_at_submit = len(done)
+        state.cached = set(done)
         if fresh:
             self._points_seen += len(state.unique)
             self._points_cached += len(done)
@@ -459,8 +459,8 @@ class SweepEngine:
         if state.error is not None and state.thread is None:
             phase = "failed"
         elif state.finished:
-            phase = "cached" if state.cached_at_submit == total else "done"
-        elif running or done > state.cached_at_submit:
+            phase = "cached" if len(state.cached) == total else "done"
+        elif running or done > len(state.cached):
             phase = "running"
         else:
             phase = "queued"
@@ -474,7 +474,7 @@ class SweepEngine:
                 "total": len(state.record.specs),
                 "unique": total,
                 "done": done,
-                "cached_at_submit": state.cached_at_submit,
+                "cached_at_submit": len(state.cached),
                 "queued": queued,
                 "running": running,
             },
@@ -487,10 +487,12 @@ class SweepEngine:
         materialisation path a warm local sweep takes, so the JSON
         flavour is byte-identical to ``Session.sweep(...).to_json()``
         of the same points. This is where every entry is read and
-        verified: a point whose entry is missing (evicted by a racing
+        verified, once per unique point however often the submission
+        lists it: a point whose entry is missing (evicted by a racing
         ``cache gc``) or invalid (corrupt, or another spec's) flips the
-        sweep back to pending, re-drains it and raises, so the caller
-        re-polls rather than getting a partial result set.
+        sweep back to pending, no longer counts as cached at submit,
+        re-drains and raises, so the caller re-polls rather than getting
+        a partial result set.
         """
         if fmt not in RESULT_FORMATS:
             raise ConfigError(
@@ -506,14 +508,15 @@ class SweepEngine:
                     f"sweep {sweep} has no results yet "
                     f"(state: {self._status_locked(state)['state']})"
                 )
-            entries = []
-            for spec in state.record.specs:
+            materialised = {}
+            for key, spec in state.unique:
                 payload = self.cache.get(spec)
                 if payload is None:
                     # An invalid entry would read as landed to poll()
                     # at once; removed, poll waits for the re-drain.
                     self.cache.path_for(spec).unlink(missing_ok=True)
-                    state.done.discard(spec.key())
+                    state.done.discard(key)
+                    state.cached.discard(key)
                     state.finished = False
                     self._start_drain(state)
                     raise ConfigError(
@@ -521,7 +524,8 @@ class SweepEngine:
                         "from the cache or invalid — re-draining; poll "
                         "status again"
                     )
-                entries.append((spec, materialise(payload)))
+                materialised[key] = materialise(payload)
+            entries = [(spec, materialised[spec.key()]) for spec in state.record.specs]
         return ResultSet(entries).render(fmt)
 
     # -- stats ---------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 One :class:`RunStats` instance is owned by the :class:`~repro.sim.soc.System`
 and threaded through the memory hierarchy and executor. It is intentionally
-a plain mutable record — the analysis layer (:mod:`repro.analysis.metrics`)
-derives all published metrics (accuracy, coverage, miss rates, speedups)
-from these raw counters so the definitions live in exactly one place.
+a plain mutable record: accuracy and coverage are derived here, and each
+paper figure's reduction (:mod:`repro.analysis.experiments`) derives
+its other metrics from these raw counters.
 """
 
 from __future__ import annotations

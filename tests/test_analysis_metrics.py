@@ -1,81 +1,8 @@
-"""Tests for derived metrics and report rendering."""
+"""Tests for traffic shares and report rendering."""
 
-import pytest
-
-from repro.analysis.metrics import (
-    bandwidth_shares,
-    geomean_speedup,
-    miss_reduction,
-    normalised_latency,
-    stall_events,
-    stall_fraction,
-)
+from repro.analysis.metrics import bandwidth_shares
 from repro.analysis.report import format_grid, format_series, format_table
-from repro.errors import ConfigError
-from repro.sim.soc import RunResult
 from repro.sim.stats import RunStats
-
-
-def result(name: str, cycles: int, base: int | None = None, **stats_kw) -> RunResult:
-    stats = RunStats()
-    for key, value in stats_kw.items():
-        obj, attr = key.split("__")
-        setattr(getattr(stats, obj), attr, value)
-    r = RunResult(
-        program_name="p",
-        mechanism=name,
-        mode="inorder",
-        total_cycles=cycles,
-        stats=stats,
-    )
-    if base is not None:
-        r.base_cycles = base
-    return r
-
-
-class TestNormalisedLatency:
-    def test_baseline_is_one(self):
-        results = {"inorder": result("inorder", 1000), "nvr": result("nvr", 250)}
-        norm = normalised_latency(results)
-        assert norm["inorder"] == 1.0
-        assert norm["nvr"] == 0.25
-
-    def test_missing_baseline_raises(self):
-        with pytest.raises(ConfigError):
-            normalised_latency({"nvr": result("nvr", 10)})
-
-
-class TestStall:
-    def test_stall_fraction(self):
-        r = result("inorder", 1000, base=300)
-        assert stall_fraction(r) == pytest.approx(0.7)
-
-    def test_requires_base(self):
-        with pytest.raises(ConfigError):
-            stall_fraction(result("x", 10))
-
-    def test_stall_events_sum(self):
-        r = result("x", 10, l2__demand_misses=5, prefetch__late=3)
-        assert stall_events(r.stats) == 8
-
-
-class TestMissReduction:
-    def test_reduction(self):
-        ours = result("nvr", 10, l2__demand_misses=10)
-        ref = result("dvr", 10, l2__demand_misses=100)
-        assert miss_reduction(ours, ref) == pytest.approx(0.9)
-
-    def test_zero_reference(self):
-        assert miss_reduction(result("a", 1), result("b", 1)) == 0.0
-
-
-class TestGeomean:
-    def test_speedup(self):
-        per_wl = {
-            "w1": {"inorder": result("inorder", 100), "nvr": result("nvr", 25)},
-            "w2": {"inorder": result("inorder", 100), "nvr": result("nvr", 100)},
-        }
-        assert geomean_speedup(per_wl, "nvr") == pytest.approx(2.0)
 
 
 class TestBandwidthShares:

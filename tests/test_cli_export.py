@@ -1,8 +1,12 @@
 """Tests for the CLI."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import build_parser, main
+
+GOLDEN = Path(__file__).with_name("golden_figures.md")
 
 
 class TestCLI:
@@ -37,7 +41,12 @@ class TestCLI:
         target = tmp_path / "EXP.md"
         assert main(["figures", "--scale", "0.1", "-o", str(target)]) == 0
         assert target.exists()
-        assert "Fig. 5" in target.read_text()
+        report = target.read_text()
+        assert "Fig. 5" in report
+        # The whole report is pinned, apart from its run line's wall
+        # time (the CI smoke job's `grep -v 'wall time'` comparison).
+        kept = [line for line in report.splitlines(True) if "wall time" not in line]
+        assert "".join(kept) == GOLDEN.read_text()
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):

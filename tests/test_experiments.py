@@ -1,10 +1,10 @@
 """Integration tests: every paper figure/table runner produces the
 paper's qualitative shape.
 
-Two inputs per figure. ``SCALE`` exercises each runner on a reduced
+Two inputs per figure. ``SCALE`` exercises each figure on a reduced
 slice of its matrix. ``REPORT_SCALE`` is the figures golden's scale:
-there each runner is called with the report's default arguments through
-the default session, so its points are the ones ``repro figures --scale
+there each figure runs with its plan's default arguments through the
+default session, so its points are the ones ``repro figures --scale
 0.1`` simulates and the suite serves them from the shared cache.
 """
 
@@ -12,20 +12,10 @@ import pytest
 
 from repro.analysis.experiments import (
     ABLATIONS,
-    ablate_nsb_size,
-    ablate_nvr_depth,
     explicit_preload_bytes,
-    fig1b_sparsity_gap,
-    fig5_latency_breakdown,
-    fig6_accuracy_coverage,
-    fig6c_data_movement,
-    fig7_bandwidth_allocation,
-    fig8a_layer_miss,
-    fig8bc_llm_throughput,
-    fig9_nsb_sensitivity,
-    table1_overhead,
-    table2_workloads,
+    run_ablation,
 )
+from repro.analysis.paperfigs import FIGURES
 from repro.api import run_workload
 from repro.core import NVRConfig, nsb_config
 from repro.runner import shape_l2
@@ -48,10 +38,10 @@ class TestL2Config:
 class TestFig1b:
     @pytest.fixture(scope="class")
     def report(self):
-        return fig1b_sparsity_gap(scale=REPORT_SCALE)
+        return FIGURES["fig1b"].run(scale=REPORT_SCALE)
 
     def test_speedup_sublinear_in_sparsity(self, report):
-        res = fig1b_sparsity_gap(ratios=(1, 4, 16), scale=SCALE)
+        res = FIGURES["fig1b"].run(ratios=(1, 4, 16), scale=SCALE)
         # Monotone speedup, but below the ideal (= ratio).
         assert res.speedups[0] == 1.0
         assert res.speedups[1] > 1.5
@@ -61,7 +51,7 @@ class TestFig1b:
         assert report.gap_at(16) >= 1.0
 
     def test_offchip_tracks_params_sublinearly(self, report):
-        res = fig1b_sparsity_gap(ratios=(1, 16), scale=SCALE)
+        res = FIGURES["fig1b"].run(ratios=(1, 16), scale=SCALE)
         assert res.offchip_per_step[1] < res.offchip_per_step[0]
         assert report.offchip_per_step[-1] < report.offchip_per_step[0]
 
@@ -69,7 +59,7 @@ class TestFig1b:
 class TestFig5:
     @pytest.fixture(scope="class")
     def fig5(self):
-        return fig5_latency_breakdown(
+        return FIGURES["fig5"].run(
             workloads=("ds", "mk"), panels=("fp16",), scale=SCALE
         )
 
@@ -94,7 +84,7 @@ class TestFig5:
 
     @pytest.fixture(scope="class")
     def report(self):
-        return fig5_latency_breakdown(scale=REPORT_SCALE)
+        return FIGURES["fig5"].run(scale=REPORT_SCALE)
 
     @pytest.mark.parametrize("panel", ["int8", "fp16", "int32", "int32+nsb"])
     def test_headline_over_all_workloads(self, report, panel):
@@ -113,11 +103,11 @@ class TestFig5:
 class TestFig6:
     @pytest.fixture(scope="class")
     def fig6(self):
-        return fig6_accuracy_coverage(workloads=("ds", "mk", "gcn"), scale=SCALE)
+        return FIGURES["fig6"].run(workloads=("ds", "mk", "gcn"), scale=SCALE)
 
     @pytest.fixture(scope="class")
     def report(self):
-        return fig6_accuracy_coverage(scale=REPORT_SCALE)
+        return FIGURES["fig6"].run(scale=REPORT_SCALE)
 
     def test_nvr_coverage_highest(self, fig6):
         for per_mech in fig6.data.values():
@@ -153,11 +143,11 @@ class TestFig6:
 
 class TestFig6c:
     def test_demand_offchip_collapse(self):
-        res = fig6c_data_movement(scale=SCALE)
+        res = FIGURES["fig6c"].run(scale=SCALE)
         # Paper: ~30x fewer off-chip accesses during actual loads.
         assert res.reduction("nvr") > 10
         assert res.reduction("nvr+nsb") >= res.reduction("nvr") * 0.9
-        report = fig6c_data_movement(scale=REPORT_SCALE)
+        report = FIGURES["fig6c"].run(scale=REPORT_SCALE)
         assert report.reduction("nvr") > 10
         assert report.reduction("nvr+nsb") > 10
 
@@ -171,12 +161,12 @@ class TestFig7:
     def test_offchip_reduction_headline(self):
         """Paper: ~75% off-chip bandwidth reduction vs the baseline."""
         for scale in (SCALE, REPORT_SCALE):
-            res = fig7_bandwidth_allocation(scale=scale)
+            res = FIGURES["fig7"].run(scale=scale)
             assert res.offchip_reduction(False) > 0.6
             assert res.offchip_reduction(True) > 0.6
 
     def test_prefetch_traffic_replaces_demand_traffic(self):
-        res = fig7_bandwidth_allocation(scale=REPORT_SCALE)
+        res = FIGURES["fig7"].run(scale=REPORT_SCALE)
         assert res.without_nsb["nvr_prefetch"] > res.without_nsb["npu_demand"]
         # With the NSB, part of the NPU's read traffic is served in-NPU.
         assert res.with_nsb["nsb_to_npu"] > 0
@@ -184,9 +174,9 @@ class TestFig7:
 
 class TestFig8:
     def test_fig8a_gap(self):
-        rates = fig8a_layer_miss(scale=SCALE)
+        rates = FIGURES["fig8"].run(scale=SCALE).rates
         assert rates["qkt"]["inorder"][0] > 5 * rates["qkt"]["nvr"][0]
-        report = fig8a_layer_miss(scale=REPORT_SCALE)
+        report = FIGURES["fig8"].run(scale=REPORT_SCALE).rates
         # Gather layers (QK^T, AV) miss heavily in-order; NVR collapses
         # their batch miss rate by an order of magnitude.
         for layer in ("qkt", "av"):
@@ -198,10 +188,10 @@ class TestFig8:
         assert report["qkv"]["inorder"][0] < 0.3
 
     def test_fig8bc_decode_gain(self):
-        res = fig8bc_llm_throughput(calib_scale=SCALE)
+        res = FIGURES["fig8"].run(scale=SCALE)
         assert res.decode_gain(2048) > 0.3
         assert res.decode_gain(2048) > res.decode_gain(512)
-        report = fig8bc_llm_throughput(calib_scale=REPORT_SCALE)
+        report = FIGURES["fig8"].run(scale=REPORT_SCALE)
         assert report.decode_gain(512) > 0.05
         assert report.decode_gain(2048) > 0.3
         assert report.decode_gain(2048) > report.decode_gain(512)
@@ -209,13 +199,13 @@ class TestFig8:
     def test_fig8bc_prefill_plateau(self):
         """Prefill is compute-bound: both reach the same peak, NVR at a
         lower bandwidth."""
-        res = fig8bc_llm_throughput(calib_scale=REPORT_SCALE)
+        res = FIGURES["fig8"].run(scale=REPORT_SCALE)
         base, nvr = res.prefill["inorder"][2048], res.prefill["nvr"][2048]
         assert nvr[-1] == base[-1]
         assert nvr[0] > base[0]
 
     def test_fig8bc_monotone_bandwidth(self):
-        res = fig8bc_llm_throughput(calib_scale=SCALE)
+        res = FIGURES["fig8"].run(scale=SCALE)
         for series in res.decode["nvr"].values():
             assert series == sorted(series)
 
@@ -223,13 +213,13 @@ class TestFig8:
 class TestFig9:
     @pytest.fixture(scope="class")
     def fig9(self):
-        return fig9_nsb_sensitivity(
+        return FIGURES["fig9"].run(
             nsb_sizes=(4, 16), l2_sizes=(64, 256, 1024), scale=SCALE
         )
 
     @pytest.fixture(scope="class")
     def report(self):
-        return fig9_nsb_sensitivity(scale=REPORT_SCALE)
+        return FIGURES["fig9"].run(scale=REPORT_SCALE)
 
     def test_grid_shape(self, fig9, report):
         assert len(fig9.perf) == 2
@@ -256,7 +246,9 @@ class TestFig9:
 
 class TestAblations:
     def test_depth_sweep_improves_over_shallow(self):
-        res = ablate_nvr_depth(values=(1, 8), workloads=("ds", "st"), scale=SCALE)
+        res = run_ablation(
+            "nvr-depth", values=(1, 8), workloads=("ds", "st"), scale=SCALE
+        )
         assert res.values == [1, 8]
         assert set(res.cycles) == {"ds", "st"}
         # Deeper runahead hides more latency than depth 1 on these
@@ -267,21 +259,21 @@ class TestAblations:
 
     def test_nsb_size_sweep_runs_cached(self, tmp_path):
         cold = Session(cache_dir=tmp_path)
-        res = ablate_nsb_size(
-            values=(4, 16), workloads=("st",), scale=SCALE, session=cold
+        res = run_ablation(
+            "nsb-size", values=(4, 16), workloads=("st",), scale=SCALE, session=cold
         )
         assert cold.submitted == 2
         warm = Session(cache_dir=tmp_path)
-        rerun = ablate_nsb_size(
-            values=(4, 16), workloads=("st",), scale=SCALE, session=warm
+        rerun = run_ablation(
+            "nsb-size", values=(4, 16), workloads=("st",), scale=SCALE, session=warm
         )
         assert warm.submitted == 0
         assert rerun == res
 
     def test_every_registered_ablation_runs(self):
         # One tiny point each: the study menu stays wired end to end.
-        for name, study in ABLATIONS.items():
-            res = study(values=(2,), workloads=("st",), scale=0.05)
+        for name in ABLATIONS:
+            res = run_ablation(name, values=(2,), workloads=("st",), scale=0.05)
             assert res.name == name
             assert res.cycles["st"][0] > 0
 
@@ -340,7 +332,7 @@ class TestDesignChoices:
 
 class TestTables:
     def test_table1(self):
-        report = table1_overhead()
+        report = FIGURES["table1"].run()
         assert len(report.structures) == 5
         assert report.total_kib < 2.0
         rows = report.rows()
@@ -356,8 +348,8 @@ class TestTables:
 
     def test_table2(self):
         shorts = ["DS", "GAT", "GCN", "GSABT", "H2O", "MK", "SCN", "ST"]
-        report = table2_workloads(scale=REPORT_SCALE)
-        for rows in (table2_workloads(scale=SCALE), report):
+        report = FIGURES["table2"].run(scale=REPORT_SCALE)
+        for rows in (FIGURES["table2"].run(scale=SCALE), report):
             assert len(rows) == 8
             assert [r.short for r in rows] == shorts
             for row in rows:

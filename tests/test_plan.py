@@ -4,33 +4,25 @@ The acceptance properties of the plan format and its commands:
 
 * plans round-trip through JSON for every registered mechanism, engine
   and workload, and corrupt wire files fail with ``ConfigError``;
-* the figures plan covers exactly what the figure runners submit, so
-  executing it warms a cache that ``repro figures`` reads 100% warm;
+* the figures plan is exactly what ``repro figures`` submits, sweep by
+  sweep, so executing it warms a cache that the report reads 100% warm;
 * machines that share nothing run a plan with ``plan export`` →
   ``sweep --spec``, and after a plain copy of that cache directory the
   submitter's payloads are bit-identical to a local run.
 """
 
+import hashlib
 import json
 import shutil
 
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.analysis.experiments import (
-    fig1b_plan,
-    fig6c_data_movement,
-    fig6c_plan,
-    fig7_bandwidth_allocation,
-    fig7_plan,
-    table2_plan,
-    table2_workloads,
-)
-from repro.analysis.paperfigs import figures_plan
+from repro.analysis.experiments import fig6c_plan, fig7_plan, table2_plan
+from repro.analysis.paperfigs import FIGURES, figures_plan, generate_report
 from repro.core import NVRConfig
 from repro.core.nsb import nsb_config
 from repro.errors import ConfigError
-from repro.llm import calibration_plan, layer_miss_plan
 from repro.registry import MECHANISMS
 from repro.runner import Plan, RunSpec, shape_l2
 from repro.session import Grid, Session
@@ -210,22 +202,25 @@ class TestFiguresPlan:
         assert a.meta["source"] == "figures"
         assert len(a.unique_specs()) > 100
 
-    def test_covers_cheap_figure_runners(self, tmp_path):
-        # Contract per figure: the plan builder emits exactly what the
-        # runner submits. Checked on the cheap figures here; the full
-        # generate_report coverage (every figure, zero warm submissions)
-        # is pinned by the queue-smoke CI job.
-        scale = SCALE
-        keys = {s.key() for s in figures_plan(scale=scale).specs}
-        for plan_specs in (
-            fig1b_plan(scale=scale),
-            fig6c_plan(scale=scale),
-            fig7_plan(scale=scale),
-            table2_plan(scale=scale),
-            layer_miss_plan(("inorder", "nvr"), scale=scale),
-            calibration_plan("nvr", scale=scale),
-        ):
-            assert {s.key() for s in plan_specs} <= keys
+    def test_report_sweeps_are_the_figures_plan(self):
+        # The report submits exactly the figures plan, sweep by sweep and
+        # in order. perfbench's figures workload shuffles this key
+        # sequence by seed, so the sequence itself is pinned too. The
+        # suite's shared cache holds most of these points.
+        calls = []
+
+        class RecordingSession(Session):
+            def sweep(self, plan):
+                calls.append(list(plan))
+                return super().sweep(calls[-1])
+
+        generate_report(scale=0.1, session=RecordingSession())
+        assert [len(specs) for specs in calls] == [5, 192, 32, 3, 3, 2, 2, 2, 2, 28, 8]
+        keys = [spec.key() for specs in calls for spec in specs]
+        assert keys == [spec.key() for spec in figures_plan(scale=0.1).specs]
+        assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == (
+            "6fb36cf12c0190afc6ce5a979ffede5dc3244bb5423110625fe7930d9c097e4b"
+        )
 
     def test_figure_runner_submits_only_plan_specs(self, tmp_path):
         class RecordingSession(Session):
@@ -237,13 +232,13 @@ class TestFiguresPlan:
                 self.seen.extend(plan)
                 return super().sweep(plan)
 
-        for runner_fn, plan_fn in (
-            (fig6c_data_movement, fig6c_plan),
-            (fig7_bandwidth_allocation, fig7_plan),
-            (table2_workloads, table2_plan),
+        for name, plan_fn in (
+            ("fig6c", fig6c_plan),
+            ("fig7", fig7_plan),
+            ("table2", table2_plan),
         ):
             recorder = RecordingSession()
-            runner_fn(scale=SCALE, session=recorder)
+            FIGURES[name].run(scale=SCALE, session=recorder)
             assert [s.key() for s in recorder.seen] == [
-                s.key() for s in plan_fn(scale=SCALE)
+                s.key() for specs in plan_fn(scale=SCALE) for s in specs
             ]

@@ -649,25 +649,25 @@ class TestCompareMechanisms:
 
 class TestFigureRunners:
     def test_fig5_shares_plan_and_caches(self, tmp_path):
-        from repro.analysis.experiments import fig5_latency_breakdown
+        from repro.analysis.paperfigs import FIGURES
 
         cold = Session(cache_dir=tmp_path)
-        res = fig5_latency_breakdown(
+        res = FIGURES["fig5"].run(
             workloads=("st",), panels=("fp16",), scale=SCALE, session=cold
         )
         assert cold.submitted == 6
         warm = Session(cache_dir=tmp_path)
-        res2 = fig5_latency_breakdown(
+        res2 = FIGURES["fig5"].run(
             workloads=("st",), panels=("fp16",), scale=SCALE, session=warm
         )
         assert warm.submitted == 0
         assert res2.panels == res.panels
 
     def test_fig9_memory_override_grid(self, tmp_path):
-        from repro.analysis.experiments import fig9_nsb_sensitivity
+        from repro.analysis.paperfigs import FIGURES
 
         session = Session(cache_dir=tmp_path)
-        res = fig9_nsb_sensitivity(
+        res = FIGURES["fig9"].run(
             nsb_sizes=(4, 16), l2_sizes=(64, 256), scale=0.1, session=session
         )
         assert session.submitted == 4

@@ -273,6 +273,11 @@ class TestSweepEngine:
             assert new_record is created
             assert engine.results(sid) == local.render("json")
             assert sorted(reads) == sorted(spec.key() for spec in specs)
+        # A point listed three times is still one entry, read once.
+        reads.clear()
+        sid, _ = engine.submit([specs[0]] * 3)
+        assert len(json.loads(engine.results(sid))) == 3
+        assert reads == [specs[0].key()]
 
     def test_results_redrains_an_entry_present_but_invalid(self, tmp_path, engine):
         specs = small_specs()
@@ -297,6 +302,10 @@ class TestSweepEngine:
 
         wait_for(redrained)
         assert engine.results(sid) == local.render("json")
+        # The re-drained point was simulated, not served from the cache.
+        status = engine.status(sid)
+        assert status["state"] == "done"
+        assert status["points"]["cached_at_submit"] == 1
         stop_worker(worker, engine.work_dir)
 
     def test_duplicate_points_dedupe_but_results_keep_submission_order(

@@ -191,19 +191,16 @@ class TestSession:
         assert rs.one(mechanism="nvr").total_cycles > 0
 
     def test_sessions_share_cache_across_figure_runners(self, tmp_path):
-        from repro.analysis.experiments import (
-            fig6c_data_movement,
-            fig7_bandwidth_allocation,
-        )
+        from repro.analysis.paperfigs import FIGURES
 
         with Session(cache_dir=tmp_path / "shared") as first:
-            fig6c_data_movement(scale=SCALE, session=first)
-            fig7_bandwidth_allocation(scale=SCALE, session=first)
+            FIGURES["fig6c"].run(scale=SCALE, session=first)
+            FIGURES["fig7"].run(scale=SCALE, session=first)
             # fig7 reuses fig6c's nvr and nvr+nsb points.
             assert first.cache_hits >= 2
         with Session(cache_dir=tmp_path / "shared") as second:
-            fig6c_data_movement(scale=SCALE, session=second)
-            fig7_bandwidth_allocation(scale=SCALE, session=second)
+            FIGURES["fig6c"].run(scale=SCALE, session=second)
+            FIGURES["fig7"].run(scale=SCALE, session=second)
             assert second.submitted == 0  # fully warm
 
     def test_no_cache_session(self, tmp_path):
