@@ -55,7 +55,13 @@ import json
 import sys
 
 from .analysis import format_table
-from .analysis.experiments import ABLATION_WORKLOADS, ABLATIONS, run_ablation
+from .analysis.experiments import (
+    ABLATION_SCALE,
+    ABLATION_WORKLOADS,
+    ABLATIONS,
+    TABLE2_SCALE,
+    run_ablation,
+)
 from .analysis.paperfigs import FIGURES, figures_plan, generate_report
 from .api import DTYPE_BYTES, MECHANISM_ORDER, compare_mechanisms
 from .check import cli as check_cli
@@ -590,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(ABLATION_WORKLOADS),
         help="comma-separated workloads, or 'all'",
     )
-    abl_p.add_argument("--scale", type=float, default=0.4)
+    abl_p.add_argument("--scale", type=float, default=ABLATION_SCALE)
     abl_p.add_argument("--seed", type=int, default=0)
     abl_p.add_argument(
         "--json",
@@ -784,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_p.set_defaults(fn=_cmd_cache)
 
     wl_p = sub.add_parser("workloads", help="list Table II workloads")
-    wl_p.add_argument("--scale", type=float, default=0.3)
+    wl_p.add_argument("--scale", type=float, default=TABLE2_SCALE)
     wl_p.add_argument("--seed", type=int, default=0)
     wl_p.set_defaults(fn=_cmd_workloads)
 

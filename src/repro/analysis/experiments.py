@@ -298,33 +298,6 @@ def fig6c_data_movement(rs: ResultSet) -> Fig6cResult:
 # ---------------------------------------------------------------------------
 
 
-def explicit_preload_bytes(program, granule: int = 512) -> int:
-    """Off-chip traffic of the baseline's *explicit preload* (no NVR).
-
-    A Gemmini-class NPU without gather support must ``mvin`` the scattered
-    operand at coarse DMA granularity: per sparse row, every touched
-    ``granule``-byte region is transferred whole. This is the
-    over-fetching the paper's Sec. II attributes to explicit buffers
-    ("out-of-bounds accesses") and the reference against which Fig. 7's
-    ~75% off-chip bandwidth reduction is measured.
-    """
-    total = 0
-    current_row = -1
-    blocks: set[int] = set()
-    for tile in program.tiles:
-        if tile.row != current_row:
-            total += len(blocks) * granule
-            blocks = set()
-            current_row = tile.row
-        for gather in tile.gathers:
-            for addr in gather.byte_addrs:
-                first = int(addr) // granule
-                last = (int(addr) + gather.seg_bytes - 1) // granule
-                blocks.update(range(first, last + 1))
-    total += len(blocks) * granule
-    return total
-
-
 @dataclass
 class Fig7Result:
     """Traffic shares normalised to the explicit-preload baseline (=100)."""
@@ -526,7 +499,11 @@ class Table2Row:
     reuse_factor: float
 
 
-def table2_plan(scale: float = 0.3, seed: int = 0) -> Sweeps:
+#: Default scale of the Table II trace pass (``repro workloads --scale``).
+TABLE2_SCALE = 0.3
+
+
+def table2_plan(scale: float = TABLE2_SCALE, seed: int = 0) -> Sweeps:
     """The Table II trace-statistics pass, one trace point per workload."""
     return [Grid(workload=WORKLOAD_ORDER, kind="trace", scale=scale, seed=seed).specs()]
 
@@ -608,11 +585,15 @@ class AblationResult:
         return self.values[means.index(max(means))]
 
 
+#: Default scale of an ablation study (``repro ablate --scale``).
+ABLATION_SCALE = 0.4
+
+
 def run_ablation(
     name: str,
     values: tuple[int, ...] | None = None,
     workloads: tuple[str, ...] = ABLATION_WORKLOADS,
-    scale: float = 0.4,
+    scale: float = ABLATION_SCALE,
     seed: int = 0,
     session: Session | None = None,
 ) -> AblationResult:

@@ -120,6 +120,12 @@ class RunaheadController:
             delta_confidence=config.approximate_confidence,
         )
         self.vmig = VMIG(vector_width=config.vector_width, line_bytes=port.line_bytes)
+        # The program's indirect gathers, in the sparse unit's order.
+        self._gathers = [
+            (stream_id, program.gather_streams[stream_id])
+            for stream_id in sparse_unit.gather_stream_ids()
+        ]
+        self._nnz = program.nnz
         self._w_frontier = 0  # W-stream position prefetched so far
         self._pending: list[_PendingWindow] = []
         self.windows_opened = 0
@@ -187,7 +193,9 @@ class RunaheadController:
 
     # -- stage 2: resolution through the sparse unit ------------------------------
     def _resolve_ready(self, now: int) -> None:
-        nnz = self.program.nnz
+        if not self._pending:
+            return
+        nnz = self._nnz
         still_pending: list[_PendingWindow] = []
         for win in self._pending:
             if win.ready > now:
@@ -212,8 +220,7 @@ class RunaheadController:
             )
             if grant > now:
                 self.runahead_delayed += 1
-            for stream_id in self.sparse_unit.gather_stream_ids():
-                stream = self.program.gather_streams[stream_id]
+            for stream_id, stream in self._gathers:
                 addrs = self.sparse_unit.resolve_window(stream_id, indices)
                 self.scd.record_window(stream_id, indices, addrs)
                 batches = self.vmig.bundle(addrs, stream.segment_sizes(indices))
@@ -227,11 +234,10 @@ class RunaheadController:
         """SCD extrapolation: ``IA = ss_start + (predicted_idx << stride)``."""
         win.approx_issued = True
         count = min(win.p1 - win.p0, self.config.vector_width)
-        for stream_id in self.sparse_unit.gather_stream_ids():
+        for stream_id, stream in self._gathers:
             predicted = self.scd.predict_indices(stream_id, count)
             if predicted is None:
                 continue
-            stream = self.program.gather_streams[stream_id]
             addrs = []
             for idx in predicted:
                 addr = self.scd.formula_address(stream_id, idx)

@@ -46,7 +46,9 @@ class DecoupledVectorRunahead(Prefetcher):
         super().__init__(vector_width)
         self.depth_tiles = depth_tiles
         self._position = 0  # latest tile whose data the core has seen
-        self._chased: set[int] = set()
+        # Every tile below the frontier has been chased, or lies behind
+        # the position: windows start past a position that only grows.
+        self._chased_to = 0
         # tile_id -> W-data ready time for chains awaiting index data,
         # and the earliest of those times (inf when none awaits).
         self._awaiting: dict[int, int] = {}
@@ -77,19 +79,13 @@ class DecoupledVectorRunahead(Prefetcher):
     def _enter_runahead(self, now: int) -> None:
         """Chase the dependency chain for the next ``depth_tiles`` tiles."""
         program = self.program
-        targets = [
-            t
-            for t in range(
-                self._position + 1,
-                min(self._position + 1 + self.depth_tiles, program.n_tiles),
-            )
-            if t not in self._chased
-        ]
-        if not targets:
+        first = max(self._position + 1, self._chased_to)
+        end = min(self._position + 1 + self.depth_tiles, program.n_tiles)
+        if first >= end:
             return
         self.invocations += 1
-        for burst, t in enumerate(targets):
-            self._chased.add(t)
+        self._chased_to = end
+        for burst, t in enumerate(range(first, end)):
             tile = program.tiles[t]
             ready = now
             lines = tile.w_idx_load.line_addr_list(
@@ -123,10 +119,11 @@ class DecoupledVectorRunahead(Prefetcher):
                     # CPU runahead thread cannot evaluate it.
                     continue
                 # Affine address arithmetic is part of the loop body the
-                # runahead thread executes - exact reconstruction.
-                seg = gather.seg_bytes
-                for addr in gather.byte_addrs.tolist():
-                    lines += range(addr - addr % line_bytes, addr + seg, line_bytes)
+                # runahead thread executes - exact reconstruction, read
+                # from the program's line lists.
+                firsts, counts, _, _ = gather.line_span_lists(line_bytes)
+                for first, count in zip(firsts, counts):
+                    lines += range(first, first + count * line_bytes, line_bytes)
             if lines:
                 # Vector-width bursts, one per cycle.
                 self._prefetch_bursts(

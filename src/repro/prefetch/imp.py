@@ -149,13 +149,12 @@ class IndirectMemoryPrefetcher(Prefetcher):
             tile = self.program.tiles[tile_id]
             line_bytes = self._line_bytes
             width = self.vector_width
-            indices = None
             for gather in tile.gathers:
                 entry = self._ipt.get(gather.stream_id)
                 if entry is None or not entry.locked:
                     continue
-                if indices is None:
-                    indices = tile.indices.tolist()
+                # The returned index data, from the program's index lists.
+                _, _, indices, _ = gather.line_span_lists(line_bytes)
                 base, shift, seg = entry.base, entry.shift, gather.seg_bytes
                 lines: list[int] = []
                 for idx in indices:

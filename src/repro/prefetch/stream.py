@@ -27,7 +27,7 @@ IRREGULAR_STREAMS = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class _StreamEntry:
     """Reference-prediction-table row for one stream."""
 
@@ -75,36 +75,53 @@ class StreamPrefetcher(Prefetcher):
         if entry is None:
             entry = self._table[stream_id] = _StreamEntry()
         line_bytes = self._line_bytes
-        irregular = stream_id in IRREGULAR_STREAMS
-        if entry.last_line is not None:
-            delta = (line_addr - entry.last_line) // line_bytes
+        last_line = entry.last_line
+        confidence = entry.confidence
+        if last_line is not None:
+            delta = (line_addr - last_line) // line_bytes
             if delta == 0:
                 return  # same line; no training signal
             if delta == entry.stride:
-                entry.confidence = min(entry.confidence + 1, 7)
+                confidence = confidence + 1 if confidence < 7 else 7
             else:
                 entry.stride = delta
-                entry.confidence = 0
+                confidence = 0
+            entry.confidence = confidence
         entry.last_line = line_addr
-        if off_chip and entry.confidence < self.confirm:
-            # Next-line ramp: assume a new ascending stream at every miss.
-            ramp = [line_addr + k * line_bytes for k in range(1, self.ramp_degree + 1)]
-            self._prefetch_bursts(now, (ramp,), irregular)
-        if entry.confidence >= self.confirm and entry.stride != 0:
-            degree = self.degree
-            step = entry.stride * line_bytes
-            if step > 0:
-                # Skip the multiples already requested on this stream.
-                ks = range(max(1, (entry.frontier - line_addr) // step + 1), degree + 1)
-            else:
-                # Stop before the first negative address.
-                ks = range(1, min(degree, line_addr // -step) + 1)
-            if ks:
-                # Multiple k issues at cycle now + k // 4: bursts of four,
-                # the first cut short where the window starts mid-group.
-                targets = [line_addr + k * step for k in ks]
-                cut = 4 - ks[0] % 4
-                bursts = [targets[:cut]]
-                bursts += [targets[i : i + 4] for i in range(cut, len(targets), 4)]
-                self._prefetch_bursts(now + ks[0] // 4, bursts, irregular)
-            entry.frontier = max(entry.frontier, line_addr + degree * step)
+        if confidence < self.confirm:
+            if off_chip:
+                # Next-line ramp: assume a new ascending stream at every miss.
+                ramp = range(
+                    line_addr + line_bytes,
+                    line_addr + (self.ramp_degree + 1) * line_bytes,
+                    line_bytes,
+                )
+                self._prefetch_bursts(now, (ramp,), stream_id in IRREGULAR_STREAMS)
+            return
+        if entry.stride == 0:
+            return
+        degree = self.degree
+        step = entry.stride * line_bytes
+        if step > 0:
+            # Skip the multiples already requested on this stream.
+            k0 = max(1, (entry.frontier - line_addr) // step + 1)
+            k_end = degree + 1
+        else:
+            # Stop before the first negative address.
+            k0 = 1
+            k_end = min(degree, line_addr // -step) + 1
+        if k0 < k_end:
+            # Multiple k issues at cycle now + k // 4: bursts of four, the
+            # first cut short where the window starts mid-group.
+            cut = k0 + 4 - k0 % 4
+            bursts = [
+                range(line_addr + k0 * step, line_addr + min(cut, k_end) * step, step)
+            ]
+            bursts += [
+                range(line_addr + k * step, line_addr + min(k + 4, k_end) * step, step)
+                for k in range(cut, k_end, 4)
+            ]
+            self._prefetch_bursts(now + k0 // 4, bursts, stream_id in IRREGULAR_STREAMS)
+        frontier = line_addr + degree * step
+        if frontier > entry.frontier:
+            entry.frontier = frontier

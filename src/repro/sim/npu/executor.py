@@ -115,6 +115,7 @@ class _EngineBase:
         self.config = config
         self.cpu = ControlCPU(program)
         self._line_bytes = mem.line_bytes
+        program.prepare_line_lists(mem.line_bytes)
         # Hot-path bindings — the issue helpers run once per demand line
         # (millions of calls per sweep), so everything reachable through
         # an attribute chain is resolved once here.

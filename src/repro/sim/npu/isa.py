@@ -42,23 +42,6 @@ class VectorLoad:
     byte_addrs: np.ndarray  # element start addresses
     elem_bytes: int
 
-    def line_addrs(self, line_bytes: int) -> np.ndarray:
-        """Unique cache lines this load touches, in first-touch order.
-
-        Cached per line size: instructions are immutable and walked
-        several times per program (real + base run, prefetch snoops),
-        so the address math runs once.
-        """
-        cache = self.__dict__.get("_la_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_la_cache", cache)
-        lines = cache.get(line_bytes)
-        if lines is None:
-            lines = self._compute_line_addrs(line_bytes)
-            cache[line_bytes] = lines
-        return lines
-
     def _compute_line_addrs(self, line_bytes: int) -> np.ndarray:
         if len(self.byte_addrs) == 0:
             return np.zeros(0, dtype=np.int64)
@@ -76,13 +59,20 @@ class VectorLoad:
         return _as_line_array(np.concatenate([starts, ends]), line_bytes)
 
     def line_addr_list(self, line_bytes: int) -> list[int]:
-        """Cached Python-int form of :meth:`line_addrs` (executor hot path)."""
-        cache = self.__dict__.get("_la_cache")
+        """Unique cache lines this load touches, in first-touch order.
+
+        Cached per line size as plain ints (executor hot path):
+        instructions are immutable and walked several times per program
+        (real + base run, prefetch snoops), so the address math runs
+        once. Engines fill this cache for a whole program at once
+        (:meth:`~.program.SparseProgram.prepare_line_lists`); a miss fills
+        it for this load alone, through the same :func:`fill_line_lists`.
+        """
         key = ("list", line_bytes)
+        cache = self.__dict__.get("_la_cache")
         if cache is None or key not in cache:
-            lines = self.line_addrs(line_bytes).tolist()
-            self.__dict__["_la_cache"][key] = lines
-            return lines
+            fill_line_lists([self], [], line_bytes)
+            cache = self.__dict__["_la_cache"]
         return cache[key]
 
 
@@ -156,21 +146,16 @@ class VectorGather:
         """Cached Python form of :meth:`line_spans` for the engine hot path.
 
         Returns ``(firsts, counts, index_values, total_lines)`` as plain
-        lists/int so the issue loop touches no numpy scalars.
+        lists/int so the issue loop touches no numpy scalars. Engines
+        fill this cache for a whole program at once; a miss fills it for
+        this gather alone, through the same :func:`fill_line_lists`.
         """
-        cache = self.__dict__.get("_ls_cache")
         key = ("list", line_bytes)
-        if cache is not None and key in cache:
-            return cache[key]
-        firsts, counts = self.line_spans(line_bytes)
-        lists = (
-            firsts.tolist(),
-            counts.tolist(),
-            np.asarray(self.index_values).tolist(),
-            int(counts.sum()),
-        )
-        self.__dict__["_ls_cache"][key] = lists
-        return lists
+        cache = self.__dict__.get("_ls_cache")
+        if cache is None or key not in cache:
+            fill_line_lists([], [self], line_bytes)
+            cache = self.__dict__["_ls_cache"]
+        return cache[key]
 
     def granule_blocks(self, granule: int) -> set[int]:
         """Distinct ``granule``-sized block indices the segments touch.
@@ -215,6 +200,88 @@ class VectorGather:
             return np.zeros(0, dtype=np.int64)
         per_elem = self.element_lines(line_bytes)
         return _as_line_array(np.concatenate(per_elem), line_bytes)
+
+
+def fill_line_lists(
+    loads: list[VectorLoad], gathers: list[VectorGather], line_bytes: int
+) -> None:
+    """Fill the line-list caches of many instructions in one numpy pass.
+
+    The one builder of :meth:`VectorLoad.line_addr_list` and
+    :meth:`VectorGather.line_span_lists`: the address math runs once over
+    the concatenated addresses instead of once per instruction. It
+    stores exactly the lists of ``_compute_line_addrs`` and
+    ``_compute_line_spans``, the per-instruction reference it is tested
+    against.
+    """
+    lb = line_bytes
+    key = ("list", lb)
+    if loads:
+        lengths = np.fromiter(
+            (len(load.byte_addrs) for load in loads), np.int64, len(loads)
+        )
+        ends = np.cumsum(lengths)
+        starts = np.asarray(
+            np.concatenate([load.byte_addrs for load in loads]), dtype=np.int64
+        )
+        eb = np.array([load.elem_bytes for load in loads], dtype=np.int64)
+        if len(starts):
+            # A load is a contiguous ascending stream when every step
+            # between its elements is its element size; such a load
+            # touches the closed range of lines from its first element's
+            # to its last's (the fast case of _compute_line_addrs).
+            stepped = starts[1:] != starts[:-1] + np.repeat(eb, lengths)[:-1]
+            broken = np.concatenate(([0], np.cumsum(stepped)))
+            last = np.maximum(ends - 1, 0)
+            first = np.minimum(ends - lengths, len(starts) - 1)
+            contiguous = (broken[last] - broken[first] == 0).tolist()
+            first_line = (starts[first] // lb * lb).tolist()
+            last_line = ((starts[last] + eb - 1) // lb * lb).tolist()
+        else:  # every load is empty
+            contiguous = first_line = last_line = []
+        for i, (load, n) in enumerate(zip(loads, lengths.tolist())):
+            if n == 0:
+                lines: list[int] = []
+            elif contiguous[i]:
+                lines = list(range(first_line[i], last_line[i] + 1, lb))
+            else:
+                lines = load._compute_line_addrs(lb).tolist()
+            load.__dict__.setdefault("_la_cache", {})[key] = lines
+    if gathers:
+        lengths = np.fromiter(
+            (len(gather.byte_addrs) for gather in gathers), np.int64, len(gathers)
+        )
+        ends = np.cumsum(lengths)
+        offsets = ends - lengths
+        addrs = np.asarray(
+            np.concatenate([gather.byte_addrs for gather in gathers]), dtype=np.int64
+        )
+        segs = np.repeat(
+            np.array([gather.seg_bytes for gather in gathers], dtype=np.int64),
+            lengths,
+        )
+        for gather, o, n in zip(gathers, offsets.tolist(), lengths.tolist()):
+            if gather.seg_bytes_per_elem is not None:
+                segs[o : o + n] = gather.seg_bytes_per_elem
+        segs = np.maximum(segs, 1)
+        firsts = addrs // lb * lb
+        counts = ((addrs + segs - 1) // lb * lb - firsts) // lb + 1
+        cum = np.concatenate(([0], np.cumsum(counts)))
+        totals = (cum[ends] - cum[offsets]).tolist()
+        firsts_l = firsts.tolist()
+        counts_l = counts.tolist()
+        idx_l = np.concatenate(
+            [np.asarray(gather.index_values) for gather in gathers]
+        ).tolist()
+        for gather, o, e, total in zip(
+            gathers, offsets.tolist(), ends.tolist(), totals
+        ):
+            gather.__dict__.setdefault("_ls_cache", {})[key] = (
+                firsts_l[o:e],
+                counts_l[o:e],
+                idx_l[o:e],
+                total,
+            )
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .isa import (
     VectorGather,
     VectorLoad,
     VectorStore,
+    fill_line_lists,
 )
 from .systolic import SystolicConfig, SystolicModel
 
@@ -88,13 +89,21 @@ class GatherStream:
         if self.affine:
             base, row_bytes = self.base, self.row_bytes
             return [base + idx * row_bytes for idx in indices]
+        return self.address_array(indices).tolist()
+
+    def address_array(self, indices) -> np.ndarray:
+        """:meth:`address` of every index as one int64 array.
+
+        Tables are widened to int64 before the address math, so int32
+        maps and row pointers cannot wrap.
+        """
         slots = np.asarray(indices, dtype=np.int64)
         if self.index_map is not None:
             slots = self.index_map[slots].astype(np.int64)
         if self.table_rowptr is not None:
             starts = self.table_rowptr[slots].astype(np.int64)
-            return (self.base + starts * self.elem_bytes).tolist()
-        return (self.base + slots * self.row_bytes).tolist()
+            return self.base + starts * self.elem_bytes
+        return self.base + slots * self.row_bytes
 
     def segment_bytes(self, idx: int) -> int:
         """Bytes gathered for one index (dynamic for compressed targets)."""
@@ -193,12 +202,32 @@ class SparseProgram:
     col_stream: np.ndarray
     gather_streams: dict[int, GatherStream]
     config: ProgramConfig
+    _line_sizes: set[int] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.tiles:
             raise ProgramError(f"program '{self.name}' has no tiles")
         if len(self.col_stream) != int(self.rowptr[-1]):
             raise ProgramError("col_stream length must equal nnz")
+
+    def prepare_line_lists(self, line_bytes: int) -> None:
+        """Fill every instruction's line lists for ``line_bytes`` at once.
+
+        Engines call this before they issue. The lists depend only on the
+        program, so a memoised program pays for each line size once, in
+        one whole-program pass (:func:`~.isa.fill_line_lists`).
+        """
+        if line_bytes in self._line_sizes:
+            return
+        tiles = self.tiles
+        fill_line_lists(
+            [t.w_val_load for t in tiles] + [t.w_idx_load for t in tiles],
+            [g for t in tiles for g in t.gathers],
+            line_bytes,
+        )
+        self._line_sizes.add(line_bytes)
 
     @property
     def n_tiles(self) -> int:
@@ -272,66 +301,67 @@ def build_one_side_program(
             index_map=cfg.index_map,
         )
 
+    # Every address depends only on the program, so each stream's
+    # addresses are computed once over the whole W stream, and each tile
+    # holds views of them.
+    col_stream = weights.col_indices.astype(np.int64)
+    positions = np.arange(len(col_stream), dtype=np.int64)
+    w_val_addrs = cfg.w_val_base + positions * cfg.elem_bytes
+    w_idx_addrs = cfg.w_idx_base + positions * cfg.idx_bytes
+    gather_addrs = [
+        (stream, stream.address_array(col_stream)) for stream in streams.values()
+    ]
+    store_offsets = np.arange(cfg.ia_seg_elems, dtype=np.int64) * cfg.elem_bytes
     systolic = SystolicModel(cfg.systolic)
+    computes: dict[int, TileCompute] = {}  # immutable, shared per tile size
+    rowptr = weights.rowptr.tolist()
     tiles: list[Tile] = []
     tile_id = 0
     for row in range(weights.n_rows):
-        lo, hi = int(weights.rowptr[row]), int(weights.rowptr[row + 1])
-        if lo == hi:
-            continue
+        lo, hi = rowptr[row], rowptr[row + 1]
         for j0 in range(lo, hi, cfg.vector_width):
             j1 = min(j0 + cfg.vector_width, hi)
-            idx = weights.col_indices[j0:j1].astype(np.int64)
-            positions = np.arange(j0, j1, dtype=np.int64)
-            w_val = VectorLoad(
-                stream_id=STREAM_W_VALUES,
-                byte_addrs=cfg.w_val_base + positions * cfg.elem_bytes,
-                elem_bytes=cfg.elem_bytes,
-            )
-            w_idx = VectorLoad(
-                stream_id=STREAM_W_INDICES,
-                byte_addrs=cfg.w_idx_base + positions * cfg.idx_bytes,
-                elem_bytes=cfg.idx_bytes,
-            )
-            gathers = []
-            for stream in streams.values():
-                addrs = np.fromiter(
-                    (stream.address(int(i)) for i in idx),
-                    dtype=np.int64,
-                    count=len(idx),
+            idx = col_stream[j0:j1]
+            gathers = [
+                VectorGather(
+                    stream_id=stream.stream_id,
+                    index_values=idx,
+                    byte_addrs=addrs[j0:j1],
+                    seg_bytes=stream.row_bytes,
+                    affine=stream.affine,
                 )
-                gathers.append(
-                    VectorGather(
-                        stream_id=stream.stream_id,
-                        index_values=idx,
-                        byte_addrs=addrs,
-                        seg_bytes=stream.row_bytes,
-                        affine=stream.affine,
-                    )
-                )
+                for stream, addrs in gather_addrs
+            ]
             last = j1 == hi
             store = None
             if cfg.with_stores and last:
                 store = VectorStore(
                     stream_id=STREAM_OA_STORE,
-                    byte_addrs=cfg.oa_base
-                    + row * row_bytes
-                    + np.arange(cfg.ia_seg_elems, dtype=np.int64)
-                    * cfg.elem_bytes,
+                    byte_addrs=cfg.oa_base + row * row_bytes + store_offsets,
                     elem_bytes=cfg.elem_bytes,
                 )
-            compute = TileCompute(
-                cycles=systolic.tile_cycles(len(idx), cfg.ia_seg_elems),
-                sparse_unit_cycles=systolic.sparse_unit_cycles(len(idx)),
-            )
+            compute = computes.get(j1 - j0)
+            if compute is None:
+                compute = computes[j1 - j0] = TileCompute(
+                    cycles=systolic.tile_cycles(j1 - j0, cfg.ia_seg_elems),
+                    sparse_unit_cycles=systolic.sparse_unit_cycles(j1 - j0),
+                )
             tiles.append(
                 Tile(
                     tile_id=tile_id,
                     row=row,
                     j_start=j0,
                     j_end=j1,
-                    w_val_load=w_val,
-                    w_idx_load=w_idx,
+                    w_val_load=VectorLoad(
+                        stream_id=STREAM_W_VALUES,
+                        byte_addrs=w_val_addrs[j0:j1],
+                        elem_bytes=cfg.elem_bytes,
+                    ),
+                    w_idx_load=VectorLoad(
+                        stream_id=STREAM_W_INDICES,
+                        byte_addrs=w_idx_addrs[j0:j1],
+                        elem_bytes=cfg.idx_bytes,
+                    ),
                     indices=idx,
                     gathers=gathers,
                     compute=compute,
@@ -344,7 +374,7 @@ def build_one_side_program(
         name=name,
         tiles=tiles,
         rowptr=weights.rowptr.copy(),
-        col_stream=weights.col_indices.astype(np.int64).copy(),
+        col_stream=col_stream,
         gather_streams=streams,
         config=cfg,
     )

@@ -1,10 +1,12 @@
 """Tests for the CLI."""
 
+import inspect
 from pathlib import Path
 
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.analysis.experiments import ABLATIONS, run_ablation, table2_plan
 
 GOLDEN = Path(__file__).with_name("golden_figures.md")
 
@@ -14,6 +16,17 @@ class TestCLI:
         parser = build_parser()
         args = parser.parse_args(["run", "gcn", "--scale", "0.2"])
         assert args.workload == "gcn"
+
+    @pytest.mark.parametrize(
+        "argv, library",
+        [
+            (["workloads"], table2_plan),
+            (["ablate", sorted(ABLATIONS)[0]], run_ablation),
+        ],
+    )
+    def test_scale_default_is_the_librarys(self, argv, library):
+        args = build_parser().parse_args(argv)
+        assert args.scale == inspect.signature(library).parameters["scale"].default
 
     def test_run_command(self, capsys):
         assert main(["run", "gcn", "--scale", "0.15"]) == 0

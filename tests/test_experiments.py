@@ -10,11 +10,7 @@ default session, so its points are the ones ``repro figures --scale
 
 import pytest
 
-from repro.analysis.experiments import (
-    ABLATIONS,
-    explicit_preload_bytes,
-    run_ablation,
-)
+from repro.analysis.experiments import ABLATIONS, run_ablation
 from repro.analysis.paperfigs import FIGURES
 from repro.api import run_workload
 from repro.core import NVRConfig, nsb_config
@@ -156,7 +152,8 @@ class TestFig7:
     def test_preload_model_overfetches(self):
         prog = build_workload("ds", scale=SCALE)
         gathered = sum(len(t.indices) * t.gathers[0].seg_bytes for t in prog.tiles)
-        assert explicit_preload_bytes(prog) > gathered
+        preload = run_workload("ds", mechanism="preload", scale=SCALE)
+        assert preload.stats.traffic.scratchpad_bytes > gathered
 
     def test_offchip_reduction_headline(self):
         """Paper: ~75% off-chip bandwidth reduction vs the baseline."""

@@ -20,8 +20,7 @@ class TestVectorLoad:
             byte_addrs=np.arange(0, 64, 4, dtype=np.int64),
             elem_bytes=4,
         )
-        lines = load.line_addrs(64)
-        assert list(lines) == [0]
+        assert load.line_addr_list(64) == [0]
 
     def test_elements_spanning_two_lines(self):
         load = VectorLoad(
@@ -29,11 +28,11 @@ class TestVectorLoad:
             byte_addrs=np.array([60], dtype=np.int64),
             elem_bytes=8,
         )
-        assert list(load.line_addrs(64)) == [0, 64]
+        assert load.line_addr_list(64) == [0, 64]
 
     def test_empty_load(self):
         load = VectorLoad(1, np.zeros(0, dtype=np.int64), 4)
-        assert len(load.line_addrs(64)) == 0
+        assert load.line_addr_list(64) == []
 
     def test_first_touch_order_preserved(self):
         load = VectorLoad(
@@ -41,7 +40,7 @@ class TestVectorLoad:
             byte_addrs=np.array([128, 0, 64], dtype=np.int64),
             elem_bytes=4,
         )
-        assert list(load.line_addrs(64)) == [128, 0, 64]
+        assert load.line_addr_list(64) == [128, 0, 64]
 
 
 class TestVectorGather:

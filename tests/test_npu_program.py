@@ -4,14 +4,22 @@ import numpy as np
 import pytest
 
 from repro.errors import ProgramError
-from repro.sim.npu.isa import STREAM_IA_GATHER, STREAM_IA_GATHER_2
+from repro.sim.npu.isa import (
+    STREAM_IA_GATHER,
+    STREAM_IA_GATHER_2,
+    VectorGather,
+    VectorLoad,
+    fill_line_lists,
+)
 from repro.sim.npu.program import (
     GatherStream,
     ProgramConfig,
     build_one_side_program,
 )
+from repro.sim.npu.two_side import build_two_side_program
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.generate import uniform_csr
+from repro.workloads.registry import WORKLOAD_BUILDERS, build_workload
 
 
 def small_program(**cfg_kw):
@@ -160,3 +168,95 @@ class TestProgramConfig:
     def test_bad_seg(self):
         with pytest.raises(ProgramError):
             ProgramConfig(ia_seg_elems=0)
+
+
+def _filled_load_lines(load, line_bytes):
+    """The line list the bulk pass stored (never a lazy recomputation)."""
+    return load.__dict__["_la_cache"][("list", line_bytes)]
+
+
+def _filled_gather_spans(gather, line_bytes):
+    return gather.__dict__["_ls_cache"][("list", line_bytes)]
+
+
+def _reference_spans(gather, line_bytes):
+    firsts, counts = gather._compute_line_spans(line_bytes)
+    return (
+        firsts.tolist(),
+        counts.tolist(),
+        np.asarray(gather.index_values).tolist(),
+        int(counts.sum()),
+    )
+
+
+@pytest.fixture(scope="module", params=[*sorted(WORKLOAD_BUILDERS), "two-side"])
+def lowered(request):
+    if request.param == "two-side":
+        w = uniform_csr(40, 256, 0.05, seed=1)
+        ia = uniform_csr(256, 512, 0.03, seed=2)
+        return build_two_side_program("2s", w, ia, ProgramConfig(elem_bytes=2))
+    return build_workload(request.param, scale=0.05)
+
+
+class TestProgramLineLists:
+    """The whole-program line pass stores exactly the per-instruction lists."""
+
+    @pytest.mark.parametrize("line_bytes", [32, 64, 128])
+    def test_bulk_pass_equals_per_instruction_reference(self, lowered, line_bytes):
+        lowered.prepare_line_lists(line_bytes)
+        for tile in lowered.tiles:
+            for load in (tile.w_val_load, tile.w_idx_load):
+                want = load._compute_line_addrs(line_bytes).tolist()
+                assert _filled_load_lines(load, line_bytes) == want
+                assert load.line_addr_list(line_bytes) == want
+            for gather in tile.gathers:
+                want = _reference_spans(gather, line_bytes)
+                assert _filled_gather_spans(gather, line_bytes) == want
+                assert gather.line_span_lists(line_bytes) == want
+
+    @staticmethod
+    def _irregular_and_empty():
+        empty = np.zeros(0, dtype=np.int64)
+        loads = [
+            VectorLoad(1, np.array([0, 4, 8], dtype=np.int64), 4),  # contiguous
+            VectorLoad(1, np.array([128, 0, 64], dtype=np.int64), 2),  # out of order
+            VectorLoad(1, empty, 2),
+            VectorLoad(1, np.array([62, 62], dtype=np.int64), 4),  # repeated
+            VectorLoad(1, np.array([60], dtype=np.int64), 8),  # one, spanning
+        ]
+        gathers = [
+            VectorGather(3, np.array([1, 2]), np.array([10, 200]), 100, True),
+            VectorGather(3, empty, empty, 64, True),
+            VectorGather(
+                3,
+                np.array([5, 6, 7]),
+                np.array([0, 63, 64]),
+                0,
+                False,
+                seg_bytes_per_elem=np.array([0, 2, 129]),
+            ),
+        ]
+        return loads, gathers
+
+    def test_irregular_and_empty_instructions(self):
+        loads, gathers = self._irregular_and_empty()
+        fill_line_lists(loads, gathers, 64)
+        for load in loads:
+            want = load._compute_line_addrs(64).tolist()
+            assert _filled_load_lines(load, 64) == want
+        for gather in gathers:
+            assert _filled_gather_spans(gather, 64) == _reference_spans(gather, 64)
+
+    def test_cache_miss_fills_one_instruction(self):
+        """Outside a prepared program, the list methods fill their own
+        cache, one instruction at a time, with the same lists."""
+        loads, gathers = self._irregular_and_empty()
+        for line_bytes in (32, 64):
+            for load in loads:
+                want = load._compute_line_addrs(line_bytes).tolist()
+                assert load.line_addr_list(line_bytes) == want
+                assert _filled_load_lines(load, line_bytes) == want
+            for gather in gathers:
+                want = _reference_spans(gather, line_bytes)
+                assert gather.line_span_lists(line_bytes) == want
+                assert _filled_gather_spans(gather, line_bytes) == want

@@ -241,6 +241,13 @@ class TestSparseChainDetector:
         assert scd._last_pair[3] == want_last
 
 
+#: Segment starts and lengths for VMIG: arbitrary values, plus 8-byte
+#: aligned ones and round lengths, so segments often end exactly on a
+#: line boundary.
+vmig_addr = st.one_of(st.integers(0, 1 << 12), st.integers(0, 256).map(lambda k: 8 * k))
+vmig_seg = st.one_of(st.integers(1, 200), st.sampled_from((1, 8, 24, 32, 56, 64, 128)))
+
+
 class TestVMIG:
     def test_dedups_shared_lines(self):
         vmig = VMIG(vector_width=4, line_bytes=64)
@@ -275,6 +282,44 @@ class TestVMIG:
             VMIG(line_bytes=48)
         with pytest.raises(ConfigError):
             VMIG().bundle([0], seg_bytes=0)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.tuples(vmig_addr, vmig_seg), min_size=1, max_size=48),
+        st.one_of(st.none(), vmig_seg),
+        st.sampled_from(((4, 32), (8, 64), (16, 64), (16, 128))),
+        st.booleans(),
+    )
+    def test_batches_equal_flatten_dedupe_chunk(self, elems, fixed, shape, as_array):
+        """Exactly the reference's batches: every segment's lines in
+        element order, deduplicated in first-touch order, then cut into
+        vector-width chunks. Fixed (scalar) and per-element segments run
+        both shorter and longer than a line."""
+        width, line = shape
+        addrs = [a for a, _ in elems]
+        segs = [fixed] * len(elems) if fixed is not None else [s for _, s in elems]
+        flat = [
+            la
+            for a, seg in zip(addrs, segs)
+            for la in range(a // line * line, (a + seg - 1) // line * line + 1, line)
+        ]
+        unique = []
+        for la in flat:
+            if la not in unique:
+                unique.append(la)
+        want = [unique[i : i + width] for i in range(0, len(unique), width)]
+        vmig = VMIG(vector_width=width, line_bytes=line)
+        got = vmig.bundle(
+            np.asarray(addrs) if as_array else addrs,
+            fixed if fixed is not None else segs,
+        )
+        assert [list(batch) for batch in got] == want
+        assert all(type(la) is int for batch in got for la in batch)
+        assert (vmig.elements_in, vmig.lines_deduped, vmig.vector_ops_out) == (
+            len(addrs),
+            len(unique),
+            len(want),
+        )
 
     @settings(max_examples=30)
     @given(
