@@ -12,7 +12,7 @@ Usage::
     python -m repro figures --scale 0.6 --jobs 4 -o EXPERIMENTS.md
     python -m repro plan export --figures --scale 0.1 --out plan.json
     python -m repro queue worker --work-dir work/ &
-    python -m repro sweep --backend queue --work-dir work/ --workloads ds
+    python -m repro sweep --work-dir work/ --workloads ds
     python -m repro queue status --work-dir work/ [--json]
     python -m repro serve --work work/ --port 8080
     python -m repro cache
@@ -21,19 +21,19 @@ Usage::
 
 Every executing subcommand (``run``, ``compare``, ``sweep``, ``ablate``,
 ``figures``) shares one parent parser of session flags —
-``--jobs/--backend/--work-dir/--no-cache/--cache-dir`` — and builds one
+``--jobs/--work-dir/--no-cache/--cache-dir`` — and builds one
 :class:`~repro.session.Session` from them: ``--jobs N`` fans plans out
 over N worker processes and every result (single ``run`` points
 included) is memoised in the on-disk cache (``.repro-cache/`` or
 ``$REPRO_CACHE_DIR``; disable with ``--no-cache``), so repeated and
 overlapping invocations only simulate new points. ``plan export`` writes
 a sweep's points as a wire-format plan file that ``sweep --spec``
-executes anywhere. ``--backend queue`` runs the missing points
-off-process: they become claimable unit files under ``--work-dir`` and
-any number of ``repro queue worker`` processes *pull* them, heartbeating
-their claims so crashed workers' units are re-enqueued automatically; ``queue
-status`` inspects a work directory and ``touch <work-dir>/stop`` drains
-the workers. ``cache gc`` bounds the cache's size with
+executes anywhere. ``--work-dir DIR`` runs the missing points
+off-process: they become claimable unit files under ``DIR`` and any
+number of ``repro queue worker`` processes *pull* them, heartbeating
+their claims so crashed workers' units are re-enqueued automatically;
+``queue status`` inspects a work directory and ``touch <work-dir>/stop``
+drains the workers. ``cache gc`` bounds the cache's size with
 least-recently-accessed eviction. A cache directory moves between
 machines as a plain copy: every read checks the entry's salt and spec,
 so machines that share nothing export their slice of a plan, ``sweep
@@ -372,19 +372,15 @@ def _cmd_queue_worker(args: argparse.Namespace) -> int:
 
 def _cmd_queue_status(args: argparse.Namespace) -> int:
     queue = WorkQueue(args.work_dir)
-    deep = not args.shallow
-    status = queue.status(args.lease_timeout, deep=deep)
+    status = queue.status(args.lease_timeout)
     if args.json:
         # The machine contract: the same document 'repro serve' embeds
         # under "queue" in GET /v1/stats.
         document = {"work_dir": str(queue.root), **status.to_dict()}
         print(json.dumps(document, indent=2, sort_keys=True, allow_nan=False))
         return 0
-    queued = f"{status.queued}"
-    if deep:
-        queued += f" ({status.queued_points} point(s))"
     print(f"work dir  : {queue.root}")
-    print(f"queued    : {queued}")
+    print(f"queued    : {status.queued} ({status.queued_points} point(s))")
     print(
         f"claimed   : {status.claimed} "
         f"({status.expired} lease-expired, recoverable)"
@@ -444,14 +440,11 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     cache = ResultCache(resolve_cache_dir(getattr(args, "cache_dir", None)))
-    action = getattr(args, "cache_cmd", None)
-    if action is None:
-        action = "clear" if args.clear else "stats"
-    if action == "clear":
+    if args.cache_cmd == "clear":
         removed = cache.clear()
         print(f"cleared {removed} entries from {cache.root}")
         return 0
-    if action == "gc":
+    if args.cache_cmd == "gc":
         report = cache.gc(int(args.max_mb * 1024 * 1024), dry_run=args.dry_run)
         verb = "would evict" if report.dry_run else "evicted"
         print(
@@ -644,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     queue_p = sub.add_parser(
         "queue",
         help="pull-based work queue: workers claim units from a shared "
-        "--work-dir (pairs with 'sweep --backend queue')",
+        "--work-dir (pairs with 'sweep --work-dir')",
     )
     queue_sub = queue_p.add_subparsers(dest="queue_cmd", required=True)
     qworker_p = queue_sub.add_parser(
@@ -712,13 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default ${LEASE_TIMEOUT_ENV} or {DEFAULT_LEASE_TIMEOUT:g})",
     )
     qstatus_p.add_argument(
-        "--shallow",
-        action="store_true",
-        help="only count files; skip reading queued units (the deep "
-        "default also counts points per unit and quarantines corrupt "
-        "unit files into failed/)",
-    )
-    qstatus_p.add_argument(
         "--json",
         action="store_true",
         help="emit the scan as a JSON document (the same shape 'repro "
@@ -768,7 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[cache_parent],
         help="inspect, garbage-collect or clear the result cache",
     )
-    cache_p.add_argument("--clear", action="store_true", help="same as 'cache clear'")
     cache_sub = cache_p.add_subparsers(dest="cache_cmd")
     gc_p = cache_sub.add_parser(
         "gc",

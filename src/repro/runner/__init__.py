@@ -25,12 +25,7 @@ parallel plan:
 """
 
 from ..spec import SystemSpec
-from .backend import (
-    BACKEND_NAMES,
-    Backend,
-    LocalPoolBackend,
-    make_backend,
-)
+from .backend import Backend, LocalPoolBackend
 from .cache import (
     CACHE_SALT,
     DEFAULT_CACHE_DIR,
@@ -54,7 +49,6 @@ from .queue import (
     QueueStatus,
     WorkerStats,
     WorkQueue,
-    batch_unit_id,
     load_results,
     unit_id,
     units_per_minute,
@@ -63,7 +57,6 @@ from .queue import (
 from .worker import run_queue_worker
 
 __all__ = [
-    "BACKEND_NAMES",
     "Backend",
     "CACHE_SALT",
     "DEFAULT_CACHE_DIR",
@@ -82,10 +75,8 @@ __all__ = [
     "SystemSpec",
     "WorkQueue",
     "WorkerStats",
-    "batch_unit_id",
     "execute_spec",
     "load_results",
-    "make_backend",
     "materialise",
     "payload_to_result",
     "result_to_payload",

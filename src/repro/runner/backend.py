@@ -7,11 +7,12 @@ executing the pending points to a :class:`Backend`:
 * :class:`LocalPoolBackend` — the default: inline for one point or one
   job, a persistent ``ProcessPoolExecutor`` otherwise. Everything stays
   in this process tree.
-* :class:`~repro.runner.queue.QueueBackend` — the off-process path:
-  pending points become claimable unit files in a work directory and any
-  number of ``repro queue worker`` processes pull them; heartbeaten
-  claims detect crashed workers and their units are re-enqueued (see
-  :mod:`repro.runner.queue`).
+* :class:`~repro.runner.queue.QueueBackend` — the off-process path,
+  built by :meth:`repro.session.Session.remote` (``--work-dir`` on the
+  CLI): pending points become claimable unit files in a work directory
+  and any number of ``repro queue worker`` processes pull them;
+  heartbeaten claims detect crashed workers and their units are
+  re-enqueued (see :mod:`repro.runner.queue`).
 
 All backends yield ``(key, spec, payload)`` triples as points complete;
 results are a pure function of the spec, so every backend produces
@@ -20,15 +21,10 @@ bit-identical payloads — the invariant the ``queue-smoke`` CI job pins.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Iterator, Protocol
 
-from ..errors import ConfigError
 from .plan import RunSpec
-
-#: Backend names accepted by ``--backend`` (see :func:`make_backend`).
-BACKEND_NAMES = ("local", "queue")
 
 
 class Backend(Protocol):
@@ -89,30 +85,3 @@ class LocalPoolBackend:
             self._executor.shutdown()
             self._executor = None
 
-
-def make_backend(
-    name: str,
-    jobs: int = 1,
-    work_dir: str | os.PathLike | None = None,
-    queue_batch: int | None = None,
-) -> Backend:
-    """Build the ``--backend`` CLI choice: 'local' or 'queue'.
-
-    ``jobs`` is the local pool width. The 'queue' backend ignores it —
-    its parallelism is however many ``repro queue worker`` processes
-    attach to the shared ``work_dir`` (which is therefore required).
-    ``queue_batch`` groups that many points per claimable queue unit
-    (``None`` sizes units from each plan; ignored by the local backend).
-    """
-    if name == "local":
-        return LocalPoolBackend(jobs=jobs)
-    if name == "queue":
-        from .queue import QueueBackend  # circular at import time only
-
-        if work_dir is None:
-            raise ConfigError(
-                "the queue backend needs --work-dir (the directory the "
-                "'repro queue worker' processes watch)"
-            )
-        return QueueBackend(work_dir, batch=queue_batch)
-    raise ConfigError(f"unknown backend '{name}' (known: {', '.join(BACKEND_NAMES)})")

@@ -140,8 +140,9 @@ class SweepRunner:
         jobs: worker processes; 1 executes inline in this process
             (shorthand for the default :class:`LocalPoolBackend`).
         backend: the execution backend for cache-missed points; pass a
-            :class:`~repro.runner.queue.QueueBackend` (or the CLI's
-            ``--backend queue``) to run them in ``repro queue worker``
+            :class:`~repro.runner.queue.QueueBackend` (what
+            :meth:`~repro.session.Session.remote` and the CLI's
+            ``--work-dir`` build) to run them in ``repro queue worker``
             processes.
         cache: optional on-disk result cache shared across plans/runs.
         submitted / derived / cache_hits: cumulative counters over the

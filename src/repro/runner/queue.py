@@ -12,8 +12,8 @@ Layout of a work directory (every transition is an atomic write or
 rename, so any number of workers and submitters can share it)::
 
     work_dir/
-        queue/unit-<id>.json     claimable units (one wire-format spec,
-                                 or a "specs" list for batched units)
+        queue/unit-<id>.json     claimable units (a "specs" list of
+                                 wire-format specs)
         claimed/unit-<id>.json   claimed units (renamed out of queue/);
                                  the file's mtime is the heartbeat
         results/unit-<id>.json   worker result files (one record/spec)
@@ -21,9 +21,12 @@ rename, so any number of workers and submitters can share it)::
         workers/<id>.json        per-worker throughput stats
         stop                     sentinel: workers drain and exit
 
-The unit id is a content address (sha256 of the spec key; a batched
-unit hashes all of its keys), so enqueues are idempotent and two
-submitters wanting the same point share one unit.
+The unit id is a content address (sha256 of its points' keys, joined
+by newlines; a one-point unit hashes its one key), so enqueues are
+idempotent and two submitters wanting the same points share one unit.
+A unit file without a ``"specs"`` list (one that an older version
+wrote with a single ``"spec"``) does not parse, and is quarantined into
+``failed/`` like any unreadable unit.
 
 The protocol:
 
@@ -51,15 +54,15 @@ The protocol:
   bit-identical bytes.
 
 :class:`QueueBackend` plugs the queue into the standard
-:class:`~repro.runner.backend.Backend` seam: ``repro sweep --backend
-queue --work-dir DIR`` (or :meth:`repro.session.Session.remote`) streams
-results back as they land, folding each into the submitter's
-:class:`~repro.runner.cache.ResultCache` incrementally — so a crashed
-*orchestrator* also resumes warm. Unless its caller names a batch, the
-backend sizes each plan's units with :func:`unit_size`; a retried plan
-waits on the units its earlier run left rather than regrouping their
-points. It re-scans for results at once after a landing and with a
-doubling sleep after an empty scan.
+:class:`~repro.runner.backend.Backend` seam: a
+:meth:`repro.session.Session.remote` session (``repro sweep --work-dir
+DIR`` on the CLI) streams results back as they land, folding each into
+the submitter's :class:`~repro.runner.cache.ResultCache` incrementally —
+so a crashed *orchestrator* also resumes warm. Unless its caller names a
+batch, the backend sizes each plan's units with :func:`unit_size`; a
+retried plan waits on the units its earlier run left rather than
+regrouping their points. It re-scans for results at once after a
+landing and with a doubling sleep after an empty scan.
 """
 
 from __future__ import annotations
@@ -118,30 +121,14 @@ def default_lease_timeout() -> float:
     return value
 
 
-def unit_id(spec: RunSpec) -> str:
-    """Content address of one queue unit (stable across submitters)."""
-    return hashlib.sha256(spec.key().encode()).hexdigest()[:32]
+def unit_id(specs) -> str:
+    """Content address of the unit holding ``specs``, in unit order.
 
-
-def batch_unit_id(specs) -> str:
-    """Content address of a unit holding one *or more* specs.
-
-    A single-spec batch addresses identically to :func:`unit_id`, so
-    un-batched submitters and ``batch=1`` backends share units.
+    Stable across submitters. A one-point unit hashes that point's key
+    alone, so its id does not depend on how many points units hold.
     """
-    if len(specs) == 1:
-        return unit_id(specs[0])
     joined = "\n".join(spec.key() for spec in specs)
     return hashlib.sha256(joined.encode()).hexdigest()[:32]
-
-
-def check_batch(batch: int | None) -> int | None:
-    """A caller's points per unit: ``None`` (sized per plan) or >= 1."""
-    if batch is None:
-        return None
-    if int(batch) < 1:
-        raise ConfigError(f"queue batch must be >= 1, got {batch}")
-    return int(batch)
 
 
 def unit_size(points: int) -> int:
@@ -234,13 +221,12 @@ class ClaimedUnit:
 class QueueStatus:
     """One scan of a work directory (``repro queue status``).
 
-    ``queued_points`` and ``corrupt`` are only populated by a *deep*
-    scan (``status(deep=True)``), which reads every queued unit file:
-    a batched unit counts one toward ``queued`` but each of its specs
-    toward ``queued_points`` (the outstanding work ``repro queue
-    status`` reports), and an unreadable unit — e.g. a zero-byte file
-    left by an interrupted enqueue — is quarantined into ``failed/``
-    and counted in ``corrupt`` instead of ``queued``.
+    The scan reads every queued unit file: a unit counts one toward
+    ``queued`` and each of its specs toward ``queued_points`` (the
+    outstanding work ``repro queue status`` reports), and an unreadable
+    unit — a zero-byte file left by an interrupted enqueue, or one in an
+    older unit format — is quarantined into ``failed/`` and counted in
+    ``corrupt`` instead of ``queued``.
     """
 
     queued: int = 0
@@ -249,8 +235,8 @@ class QueueStatus:
     results: int = 0
     failed: int = 0  # spec-failure reports awaiting their orchestrator
     stopping: bool = False
-    queued_points: int = 0  # specs across queued units (deep scan only)
-    corrupt: int = 0  # units quarantined by this scan (deep scan only)
+    queued_points: int = 0  # specs across queued units
+    corrupt: int = 0  # units quarantined by this scan
 
     def to_dict(self) -> dict:
         """The scan as a JSON-ready dict.
@@ -324,44 +310,34 @@ class WorkQueue:
 
     # -- submitter side ------------------------------------------------------
 
-    def enqueue(self, spec: RunSpec) -> str:
-        """Make ``spec`` claimable (idempotent); returns its unit id.
+    def enqueue(self, *specs: RunSpec) -> str:
+        """Make ``specs`` claimable as one unit (idempotent); returns its id.
 
-        A unit that is already queued, claimed, or reported is left
-        alone — the id is a content address, so a second submitter
-        wanting the same point simply waits on the first one's unit.
-        """
-        return self.enqueue_batch((spec,))
-
-    def enqueue_batch(self, specs) -> str:
-        """Make a group of specs claimable as *one* unit; returns its id.
-
-        Batching amortises the per-unit filesystem protocol (claim
-        rename and result file) over several points — the
-        right trade when points are much cheaper than the protocol. A
-        single-spec batch writes the classic ``"spec"`` document, so
-        ``batch=1`` is byte-identical to the un-batched wire format;
-        larger batches write a ``"specs"`` list. The id is a content
-        address of the whole group, so identical batches from
-        concurrent submitters share one unit (differently-grouped
-        overlapping batches re-execute at worst — results are a pure
+        Several points per unit amortise the per-unit filesystem
+        protocol (claim rename and result file) — the right trade when
+        points are much cheaper than the protocol. A unit that is
+        already queued, claimed, or reported is left alone: the id is a
+        content address, so a second submitter wanting the same points
+        simply waits on the first one's unit (differently-grouped
+        overlapping units re-execute at worst — results are a pure
         function of the spec).
         """
-        specs = tuple(specs)
         if not specs:
-            raise ConfigError("cannot enqueue an empty batch")
-        uid = batch_unit_id(specs)
+            raise ConfigError("cannot enqueue an empty unit")
+        uid = unit_id(specs)
         if not (
             self.queued_path(uid).exists()
             or self.claimed_path(uid).exists()
             or self.result_path(uid).exists()
         ):
-            document: dict = {"format": PLAN_FORMAT, "unit": uid}
-            if len(specs) == 1:
-                document["spec"] = specs[0].to_dict()
-            else:
-                document["specs"] = [spec.to_dict() for spec in specs]
-            atomic_write_json(self.queued_path(uid), document)
+            atomic_write_json(
+                self.queued_path(uid),
+                {
+                    "format": PLAN_FORMAT,
+                    "unit": uid,
+                    "specs": [spec.to_dict() for spec in specs],
+                },
+            )
         return uid
 
     def withdraw(self, uid: str) -> None:
@@ -378,20 +354,26 @@ class WorkQueue:
         ):
             path.unlink(missing_ok=True)
 
+    def _units_in(self, directory: Path):
+        """Yield ``(uid, specs)`` for each unit in ``directory`` that parses.
+
+        A unit that moves on or will not parse mid-scan is skipped: this
+        only reads (workers and the status scan quarantine corrupt
+        units).
+        """
+        for uid in self.unit_ids(directory):
+            try:
+                yield uid, self._load_unit(directory / f"unit-{uid}.json", uid)
+            except ConfigError:
+                continue
+
     def outstanding(self):
         """Yield ``(uid, keys)`` for each queued, claimed or landed unit.
 
         ``keys`` are the cache keys of the unit's points, in unit order.
-        A unit that moves on or will not parse mid-scan is skipped: this
-        only reads (workers and the deep status scan quarantine corrupt
-        units).
         """
         for directory in (self.queue_dir, self.claimed_dir):
-            for uid in self.unit_ids(directory):
-                try:
-                    specs = self._load_unit(directory / f"unit-{uid}.json", uid)
-                except ConfigError:
-                    continue
+            for uid, specs in self._units_in(directory):
                 yield uid, [spec.key() for spec in specs]
         for uid in self.unit_ids(self.results_dir):
             try:
@@ -399,6 +381,14 @@ class WorkQueue:
             except ConfigError:
                 continue
             yield uid, [record["key"] for record in records]
+
+    def claimed_keys(self) -> set[str]:
+        """The cache keys of the points in claimed units: those executing."""
+        return {
+            spec.key()
+            for _, specs in self._units_in(self.claimed_dir)
+            for spec in specs
+        }
 
     def recover_expired(self, lease_timeout: float, uids=None) -> list[str]:
         """Re-enqueue claimed units whose claim stopped heartbeating.
@@ -510,17 +500,14 @@ class WorkQueue:
                 f"{path}: unsupported unit format {version!r} "
                 f"(this reader understands format {PLAN_FORMAT})"
             )
-        if "specs" in document:
-            raw = document["specs"]
-            if not isinstance(raw, list) or not raw:
-                raise ConfigError(f"{path}: 'specs' must be a non-empty list")
-        else:
-            raw = [document.get("spec")]
+        raw = document.get("specs")
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError(f"{path}: 'specs' must be a non-empty list")
         try:
             specs = tuple(RunSpec.from_dict(d) for d in raw)
         except (ConfigError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: unit spec: {exc}") from None
-        if batch_unit_id(specs) != uid:
+        if unit_id(specs) != uid:
             raise ConfigError(
                 f"{path}: unit id does not match its spec — corrupt or "
                 "misplaced unit file"
@@ -558,18 +545,16 @@ class WorkQueue:
     def stop_requested(self) -> bool:
         return self.stop_path.exists()
 
-    def status(
-        self, lease_timeout: float | None = None, deep: bool = False
-    ) -> QueueStatus:
+    def status(self, lease_timeout: float | None = None) -> QueueStatus:
         """One scan of the work directory.
 
-        The default scan only counts files. A *deep* scan additionally
-        reads every queued unit, counting its specs into
-        ``queued_points`` — and quarantines any unit that will not
-        parse (a zero-byte file from an interrupted enqueue, truncated
-        JSON, a mismatched id) through the same :meth:`report_failure`
-        path a worker uses for corrupt claims, so a broken unit is
-        diagnosed here instead of crashing whichever worker claims it.
+        Besides counting files, the scan reads every queued unit,
+        counting its specs into ``queued_points`` — and quarantines any
+        unit that will not parse (a zero-byte file from an interrupted
+        enqueue, truncated JSON, a mismatched id, an older unit format)
+        through the same :meth:`report_failure` path a worker uses for
+        corrupt claims, so a broken unit is diagnosed here instead of
+        by whichever worker claims it.
         """
         lease_timeout = (
             lease_timeout if lease_timeout is not None else default_lease_timeout()
@@ -588,9 +573,6 @@ class WorkQueue:
         queued_points = 0
         corrupt = 0
         for uid in self.unit_ids(self.queue_dir):
-            if not deep:
-                queued += 1
-                continue
             path = self.queued_path(uid)
             try:
                 specs = self._load_unit(path, uid)
@@ -728,7 +710,9 @@ class QueueBackend:
             raise ConfigError(f"lease timeout must be > 0, got {self.lease_timeout:g}")
         self.poll = float(poll)
         self.timeout = timeout
-        self.batch = check_batch(batch)
+        if batch is not None and batch < 1:
+            raise ConfigError(f"queue batch must be >= 1, got {batch}")
+        self.batch = batch
         # Indirection so tests can interrupt the orchestrator's poll
         # loop without touching the module-global time.sleep that the
         # workers share.
@@ -752,7 +736,7 @@ class QueueBackend:
         batch = self.batch if self.batch is not None else unit_size(len(rest))
         for start in range(0, len(rest), batch):
             group = rest[start : start + batch]
-            uid = queue.enqueue_batch(tuple(spec for _, spec in group))
+            uid = queue.enqueue(*(spec for _, spec in group))
             waiting[uid] = group
         deadline = None if self.timeout is None else time.monotonic() + self.timeout
         # Lease recovery stats every outstanding unit, which is pure
@@ -876,7 +860,7 @@ class QueueBackend:
                     f"other code is attached to {self.queue.root}"
                 )
             self.queue.forget(uid)
-            self.queue.enqueue_batch(tuple(spec for _, spec in group))
+            self.queue.enqueue(*(spec for _, spec in group))
             return None
         triples = [(key, spec, by_key[key]["payload"]) for key, spec in group]
         self.queue.forget(uid)
@@ -933,7 +917,7 @@ class QueueBackend:
             present.update(queue.unit_ids(directory))
         for uid, group in waiting.items():
             if uid not in present:
-                queue.enqueue_batch(tuple(spec for _, spec in group))
+                queue.enqueue(*(spec for _, spec in group))
 
     def close(self) -> None:
         """Nothing to release: workers are independent processes."""

@@ -22,7 +22,7 @@ state over the same primitives every other front door uses —
 * progress is *derived*, never journalled: :meth:`SweepEngine.poll`
   watches the cache for outstanding points and turns each
   landing into an event (the SSE feed), and :meth:`SweepEngine.status`
-  reads queued/claimed straight off the work directory. A restarted
+  asks the work queue which points its claimed units hold. A restarted
   daemon reloads the ledger and resumes from what the filesystem
   already says (:meth:`SweepEngine.start`).
 
@@ -45,13 +45,7 @@ from ..resultset import RESULT_FORMATS, ResultSet
 from ..runner.cache import ResultCache, materialise
 from ..runner.plan import Plan, RunSpec, parse_specs
 from ..runner.progress import NullProgress
-from ..runner.queue import (
-    DEFAULT_POLL,
-    QueueBackend,
-    WorkQueue,
-    unit_id,
-    units_per_minute,
-)
+from ..runner.queue import DEFAULT_POLL, QueueBackend, WorkQueue, units_per_minute
 from ..session import Grid, Session, resolve_cache_dir
 from .ledger import SweepLedger, SweepRecord
 
@@ -444,26 +438,26 @@ class SweepEngine:
             return self._status_locked(state)
 
     def _status_locked(self, state: SweepState) -> dict:
+        """One sweep's status document.
+
+        ``running`` counts the sweep's undone points that a claimed unit
+        holds and ``queued`` its other undone points; both are 0 once the
+        sweep is finished or failed.
+        """
         total = len(state.unique)
         done = len(state.done)
         queued = running = 0
-        if not state.finished:
-            for key, spec in state.unique:
-                if key in state.done:
-                    continue
-                uid = unit_id(spec)
-                if self.queue.claimed_path(uid).exists():
-                    running += 1
-                elif self.queue.queued_path(uid).exists():
-                    queued += 1
         if state.error is not None and state.thread is None:
             phase = "failed"
         elif state.finished:
             phase = "cached" if len(state.cached) == total else "done"
-        elif running or done > len(state.cached):
-            phase = "running"
         else:
-            phase = "queued"
+            claimed = self.queue.claimed_keys()
+            running = sum(
+                1 for key, _ in state.unique if key in claimed and key not in state.done
+            )
+            queued = total - done - running
+            phase = "running" if running or done > len(state.cached) else "queued"
         return {
             "id": state.record.id,
             "state": phase,
@@ -532,7 +526,7 @@ class SweepEngine:
 
     def stats(self) -> dict:
         """The ``GET /v1/stats`` document: server, cache, queue, workers."""
-        queue_status = self.queue.status(self.lease_timeout, deep=True)
+        queue_status = self.queue.status(self.lease_timeout)
         workers = [
             {
                 "worker": s.get("worker"),

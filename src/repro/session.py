@@ -58,7 +58,6 @@ from .core.nsb import nsb_config
 from .errors import ConfigError
 from .resultset import ResultSet
 from .runner import (
-    BACKEND_NAMES,
     Backend,
     DEFAULT_CACHE_DIR,
     Plan,
@@ -67,11 +66,10 @@ from .runner import (
     ResultCache,
     RunSpec,
     SweepRunner,
-    make_backend,
     shape_l2,
 )
 from .runner.progress import NullProgress, Progress
-from .runner.queue import check_batch
+from .runner.queue import DEFAULT_POLL
 from .sim.memory.hierarchy import MemoryConfig, default_l2_config
 from .sim.npu.executor import ExecutorConfig
 
@@ -244,16 +242,10 @@ class Session:
             a ready :class:`~repro.runner.ResultCache`.
         cache_dir: directory for the default cache (ignored when
             ``cache`` is an object or ``False``).
-        backend: a backend name (``"local"``/``"queue"``), a ready
-            :class:`~repro.runner.Backend`, or ``None`` for the local
-            pool.
-        work_dir: the shared unit directory of the queue backend
-            (required there, ignored by the local pool) — see also the
-            :meth:`remote` shorthand.
-        queue_batch: points per claimable unit for the queue backend
-            (default ``None``: sized from each plan, see
-            :func:`~repro.runner.queue.unit_size`; ignored by the local
-            pool, but must be >= 1 when given).
+        backend: a ready :class:`~repro.runner.Backend`, or ``None``
+            for the local pool of ``jobs`` workers. A session whose
+            points run in ``repro queue worker`` processes is built by
+            :meth:`remote`.
         progress: ``True`` for live progress lines, ``False``/``None``
             for silence, or a progress object.
 
@@ -267,9 +259,7 @@ class Session:
         jobs: int = 1,
         cache: ResultCache | bool | None = None,
         cache_dir: str | os.PathLike | None = None,
-        backend: Backend | str | None = None,
-        work_dir: str | os.PathLike | None = None,
-        queue_batch: int | None = None,
+        backend: Backend | None = None,
         progress=None,
     ) -> None:
         self._runner: SweepRunner | None = None
@@ -277,8 +267,6 @@ class Session:
         self._cache = cache
         self._cache_dir = cache_dir
         self._backend = backend
-        self._work_dir = work_dir
-        self._queue_batch = check_batch(queue_batch)
         self._progress = progress
 
     # -- plumbing ------------------------------------------------------------
@@ -289,17 +277,6 @@ class Session:
         if self._cache is False:
             return None
         return ResultCache(resolve_cache_dir(self._cache_dir))
-
-    def _build_backend(self) -> Backend | None:
-        if self._backend is None or isinstance(self._backend, str):
-            name = self._backend or "local"
-            return make_backend(
-                name,
-                jobs=self._jobs,
-                work_dir=self._work_dir,
-                queue_batch=self._queue_batch,
-            )
-        return self._backend
 
     @property
     def runner(self) -> SweepRunner:
@@ -314,7 +291,7 @@ class Session:
                 jobs=self._jobs,
                 cache=self._build_cache(),
                 progress=progress,
-                backend=self._build_backend(),
+                backend=self._backend,
             )
         return self._runner
 
@@ -388,22 +365,24 @@ class Session:
         work_dir: str | os.PathLike,
         *,
         lease_timeout: float | None = None,
-        poll: float | None = None,
+        poll: float = DEFAULT_POLL,
         timeout: float | None = None,
         batch: int | None = None,
         cache: ResultCache | bool | None = None,
         cache_dir: str | os.PathLike | None = None,
         progress=None,
     ) -> "Session":
-        """A session whose sweeps are executed by pull workers.
+        """The queue session: its sweeps are executed by pull workers.
 
-        Cache-missed points are enqueued as claimable units under
-        ``work_dir`` and executed by whatever ``repro queue worker``
-        processes watch that directory — on this machine or any other
-        sharing the filesystem. Results stream back into the session
-        cache as they land, and units whose worker crashes are
-        re-enqueued after ``lease_timeout`` seconds without a heartbeat
-        (default ``$REPRO_QUEUE_LEASE_TIMEOUT`` or 30)::
+        This is the one way to build a session over the work queue (the
+        CLI's ``--work-dir DIR`` builds it too). Cache-missed points are
+        enqueued as claimable units under ``work_dir`` and executed by
+        whatever ``repro queue worker`` processes watch that directory —
+        on this machine or any other sharing the filesystem. Results
+        stream back into the session cache as they land, and units whose
+        worker crashes are re-enqueued after ``lease_timeout`` seconds
+        without a heartbeat (default ``$REPRO_QUEUE_LEASE_TIMEOUT`` or
+        30)::
 
             with Session.remote("sweep-work") as session:
                 rs = session.sweep(grid)   # workers pull the points
@@ -413,26 +392,20 @@ class Session:
         ``poll`` is the longest sleep between result scans; ``batch``
         groups that many points per claimable unit, amortising the
         queue's per-unit filesystem protocol when points are cheap
-        (default: sized from each plan). Grid
-        sweeps and every figure runner accept the returned session
+        (default: sized from each plan, see
+        :func:`~repro.runner.queue.unit_size`; must be >= 1 when given).
+        Grid sweeps and every figure runner accept the returned session
         unchanged — the queue is just another backend behind the same
         front door.
         """
-        backend_kwargs = {}
-        if lease_timeout is not None:
-            backend_kwargs["lease_timeout"] = lease_timeout
-        if poll is not None:
-            backend_kwargs["poll"] = poll
-        if timeout is not None:
-            backend_kwargs["timeout"] = timeout
-        if batch is not None:
-            backend_kwargs["batch"] = batch
-        return cls(
-            cache=cache,
-            cache_dir=cache_dir,
-            backend=QueueBackend(work_dir, **backend_kwargs),
-            progress=progress,
+        backend = QueueBackend(
+            work_dir,
+            lease_timeout=lease_timeout,
+            poll=poll,
+            timeout=timeout,
+            batch=batch,
         )
+        return cls(cache=cache, cache_dir=cache_dir, backend=backend, progress=progress)
 
     # -- execution -----------------------------------------------------------
 
@@ -558,29 +531,13 @@ def add_session_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker processes for sweep execution (default 1 = serial)",
     )
     parser.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default=argparse.SUPPRESS,
-        help="how cache-missed points execute: 'local' in-process "
-        "workers, 'queue' by enqueueing claimable units that 'repro "
-        "queue worker' processes pull from --work-dir (default local)",
-    )
-    parser.add_argument(
         "--work-dir",
         default=argparse.SUPPRESS,
         metavar="DIR",
-        help="for --backend queue, the shared work directory the "
-        "workers watch (required)",
-    )
-    parser.add_argument(
-        "--queue-batch",
-        type=int,
-        default=argparse.SUPPRESS,
-        metavar="N",
-        help="points per claimable unit for --backend queue (default: "
-        "sized from the sweep, up to 8 points per unit while keeping "
-        "at least 8 units; batching amortises the per-unit "
-        "claim/result protocol when points are cheap)",
+        help="send cache-missed points to the work queue in DIR, as "
+        "claimable units that 'repro queue worker' processes pull "
+        "(up to 8 points per unit, at least 8 units per sweep); "
+        "without it they run in this process (see --jobs)",
     )
     parser.add_argument(
         "--no-cache",
@@ -597,13 +554,17 @@ def add_session_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def session_from_args(args: argparse.Namespace, quiet: bool = False) -> Session:
-    """Build the CLI's :class:`Session` from the shared flags."""
-    return Session(
-        jobs=getattr(args, "jobs", 1),
-        cache=False if getattr(args, "no_cache", False) else None,
-        cache_dir=getattr(args, "cache_dir", None),
-        backend=getattr(args, "backend", None),
-        work_dir=getattr(args, "work_dir", None),
-        queue_batch=getattr(args, "queue_batch", None),
-        progress=not quiet,
-    )
+    """Build the CLI's :class:`Session` from the shared flags.
+
+    ``--work-dir`` selects the queue session (:meth:`Session.remote`);
+    without it, points run on a local pool of ``--jobs`` workers.
+    """
+    common = {
+        "cache": False if getattr(args, "no_cache", False) else None,
+        "cache_dir": getattr(args, "cache_dir", None),
+        "progress": not quiet,
+    }
+    work_dir = getattr(args, "work_dir", None)
+    if work_dir is not None:
+        return Session.remote(work_dir, **common)
+    return Session(jobs=getattr(args, "jobs", 1), **common)

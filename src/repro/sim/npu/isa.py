@@ -1,12 +1,12 @@
-"""Coarse-grained NPU vector instructions and micro-op decomposition.
+"""Coarse-grained NPU vector instructions.
 
 The paper's NPU (Gemmini-like) executes *coarse-grained* instructions — one
 instruction moves or computes a whole vector/tile — which the front-end
 decomposes into micro-instructions spanning several cycles (Sec. III,
-"Micro-Instruction-Level Vectorisation"). Here each instruction exposes its
-micro-op stream as batches of cache-line addresses at most ``vector_width``
-wide: the granularity at which VMIG rebundles prefetches and at which a
-single missing element stalls the whole batch.
+"Micro-Instruction-Level Vectorisation"). Here each instruction exposes the
+cache lines it touches, and the executor issues a gather as micro-ops of at
+most ``vector_width`` elements: the granularity at which VMIG rebundles
+prefetches and at which a single missing element stalls the whole batch.
 """
 
 from __future__ import annotations
@@ -307,40 +307,3 @@ class TileCompute:
         if self.cycles < 0 or self.sparse_unit_cycles < 0:
             raise ProgramError("compute cycles must be non-negative")
 
-
-@dataclass
-class MicroOpBatch:
-    """One micro-instruction: at most ``vector_width`` lines issued together."""
-
-    line_addrs: np.ndarray
-    stream_id: int
-    irregular: bool
-    index_values: np.ndarray | None = None
-
-
-def decompose(
-    lines: np.ndarray,
-    stream_id: int,
-    irregular: bool,
-    vector_width: int,
-    index_values: np.ndarray | None = None,
-) -> list[MicroOpBatch]:
-    """Split a line list into micro-op batches of at most ``vector_width``."""
-    if vector_width < 1:
-        raise ProgramError("vector_width must be >= 1")
-    batches: list[MicroOpBatch] = []
-    for lo in range(0, len(lines), vector_width):
-        chunk_idx = (
-            index_values[lo : lo + vector_width]
-            if index_values is not None
-            else None
-        )
-        batches.append(
-            MicroOpBatch(
-                line_addrs=lines[lo : lo + vector_width],
-                stream_id=stream_id,
-                irregular=irregular,
-                index_values=chunk_idx,
-            )
-        )
-    return batches

@@ -115,16 +115,6 @@ class System:
     mode: str = "inorder"
     executor: ExecutorConfig = field(default_factory=ExecutorConfig)
 
-    @classmethod
-    def from_spec(cls, program: SparseProgram, spec) -> "System":
-        """Build from a declarative :class:`~repro.spec.SystemSpec`.
-
-        The inverse direction of the config-as-data layer: a serialised
-        system description (``SystemSpec.from_dict``) becomes a live,
-        runnable platform.
-        """
-        return spec.build(program)
-
     def run(self, perfect: bool = False) -> RunResult:
         """Execute the program once; returns raw statistics.
 

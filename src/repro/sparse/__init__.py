@@ -4,8 +4,6 @@ The paper's workloads all reduce to traversals of compressed sparse
 structures (Sec. II-A); this package provides the structures themselves:
 
 * :mod:`repro.sparse.csr` — the CSR format the paper's SpMM listing uses.
-* :mod:`repro.sparse.formats` — bitmap (NVDLA-style) and run-length
-  (Eyeriss-style) encodings from the related-work comparison.
 * :mod:`repro.sparse.generate` — seeded sparsity-pattern generators with
   the statistical knobs that drive cache behaviour.
 * :mod:`repro.sparse.spmm` — reference one-side / two-side SpMM kernels
@@ -13,24 +11,12 @@ structures (Sec. II-A); this package provides the structures themselves:
 """
 
 from .csr import CSRMatrix
-from .formats import BitmapMatrix, RunLengthMatrix
-from .generate import (
-    banded_csr,
-    block_csr,
-    hash_clustered_csr,
-    powerlaw_csr,
-    uniform_csr,
-    zipf_csr,
-)
+from .generate import block_csr, powerlaw_csr, uniform_csr, zipf_csr
 from .spmm import spmm_one_side, spmm_two_side
 
 __all__ = [
-    "BitmapMatrix",
     "CSRMatrix",
-    "RunLengthMatrix",
-    "banded_csr",
     "block_csr",
-    "hash_clustered_csr",
     "powerlaw_csr",
     "spmm_one_side",
     "spmm_two_side",

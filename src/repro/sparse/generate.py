@@ -2,9 +2,8 @@
 
 Cache behaviour under sparse workloads is governed by a handful of
 statistics of the index stream — column-popularity skew, per-row length
-variance, block structure, band locality, and whether the index→address map
-is affine or hashed. Each generator here controls exactly one of those
-knobs, and the Table II workload builders compose them.
+variance and block structure. Each generator here controls exactly one of
+those knobs, and the Table II workloads compose them.
 
 All generators are deterministic functions of their ``seed``.
 """
@@ -130,37 +129,6 @@ def block_csr(
     return _build(n_rows, n_cols, rows)
 
 
-def banded_csr(
-    n_rows: int,
-    n_cols: int,
-    density: float,
-    bandwidth: int = 64,
-    seed: int = 0,
-) -> CSRMatrix:
-    """Banded sparsity — sliding-window / local attention.
-
-    Non-zeros live within ``bandwidth`` of the (scaled) diagonal: short
-    reuse distances, moderate regularity.
-    """
-    _check_shape(n_rows, n_cols, density)
-    if bandwidth <= 0:
-        raise WorkloadError("bandwidth must be positive")
-    rng = make_rng(seed)
-    scale = n_cols / n_rows
-    rows: list[np.ndarray] = []
-    half = bandwidth // 2
-    for r in range(n_rows):
-        centre = int(r * scale)
-        lo = max(0, centre - half)
-        hi = min(n_cols, centre + half + 1)
-        width = hi - lo
-        # Per-row in-band density chosen so overall density matches target.
-        in_band = min(1.0, density * n_cols / max(1, width))
-        mask = rng.random(width) < in_band
-        rows.append((lo + np.nonzero(mask)[0]).astype(np.int64))
-    return _build(n_rows, n_cols, rows)
-
-
 def powerlaw_csr(
     n_rows: int,
     n_cols: int,
@@ -189,42 +157,4 @@ def powerlaw_csr(
     probs /= probs.sum()
     probs = probs[rng.permutation(n_cols)]
     rows = [_sample_row(rng, n_cols, int(k), probs) for k in degrees]
-    return _build(n_rows, n_cols, rows)
-
-
-def hash_clustered_csr(
-    n_rows: int,
-    n_cols: int,
-    avg_degree: float,
-    cluster_size: int = 32,
-    seed: int = 0,
-) -> CSRMatrix:
-    """Hash-scattered neighbourhoods — point-cloud rulebooks (MK/SCN).
-
-    Rows are spatial voxels whose neighbours are *coordinate-adjacent* but
-    stored at *hash-scattered* table slots: consecutive rows share many
-    neighbours (reuse exists) while the index→address map looks random and
-    non-affine — precisely what defeats affine indirect prefetchers.
-    """
-    if n_rows <= 0 or n_cols <= 0:
-        raise WorkloadError("matrix shape must be positive")
-    if avg_degree <= 0 or cluster_size <= 0:
-        raise WorkloadError("avg_degree and cluster_size must be positive")
-    rng = make_rng(seed)
-    # A pseudo-random hash permutation of the column space.
-    hash_perm = rng.permutation(n_cols)
-    rows: list[np.ndarray] = []
-    for r in range(n_rows):
-        # Coordinate-space neighbours: a window around the row's cluster.
-        centre = (r // cluster_size) * cluster_size
-        k = max(1, int(rng.poisson(avg_degree)))
-        window = np.arange(centre, min(centre + 2 * cluster_size, n_cols))
-        if len(window) == 0:
-            rows.append(np.zeros(0, dtype=np.int64))
-            continue
-        k = min(k, len(window))
-        coord_neighbours = rng.choice(window, size=k, replace=False)
-        # Hash scatters them across the full table.
-        slots = hash_perm[coord_neighbours % n_cols]
-        rows.append(np.sort(slots).astype(np.int64))
     return _build(n_rows, n_cols, rows)

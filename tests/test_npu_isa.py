@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ProgramError
-from repro.sim.npu.isa import (
-    TileCompute,
-    VectorGather,
-    VectorLoad,
-    VectorStore,
-    decompose,
-)
+from repro.sim.npu.isa import TileCompute, VectorGather, VectorLoad, VectorStore
 
 
 class TestVectorLoad:
@@ -91,21 +85,3 @@ class TestTileCompute:
         tc = TileCompute(cycles=10, sparse_unit_cycles=3)
         assert tc.cycles == 10
 
-
-class TestDecompose:
-    def test_batches_bounded_by_width(self):
-        lines = np.arange(0, 64 * 40, 64, dtype=np.int64)
-        batches = decompose(lines, 3, True, vector_width=16)
-        assert len(batches) == 3
-        assert all(len(b.line_addrs) <= 16 for b in batches)
-        assert sum(len(b.line_addrs) for b in batches) == 40
-
-    def test_index_values_sliced_alongside(self):
-        lines = np.arange(0, 64 * 20, 64, dtype=np.int64)
-        idx = np.arange(20, dtype=np.int64)
-        batches = decompose(lines, 3, True, 16, index_values=idx)
-        assert list(batches[1].index_values) == list(range(16, 20))
-
-    def test_zero_width_rejected(self):
-        with pytest.raises(ProgramError):
-            decompose(np.zeros(1, dtype=np.int64), 1, False, 0)

@@ -154,8 +154,7 @@ class TestPlanCLI:
         assert cli_main(warm_argv) == 0
         assert "0 simulated" in capsys.readouterr().out
         local_json = tmp_path / "local.json"
-        local_argv = sweep_argv + ["--backend", "local"]
-        local_argv += ["--cache-dir", str(tmp_path / "c")]
+        local_argv = sweep_argv + ["--cache-dir", str(tmp_path / "c")]
         assert cli_main(local_argv + ["--json", str(local_json)]) == 0
         assert copied_json.read_bytes() == local_json.read_bytes()
 

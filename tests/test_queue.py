@@ -7,8 +7,8 @@ The acceptance properties of the queue backend:
 * a worker that dies mid-unit — SIGKILL included — is detected by its
   claim's lapsed heartbeat and its unit re-enqueued for the next
   claimant, while a live worker's slow unit is never recovered;
-* the merged sweep payload is byte-identical to ``--backend local``
-  (the ``queue-smoke`` CI job pins the CLI flavour of this);
+* the merged sweep payload is byte-identical to a local run (the
+  ``queue-smoke`` CI job pins the CLI flavour of this);
 * an interrupted run (worker or orchestrator) leaves no orphaned
   ``.tmp``, claim or claimable unit files behind, and no ``leases/``
   directory is ever made;
@@ -17,6 +17,7 @@ The acceptance properties of the queue backend:
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import signal
@@ -27,6 +28,7 @@ import time
 
 import pytest
 
+from repro.__main__ import build_parser
 from repro.__main__ import main as cli_main
 from repro.errors import ConfigError, SimulationError
 from repro.runner import (
@@ -36,15 +38,13 @@ from repro.runner import (
     SweepRunner,
     WorkerStats,
     WorkQueue,
-    batch_unit_id,
     execute_spec,
     load_results,
-    make_backend,
     run_queue_worker,
     unit_id,
     write_results,
 )
-from repro.session import Grid, Session
+from repro.session import Grid, Session, session_from_args
 
 SCALE = 0.05
 
@@ -129,7 +129,7 @@ class TestWorkQueue:
         queue = WorkQueue(tmp_path).ensure()
         spec = RunSpec("st", scale=SCALE)
         uid = queue.enqueue(spec)
-        assert uid == unit_id(spec)
+        assert uid == unit_id((spec,))
         assert queue.enqueue(spec) == uid
         assert len(list(queue.queue_dir.iterdir())) == 1
 
@@ -211,7 +211,7 @@ class TestWorkQueue:
         queue = WorkQueue(tmp_path).ensure()
         spec = RunSpec("st", scale=SCALE)
         queue.enqueue(spec)
-        good = queue.queued_path(unit_id(spec))
+        good = queue.queued_path(unit_id((spec,)))
         good.rename(queue.queue_dir / f"unit-{'0' * 32}.json")
         assert queue.claim_next("w") is None
         report = json.loads(queue.failed_path("0" * 32).read_text())
@@ -251,9 +251,9 @@ class TestWorkQueue:
 
     def test_deep_status_counts_points_in_batched_units(self, tmp_path):
         queue = WorkQueue(tmp_path).ensure()
-        queue.enqueue_batch(small_specs())
+        queue.enqueue(*small_specs())
         queue.enqueue(RunSpec("st", scale=SCALE, seed=7))
-        status = queue.status(deep=True)
+        status = queue.status()
         assert status.queued == 2
         assert status.queued_points == 3
         assert status.corrupt == 0
@@ -265,7 +265,7 @@ class TestWorkQueue:
         queue = WorkQueue(tmp_path).ensure()
         queue.enqueue(RunSpec("st", scale=SCALE))
         (queue.queue_dir / "unit-deadbeef.json").touch()
-        status = queue.status(deep=True)
+        status = queue.status()
         assert status.queued == 1
         assert status.corrupt == 1
         assert status.failed == 1  # the quarantine report
@@ -273,17 +273,31 @@ class TestWorkQueue:
         report = json.loads(queue.failed_path("deadbeef").read_text())
         assert report["worker"] == "status-scan"
         # The next scan sees a clean queue: quarantine is once-only.
-        again = queue.status(deep=True)
+        again = queue.status()
         assert again.corrupt == 0
         assert again.failed == 1
 
-    def test_shallow_status_leaves_corrupt_units_alone(self, tmp_path):
+    def test_unit_in_the_older_single_spec_format_is_quarantined(self, tmp_path):
+        # Every unit holds a "specs" list: a unit file that an older
+        # version wrote with one "spec" is unreadable like any other
+        # corrupt unit, whether the status scan or a worker finds it.
         queue = WorkQueue(tmp_path).ensure()
-        (queue.queue_dir / "unit-deadbeef.json").touch()
-        status = queue.status()
-        assert status.queued == 1  # counted, unread
-        assert status.corrupt == 0
-        assert queue.queued_path("deadbeef").exists()
+        spec, other = small_specs()
+        for found_by in ("status", "worker"):
+            uid = unit_id((spec,))
+            document = {"format": 1, "unit": uid, "spec": spec.to_dict()}
+            queue.queued_path(uid).write_text(json.dumps(document))
+            if found_by == "status":
+                assert queue.status().corrupt == 1
+            else:
+                queue.enqueue(other)
+                unit = queue.claim_next("w")
+                assert [s.key() for s in unit.specs] == [other.key()]
+                assert queue.claim_next("w") is None
+            report = json.loads(queue.failed_path(uid).read_text())
+            assert "'specs' must be a non-empty list" in report["error"]
+            assert not queue.queued_path(uid).exists()
+            queue.forget(uid)
 
 
 class TestQueueWorker:
@@ -335,8 +349,8 @@ class TestQueueWorker:
         queue.enqueue(good)
         done = run_queue_worker(tmp_path / "work", max_units=2, poll=0.02)
         assert done == 2  # the failure did not kill the worker
-        assert queue.result_path(unit_id(good)).exists()
-        report = json.loads(queue.failed_path(unit_id(bad)).read_text())
+        assert queue.result_path(unit_id((good,))).exists()
+        report = json.loads(queue.failed_path(unit_id((bad,))).read_text())
         assert report["error"] == "synthetic failure"
         assert not list(queue.claimed_dir.iterdir())
         assert not (queue.root / "leases").exists()
@@ -347,7 +361,7 @@ class TestQueueWorker:
             runner.run_plan([bad, good])
         # The report was consumed (a retry re-attempts) and the abandoned
         # run withdrew its units.
-        assert not queue.failed_path(unit_id(bad)).exists()
+        assert not queue.failed_path(unit_id((bad,))).exists()
         assert not list(queue.queue_dir.iterdir())
 
     def test_simulator_bug_is_reported_not_poisonous(self, tmp_path, monkeypatch):
@@ -420,7 +434,7 @@ class TestQueueWorker:
             return real_execute(spec)
 
         monkeypatch.setattr(pool, "execute_spec", execute)
-        queue.enqueue_batch(small_specs())  # one unit, two points
+        queue.enqueue(*small_specs())  # one unit, two points
         queue.enqueue(RunSpec("st", scale=SCALE, seed=7))  # fails
         queue.enqueue(RunSpec("st", scale=SCALE))
         limits = {"max_units": {"max_units": 3}, "idle": {"idle_timeout": 0.1}}
@@ -611,7 +625,7 @@ class TestQueueBackend:
         work = tmp_path / "work"
         queue = WorkQueue(work).ensure()
         spec = RunSpec("st", scale=SCALE)
-        uid = unit_id(spec)
+        uid = unit_id((spec,))
         queue.report_failure(uid, "old-worker", "obsolete error")
         report_path = queue.failed_path(uid)
         document = json.loads(report_path.read_text())
@@ -654,8 +668,6 @@ class TestQueueBackend:
         assert len(sleeps) == 2
 
     def test_work_dir_is_required(self):
-        with pytest.raises(ConfigError, match="work"):
-            make_backend("queue")
         with pytest.raises(ConfigError, match="work"):
             QueueBackend(None)
 
@@ -746,19 +758,20 @@ class TestSigkilledWorker:
 
 class TestQueueBatching:
     def test_single_spec_batch_is_wire_compatible(self, tmp_path):
-        # batch=1 must share unit ids and documents with un-batched
-        # submitters: same content address, classic "spec" key.
+        # A one-point unit is addressed by the hash of its one key and,
+        # like every unit, holds a "specs" list.
         queue = WorkQueue(tmp_path).ensure()
         spec = RunSpec("st", scale=SCALE)
-        assert batch_unit_id((spec,)) == unit_id(spec)
-        uid = queue.enqueue_batch((spec,))
+        uid = queue.enqueue(spec)
+        assert uid == hashlib.sha256(spec.key().encode()).hexdigest()[:32]
         document = json.loads(queue.queued_path(uid).read_text())
-        assert "spec" in document and "specs" not in document
+        assert document["specs"] == [spec.to_dict()]
+        assert "spec" not in document
 
     def test_batched_unit_round_trip(self, tmp_path):
         queue = WorkQueue(tmp_path).ensure()
         specs = small_specs()
-        uid = queue.enqueue_batch(tuple(specs))
+        uid = queue.enqueue(*specs)
         document = json.loads(queue.queued_path(uid).read_text())
         assert len(document["specs"]) == len(specs)
         unit = queue.claim_next("w")
@@ -767,13 +780,13 @@ class TestQueueBatching:
 
     def test_empty_batch_rejected(self, tmp_path):
         queue = WorkQueue(tmp_path).ensure()
-        with pytest.raises(ConfigError, match="empty batch"):
-            queue.enqueue_batch(())
+        with pytest.raises(ConfigError, match="empty unit"):
+            queue.enqueue()
 
     def test_worker_writes_one_record_per_spec(self, tmp_path):
         queue = WorkQueue(tmp_path).ensure()
         specs = small_specs()
-        uid = queue.enqueue_batch(tuple(specs))
+        uid = queue.enqueue(*specs)
         done = run_queue_worker(tmp_path, max_units=1, poll=0.02)
         assert done == 1
         records = load_results(queue.result_path(uid))
@@ -817,7 +830,7 @@ class TestQueueBatching:
         monkeypatch.setattr(pool, "execute_spec", failing)
         queue = WorkQueue(tmp_path).ensure()
         specs = Grid(workload="st", mechanism=["inorder", "nvr"], scale=SCALE).specs()
-        uid = queue.enqueue_batch(tuple(specs))
+        uid = queue.enqueue(*specs)
         run_queue_worker(tmp_path, max_units=1, poll=0.02)
         report = json.loads(queue.failed_path(uid).read_text())
         assert "injected failure" in report["error"]
@@ -829,7 +842,7 @@ class TestQueueBatching:
 
     def test_session_remote_batch_plumbs_through(self, tmp_path):
         session = Session.remote(tmp_path / "work", batch=3, cache=False)
-        assert session._build_backend().batch == 3
+        assert session.runner.backend.batch == 3
         session.close()
 
 
@@ -847,7 +860,7 @@ def enqueued_units(backend, points: int) -> tuple[int, int]:
     seen = []
 
     def sleep(seconds):
-        status = backend.queue.status(deep=True)
+        status = backend.queue.status()
         seen.append((status.queued, status.queued_points))
         raise _Stop
 
@@ -934,12 +947,13 @@ class TestUnitSizing:
 
     def test_sessions_pass_the_batch_or_none(self, tmp_path):
         work = tmp_path / "work"
+        args = build_parser().parse_args(["sweep", "--work-dir", str(work)])
         for session, batch in (
-            (Session(backend="queue", work_dir=work, cache=False), None),
-            (Session(backend="queue", work_dir=work, queue_batch=3, cache=False), 3),
+            (session_from_args(args), None),
+            (Session.remote(work, batch=3, cache=False), 3),
             (Session.remote(work, cache=False), None),
         ):
-            assert session._build_backend().batch == batch
+            assert session.runner.backend.batch == batch
             session.close()
 
     @staticmethod
@@ -982,26 +996,6 @@ class TestUnitSizing:
 
 
 class TestQueueCLI:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["sweep", "--workloads", "st", "--mechanisms", "inorder", "--scales"],
-            ["figures", "-o", "E.md", "--scale"],
-        ],
-        ids=["sweep", "figures"],
-    )
-    @pytest.mark.parametrize("batch", ["0", "-2"])
-    def test_nonpositive_queue_batch_is_an_error(
-        self, tmp_path, monkeypatch, capsys, argv, batch
-    ):
-        monkeypatch.chdir(tmp_path)
-        rc = cli_main(argv + ["0.05", "--cache-dir", "cache", "--queue-batch", batch])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.count("error:") == 1
-        assert f"queue batch must be >= 1, got {batch}" in err
-        assert not (tmp_path / "E.md").exists()
-
     def test_status_command(self, tmp_path, capsys):
         queue = WorkQueue(tmp_path / "work").ensure()
         queue.enqueue(RunSpec("st", scale=SCALE))
@@ -1023,17 +1017,6 @@ class TestQueueCLI:
         assert "failed    : 1" in out
         assert "quarantined 1 corrupt unit(s) into failed/" in out
 
-    def test_status_command_shallow_skips_the_deep_scan(self, tmp_path, capsys):
-        queue = WorkQueue(tmp_path / "work").ensure()
-        (queue.queue_dir / "unit-deadbeef.json").touch()
-        rc = cli_main(
-            ["queue", "status", "--shallow", "--work-dir", str(tmp_path / "work")]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "queued    : 1\n" in out
-        assert "quarantined" not in out
-
     def test_worker_command_max_units(self, tmp_path, capsys):
         queue = WorkQueue(tmp_path / "work").ensure()
         uid = queue.enqueue(RunSpec("st", scale=SCALE))
@@ -1053,24 +1036,23 @@ class TestQueueCLI:
         assert "executed 1 unit(s)" in capsys.readouterr().out
         assert queue.result_path(uid).exists()
 
-    def test_sweep_backend_queue_requires_work_dir(self, tmp_path, capsys):
-        rc = cli_main(
-            [
-                "sweep",
-                "--workloads",
-                "st",
-                "--scales",
-                str(SCALE),
-                "--backend",
-                "queue",
-                "--cache-dir",
-                str(tmp_path / "cache"),
-            ]
-        )
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "work-dir" in captured.err
-        assert "Traceback" not in captured.err
+    def test_work_dir_alone_selects_the_queue(self, tmp_path, capsys):
+        # --work-dir sends the missing points to the queue, whose worker
+        # executes them; the sweep prints what a local run prints.
+        work = tmp_path / "work"
+        worker = start_worker(work)
+        argv = ["sweep", "--workloads", "st", "--mechanisms", "inorder,nvr"]
+        argv += ["--scales", str(SCALE)]
+        queued = ["--work-dir", str(work), "--cache-dir", str(tmp_path / "q")]
+        assert cli_main(argv + queued) == 0
+        out = capsys.readouterr().out
+        WorkQueue(work).stop_path.touch()
+        worker.join(10)
+        assert not worker.is_alive(), "queue worker did not stop"
+        (stats,) = WorkQueue(work).worker_stats()
+        assert stats["points"] == 2
+        assert cli_main(argv + ["--cache-dir", str(tmp_path / "l")]) == 0
+        assert capsys.readouterr().out == out
 
 
 class TestWorkerStats:
@@ -1168,7 +1150,7 @@ class TestWorkerStats:
         assert document["claimed"] == 0
         assert document["stopping"] is False
         # The document mirrors QueueStatus.to_dict(), field for field.
-        status = queue.status(deep=True)
+        status = queue.status()
         assert {k: v for k, v in document.items() if k != "work_dir"} == (
             status.to_dict()
         )

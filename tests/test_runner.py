@@ -29,7 +29,6 @@ from repro.runner import (
     RunSpec,
     SweepRunner,
     execute_spec,
-    make_backend,
     payload_to_result,
     result_to_payload,
     shape_l2,
@@ -710,19 +709,6 @@ class TestCLI:
             assert err.startswith("error: "), (argv, err)
             assert len(err.splitlines()) == 1, (argv, err)
 
-    def test_backends_are_local_and_queue(self, capsys):
-        with pytest.raises(ConfigError, match="known: local, queue"):
-            make_backend("shards")
-        for argv in (
-            ["sweep", "--backend", "shards", "--no-cache"],
-            ["worker", "run", "plan.json", "--out", "r.json"],
-            ["plan", "shard", "plan.json", "--shards", "2"],
-        ):
-            with pytest.raises(SystemExit) as exit_info:
-                cli_main(argv)
-            assert exit_info.value.code == 2
-            assert "invalid choice" in capsys.readouterr().err
-
     def test_compare_command_with_cache(self, tmp_path, capsys):
         args = ["compare", "st", "--scale", str(SCALE)]
         args += ["--cache-dir", str(tmp_path / "c")]
@@ -738,7 +724,7 @@ class TestCLI:
         capsys.readouterr()
         assert cli_main(["cache", "--cache-dir", str(cache_dir)]) == 0
         assert "entries   : 1" in capsys.readouterr().out
-        assert cli_main(["cache", "--cache-dir", str(cache_dir), "--clear"]) == 0
+        assert cli_main(["cache", "--cache-dir", str(cache_dir), "clear"]) == 0
         assert "cleared 1" in capsys.readouterr().out
 
     def test_cache_gc_subcommand(self, tmp_path, capsys):

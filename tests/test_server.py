@@ -354,8 +354,33 @@ class TestSweepEngine:
         engine._interruptible_sleep = first_sleep
         engine.submit(specs)
         assert slept.wait(30), "the drain never reached its scan loop"
-        status = engine.queue.status(deep=True)
+        status = engine.queue.status()
         assert (status.queued, status.queued_points) == (10, 80)
+
+    def test_status_counts_the_points_of_claimed_units(self, engine):
+        # 16 points go out as 8 units of 2. Before any claim every undone
+        # point counts as queued; while a worker holds one unit, its two
+        # points count as running, and so does the sweep.
+        specs = [RunSpec("st", scale=SCALE, seed=seed) for seed in range(16)]
+        slept = threading.Event()
+        sleep = engine._interruptible_sleep
+
+        def first_sleep(seconds):
+            slept.set()
+            sleep(seconds)
+
+        engine._interruptible_sleep = first_sleep
+        sid, _ = engine.submit(specs)
+        assert slept.wait(30), "the drain never reached its scan loop"
+        status = engine.status(sid)
+        assert status["state"] == "queued"
+        assert (status["points"]["queued"], status["points"]["running"]) == (16, 0)
+        unit = engine.queue.claim_next("w")
+        assert len(unit.specs) == 2
+        status = engine.status(sid)
+        assert status["state"] == "running"
+        assert (status["points"]["queued"], status["points"]["running"]) == (14, 2)
+        engine.queue.release(unit)
 
     def test_unknown_sweep_is_config_error(self, engine):
         with pytest.raises(ConfigError, match="unknown sweep"):

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.sparse.generate import (
-    banded_csr,
-    block_csr,
-    hash_clustered_csr,
-    powerlaw_csr,
-    uniform_csr,
-    zipf_csr,
-)
+from repro.sparse.generate import block_csr, powerlaw_csr, uniform_csr, zipf_csr
+from repro.workloads.minkowski import clustered_coordinate_csr
 
 
 class TestCommonInvariants:
@@ -19,9 +13,8 @@ class TestCommonInvariants:
         lambda seed: uniform_csr(64, 256, 0.1, seed=seed),
         lambda seed: zipf_csr(64, 256, 0.1, seed=seed),
         lambda seed: block_csr(64, 256, 0.1, block=8, seed=seed),
-        lambda seed: banded_csr(64, 256, 0.1, bandwidth=32, seed=seed),
+        lambda seed: clustered_coordinate_csr(64, 256, 8, cluster_size=8, seed=seed),
         lambda seed: powerlaw_csr(64, 256, avg_degree=8, seed=seed),
-        lambda seed: hash_clustered_csr(64, 256, avg_degree=8, seed=seed),
     ]
 
     @pytest.mark.parametrize("gen", GENERATORS)
@@ -92,19 +85,6 @@ class TestBlock:
             block_csr(8, 8, 0.5, block=16)
 
 
-class TestBanded:
-    def test_entries_within_band(self):
-        m = banded_csr(100, 100, 0.1, bandwidth=10, seed=9)
-        for r in range(m.n_rows):
-            cols, _ = m.row_slice(r)
-            if len(cols):
-                assert np.all(np.abs(cols - r) <= 5)
-
-    def test_rejects_bad_bandwidth(self):
-        with pytest.raises(WorkloadError):
-            banded_csr(10, 10, 0.5, bandwidth=0)
-
-
 class TestPowerlaw:
     def test_mean_degree_near_target(self):
         m = powerlaw_csr(500, 1000, avg_degree=10, seed=11)
@@ -119,28 +99,3 @@ class TestPowerlaw:
         with pytest.raises(WorkloadError):
             powerlaw_csr(10, 10, avg_degree=0)
 
-
-class TestHashClustered:
-    def test_consecutive_rows_share_neighbours(self):
-        m = hash_clustered_csr(256, 4096, avg_degree=16, cluster_size=32, seed=17)
-        shared = 0
-        pairs = 0
-        for r in range(0, 200, 2):
-            a = set(m.row_slice(r)[0].tolist())
-            b = set(m.row_slice(r + 1)[0].tolist())
-            if a and b:
-                shared += len(a & b)
-                pairs += 1
-        assert pairs > 0
-        assert shared / pairs > 0.5  # real reuse between neighbours
-
-    def test_indices_scattered_in_address_space(self):
-        m = hash_clustered_csr(256, 4096, avg_degree=16, cluster_size=32, seed=17)
-        cols, _ = m.row_slice(0)
-        if len(cols) > 4:
-            # Spread far beyond the 64-wide coordinate window.
-            assert cols.max() - cols.min() > 256
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(WorkloadError):
-            hash_clustered_csr(10, 10, avg_degree=-1)

@@ -237,13 +237,6 @@ class TestSystemSpec:
         assert system.memory.nsb is not None
         assert system.mode == "inorder"
 
-    def test_system_from_spec_classmethod(self):
-        from repro.sim.soc import System
-
-        program = build_workload("st", scale=0.05)
-        spec = SystemSpec(mechanism="inorder")
-        assert System.from_spec(program, spec).run().total_cycles > 0
-
     def test_label_is_compact(self):
         spec = SystemSpec(
             mechanism="nvr",
