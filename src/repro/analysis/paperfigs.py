@@ -24,7 +24,7 @@ from typing import Callable
 from ..core.overhead import OverheadReport, nvr_overhead
 from ..registry import Registry
 from ..resultset import ResultSet
-from ..runner import Plan
+from ..runner import Plan, QueueBackend
 from ..session import Session, default_session
 from ..utils import geometric_mean
 from .experiments import (
@@ -63,10 +63,17 @@ def _header(scale: float, seed: int, elapsed: float, session=None) -> str:
         f"{elapsed / 60:.1f} min."
     )
     if session is not None:
+        # A queue session's parallelism is its attached workers, which
+        # this process does not know.
+        ran = (
+            "on the work queue"
+            if isinstance(session.runner.backend, QueueBackend)
+            else f"{session.jobs} jobs"
+        )
         run_line += (
             f" Sweep: {session.submitted} points simulated, "
             f"{session.derived} derived from their with_base twins, "
-            f"{session.cache_hits} served from cache ({session.jobs} jobs)."
+            f"{session.cache_hits} served from cache ({ran})."
         )
     return (
         "# EXPERIMENTS — paper vs measured\n\n"

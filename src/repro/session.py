@@ -557,7 +557,10 @@ def session_from_args(args: argparse.Namespace, quiet: bool = False) -> Session:
     """Build the CLI's :class:`Session` from the shared flags.
 
     ``--work-dir`` selects the queue session (:meth:`Session.remote`);
-    without it, points run on a local pool of ``--jobs`` workers.
+    without it, points run on a local pool of ``--jobs`` workers. The
+    queue's parallelism is however many workers attach, so an explicit
+    ``--jobs`` beside ``--work-dir`` is a usage error (the flags default
+    to ``argparse.SUPPRESS``, so only an explicit one is in ``args``).
     """
     common = {
         "cache": False if getattr(args, "no_cache", False) else None,
@@ -566,5 +569,11 @@ def session_from_args(args: argparse.Namespace, quiet: bool = False) -> Session:
     }
     work_dir = getattr(args, "work_dir", None)
     if work_dir is not None:
+        if hasattr(args, "jobs"):
+            raise ConfigError(
+                "--jobs does not combine with --work-dir: queued points run "
+                "on the 'repro queue worker' processes that watch the work "
+                "directory; start more workers instead"
+            )
         return Session.remote(work_dir, **common)
     return Session(jobs=getattr(args, "jobs", 1), **common)

@@ -2,18 +2,22 @@
 
 The extension is compiled with the running interpreter's own
 ``sysconfig`` compiler and flags, as one subprocess, into the package's
-``__pycache__`` directory. Its file name carries a hash of the C source
-and the interpreter's extension suffix (``EXT_SUFFIX``), so an edited
-source or another interpreter builds its own copy, and an existing copy
-is loaded without running the compiler. The compiler writes a temporary
+``__pycache__`` directory. ``$REPRO_KERNEL_CFLAGS`` is the one way to
+add compiler flags: its words follow the interpreter's own flags (so
+``-O1 -g -fsanitize=address`` overrides their optimisation level). The
+build's file name carries a hash of the C source, the interpreter's
+extension suffix (``EXT_SUFFIX``) and the compile command's compiler
+and flag words, so an edited source, another interpreter or another flag
+set builds its own copy, and an existing copy is loaded without running
+the compiler. The compiler writes a temporary
 file that ``os.replace`` moves into place, so processes that build at
 the same time each install a complete file and all of them load one.
 Installing a build unlinks the superseded builds of the same source for
 the same interpreter; a process that has one loaded keeps its mapping,
 and other processes' temporary files are left alone.
 
-Loading an existing build costs one file read, a hash and the
-extension's import; ``sysconfig`` is imported only to compile.
+Loading an existing build costs one file read, a ``sysconfig`` lookup
+of the compile flags, a hash and the extension's import.
 """
 
 from __future__ import annotations
@@ -33,17 +37,13 @@ from ...errors import BuildError
 #: Hex digits of the source hash in a build's file name.
 DIGEST_CHARS = 16
 
-
-def extension_path(source: Path, out_dir: Path) -> Path:
-    """Where the build of ``source`` for this interpreter lives."""
-    # The first suffix is the interpreter's EXT_SUFFIX.
-    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    digest = hashlib.sha256(source.read_bytes() + suffix.encode()).hexdigest()
-    return out_dir / f"{source.stem}.{digest[:DIGEST_CHARS]}{suffix}"
+#: Environment variable whose words are added to the compile command,
+#: after the interpreter's own flags (e.g. a sanitizer build's).
+CFLAGS_ENV = "REPRO_KERNEL_CFLAGS"
 
 
-def compile_command(source: Path, output: Path) -> list[str]:
-    """One compile-and-link step with the interpreter's own toolchain."""
+def compiler_words() -> list[str]:
+    """The compile command up to its source: the compiler and its flags."""
     import sysconfig
 
     def words(name: str) -> list[str]:
@@ -56,10 +56,24 @@ def compile_command(source: Path, output: Path) -> list[str]:
         *words("CFLAGS"),
         *words("CCSHARED"),
         *(f"-I{path}" for path in includes),
-        str(source),
-        "-o",
-        str(output),
+        *shlex.split(os.environ.get(CFLAGS_ENV, "")),
     ]
+
+
+def extension_path(source: Path, out_dir: Path) -> Path:
+    """Where the build of ``source`` for this interpreter and flags lives."""
+    # The first suffix is the interpreter's EXT_SUFFIX.
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    flags = "\0".join(compiler_words())
+    digest = hashlib.sha256(
+        source.read_bytes() + suffix.encode() + flags.encode()
+    ).hexdigest()
+    return out_dir / f"{source.stem}.{digest[:DIGEST_CHARS]}{suffix}"
+
+
+def compile_command(source: Path, output: Path) -> list[str]:
+    """One compile-and-link step with the interpreter's own toolchain."""
+    return [*compiler_words(), str(source), "-o", str(output)]
 
 
 def build(source: Path, target: Path) -> None:

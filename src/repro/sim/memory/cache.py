@@ -203,8 +203,10 @@ class Cache:
         the back of its set dict, a fill stores ``~ready`` for a prefetch
         and ``ready`` for a demand, and a fill into a full set evicts the
         dict's front entry, counting ``evictions`` and, for a negative
-        entry, ``prefetch_evicted_unused``. The sets list itself is never
-        reassigned, so the tuple stays valid for the cache's lifetime.
+        entry, ``prefetch_evicted_unused`` (the compiled kernels count
+        these in their own block until ``MemorySystem.finalize``). The
+        sets list itself is never reassigned, so the tuple stays valid
+        for the cache's lifetime.
 
         The compiled kernels (``_kernels.c``) read this tuple through the
         C API, so its types are part of the contract: a ``list`` of

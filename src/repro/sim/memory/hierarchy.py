@@ -187,8 +187,9 @@ class MemorySystem:
         self._line_service = self.dram.service_cycles(config.line_bytes)
         self._fill_lat = config.dram.latency + self._line_service + self._l2_lat
         # The compiled kernels' context: the same hot state, the timing
-        # constants and the objects whose counters they fold, in the
-        # layout _kernels.c reads (validated once here).
+        # constants, the objects their counters fold into and the block
+        # they count in until finalize(), in the layout _kernels.c reads
+        # (validated once here).
         self._kernel_ctx = _kernels.check_context(
             (
                 self._l2_hot,
@@ -211,6 +212,7 @@ class MemorySystem:
                 self._stats_l2,
                 self._stats_pf,
                 self._traffic,
+                _kernels.counters(),
             )
         )
 
@@ -457,8 +459,8 @@ class MemorySystem:
             result = complete
         else:
             # True L2 miss: inlined MSHR slot search and allocation, DRAM
-            # bus step and L2 fill — the miss path of demand_lines in
-            # _kernels.c, where the contract is commented.
+            # bus step and L2 fill — demand_one's miss path in _kernels.c
+            # (fetch_line), where the contract is commented.
             ls.demand_misses += 1
             pending.discard(line)
             l2 = self.l2
@@ -502,25 +504,33 @@ class MemorySystem:
 
     # -- batched demand path -------------------------------------------------
     def demand_lines(
-        self, now: int, issue_width: int, lines: list[int], irregular: bool
+        self,
+        now: int,
+        issue_width: int,
+        lines: list[int],
+        irregular: bool,
+        counts: list[int] | None = None,
     ) -> tuple[int, bytearray]:
         """Issue a whole request vector through the demand path at once.
 
-        Bit-exact with calling ``demand_line(now + k // issue_width,
-        lines[k], irregular)`` for each line in order: the same live-state
-        walk over the same caches, so every same-batch interaction —
-        same-set evictions, MSHR coalesces — is resolved by construction
-        rather than by a conflict analysis. What the batch form removes is
-        the per-line call overhead: one call per *instruction* instead of
-        per line, and statistics accumulated in locals and folded once.
-        The walk runs compiled (``_kernels.c``) over the containers of
-        :meth:`Cache.hot_state` and :meth:`MSHRFile.hot_state`, calling
-        :meth:`_inject_cpu_traffic` before each line when CPU traffic is
-        configured.
+        Without ``counts``, bit-exact with calling ``demand_line(now + k
+        // issue_width, lines[k], irregular)`` for each line in order. With
+        ``counts`` the vector is given as spans: element ``e`` covers the
+        ``counts[e]`` consecutive lines from ``lines[e]`` (a gather's
+        segments), walked in the same flattened order. Either way it is
+        the same live-state walk over the same caches, so every same-batch
+        interaction — same-set evictions, MSHR coalesces — is resolved by
+        construction rather than by a conflict analysis. What the batch
+        form removes is the per-line call overhead: one call per
+        *instruction* instead of per line. The walk runs compiled
+        (``_kernels.c``) over the containers of :meth:`Cache.hot_state`
+        and :meth:`MSHRFile.hot_state`, calling :meth:`_inject_cpu_traffic`
+        before each line when CPU traffic is configured. Its counters
+        reach the stats, caches, MSHR file and DRAM at :meth:`finalize`.
 
-        Returns ``(last_complete_cycle, dram_flags)``; ``dram_flags[k]``
-        is 1 when line ``k`` went off-chip (the executors fold these
-        into the vector-batch miss statistics).
+        Returns ``(last_complete_cycle, dram_flags)``; ``dram_flags[e]``
+        is 1 when any line of element ``e`` went off-chip (the executors
+        fold these into the vector-batch miss statistics).
         """
         return _kernels.demand_lines(
             self._kernel_ctx,
@@ -529,6 +539,7 @@ class MemorySystem:
             lines,
             irregular,
             self._inject_cpu_traffic if self._cpu_cfg is not None else None,
+            counts,
         )
 
     # -- prefetch path -------------------------------------------------------
@@ -600,7 +611,8 @@ class MemorySystem:
         probed at all (the port counts them as dropped — exactly what
         per-line budget checks would have done). ``lines`` is any int
         sequence (VMIG passes a ``range``). The walk runs compiled
-        (``_kernels.c``), like :meth:`demand_lines`.
+        (``_kernels.c``), like :meth:`demand_lines`, and its counters
+        likewise land at :meth:`finalize`.
 
         Returns ``(ready cycles of the issued lines, lines processed)``.
         """
@@ -624,7 +636,15 @@ class MemorySystem:
 
     # -- reporting helpers -----------------------------------------------------
     def finalize(self, total_cycles: int) -> None:
-        """Fold component-local counters into the shared stats record."""
+        """Fold the run's counters into the shared stats record.
+
+        The compiled kernels count in a block of C integers (see
+        ``_kernels.c``); until this call, the stats record and the
+        caches', MSHR file's and DRAM's counters hold only the Python
+        walks' work. The engines call it once, at the end of a run; it
+        zeroes the block, so a second call adds nothing.
+        """
+        _kernels.fold_counters(self._kernel_ctx)
         self.stats.dram_busy_cycles = self.dram.busy_cycles
         self.stats.prefetch.evicted_unused = self.l2.prefetch_evicted_unused + (
             self.nsb.prefetch_evicted_unused if self.nsb else 0

@@ -89,9 +89,10 @@ class MSHRFile:
         step: retire by popping ``fills`` from the left while the oldest
         fill's ready cycle is at or before the request's cycle; when the
         file is still full, wait for (and retire) the leftmost entry;
-        append every new fill on the right. They keep
+        append every new fill on the right. Python writers keep
         ``structural_stalls``, ``peak_occupancy`` and ``coalesced``
-        maintained through the attributes.
+        maintained through the attributes; the compiled kernels count in
+        their own block, which ``MemorySystem.finalize`` folds in.
 
         The compiled kernels (``_kernels.c``) read this tuple through the
         C API, so its types are part of the contract: a

@@ -279,7 +279,13 @@ class _EngineBase:
         counts_l: list[int],
         total_lines: int,
     ) -> int:
-        """:meth:`_issue_gather` as one request vector through the hierarchy."""
+        """:meth:`_issue_gather` as one request vector through the hierarchy.
+
+        The gather's segments enter the kernel as spans (first line and
+        line count per element), and it returns one off-chip flag per
+        element: an element misses when any line of its segment went
+        off-chip, a vector batch when any of its elements did.
+        """
         width = self._vec_width
         n_elems = len(counts_l)
         batch_stats = self.stats.batch
@@ -287,40 +293,15 @@ class _EngineBase:
         batch_stats.batches += (n_elems + width - 1) // width
         if total_lines == 0:
             return now
-        if total_lines == n_elems:
-            # One line per element: the span starts are the line vector.
-            lines = firsts_l
-        else:
-            # Element order, then line offset within each segment. Built
-            # per call: a cached copy would live as long as the memoised
-            # program that owns the gather.
-            lb = self._line_bytes
-            lines = [
-                first + k * lb
-                for first, count in zip(firsts_l, counts_l)
-                for k in range(count)
-            ]
-        done, flags = self._demand_batch(now, self._issue_width, lines, True)
+        done, flags = self._demand_batch(
+            now, self._issue_width, firsts_l, True, counts_l
+        )
         if 1 in flags:
-            # Fold per-line DRAM flags into element/batch miss counts: an
-            # element misses when any line of its segment went off-chip,
-            # a vector batch when any of its elements did.
             find = flags.find
-            elem_misses = 0
-            batch_misses = 0
-            pos = 0
-            for b0 in range(0, n_elems, width):
-                missed = False
-                for e in range(b0, min(b0 + width, n_elems)):
-                    count = counts_l[e]
-                    if find(1, pos, pos + count) >= 0:
-                        elem_misses += 1
-                        missed = True
-                    pos += count
-                if missed:
-                    batch_misses += 1
-            batch_stats.element_misses += elem_misses
-            batch_stats.batch_misses += batch_misses
+            batch_stats.element_misses += flags.count(1)
+            batch_stats.batch_misses += sum(
+                find(1, b0, b0 + width) >= 0 for b0 in range(0, n_elems, width)
+            )
         return done
 
     def _dispatch(self, now: int, tile: Tile) -> None:

@@ -61,7 +61,8 @@ class AccessResult:
     the tests hold the simulator's fast walks to. The fast walks build no
     result per line: the per-line ``demand_line`` returns the completion
     cycle as an int (``~cycle`` when the line went off-chip) and the
-    request-vector ``demand_lines`` one flag per line. Treat instances
+    request-vector ``demand_lines`` one flag per element (a line, or a
+    gather's span of lines). Treat instances
     as immutable; nothing may mutate or hash a result.
 
     Attributes:

@@ -13,11 +13,14 @@ import pytest
 from repro.analysis.experiments import ABLATIONS, run_ablation
 from repro.analysis.paperfigs import FIGURES
 from repro.api import run_workload
-from repro.core import NVRConfig, nsb_config
+from repro.core import NVRConfig, NVRPrefetcher, nsb_config
 from repro.runner import shape_l2
 from repro.session import Session
 from repro.sim.memory.cache import CacheConfig
 from repro.sim.memory.hierarchy import MemoryConfig
+from repro.sim.npu.program import ProgramConfig, build_one_side_program
+from repro.sim.soc import System
+from repro.sparse.generate import block_csr
 from repro.workloads import build_workload
 
 SCALE = 0.2
@@ -298,8 +301,28 @@ class TestDesignChoices:
             assert result.stats.coverage() > 0.85
 
     def test_approximate_mode(self):
-        exact = nvr_run("ds", nvr_config=NVRConfig(approximate=False))
-        approx = nvr_run("ds", nvr_config=NVRConfig(approximate=True))
+        # On the Table II workloads the SCD's index-delta confidence never
+        # builds, so approximate mode issues nothing there. Dense 32x32
+        # blocks give it the long constant-delta index runs it extrapolates.
+        program = build_one_side_program(
+            "blocks",
+            block_csr(256, 4096, 0.05, block=32, intra_density=1.0, seed=1),
+            ProgramConfig(),
+        )
+
+        def run(approximate):
+            made = []
+
+            def factory():
+                made.append(NVRPrefetcher(NVRConfig(approximate=approximate)))
+                return made[-1]
+
+            result = System(program=program, prefetcher_factory=factory).run()
+            return result, made[0].controller
+
+        exact, _ = run(False)
+        approx, controller = run(True)
+        assert controller.approx_prefetches > 0
         # The confidence gate keeps approximate mode from hurting accuracy.
         assert approx.stats.prefetch.accuracy > 0.9
         assert approx.total_cycles <= exact.total_cycles * 1.05

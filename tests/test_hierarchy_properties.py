@@ -1,5 +1,6 @@
 """Hypothesis property tests over random memory-hierarchy interleavings."""
 
+import copy
 import gc
 import random
 import tracemalloc
@@ -256,6 +257,114 @@ class TestBatchKernelsMatchPerLineWalk:
                 assert _cache_state(mem.nsb) == _cache_state(ref.nsb)
 
 
+# One call for the span property: (time delta, is_prefetch, irregular,
+# issue width or prefetch budget, spans). A span is (first line index,
+# line count); a prefetch issues the spans' flattened lines.
+span_calls_strategy = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=120),
+        st.booleans(),
+        st.booleans(),
+        st.integers(min_value=1, max_value=6),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=127),
+                st.integers(min_value=0, max_value=4),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    ),
+    min_size=2,
+    max_size=30,
+)
+
+
+def _dram_counters(mem):
+    dram = mem.dram
+    return dram._bus_free_at, dram.busy_cycles, dram.transfers, dram.bytes_transferred
+
+
+class TestSpansMatchFlattenedLines:
+    """``demand_lines`` given spans walks exactly the flattened lines.
+
+    One system gets each request vector as spans (element ``e`` covers
+    ``counts[e]`` lines from ``firsts[e]``), the other as the flattened
+    line list. They agree on the completion cycle, on one flag per
+    element (set when any of the element's lines went off-chip), on the
+    cache and MSHR contents and, after ``finalize()``, on every counter.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(span_calls_strategy, st.booleans(), st.booleans())
+    def test_same_result_state_and_counters(self, calls, nsb, cpu):
+        spans_mem = make_small_system(nsb, cpu)
+        flat_mem = make_small_system(nsb, cpu)
+        now = 0
+        for delta, is_prefetch, irregular, width, spans in calls:
+            now += delta
+            firsts = [idx * 64 for idx, _ in spans]
+            counts = [count for _, count in spans]
+            flat = [
+                f + k * 64 for f, count in zip(firsts, counts) for k in range(count)
+            ]
+            if is_prefetch:
+                for mem in (spans_mem, flat_mem):
+                    mem.prefetch_lines(now, flat, irregular, width)
+                continue
+            done, flags = spans_mem.demand_lines(now, width, firsts, irregular, counts)
+            want_done, line_flags = flat_mem.demand_lines(now, width, flat, irregular)
+            want_flags = []
+            pos = 0
+            for count in counts:
+                want_flags.append(int(1 in line_flags[pos : pos + count]))
+                pos += count
+            assert done == want_done
+            assert list(flags) == want_flags
+            assert _mshr_fills(spans_mem) == _mshr_fills(flat_mem)
+        for mem in (spans_mem, flat_mem):
+            mem.finalize(now)
+        assert spans_mem.stats == flat_mem.stats
+        assert _cache_state(spans_mem.l2) == _cache_state(flat_mem.l2)
+        if nsb:
+            assert _cache_state(spans_mem.nsb) == _cache_state(flat_mem.nsb)
+        assert _dram_counters(spans_mem) == _dram_counters(flat_mem)
+        assert spans_mem._pf_pending == flat_mem._pf_pending
+
+
+class TestFinalizeFoldsTheKernelCounters:
+    def _run(self, mem):
+        mem.prefetch_lines(0, [i * 64 for i in range(40)], True, 64)
+        mem.demand_lines(10, 2, [i * 64 for i in range(0, 120, 3)], True)
+        mem.demand_lines(400, 2, [0, 64 * 90], True, [5, 3])
+        mem.prefetch_lines(500, range(0, 64 * 60, 64), False, 16)
+
+    def test_counters_land_at_finalize_and_a_second_finalize_adds_nothing(self):
+        mem = make_small_system(nsb=True, cpu=False)
+        self._run(mem)
+        # The kernels count in their own block until the run ends.
+        assert mem.stats.l2.demand_accesses == 0
+        assert mem.stats.prefetch.issued == 0
+        assert mem.dram.transfers == 0
+        assert mem.l2.mshr.peak_occupancy == 0
+        mem.finalize(1000)
+        stats = copy.deepcopy(mem.stats)
+        state = (
+            _cache_state(mem.l2),
+            _cache_state(mem.nsb),
+            _dram_counters(mem),
+        )
+        assert stats.l2.demand_accesses > 0 and stats.prefetch.issued > 0
+        assert mem.l2.mshr.peak_occupancy == mem.l2.mshr.capacity
+        mem.finalize(1000)
+        assert mem.stats == stats
+        assert (
+            _cache_state(mem.l2),
+            _cache_state(mem.nsb),
+            _dram_counters(mem),
+        ) == state
+
+
 def _mshr_fills(mem):
     """The L2 MSHR's outstanding ``(line, ready)`` pairs, oldest first."""
     fills, inflight, _ = mem.l2.mshr.hot_state()
@@ -288,6 +397,7 @@ class TestEvictedInFlightLineCoalesces:
         mem = make_small_system(nsb, cpu=False)
         lines = [i * 64 for i in EVICTED_IN_FLIGHT]
         done, flags = DEMAND_WALKS[walk](mem, 0, 8, lines, True)
+        mem.finalize(0)  # the kernels' counters land here
         assert mem.dram.transfers == 5
         assert mem.stats.l2.demand_misses == 5
         assert mem.stats.l2.demand_inflight_hits == 1
@@ -310,6 +420,7 @@ class TestEvictedInFlightLineCoalesces:
         mem = make_small_system(nsb, cpu=False)
         lines = [i * 64 for i in EVICTED_IN_FLIGHT]
         readys, consumed = PREFETCH_WALKS[walk](mem, 0, lines, True, 8)
+        mem.finalize(0)
         assert consumed == 6
         assert mem.dram.transfers == 5
         assert mem.l2.mshr.peak_occupancy == 5
@@ -342,6 +453,7 @@ class TestEvictedInFlightLineCoalesces:
         # Rewind the CPU's address stream: cycle 100 draws the line again.
         mem._cpu_lcg = lcg
         demand(mem, 100, 8, [0x200000], False)
+        mem.finalize(100)
         assert mem.cpu_accesses == 2
         assert mem.cpu_misses == 1
         assert mem.dram.transfers == 1 + 1 + 4 + 1
@@ -415,7 +527,11 @@ LEAK_BASE = 0x4000_0000
 
 
 def _kernel_batch(seed: int, calls: int) -> None:
-    """A fixed random sequence of kernel calls on a fresh small system."""
+    """A fixed random sequence of kernel calls on a fresh small system.
+
+    Line vectors, spans and prefetch bursts (lists and ranges), with the
+    counters folded at the end, as an engine run does.
+    """
     rng = random.Random(seed)
     mem = make_small_system(nsb=True, cpu=True)
     now = 0
@@ -425,14 +541,18 @@ def _kernel_batch(seed: int, calls: int) -> None:
         width = rng.randint(1, 6)
         n = rng.randint(1, 24)
         lines = [LEAK_BASE + rng.randrange(128) * 64 for _ in range(n)]
-        kind = rng.randrange(3)
+        kind = rng.randrange(4)
         if kind == 0:
             mem.demand_lines(now, width, lines, irregular)
         elif kind == 1:
             mem.prefetch_lines(now, lines, irregular, width)
-        else:
+        elif kind == 2:
             burst = range(lines[0], lines[0] + 64 * n, 64)
             mem.prefetch_lines(now, burst, irregular, width)
+        else:
+            counts = [rng.randint(1, 3) for _ in lines]
+            mem.demand_lines(now, width, lines, irregular, counts)
+    mem.finalize(now)
 
 
 class TestKernelsReleaseWhatTheyTouch:

@@ -100,9 +100,12 @@ def _kernel_outputs(kernels) -> tuple:
     stats = RunStats()
     memory = MemorySystem(MemoryConfig().with_nsb(), stats)
     ctx = kernels.check_context(memory._kernel_ctx)
-    demand = kernels.demand_lines(ctx, 0, 2, [7, 300, 7, 4100, 300, 9000], True, None)
+    lines = [7, 300, 7, 4100, 300, 9000]
+    demand = kernels.demand_lines(ctx, 0, 2, lines, True, None, None)
+    spans = kernels.demand_lines(ctx, 40, 2, [8192, 300], True, None, [3, 2])
     prefetch = kernels.prefetch_lines(ctx, 50, range(4096, 4112), True, 4)
-    return demand, prefetch, asdict(stats)
+    kernels.fold_counters(ctx)
+    return demand, spans, prefetch, asdict(stats)
 
 
 def test_an_edited_source_replaces_its_build_and_the_old_one_keeps_running(tmp_path):
@@ -151,3 +154,21 @@ def test_compile_failure_is_one_error_with_command_and_output(tmp_path):
     assert str(source) in message
     assert "error" in message.split("\n", 1)[1]  # the compiler's own output
     assert list(out_dir.iterdir()) == []
+
+
+def test_each_flag_set_gets_its_own_build(tmp_path, monkeypatch):
+    source = tmp_path / "_kernels.c"
+    shutil.copy(KERNEL_SOURCE, source)
+    monkeypatch.delenv(_build.CFLAGS_ENV, raising=False)
+    release = _build.extension_path(source, tmp_path)
+    monkeypatch.setenv(_build.CFLAGS_ENV, "-O1 -g")
+    debug = _build.extension_path(source, tmp_path)
+    # The extra words follow the interpreter's own flags, and the
+    # build's file name hashes them but not the compiler's output path.
+    command = _build.compile_command(source, Path("OUT"))
+    assert command[-5:] == ["-O1", "-g", str(source), "-o", "OUT"]
+    assert _build.extension_path(source, tmp_path) == debug
+    monkeypatch.setenv(_build.CFLAGS_ENV, "-O1 -g -fsanitize=undefined")
+    sanitized = _build.extension_path(source, tmp_path)
+    assert len({release, debug, sanitized}) == 3
+    assert all(path.parent == tmp_path for path in (release, debug, sanitized))

@@ -995,7 +995,34 @@ class TestUnitSizing:
         assert checks == [0, 1, 2, 3, 4]
 
 
+class TestQueueReport:
+    def test_report_run_line_names_the_queue_not_a_job_count(self, tmp_path):
+        from repro.analysis.paperfigs import _header
+
+        queued = Session.remote(tmp_path / "work", cache=False)
+        local = Session(jobs=2, cache=False)
+        lines = {}
+        for name, session in (("queue", queued), ("local", local)):
+            with session:
+                header = _header(0.1, 0, 6.0, session).splitlines()
+            (lines[name],) = [line for line in header if "wall time" in line]
+        prefix = "Sweep: 0 points simulated, 0 derived"
+        assert prefix in lines["queue"] and prefix in lines["local"]
+        assert lines["queue"].endswith("served from cache (on the work queue).")
+        assert "jobs" not in lines["queue"]
+        assert lines["local"].endswith("served from cache (2 jobs).")
+
+
 class TestQueueCLI:
+    def test_jobs_beside_work_dir_is_a_usage_error(self, tmp_path, capsys):
+        work = tmp_path / "work"
+        sweep = ["sweep", "--workloads", "st", "--scales", "0.02"]
+        assert cli_main([*sweep, "--work-dir", str(work), "--jobs", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err and "--work-dir" in err
+        # Nothing was queued: the error comes before the sweep starts.
+        assert not work.exists() or not any(work.rglob("*.json"))
+
     def test_status_command(self, tmp_path, capsys):
         queue = WorkQueue(tmp_path / "work").ensure()
         queue.enqueue(RunSpec("st", scale=SCALE))
