@@ -2,12 +2,12 @@
 
 The purple blocks of Fig. 3, one module each:
 
-* :mod:`repro.core.snooper` — read-only probes over CPU branch retirement,
-  NPU ROB load dispatch, and sparse-unit registers.
+* :mod:`repro.core.snooper` — read-only probes over NPU ROB load
+  dispatch and sparse-unit registers.
 * :mod:`repro.core.stride_detector` — SD: reference-prediction-table
-  stream detector for the W value/index streams.
-* :mod:`repro.core.loop_bound_detector` — LBD: Sparse Structure Table,
-  dual-mode (static/sparse) boundary prediction with fuzzy rounding.
+  stride detector that gates runahead on the W-values stream.
+* :mod:`repro.core.loop_bound_detector` — LBD: sparse-mode boundary
+  prediction from the sparse-unit row window, with fuzzy rounding.
 * :mod:`repro.core.sparse_chain_detector` — SCD: Indirect Pattern Table,
   ``IA = ss_start + (W_LPI << stride)`` with delta-confidence
   extrapolation for approximate (pre-data) prediction.
@@ -19,6 +19,12 @@ The purple blocks of Fig. 3, one module each:
 * :mod:`repro.core.nvr` — :class:`NVRPrefetcher`, the composed mechanism
   (implements the same interface as every baseline).
 * :mod:`repro.core.overhead` — Table I storage-bit accounting.
+
+The model keeps only the detector state a runahead decision reads. The
+LBD learns bounds only from the sparse-unit window: the paper's static
+mode, trained on CPU branch events, feeds no prediction here, so no
+mechanism consumes CPU branch events. The SD trains only the W-values
+stream. Table I still budgets the paper's full SD, LBD and SCD tables.
 """
 
 from .controller import NVRConfig, RunaheadController

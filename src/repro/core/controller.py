@@ -3,8 +3,9 @@
 Entry (Q&A1): runahead starts when a load instruction in the NPU's ROB
 executes — our per-tile dispatch event. The controller then:
 
-1. trains SD on the dispatched load's stream addresses and the LBD on the
-   snooped sparse window;
+1. trains SD on the dispatched load's W-values address and the LBD on the
+   snooped sparse window (the only bounds it learns: no mechanism
+   consumes CPU branch events);
 2. computes the runahead window in W-stream positions: the desired depth
    (``depth_tiles`` vectors ahead) clamped by the LBD's fuzzy boundary
    prediction;
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError
 from ..prefetch.base import PrefetchPort
-from ..sim.npu.isa import STREAM_W_INDICES, STREAM_W_VALUES
+from ..sim.npu.isa import STREAM_W_VALUES
 from ..sim.npu.program import SparseProgram, Tile
 from ..sim.npu.sparse_unit import SparseUnit
 from .loop_bound_detector import LoopBoundDetector
@@ -67,6 +68,12 @@ class NVRConfig:
             raise ConfigError("fuzz_vectors must be >= 0")
         if self.resolve_cycles_per_elem < 0:
             raise ConfigError("resolve_cycles_per_elem must be >= 0")
+        if not 1 <= self.confirm_stride <= StrideDetector.CONFIDENCE_MAX:
+            raise ConfigError(
+                "confirm_stride must be in 1.."
+                f"{StrideDetector.CONFIDENCE_MAX} (the SD's 2-bit "
+                f"confidence counter), got {self.confirm_stride}"
+            )
 
     def to_dict(self) -> dict:
         """Canonical plain-scalar dict (see :mod:`repro.spec.serde`)."""
@@ -81,7 +88,7 @@ class NVRConfig:
         return serde.nvr_config_from_dict(d)
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingWindow:
     """A W-stream span whose index data is being fetched by runahead."""
 
@@ -111,7 +118,6 @@ class RunaheadController:
             n_entries=config.vector_width, confirm=config.confirm_stride
         )
         self.lbd = LoopBoundDetector(
-            n_entries=2 * config.vector_width,
             vector_width=config.vector_width,
             fuzz_vectors=config.fuzz_vectors,
         )
@@ -125,7 +131,20 @@ class RunaheadController:
             (stream_id, program.gather_streams[stream_id])
             for stream_id in sparse_unit.gather_stream_ids()
         ]
+        # Per-event constants, bound once: every tile dispatch reads them.
+        pcfg = program.config
         self._nnz = program.nnz
+        self._col_stream = program.col_stream
+        self._depth_tiles = config.depth_tiles
+        self._depth_elems = config.depth_tiles * pcfg.vector_width
+        self._approximate = config.approximate
+        self._resolve_cost = config.resolve_cycles_per_elem
+        self._w_val_base = pcfg.w_val_base
+        self._elem_bytes = pcfg.elem_bytes
+        self._w_streams = (
+            (pcfg.w_val_base, pcfg.elem_bytes),
+            (pcfg.w_idx_base, pcfg.idx_bytes),
+        )
         self._w_frontier = 0  # W-stream position prefetched so far
         self._pending: list[_PendingWindow] = []
         self.windows_opened = 0
@@ -134,37 +153,28 @@ class RunaheadController:
         self.runahead_delayed = 0  # grants queued behind real sparse work
 
     # -- event entry points -------------------------------------------------
-    def on_branch(
-        self, now: int, pc: int, counter: int, bound: int, level: int
-    ) -> None:
-        sample = self.snooper.observe_branch(pc, counter, bound, level)
-        self.lbd.observe_branch(sample.pc, sample.counter, sample.bound, sample.level)
-
     def on_dispatch(self, now: int, tile: Tile) -> None:
         """Q&A1: a load executes in the ROB — enter runahead."""
         self.snooper.observe_dispatch()
-        cfg = self.program.config
+        j_start, j_end = tile.j_start, tile.j_end
+        elem_bytes = self._elem_bytes
         self.sd.observe(
             STREAM_W_VALUES,
-            int(tile.w_val_load.byte_addrs[0]),
-            n_elems=tile.n_elems,
-            elem_bytes=cfg.elem_bytes,
+            self._w_val_base + j_start * elem_bytes,
+            n_elems=j_end - j_start,
+            elem_bytes=elem_bytes,
         )
-        self.sd.observe(
-            STREAM_W_INDICES,
-            int(tile.w_idx_load.byte_addrs[0]),
-            n_elems=tile.n_elems,
-            elem_bytes=cfg.idx_bytes,
-        )
-        window = self.snooper.read_sparse_window(tile.row)
-        self.lbd.observe_sparse_window(window.row, window.row_start, window.row_end)
+        row = tile.row
+        row_start, row_end = self.snooper.read_sparse_window(row)
+        lbd = self.lbd
+        lbd.observe_sparse_window(row, row_start, row_end)
 
-        self._w_frontier = max(self._w_frontier, tile.j_end)
-        desired_end = tile.j_end + self.config.depth_tiles * cfg.vector_width
-        allowed_end = self.lbd.predict_stream_limit(
-            tile.j_end, rows_ahead=self.config.depth_tiles
+        if j_end > self._w_frontier:
+            self._w_frontier = j_end
+        target_end = min(
+            j_end + self._depth_elems,
+            lbd.predict_stream_limit(j_end, rows_ahead=self._depth_tiles),
         )
-        target_end = min(desired_end, allowed_end)
         if target_end > self._w_frontier and self.sd.confident(STREAM_W_VALUES):
             self._open_window(now, self._w_frontier, target_end)
         self._resolve_ready(now)
@@ -175,20 +185,17 @@ class RunaheadController:
 
     # -- stage 1: W stream prefetch ---------------------------------------------
     def _open_window(self, now: int, p0: int, p1: int) -> None:
-        cfg = self.program.config
         self.windows_opened += 1
         ready = now
-        for base, esize in (
-            (cfg.w_val_base, cfg.elem_bytes),
-            (cfg.w_idx_base, cfg.idx_bytes),
-        ):
-            start = base + p0 * esize
-            end = base + p1 * esize
-            batches = self.vmig.bundle([start], max(1, end - start))
-            issued = self.port.prefetch_bursts(now, batches, irregular=False)
+        window = self.vmig.window
+        prefetch_bursts = self.port.prefetch_bursts
+        for base, esize in self._w_streams:
+            issued = prefetch_bursts(
+                now, window(base + p0 * esize, (p1 - p0) * esize), irregular=False
+            )
             if issued:
                 ready = max(ready, max(issued))
-        self._pending.append(_PendingWindow(p0=p0, p1=p1, ready=ready))
+        self._pending.append(_PendingWindow(p0, p1, ready))
         self._w_frontier = p1
 
     # -- stage 2: resolution through the sparse unit ------------------------------
@@ -196,6 +203,7 @@ class RunaheadController:
         if not self._pending:
             return
         nnz = self._nnz
+        sparse_unit = self.sparse_unit
         still_pending: list[_PendingWindow] = []
         for win in self._pending:
             if win.ready > now:
@@ -203,7 +211,7 @@ class RunaheadController:
                 # in flight: across a boundary the index sequence restarts
                 # (the LBD knows exactly where that is).
                 if (
-                    self.config.approximate
+                    self._approximate
                     and not win.approx_issued
                     and win.p1 <= self.lbd.current_row_end
                 ):
@@ -213,15 +221,14 @@ class RunaheadController:
             p0, p1 = win.p0, min(win.p1, nnz)
             if p0 >= p1:
                 continue
-            indices = self.program.col_stream[p0:p1].tolist()
-            grant = self.sparse_unit.grant_runahead(
-                now,
-                max(1, math.ceil(len(indices) * self.config.resolve_cycles_per_elem)),
+            indices = self._col_stream[p0:p1].tolist()
+            grant = sparse_unit.grant_runahead(
+                now, max(1, math.ceil(len(indices) * self._resolve_cost))
             )
             if grant > now:
                 self.runahead_delayed += 1
             for stream_id, stream in self._gathers:
-                addrs = self.sparse_unit.resolve_window(stream_id, indices)
+                addrs = sparse_unit.resolve_window(stream_id, indices)
                 self.scd.record_window(stream_id, indices, addrs)
                 batches = self.vmig.bundle(addrs, stream.segment_sizes(indices))
                 self.exact_prefetches += len(

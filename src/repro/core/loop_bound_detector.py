@@ -1,14 +1,15 @@
 """LBD — the Loop Boundary Detector (Fig. 3 c).
 
-Maintains the Sparse Structure Table (SST): one entry per tracked loop
-level, learning bounds in two modes (Sec. IV-E):
-
-* **static bounds** from CPU B-type branch register values (outer loops,
-  fixed trip counts);
-* **sparse bounds** snooped from sparse-unit registers — the current row's
-  ``rowptr`` window is architecturally exact, while *future* rows are
-  predicted from an exponentially-weighted average of observed row
-  lengths.
+The paper's LBD keeps a Sparse Structure Table and learns bounds in two
+modes (Sec. IV-E): *static* bounds from CPU B-type branch register
+values (outer loops, fixed trip counts) and *sparse* bounds snooped from
+sparse-unit registers. Runahead here reads only the sparse mode, so that
+is all this model keeps: it learns bounds only from the sparse unit's
+row window. The current row's ``rowptr`` window is architecturally
+exact, while *future* rows are predicted from an exponentially-weighted
+average of observed row lengths. No mechanism consumes CPU branch
+events; Table I (:mod:`repro.core.overhead`) still budgets the paper's
+full SST.
 
 Its product is :meth:`predict_stream_limit`: how far ahead (in W-stream
 element positions) runahead may prefetch without crossing an unknown
@@ -18,88 +19,30 @@ boundary, rounded *up* to the vector width — the paper's fuzzy prefetch
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import ConfigError
 
 
-@dataclass
-class SSTEntry:
-    """Sparse Structure Table row (fields mirror Table I's LBD budget)."""
-
-    pc: int
-    level: int
-    last_counter: int = 0
-    increment: int = 0
-    increment_conf: int = 0
-    bound: int = 0
-    bound_conf: int = 0
-    sparse_mode: bool = False
-    last_use: int = 0
-
-
 class LoopBoundDetector:
-    """Dual-mode loop boundary learning and fuzzy lookahead limits."""
+    """Sparse-mode loop boundary learning and fuzzy lookahead limits."""
 
     def __init__(
         self,
-        n_entries: int = 32,
         vector_width: int = 16,
         ewma_alpha: float = 0.25,
         fuzz_vectors: int = 1,
     ) -> None:
-        if n_entries < 1:
-            raise ConfigError("LBD needs >= 1 SST entry")
         if not 0.0 < ewma_alpha <= 1.0:
             raise ConfigError("ewma_alpha must be in (0, 1]")
         if fuzz_vectors < 0:
             raise ConfigError("fuzz_vectors must be >= 0")
-        self.n_entries = n_entries
         self.vector_width = vector_width
         self.ewma_alpha = ewma_alpha
         self.fuzz_vectors = fuzz_vectors
-        self._sst: dict[int, SSTEntry] = {}
-        self._clock = 0
-        # Sparse-mode state: exact current-row window + row-length average.
+        # The exact current-row window and the row-length average.
         self._row: int | None = None
-        self._row_start = 0
         self._row_end = 0
         self._row_len_ewma: float | None = None
 
-    # -- static bounds from CPU branches --------------------------------------
-    def observe_branch(self, pc: int, counter: int, bound: int, level: int) -> None:
-        """Train an SST entry from one retired compare-and-branch."""
-        self._clock += 1
-        entry = self._sst.get(pc)
-        if entry is None:
-            if len(self._sst) >= self.n_entries:
-                victim = min(self._sst, key=lambda p: self._sst[p].last_use)
-                del self._sst[victim]
-            entry = SSTEntry(pc=pc, level=level, last_counter=counter)
-            self._sst[pc] = entry
-        entry.last_use = self._clock
-        delta = counter - entry.last_counter
-        if delta != 0:
-            if delta == entry.increment:
-                entry.increment_conf = min(entry.increment_conf + 1, 15)
-            else:
-                entry.increment = delta
-                entry.increment_conf = 0
-        entry.last_counter = counter
-        if bound == entry.bound:
-            entry.bound_conf = min(entry.bound_conf + 1, 15)
-        else:
-            entry.bound = bound
-            entry.bound_conf = 0
-
-    def known_bound(self, pc: int) -> int | None:
-        """The learned bound for a loop PC, if confidently stable."""
-        entry = self._sst.get(pc)
-        if entry is not None and entry.bound_conf >= 1:
-            return entry.bound
-        return None
-
-    # -- sparse bounds from sparse-unit registers -------------------------------
     def observe_sparse_window(self, row: int, start: int, end: int) -> None:
         """Snoop the sparse unit's IdxPtr window for the row in flight."""
         if row != self._row:
@@ -109,7 +52,6 @@ class LoopBoundDetector:
                 self._row_len_ewma = float(row_len)
             else:
                 self._row_len_ewma += self.ewma_alpha * (row_len - self._row_len_ewma)
-        self._row_start = start
         self._row_end = end
 
     @property
@@ -135,7 +77,3 @@ class LoopBoundDetector:
         vw = self.vector_width
         fuzzed = ((limit + vw - 1) // vw + self.fuzz_vectors) * vw
         return max(fuzzed, j_now)
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._sst)

@@ -5,9 +5,11 @@ optionally the NSB — into the one prefetcher the paper evaluates.
 Implements the same :class:`~repro.prefetch.base.Prefetcher` interface as
 every baseline (Q&A2: NVR sits between CPU and NPU, decoupled from both),
 but is the only mechanism granted the NPU-side capabilities: ROB dispatch
-events, CPU branch events, sparse-unit registers and ``sparse_func``
-evaluation. The :class:`~repro.sim.soc.System` hands those over through
-:meth:`attach_npu`.
+events, sparse-unit registers and ``sparse_func`` evaluation. The
+:class:`~repro.sim.soc.System` hands those over through :meth:`attach_npu`.
+The paper's LBD also snoops CPU branches for static loop bounds; runahead
+here reads only the sparse-unit window, so NVR consumes no branch events
+(Table I, :mod:`repro.core.overhead`, still budgets the full tables).
 """
 
 from __future__ import annotations
@@ -66,11 +68,6 @@ class NVRPrefetcher(Prefetcher):
 
     def on_data_return(self, now: int, tile_id: int) -> None:
         self._require_controller().on_data_return(now)
-
-    def on_branch(self, now: int, event) -> None:
-        self._require_controller().on_branch(
-            now, event.pc, event.counter, event.bound, event.level
-        )
 
     # -- introspection ----------------------------------------------------------------
     def describe(self) -> str:

@@ -1,12 +1,16 @@
-"""Snoopers — read-only probes over CPU and NPU state (Fig. 3 a).
+"""Snoopers — read-only probes over NPU state (Fig. 3 a).
 
-The snooper is NVR's only window into the system; everything downstream
-(SD/LBD/SCD training, runahead triggering) consumes its three event
-classes, mirroring Sec. IV-C:
+The snooper is NVR's only window into the system; runahead triggering
+and the SD/LBD training downstream consume its two event classes, the
+NPU side of Sec. IV-C:
 
-1. CPU branch instructions → loop context for the LBD;
-2. NPU load-instruction dispatch (ROB) → runahead trigger timing;
-3. sparse-unit registers → row windows and ``sparse_func`` metadata.
+1. NPU load-instruction dispatch (ROB) → runahead trigger timing;
+2. sparse-unit registers → the row window the LBD learns bounds from.
+
+The paper's third class, CPU branch instructions, trains the LBD's
+static loop bounds. In this model no runahead decision reads a static
+bound, so no engine raises branch events and no mechanism consumes
+them; Table I (:mod:`repro.core.overhead`) still budgets the full LBD.
 
 Non-invasiveness is structural: the snooper holds a reference to the
 sparse unit but only ever calls its read-only accessors.
@@ -14,66 +18,27 @@ sparse unit but only ever calls its read-only accessors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import SimulationError
 from ..sim.npu.sparse_unit import SparseUnit
 
 
-@dataclass(frozen=True)
-class BranchSample:
-    """Normalised CPU branch observation."""
-
-    pc: int
-    counter: int
-    bound: int
-    level: int
-
-
-@dataclass(frozen=True)
-class SparseWindow:
-    """Snooped sparse-unit row state: the row in flight and its extent."""
-
-    row: int
-    row_start: int
-    row_end: int
-
-
 class Snooper:
-    """Aggregates the three snoop event classes with simple counters."""
+    """Aggregates the snoop event classes with simple counters."""
 
     def __init__(self) -> None:
         self._sparse_unit: SparseUnit | None = None
-        self.branch_events = 0
         self.dispatch_events = 0
         self.register_reads = 0
 
     def attach_sparse_unit(self, sparse_unit: SparseUnit) -> None:
         self._sparse_unit = sparse_unit
 
-    @property
-    def attached(self) -> bool:
-        return self._sparse_unit is not None
-
-    def observe_branch(
-        self, pc: int, counter: int, bound: int, level: int
-    ) -> BranchSample:
-        self.branch_events += 1
-        return BranchSample(pc=pc, counter=counter, bound=bound, level=level)
-
     def observe_dispatch(self) -> None:
         self.dispatch_events += 1
 
-    def read_sparse_window(self, row: int) -> SparseWindow:
-        """Read the sparse unit's rowptr window for the row in flight."""
+    def read_sparse_window(self, row: int) -> tuple[int, int]:
+        """Read the sparse unit's ``(start, end)`` rowptr window for a row."""
         if self._sparse_unit is None:
             raise SimulationError("snooper not attached to a sparse unit")
         self.register_reads += 1
-        start, end = self._sparse_unit.rowptr_window(row)
-        return SparseWindow(row=row, row_start=start, row_end=end)
-
-    def current_row(self) -> int:
-        if self._sparse_unit is None:
-            raise SimulationError("snooper not attached to a sparse unit")
-        self.register_reads += 1
-        return self._sparse_unit.registers.current_row
+        return self._sparse_unit.rowptr_window(row)

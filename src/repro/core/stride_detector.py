@@ -1,12 +1,16 @@
 """SD — the Stride Detector (Fig. 3 b).
 
 A reference-prediction-table unit that tracks the streaming W accesses:
-per stream it keeps the previous address, the stride, a 2-bit confidence
-counter and the last-prefetched address (the frontier), exactly the fields
-Table I budgets. Its job inside NVR is to predict *future W addresses* so
-the runahead thread can fetch index data ahead of the NPU — predictions are
+per stream it keeps the previous address and extent, the stride and a
+2-bit confidence counter. Its job inside NVR is to gate runahead: the
+controller trains it on the W-values stream at every tile dispatch and
+opens a window only once that stride is confirmed, so W prefetches are
 extrapolations from observed addresses, never reads of future program
-state.
+state. The W-index stream moves in lock-step with the W values, so it is
+not trained separately, and the window's extent comes from the LBD, so
+the table keeps no prefetch frontier. Table I
+(:mod:`repro.core.overhead`) still budgets the paper's full SD entry,
+``last_prefetch_addr`` included.
 """
 
 from __future__ import annotations
@@ -16,15 +20,14 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 
 
-@dataclass
+@dataclass(slots=True)
 class SDEntry:
-    """One reference-prediction-table row (fields mirror Table I)."""
+    """One reference-prediction-table row."""
 
     prev_addr: int
     prev_len_bytes: int = 0
     stride: int = 0  # per-element stride (bytes)
     confidence: int = 0
-    last_prefetch_addr: int | None = None
     last_use: int = 0
 
 
@@ -90,26 +93,6 @@ class StrideDetector:
             and entry.stride != 0
             and entry.confidence >= self.confirm
         )
-
-    def predict_window(self, stream_id: int, n_bytes: int) -> tuple[int, int] | None:
-        """Advance the prefetch frontier by ``n_bytes``.
-
-        Returns the predicted ``[start, end)`` byte window for the next
-        stream data, or None without a confident stride. The frontier
-        (``last_prefetch_addr``) guarantees successive calls never
-        re-request the same window.
-        """
-        entry = self._table.get(stream_id)
-        if not self.confident(stream_id) or n_bytes <= 0:
-            return None
-        start = (
-            entry.last_prefetch_addr
-            if entry.last_prefetch_addr is not None
-            else entry.prev_addr + abs(entry.stride)
-        )
-        end = start + n_bytes
-        entry.last_prefetch_addr = end
-        return start, end
 
     @property
     def occupancy(self) -> int:

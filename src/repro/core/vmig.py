@@ -19,6 +19,7 @@ observable the paper's bandwidth-utilisation argument rests on.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from itertools import repeat
 
@@ -40,6 +41,17 @@ class VMIG:
         self.elements_in = 0
         self.lines_deduped = 0
         self.vector_ops_out = 0
+
+    def window(self, start: int, n_bytes: int) -> list[range]:
+        """Pack one segment (a W-stream window) into line batches.
+
+        :meth:`bundle` of ``[start]`` with ``n_bytes`` per segment: one
+        segment touches each of its lines once, so the batches are
+        vector-width chunks of its line range.
+        """
+        lb = self.line_bytes
+        lines = range(start - start % lb, start + n_bytes, lb)
+        return self._chunk(1, lines)
 
     def bundle(
         self,
@@ -64,42 +76,57 @@ class VMIG:
         n = len(byte_addrs)
         if n == 0:
             return []
+        if isinstance(byte_addrs, np.ndarray):
+            byte_addrs = byte_addrs.tolist()
+        lb = self.line_bytes
         if isinstance(seg_bytes, int) or np.isscalar(seg_bytes):
             seg = int(seg_bytes)
             if seg < 1:
                 raise ConfigError("seg_bytes must be >= 1")
-            segs: Iterable[int] = repeat(seg, n)
-        else:
-            if len(seg_bytes) != n:
-                raise ConfigError("per-element seg_bytes length mismatch")
-            segs = [int(s) for s in seg_bytes]
-            if min(segs) < 1:
-                raise ConfigError("seg_bytes must be >= 1")
-        if isinstance(byte_addrs, np.ndarray):
-            byte_addrs = byte_addrs.tolist()
-        self.elements_in += n
-        lb = self.line_bytes
+            if n == 1:
+                return self.window(byte_addrs[0], seg)
+            # Equal starts of fixed-size segments touch equal lines, so
+            # deduplicating the starts first drops only repeats.
+            starts = list(dict.fromkeys(byte_addrs))
+            first = starts[0]
+            span = math.lcm(lb, seg)
+            if first % lb or len({a % span for a in starts}) > 1:
+                lines = self._first_touch(starts, repeat(seg))
+            else:
+                # Line-aligned starts a whole number of segments apart: no
+                # two segments share a line, so each contributes its own
+                # run of ``per`` lines, in element order, undeduplicated.
+                per = -(-seg // lb)
+                lines = starts * per
+                lines[::per] = starts
+                for k in range(1, per):
+                    lines[k::per] = [a + k * lb for a in starts]
+            return self._chunk(n, lines)
+        if len(seg_bytes) != n:
+            raise ConfigError("per-element seg_bytes length mismatch")
+        segs = [int(s) for s in seg_bytes]
+        if min(segs) < 1:
+            raise ConfigError("seg_bytes must be >= 1")
         if n == 1:
-            # One segment (a W-stream window) touches each line once.
-            (a,) = byte_addrs
-            (seg,) = segs
-            lines: Sequence[int] = range(a - a % lb, a + seg, lb)
-        else:
-            # Flattened line stream (element order, then offset within
-            # segment), deduplicated preserving first touch. Plain
-            # Python: a bundle covers one runahead window (tens of
-            # elements), far below numpy's array-dispatch break-even.
-            touched = [
-                la
-                for a, seg in zip(byte_addrs, segs)
-                for la in range(a - a % lb, a + seg, lb)
-            ]
-            lines = list(dict.fromkeys(touched))
+            return self.window(byte_addrs[0], segs[0])
+        return self._chunk(n, self._first_touch(byte_addrs, segs))
+
+    def _first_touch(self, starts: list[int], segs: Iterable[int]) -> list[int]:
+        """The segments' lines in element order, deduplicated preserving
+        first touch. Plain Python: a bundle covers one runahead window
+        (tens of elements), far below numpy's array-dispatch break-even."""
+        lb = self.line_bytes
+        touched = (
+            la for a, seg in zip(starts, segs) for la in range(a - a % lb, a + seg, lb)
+        )
+        return list(dict.fromkeys(touched))
+
+    def _chunk(self, n_elems: int, lines: Sequence[int]) -> list[Sequence[int]]:
+        """Cut the line stream into vector-width batches and count them."""
+        vw = self.vector_width
+        batches = [lines[i : i + vw] for i in range(0, len(lines), vw)]
+        self.elements_in += n_elems
         self.lines_deduped += len(lines)
-        batches = [
-            lines[i : i + self.vector_width]
-            for i in range(0, len(lines), self.vector_width)
-        ]
         self.vector_ops_out += len(batches)
         return batches
 

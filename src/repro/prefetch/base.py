@@ -12,7 +12,6 @@ capability          stream  IMP    DVR    NVR
 demand miss addrs     x       x      x      x
 returned index data           x      x      x
 tile dispatch (ROB)                  (1)    x
-CPU branch events                           x
 sparse-unit regs                            x
 sparse_func eval                            x
 ==================  ======  =====  =====  =====
@@ -20,6 +19,13 @@ sparse_func eval                            x
 (1) DVR triggers on stalls (misses), not dispatch — it lives CPU-side and
 cannot see the NPU's ROB; our DVR implementation therefore only reacts in
 ``on_demand_access``.
+
+The paper's NVR also snoops CPU branch events, which train its LBD's
+static loop bounds. No runahead decision here reads a static bound (the
+LBD learns bounds only from the sparse-unit window), so no engine raises
+branch events and no mechanism consumes them; Table I
+(:mod:`repro.core.overhead`) still budgets the paper's full SD, LBD and
+SCD tables.
 
 Every mechanism issues requests through :class:`PrefetchPort` as bursts
 (burst ``i`` at cycle ``at + i``); the port enforces the shared per-cycle
@@ -127,4 +133,8 @@ class Prefetcher:
         """
 
     def on_branch(self, now: int, event) -> None:
-        """A CPU branch executed (loop iteration); NVR/LBD only."""
+        """A CPU branch executed: never raised (see the module docstring).
+
+        Kept as a base no-op only until the benchmark's tracer test stops
+        naming it among the base no-ops; then it goes.
+        """

@@ -1,10 +1,13 @@
-/* The request-vector kernels of MemorySystem, compiled.
+/* The demand and prefetch kernels of MemorySystem, compiled.
  *
- * MemorySystem.demand_lines and MemorySystem.prefetch_lines
- * (hierarchy.py) are each one call into this module. The kernels walk
- * the same Python containers the rest of the hierarchy uses, with the
- * same dict, deque and set operations in the same order as the Python
- * references (demand_access / demand_line and prefetch_line):
+ * MemorySystem.demand_line, demand_lines and prefetch_lines
+ * (hierarchy.py) are each one call into this module. Both demand entries
+ * run one per-line body, demand_one: demand_lines over a request vector,
+ * demand_line for one line (the runs whose prefetcher snoops every
+ * demand line). The kernels walk the same Python containers the rest of
+ * the hierarchy uses, with the same dict, deque and set operations in
+ * the same order as the Python references (demand_access and
+ * prefetch_line):
  *
  *   - a cache level is Cache.hot_state(): a list of per-set dicts from
  *     tag to ready cycle (~ready while an untouched prefetch fill), whose
@@ -24,7 +27,8 @@
  * counters()), and the MSHR file's peak occupancy is kept there as a
  * maximum. fold_counters() adds the block into the stats records, the
  * caches, the MSHR file and the DRAM once per run (MemorySystem.finalize);
- * until then those Python counters hold only the Python walks' work.
+ * until then those Python counters hold only the work of the Python
+ * references and of the CPU traffic and bulk DMA paths.
  *
  * Cycles, tags and line addresses are held as 64-bit ints; a value
  * outside that range raises OverflowError instead of wrapping.
@@ -457,9 +461,9 @@ retouch(PyObject *set, PyObject *tag, PyObject *entry, long long *ready)
     return rc;
 }
 
-/* -- demand_lines -------------------------------------------------------- */
+/* -- the demand body ----------------------------------------------------- */
 
-/* One demand line at cycle `at`, the body of MemorySystem.demand_line.
+/* One demand line at cycle `at`: the body both demand entries run.
  * Raises *done to the line's completion cycle. Returns 1 when the line
  * went off-chip, 0 when it was served on chip, -1 on error. */
 static int
@@ -601,6 +605,44 @@ inject_cpu(const Ctx *c, Bus *bus, PyObject *inject, long long at)
     Py_DECREF(r);
     return 0;
 }
+
+/* -- demand_line --------------------------------------------------------- */
+
+PyDoc_STRVAR(demand_line_doc,
+"demand_line(ctx, now, line, irregular, inject)\n\n"
+"The body of MemorySystem.demand_line: one line at cycle ``now``.\n"
+"Calls ``inject`` with ``now`` first when it is not None, then walks\n"
+"the line (through the NSB when ``irregular``). Returns the line's\n"
+"completion cycle, as ~cycle when the line went off-chip.");
+
+static PyObject *
+demand_line(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Ctx c;
+    Bus bus = {0, 0, 0};
+    long long now, line, done;
+    int irregular, off_chip;
+
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError, "demand_line takes 5 arguments");
+        return NULL;
+    }
+    if (unpack_context(args[0], &c) < 0 || as_ll(args[1], &now) < 0
+        || as_ll(args[2], &line) < 0)
+        return NULL;
+    irregular = PyObject_IsTrue(args[3]);
+    if (irregular < 0
+        || (args[4] != Py_None && inject_cpu(&c, &bus, args[4], now) < 0))
+        return NULL;
+    done = now;
+    off_chip = demand_one(&c, &bus, args[2], line, now, irregular && c.has_nsb,
+                          &done);
+    if (off_chip < 0 || bus_release(&c, &bus) < 0)
+        return NULL;
+    return PyLong_FromLongLong(off_chip ? ~done : done);
+}
+
+/* -- demand_lines -------------------------------------------------------- */
 
 /* counts[e] as a line count (a non-negative int). */
 static int
@@ -976,6 +1018,8 @@ check_context(PyObject *module, PyObject *ctx)
 }
 
 static PyMethodDef kernel_methods[] = {
+    {"demand_line", (PyCFunction)(void (*)(void))demand_line, METH_FASTCALL,
+     demand_line_doc},
     {"demand_lines", (PyCFunction)(void (*)(void))demand_lines, METH_FASTCALL,
      demand_lines_doc},
     {"prefetch_lines", (PyCFunction)(void (*)(void))prefetch_lines, METH_FASTCALL,

@@ -12,6 +12,14 @@ metric definitions are enforced in one place:
 Demand routing follows the paper's split: *irregular* (sparse, discrete)
 accesses probe the NSB first when one is configured; continuous streams
 bypass it (they live in the scratchpad pipeline and the L2).
+
+The simulator reaches the hierarchy through compiled kernels
+(``_kernels.c``): :meth:`MemorySystem.demand_lines` for a request
+vector and :meth:`MemorySystem.demand_line` for one line both run one
+per-line demand body, and :meth:`MemorySystem.prefetch_lines` runs every
+prefetch burst. :meth:`MemorySystem.demand_access` and
+:meth:`MemorySystem.prefetch_line` are the only walks in Python: the
+readable references the tests hold the kernels to.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from ._build import load_extension
 from .cache import Cache, CacheConfig, LookupKind
 from .dram import DRAM, DRAMConfig
 
-#: The compiled request-vector kernels (``_kernels.c``), built on the
+#: The compiled demand and prefetch kernels (``_kernels.c``), built on the
 #: first import (see :mod:`._build`) so the build precedes any run.
 _kernels = load_extension(
     f"{__package__}._kernels", Path(__file__).with_name("_kernels.c")
@@ -161,47 +169,42 @@ class MemorySystem:
         self._cpu_lcg = 0x2545F491
         self.cpu_accesses = 0
         self.cpu_misses = 0
-        # Hot-path bindings: the demand path runs once per line touched
-        # (millions of calls per sweep), so the per-access attribute
-        # chains (config/stat sub-objects, latencies) are resolved once.
+        # Bindings for the reference walks and the reporting helpers.
         self._line_bytes = config.line_bytes
         self._l2_lat = config.l2.hit_latency
         self._nsb_lat = config.nsb.hit_latency if config.nsb is not None else None
-        self._cpu_cfg = config.cpu_traffic
         self._stats_nsb = stats.nsb
         self._stats_l2 = stats.l2
         self._stats_pf = stats.prefetch
         self._traffic = stats.traffic
-        # Inlined-walk context: everything per-call-stable the fast
-        # demand/prefetch walks unpack, resolved once. The hot-state
-        # tuples hold containers that are mutated in place and never
-        # reassigned (see Cache.hot_state / MSHRFile.hot_state), and all
-        # line fills transfer exactly one line, so the DRAM bus service
-        # time is a constant. A line fill is ready ``_fill_lat`` cycles
-        # after its bus slot starts (DRAM latency, the line's bus service,
-        # the L2 hit): a constant, which is why fills complete in the
-        # order they are allocated (see MSHRFile).
-        self._l2_hot = self.l2.hot_state()
-        self._nsb_hot = self.nsb.hot_state() if self.nsb is not None else None
-        self._l2_mshr_hot = self.l2.mshr.hot_state()
-        self._line_service = self.dram.service_cycles(config.line_bytes)
-        self._fill_lat = config.dram.latency + self._line_service + self._l2_lat
-        # The compiled kernels' context: the same hot state, the timing
-        # constants, the objects their counters fold into and the block
-        # they count in until finalize(), in the layout _kernels.c reads
-        # (validated once here).
+        # The CPU-traffic callback every demand walk calls before each
+        # line, or None without CPU traffic.
+        self._inject = (
+            self._inject_cpu_traffic if config.cpu_traffic is not None else None
+        )
+        # The compiled kernels' context, resolved once: the caches' and
+        # the MSHR file's hot state (containers mutated in place and never
+        # reassigned, see Cache.hot_state / MSHRFile.hot_state), the
+        # timing constants, the objects their counters fold into and the
+        # block they count in until finalize(), in the layout _kernels.c
+        # reads (validated once here). All line fills transfer exactly
+        # one line, so the DRAM bus service time is a constant, and a line
+        # fill is ready a constant fill latency after its bus slot starts
+        # (DRAM latency, the line's bus service, the L2 hit), which is why
+        # fills complete in the order they are allocated (see MSHRFile).
+        line_service = self.dram.service_cycles(config.line_bytes)
         self._kernel_ctx = _kernels.check_context(
             (
-                self._l2_hot,
-                self._nsb_hot,
-                self._l2_mshr_hot,
+                self.l2.hot_state(),
+                self.nsb.hot_state() if self.nsb is not None else None,
+                self.l2.mshr.hot_state(),
                 self._pf_pending,
                 (
                     self._line_bytes,
                     self._l2_lat,
                     self._nsb_lat or 0,
-                    self._line_service,
-                    self._fill_lat,
+                    line_service,
+                    config.dram.latency + line_service + self._l2_lat,
                     config.dram.prefetch_penalty,
                 ),
                 self.l2,
@@ -275,9 +278,11 @@ class MemorySystem:
 
         The readable reference for the demand path: it composes the
         :class:`Cache`, :class:`MSHRFile` and :class:`DRAM` methods and
-        reports the outcome as an :class:`AccessResult`. The simulator's
-        two fast walks, :meth:`demand_line` and :meth:`demand_lines`,
-        inline the same steps; the property tests hold both to this one.
+        reports the outcome as an :class:`AccessResult`. It is the only
+        demand walk in Python: the simulator's two entries,
+        :meth:`demand_line` and :meth:`demand_lines`, run one compiled
+        body of the same steps, and the property tests hold both to this
+        one.
 
         A line the L2 evicted while its fill was still in flight
         coalesces onto that fill (:meth:`MSHRFile.lookup`): it counts as
@@ -285,8 +290,8 @@ class MemorySystem:
         with the fill's ready cycle.
         """
         assert access.access_type is AccessType.DEMAND
-        if self._cpu_cfg is not None:
-            self._inject_cpu_traffic(now)
+        if self._inject is not None:
+            self._inject(now)
         line = access.line_addr
         line_bytes = self._line_bytes
         pending = self._pf_pending
@@ -373,134 +378,21 @@ class MemorySystem:
     def demand_line(self, now: int, line: int, irregular: bool) -> int:
         """The per-line demand walk: one line, addressed by line.
 
-        Bit-exact with :meth:`demand_access`, but inlined (set/tag math,
-        MSHR slot search, DRAM bus step and fills against
-        :meth:`Cache.hot_state` and :meth:`MSHRFile.hot_state`) and
-        without a result object: it runs once per demand line of every
-        stream/IMP/DVR run. It is the per-line form of the compiled
-        ``demand_lines`` kernel in ``_kernels.c``, whose comments state
-        the container contract both walks keep.
+        Bit-exact with :meth:`demand_access` and without a result object:
+        one call into the compiled body that :meth:`demand_lines` runs for
+        each line of a request vector (``_kernels.c``), which calls
+        :meth:`_inject_cpu_traffic` first when CPU traffic is configured.
+        Stream/IMP/DVR runs take it once per demand line, so their
+        prefetcher sees each line's outcome before the next line issues.
+        Its counters, like the vector kernel's, land at :meth:`finalize`.
 
         Returns the line's completion cycle, stored as ``~cycle``
         (negative) when the line went off-chip — the sign idiom
         :class:`Cache` uses for untouched prefetch fills.
         """
-        if self._cpu_cfg is not None:
-            self._inject_cpu_traffic(now)
-        pending = self._pf_pending
-        nsb_hot = self._nsb_hot if irregular else None
-        if nsb_hot is not None:
-            nsb_sets, nsb_shift, nsb_smask, nsb_tshift, nsb_assoc = nsb_hot
-            nset = nsb_sets[(line >> nsb_shift) & nsb_smask]
-            ntag = line >> nsb_tshift
-            ns = self._stats_nsb
-            ns.demand_accesses += 1
-            ready = nset.pop(ntag, None)
-            if ready is not None:
-                # Demand touch: back of the LRU order, mark cleared.
-                if ready < 0:
-                    ready = ~ready
-                nset[ntag] = ready
-                complete = now + self._nsb_lat
-                if ready <= now:
-                    ns.demand_hits += 1
-                    self._traffic.nsb_to_npu_bytes += self._line_bytes
-                    if line in pending:
-                        pending.discard(line)
-                        self._stats_pf.useful += 1
-                    return complete
-                ns.demand_inflight_hits += 1
-                if line in pending:
-                    pending.discard(line)
-                    self._stats_pf.late += 1
-                return ready if ready > complete else complete
-            ns.demand_misses += 1
-
-        l2_sets, l2_shift, l2_smask, l2_tshift, l2_assoc = self._l2_hot
-        lset = l2_sets[(line >> l2_shift) & l2_smask]
-        ltag = line >> l2_tshift
-        ls = self._stats_l2
-        ls.demand_accesses += 1
-        traffic = self._traffic
-        traffic.l2_to_npu_bytes += self._line_bytes
-        ready = lset.pop(ltag, None)
-        if ready is None:
-            # Absent from the L2: retire the completed fills (the MSHR is
-            # a FIFO, see MSHRFile.hot_state); a line still in flight
-            # was evicted before its fill landed and coalesces onto it.
-            fills, inflight, capacity = self._l2_mshr_hot
-            while fills and inflight[fills[0]] <= now:
-                del inflight[fills.popleft()]
-            ready = inflight.get(line)
-            if ready is not None:
-                l2 = self.l2
-                l2.mshr.coalesced += 1
-                if len(lset) >= l2_assoc:
-                    l2.evictions += 1
-                    if lset.pop(next(iter(lset))) < 0:
-                        l2.prefetch_evicted_unused += 1
-        if ready is not None:
-            if ready < 0:
-                ready = ~ready
-            lset[ltag] = ready
-            complete = now + self._l2_lat
-            if ready <= now:
-                ls.demand_hits += 1
-                if line in pending:
-                    pending.discard(line)
-                    self._stats_pf.useful += 1
-            else:
-                ls.demand_inflight_hits += 1
-                if line in pending:
-                    pending.discard(line)
-                    self._stats_pf.late += 1
-                if ready > complete:
-                    complete = ready
-            result = complete
-        else:
-            # True L2 miss: inlined MSHR slot search and allocation, DRAM
-            # bus step and L2 fill — demand_one's miss path in _kernels.c
-            # (fetch_line), where the contract is commented.
-            ls.demand_misses += 1
-            pending.discard(line)
-            l2 = self.l2
-            mshr = l2.mshr
-            occupancy = len(inflight)
-            if occupancy < capacity:
-                start = now
-            else:
-                mshr.structural_stalls += 1
-                start = inflight.pop(fills.popleft())
-                occupancy -= 1
-            dram = self.dram
-            service = self._line_service
-            busy = dram._bus_free_at
-            st = start if start > busy else busy
-            dram._bus_free_at = st + service
-            dram.busy_cycles += service
-            dram.transfers += 1
-            dram.bytes_transferred += self._line_bytes
-            complete = st + self._fill_lat
-            inflight[line] = complete
-            fills.append(line)
-            if occupancy >= mshr.peak_occupancy:
-                mshr.peak_occupancy = occupancy + 1
-            if len(lset) >= l2_assoc:
-                l2.evictions += 1
-                if lset.pop(next(iter(lset))) < 0:
-                    l2.prefetch_evicted_unused += 1
-            lset[ltag] = complete
-            traffic.off_chip_demand_bytes += self._line_bytes
-            result = ~complete
-        if nsb_hot is not None:
-            # Promote into the NSB (it missed there, so a plain fill).
-            if len(nset) >= nsb_assoc:
-                nsb = self.nsb
-                nsb.evictions += 1
-                if nset.pop(next(iter(nset))) < 0:
-                    nsb.prefetch_evicted_unused += 1
-            nset[ntag] = complete
-        return result
+        return _kernels.demand_line(
+            self._kernel_ctx, now, line, irregular, self._inject
+        )
 
     # -- batched demand path -------------------------------------------------
     def demand_lines(
@@ -538,7 +430,7 @@ class MemorySystem:
             issue_width,
             lines,
             irregular,
-            self._inject_cpu_traffic if self._cpu_cfg is not None else None,
+            self._inject,
             counts,
         )
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from ...errors import ConfigError
 from ...registry import Registry
-from ..cpu import ControlCPU
 from ..stats import RunStats
 from ...prefetch.base import Prefetcher
 from .isa import VectorGather, VectorLoad
@@ -86,16 +85,21 @@ ENGINES = Registry("executor mode")
 class _EngineBase:
     """Shared issue logic for both engines.
 
-    Each vector instruction reaches the hierarchy on one of two walks,
-    chosen once per run. Without a per-line demand hook (``inorder``,
-    ``ooo``, ``preload`` and NVR), a load or gather is one request vector:
-    a single :meth:`~repro.sim.memory.hierarchy.MemorySystem.demand_lines`
-    call walks all its lines. A prefetcher that snoops every demand line
+    Each vector instruction reaches the hierarchy through one of two
+    entries, chosen once per run. Without a per-line demand hook
+    (``inorder``, ``ooo``, ``preload`` and NVR), a load or gather is one
+    request vector: a single
+    :meth:`~repro.sim.memory.hierarchy.MemorySystem.demand_lines` call
+    walks all its lines. A prefetcher that snoops every demand line
     (stream, IMP, DVR override ``on_demand_access``) must see each line's
-    off-chip bit before the next line issues, so those runs keep the
-    per-line :meth:`~repro.sim.memory.hierarchy.MemorySystem.demand_line`
-    walk, which returns one int per line (the completion cycle, negated
-    with ``~`` when the line went off-chip). Both walks are bit-identical.
+    off-chip bit before the next line issues, so those runs call
+    :meth:`~repro.sim.memory.hierarchy.MemorySystem.demand_line` once per
+    line, which returns one int (the completion cycle, negated with ``~``
+    when the line went off-chip). Both entries run the same compiled
+    per-line body, so the two walks are bit-identical.
+
+    The only NPU events raised are tile dispatch and data return; no
+    engine raises CPU branch events, since no mechanism consumes them.
     """
 
     def __init__(
@@ -113,7 +117,6 @@ class _EngineBase:
         self.sparse_unit = sparse_unit
         self.stats = stats
         self.config = config
-        self.cpu = ControlCPU(program)
         self._line_bytes = mem.line_bytes
         program.prepare_line_lists(mem.line_bytes)
         # Hot-path bindings — the issue helpers run once per demand line
@@ -138,15 +141,14 @@ class _EngineBase:
         self._fast_perfect = (
             getattr(mem, "perfect", False) and self._pf_hook is None
         )
-        # Dispatch events and sparse-unit bookkeeping are only observable
+        # Dispatch events and sparse-unit occupancy are only observable
         # through prefetchers that snoop them (NVR attaches to the NPU and
-        # overrides the dispatch hooks); for every other prefetcher the
-        # events land in base-class no-ops and the sparse unit's occupancy
+        # overrides the dispatch hook); for every other prefetcher the
+        # event lands in a base-class no-op and the sparse unit's occupancy
         # is never read, so both are elided.
         p_cls = type(prefetcher)
         self._needs_dispatch = (
-            p_cls.on_branch is not Prefetcher.on_branch
-            or p_cls.on_tile_dispatch is not Prefetcher.on_tile_dispatch
+            p_cls.on_tile_dispatch is not Prefetcher.on_tile_dispatch
             or hasattr(prefetcher, "attach_npu")
         )
         self._data_hook = (
@@ -305,13 +307,9 @@ class _EngineBase:
         return done
 
     def _dispatch(self, now: int, tile: Tile) -> None:
-        """Raise the snooper-visible dispatch events for one tile."""
-        if not self._needs_dispatch:
-            return
-        self.sparse_unit.set_position(tile.row, tile.j_start, tile.j_end)
-        for event in self.cpu.events_for_tile(tile):
-            self.prefetcher.on_branch(now, event)
-        self.prefetcher.on_tile_dispatch(now, tile.tile_id)
+        """Raise the snooper-visible dispatch event for one tile."""
+        if self._needs_dispatch:
+            self.prefetcher.on_tile_dispatch(now, tile.tile_id)
 
     def _tile_memory_phase(self, start: int, tile: Tile) -> int:
         """W load, data return, address generation, gathers. Returns end."""

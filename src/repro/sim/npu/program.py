@@ -22,6 +22,7 @@ evaluate it, which is precisely the asymmetry NVR exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -141,10 +142,6 @@ class Tile:
     store: VectorStore | None
     last_in_row: bool
 
-    @property
-    def n_elems(self) -> int:
-        return int(self.j_end - self.j_start)
-
 
 @dataclass
 class ProgramConfig:
@@ -228,6 +225,15 @@ class SparseProgram:
             line_bytes,
         )
         self._line_sizes.add(line_bytes)
+
+    @cached_property
+    def row_bounds(self) -> list[int]:
+        """``rowptr`` as Python ints, derived on first use.
+
+        Runahead reads one row window per tile dispatch; only runs that
+        snoop the sparse unit pay for the conversion, once per program.
+        """
+        return self.rowptr.tolist()
 
     @property
     def n_tiles(self) -> int:

@@ -3,8 +3,8 @@
 This unit owns the three sparse processing steps of Sec. II-A — align,
 skip, tile — and, crucially for NVR, the ``sparse_func`` index-to-address
 mapping (identity/affine for CSR matrices, hash/rulebook lookups for point
-clouds). Its architectural registers (current row, ``IdxPtr`` window,
-sparse mode) are what the snoopers read, and its idle cycles are the
+clouds). Its ``IdxPtr`` row window (:meth:`SparseUnit.rowptr_window`)
+is the register state NVR's snooper reads, and its idle cycles are the
 compute resource runahead borrows (Q&A3 in Sec. III).
 
 The unit is deliberately the *only* object able to evaluate ``sparse_func``:
@@ -14,20 +14,8 @@ capability gap the paper identifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ...errors import SimulationError
 from .program import GatherStream, SparseProgram
-
-
-@dataclass
-class SparseUnitRegisters:
-    """Snooper-visible architectural state (read-only probes)."""
-
-    current_row: int = 0
-    idxptr_start: int = 0
-    idxptr_end: int = 0
-    sparse_mode: str = "csr"
 
 
 class SparseUnit:
@@ -41,22 +29,11 @@ class SparseUnit:
 
     def __init__(self, program: SparseProgram) -> None:
         self._program = program
-        self.registers = SparseUnitRegisters(
-            sparse_mode="hash"
-            if any(not g.affine for g in program.gather_streams.values())
-            else "csr"
-        )
         self._busy_until = 0
         self.busy_cycles = 0
         self.runahead_grants = 0
 
-    # -- architectural state updated by the executor -----------------------
-    def set_position(self, row: int, j_start: int, j_end: int) -> None:
-        """Update the snooper-visible row window (IdxPtr start/end)."""
-        self.registers.current_row = row
-        self.registers.idxptr_start = j_start
-        self.registers.idxptr_end = j_end
-
+    # -- occupancy updated by the executor ----------------------------------
     def occupy(self, start: int, cycles: int) -> None:
         """Mark the unit busy for its own (non-speculative) work."""
         if cycles <= 0:
@@ -101,10 +78,10 @@ class SparseUnit:
 
     def rowptr_window(self, row: int) -> tuple[int, int]:
         """Snooped ``(rowptr[row], rowptr[row+1])`` — the LBD's sparse bound."""
-        rowptr = self._program.rowptr
-        if row < 0 or row >= len(rowptr) - 1:
+        bounds = self._program.row_bounds
+        if row < 0 or row >= len(bounds) - 1:
             raise SimulationError(f"row {row} out of range")
-        return int(rowptr[row]), int(rowptr[row + 1])
+        return bounds[row], bounds[row + 1]
 
     def gather_stream_ids(self) -> list[int]:
         """Stream ids of the indirect gathers this program performs."""

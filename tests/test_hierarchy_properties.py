@@ -529,8 +529,10 @@ LEAK_BASE = 0x4000_0000
 def _kernel_batch(seed: int, calls: int) -> None:
     """A fixed random sequence of kernel calls on a fresh small system.
 
-    Line vectors, spans and prefetch bursts (lists and ranges), with the
-    counters folded at the end, as an engine run does.
+    Line vectors, spans, per-line demands (through the NSB when
+    irregular, with CPU traffic injected before each line) and prefetch
+    bursts (lists and ranges), with the counters folded at the end, as an
+    engine run does.
     """
     rng = random.Random(seed)
     mem = make_small_system(nsb=True, cpu=True)
@@ -541,9 +543,12 @@ def _kernel_batch(seed: int, calls: int) -> None:
         width = rng.randint(1, 6)
         n = rng.randint(1, 24)
         lines = [LEAK_BASE + rng.randrange(128) * 64 for _ in range(n)]
-        kind = rng.randrange(4)
+        kind = rng.randrange(5)
         if kind == 0:
             mem.demand_lines(now, width, lines, irregular)
+        elif kind == 4:
+            for k, line in enumerate(lines):
+                mem.demand_line(now + k // width, line, irregular)
         elif kind == 1:
             mem.prefetch_lines(now, lines, irregular, width)
         elif kind == 2:
@@ -556,7 +561,7 @@ def _kernel_batch(seed: int, calls: int) -> None:
 
 
 class TestKernelsReleaseWhatTheyTouch:
-    """Reference counts in the compiled kernels balance.
+    """Reference counts in the compiled kernels balance, in every entry.
 
     The same batch of calls, on a fresh system each time, runs twice
     under ``tracemalloc``: memory the first batch left behind (one-time

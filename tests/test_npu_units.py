@@ -1,9 +1,8 @@
-"""Tests for the systolic model, sparse unit and control CPU."""
+"""Tests for the systolic model and the sparse unit."""
 
 import pytest
 
 from repro.errors import ConfigError, SimulationError
-from repro.sim.cpu import PC_INNER_LOOP, PC_OUTER_LOOP, ControlCPU
 from repro.sim.npu.program import ProgramConfig, build_one_side_program
 from repro.sim.npu.sparse_unit import SparseUnit
 from repro.sim.npu.systolic import SystolicConfig, SystolicModel
@@ -93,49 +92,7 @@ class TestSparseUnit:
         # A second grant queues behind the first.
         assert unit.grant_runahead(10, 5) == 120
 
-    def test_registers_updated(self):
-        unit = SparseUnit(make_program())
-        unit.set_position(3, 10, 18)
-        assert unit.registers.current_row == 3
-        assert unit.registers.idxptr_start == 10
-        assert unit.registers.idxptr_end == 18
-
     def test_utilisation_bounded(self):
         unit = SparseUnit(make_program())
         unit.occupy(0, 10)
         assert 0 <= unit.utilisation(100) <= 1
-
-
-class TestControlCPU:
-    def test_outer_branch_on_row_change(self):
-        prog = make_program()
-        cpu = ControlCPU(prog)
-        events = cpu.events_for_tile(prog.tiles[0])
-        pcs = [e.pc for e in events]
-        assert PC_OUTER_LOOP in pcs
-        assert PC_INNER_LOOP in pcs
-
-    def test_no_outer_branch_within_row(self):
-        prog = make_program()
-        cpu = ControlCPU(prog)
-        two_tile_rows = [
-            (a, b)
-            for a, b in zip(prog.tiles, prog.tiles[1:])
-            if a.row == b.row
-        ]
-        if not two_tile_rows:
-            pytest.skip("pattern produced no multi-tile rows")
-        first, second = two_tile_rows[0]
-        # Consume events in program order up to `second`.
-        for tile in prog.tiles:
-            events = cpu.events_for_tile(tile)
-            if tile is second:
-                assert all(e.pc != PC_OUTER_LOOP for e in events)
-                break
-
-    def test_inner_bound_is_row_end(self):
-        prog = make_program()
-        cpu = ControlCPU(prog)
-        tile = prog.tiles[0]
-        inner = [e for e in cpu.events_for_tile(tile) if e.pc == PC_INNER_LOOP][0]
-        assert inner.bound == int(prog.rowptr[tile.row + 1])

@@ -1,6 +1,7 @@
 """Unit tests for NVR's detector components (SD, LBD, SCD, VMIG)."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -37,20 +38,6 @@ class TestStrideDetector:
             addr += n_elems * 4
         assert sd.confident(1)
 
-    def test_predict_window_advances_frontier(self):
-        sd = StrideDetector()
-        for i in range(4):
-            sd.observe(1, 0x1000 + i * 64)
-        w1 = sd.predict_window(1, 128)
-        w2 = sd.predict_window(1, 128)
-        assert w1 is not None and w2 is not None
-        assert w2[0] == w1[1]  # no overlap, no gap
-
-    def test_predict_without_confidence_is_none(self):
-        sd = StrideDetector()
-        sd.observe(1, 0x1000)
-        assert sd.predict_window(1, 64) is None
-
     def test_capacity_eviction_lru(self):
         sd = StrideDetector(n_entries=2)
         sd.observe(1, 0)
@@ -74,18 +61,6 @@ class TestStrideDetector:
 
 
 class TestLoopBoundDetector:
-    def test_learns_static_bound(self):
-        lbd = LoopBoundDetector()
-        for i in range(5):
-            lbd.observe_branch(pc=0x100, counter=i, bound=10, level=1)
-        assert lbd.known_bound(0x100) == 10
-
-    def test_unstable_bound_not_known(self):
-        lbd = LoopBoundDetector()
-        lbd.observe_branch(0x100, 0, 10, 1)
-        lbd.observe_branch(0x100, 1, 99, 1)
-        assert lbd.known_bound(0x100) is None
-
     def test_sparse_window_tracks_row_length_ewma(self):
         lbd = LoopBoundDetector(ewma_alpha=0.5)
         lbd.observe_sparse_window(0, 0, 10)
@@ -113,15 +88,7 @@ class TestLoopBoundDetector:
         far = lbd.predict_stream_limit(0, rows_ahead=4)
         assert far >= near + 4 * 32 - 16
 
-    def test_sst_capacity(self):
-        lbd = LoopBoundDetector(n_entries=2)
-        for pc in (1, 2, 3):
-            lbd.observe_branch(pc, 0, 10, 0)
-        assert lbd.occupancy == 2
-
     def test_bad_config(self):
-        with pytest.raises(ConfigError):
-            LoopBoundDetector(n_entries=0)
         with pytest.raises(ConfigError):
             LoopBoundDetector(ewma_alpha=0.0)
         with pytest.raises(ConfigError):
@@ -246,6 +213,8 @@ class TestSparseChainDetector:
 #: line boundary.
 vmig_addr = st.one_of(st.integers(0, 1 << 12), st.integers(0, 256).map(lambda k: 8 * k))
 vmig_seg = st.one_of(st.integers(1, 200), st.sampled_from((1, 8, 24, 32, 56, 64, 128)))
+#: (vector width, line bytes) pairs VMIG is drawn with.
+VMIG_SHAPES = ((4, 32), (8, 64), (16, 64), (16, 128))
 
 
 class TestVMIG:
@@ -287,15 +256,26 @@ class TestVMIG:
     @given(
         st.lists(st.tuples(vmig_addr, vmig_seg), min_size=1, max_size=48),
         st.one_of(st.none(), vmig_seg),
-        st.sampled_from(((4, 32), (8, 64), (16, 64), (16, 128))),
+        st.sampled_from(VMIG_SHAPES),
         st.booleans(),
+        st.one_of(
+            st.none(), st.lists(st.integers(0, 12), min_size=1, max_size=48)
+        ),
     )
-    def test_batches_equal_flatten_dedupe_chunk(self, elems, fixed, shape, as_array):
+    def test_batches_equal_flatten_dedupe_chunk(
+        self, elems, fixed, shape, as_array, aligned
+    ):
         """Exactly the reference's batches: every segment's lines in
         element order, deduplicated in first-touch order, then cut into
         vector-width chunks. Fixed (scalar) and per-element segments run
-        both shorter and longer than a line."""
+        both shorter and longer than a line. With ``aligned``, the
+        fixed-size starts are line-aligned, a whole number of segments
+        apart and sometimes repeated: segments that share no line."""
         width, line = shape
+        if aligned is not None:
+            fixed = fixed if fixed is not None else line
+            step = math.lcm(fixed, line)
+            elems = [(3 * line + k * step, fixed) for k in aligned]
         addrs = [a for a, _ in elems]
         segs = [fixed] * len(elems) if fixed is not None else [s for _, s in elems]
         flat = [
@@ -320,6 +300,26 @@ class TestVMIG:
             len(unique),
             len(want),
         )
+
+    @settings(max_examples=100)
+    @given(vmig_addr, st.integers(1, 2048), st.sampled_from(VMIG_SHAPES))
+    def test_window_equals_one_segment_bundle(self, start, n_bytes, shape):
+        """A W-stream window packs exactly as ``bundle([start], n_bytes)``:
+        its line range in vector-width chunks, with the same counters."""
+        width, line = shape
+        lines = list(range(start // line * line, start + n_bytes, line))
+        want = [lines[i : i + width] for i in range(0, len(lines), width)]
+        window = VMIG(vector_width=width, line_bytes=line)
+        bundle = VMIG(vector_width=width, line_bytes=line)
+        got = window.window(start, n_bytes)
+        assert [list(batch) for batch in got] == want
+        assert [list(batch) for batch in bundle.bundle([start], n_bytes)] == want
+        assert all(type(batch) is range for batch in got)
+
+        def counters(vmig):
+            return vmig.elements_in, vmig.lines_deduped, vmig.vector_ops_out
+
+        assert counters(window) == counters(bundle) == (1, len(lines), len(want))
 
     @settings(max_examples=30)
     @given(

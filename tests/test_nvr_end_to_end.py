@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import NVRConfig, NVRPrefetcher, nsb_config
+from repro import workloads
 from repro.core.snooper import Snooper
-from repro.errors import SimulationError
+from repro.core.stride_detector import StrideDetector
+from repro.errors import ConfigError, SimulationError
 from repro.prefetch import (
     DecoupledVectorRunahead,
     IndirectMemoryPrefetcher,
@@ -164,28 +166,49 @@ class TestNVRMechanics:
         res = run(prog, lambda: NVRPrefetcher(NVRConfig(approximate=False)))
         assert res.stats.coverage() > 0.85
 
+    def test_one_entry_per_detector_still_runs_ahead(self):
+        """At ``vector_width=1`` the SD has one entry, which the W-values
+        stream alone must hold long enough to become confident."""
+        prog = workloads.build_workload("gcn", scale=0.05)
+        captured = []
+
+        def factory():
+            captured.append(NVRPrefetcher(NVRConfig(vector_width=1)))
+            return captured[-1]
+
+        nvr = run(prog, factory)
+        inorder = run(prog, NullPrefetcher)
+        assert captured[0].controller.windows_opened > 0
+        assert nvr.stats.runahead_invocations > 0
+        assert nvr.total_cycles < inorder.total_cycles / 2
+
+    @pytest.mark.parametrize("confirm", [0, StrideDetector.CONFIDENCE_MAX + 1])
+    def test_confirm_stride_must_fit_the_confidence_counter(self, confirm):
+        with pytest.raises(ConfigError, match="confirm_stride"):
+            NVRConfig(confirm_stride=confirm)
+        with pytest.raises(ConfigError, match="confirm_stride"):
+            NVRConfig.from_dict({"confirm_stride": confirm})
+
 
 class TestSnooper:
     def test_requires_sparse_unit(self):
         s = Snooper()
         with pytest.raises(SimulationError):
             s.read_sparse_window(0)
-        with pytest.raises(SimulationError):
-            s.current_row()
 
     def test_reads_window(self):
         prog = irregular_program()
         unit = SparseUnit(prog)
         s = Snooper()
         s.attach_sparse_unit(unit)
-        win = s.read_sparse_window(0)
-        assert win.row_start == int(prog.rowptr[0])
-        assert win.row_end == int(prog.rowptr[1])
+        start, end = s.read_sparse_window(0)
+        assert (start, end) == (int(prog.rowptr[0]), int(prog.rowptr[1]))
+        assert all(type(bound) is int for bound in (start, end))
         assert s.register_reads == 1
 
     def test_event_counters(self):
         s = Snooper()
-        s.observe_branch(1, 2, 3, 0)
         s.observe_dispatch()
-        assert s.branch_events == 1
-        assert s.dispatch_events == 1
+        s.observe_dispatch()
+        assert s.dispatch_events == 2
+        assert s.register_reads == 0

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sparse_chain_detector import SparseChainDetector
-from repro.core.stride_detector import StrideDetector
 from repro.errors import ConfigError
 from repro.prefetch.base import PrefetchPort
 from repro.sim.memory.hierarchy import MemoryConfig, MemorySystem
@@ -129,23 +128,3 @@ class TestDetectorRecoveryProperties:
         if predicted is not None:
             for idx in indices[-2:]:
                 assert scd.formula_address(3, idx) == base + (idx << shift)
-
-    @settings(max_examples=40)
-    @given(
-        st.integers(min_value=1, max_value=1 << 16),
-        st.integers(min_value=1, max_value=64),
-    )
-    def test_sd_frontier_never_overlaps(self, stride, n_windows):
-        """Successive predict_window calls tile the stream seamlessly."""
-        sd = StrideDetector()
-        for i in range(5):
-            sd.observe(1, i * stride)
-        end = None
-        for _ in range(min(n_windows, 16)):
-            window = sd.predict_window(1, stride)
-            assert window is not None
-            start, new_end = window
-            if end is not None:
-                assert start == end
-            assert new_end == start + stride
-            end = new_end

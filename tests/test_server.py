@@ -45,6 +45,13 @@ def small_specs() -> list[RunSpec]:
     return small_grid().specs()
 
 
+def nvr_spec_dict(**nvr) -> dict:
+    """A wire-format NVR point whose ``NVRConfig`` fields are ``nvr``."""
+    document = RunSpec("ds", mechanism="nvr", scale=SCALE).to_dict()
+    document["system"]["nvr"] = nvr
+    return document
+
+
 def small_grid() -> Grid:
     return Grid(workload="st", mechanism=["inorder", "nvr"], scale=SCALE)
 
@@ -229,6 +236,17 @@ class TestParseSubmission:
                 {"specs": [{"workload": "ds", "memory": {"l2_kib": 128}}]},
                 "submission spec #0",
             ),
+            # An NVR knob outside what its hardware holds is refused at
+            # submission, not inside a worker's run.
+            (
+                {"specs": [nvr_spec_dict(confirm_stride=4)]},
+                "submission spec #0: confirm_stride",
+            ),
+            (
+                {"specs": [nvr_spec_dict(confirm_stride=0)]},
+                "submission spec #0: confirm_stride",
+            ),
+            ({"specs": [nvr_spec_dict(vector_width=0)]}, "submission spec #0"),
         ],
     )
     def test_malformed_submissions_are_config_errors(self, document, match):
@@ -511,6 +529,18 @@ class TestHTTPServer:
 
         listed = client.list_sweeps()
         assert [s["id"] for s in listed] == [accepted["id"]]
+
+    def test_out_of_range_nvr_knob_is_refused_with_400(self, server):
+        body = json.dumps({"specs": [nvr_spec_dict(confirm_stride=4)]}).encode()
+        request = urllib.request.Request(
+            server.base_url + "/v1/sweeps", data=body, method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(request)
+        assert info.value.code == 400
+        error = json.loads(info.value.read())["error"]
+        assert "confirm_stride" in error
+        assert not list(server.engine.queue.queue_dir.iterdir())
 
     def test_tenant_header_is_refused_with_400(self, server):
         # Tenant namespaces were removed: a client that still sends the
