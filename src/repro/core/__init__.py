@@ -2,8 +2,8 @@
 
 The purple blocks of Fig. 3, one module each:
 
-* :mod:`repro.core.snooper` — read-only probes over NPU ROB load
-  dispatch and sparse-unit registers.
+* :mod:`repro.core.snooper` — the read-only probe over the sparse
+  unit's registers.
 * :mod:`repro.core.stride_detector` — SD: reference-prediction-table
   stride detector that gates runahead on the W-values stream.
 * :mod:`repro.core.loop_bound_detector` — LBD: sparse-mode boundary

@@ -155,7 +155,6 @@ class RunaheadController:
     # -- event entry points -------------------------------------------------
     def on_dispatch(self, now: int, tile: Tile) -> None:
         """Q&A1: a load executes in the ROB — enter runahead."""
-        self.snooper.observe_dispatch()
         j_start, j_end = tile.j_start, tile.j_end
         elem_bytes = self._elem_bytes
         self.sd.observe(

@@ -68,14 +68,3 @@ class NVRPrefetcher(Prefetcher):
 
     def on_data_return(self, now: int, tile_id: int) -> None:
         self._require_controller().on_data_return(now)
-
-    # -- introspection ----------------------------------------------------------------
-    def describe(self) -> str:
-        """One-line state summary for reports."""
-        c = self.controller
-        if c is None:
-            return "nvr: unattached"
-        return (
-            f"nvr: windows={c.windows_opened} exact={c.exact_prefetches} "
-            f"approx={c.approx_prefetches} vmig_ratio={c.vmig.compression_ratio:.2f}"
-        )

@@ -1,11 +1,12 @@
 """Snoopers — read-only probes over NPU state (Fig. 3 a).
 
-The snooper is NVR's only window into the system; runahead triggering
-and the SD/LBD training downstream consume its two event classes, the
-NPU side of Sec. IV-C:
+Runahead triggering and the SD/LBD training downstream consume two
+event classes, the NPU side of Sec. IV-C:
 
-1. NPU load-instruction dispatch (ROB) → runahead trigger timing;
-2. sparse-unit registers → the row window the LBD learns bounds from.
+1. NPU load-instruction dispatch (ROB) → runahead trigger timing, which
+   reaches the controller as the prefetcher's tile-dispatch hook;
+2. sparse-unit registers → the row window the LBD learns bounds from,
+   which the controller reads through this snooper.
 
 The paper's third class, CPU branch instructions, trains the LBD's
 static loop bounds. In this model no runahead decision reads a static
@@ -23,22 +24,16 @@ from ..sim.npu.sparse_unit import SparseUnit
 
 
 class Snooper:
-    """Aggregates the snoop event classes with simple counters."""
+    """NVR's read-only port onto the sparse unit's registers."""
 
     def __init__(self) -> None:
         self._sparse_unit: SparseUnit | None = None
-        self.dispatch_events = 0
-        self.register_reads = 0
 
     def attach_sparse_unit(self, sparse_unit: SparseUnit) -> None:
         self._sparse_unit = sparse_unit
-
-    def observe_dispatch(self) -> None:
-        self.dispatch_events += 1
 
     def read_sparse_window(self, row: int) -> tuple[int, int]:
         """Read the sparse unit's ``(start, end)`` rowptr window for a row."""
         if self._sparse_unit is None:
             raise SimulationError("snooper not attached to a sparse unit")
-        self.register_reads += 1
         return self._sparse_unit.rowptr_window(row)

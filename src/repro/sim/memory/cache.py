@@ -17,6 +17,7 @@ counts one wasted prefetch (see :class:`Cache` for the encoding).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from ...errors import ConfigError
@@ -74,14 +75,16 @@ class Cache:
     read-only inspection (used by prefetchers that drop requests already
     resident). All four answer with the line's ready cycle.
 
-    Each set is a dict from tag to one int per resident line: the line's
-    ready cycle, stored as ``~ready`` (negative) while the line is a
-    prefetch fill that no demand has touched. LRU is the dict's insertion
-    order: a recency touch re-inserts the line at the back of its set
-    dict, so the front entry is always the least-recently-used victim.
-    A demand :meth:`touch` re-inserts the decoded ready cycle, which both
-    refreshes recency and clears the untouched mark; :meth:`lookup` (CPU
-    traffic) refreshes recency but keeps the mark; a refill over a
+    The ways live in flat int64 buffers (see :meth:`hot_state`): set
+    ``s`` holds its resident lines in ways ``s * assoc`` up to
+    ``s * assoc + fill[s]``, least recently used first and most recently
+    used last, each as a tag and one stored value: the line's ready
+    cycle, stored as ``~ready`` (negative) while the line is a prefetch
+    fill that no demand has touched. A recency touch moves the line to
+    the last way of its set, so the first way is always the victim.
+    A demand :meth:`touch` stores the decoded ready cycle there, which
+    both refreshes recency and clears the untouched mark; :meth:`lookup`
+    (CPU traffic) refreshes recency but keeps the mark; a refill over a
     resident line (:meth:`allocate`) touches neither. Evicting a negative
     entry counts one ``prefetch_evicted_unused``.
     """
@@ -89,7 +92,12 @@ class Cache:
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         n_sets = config.n_sets
-        self._sets: list[dict[int, int]] = [{} for _ in range(n_sets)]
+        n_ways = n_sets * config.assoc
+        # Repetition allocates a buffer of exactly its length (a sized
+        # constructor over-allocates), so ASan sees any access past one.
+        self._tags = array("q", (0,)) * n_ways
+        self._values = array("q", (0,)) * n_ways
+        self._fill = array("q", (0,)) * n_sets
         self.mshr = MSHRFile(config.mshr_entries)
         self.evictions = 0
         self.prefetch_evicted_unused = 0
@@ -105,18 +113,40 @@ class Cache:
     def _set_index(self, line_addr: int) -> int:
         return (line_addr >> self._line_shift) & self._set_mask
 
+    def _locate(self, line_addr: int) -> tuple[int, int, int, int, int]:
+        """``(set, first way, fill count, tag, way)`` of a line.
+
+        ``way`` is the way holding the line, or -1 when it is absent.
+        """
+        s = (line_addr >> self._line_shift) & self._set_mask
+        base = s * self._assoc
+        n = self._fill[s]
+        tag = line_addr >> self._tag_shift
+        ways = self._tags[base : base + n]
+        return s, base, n, tag, base + ways.index(tag) if tag in ways else -1
+
+    def _to_mru(self, base: int, n: int, way: int, tag: int, value: int) -> None:
+        """Move ``way`` to the last (most recent) way of its set, storing
+        ``value`` there; the ways after it shift down by one."""
+        last = base + n - 1
+        tags, values = self._tags, self._values
+        if way < last:
+            tags[way:last] = tags[way + 1 : last + 1]
+            values[way:last] = values[way + 1 : last + 1]
+        tags[last] = tag
+        values[last] = value
+
     # -- core operations ---------------------------------------------------
     def probe(self, line_addr: int) -> int | None:
         """Read-only residency check (no LRU update, no stats).
 
         Returns the line's ready cycle, or None when it is not resident.
         """
-        value = self._sets[(line_addr >> self._line_shift) & self._set_mask].get(
-            line_addr >> self._tag_shift
-        )
-        if value is None or value >= 0:
-            return value
-        return ~value
+        way = self._locate(line_addr)[4]
+        if way < 0:
+            return None
+        value = self._values[way]
+        return value if value >= 0 else ~value
 
     def touch(self, line_addr: int) -> int | None:
         """Demand-touch a line: refresh recency and clear its untouched mark.
@@ -126,14 +156,13 @@ class Cache:
         hit/in-flight distinction is just ``ready <= now``, so the bare
         cycle avoids a tuple and a kind-string comparison per access.
         """
-        cache_set = self._sets[(line_addr >> self._line_shift) & self._set_mask]
-        tag = line_addr >> self._tag_shift
-        ready = cache_set.pop(tag, None)
-        if ready is None:
+        _, base, n, tag, way = self._locate(line_addr)
+        if way < 0:
             return None
+        ready = self._values[way]
         if ready < 0:
             ready = ~ready
-        cache_set[tag] = ready
+        self._to_mru(base, n, way, tag, ready)
         return ready
 
     def lookup(self, now: int, line_addr: int) -> tuple[str, int | None]:
@@ -143,12 +172,11 @@ class Cache:
         ``(LookupKind.INFLIGHT, ready)`` for a line still being filled, or
         ``(LookupKind.MISS, None)``.
         """
-        cache_set = self._sets[(line_addr >> self._line_shift) & self._set_mask]
-        tag = line_addr >> self._tag_shift
-        value = cache_set.pop(tag, None)
-        if value is None:
+        _, base, n, tag, way = self._locate(line_addr)
+        if way < 0:
             return LookupKind.MISS, None
-        cache_set[tag] = value
+        value = self._values[way]
+        self._to_mru(base, n, way, tag, value)
         ready = value if value >= 0 else ~value
         if ready > now:
             return LookupKind.INFLIGHT, ready
@@ -167,64 +195,81 @@ class Cache:
         be allocated by the caller — the cache only tracks residency and
         recency.
         """
-        cache_set = self._sets[(line_addr >> self._line_shift) & self._set_mask]
-        tag = line_addr >> self._tag_shift
-        existing = cache_set.get(tag)
-        if existing is not None:
+        s, base, n, tag, way = self._locate(line_addr)
+        values = self._values
+        if way >= 0:
             # Refill over a resident line (e.g. prefetch into a stale copy):
             # keep the earlier ready time and the untouched mark. No
             # recency touch — a refill is not a use.
+            existing = values[way]
             ready = existing if existing >= 0 else ~existing
             if ready_at < ready:
-                cache_set[tag] = ready_at if existing >= 0 else ~ready_at
+                values[way] = ready_at if existing >= 0 else ~ready_at
                 return ready_at
             return ready
-        if len(cache_set) >= self._assoc:
-            # Front of the dict = least recently used (see class docstring).
+        value = ~ready_at if by_prefetch else ready_at
+        if n >= self._assoc:
+            # The first way is the least recently used (see the class
+            # docstring): the victim moves out as the fill moves in last.
             self.evictions += 1
-            if cache_set.pop(next(iter(cache_set))) < 0:
+            if values[base] < 0:
                 self.prefetch_evicted_unused += 1
-        cache_set[tag] = ~ready_at if by_prefetch else ready_at
+            self._to_mru(base, n, base, tag, value)
+        else:
+            self._tags[base + n] = tag
+            values[base + n] = value
+            self._fill[s] = n + 1
         return ready_at
 
     # -- batch-kernel access -----------------------------------------------
-    def hot_state(
-        self,
-    ) -> tuple[list[dict[int, int]], int, int, int, int]:
-        """The lookup state the hierarchy's inlined walks run against.
+    def hot_state(self) -> tuple[array, array, array, int, int, int, int]:
+        """The storage the compiled kernels (``_kernels.c``) work on.
 
-        Returns ``(sets, line_shift, set_mask, tag_shift, assoc)``: the
-        per-set tag dicts plus the precomputed address math, so a walk
-        can run ``sets[(line >> line_shift) & set_mask].get(line >>
-        tag_shift)`` without a method call per line. Values are the
-        ready-cycle ints described in the class docstring. The contract
-        for writers is the one :meth:`touch` and :meth:`allocate`
-        implement: a demand touch re-inserts the decoded ready cycle at
-        the back of its set dict, a fill stores ``~ready`` for a prefetch
-        and ``ready`` for a demand, and a fill into a full set evicts the
-        dict's front entry, counting ``evictions`` and, for a negative
-        entry, ``prefetch_evicted_unused`` (the compiled kernels count
-        these in their own block until ``MemorySystem.finalize``). The
-        sets list itself is never reassigned, so the tuple stays valid
-        for the cache's lifetime.
+        Returns ``(tags, values, fill, line_shift, set_mask, tag_shift,
+        assoc)``: three ``array('q')`` buffers and the precomputed address
+        math. ``tags`` and ``values`` hold ``n_sets * assoc`` ways and
+        ``fill`` one resident-line count per set, laid out as the class
+        docstring says: set ``(line >> line_shift) & set_mask`` holds tag
+        ``line >> tag_shift`` in its first ``fill[set]`` ways, LRU first.
+        The contract for writers is the one :meth:`touch` and
+        :meth:`allocate` implement: a demand touch moves the way last
+        and stores its decoded ready cycle, a fill stores ``~ready`` for
+        a prefetch and ``ready`` for a demand in the way after the last
+        resident one, and a fill into a full set evicts the first way,
+        shifting the others down, and counts ``evictions`` and, for a
+        negative value, ``prefetch_evicted_unused`` (the compiled kernels
+        count these in their own block until ``MemorySystem.finalize``).
 
-        The compiled kernels (``_kernels.c``) read this tuple through the
-        C API, so its types are part of the contract: a ``list`` of
-        ``dict`` objects (exact types) from int tag to int, and four
-        ints. ``MemorySystem.__init__`` checks them once.
+        The buffers are never reassigned or resized: the kernels' context
+        exports them once (``MemorySystem.__init__``), and while it lives
+        an ``array`` refuses to change size.
         """
         return (
-            self._sets,
+            self._tags,
+            self._values,
+            self._fill,
             self._line_shift,
             self._set_mask,
             self._tag_shift,
             self._assoc,
         )
 
+    def ways(self) -> list[list[tuple[int, int]]]:
+        """Each set's resident ``(tag, stored value)`` pairs, LRU first.
+
+        A read-only copy, for tests and inspection; stored values are
+        encoded as in :meth:`hot_state`.
+        """
+        tags, values, assoc = self._tags, self._values, self._assoc
+        return [
+            list(zip(tags[base : base + n], values[base : base + n]))
+            for base, n in zip(range(0, len(tags), assoc), self._fill)
+        ]
+
     # -- introspection -----------------------------------------------------
     def resident_lines(self) -> int:
         """Number of lines currently allocated (ready or in flight)."""
-        return sum(len(s) for s in self._sets)
+        return sum(self._fill)
 
     def occupancy_fraction(self) -> float:
         """Fraction of capacity holding lines."""

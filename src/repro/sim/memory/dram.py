@@ -10,6 +10,7 @@ behind Figs. 6c and 7, falls out of the same accounting.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from ...errors import ConfigError
@@ -47,7 +48,9 @@ class DRAM:
 
     def __init__(self, config: DRAMConfig) -> None:
         self.config = config
-        self._bus_free_at = 0
+        # The cycle at which the bus is next free: a one-slot int64 cell
+        # the compiled kernels share (see hot_state).
+        self._bus = array("q", (0,))
         self.busy_cycles = 0
         self.transfers = 0
         self.bytes_transferred = 0
@@ -56,6 +59,23 @@ class DRAM:
         self._latency = config.latency
         self._bpc = config.bytes_per_cycle
         self._pf_penalty = config.prefetch_penalty
+
+    @property
+    def bus_free_at(self) -> int:
+        """The cycle at which the bus is next free (read-only)."""
+        return self._bus[0]
+
+    def hot_state(self) -> array:
+        """The bus cell the compiled kernels (``_kernels.c``) share.
+
+        An ``array('q')`` of one slot: the cycle at which the bus is next
+        free. Every transfer, from Python (:meth:`access`) or from the
+        kernels, reads it and moves it to the end of its own bus slot, so
+        the two interleave without handing the value back and forth. The
+        cell is never reassigned or resized: the kernels' context exports
+        it once (``MemorySystem.__init__``).
+        """
+        return self._bus
 
     def service_cycles(self, n_bytes: int) -> int:
         """Bus occupancy for one transfer of ``n_bytes``."""
@@ -72,9 +92,10 @@ class DRAM:
         service = -(-n_bytes // self._bpc)
         if service < 1:
             service = 1
-        busy = self._bus_free_at
+        bus = self._bus
+        busy = bus[0]
         start = issue if issue > busy else busy
-        self._bus_free_at = start + service
+        bus[0] = start + service
         self.busy_cycles += service
         self.transfers += 1
         self.bytes_transferred += n_bytes

@@ -182,41 +182,49 @@ class MemorySystem:
         self._inject = (
             self._inject_cpu_traffic if config.cpu_traffic is not None else None
         )
-        # The compiled kernels' context, resolved once: the caches' and
-        # the MSHR file's hot state (containers mutated in place and never
-        # reassigned, see Cache.hot_state / MSHRFile.hot_state), the
-        # timing constants, the objects their counters fold into and the
-        # block they count in until finalize(), in the layout _kernels.c
-        # reads (validated once here). All line fills transfer exactly
-        # one line, so the DRAM bus service time is a constant, and a line
-        # fill is ready a constant fill latency after its bus slot starts
-        # (DRAM latency, the line's bus service, the L2 hit), which is why
-        # fills complete in the order they are allocated (see MSHRFile).
+        # The compiled kernels' context: built once, it holds the
+        # exports of the caches', MSHR file's and DRAM bus's buffers,
+        # the constants and the block the kernels count in until
+        # finalize() (see _kernel_state).
+        self._kernel_ctx = _kernels.check_context(self._kernel_state())
+
+    def _kernel_state(self) -> tuple:
+        """What :func:`_kernels.check_context` builds the context from.
+
+        The hot state of the caches (:meth:`Cache.hot_state`), the MSHR
+        file (:meth:`MSHRFile.hot_state`) and the DRAM bus
+        (:meth:`DRAM.hot_state`), the pending-prefetch set, the timing
+        constants, and the objects the counters fold into, in the layout
+        ``_kernels.c`` reads. All line fills transfer exactly one line,
+        so the DRAM bus service time is a constant, and a line fill is
+        ready a constant fill latency after its bus slot starts (DRAM
+        latency, the line's bus service, the L2 hit), which is why fills
+        complete in the order they are allocated (see MSHRFile).
+        """
+        config = self.config
         line_service = self.dram.service_cycles(config.line_bytes)
-        self._kernel_ctx = _kernels.check_context(
+        return (
+            self.l2.hot_state(),
+            self.nsb.hot_state() if self.nsb is not None else None,
+            self.l2.mshr.hot_state(),
+            self.dram.hot_state(),
+            self._pf_pending,
             (
-                self.l2.hot_state(),
-                self.nsb.hot_state() if self.nsb is not None else None,
-                self.l2.mshr.hot_state(),
-                self._pf_pending,
-                (
-                    self._line_bytes,
-                    self._l2_lat,
-                    self._nsb_lat or 0,
-                    line_service,
-                    config.dram.latency + line_service + self._l2_lat,
-                    config.dram.prefetch_penalty,
-                ),
-                self.l2,
-                self.nsb,
-                self.l2.mshr,
-                self.dram,
-                self._stats_nsb,
-                self._stats_l2,
-                self._stats_pf,
-                self._traffic,
-                _kernels.counters(),
-            )
+                self._line_bytes,
+                self._l2_lat,
+                self._nsb_lat or 0,
+                line_service,
+                config.dram.latency + line_service + self._l2_lat,
+                config.dram.prefetch_penalty,
+            ),
+            self.l2,
+            self.nsb,
+            self.l2.mshr,
+            self.dram,
+            self._stats_nsb,
+            self._stats_l2,
+            self._stats_pf,
+            self._traffic,
         )
 
     # -- background CPU traffic ----------------------------------------------
@@ -415,10 +423,11 @@ class MemorySystem:
         construction rather than by a conflict analysis. What the batch
         form removes is the per-line call overhead: one call per
         *instruction* instead of per line. The walk runs compiled
-        (``_kernels.c``) over the containers of :meth:`Cache.hot_state`
-        and :meth:`MSHRFile.hot_state`, calling :meth:`_inject_cpu_traffic`
-        before each line when CPU traffic is configured. Its counters
-        reach the stats, caches, MSHR file and DRAM at :meth:`finalize`.
+        (``_kernels.c``) over the buffers of :meth:`Cache.hot_state`,
+        :meth:`MSHRFile.hot_state` and :meth:`DRAM.hot_state`, calling
+        :meth:`_inject_cpu_traffic` before each line when CPU traffic is
+        configured. Its counters reach the stats, caches, MSHR file and
+        DRAM at :meth:`finalize`.
 
         Returns ``(last_complete_cycle, dram_flags)``; ``dram_flags[e]``
         is 1 when any line of element ``e`` went off-chip (the executors

@@ -18,13 +18,17 @@ entries whose fill has completed are retired lazily on each call.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 
 from ...errors import ConfigError
 
 
 class MSHRFile:
     """Bounded FIFO of outstanding line fills with coalescing.
+
+    The fills live in an int64 ring (see :meth:`hot_state`): slot
+    ``(head + i) % capacity`` holds the ``i``-th oldest outstanding
+    fill's line and ready cycle, for ``i`` below ``count``.
 
     Args:
         capacity: maximum simultaneously outstanding fills. When the file is
@@ -37,22 +41,39 @@ class MSHRFile:
         if capacity < 1:
             raise ConfigError(f"MSHR capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._fills: deque[int] = deque()
-        self._inflight: dict[int, int] = {}
+        # Exact-size buffers (see Cache.__init__).
+        self._lines = array("q", (0,)) * capacity
+        self._readys = array("q", (0,)) * capacity
+        self._ring = array("q", (0, 0))  # head slot, outstanding count
         self.peak_occupancy = 0
         self.coalesced = 0
         self.structural_stalls = 0
 
     def _retire_completed(self, now: int) -> None:
-        fills = self._fills
-        inflight = self._inflight
-        while fills and inflight[fills[0]] <= now:
-            del inflight[fills.popleft()]
+        ring = self._ring
+        head, count = ring
+        readys = self._readys
+        while count and readys[head] <= now:
+            head = (head + 1) % self.capacity
+            count -= 1
+        ring[0] = head
+        ring[1] = count
+
+    def _slot(self, line_addr: int) -> int:
+        """The ring slot of ``line_addr``'s outstanding fill, or -1."""
+        head, count = self._ring
+        lines = self._lines
+        capacity = self.capacity
+        for i in range(head, head + count):
+            slot = i % capacity
+            if lines[slot] == line_addr:
+                return slot
+        return -1
 
     def occupancy(self, now: int) -> int:
         """Number of fills still outstanding at ``now``."""
         self._retire_completed(now)
-        return len(self._inflight)
+        return self._ring[1]
 
     def lookup(self, now: int, line_addr: int) -> int | None:
         """Return the ready-time of an in-flight fill for ``line_addr``.
@@ -62,10 +83,11 @@ class MSHRFile:
         existing fill.
         """
         self._retire_completed(now)
-        ready = self._inflight.get(line_addr)
-        if ready is not None:
-            self.coalesced += 1
-        return ready
+        slot = self._slot(line_addr)
+        if slot < 0:
+            return None
+        self.coalesced += 1
+        return self._readys[slot]
 
     def earliest_free_slot(self, now: int) -> int:
         """Earliest cycle at which a new entry can be allocated.
@@ -74,33 +96,45 @@ class MSHRFile:
         oldest outstanding fill (we must wait for it to retire).
         """
         self._retire_completed(now)
-        if len(self._inflight) < self.capacity:
+        head, count = self._ring
+        if count < self.capacity:
             return now
         self.structural_stalls += 1
-        return self._inflight[self._fills[0]]
+        return self._readys[head]
 
-    def hot_state(self) -> tuple[deque[int], dict[int, int], int]:
-        """``(fills, inflight, capacity)`` for the inlined hierarchy walks.
+    def hot_state(self) -> tuple[array, array, array, int]:
+        """The storage the compiled kernels (``_kernels.c``) work on.
 
-        ``fills`` holds the outstanding lines in allocation order, which is
-        also completion order; ``inflight`` maps each of them to its ready
-        cycle. Both are mutated in place and never reassigned, so the
-        tuple stays valid for the file's lifetime. Writers keep them in
-        step: retire by popping ``fills`` from the left while the oldest
-        fill's ready cycle is at or before the request's cycle; when the
-        file is still full, wait for (and retire) the leftmost entry;
-        append every new fill on the right. Python writers keep
-        ``structural_stalls``, ``peak_occupancy`` and ``coalesced``
-        maintained through the attributes; the compiled kernels count in
-        their own block, which ``MemorySystem.finalize`` folds in.
+        Returns ``(lines, readys, ring, capacity)``: ``lines`` and
+        ``readys`` are ``array('q')`` buffers of ``capacity`` slots, and
+        ``ring`` is ``array('q', (head, count))``. The outstanding fills
+        are the ``count`` slots from ``head`` on, wrapping at
+        ``capacity``, in allocation order, which is also completion
+        order. Writers keep ``0 <= head < capacity`` and
+        ``0 <= count <= capacity``: retire by advancing ``head`` while
+        the oldest fill's ready cycle is at or before the request's
+        cycle; when the file is still full, wait for (and retire) the
+        oldest fill; write every new fill in the slot after the newest.
+        Python writers keep ``structural_stalls``, ``peak_occupancy`` and
+        ``coalesced`` maintained through the attributes; the compiled
+        kernels count in their own block, which
+        ``MemorySystem.finalize`` folds in.
 
-        The compiled kernels (``_kernels.c``) read this tuple through the
-        C API, so its types are part of the contract: a
-        ``collections.deque`` and a ``dict`` (exact types) keyed by line
-        address, and an int capacity. ``MemorySystem.__init__`` checks
-        them once.
+        The buffers are never reassigned or resized: the kernels' context
+        exports them once (``MemorySystem.__init__``), and while it lives
+        an ``array`` refuses to change size.
         """
-        return self._fills, self._inflight, self.capacity
+        return self._lines, self._readys, self._ring, self.capacity
+
+    def outstanding(self) -> list[tuple[int, int]]:
+        """The outstanding ``(line, ready)`` fills, oldest first.
+
+        A read-only copy, for tests and inspection: it retires nothing.
+        """
+        head, count = self._ring
+        capacity = self.capacity
+        slots = [i % capacity for i in range(head, head + count)]
+        return [(self._lines[slot], self._readys[slot]) for slot in slots]
 
     def allocate(self, now: int, line_addr: int, ready_at: int) -> None:
         """Record a new outstanding fill for ``line_addr``.
@@ -111,20 +145,25 @@ class MSHRFile:
         must complete after every outstanding fill: the FIFO's premise.
         """
         self._retire_completed(now)
-        fills = self._fills
-        inflight = self._inflight
-        if len(inflight) >= self.capacity:
+        head, count = self._ring
+        capacity = self.capacity
+        if count >= capacity:
             raise ConfigError(
                 "MSHR allocate with full file - call earliest_free_slot first"
             )
-        if line_addr in inflight:
+        if self._slot(line_addr) >= 0:
             raise ConfigError(f"MSHR double-allocate for line {line_addr:#x}")
-        if fills and ready_at <= inflight[fills[-1]]:
-            raise ConfigError(
-                f"MSHR fill for line {line_addr:#x} ready at {ready_at}, not "
-                f"after the newest outstanding fill ({inflight[fills[-1]]})"
-            )
-        inflight[line_addr] = ready_at
-        fills.append(line_addr)
-        if len(inflight) > self.peak_occupancy:
-            self.peak_occupancy = len(inflight)
+        if count:
+            newest = self._readys[(head + count - 1) % capacity]
+            if ready_at <= newest:
+                raise ConfigError(
+                    f"MSHR fill for line {line_addr:#x} ready at {ready_at}, "
+                    f"not after the newest outstanding fill ({newest})"
+                )
+        slot = (head + count) % capacity
+        self._lines[slot] = line_addr
+        self._readys[slot] = ready_at
+        count += 1
+        self._ring[1] = count
+        if count > self.peak_occupancy:
+            self.peak_occupancy = count

@@ -9,8 +9,8 @@ A :class:`SparseProgram` is the simulator's unit of work — the result of
   indirect IA gathers whose addresses the sparse unit computes from the
   loaded indices, a compute op sized by the systolic model, and an
   optional output store;
-* row/loop structure is kept (``rowptr``, per-tile row ids, last-in-row
-  flags) because the LBD's whole job is predicting those boundaries.
+* row/loop structure is kept (``rowptr``, per-tile row ids and element
+  ranges) because the LBD's whole job is predicting those boundaries.
 
 The gather address map (``sparse_func``) is program state: affine
 (``base + idx * row_bytes``) for matrix workloads, or an arbitrary
@@ -140,7 +140,6 @@ class Tile:
     gathers: list[VectorGather]
     compute: TileCompute
     store: VectorStore | None
-    last_in_row: bool
 
 
 @dataclass
@@ -338,9 +337,8 @@ def build_one_side_program(
                 )
                 for stream, addrs in gather_addrs
             ]
-            last = j1 == hi
             store = None
-            if cfg.with_stores and last:
+            if cfg.with_stores and j1 == hi:
                 store = VectorStore(
                     stream_id=STREAM_OA_STORE,
                     byte_addrs=cfg.oa_base + row * row_bytes + store_offsets,
@@ -372,7 +370,6 @@ def build_one_side_program(
                     gathers=gathers,
                     compute=compute,
                     store=store,
-                    last_in_row=last,
                 )
             )
             tile_id += 1

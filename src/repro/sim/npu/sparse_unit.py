@@ -30,7 +30,6 @@ class SparseUnit:
     def __init__(self, program: SparseProgram) -> None:
         self._program = program
         self._busy_until = 0
-        self.busy_cycles = 0
         self.runahead_grants = 0
 
     # -- occupancy updated by the executor ----------------------------------
@@ -39,7 +38,6 @@ class SparseUnit:
         if cycles <= 0:
             return
         self._busy_until = max(self._busy_until, start) + cycles
-        self.busy_cycles += cycles
 
     # -- services used by NVR ----------------------------------------------
     def next_idle(self, now: int) -> int:
@@ -86,9 +84,3 @@ class SparseUnit:
     def gather_stream_ids(self) -> list[int]:
         """Stream ids of the indirect gathers this program performs."""
         return sorted(self._program.gather_streams)
-
-    def utilisation(self, elapsed: int) -> float:
-        """Busy fraction, for reporting the idle slack runahead exploits."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / elapsed)

@@ -108,11 +108,7 @@ def build_two_side_program(
                 byte_addrs=cfg.w_idx_base + positions * cfg.idx_bytes,
                 elem_bytes=cfg.idx_bytes,
             )
-            slots = np.fromiter(
-                (values_stream.slot(int(i)) for i in idx),
-                dtype=np.int64,
-                count=len(idx),
-            )
+            slots = idx if cfg.index_map is None else cfg.index_map[idx].astype(np.int64)
             meta_addrs = meta_base + slots * _META_ENTRY_BYTES
             meta_gather = VectorGather(
                 stream_id=STREAM_IA_METADATA,
@@ -136,9 +132,8 @@ def build_two_side_program(
                 cycles=systolic.tile_cycles(max(1, products), 16),
                 sparse_unit_cycles=systolic.sparse_unit_cycles(len(idx)),
             )
-            last = j1 == hi
             store = None
-            if cfg.with_stores and last:
+            if cfg.with_stores and j1 == hi:
                 store = VectorStore(
                     stream_id=STREAM_OA_STORE,
                     byte_addrs=cfg.oa_base
@@ -159,7 +154,6 @@ def build_two_side_program(
                     gathers=[meta_gather, value_gather],
                     compute=compute,
                     store=store,
-                    last_in_row=last,
                 )
             )
             tile_id += 1

@@ -196,13 +196,13 @@ def _per_line_prefetch(mem, now, lines, irregular, max_issue):
 
 def _cache_state(cache):
     mshr = cache.mshr
-    fills, inflight, _ = mshr.hot_state()
+    fills = mshr.outstanding()
     return (
-        [list(cache_set.items()) for cache_set in cache.hot_state()[0]],
+        cache.ways(),
         cache.evictions,
         cache.prefetch_evicted_unused,
-        list(fills),
-        dict(inflight),
+        [line for line, _ in fills],
+        dict(fills),
         mshr.structural_stalls,
         mshr.peak_occupancy,
         mshr.coalesced,
@@ -282,7 +282,7 @@ span_calls_strategy = st.lists(
 
 def _dram_counters(mem):
     dram = mem.dram
-    return dram._bus_free_at, dram.busy_cycles, dram.transfers, dram.bytes_transferred
+    return dram.bus_free_at, dram.busy_cycles, dram.transfers, dram.bytes_transferred
 
 
 class TestSpansMatchFlattenedLines:
@@ -367,8 +367,7 @@ class TestFinalizeFoldsTheKernelCounters:
 
 def _mshr_fills(mem):
     """The L2 MSHR's outstanding ``(line, ready)`` pairs, oldest first."""
-    fills, inflight, _ = mem.l2.mshr.hot_state()
-    return [(line, inflight[line]) for line in fills]
+    return mem.l2.mshr.outstanding()
 
 
 DEMAND_WALKS = {
@@ -444,7 +443,7 @@ class TestEvictedInFlightLineCoalesces:
         demand = DEMAND_WALKS[walk]
         # Cycle 50 is due one CPU line; it injects before the NPU line.
         demand(mem, 50, 8, [0x100000], False)
-        cpu_line, ready = next(iter(mem.l2.mshr.hot_state()[1].items()))
+        cpu_line, ready = mem.l2.mshr.outstanding()[0]
         assert mem.cpu_misses == 1
         # Four NPU lines of the CPU line's set evict it while in flight.
         same_set = [cpu_line % (16 * 64) + k * 16 * 64 for k in range(4)]

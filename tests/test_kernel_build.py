@@ -99,7 +99,7 @@ def _kernel_outputs(kernels) -> tuple:
     """One fixed demand and prefetch call through ``kernels``, fresh state."""
     stats = RunStats()
     memory = MemorySystem(MemoryConfig().with_nsb(), stats)
-    ctx = kernels.check_context(memory._kernel_ctx)
+    ctx = kernels.check_context(memory._kernel_state())
     lines = [7, 300, 7, 4100, 300, 9000]
     demand = kernels.demand_lines(ctx, 0, 2, lines, True, None, None)
     spans = kernels.demand_lines(ctx, 40, 2, [8192, 300], True, None, [3, 2])

@@ -1,7 +1,7 @@
 """Tests for the set-associative non-blocking cache."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
@@ -209,5 +209,114 @@ class TestCacheProperties:
         cache = small_cache(assoc=2, sets=4)
         for t, idx in enumerate(line_idxs):
             cache.allocate(t, idx * 64, ready_at=t, by_prefetch=False)
-            for cache_set in cache._sets:
-                assert len(cache_set) <= 2
+            for ways in cache.ways():
+                assert len(ways) <= 2
+
+
+class DictCache:
+    """The dict-per-set model of :class:`Cache`: the oracle for its ways.
+
+    Each set is a dict from tag to stored value (``~ready`` while an
+    untouched prefetch fill) whose insertion order is the LRU order: a
+    recency touch re-inserts the tag at the back, and a fill into a full
+    set evicts the front entry.
+    """
+
+    def __init__(self, config: CacheConfig) -> None:
+        self.sets: list[dict[int, int]] = [{} for _ in range(config.n_sets)]
+        self.assoc = config.assoc
+        self.line_shift = config.line_bytes.bit_length() - 1
+        self.set_mask = config.n_sets - 1
+        self.tag_shift = self.line_shift + config.n_sets.bit_length() - 1
+        self.evictions = 0
+        self.prefetch_evicted_unused = 0
+
+    def _where(self, line_addr: int) -> tuple[dict[int, int], int]:
+        index = (line_addr >> self.line_shift) & self.set_mask
+        return self.sets[index], line_addr >> self.tag_shift
+
+    def probe(self, line_addr):
+        cache_set, tag = self._where(line_addr)
+        value = cache_set.get(tag)
+        return value if value is None or value >= 0 else ~value
+
+    def touch(self, line_addr):
+        cache_set, tag = self._where(line_addr)
+        ready = cache_set.pop(tag, None)
+        if ready is None:
+            return None
+        cache_set[tag] = ready = ready if ready >= 0 else ~ready
+        return ready
+
+    def lookup(self, now, line_addr):
+        cache_set, tag = self._where(line_addr)
+        value = cache_set.pop(tag, None)
+        if value is None:
+            return LookupKind.MISS, None
+        cache_set[tag] = value
+        ready = value if value >= 0 else ~value
+        return (LookupKind.INFLIGHT if ready > now else LookupKind.HIT), ready
+
+    def allocate(self, now, line_addr, ready_at, by_prefetch):
+        cache_set, tag = self._where(line_addr)
+        existing = cache_set.get(tag)
+        if existing is not None:
+            ready = existing if existing >= 0 else ~existing
+            if ready_at < ready:
+                cache_set[tag] = ready_at if existing >= 0 else ~ready_at
+                return ready_at
+            return ready
+        if len(cache_set) >= self.assoc:
+            self.evictions += 1
+            if cache_set.pop(next(iter(cache_set))) < 0:
+                self.prefetch_evicted_unused += 1
+        cache_set[tag] = ~ready_at if by_prefetch else ready_at
+        return ready_at
+
+
+#: One cache operation: (kind, line index, cycle, by_prefetch). Line
+#: indices span twice the test cache's capacity, so half the lookups
+#: hit and every set fills, refills and evicts.
+cache_ops_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(("probe", "touch", "lookup", "allocate")),
+        st.integers(min_value=0, max_value=15),
+        st.integers(min_value=0, max_value=300),
+        st.booleans(),
+    ),
+    min_size=8,
+    max_size=200,
+)
+
+
+class TestCacheMatchesTheDictModel:
+    """The way buffers against the dict-per-set model, operation by operation.
+
+    Every return value, every set's resident lines in LRU order (with
+    their stored values and untouched marks) and both eviction counters
+    must match after each step.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(cache_ops_strategy, st.sampled_from([(1, 4), (2, 4), (4, 2), (8, 1)]))
+    # A direct-mapped set: the victim is also the last way.
+    @example(ops=[("allocate", 3, 0, False), ("allocate", 7, 0, False)], geometry=(1, 4))
+    def test_same_results_ways_and_counters(self, ops, geometry):
+        assoc, sets = geometry
+        cache = small_cache(assoc=assoc, sets=sets)
+        model = DictCache(cache.config)
+        for kind, idx, cycle, by_prefetch in ops:
+            line = idx * 64
+            if kind == "allocate":
+                args = (cycle, line, cycle + 10, by_prefetch)
+            elif kind == "lookup":
+                args = (cycle, line)
+            else:
+                args = (line,)
+            assert getattr(cache, kind)(*args) == getattr(model, kind)(*args)
+            assert cache.ways() == [list(s.items()) for s in model.sets]
+            assert (cache.evictions, cache.prefetch_evicted_unused) == (
+                model.evictions,
+                model.prefetch_evicted_unused,
+            )
+        assert cache.resident_lines() == sum(len(s) for s in model.sets)

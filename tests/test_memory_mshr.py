@@ -1,7 +1,9 @@
 """Tests for the MSHR file."""
 
+from collections import deque
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
@@ -57,12 +59,11 @@ class TestMSHRFifo:
         mshr = MSHRFile(4)
         for i, ready in enumerate((100, 110, 120)):
             mshr.allocate(0, 0x1000 * (i + 1), ready_at=ready)
-        fills, inflight, capacity = mshr.hot_state()
-        assert capacity == 4
-        assert list(fills) == [0x1000, 0x2000, 0x3000]
+        assert mshr.capacity == 4
+        assert [line for line, _ in mshr.outstanding()] == [0x1000, 0x2000, 0x3000]
         assert mshr.occupancy(110) == 1
-        assert list(fills) == [0x3000]
-        assert inflight == {0x3000: 120}
+        assert [line for line, _ in mshr.outstanding()] == [0x3000]
+        assert dict(mshr.outstanding()) == {0x3000: 120}
 
     def test_full_file_waits_for_leftmost(self):
         mshr = MSHRFile(2)
@@ -71,7 +72,7 @@ class TestMSHRFifo:
         start = mshr.earliest_free_slot(10)
         assert start == 100
         mshr.allocate(start, 0x3000, ready_at=200)
-        assert list(mshr.hot_state()[0]) == [0x2000, 0x3000]
+        assert [line for line, _ in mshr.outstanding()] == [0x2000, 0x3000]
 
 
 class TestMSHRStructural:
@@ -127,3 +128,113 @@ class TestMSHRProperties:
             bus_free = slot + 1
             mshr.allocate(start, line, ready_at=slot + 100)
             assert mshr.occupancy(start) <= capacity
+
+
+class DequeMSHR:
+    """The deque-plus-dict model of :class:`MSHRFile`: the oracle for its ring.
+
+    ``fills`` holds the outstanding lines in allocation order beside the
+    line -> ready-cycle dict ``inflight``; retiring pops from the left.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.fills: deque[int] = deque()
+        self.inflight: dict[int, int] = {}
+        self.peak_occupancy = 0
+        self.coalesced = 0
+        self.structural_stalls = 0
+
+    def _retire(self, now):
+        while self.fills and self.inflight[self.fills[0]] <= now:
+            del self.inflight[self.fills.popleft()]
+
+    def occupancy(self, now):
+        self._retire(now)
+        return len(self.inflight)
+
+    def lookup(self, now, line_addr):
+        self._retire(now)
+        ready = self.inflight.get(line_addr)
+        if ready is not None:
+            self.coalesced += 1
+        return ready
+
+    def earliest_free_slot(self, now):
+        self._retire(now)
+        if len(self.inflight) < self.capacity:
+            return now
+        self.structural_stalls += 1
+        return self.inflight[self.fills[0]]
+
+    def allocate(self, now, line_addr, ready_at):
+        self._retire(now)
+        if len(self.inflight) >= self.capacity:
+            raise ConfigError("full")
+        if line_addr in self.inflight:
+            raise ConfigError("double-allocate")
+        if self.fills and ready_at <= self.inflight[self.fills[-1]]:
+            raise ConfigError("not after the newest")
+        self.inflight[line_addr] = ready_at
+        self.fills.append(line_addr)
+        self.peak_occupancy = max(self.peak_occupancy, len(self.inflight))
+
+
+#: One MSHR operation: (kind, time step, line index, ready delay). Time
+#: only moves forward, as in the simulator; an allocate may break any of
+#: its preconditions, and both files must then refuse it alike.
+mshr_ops_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(("lookup", "free", "allocate", "allocate", "occupancy")),
+        st.integers(min_value=0, max_value=20),
+        st.integers(min_value=0, max_value=11),
+        st.integers(min_value=-5, max_value=60),
+    ),
+    min_size=1,
+    max_size=150,
+)
+
+
+class TestMSHRMatchesTheDequeModel:
+    """The int64 ring against the deque-plus-dict model, step by step.
+
+    Every return value (or the refusal of an allocate), the outstanding
+    fills oldest first, and the coalesced, structural-stall and peak
+    counters must match after each step; the ring wraps many times.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(mshr_ops_strategy, st.integers(min_value=1, max_value=5))
+    def test_same_results_fills_and_counters(self, ops, capacity):
+        mshr = MSHRFile(capacity)
+        model = DequeMSHR(capacity)
+        now = newest = 0
+        for kind, step, idx, delay in ops:
+            now += step
+            line = 0x40 * idx
+            if kind == "lookup":
+                assert mshr.lookup(now, line) == model.lookup(now, line)
+            elif kind == "free":
+                assert mshr.earliest_free_slot(now) == model.earliest_free_slot(now)
+            elif kind == "occupancy":
+                assert mshr.occupancy(now) == model.occupancy(now)
+            else:
+                # Mostly after the newest fill, sometimes not.
+                ready = max(now, newest) + delay
+                refused = []
+                for file in (mshr, model):
+                    try:
+                        file.allocate(now, line, ready)
+                    except ConfigError:
+                        refused.append(file)
+                assert refused in ([], [mshr, model])
+                if not refused:
+                    newest = ready
+            assert mshr.outstanding() == [
+                (line, model.inflight[line]) for line in model.fills
+            ]
+            assert (mshr.coalesced, mshr.structural_stalls, mshr.peak_occupancy) == (
+                model.coalesced,
+                model.structural_stalls,
+                model.peak_occupancy,
+            )

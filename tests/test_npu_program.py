@@ -97,16 +97,11 @@ class TestLowering:
             expected = stream.base + tile.indices * stream.row_bytes
             assert np.array_equal(g.byte_addrs, expected)
 
-    def test_last_in_row_flags(self):
-        w, prog = small_program(vector_width=4)
-        for tile in prog.tiles:
-            hi = int(w.rowptr[tile.row + 1])
-            assert tile.last_in_row == (tile.j_end == hi)
-
     def test_store_only_on_last_tile(self):
-        _, prog = small_program(vector_width=4, with_stores=True)
+        w, prog = small_program(vector_width=4, with_stores=True)
         for tile in prog.tiles:
-            assert (tile.store is not None) == tile.last_in_row
+            last = tile.j_end == w.rowptr[tile.row + 1]
+            assert (tile.store is not None) == last
 
     def test_dual_gather_adds_stream(self):
         _, prog = small_program(dual_gather=True)

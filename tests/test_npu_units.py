@@ -91,8 +91,3 @@ class TestSparseUnit:
         assert start == 100
         # A second grant queues behind the first.
         assert unit.grant_runahead(10, 5) == 120
-
-    def test_utilisation_bounded(self):
-        unit = SparseUnit(make_program())
-        unit.occupy(0, 10)
-        assert 0 <= unit.utilisation(100) <= 1

@@ -82,6 +82,29 @@ class TestLowering:
         with pytest.raises(ProgramError):
             build_two_side_program("x", w, bad_ia, ProgramConfig())
 
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_gathers_equal_the_per_element_form(self, operands, mapped):
+        """Each element's gathers follow ``GatherStream.slot`` of its index."""
+        w, ia = operands
+        index_map = None
+        if mapped:
+            index_map = np.random.default_rng(5).permutation(ia.n_rows)
+            index_map = index_map.astype(np.int32)
+        cfg = ProgramConfig(elem_bytes=2, index_map=index_map)
+        prog = build_two_side_program("2s", w, ia, cfg)
+        values = prog.gather_streams[STREAM_IA_GATHER]
+        meta_base = prog.gather_streams[STREAM_IA_METADATA].base
+        for tile in prog.tiles:
+            indices = [int(i) for i in tile.indices]
+            meta, value = tile.gathers
+            slots = [values.slot(i) for i in indices]
+            assert meta.byte_addrs.dtype == value.byte_addrs.dtype == np.int64
+            assert meta.byte_addrs.tolist() == [meta_base + 4 * s for s in slots]
+            assert value.byte_addrs.tolist() == [values.address(i) for i in indices]
+            assert value.seg_bytes_per_elem.tolist() == [
+                values.segment_bytes(i) for i in indices
+            ]
+
     def test_two_gather_chains_per_tile(self, program):
         for tile in program.tiles:
             streams = [g.stream_id for g in tile.gathers]
