@@ -86,6 +86,9 @@ class SparseChainDetector:
         the index-delta statistics that drive approximate prediction and
         the affine (ss_start, shift) fit from consecutive pairs. The
         entry's fields run in locals and are written back once.
+
+        A window wholly on the entry's fit, after a last pair on it too,
+        confirms that fit once per new index without refitting each pair.
         """
         n = len(indices)
         if n == 0:
@@ -100,6 +103,13 @@ class SparseChainDetector:
         valid = entry.valid
         prev = self._last_pair.get(stream_id)
         idx0, addr0 = prev if prev is not None else (None, None)
+        on_fit = (
+            fit_conf > 0
+            and prev is not None
+            and addr0 == ss_start + (idx0 << shift)
+            and addrs == [ss_start + (i << shift) for i in indices]
+        )
+        confirmed = 0
         for idx, addr in zip(indices, addrs):
             # Index-delta statistics (for approximate chain extrapolation).
             delta = idx - lpi
@@ -113,6 +123,9 @@ class SparseChainDetector:
             else:
                 ewma = float(delta)
             lpi = idx
+            if on_fit:
+                confirmed += delta != 0  # the LPI was the last pair's index
+                continue
 
             # Affine fit from consecutive pairs.
             prev_idx, prev_addr = idx0, addr0
@@ -134,10 +147,13 @@ class SparseChainDetector:
             elif fit_conf:
                 fit_conf -= 1
             valid = fit_conf >= lock
+        if confirmed:
+            fit_conf = min(15, fit_conf + confirmed)
+            valid = fit_conf >= lock
         entry.lpi, entry.delta_ewma, entry.delta_conf = lpi, ewma, dconf
         entry.ss_start, entry.shift, entry.fit_conf = ss_start, shift, fit_conf
         entry.valid = valid
-        self._last_pair[stream_id] = (idx0, addr0)
+        self._last_pair[stream_id] = (indices[-1], addrs[-1])
 
     # -- prediction ---------------------------------------------------------------
     def formula_address(self, stream_id: int, idx: int) -> int | None:

@@ -29,7 +29,7 @@ import os
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 try:  # POSIX; the no-lock fallback keeps single-process use working
@@ -164,8 +164,7 @@ def result_to_payload(result: RunResult) -> dict:
     a warm run reads back from JSON (which cannot hold NaN) materialise
     identically.
     """
-    d = asdict(result)
-    d.pop("stats")
+    d = {f.name: getattr(result, f.name) for f in fields(result) if f.name != "stats"}
     return sanitize_nonfinite(
         {"kind": "sim", "result": d, "stats": asdict(result.stats)}
     )

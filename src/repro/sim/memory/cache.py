@@ -110,9 +110,6 @@ class Cache:
         self._tag_shift = self._line_shift + n_sets.bit_length() - 1
 
     # -- address helpers ---------------------------------------------------
-    def _set_index(self, line_addr: int) -> int:
-        return (line_addr >> self._line_shift) & self._set_mask
-
     def _locate(self, line_addr: int) -> tuple[int, int, int, int, int]:
         """``(set, first way, fill count, tag, way)`` of a line.
 
@@ -265,13 +262,3 @@ class Cache:
             list(zip(tags[base : base + n], values[base : base + n]))
             for base, n in zip(range(0, len(tags), assoc), self._fill)
         ]
-
-    # -- introspection -----------------------------------------------------
-    def resident_lines(self) -> int:
-        """Number of lines currently allocated (ready or in flight)."""
-        return sum(self._fill)
-
-    def occupancy_fraction(self) -> float:
-        """Fraction of capacity holding lines."""
-        total = self.config.n_sets * self.config.assoc
-        return self.resident_lines() / total if total else 0.0

@@ -100,9 +100,3 @@ class DRAM:
         self.transfers += 1
         self.bytes_transferred += n_bytes
         return start + self._latency + service
-
-    def utilisation(self, elapsed_cycles: int) -> float:
-        """Bus busy fraction over ``elapsed_cycles``."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / elapsed_cycles)

@@ -11,7 +11,7 @@ structures (Sec. II-A); this package provides the structures themselves:
 """
 
 from .csr import CSRMatrix
-from .generate import block_csr, powerlaw_csr, uniform_csr, zipf_csr
+from .generate import block_csr, powerlaw_csr, uniform_csr
 from .spmm import spmm_one_side, spmm_two_side
 
 __all__ = [
@@ -21,5 +21,4 @@ __all__ = [
     "spmm_one_side",
     "spmm_two_side",
     "uniform_csr",
-    "zipf_csr",
 ]

@@ -17,18 +17,37 @@ from ..utils import make_rng
 from .csr import CSRMatrix
 
 
-def _sample_row(
-    rng: np.random.Generator,
-    n_cols: int,
-    k: int,
-    probs: np.ndarray | None = None,
-) -> np.ndarray:
-    """Sample ``k`` distinct, sorted column indices."""
-    k = int(min(k, n_cols))
-    if k <= 0:
-        return np.zeros(0, dtype=np.int64)
-    cols = rng.choice(n_cols, size=k, replace=False, p=probs)
-    return np.sort(cols.astype(np.int64))
+def _weighted_rows(
+    rng: np.random.Generator, probs: np.ndarray, degrees: np.ndarray
+) -> list[np.ndarray]:
+    """``np.sort(rng.choice(n, k, replace=False, p=probs))`` per degree ``k``.
+
+    Each row runs ``choice``'s own rounds against one CDF built once (see
+    :func:`powerlaw_csr`), and ``probs`` gets ``choice``'s checks once.
+    """
+    if not np.isfinite(probs).all() or (probs < 0).any():
+        raise WorkloadError("probabilities must be finite and non-negative")
+    if abs(probs.sum() - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        raise WorkloadError("probabilities do not sum to 1")
+    if np.count_nonzero(probs) < degrees.max(initial=0):
+        raise WorkloadError("fewer non-zero probabilities than a row's degree")
+    cdf0 = np.cumsum(probs)
+    cdf0 /= cdf0[-1]
+    rows = []
+    for k in degrees.tolist():
+        found, cdf = np.zeros(0, dtype=np.int64), cdf0
+        while len(found) < k:
+            drawn = cdf.searchsorted(rng.random(k - len(found)), side="right")
+            found = np.sort(np.concatenate((found, drawn)))
+            # Distinct columns; np.unique(found) would import numpy.ma (~1.5 MiB).
+            found = found[np.diff(found, prepend=-1) != 0]
+            if len(found) < k:  # duplicates: redraw the rest, found columns zeroed
+                p = probs.copy()
+                p[found] = 0.0
+                cdf = np.cumsum(p)
+                cdf /= cdf[-1]
+        rows.append(found)
+    return rows
 
 
 def _build(n_rows: int, n_cols: int, rows_cols: list[np.ndarray]) -> CSRMatrix:
@@ -59,35 +78,8 @@ def uniform_csr(n_rows: int, n_cols: int, density: float, seed: int = 0) -> CSRM
     """
     _check_shape(n_rows, n_cols, density)
     rng = make_rng(seed)
-    per_row = rng.binomial(n_cols, density, size=n_rows)
-    rows = [_sample_row(rng, n_cols, int(k)) for k in per_row]
-    return _build(n_rows, n_cols, rows)
-
-
-def zipf_csr(
-    n_rows: int,
-    n_cols: int,
-    density: float,
-    alpha: float = 1.1,
-    seed: int = 0,
-) -> CSRMatrix:
-    """Zipf-skewed column popularity — heavy-hitter reuse (H2O-like).
-
-    A few hot columns appear in most rows, giving high temporal locality
-    on a small subset while the tail stays irregular.
-    """
-    _check_shape(n_rows, n_cols, density)
-    if alpha <= 0:
-        raise WorkloadError("zipf alpha must be positive")
-    rng = make_rng(seed)
-    ranks = np.arange(1, n_cols + 1, dtype=np.float64)
-    probs = ranks**-alpha
-    probs /= probs.sum()
-    # Scatter hot columns through the index space (hotness is not spatial).
-    perm = rng.permutation(n_cols)
-    probs = probs[perm]
-    per_row = rng.binomial(n_cols, density, size=n_rows)
-    rows = [_sample_row(rng, n_cols, int(k), probs) for k in per_row]
+    per_row = rng.binomial(n_cols, density, size=n_rows).tolist()
+    rows = [np.sort(rng.choice(n_cols, size=k, replace=False)) for k in per_row]
     return _build(n_rows, n_cols, rows)
 
 
@@ -141,6 +133,11 @@ def powerlaw_csr(
     Out-degrees follow a truncated power law (hub rows are long — the
     paper's "dynamic loop boundaries") and target popularity is also
     skewed, giving hub-column reuse.
+
+    Rows replay ``rng.choice(n_cols, k, replace=False, p=probs)`` on one
+    shared CDF, since ``choice`` re-checks and re-sums all of ``probs``
+    per row; ``tests/test_sparse_generate.py::TestWeightedRows`` pins the
+    replay's rows and generator state to ``choice``'s.
     """
     if n_rows <= 0 or n_cols <= 0:
         raise WorkloadError("matrix shape must be positive")
@@ -156,5 +153,4 @@ def powerlaw_csr(
     probs = ranks**-0.8
     probs /= probs.sum()
     probs = probs[rng.permutation(n_cols)]
-    rows = [_sample_row(rng, n_cols, int(k), probs) for k in degrees]
-    return _build(n_rows, n_cols, rows)
+    return _build(n_rows, n_cols, _weighted_rows(rng, probs, degrees))

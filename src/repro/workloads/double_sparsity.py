@@ -54,8 +54,10 @@ def build_selection_rows(
             drop = rng.choice(len(active_list), size=n_replace, replace=False)
             for d in drop:
                 active.discard(active_list[int(d)])
+            # A draw per token would take at least the deficit, so one
+            # call per deficit draws the same values in the same order.
             while len(active) < k:
-                active.add(int(rng.integers(0, kv_len)))
+                active.update(rng.integers(0, kv_len, size=k - len(active)).tolist())
         selection = set(active)
         # Recent window: the newest tokens are always attended.
         hot_end = min(kv_len, recent_window)

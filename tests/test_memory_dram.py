@@ -58,12 +58,6 @@ class TestDRAMTiming:
         assert dram.transfers == 2
         assert dram.bytes_transferred == 128
 
-    def test_utilisation_bounded(self):
-        dram = DRAM(DRAMConfig())
-        dram.access(0, 64)
-        assert 0.0 <= dram.utilisation(1000) <= 1.0
-        assert dram.utilisation(0) == 0.0
-
 
 class TestDRAMProperties:
     @given(st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=100))

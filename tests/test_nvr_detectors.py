@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.loop_bound_detector import LoopBoundDetector
@@ -95,11 +95,11 @@ class TestLoopBoundDetector:
             LoopBoundDetector(fuzz_vectors=-1)
 
 
-def scan_reference(pairs, lock=2, alpha=0.3):
+def scan_reference(pairs, e=None, last=None, lock=2, alpha=0.3):
     """One stream's SCD learning, pair by pair, fitting the affine formula
-    by scanning every candidate shift (0..13) explicitly."""
-    e = IPTEntry()
-    last = None
+    by scanning every candidate shift (0..13) explicitly; it continues
+    from entry ``e`` and last pair ``last`` when given."""
+    e = IPTEntry() if e is None else e
     for idx, addr in pairs:
         delta = idx - e.lpi
         if e.delta_conf > 0 or e.delta_ewma != 0.0:
@@ -129,9 +129,19 @@ def scan_reference(pairs, lock=2, alpha=0.3):
     return e, last
 
 
-#: (idx, on the affine formula?, off-formula address): mixes locking
-#: runs, broken fits, repeated indices and colliding addresses.
-scd_pair = st.tuples(st.integers(0, 64), st.booleans(), st.integers(0, 1 << 12))
+#: A run of pairs, all on the affine formula or all off it: (on the
+#: formula?, [(idx, repeats, off-formula address)]). Runs mix locking
+#: stretches, broken fits, repeated indices and colliding addresses, so
+#: windows cut from them often lie wholly on a locked fit, start right
+#: after an off-fit pair, or repeat one index throughout.
+scd_run = st.tuples(
+    st.booleans(),
+    st.lists(
+        st.tuples(st.integers(0, 64), st.integers(1, 4), st.integers(0, 1 << 12)),
+        min_size=1,
+        max_size=10,
+    ),
+)
 
 
 class TestSparseChainDetector:
@@ -179,19 +189,36 @@ class TestSparseChainDetector:
         assert entry is not None
         assert entry.lpi == 5
 
-    @settings(max_examples=200)
+    @settings(max_examples=300)
     @given(
         st.integers(0, 15),
         st.sampled_from((0, 0x1000)),
-        st.lists(scd_pair, max_size=40),
-        st.lists(st.integers(1, 8), min_size=1, max_size=40),
+        st.lists(scd_run, max_size=8),
+        st.lists(st.integers(1, 16), min_size=1, max_size=40),
     )
-    def test_windows_learn_like_pairwise_shift_scan(self, shift, ss_start, raw, chunks):
+    # A locked fit, one off-fit pair, then a window wholly on the fit:
+    # the pair across the window boundary breaks the fit.
+    @example(
+        shift=7,
+        ss_start=0x1000,
+        runs=[
+            (True, [(1, 1, 0), (2, 1, 0), (3, 1, 0)]),
+            (False, [(4, 1, 77)]),
+            (True, [(5, 1, 0), (6, 1, 0)]),
+        ],
+        chunks=[3, 1, 2],
+    )
+    def test_windows_learn_like_pairwise_shift_scan(
+        self, shift, ss_start, runs, chunks
+    ):
         pairs = [
             (idx, ss_start + (idx << shift) if affine else noise)
-            for idx, affine, noise in raw
+            for affine, run in runs
+            for idx, repeats, noise in run
+            for _ in range(repeats)
         ]
         scd = SparseChainDetector()
+        want, want_last = None, None
         pos = 0
         for size in chunks * len(pairs):
             if pos >= len(pairs):
@@ -199,13 +226,14 @@ class TestSparseChainDetector:
             window = pairs[pos : pos + size]
             scd.record_window(3, [i for i, _ in window], [a for _, a in window])
             pos += size
-        want, want_last = scan_reference(pairs)
-        got = scd.entry_state(3)
+            # Every window boundary, not only the end: a later run that
+            # saturates the confidence would hide an earlier miscount.
+            want, want_last = scan_reference(window, want, want_last)
+            got = scd.entry_state(3)
+            assert dataclasses.replace(got, last_use=0) == want
+            assert scd._last_pair[3] == want_last
         if not pairs:
-            assert got is None
-            return
-        assert dataclasses.replace(got, last_use=0) == want
-        assert scd._last_pair[3] == want_last
+            assert scd.entry_state(3) is None
 
 
 #: Segment starts and lengths for VMIG: arbitrary values, plus 8-byte

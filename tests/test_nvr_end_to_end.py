@@ -19,6 +19,8 @@ from repro.sim.npu.program import ProgramConfig, build_one_side_program
 from repro.sim.npu.sparse_unit import SparseUnit
 from repro.sim.soc import System
 from repro.sparse.generate import uniform_csr
+from repro.utils import make_rng
+from repro.workloads.double_sparsity import rows_to_csr
 
 
 def irregular_program(seed=1):
@@ -101,9 +103,16 @@ class TestNVRWithNSB:
         """NSB pays off where irregular lines are re-referenced (Sec. IV-G:
         "implicit cache line reuse patterns"); low-reuse traces are neutral.
         """
-        from repro.sparse.generate import zipf_csr
-
-        w = zipf_csr(150, 4096, 0.03, alpha=1.4, seed=9)
+        # Zipf-skewed column popularity: a few hot columns in most rows.
+        rng = make_rng(9)
+        probs = np.arange(1, 4097, dtype=np.float64) ** -1.4
+        probs /= probs.sum()
+        probs = probs[rng.permutation(4096)]
+        rows = [
+            np.sort(rng.choice(4096, size=int(k), replace=False, p=probs))
+            for k in rng.binomial(4096, 0.03, size=150)
+        ]
+        w = rows_to_csr(rows, 4096)
         prog = build_one_side_program("reuse", w, ProgramConfig(elem_bytes=2))
         plain = run(prog)
         with_nsb = run(prog, memory=MemoryConfig().with_nsb(True))

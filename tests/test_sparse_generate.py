@@ -2,19 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
-from repro.sparse.generate import block_csr, powerlaw_csr, uniform_csr, zipf_csr
+from repro.sparse.generate import _weighted_rows, block_csr, powerlaw_csr, uniform_csr
+from repro.utils import make_rng
+from repro.workloads.double_sparsity import build_selection_rows, rows_to_csr
 from repro.workloads.minkowski import clustered_coordinate_csr
 
 
 class TestCommonInvariants:
     GENERATORS = [
         lambda seed: uniform_csr(64, 256, 0.1, seed=seed),
-        lambda seed: zipf_csr(64, 256, 0.1, seed=seed),
         lambda seed: block_csr(64, 256, 0.1, block=8, seed=seed),
         lambda seed: clustered_coordinate_csr(64, 256, 8, cluster_size=8, seed=seed),
         lambda seed: powerlaw_csr(64, 256, avg_degree=8, seed=seed),
+        lambda seed: rows_to_csr(
+            build_selection_rows(make_rng(seed), 64, 256, 16, 0.15, 8), 256
+        ),
     ]
 
     @pytest.mark.parametrize("gen", GENERATORS)
@@ -57,19 +63,6 @@ class TestUniform:
             uniform_csr(0, 10, 0.5)
 
 
-class TestZipf:
-    def test_column_popularity_skewed(self):
-        m = zipf_csr(400, 300, 0.08, alpha=1.4, seed=5)
-        counts = np.bincount(m.col_indices, minlength=300)
-        top = np.sort(counts)[::-1]
-        # Top 10% of columns should absorb well over 10% of references.
-        assert top[:30].sum() > 0.3 * counts.sum()
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(WorkloadError):
-            zipf_csr(10, 10, 0.5, alpha=0.0)
-
-
 class TestBlock:
     def test_entries_confined_to_active_blocks(self):
         m = block_csr(64, 64, 0.2, block=16, intra_density=1.0, seed=7)
@@ -99,3 +92,67 @@ class TestPowerlaw:
         with pytest.raises(WorkloadError):
             powerlaw_csr(10, 10, avg_degree=0)
 
+    def test_rows_are_choice_rows(self):
+        """Each row is the one ``Generator.choice`` draws, as before the
+        shared CDF: degrees, popularity and draws in the same order."""
+        m = powerlaw_csr(300, 500, avg_degree=12, seed=4)
+        rng = make_rng(4)
+        raw = rng.pareto(1.3, size=300) + 1.0
+        degrees = np.maximum(1, np.round(raw * (12 / raw.mean()))).astype(np.int64)
+        probs = np.arange(1, 501, dtype=np.float64) ** -0.8
+        probs /= probs.sum()
+        probs = probs[rng.permutation(500)]
+        for r, k in enumerate(np.minimum(degrees, 500)):
+            want = np.sort(rng.choice(500, size=int(k), replace=False, p=probs))
+            assert np.array_equal(m.col_indices[m.rowptr[r] : m.rowptr[r + 1]], want)
+
+
+class TestWeightedRows:
+    """The shared-CDF draw replays ``Generator.choice(replace=False, p=)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.floats(0.0, 8.0),
+        st.sampled_from((0.0, 0.3, 0.9)),
+        st.lists(st.floats(0.0, 1.0), max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    # Sixteen columns, all drawn: the first round repeats columns, and
+    # only a redraw from the zeroed CDF takes the rest in one round each.
+    @example(n=16, skew=1.0, zero_share=0.0, shares=[], seed=1)
+    def test_rows_and_state_equal_choice(self, n, skew, zero_share, shares, seed):
+        # Weights raised to up to the 8th power put most of the mass on
+        # a few columns, and zeroed entries can never be drawn. The last
+        # row takes every column that can be drawn, so whenever two
+        # draws collide it needs the duplicate-redraw round.
+        shape = np.random.default_rng(seed)
+        p = shape.random(n) ** skew
+        p[shape.random(n) < zero_share] = 0.0
+        p[shape.integers(n)] += 1.0
+        p /= p.sum()
+        positive = np.count_nonzero(p)
+        degrees = [round(f * positive) for f in shares] + [positive]
+        got_rng, want_rng = make_rng(seed), make_rng(seed)
+        got = _weighted_rows(got_rng, p, np.array(degrees))
+        for row, k in zip(got, degrees):
+            want = np.sort(want_rng.choice(n, size=k, replace=False, p=p))
+            assert row.dtype == np.int64
+            assert np.array_equal(row, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "probs, k",
+        [
+            ([0.5, np.nan, 0.5], 1),
+            ([0.5, -0.1, 0.6], 1),
+            ([0.5, 0.4], 1),
+            ([0.5, 0.0, 0.5], 3),
+        ],
+    )
+    def test_rejects_what_choice_rejects(self, probs, k):
+        p = np.array(probs)
+        with pytest.raises(ValueError):
+            make_rng(0).choice(len(p), size=k, replace=False, p=p)
+        with pytest.raises(WorkloadError):
+            _weighted_rows(make_rng(0), p, np.array([k]))

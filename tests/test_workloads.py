@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.sim.npu.isa import STREAM_IA_GATHER
@@ -165,7 +167,8 @@ class TestDSBuildingBlocks:
 
 
 def refill_selection_rows(rng, steps, kv_len, k, drift, recent_window):
-    """The drift-and-refill loop, kept as the reference for ``k == kv_len``."""
+    """The drift-and-refill loop with one draw per token: the reference
+    for the bulk refill and for the ``k == kv_len`` shortcut."""
     active = set(rng.choice(kv_len, size=k, replace=False).tolist())
     rows = []
     for _ in range(steps):
@@ -182,6 +185,33 @@ def refill_selection_rows(rng, steps, kv_len, k, drift, recent_window):
         selection.update(range(kv_len - hot_end, kv_len))
         rows.append(np.sort(np.fromiter(selection, dtype=np.int64)))
     return rows
+
+
+class TestDSBulkRefill:
+    """One draw per deficit gives the rows and the generator state of one
+    draw per token."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 400),
+        st.floats(0.0, 1.0),
+        st.integers(1, 6),
+        st.floats(0.0, 1.0),
+        st.integers(0, 64),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_refill_loop(self, kv_len, k_share, steps, drift, window, seed):
+        # Large shares of a small index space make refills redraw tokens
+        # that are already active, so some deficits take several rounds.
+        k = min(kv_len - 1, max(1, round(k_share * kv_len)))
+        got_rng, want_rng = make_rng(seed), make_rng(seed)
+        got = build_selection_rows(got_rng, steps, kv_len, k, drift, window)
+        want = refill_selection_rows(want_rng, steps, kv_len, k, drift, window)
+        assert len(got) == len(want) == steps
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestDSFullSelection:
